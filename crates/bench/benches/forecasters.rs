@@ -1,9 +1,15 @@
-//! Criterion benchmarks for the NWS forecaster ensemble: the adaptive
-//! selection re-postcasts every strategy over the history, so its cost
-//! bounds how often a scheduler can refresh its stochastic values.
+//! Criterion benchmarks for the NWS forecaster ensemble. The tournament
+//! keeps running scores: absorbing a sample evaluates every strategy
+//! once (`tournament-observe`), reading the winner evaluates none
+//! (`tournament-best`), and replaying a whole series — a ring eviction,
+//! or `AdaptiveForecaster::forecast` — is linear in it
+//! (`adaptive-forecast`). `postcast-mse-256` is the quadratic prefix walk
+//! the scores replace.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use prodpred_nws::forecast::{postcast_mse, AdaptiveForecaster, ExpSmoothing, LastValue};
+use prodpred_nws::forecast::{
+    postcast_mse, AdaptiveForecaster, ExpSmoothing, LastValue, Scoreboard,
+};
 use prodpred_nws::TimeSeries;
 use prodpred_simgrid::load::{LoadGenerator, MarkovModal};
 
@@ -18,7 +24,7 @@ fn series_of(len: usize) -> TimeSeries {
 
 fn bench_adaptive(c: &mut Criterion) {
     let mut group = c.benchmark_group("adaptive-forecast");
-    for len in [32usize, 128, 512] {
+    for len in [32usize, 128, 512, 4096] {
         let series = series_of(len);
         let ens = AdaptiveForecaster::standard();
         group.bench_with_input(BenchmarkId::from_parameter(len), &series, |b, s| {
@@ -26,6 +32,28 @@ fn bench_adaptive(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_running_scores(c: &mut Criterion) {
+    let ens = AdaptiveForecaster::standard();
+    let mut observe = c.benchmark_group("tournament-observe");
+    for len in [32usize, 128, 512] {
+        let history = series_of(len).values();
+        let mut warm = Scoreboard::default();
+        ens.replay(&mut warm, &history[..len - 1]);
+        observe.bench_with_input(BenchmarkId::from_parameter(len), &history, |b, h| {
+            b.iter(|| {
+                let mut board = warm.clone();
+                ens.observe(&mut board, black_box(h));
+                board
+            })
+        });
+    }
+    observe.finish();
+
+    let mut board = Scoreboard::default();
+    ens.replay(&mut board, &series_of(512).values());
+    c.bench_function("tournament-best", |b| b.iter(|| black_box(&board).best()));
 }
 
 fn bench_single_strategies(c: &mut Criterion) {
@@ -36,10 +64,15 @@ fn bench_single_strategies(c: &mut Criterion) {
         b.iter(|| postcast_mse(&LastValue, black_box(&history)))
     });
     group.bench_function("exp-smoothing", |b| {
-        b.iter(|| postcast_mse(&ExpSmoothing { alpha: 0.3 }, black_box(&history)))
+        b.iter(|| postcast_mse(&ExpSmoothing::new(0.3), black_box(&history)))
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_adaptive, bench_single_strategies);
+criterion_group!(
+    benches,
+    bench_adaptive,
+    bench_running_scores,
+    bench_single_strategies
+);
 criterion_main!(benches);

@@ -17,6 +17,21 @@ pub trait Forecaster {
     /// Forecast of the next value given the history (oldest-first).
     /// `None` when the history is too short.
     fn forecast(&self, history: &[f64]) -> Option<f64>;
+
+    /// Incremental form of [`Forecaster::forecast`], called once per
+    /// sample with the history ending in that sample: it must return
+    /// exactly `self.forecast(history)`, bit for bit. `carry` is one word
+    /// of running state private to this strategy and this history; a
+    /// history that starts or restarts arrives with `history.len() == 1`,
+    /// which is where a strategy that uses `carry` (re)initialises it.
+    ///
+    /// The default recomputes from the history, which costs what
+    /// `forecast` costs: O(window) for the sliding strategies. A strategy
+    /// whose `forecast` folds the whole history overrides it.
+    fn step(&self, carry: &mut f64, history: &[f64]) -> Option<f64> {
+        let _ = carry;
+        self.forecast(history)
+    }
 }
 
 /// Predicts the last observed value (martingale / persistence).
@@ -46,6 +61,17 @@ impl Forecaster for RunningMean {
         } else {
             Some(history.iter().sum::<f64>() / history.len() as f64)
         }
+    }
+    fn step(&self, sum: &mut f64, history: &[f64]) -> Option<f64> {
+        let (&x, earlier) = history.split_last()?;
+        // The first sample goes through `Iterator::sum`, so the running
+        // sum is the same left fold from the same seed as `forecast`'s.
+        *sum = if earlier.is_empty() {
+            history.iter().sum()
+        } else {
+            *sum + x
+        };
+        Some(*sum / history.len() as f64)
     }
 }
 
@@ -94,8 +120,20 @@ impl Forecaster for SlidingMedian {
 /// Exponential smoothing with gain `alpha`.
 #[derive(Debug, Clone, Copy)]
 pub struct ExpSmoothing {
-    /// Smoothing gain in `(0, 1]`; higher tracks faster.
-    pub alpha: f64,
+    alpha: f64,
+}
+
+impl ExpSmoothing {
+    /// Exponential smoothing with gain `alpha` in `(0, 1]`; higher
+    /// tracks faster.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha` is outside `(0, 1]`.
+    pub fn new(alpha: f64) -> Self {
+        assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0,1]");
+        Self { alpha }
+    }
 }
 
 impl Forecaster for ExpSmoothing {
@@ -103,13 +141,21 @@ impl Forecaster for ExpSmoothing {
         "exp-smoothing"
     }
     fn forecast(&self, history: &[f64]) -> Option<f64> {
-        assert!(self.alpha > 0.0 && self.alpha <= 1.0, "alpha in (0,1]");
         let (&first, rest) = history.split_first()?;
         let mut s = first;
         for &x in rest {
             s += self.alpha * (x - s);
         }
         Some(s)
+    }
+    fn step(&self, s: &mut f64, history: &[f64]) -> Option<f64> {
+        let (&x, earlier) = history.split_last()?;
+        if earlier.is_empty() {
+            *s = x;
+        } else {
+            *s += self.alpha * (x - *s);
+        }
+        Some(*s)
     }
 }
 
@@ -216,6 +262,72 @@ pub struct Forecast {
     pub winner: usize,
 }
 
+/// One strategy's running score on a [`Scoreboard`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    /// Squared one-step errors summed in arrival order.
+    se: f64,
+    /// How many forecasts that sum holds.
+    scored: usize,
+    /// The strategy's forecast of the next sample.
+    standing: Option<f64>,
+    /// The strategy's own running state ([`Forecaster::step`]).
+    carry: f64,
+}
+
+/// The tournament's running state over one measurement history: per
+/// strategy the squared-error sum so far and the standing one-step
+/// forecast, so the winner is read off without revisiting the history.
+///
+/// A scoreboard belongs to the ensemble and the history it was fed from;
+/// [`AdaptiveForecaster::observe`] extends it by one sample and
+/// [`AdaptiveForecaster::replay`] rebuilds it when the history restarts
+/// (a ring eviction drops the oldest sample, which moves every strategy's
+/// starting point).
+#[derive(Debug, Clone, Default)]
+pub struct Scoreboard {
+    lanes: Vec<Lane>,
+    seen: usize,
+    last: f64,
+}
+
+impl Scoreboard {
+    /// The strategy with the lowest mean squared one-step error so far
+    /// (the first such in ensemble order), its standing forecast and its
+    /// RMSE. Persistence with zero error while a single sample exists;
+    /// `None` before that. O(strategies), no allocation.
+    pub fn best(&self) -> Option<Forecast> {
+        match self.seen {
+            0 => return None,
+            1 => {
+                return Some(Forecast {
+                    value: self.last,
+                    rmse: 0.0,
+                    winner: 0,
+                })
+            }
+            _ => {}
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if lane.scored == 0 {
+                continue;
+            }
+            let mse = lane.se / lane.scored as f64;
+            match best {
+                Some((_, b)) if mse >= b => {}
+                _ => best = Some((i, mse)),
+            }
+        }
+        let (winner, mse) = best?;
+        Some(Forecast {
+            value: self.lanes[winner].standing?,
+            rmse: mse.sqrt(),
+            winner,
+        })
+    }
+}
+
 /// The NWS-style adaptive forecaster: an ensemble of strategies, each
 /// forecast served by the one with the lowest postcast MSE so far.
 pub struct AdaptiveForecaster {
@@ -225,6 +337,12 @@ pub struct AdaptiveForecaster {
 impl Default for AdaptiveForecaster {
     fn default() -> Self {
         Self::standard()
+    }
+}
+
+impl std::fmt::Debug for AdaptiveForecaster {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.names()).finish()
     }
 }
 
@@ -245,9 +363,9 @@ impl AdaptiveForecaster {
                     window: 12,
                     trim: 2,
                 }),
-                Box::new(ExpSmoothing { alpha: 0.1 }),
-                Box::new(ExpSmoothing { alpha: 0.3 }),
-                Box::new(ExpSmoothing { alpha: 0.7 }),
+                Box::new(ExpSmoothing::new(0.1)),
+                Box::new(ExpSmoothing::new(0.3)),
+                Box::new(ExpSmoothing::new(0.7)),
             ],
         }
     }
@@ -258,39 +376,64 @@ impl AdaptiveForecaster {
         Self { strategies }
     }
 
+    /// The strategies in ensemble order.
+    pub fn strategies(&self) -> &[Box<dyn Forecaster + Send + Sync>] {
+        &self.strategies
+    }
+
     /// Strategy names in ensemble order.
     pub fn names(&self) -> Vec<&'static str> {
         self.strategies.iter().map(|s| s.name()).collect()
     }
 
-    /// Forecasts the next value of `series`, choosing the strategy with
-    /// the lowest postcast MSE. `None` until two measurements exist.
-    pub fn forecast(&self, series: &TimeSeries) -> Option<Forecast> {
-        let history = series.values();
-        if history.len() < 2 {
-            // Fall back to persistence once a single sample exists.
-            return history.last().map(|&v| Forecast {
-                value: v,
-                rmse: 0.0,
-                winner: 0,
-            });
-        }
-        let mut best: Option<(usize, f64)> = None;
-        for (i, s) in self.strategies.iter().enumerate() {
-            if let Some(mse) = postcast_mse(s.as_ref(), &history) {
-                match best {
-                    Some((_, b)) if mse >= b => {}
-                    _ => best = Some((i, mse)),
-                }
+    /// Absorbs the newest sample — the last of `history`, which is the
+    /// whole history oldest-first up to and including it — into `board`:
+    /// every strategy's standing forecast is scored against the sample in
+    /// ensemble order, then refreshed through [`Forecaster::step`]. Each
+    /// strategy is evaluated exactly once.
+    pub fn observe(&self, board: &mut Scoreboard, history: &[f64]) {
+        let Some(&x) = history.last() else {
+            return;
+        };
+        debug_assert_eq!(history.len(), board.seen + 1, "one sample at a time");
+        board.lanes.resize(self.strategies.len(), Lane::default());
+        for (lane, strategy) in board.lanes.iter_mut().zip(&self.strategies) {
+            if let Some(p) = lane.standing {
+                let e = p - x;
+                lane.se += e * e;
+                lane.scored += 1;
             }
+            lane.standing = strategy.step(&mut lane.carry, history);
         }
-        let (winner, mse) = best?;
-        let value = self.strategies[winner].forecast(&history)?;
-        Some(Forecast {
-            value,
-            rmse: mse.sqrt(),
-            winner,
-        })
+        board.seen += 1;
+        board.last = x;
+    }
+
+    /// Rebuilds `board` from scratch by replaying `history` (oldest-first)
+    /// one sample at a time: O(history × Σ window), the cost of a ring
+    /// eviction.
+    pub fn replay(&self, board: &mut Scoreboard, history: &[f64]) {
+        board.lanes.clear();
+        board.seen = 0;
+        for end in 1..=history.len() {
+            self.observe(board, &history[..end]);
+        }
+    }
+
+    /// Forecasts the next value of `series`, choosing the strategy with
+    /// the lowest postcast MSE — each strategy's one-step forecasts over
+    /// every prefix of the series, scored against what came next, summed
+    /// oldest-first; the first strategy with the strictly lowest mean
+    /// wins. Persistence with zero error while a single measurement
+    /// exists, `None` on an empty series.
+    ///
+    /// This replays the series through the same running tournament a
+    /// [`crate::Sensor`] keeps; a sensor answers the same question in
+    /// O(strategies) from its scoreboard.
+    pub fn forecast(&self, series: &TimeSeries) -> Option<Forecast> {
+        let mut board = Scoreboard::default();
+        self.replay(&mut board, &series.contiguous_values());
+        board.best()
     }
 }
 
@@ -330,9 +473,9 @@ mod tests {
 
     #[test]
     fn exp_smoothing_tracks() {
-        let f = ExpSmoothing { alpha: 1.0 };
+        let f = ExpSmoothing::new(1.0);
         assert_eq!(f.forecast(&[5.0, 7.0]), Some(7.0)); // alpha=1 == persistence
-        let slow = ExpSmoothing { alpha: 0.1 };
+        let slow = ExpSmoothing::new(0.1);
         let v = slow.forecast(&[0.0, 10.0]).unwrap();
         assert!((v - 1.0).abs() < 1e-12);
     }

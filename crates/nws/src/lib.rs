@@ -10,6 +10,8 @@
 //! Components:
 //!
 //! * [`sensor::Sensor`] — periodic samplers of simulated resource traces,
+//!   each keeping the forecaster tournament's running scores so a load
+//!   query costs O(strategies), not a walk over the history,
 //! * [`series::TimeSeries`] — bounded per-resource measurement history,
 //! * [`forecast`] — the NWS's strategy ensemble (persistence, means,
 //!   medians, exponential smoothing) with adaptive best-of-MSE selection,
@@ -20,8 +22,7 @@
 //!   spreads widened with measurement staleness) instead of failing,
 //! * [`snapshot::ForecastSnapshot`] — the full query surface frozen at
 //!   one instant, bit-identical to the live service, for epoch-published
-//!   prediction serving (ingest runs the forecaster tournament once per
-//!   epoch; readers never touch a sensor lock).
+//!   prediction serving (readers never touch a sensor lock).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +36,7 @@ pub mod series;
 pub mod service;
 pub mod snapshot;
 
-pub use forecast::{AdaptiveForecaster, Forecast, Forecaster};
+pub use forecast::{AdaptiveForecaster, Forecast, Forecaster, Scoreboard};
 pub use sensor::Sensor;
 pub use series::TimeSeries;
 pub use service::{NwsConfig, NwsService, QueryError, QueryMode, QuerySummary, SpreadPolicy};

@@ -12,14 +12,20 @@
 //! Non-finite measurements — whatever their origin — are discarded and
 //! counted rather than pushed, so a corrupted reading can never poison
 //! the history or panic the service.
+//!
+//! A sensor also keeps the forecaster tournament's running scores over
+//! its history, brought up to date as samples arrive, so
+//! [`Sensor::forecast`] costs O(strategies) however long the history is.
 
+use crate::forecast::{AdaptiveForecaster, Forecast, Scoreboard};
 use crate::series::TimeSeries;
 use prodpred_simgrid::faults::{PollOutcome, SensorFaults};
 use prodpred_simgrid::Trace;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A periodic sampler of one resource.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sensor {
     /// Resource label, e.g. `"cpu:sparc2-a"`.
     pub name: String,
@@ -34,12 +40,31 @@ pub struct Sensor {
     missed_polls: u64,
     /// Measurements discarded because they arrived non-finite.
     corrupt_polls: u64,
+    ensemble: Arc<AdaptiveForecaster>,
+    /// The ensemble's running scores over `series`; derived state, kept
+    /// out of the wire form and rebuilt from the series on deserialise.
+    scores: Scoreboard,
 }
 
 impl Sensor {
     /// Creates a sensor polling every `interval` seconds, retaining up to
-    /// `capacity` measurements, starting at time `start`.
+    /// `capacity` measurements, starting at time `start`, forecasting
+    /// with the standard ensemble.
     pub fn new(name: impl Into<String>, interval: f64, capacity: usize, start: f64) -> Self {
+        let ensemble = Arc::new(AdaptiveForecaster::standard());
+        Self::with_ensemble(name, interval, capacity, start, ensemble)
+    }
+
+    /// Like [`Sensor::new`], forecasting with `ensemble`. The ensemble is
+    /// not part of the wire form: a deserialised sensor forecasts with
+    /// the standard one.
+    pub fn with_ensemble(
+        name: impl Into<String>,
+        interval: f64,
+        capacity: usize,
+        start: f64,
+        ensemble: Arc<AdaptiveForecaster>,
+    ) -> Self {
         assert!(interval > 0.0, "sensor interval must be positive");
         Self {
             name: name.into(),
@@ -49,6 +74,8 @@ impl Sensor {
             poll_index: 0,
             missed_polls: 0,
             corrupt_polls: 0,
+            ensemble,
+            scores: Scoreboard::default(),
         }
     }
 
@@ -73,6 +100,8 @@ impl Sensor {
     /// Regardless of faults, any non-finite value is discarded and
     /// counted in [`Sensor::corrupt_polls`] instead of being pushed.
     pub fn poll_until_with(&mut self, trace: &Trace, until: f64, faults: Option<&SensorFaults>) {
+        let retained = self.series.len();
+        let (mut pushed, mut evicted) = (false, false);
         while self.next_poll <= until {
             let t = self.next_poll;
             let outcome = match faults {
@@ -94,7 +123,8 @@ impl Sensor {
             };
             if let Some(v) = measured {
                 if v.is_finite() {
-                    self.series.push(t, v);
+                    evicted |= self.series.push(t, v);
+                    pushed = true;
                 } else {
                     self.corrupt_polls += 1;
                 }
@@ -102,6 +132,34 @@ impl Sensor {
             self.next_poll += self.interval;
             self.poll_index += 1;
         }
+        if pushed {
+            self.score_batch(retained, evicted);
+        }
+    }
+
+    /// Brings the running scores up to date with a batch of samples that
+    /// arrived on top of `retained`. Without an eviction the new samples
+    /// extend the scores one at a time; an eviction moved the start of
+    /// the history, so the scores are rebuilt once over what is retained
+    /// now.
+    fn score_batch(&mut self, retained: usize, evicted: bool) {
+        let history = self.series.make_contiguous();
+        if evicted {
+            self.ensemble.replay(&mut self.scores, history);
+        } else {
+            for end in retained + 1..=history.len() {
+                self.ensemble.observe(&mut self.scores, &history[..end]);
+            }
+        }
+    }
+
+    /// The tournament's forecast of the next measurement: the standing
+    /// forecast of the strategy with the lowest one-step MSE over the
+    /// retained history, exactly [`AdaptiveForecaster::forecast`] of
+    /// [`Sensor::series`], read off the running scores in O(strategies)
+    /// with no allocation.
+    pub fn forecast(&self) -> Option<Forecast> {
+        self.scores.best()
     }
 
     /// The sampling cadence.
@@ -138,6 +196,48 @@ impl Sensor {
             Some((t, _)) => (now - t).max(0.0),
             None => f64::INFINITY,
         }
+    }
+}
+
+/// The wire form is the sampling state alone — the shape the former
+/// derive produced — without the ensemble or its running scores.
+impl Serialize for Sensor {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("name".to_string(), self.name.to_value()),
+            ("interval".to_string(), self.interval.to_value()),
+            ("next_poll".to_string(), self.next_poll.to_value()),
+            ("series".to_string(), self.series.to_value()),
+            ("poll_index".to_string(), self.poll_index.to_value()),
+            ("missed_polls".to_string(), self.missed_polls.to_value()),
+            ("corrupt_polls".to_string(), self.corrupt_polls.to_value()),
+        ])
+    }
+}
+
+/// Deserialises the sampling state and rebuilds the running scores by
+/// replaying the series through the standard ensemble, so the sensor
+/// carries on bit-identically to one that was never serialised.
+impl Deserialize for Sensor {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let interval = f64::from_value(v.field("interval")?)?;
+        if interval.is_nan() || interval <= 0.0 {
+            return Err(serde::Error::new("sensor interval must be positive"));
+        }
+        let mut sensor = Self {
+            name: String::from_value(v.field("name")?)?,
+            interval,
+            next_poll: f64::from_value(v.field("next_poll")?)?,
+            series: TimeSeries::from_value(v.field("series")?)?,
+            poll_index: u64::from_value(v.field("poll_index")?)?,
+            missed_polls: u64::from_value(v.field("missed_polls")?)?,
+            corrupt_polls: u64::from_value(v.field("corrupt_polls")?)?,
+            ensemble: Arc::new(AdaptiveForecaster::standard()),
+            scores: Scoreboard::default(),
+        };
+        let history = sensor.series.make_contiguous();
+        sensor.ensemble.replay(&mut sensor.scores, history);
+        Ok(sensor)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Bounded time series of resource measurements.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// A bounded series of `(timestamp, value)` measurements, oldest first.
@@ -29,22 +30,25 @@ impl TimeSeries {
         }
     }
 
-    /// Appends a measurement. Timestamps must be non-decreasing.
+    /// Appends a measurement and returns whether the oldest one was
+    /// dropped to make room. Timestamps must be non-decreasing.
     ///
     /// # Panics
     ///
     /// Panics on a time regression or non-finite input.
-    pub fn push(&mut self, t: f64, v: f64) {
+    pub fn push(&mut self, t: f64, v: f64) -> bool {
         assert!(t.is_finite() && v.is_finite(), "measurement must be finite");
         if let Some(&last) = self.times.back() {
             assert!(t >= last, "time regression: {t} < {last}");
         }
-        if self.times.len() == self.capacity {
+        let evict = self.times.len() == self.capacity;
+        if evict {
             self.times.pop_front();
             self.values.pop_front();
         }
         self.times.push_back(t);
         self.values.push_back(v);
+        evict
     }
 
     /// Number of retained measurements.
@@ -75,10 +79,37 @@ impl TimeSeries {
         self.values.iter().copied().collect()
     }
 
+    /// Values oldest-first as the ring's two runs (the second is empty
+    /// when the ring has not wrapped): a view, no copy.
+    pub fn value_slices(&self) -> (&[f64], &[f64]) {
+        self.values.as_slices()
+    }
+
+    /// Values oldest-first as one slice, borrowed when the ring is
+    /// contiguous — which a [`crate::Sensor`] restores after every poll
+    /// batch — and copied only when it has wrapped.
+    pub fn contiguous_values(&self) -> Cow<'_, [f64]> {
+        match self.value_slices() {
+            (all, []) => Cow::Borrowed(all),
+            _ => Cow::Owned(self.values()),
+        }
+    }
+
+    /// Rotates the ring so the values form one slice, and returns it.
+    pub(crate) fn make_contiguous(&mut self) -> &[f64] {
+        self.values.make_contiguous()
+    }
+
+    /// The most recent `n` values, oldest-first (fewer if not available),
+    /// as a view: no copy.
+    pub fn recent_values(&self, n: usize) -> impl Iterator<Item = f64> + '_ {
+        let start = self.values.len().saturating_sub(n);
+        self.values.range(start..).copied()
+    }
+
     /// The most recent `n` values, oldest-first (fewer if not available).
     pub fn recent(&self, n: usize) -> Vec<f64> {
-        let start = self.values.len().saturating_sub(n);
-        self.values.iter().skip(start).copied().collect()
+        self.recent_values(n).collect()
     }
 
     /// Timestamps oldest-first.
@@ -126,6 +157,24 @@ mod tests {
         }
         assert_eq!(s.recent(3), vec![3.0, 4.0, 5.0]);
         assert_eq!(s.recent(100).len(), 6);
+    }
+
+    #[test]
+    fn views_agree_with_copies_when_the_ring_wraps() {
+        let mut s = TimeSeries::new(4);
+        for i in 0..7 {
+            s.push(i as f64, i as f64);
+        }
+        let (head, tail) = s.value_slices();
+        assert!(!tail.is_empty(), "seven pushes into four slots wrap");
+        assert_eq!([head, tail].concat(), s.values());
+        assert!(matches!(s.contiguous_values(), Cow::Owned(_)));
+        assert_eq!(*s.contiguous_values(), s.values());
+        assert_eq!(s.recent_values(3).collect::<Vec<_>>(), s.recent(3));
+        assert_eq!(s.recent(3), vec![4.0, 5.0, 6.0]);
+        assert_eq!(s.make_contiguous(), [3.0, 4.0, 5.0, 6.0]);
+        assert!(matches!(s.contiguous_values(), Cow::Borrowed(_)));
+        assert_eq!(s.times(), vec![3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

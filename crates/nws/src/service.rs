@@ -8,20 +8,22 @@
 //! forecaster's own error estimate (the spread), yielding the
 //! `mean ± 2σ` stochastic values the prediction models consume.
 
-use crate::forecast::AdaptiveForecaster;
+use crate::forecast::{AdaptiveForecaster, Forecast};
 use crate::sensor::Sensor;
+use crate::series::TimeSeries;
+use crate::snapshot::HorizonBasis;
 use prodpred_simgrid::faults::{FaultPlan, BANDWIDTH_RESOURCE};
 use prodpred_simgrid::Platform;
 use prodpred_stochastic::{StochasticValue, Summary};
 use serde::{Deserialize, Serialize};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Locks a sensor for reading, recovering from poisoning: a panic in
 /// some other thread mid-read cannot have torn the sensor state (all
 /// writes go through `poll_until_with`, which restores invariants), so
 /// continuing with the inner value is sound and keeps the service
 /// answering during partial failures.
-fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+pub(crate) fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -156,9 +158,8 @@ impl Default for NwsConfig {
 /// ```
 pub struct NwsService {
     config: NwsConfig,
-    cpu: Vec<RwLock<Sensor>>,
-    bandwidth: RwLock<Sensor>,
-    forecaster: AdaptiveForecaster,
+    pub(crate) cpu: Vec<RwLock<Sensor>>,
+    pub(crate) bandwidth: RwLock<Sensor>,
     faults: Option<FaultPlan>,
     /// The furthest time the sensors have been advanced to — the "now"
     /// against which measurement staleness is judged.
@@ -181,29 +182,26 @@ impl NwsService {
     }
 
     fn attach_inner(platform: &Platform, config: NwsConfig, faults: Option<FaultPlan>) -> Self {
+        let ensemble = Arc::new(AdaptiveForecaster::standard());
+        let sensor = |name: String| {
+            RwLock::new(Sensor::with_ensemble(
+                name,
+                config.interval,
+                config.capacity,
+                0.0,
+                Arc::clone(&ensemble),
+            ))
+        };
         let cpu = platform
             .machines
             .iter()
-            .map(|m| {
-                RwLock::new(Sensor::new(
-                    format!("cpu:{}", m.spec.name),
-                    config.interval,
-                    config.capacity,
-                    0.0,
-                ))
-            })
+            .map(|m| sensor(format!("cpu:{}", m.spec.name)))
             .collect();
-        let bandwidth = RwLock::new(Sensor::new(
-            "bandwidth:segment",
-            config.interval,
-            config.capacity,
-            0.0,
-        ));
+        let bandwidth = sensor("bandwidth:segment".to_string());
         Self {
             config,
             cpu,
             bandwidth,
-            forecaster: AdaptiveForecaster::standard(),
             faults,
             now: RwLock::new(0.0),
         }
@@ -244,72 +242,66 @@ impl NwsService {
         *read_lock(&self.now)
     }
 
-    fn stochastic_from(&self, sensor: &RwLock<Sensor>) -> Option<StochasticValue> {
-        let guard = read_lock(sensor);
-        let series = guard.series();
-        let forecast = self.forecaster.forecast(series)?;
-        let window_sd = || {
-            let recent = series.recent(self.config.variance_window);
-            if recent.len() >= 2 {
-                Summary::from_slice(&recent).sd()
-            } else {
-                0.0
-            }
-        };
-        let sigma = match self.config.spread {
+    /// The spread of a forecast-mode value under the configured policy.
+    fn sigma(&self, series: &TimeSeries, forecast: Forecast) -> f64 {
+        let window_sd = || self.window_summary(series).sd();
+        match self.config.spread {
             SpreadPolicy::ForecastRmse => forecast.rmse,
             SpreadPolicy::WindowVariance => window_sd(),
             SpreadPolicy::Combined => {
                 let sd = window_sd();
                 (sd * sd + forecast.rmse * forecast.rmse).sqrt()
             }
-        };
+        }
+    }
+
+    /// Moments of the last `variance_window` samples (spread 0.0 below
+    /// two), accumulated over a view of the ring.
+    fn window_summary(&self, series: &TimeSeries) -> Summary {
+        let mut s = Summary::new();
+        for x in series.recent_values(self.config.variance_window) {
+            s.push(x);
+        }
+        s
+    }
+
+    /// [`NwsService::cpu_stochastic`] of a sensor whose lock is held.
+    pub(crate) fn stochastic_of(&self, sensor: &Sensor) -> Option<StochasticValue> {
+        let forecast = sensor.forecast()?;
+        let sigma = self.sigma(sensor.series(), forecast);
         Some(StochasticValue::from_mean_sd(forecast.value, sigma))
     }
 
-    fn query_from(&self, sensor: &RwLock<Sensor>) -> Result<QuerySummary, QueryError> {
-        let guard = read_lock(sensor);
-        let series = guard.series();
+    /// [`NwsService::cpu_query`] of a sensor whose lock is held, judged
+    /// against the clock `now`.
+    pub(crate) fn query_of(&self, sensor: &Sensor, now: f64) -> Result<QuerySummary, QueryError> {
+        let series = sensor.series();
         let samples = series.len();
         let Some((_, last_value)) = series.last() else {
             return Err(QueryError::NoData {
-                resource: guard.name.clone(),
+                resource: sensor.name.clone(),
             });
         };
-        let now = self.now();
-        let age_secs = guard.age_at(now);
+        let age_secs = sensor.age_at(now);
         // Fresh data lags "now" by less than one cadence; every whole
         // extra cadence of silence is one unobserved interval.
-        let stale_intervals = (age_secs / guard.interval() - 1.0).max(0.0).floor();
-        let window_sd = || {
-            let recent = series.recent(self.config.variance_window);
-            Summary::from_slice(&recent).sd()
-        };
+        let stale_intervals = (age_secs / sensor.interval() - 1.0).max(0.0).floor();
         // The fallback chain is genuinely a chain: a forecaster that
         // declines (however many samples exist) drops to window
         // statistics, and a window too thin for statistics drops to the
         // last known value, which the emptiness check above guarantees.
         let forecast = if samples >= 4 {
-            self.forecaster.forecast(series)
+            sensor.forecast()
         } else {
             None
         };
         let (base, mode) = if let Some(forecast) = forecast {
-            let sigma = match self.config.spread {
-                SpreadPolicy::ForecastRmse => forecast.rmse,
-                SpreadPolicy::WindowVariance => window_sd(),
-                SpreadPolicy::Combined => {
-                    let sd = window_sd();
-                    (sd * sd + forecast.rmse * forecast.rmse).sqrt()
-                }
-            };
             (
-                StochasticValue::from_mean_sd(forecast.value, sigma),
+                StochasticValue::from_mean_sd(forecast.value, self.sigma(series, forecast)),
                 QueryMode::Forecast,
             )
         } else if samples >= 2 {
-            let recent = series.recent(self.config.variance_window);
-            let s = Summary::from_slice(&recent);
+            let s = self.window_summary(series);
             (
                 StochasticValue::from_mean_sd(s.mean(), s.sd()),
                 QueryMode::WindowStats,
@@ -320,7 +312,6 @@ impl NwsService {
                 QueryMode::LastKnown,
             )
         };
-        drop(guard);
         let value = base.widen((1.0 + stale_intervals).sqrt());
         let partial_window = samples < self.config.variance_window;
         Ok(QuerySummary {
@@ -332,6 +323,14 @@ impl NwsService {
             stale_intervals,
             degraded: mode != QueryMode::Forecast || stale_intervals > 0.0,
         })
+    }
+
+    fn stochastic_from(&self, sensor: &RwLock<Sensor>) -> Option<StochasticValue> {
+        self.stochastic_of(&read_lock(sensor))
+    }
+
+    fn query_from(&self, sensor: &RwLock<Sensor>) -> Result<QuerySummary, QueryError> {
+        self.query_of(&read_lock(sensor), self.now())
     }
 
     /// Fault-aware CPU availability query for machine `i`.
@@ -410,14 +409,16 @@ impl NwsService {
     /// retained history. `None` until enough data (>= 8 samples) or when
     /// the series is constant.
     pub fn cpu_autocorrelation_time(&self, i: usize) -> Option<f64> {
-        let v = {
-            let guard = read_lock(&self.cpu[i]);
-            guard.series().values()
-        };
-        if v.len() < 8 {
+        let sensor = read_lock(&self.cpu[i]);
+        self.autocorrelation_time_of(&sensor.series().contiguous_values())
+    }
+
+    /// [`NwsService::cpu_autocorrelation_time`] of a history in hand.
+    pub(crate) fn autocorrelation_time_of(&self, history: &[f64]) -> Option<f64> {
+        if history.len() < 8 {
             return None;
         }
-        let rho = prodpred_stochastic::stats::autocorrelation(&v, 1)?.clamp(-0.999, 0.999);
+        let rho = prodpred_stochastic::stats::autocorrelation(history, 1)?.clamp(-0.999, 0.999);
         if rho <= 0.0 {
             // Effectively uncorrelated at the sensor cadence.
             return Some(self.config.interval * 0.1);
@@ -444,23 +445,11 @@ impl NwsService {
         horizon_secs: f64,
     ) -> Option<StochasticValue> {
         assert!(horizon_secs > 0.0, "horizon must be positive");
-        let current = self.cpu_stochastic(i)?;
-        let guard = read_lock(&self.cpu[i]);
-        let v = guard.series().values();
-        drop(guard);
-        if v.len() < 8 {
-            return Some(current);
-        }
-        let s = Summary::from_slice(&v);
-        let tau = self.cpu_autocorrelation_time(i)?;
-        let d = horizon_secs;
-        let r = tau / d;
-        let decay = 1.0 - (-d / tau).exp();
-        let mean = s.mean() + (current.mean() - s.mean()) * r * decay;
-        let var_avg = (s.variance() * (2.0 * r) * (1.0 - r * decay)).max(0.0);
-        // The time-average variance cannot exceed the per-sample variance.
-        let sigma = var_avg.min(s.variance()).sqrt();
-        Some(StochasticValue::from_mean_sd(mean, sigma))
+        let sensor = read_lock(&self.cpu[i]);
+        let current = self.stochastic_of(&sensor)?;
+        let history = sensor.series().contiguous_values();
+        let tau = self.autocorrelation_time_of(&history);
+        HorizonBasis::of(&history, tau).time_average(current, horizon_secs)
     }
 
     /// The paper's Section-2.1.2 multi-modal stochastic value for machine
@@ -469,14 +458,8 @@ impl NwsService {
     /// `sum_i P_i (M_i ± SD_i)`. Falls back to the plain stochastic value
     /// when the history is too short for mode detection.
     pub fn cpu_modal_stochastic(&self, i: usize) -> Option<StochasticValue> {
-        let history = {
-            let guard = read_lock(&self.cpu[i]);
-            guard.series().values()
-        };
-        match prodpred_stochastic::fit::detect_modes(&history, Default::default()) {
-            Some(model) => Some(model.weighted_average()),
-            None => self.cpu_stochastic(i),
-        }
+        let sensor = read_lock(&self.cpu[i]);
+        modal_of(&sensor.series().contiguous_values()).or_else(|| self.stochastic_of(&sensor))
     }
 
     /// The resource label of machine `i`'s CPU sensor, e.g.
@@ -499,6 +482,13 @@ impl NwsService {
     pub fn cpu_history(&self, i: usize) -> Vec<f64> {
         read_lock(&self.cpu[i]).series().values()
     }
+}
+
+/// The occupancy-weighted modal value of a history, when it is long
+/// enough for mode detection.
+pub(crate) fn modal_of(history: &[f64]) -> Option<StochasticValue> {
+    prodpred_stochastic::fit::detect_modes(history, Default::default())
+        .map(|model| model.weighted_average())
 }
 
 #[cfg(test)]

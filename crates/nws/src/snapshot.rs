@@ -8,16 +8,16 @@
 //! live [`NwsService`] — instantaneous stochastic values, fault-aware
 //! query summaries, modal averages, horizon-scaled values, bandwidth —
 //! captured once per publish epoch into a plain immutable value. The
-//! ingest thread pays the forecaster-tournament cost once per epoch;
-//! thousands of concurrent readers then answer from the snapshot without
-//! touching a sensor lock.
+//! ingest thread pays for mode detection once per epoch; thousands of
+//! concurrent readers then answer from the snapshot without touching a
+//! sensor lock.
 //!
 //! Every accessor is pinned **bit-identical** to the live method it
 //! mirrors (`crates/tests/service_core.rs`): a snapshot taken at sensor
 //! time `t` answers exactly what the live service would have answered at
 //! `t`, for every machine, load source, and staleness mode.
 
-use crate::service::{NwsService, QueryError, QuerySummary};
+use crate::service::{modal_of, read_lock, NwsService, QueryError, QuerySummary};
 use prodpred_stochastic::{StochasticValue, Summary};
 use serde::{Deserialize, Serialize};
 
@@ -38,6 +38,47 @@ pub struct HorizonBasis {
     /// ([`NwsService::cpu_autocorrelation_time`]); `None` below 8 samples
     /// or on a constant series.
     pub tau: Option<f64>,
+}
+
+impl HorizonBasis {
+    /// Summarises `history`, given its autocorrelation time.
+    pub(crate) fn of(history: &[f64], tau: Option<f64>) -> Self {
+        let (mean, variance) = if history.len() >= 2 {
+            let s = Summary::from_slice(history);
+            (s.mean(), s.variance())
+        } else {
+            (history.first().copied().unwrap_or(0.0), 0.0)
+        };
+        Self {
+            samples: history.len(),
+            mean,
+            variance,
+            tau,
+        }
+    }
+
+    /// `current` averaged over a run of `horizon_secs`: the
+    /// Ornstein–Uhlenbeck time-average formula of
+    /// [`NwsService::cpu_stochastic_for_horizon`], which the live service
+    /// and a snapshot both answer through.
+    pub(crate) fn time_average(
+        &self,
+        current: StochasticValue,
+        horizon_secs: f64,
+    ) -> Option<StochasticValue> {
+        if self.samples < 8 {
+            return Some(current);
+        }
+        let tau = self.tau?;
+        let d = horizon_secs;
+        let r = tau / d;
+        let decay = 1.0 - (-d / tau).exp();
+        let mean = self.mean + (current.mean() - self.mean) * r * decay;
+        let var_avg = (self.variance * (2.0 * r) * (1.0 - r * decay)).max(0.0);
+        // The time-average variance cannot exceed the per-sample variance.
+        let sigma = var_avg.min(self.variance).sqrt();
+        Some(StochasticValue::from_mean_sd(mean, sigma))
+    }
 }
 
 /// One machine's frozen query surface.
@@ -81,38 +122,35 @@ impl NwsService {
     /// [`ForecastSnapshot`] labelled `epoch`.
     ///
     /// This is the once-per-epoch cost of the prediction service's
-    /// ingest side: it runs the forecaster tournament and mode detection
-    /// for every machine, so queries against the snapshot never do.
+    /// ingest side: it runs mode detection for every machine, so queries
+    /// against the snapshot never do. Each machine's lock is taken once,
+    /// and its summary, autocorrelation and modes share one view of the
+    /// history.
     pub fn snapshot(&self, epoch: u64) -> ForecastSnapshot {
-        let machines = (0..self.n_machines())
-            .map(|i| {
-                let history = self.cpu_history(i);
-                let (mean, variance) = if history.len() >= 2 {
-                    let s = Summary::from_slice(&history);
-                    (s.mean(), s.variance())
-                } else {
-                    (history.first().copied().unwrap_or(0.0), 0.0)
-                };
+        let now = self.now();
+        let machines = self
+            .cpu
+            .iter()
+            .map(|lock| {
+                let sensor = read_lock(lock);
+                let history = sensor.series().contiguous_values();
+                let stochastic = self.stochastic_of(&sensor);
                 MachineSnapshot {
-                    resource: self.cpu_resource_name(i),
-                    stochastic: self.cpu_stochastic(i),
-                    query: self.cpu_query(i).ok(),
-                    modal: self.cpu_modal_stochastic(i),
-                    horizon: HorizonBasis {
-                        samples: history.len(),
-                        mean,
-                        variance,
-                        tau: self.cpu_autocorrelation_time(i),
-                    },
+                    resource: sensor.name.clone(),
+                    stochastic,
+                    query: self.query_of(&sensor, now).ok(),
+                    modal: modal_of(&history).or(stochastic),
+                    horizon: HorizonBasis::of(&history, self.autocorrelation_time_of(&history)),
                 }
             })
             .collect();
+        let bandwidth = read_lock(&self.bandwidth);
         ForecastSnapshot {
             epoch,
-            captured_at: self.now(),
+            captured_at: now,
             machines,
-            bandwidth_stochastic: self.bandwidth_fraction_stochastic(),
-            bandwidth_query: self.bandwidth_fraction_query().ok(),
+            bandwidth_stochastic: self.stochastic_of(&bandwidth),
+            bandwidth_query: self.query_of(&bandwidth, now).ok(),
         }
     }
 }
@@ -160,19 +198,7 @@ impl ForecastSnapshot {
     ) -> Option<StochasticValue> {
         assert!(horizon_secs > 0.0, "horizon must be positive");
         let current = self.cpu_stochastic(i)?;
-        let basis = &self.machines[i].horizon;
-        if basis.samples < 8 {
-            return Some(current);
-        }
-        let tau = basis.tau?;
-        let d = horizon_secs;
-        let r = tau / d;
-        let decay = 1.0 - (-d / tau).exp();
-        let mean = basis.mean + (current.mean() - basis.mean) * r * decay;
-        let var_avg = (basis.variance * (2.0 * r) * (1.0 - r * decay)).max(0.0);
-        // The time-average variance cannot exceed the per-sample variance.
-        let sigma = var_avg.min(basis.variance).sqrt();
-        Some(StochasticValue::from_mean_sd(mean, sigma))
+        self.machines[i].horizon.time_average(current, horizon_secs)
     }
 
     /// Frozen [`NwsService::bandwidth_fraction_stochastic`].

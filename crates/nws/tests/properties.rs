@@ -22,7 +22,7 @@ proptest! {
             Box::new(RunningMean),
             Box::new(SlidingMean { window: 8 }),
             Box::new(SlidingMedian { window: 8 }),
-            Box::new(ExpSmoothing { alpha: 0.4 }),
+            Box::new(ExpSmoothing::new(0.4)),
         ];
         for f in &forecasters {
             let v = f.forecast(&h).unwrap();

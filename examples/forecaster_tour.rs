@@ -52,7 +52,7 @@ fn main() {
             window: 12,
             trim: 2,
         }),
-        Box::new(ExpSmoothing { alpha: 0.3 }),
+        Box::new(ExpSmoothing::new(0.3)),
         Box::new(AdaptiveWindowMean::default()),
     ];
 

@@ -3,7 +3,7 @@
 
 use prodpred_core::{platform2_experiment, ExperimentSeries};
 use prodpred_nws::snapshot::ForecastSnapshot;
-use prodpred_nws::{NwsConfig, NwsService, QuerySummary};
+use prodpred_nws::{NwsConfig, NwsService, QuerySummary, Sensor};
 use prodpred_simgrid::{Platform, Trace};
 use prodpred_stochastic::StochasticValue;
 
@@ -52,6 +52,39 @@ fn query_summary_round_trip() {
     let back: QuerySummary = serde_json::from_str(&json).unwrap();
     assert_eq!(summary, back);
     assert_eq!(summary.value.mean().to_bits(), back.value.mean().to_bits());
+}
+
+#[test]
+fn sensor_round_trip_mid_stream_carries_on_bit_identically() {
+    // The wire form holds the sampling state, not the tournament's
+    // running scores: the parsed sensor rebuilds them, and from then on
+    // answers exactly what a sensor that was never serialised answers —
+    // before the ring fills, while it fills, and once it evicts.
+    let platform = Platform::platform2(11, 4000.0);
+    let trace = &platform.machines[0].load;
+    for (capacity, cut) in [(4096, 600.0), (64, 200.0), (64, 1500.0), (8, 0.0)] {
+        let mut live = Sensor::new("cpu:x", 5.0, capacity, 0.0);
+        live.poll_until(trace, cut);
+        let json = serde_json::to_string(&live).unwrap();
+        assert!(!json.contains("scores"), "{json}");
+        let mut back: Sensor = serde_json::from_str(&json).unwrap();
+        assert_eq!(json, serde_json::to_string(&back).unwrap());
+        for step in 0..60 {
+            let bits = |s: &Sensor| {
+                s.forecast()
+                    .map(|f| (f.value.to_bits(), f.rmse.to_bits(), f.winner))
+            };
+            assert_eq!(
+                bits(&back),
+                bits(&live),
+                "capacity {capacity}, cut at {cut}, step {step}"
+            );
+            let until = cut + 35.0 * step as f64;
+            live.poll_until(trace, until);
+            back.poll_until(trace, until);
+        }
+        assert_eq!(back.series().values(), live.series().values());
+    }
 }
 
 #[test]
