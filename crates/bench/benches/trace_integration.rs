@@ -1,10 +1,14 @@
 //! Criterion benchmarks for `Trace` integration: the O(1) prefix-integral
 //! path against the O(steps) step-walk reference it replaced, and the
 //! binary-search `time_to_complete` against its walking reference, on
-//! production-scale (hour-long, one-second-step) traces.
+//! production-scale (hour-long, one-second-step) traces. Plus what it
+//! costs to generate the traces in the first place: a Platform-2 at the
+//! horizon the preset experiments start from and at the 60 000 s they
+//! used to generate, beside the whole experiment that now pays the former.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use prodpred_simgrid::Trace;
+use prodpred_core::platform2_experiment;
+use prodpred_simgrid::{Platform, Trace};
 
 /// An hour of one-second availability samples with realistic structure:
 /// a slow diurnal-ish drift modulated by a faster oscillation.
@@ -82,5 +86,25 @@ fn bench_time_to_complete(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_integral, bench_time_to_complete);
+fn bench_platform_generation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("platform-generation");
+    for horizon in [2_048usize, 60_000] {
+        group.bench_with_input(
+            BenchmarkId::new("platform2", horizon),
+            &(horizon as f64),
+            |b, &horizon| b.iter(|| black_box(Platform::platform2(black_box(42), horizon))),
+        );
+    }
+    group.bench_function("platform2_experiment/1600x10", |b| {
+        b.iter(|| black_box(platform2_experiment(black_box(42), 1600, 10)))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_integral,
+    bench_time_to_complete,
+    bench_platform_generation
+);
 criterion_main!(benches);

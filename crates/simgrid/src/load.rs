@@ -41,6 +41,15 @@ fn clamp_avail(x: f64) -> f64 {
 pub trait LoadGenerator {
     /// Generates a trace of `steps` samples at resolution `dt` starting at
     /// `t0`, deterministically from `seed`.
+    ///
+    /// [`Dedicated`], [`SingleModeAr1`] and [`MarkovModal`] are *prefix
+    /// stable*: they draw from the seeded stream strictly in step order,
+    /// so the first `k` samples do not depend on `steps` — a shorter
+    /// trace is a sample-for-sample prefix of a longer one, and because
+    /// [`Trace`]'s prefix sums are sequential too, every query that stays
+    /// inside the shorter horizon answers with the same bits. The preset
+    /// experiments size their platforms on this. [`SessionLoad`] does
+    /// **not** have the property; an implementor that lacks it must say so.
     fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace;
 }
 
@@ -201,14 +210,18 @@ impl LoadGenerator for MarkovModal {
         assert!(self.mean_dwell > 0.0, "dwell time must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
         let weights: Vec<f64> = self.modes.iter().map(|m| m.weight).collect();
+        let innovations: Vec<Normal> = self
+            .modes
+            .iter()
+            .map(|m| Normal::new(0.0, m.sd * (1.0 - self.phi * self.phi).sqrt()))
+            .collect();
         let mut mode = weighted_index(&mut rng, &weights);
         let mut dwell_left = exponential(&mut rng, 1.0 / self.mean_dwell);
         let mut x = self.modes[mode].mean;
         let mut values = Vec::with_capacity(steps);
         for _ in 0..steps {
             let m = &self.modes[mode];
-            let innovation = Normal::new(0.0, m.sd * (1.0 - self.phi * self.phi).sqrt());
-            x = m.mean + self.phi * (x - m.mean) + innovation.sample(&mut rng);
+            x = m.mean + self.phi * (x - m.mean) + innovations[mode].sample(&mut rng);
             values.push(clamp_avail(x));
             dwell_left -= dt;
             if dwell_left <= 0.0 {
@@ -227,6 +240,13 @@ impl LoadGenerator for MarkovModal {
 /// exponential durations (mean `mean_duration`). Round-robin scheduling
 /// gives our application `idle_avail / (1 + k)` of the CPU when `k` jobs
 /// compete — which is exactly why production load histograms are modal.
+///
+/// **Not prefix stable** (see [`LoadGenerator::generate`]): the event
+/// queue is run to the horizon first and the per-sample noise is drawn
+/// from the same stream afterwards, so a longer trace differs from its
+/// first sample on. Generate it at the horizon it will be read at; the
+/// preset platforms, which are re-generated at growing horizons, must not
+/// use it.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SessionLoad {
     /// Competing-job arrival rate (jobs per second).

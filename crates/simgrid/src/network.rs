@@ -80,7 +80,10 @@ impl Default for EthernetContention {
 }
 
 impl EthernetContention {
-    /// Generates the available-fraction trace.
+    /// Generates the available-fraction trace. Prefix stable like the
+    /// CPU generators (see [`crate::load::LoadGenerator::generate`]): the
+    /// seeded stream is consumed strictly in step order, so the first `k`
+    /// samples do not depend on `steps`.
     pub fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
         assert!(self.mean_dwell > 0.0 && steps > 0);
         let mut rng = StdRng::seed_from_u64(seed);

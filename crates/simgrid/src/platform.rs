@@ -171,6 +171,15 @@ impl Platform {
     /// Platform 1 in its representative single-mode state: the Sparc-2s sit
     /// in the center load mode (0.48 ± 0.05, i.e. sd 0.025), the faster
     /// machines in the lightly-loaded top mode. Network quiet-dominated.
+    ///
+    /// `horizon` only sets how much is generated: every generator used
+    /// here is prefix stable (see [`LoadGenerator::generate`]), so
+    /// `platform1(seed, h)` is a sample-for-sample prefix of
+    /// `platform1(seed, 2.0 * h)` and anything that reads only times
+    /// inside `h` gets the same bits from both. The same holds for
+    /// [`Platform::platform1_free`] and [`Platform::platform2`];
+    /// `core::experiment`'s presets rely on it to generate only the load a
+    /// series reads.
     pub fn platform1(seed: u64, horizon: f64) -> Self {
         let steps = (horizon / TRACE_DT).ceil() as usize;
         let specs = vec![
@@ -200,6 +209,7 @@ impl Platform {
 
     /// Platform 1 with free-running tri-modal load on every machine — used
     /// to build the Figure-5 histogram and the long multi-mode traces.
+    /// Prefix stable in `horizon`, as [`Platform::platform1`].
     pub fn platform1_free(seed: u64, horizon: f64, mean_dwell: f64) -> Self {
         let steps = (horizon / TRACE_DT).ceil() as usize;
         let specs = vec![
@@ -216,7 +226,8 @@ impl Platform {
     }
 
     /// Platform 2: Sparc-5, Sparc-10, two UltraSparcs, 4-modal bursty load
-    /// on every machine, busier network.
+    /// on every machine, busier network. Prefix stable in `horizon`, as
+    /// [`Platform::platform1`].
     pub fn platform2(seed: u64, horizon: f64) -> Self {
         let steps = (horizon / TRACE_DT).ceil() as usize;
         let specs = vec![

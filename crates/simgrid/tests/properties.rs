@@ -5,7 +5,8 @@ use prodpred_simgrid::load::{
     Dedicated, LoadGenerator, MarkovModal, SessionLoad, SingleModeAr1, MAX_AVAILABILITY,
     MIN_AVAILABILITY,
 };
-use prodpred_simgrid::{EventQueue, Trace};
+use prodpred_simgrid::network::EthernetContention;
+use prodpred_simgrid::{EventQueue, Platform, Trace};
 use proptest::prelude::*;
 
 fn trace_strategy() -> impl Strategy<Value = Trace> {
@@ -17,7 +18,75 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
         .prop_map(|(values, dt, t0)| Trace::new(t0, dt, values))
 }
 
+/// `short` is what `long` would have been had generation stopped early:
+/// the same samples, and the same bits from every query that stays inside
+/// `short`'s horizon. `fa`, `fb` in `[0, 1)` place the query interval.
+fn assert_prefix(short: &Trace, long: &Trace, fa: f64, fb: f64) -> Result<(), TestCaseError> {
+    prop_assert!(short.len() <= long.len());
+    prop_assert_eq!(short.values(), &long.values()[..short.len()]);
+    let a = short.t0() + fa * (short.t_end() - short.t0());
+    let b = a + fb * (short.t_end() - a);
+    prop_assert_eq!(short.at(a).to_bits(), long.at(a).to_bits());
+    prop_assert_eq!(short.at(b).to_bits(), long.at(b).to_bits());
+    prop_assert_eq!(
+        short.integral(a, b).to_bits(),
+        long.integral(a, b).to_bits()
+    );
+    // Work that completes before `b`, so the search ends inside `short`.
+    let work = 0.999 * short.integral(a, b);
+    prop_assert_eq!(
+        short.time_to_complete(a, work).to_bits(),
+        long.time_to_complete(a, work).to_bits()
+    );
+    Ok(())
+}
+
+#[test]
+fn session_load_is_not_prefix_stable() {
+    // The negative control of the prefix properties below: `SessionLoad`
+    // draws its per-sample noise after running the event queue to the
+    // horizon, so a longer trace is a different trace from sample 0.
+    let g = SessionLoad::default();
+    let short = g.generate(7, 0.0, 1.0, 500);
+    let long = g.generate(7, 0.0, 1.0, 1000);
+    assert_ne!(short.values(), &long.values()[..500]);
+}
+
 proptest! {
+    // ---- prefix stability: generation length never changes what was
+    // already generated (what `core::experiment` sizes its platforms on) ----
+
+    #[test]
+    fn generators_are_prefix_stable(seed in 0u64..1_000_000, k in 1usize..400, extra in 0usize..400, fa in 0.0f64..1.0, fb in 0.0f64..1.0) {
+        let m = k + extra;
+        let gens: Vec<Box<dyn LoadGenerator>> = vec![
+            Box::new(Dedicated::default()),
+            Box::new(SingleModeAr1::platform1_center()),
+            Box::new(MarkovModal::platform2(25.0)),
+        ];
+        for g in &gens {
+            assert_prefix(&g.generate(seed, 0.0, 1.0, k), &g.generate(seed, 0.0, 1.0, m), fa, fb)?;
+        }
+        let net = EthernetContention::default();
+        assert_prefix(&net.generate(seed, 0.0, 1.0, k), &net.generate(seed, 0.0, 1.0, m), fa, fb)?;
+    }
+
+    #[test]
+    fn preset_platforms_are_prefix_stable(seed in 0u64..1_000_000, k in 1usize..300, extra in 0usize..300, fa in 0.0f64..1.0, fb in 0.0f64..1.0) {
+        let (h, h2) = (k as f64, (k + extra) as f64);
+        let pairs = [
+            (Platform::platform1(seed, h), Platform::platform1(seed, h2)),
+            (Platform::platform1_free(seed, h, 120.0), Platform::platform1_free(seed, h2, 120.0)),
+            (Platform::platform2(seed, h), Platform::platform2(seed, h2)),
+        ];
+        for (short, long) in &pairs {
+            for (a, b) in short.machines.iter().zip(&long.machines) {
+                assert_prefix(&a.load, &b.load, fa, fb)?;
+            }
+            assert_prefix(&short.network.avail, &long.network.avail, fa, fb)?;
+        }
+    }
+
     // ---- trace integration ----
 
     #[test]
