@@ -1,10 +1,14 @@
 //! Criterion benchmark for the full prediction pipeline: NWS advance plus
-//! a stochastic prediction — the cost a scheduler pays per decision.
+//! a stochastic prediction — the cost a scheduler pays per decision — and
+//! what it costs to put an answer on the wire (the `serialize` group: the
+//! vendored `serde_json` on the two bodies the service writes, compact,
+//! and on a `Trace` as an experiment artifact stores it, pretty).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use prodpred_core::{decompose, DecompositionPolicy, PredictorConfig, SorPredictor};
 use prodpred_nws::{NwsConfig, NwsService};
-use prodpred_simgrid::Platform;
+use prodpred_service::{request_for, ServiceConfig, ServiceCore};
+use prodpred_simgrid::{Platform, Trace};
 
 fn bench_predict(c: &mut Criterion) {
     let platform = Platform::platform2(7, 20_000.0);
@@ -29,5 +33,33 @@ fn bench_predict(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_predict);
+fn bench_serialize(c: &mut Criterion) {
+    let core = ServiceCore::new(ServiceConfig {
+        seed: 7,
+        horizon: 2_000.0,
+        warmup: 300.0,
+        ..ServiceConfig::default()
+    });
+    let response = core.query(&request_for(7, 0)).expect("a replay request");
+    let stats = core.stats();
+    let trace = Trace::from_fn(0.0, 1.0, 2048, |t| 0.55 + 0.4 * (t * 0.013).sin());
+
+    let mut group = c.benchmark_group("serialize");
+    let bytes = |json: String| Throughput::Bytes(json.len() as u64);
+    group.throughput(bytes(serde_json::to_string(&response).expect("finite")));
+    group.bench_function("predict-response/compact", |b| {
+        b.iter(|| serde_json::to_string(black_box(&response)))
+    });
+    group.throughput(bytes(serde_json::to_string(&stats).expect("finite")));
+    group.bench_function("service-stats/compact", |b| {
+        b.iter(|| serde_json::to_string(black_box(&stats)))
+    });
+    group.throughput(bytes(serde_json::to_string_pretty(&trace).expect("finite")));
+    group.bench_function("trace-2048/pretty", |b| {
+        b.iter(|| serde_json::to_string_pretty(black_box(&trace)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_predict, bench_serialize);
 criterion_main!(benches);

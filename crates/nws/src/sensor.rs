@@ -202,16 +202,17 @@ impl Sensor {
 /// The wire form is the sampling state alone — the shape the former
 /// derive produced — without the ensemble or its running scores.
 impl Serialize for Sensor {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("name".to_string(), self.name.to_value()),
-            ("interval".to_string(), self.interval.to_value()),
-            ("next_poll".to_string(), self.next_poll.to_value()),
-            ("series".to_string(), self.series.to_value()),
-            ("poll_index".to_string(), self.poll_index.to_value()),
-            ("missed_polls".to_string(), self.missed_polls.to_value()),
-            ("corrupt_polls".to_string(), self.corrupt_polls.to_value()),
-        ])
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), serde::Error> {
+        sink.begin_map();
+        sink.entry("name", &self.name)?;
+        sink.entry("interval", &self.interval)?;
+        sink.entry("next_poll", &self.next_poll)?;
+        sink.entry("series", &self.series)?;
+        sink.entry("poll_index", &self.poll_index)?;
+        sink.entry("missed_polls", &self.missed_polls)?;
+        sink.entry("corrupt_polls", &self.corrupt_polls)?;
+        sink.end_map();
+        Ok(())
     }
 }
 

@@ -10,6 +10,7 @@
 use crate::core::{PredictRequest, ServiceCore, ServiceError};
 use prodpred_core::{LoadSource, PredictorConfig};
 use prodpred_stochastic::MaxStrategy;
+use std::fmt::Write as _;
 
 /// A rendered-to-be HTTP response: status line plus JSON body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,6 +25,11 @@ pub struct HttpResponse {
     /// JSON body.
     pub body: String,
 }
+
+/// Room for everything [`HttpResponse::render`] writes besides the reason
+/// phrase and the body: 83 bytes of fixed text, 15 more for a
+/// `Retry-After` line, and three numbers of at most 5 + 20 + 20 digits.
+const WIRE_HEAD_MAX: usize = 160;
 
 impl HttpResponse {
     fn ok(body: String) -> Self {
@@ -40,7 +46,10 @@ impl HttpResponse {
             status,
             reason,
             retry_after: None,
-            body: format!("{{\"error\":{}}}", json_string(message)),
+            body: format!(
+                "{{\"error\":{}}}",
+                serde_json::to_string(message).expect("no float") // tidy:allow(PP003): only a non-finite float can fail to serialise, and a `str` holds none
+            ),
         }
     }
 
@@ -56,40 +65,25 @@ impl HttpResponse {
         }
     }
 
-    /// Renders the full HTTP/1.1 wire form (headers + body).
+    /// Renders the full HTTP/1.1 wire form (headers + body) into one
+    /// allocation.
     pub fn render(&self) -> String {
-        let retry_after = match self.retry_after {
-            None => String::new(),
-            Some(secs) => format!("Retry-After: {secs}\r\n"),
-        };
-        format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{}Connection: close\r\n\r\n{}",
+        let mut wire = String::with_capacity(WIRE_HEAD_MAX + self.reason.len() + self.body.len());
+        write!(
+            wire,
+            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
             self.status,
             self.reason,
-            self.body.len(),
-            retry_after,
-            self.body
+            self.body.len()
         )
-    }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        .expect("infallible"); // tidy:allow(PP003): `fmt::Write` for `String` never returns an error
+        if let Some(secs) = self.retry_after {
+            write!(wire, "Retry-After: {secs}\r\n").expect("infallible"); // tidy:allow(PP003): as above
         }
+        wire.push_str("Connection: close\r\n\r\n");
+        wire.push_str(&self.body);
+        wire
     }
-    out.push('"');
-    out
 }
 
 /// Splits a request target into `(path, query pairs)`.
@@ -255,13 +249,12 @@ pub fn handle(core: &ServiceCore, target: &str) -> HttpResponse {
                 Err(e) => error_response(&e),
             },
         },
-        "/health" => {
-            if core.epoch() == 0 {
-                HttpResponse::error(503, "Service Unavailable", "no snapshot published yet")
-            } else {
-                HttpResponse::ok(format!("{{\"status\":\"ok\",\"epoch\":{}}}", core.epoch()))
-            }
-        }
+        // One read: a publish between two could pass the test on one
+        // epoch and report another.
+        "/health" => match core.epoch() {
+            0 => HttpResponse::error(503, "Service Unavailable", "no snapshot published yet"),
+            epoch => HttpResponse::ok(format!("{{\"status\":\"ok\",\"epoch\":{epoch}}}")),
+        },
         "/metrics" => to_json(&core.stats()),
         _ => HttpResponse::error(404, "Not Found", &format!("no route for {path}")),
     }
@@ -447,6 +440,34 @@ mod tests {
         assert!(!HttpResponse::ok("{}".into())
             .render()
             .contains("Retry-After"));
+    }
+
+    #[test]
+    fn render_bytes_are_pinned() {
+        assert_eq!(
+            HttpResponse::ok("{\"a\":1}".to_string()).render(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 7\r\n\
+             Connection: close\r\n\r\n{\"a\":1}"
+        );
+        assert_eq!(
+            HttpResponse::error_with_retry(429, "Too Many Requests", "shed", 3).render(),
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+             Content-Length: 16\r\nRetry-After: 3\r\nConnection: close\r\n\r\n\
+             {\"error\":\"shed\"}"
+        );
+        assert_eq!(
+            HttpResponse::error(503, "Service Unavailable", "a \"b\"\n").render(),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 21\r\nConnection: close\r\n\r\n{\"error\":\"a \\\"b\\\"\\n\"}"
+        );
+        // The widest head still fits the one allocation `render` makes.
+        let widest = HttpResponse {
+            status: u16::MAX,
+            reason: "",
+            retry_after: Some(u64::MAX),
+            body: String::new(),
+        };
+        assert!(widest.render().len() <= WIRE_HEAD_MAX);
     }
 
     /// A core whose ingest fails every post-warmup tick (permanent

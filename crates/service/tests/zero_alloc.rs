@@ -1,0 +1,120 @@
+//! Pins the allocation budget of a cache-hit `/predict`: the query pairs,
+//! the JSON body, and — rendered — the wire string. `ServiceCore::query`
+//! itself touches the heap not at all on a hit, and serialising the
+//! answer costs the output buffer and nothing else (no field-name
+//! `String`s, no per-number temporaries). A counting global allocator
+//! tallies per thread, so the harness's own threads cannot disturb the
+//! counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use prodpred_service::{http, request_for, ServiceConfig, ServiceCore};
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A thread being torn down has no tally left to keep; ignore it.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations_during(f: impl FnOnce()) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Healthy targets: the three required parameters, the six the
+/// repository benchmark sends, and all eight a healthy query can carry.
+/// Past four pairs the pairs `Vec` grows once, which is the budget's
+/// third allocation. (A `fault_intensity` what-if is validated by
+/// building a `FaultConfig`, which allocates before the cache is asked.)
+const TARGETS: [&str; 3] = [
+    "/predict?platform=1&n=1000&procs=2",
+    "/predict?platform=2&n=1600&procs=4&iters=20&source=horizon&staleness=0",
+    "/predict?platform=2&n=2000&procs=4&iters=40&source=modal&staleness=1&max=clark&cap=0.25",
+];
+
+#[test]
+fn a_cache_hit_predict_allocates_its_pairs_its_body_and_its_wire_form() {
+    let core = ServiceCore::new(ServiceConfig {
+        seed: 11,
+        horizon: 1200.0,
+        warmup: 300.0,
+        ..ServiceConfig::default()
+    });
+    for target in TARGETS {
+        // The first ask fills the cache; every later one is a hit.
+        assert_eq!(http::handle(&core, target).status, 200);
+        let mut body_len = 0;
+        let handled = allocations_during(|| {
+            let response = http::handle(&core, black_box(target));
+            body_len = response.body.len();
+            black_box(response);
+        });
+        assert!(
+            handled <= 3,
+            "{target}: a hit allocated {handled} times in http::handle"
+        );
+        assert!(body_len > 250, "{target}: not a /predict body");
+        let rendered = allocations_during(|| {
+            black_box(http::handle(&core, black_box(target)).render());
+        });
+        assert!(
+            rendered <= 4,
+            "{target}: a hit allocated {rendered} times in handle + render"
+        );
+    }
+    assert!(core.stats().cache.hits >= 6, "{:?}", core.stats().cache);
+}
+
+#[test]
+fn a_cache_hit_query_allocates_nothing() {
+    let core = ServiceCore::new(ServiceConfig {
+        seed: 11,
+        horizon: 1200.0,
+        warmup: 300.0,
+        ..ServiceConfig::default()
+    });
+    for index in 0..8 {
+        let request = request_for(11, index);
+        assert!(!core.query(&request).unwrap().cache_hit);
+        let allocations = allocations_during(|| {
+            assert!(
+                black_box(core.query(black_box(&request)))
+                    .unwrap()
+                    .cache_hit
+            );
+        });
+        assert_eq!(allocations, 0, "request {index}: a hit allocated in query");
+    }
+}

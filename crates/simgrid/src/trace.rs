@@ -414,12 +414,13 @@ impl PartialEq for Trace {
 /// shape the former derive produced — so stored traces stay readable and
 /// the prefix arrays never hit disk.
 impl Serialize for Trace {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("t0".to_string(), self.t0.to_value()),
-            ("dt".to_string(), self.dt.to_value()),
-            ("values".to_string(), self.values.to_value()),
-        ])
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), serde::Error> {
+        sink.begin_map();
+        sink.entry("t0", &self.t0)?;
+        sink.entry("dt", &self.dt)?;
+        sink.entry("values", &self.values)?;
+        sink.end_map();
+        Ok(())
     }
 }
 
@@ -758,15 +759,12 @@ mod tests {
     #[test]
     fn serde_shape_is_defining_fields_only() {
         let t = ramp();
-        let v = t.to_value();
-        assert!(v.field("t0").is_ok());
-        assert!(v.field("dt").is_ok());
-        assert!(v.field("values").is_ok());
-        assert!(
-            v.field("prefix").is_err(),
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(
+            json, r#"{"t0":0.0,"dt":1.0,"values":[1.0,0.5,0.25]}"#,
             "derived data must not serialize"
         );
-        let back = Trace::from_value(&v).unwrap();
+        let back: Trace = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);
         // The rebuilt prefix answers queries identically.
         assert_eq!(back.integral(0.2, 2.9), t.integral(0.2, 2.9));
@@ -774,18 +772,8 @@ mod tests {
 
     #[test]
     fn deserialize_rejects_invalid_data() {
-        let empty = serde::Value::Map(vec![
-            ("t0".to_string(), 0.0f64.to_value()),
-            ("dt".to_string(), 1.0f64.to_value()),
-            ("values".to_string(), serde::Value::Seq(vec![])),
-        ]);
-        assert!(Trace::from_value(&empty).is_err());
-        let bad_dt = serde::Value::Map(vec![
-            ("t0".to_string(), 0.0f64.to_value()),
-            ("dt".to_string(), (-1.0f64).to_value()),
-            ("values".to_string(), vec![1.0f64].to_value()),
-        ]);
-        assert!(Trace::from_value(&bad_dt).is_err());
+        assert!(serde_json::from_str::<Trace>(r#"{"t0":0.0,"dt":1.0,"values":[]}"#).is_err());
+        assert!(serde_json::from_str::<Trace>(r#"{"t0":0.0,"dt":-1.0,"values":[1.0]}"#).is_err());
     }
 
     #[test]

@@ -1,11 +1,21 @@
 //! Serde round-trips: experiment artifacts persist and reload intact, so
 //! traces and results can be archived and replotted.
+//!
+//! And the bytes themselves: `serde_json` streams a value straight into
+//! its output, where it once built a `Value` tree and walked that. The
+//! tree walker lives on below as the oracle ([`oracle`]) and golden
+//! strings captured from it pin every shape the workspace writes, because
+//! committed `BENCH_*.json` files, `horizon_oracle` and the socket oracle
+//! all compare serialised text.
 
 use prodpred_core::{platform2_experiment, ExperimentSeries};
 use prodpred_nws::snapshot::ForecastSnapshot;
 use prodpred_nws::{NwsConfig, NwsService, QuerySummary, Sensor};
 use prodpred_simgrid::{Platform, Trace};
 use prodpred_stochastic::StochasticValue;
+use proptest::prelude::*;
+use proptest::TestRng;
+use serde::Value;
 
 #[test]
 fn stochastic_value_round_trip() {
@@ -343,4 +353,499 @@ fn experiment_series_round_trip() {
     let acc_b = back.accuracy().unwrap();
     assert_eq!(acc_a.coverage, acc_b.coverage);
     assert_eq!(acc_a.max_range_error, acc_b.max_range_error);
+}
+
+/// The writer `serde_json` used before it streamed: recursive descent
+/// over an owned [`Value`] tree, kept character for character.
+mod oracle {
+    use serde::Value;
+
+    pub fn to_string(v: &Value, indent: Option<usize>) -> Option<String> {
+        let mut out = String::new();
+        write_value(&mut out, v, indent, 0)?;
+        Some(out)
+    }
+
+    /// `None` on a non-finite float, where the old writer returned `Err`.
+    fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) -> Option<()> {
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::U64(x) => out.push_str(&x.to_string()),
+            Value::I64(x) => out.push_str(&x.to_string()),
+            Value::F64(x) => {
+                if !x.is_finite() {
+                    return None;
+                }
+                let s = x.to_string();
+                out.push_str(&s);
+                if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+                    out.push_str(".0");
+                }
+            }
+            Value::Str(s) => write_string(out, s),
+            Value::Seq(items) => {
+                out.push('[');
+                for (k, item) in items.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, level + 1);
+                    write_value(out, item, indent, level + 1)?;
+                }
+                if !items.is_empty() {
+                    newline_indent(out, indent, level);
+                }
+                out.push(']');
+            }
+            Value::Map(entries) => {
+                out.push('{');
+                for (k, (key, item)) in entries.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, level + 1);
+                    write_string(out, key);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    write_value(out, item, indent, level + 1)?;
+                }
+                if !entries.is_empty() {
+                    newline_indent(out, indent, level);
+                }
+                out.push('}');
+            }
+        }
+        Some(())
+    }
+
+    fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
+        if let Some(width) = indent {
+            out.push('\n');
+            for _ in 0..width * level {
+                out.push(' ');
+            }
+        }
+    }
+
+    fn write_string(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+/// Arbitrary [`Value`] trees at most `depth` containers deep, leaning on
+/// the values a number or string writer gets wrong first.
+struct ValueTrees {
+    depth: usize,
+}
+
+const FLOATS: [f64; 12] = [
+    0.0,
+    -0.0,
+    1.0,
+    -2.5,
+    0.1,
+    1e21,
+    1e22,
+    5e-324,
+    f64::MIN_POSITIVE,
+    f64::MAX,
+    9007199254740993.0,
+    123456789.125,
+];
+const UNSIGNED: [u64; 5] = [0, 9, 10, 1 << 53, u64::MAX];
+const SIGNED: [i64; 5] = [0, -1, -10, i64::MAX, i64::MIN];
+const CHARS: [char; 16] = [
+    'a', 'Z', ' ', '/', '"', '\\', '\n', '\r', '\t', '\0', '\u{1}', '\u{8}', '\u{1f}', '\u{7f}',
+    'é', '😀',
+];
+
+fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
+    from[(0..from.len()).sample(rng)]
+}
+
+fn text(rng: &mut TestRng) -> String {
+    (0..(0usize..6).sample(rng))
+        .map(|_| pick(rng, &CHARS))
+        .collect()
+}
+
+impl Strategy for ValueTrees {
+    type Value = Value;
+
+    fn sample(&self, rng: &mut TestRng) -> Value {
+        let inner = ValueTrees {
+            depth: self.depth.saturating_sub(1),
+        };
+        // Kinds 8 and 9 are the containers; a tree out of depth has none.
+        match (0usize..if self.depth == 0 { 8 } else { 10 }).sample(rng) {
+            0 => Value::Null,
+            1 => Value::Bool(any::<bool>().sample(rng)),
+            2 => Value::U64(pick(rng, &UNSIGNED)),
+            3 => Value::U64((0..u64::MAX).sample(rng)),
+            4 => Value::I64(pick(rng, &SIGNED)),
+            5 => Value::F64(pick(rng, &FLOATS)),
+            6 => {
+                // Any finite bit pattern: subnormals, huge exponents.
+                let x = f64::from_bits((0..u64::MAX).sample(rng));
+                Value::F64(if x.is_finite() { x } else { 0.5 })
+            }
+            7 => Value::Str(text(rng)),
+            8 => Value::Seq(
+                (0..(0usize..4).sample(rng))
+                    .map(|_| inner.sample(rng))
+                    .collect(),
+            ),
+            _ => Value::Map(
+                (0..(0usize..4).sample(rng))
+                    .map(|_| (text(rng), inner.sample(rng)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn streamed_json_equals_the_tree_writer(tree in (ValueTrees { depth: 4 })) {
+        prop_assert_eq!(
+            serde_json::to_string(&tree).ok(),
+            oracle::to_string(&tree, None)
+        );
+        prop_assert_eq!(
+            serde_json::to_string_pretty(&tree).ok(),
+            oracle::to_string(&tree, Some(2))
+        );
+    }
+}
+
+#[test]
+fn edge_values_match_the_tree_writer_one_by_one() {
+    // The proptest draws these too; here none can be missed.
+    let scalars = (FLOATS.iter().map(|&x| Value::F64(x)))
+        .chain(UNSIGNED.iter().map(|&x| Value::U64(x)))
+        .chain(SIGNED.iter().map(|&x| Value::I64(x)))
+        .chain([Value::Str(CHARS.iter().collect())]);
+    for v in scalars {
+        let nested = Value::Map(vec![
+            (
+                "k".to_string(),
+                Value::Seq(vec![v.clone(), Value::Seq(vec![])]),
+            ),
+            (String::new(), Value::Map(vec![])),
+        ]);
+        for v in [v, nested] {
+            assert_eq!(
+                serde_json::to_string(&v).ok(),
+                oracle::to_string(&v, None),
+                "{v:?}"
+            );
+            assert_eq!(
+                serde_json::to_string_pretty(&v).ok(),
+                oracle::to_string(&v, Some(2)),
+                "{v:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn non_finite_floats_are_an_error_at_any_depth() {
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert!(serde_json::to_string(&bad).is_err());
+        assert!(serde_json::to_string_pretty(&bad).is_err());
+        // Three levels down, behind values that have already been written.
+        let deep = vec![vec![(1.0, vec![0.5, bad, 2.0])]];
+        assert!(serde_json::to_string(&deep).is_err());
+        assert!(serde_json::to_string_pretty(&deep).is_err());
+        let tree = Value::Map(vec![(
+            "a".to_string(),
+            Value::Seq(vec![Value::Map(vec![("b".to_string(), Value::F64(bad))])]),
+        )]);
+        assert!(serde_json::to_string(&tree).is_err());
+        assert_eq!(oracle::to_string(&tree, None), None);
+    }
+}
+
+/// Asserts the compact and the pretty form of `value`; the expected
+/// strings were printed by the tree writer at the commit before the
+/// streaming one.
+fn assert_golden<T: serde::Serialize + ?Sized>(value: &T, compact: &str, pretty: &str) {
+    assert_eq!(serde_json::to_string(value).unwrap(), compact);
+    assert_eq!(serde_json::to_string_pretty(value).unwrap(), pretty);
+}
+
+#[test]
+fn golden_predict_response() {
+    use prodpred_service::{PredictResponse, ServingState};
+    let healthy = PredictResponse {
+        platform: 1,
+        n: 1000,
+        procs: 2,
+        epoch: 1,
+        captured_at: 300.0,
+        cache_hit: false,
+        mean: 84.44904410703191,
+        lo: 80.96009653880103,
+        hi: 87.9379916752628,
+        point: 84.44904410703191,
+        fault_intensity: None,
+        serving: ServingState::Healthy,
+        degraded: false,
+        snapshot_age_ticks: 0,
+    };
+    assert_golden(
+        &healthy,
+        r#"{"platform":1,"n":1000,"procs":2,"epoch":1,"captured_at":300.0,"cache_hit":false,"mean":84.44904410703191,"lo":80.96009653880103,"hi":87.9379916752628,"point":84.44904410703191,"fault_intensity":null,"serving":"Healthy","degraded":false,"snapshot_age_ticks":0}"#,
+        r#"{
+  "platform": 1,
+  "n": 1000,
+  "procs": 2,
+  "epoch": 1,
+  "captured_at": 300.0,
+  "cache_hit": false,
+  "mean": 84.44904410703191,
+  "lo": 80.96009653880103,
+  "hi": 87.9379916752628,
+  "point": 84.44904410703191,
+  "fault_intensity": null,
+  "serving": "Healthy",
+  "degraded": false,
+  "snapshot_age_ticks": 0
+}"#,
+    );
+    let degraded = PredictResponse {
+        cache_hit: true,
+        mean: 172.4567946833426,
+        lo: 162.70605593424108,
+        hi: 182.2075334324441,
+        point: 172.4567946833426,
+        fault_intensity: Some(0.5),
+        serving: ServingState::Degraded,
+        degraded: true,
+        snapshot_age_ticks: 2,
+        ..healthy
+    };
+    assert_golden(
+        &degraded,
+        r#"{"platform":1,"n":1000,"procs":2,"epoch":1,"captured_at":300.0,"cache_hit":true,"mean":172.4567946833426,"lo":162.70605593424108,"hi":182.2075334324441,"point":172.4567946833426,"fault_intensity":0.5,"serving":"Degraded","degraded":true,"snapshot_age_ticks":2}"#,
+        r#"{
+  "platform": 1,
+  "n": 1000,
+  "procs": 2,
+  "epoch": 1,
+  "captured_at": 300.0,
+  "cache_hit": true,
+  "mean": 172.4567946833426,
+  "lo": 162.70605593424108,
+  "hi": 182.2075334324441,
+  "point": 172.4567946833426,
+  "fault_intensity": 0.5,
+  "serving": "Degraded",
+  "degraded": true,
+  "snapshot_age_ticks": 2
+}"#,
+    );
+}
+
+#[test]
+fn golden_service_stats() {
+    use prodpred_service::{CacheStats, IngestStats, ServiceStats, ServingState};
+    let stats = ServiceStats {
+        epochs_published: 1,
+        queries: 1,
+        rejected: 0,
+        unavailable: 0,
+        shed: 0,
+        degraded_served: 1,
+        serving_platform1: ServingState::Degraded,
+        serving_platform2: ServingState::Stale,
+        ingest: IngestStats {
+            attempts: 6,
+            publishes: 2,
+            failures: 4,
+            backoff_secs: 10_743.25,
+            ..IngestStats::default()
+        },
+        cache: CacheStats {
+            misses: 1,
+            entries: 1,
+            ..CacheStats::default()
+        },
+    };
+    assert_golden(
+        &stats,
+        r#"{"epochs_published":1,"queries":1,"rejected":0,"unavailable":0,"shed":0,"degraded_served":1,"serving_platform1":"Degraded","serving_platform2":"Stale","ingest":{"attempts":6,"publishes":2,"partial_publishes":0,"failures":4,"retries":0,"backoff_secs":10743.25,"recovered":0,"breaker_trips":0,"breaker_short_circuits":0,"watchdog_trips":0},"cache":{"hits":0,"misses":1,"invalidated":0,"evicted":0,"entries":1}}"#,
+        r#"{
+  "epochs_published": 1,
+  "queries": 1,
+  "rejected": 0,
+  "unavailable": 0,
+  "shed": 0,
+  "degraded_served": 1,
+  "serving_platform1": "Degraded",
+  "serving_platform2": "Stale",
+  "ingest": {
+    "attempts": 6,
+    "publishes": 2,
+    "partial_publishes": 0,
+    "failures": 4,
+    "retries": 0,
+    "backoff_secs": 10743.25,
+    "recovered": 0,
+    "breaker_trips": 0,
+    "breaker_short_circuits": 0,
+    "watchdog_trips": 0
+  },
+  "cache": {
+    "hits": 0,
+    "misses": 1,
+    "invalidated": 0,
+    "evicted": 0,
+    "entries": 1
+  }
+}"#,
+    );
+}
+
+#[test]
+fn golden_enum_variants() {
+    use prodpred_stochastic::MaxStrategy;
+    assert_golden(&MaxStrategy::Clark, r#""Clark""#, r#""Clark""#);
+    assert_golden(
+        &MaxStrategy::MonteCarlo {
+            samples: 500,
+            seed: u64::MAX,
+        },
+        r#"{"MonteCarlo":{"samples":500,"seed":18446744073709551615}}"#,
+        r#"{
+  "MonteCarlo": {
+    "samples": 500,
+    "seed": 18446744073709551615
+  }
+}"#,
+    );
+}
+
+#[test]
+fn golden_hand_written_impls() {
+    let mut sensor = Sensor::new("cpu:\"x\"\n", 5.0, 4, 0.0);
+    sensor.poll_until(&Trace::from_fn(0.0, 1.0, 100, |t| 0.125 * t), 30.0);
+    assert_golden(
+        &sensor,
+        r#"{"name":"cpu:\"x\"\n","interval":5.0,"next_poll":35.0,"series":{"capacity":4,"times":[15.0,20.0,25.0,30.0],"values":[1.875,2.5,3.125,3.75]},"poll_index":7,"missed_polls":0,"corrupt_polls":0}"#,
+        r#"{
+  "name": "cpu:\"x\"\n",
+  "interval": 5.0,
+  "next_poll": 35.0,
+  "series": {
+    "capacity": 4,
+    "times": [
+      15.0,
+      20.0,
+      25.0,
+      30.0
+    ],
+    "values": [
+      1.875,
+      2.5,
+      3.125,
+      3.75
+    ]
+  },
+  "poll_index": 7,
+  "missed_polls": 0,
+  "corrupt_polls": 0
+}"#,
+    );
+    assert_golden(
+        &Trace::new(3.0, 0.5, vec![0.1, 0.9, -0.0, 1e21]),
+        r#"{"t0":3.0,"dt":0.5,"values":[0.1,0.9,-0.0,1000000000000000000000.0]}"#,
+        r#"{
+  "t0": 3.0,
+  "dt": 0.5,
+  "values": [
+    0.1,
+    0.9,
+    -0.0,
+    1000000000000000000000.0
+  ]
+}"#,
+    );
+}
+
+#[test]
+fn golden_std_shapes() {
+    assert_golden(
+        &(1u8, -2i64, 3.5f64, "x\ty".to_string()),
+        r#"[1,-2,3.5,"x\ty"]"#,
+        "[\n  1,\n  -2,\n  3.5,\n  \"x\\ty\"\n]",
+    );
+    assert_golden(
+        &(3usize..9),
+        r#"{"start":3,"end":9}"#,
+        "{\n  \"start\": 3,\n  \"end\": 9\n}",
+    );
+    assert_golden(
+        &vec![(Some(1.0f64), None::<u32>)],
+        "[[1.0,null]]",
+        "[\n  [\n    1.0,\n    null\n  ]\n]",
+    );
+    assert_golden(
+        &vec![Vec::<f64>::new(), vec![1.0]],
+        "[[],[1.0]]",
+        "[\n  [],\n  [\n    1.0\n  ]\n]",
+    );
+}
+
+/// Any JSON document, kept as the tree the parser built.
+struct Raw(Value);
+
+impl serde::Deserialize for Raw {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(Raw(v.clone()))
+    }
+}
+
+#[test]
+fn committed_bench_records_reprint_byte_for_byte() {
+    // Each was written by `to_string_pretty` from its bench bin; parsed
+    // and printed again it must come out the same, or regenerating one
+    // would show up as a formatting diff.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(&root).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let Raw(doc) = serde_json::from_str(&text).unwrap();
+        assert_eq!(
+            serde_json::to_string_pretty(&doc).unwrap(),
+            text.trim_end(),
+            "{name}"
+        );
+        seen += 1;
+    }
+    assert!(seen >= 6, "only {seen} BENCH_*.json found");
 }
