@@ -6,6 +6,7 @@
 //! ```text
 //! modelcheck                         full suite at 2 ranks x 2 half-iterations
 //! modelcheck --ranks 3 --halves 4    bigger configuration
+//! modelcheck --layout 2x2            exchange suite on a 2 x 2 grid of blocks
 //! modelcheck --kill R:H              one seeded kill variant only
 //! modelcheck --timeouts              healthy run with timeout transitions only
 //! modelcheck --ckpt                  checkpoint/resume recovery suite only
@@ -14,7 +15,9 @@
 //! modelcheck --expect-states N       fail unless the suite explored exactly N states
 //! ```
 //!
-//! The default suite runs, for the chosen configuration:
+//! `--ranks P` is the chain of `P` strips (the `P x 1` layout); `--layout
+//! RxC` any processor grid of up to four workers. The default suite runs,
+//! for the chosen configuration:
 //!
 //! 1. the healthy patient protocol (proves deadlock freedom + delivery),
 //! 2. the healthy protocol with `ExchangePolicy` timeout transitions,
@@ -25,7 +28,9 @@
 //!    every single-kill position against the segment grid, a
 //!    consumed-kill-behind-the-checkpoint schedule, disabled
 //!    checkpointing, and budget exhaustion — proving rollback
-//!    convergence and that a consumed death never re-fires.
+//!    convergence and that a consumed death never re-fires. That model
+//!    abstracts a solve segment to a barrier, so it has no topology and
+//!    runs with the chain suites only, not under `--layout`.
 //!
 //! The `--svc` suite explores the serving-path model at the chosen
 //! `--readers`/`--shards`/`--epochs` bounds (correct protocol, correct
@@ -44,10 +49,13 @@ use prodpred_analysis::ckpt::{check_ckpt, CkptConfig, CkptReport, MAX_KILLS};
 use prodpred_analysis::model::{check, ModelConfig, Report};
 use prodpred_analysis::svc::{self, SvcConfig, SvcReport, Variant};
 use prodpred_simgrid::faults::WorkerDeath;
+use prodpred_sor::BlockLayout;
 use std::process::ExitCode;
 
 struct Options {
     ranks: usize,
+    /// `--layout RxC`: a processor grid instead of the `ranks`-long chain.
+    grid: Option<BlockLayout>,
     halves: usize,
     kill: Option<WorkerDeath>,
     timeouts_only: bool,
@@ -62,6 +70,7 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         ranks: 2,
+        grid: None,
         halves: 2,
         kill: None,
         timeouts_only: false,
@@ -80,6 +89,15 @@ fn parse_args() -> Result<Options, String> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--ranks needs an integer")?;
+            }
+            "--layout" => {
+                let spec = args.next().ok_or("--layout needs ROWSxCOLS")?;
+                let dims = spec
+                    .split_once('x')
+                    .and_then(|(r, c)| Some((r.parse().ok()?, c.parse().ok()?)))
+                    .filter(|&(r, c): &(usize, usize)| r > 0 && c > 0)
+                    .ok_or("--layout needs ROWSxCOLS, both positive")?;
+                opts.grid = Some(BlockLayout::new(dims.0, dims.1));
             }
             "--halves" => {
                 opts.halves = args
@@ -125,7 +143,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: modelcheck [--ranks N] [--halves M] [--kill R:H] [--timeouts] [--ckpt] \
+                    "usage: modelcheck [--ranks N | --layout RxC] [--halves M] [--kill R:H] [--timeouts] [--ckpt] \
                      [--svc] [--readers N] [--shards N] [--epochs N] [--expect-states N]"
                         .to_string(),
                 );
@@ -143,9 +161,13 @@ fn describe(report: &Report) -> String {
         None => "healthy".to_string(),
     };
     let mode = if c.timeouts { "timeouts" } else { "patient" };
+    let topology = match c.layout {
+        BlockLayout { pr, pc: 1 } => format!("{pr} ranks"),
+        BlockLayout { pr, pc } => format!("{pr}x{pc} blocks"),
+    };
     format!(
-        "{} ranks x {} half-iterations, {fault}, {mode}: {} states, {} transitions, {} terminals ({} all-done, {} observed-death), depth {}",
-        c.ranks,
+        "{} x {} half-iterations, {fault}, {mode}: {} states, {} transitions, {} terminals ({} all-done, {} observed-death), depth {}",
+        topology,
         c.halves,
         report.stats.states,
         report.stats.transitions,
@@ -419,8 +441,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let layout = opts.grid.unwrap_or_else(|| BlockLayout::new(opts.ranks, 1));
     let base = ModelConfig {
-        ranks: opts.ranks,
+        layout,
         halves: opts.halves,
         kill: None,
         timeouts: false,
@@ -490,7 +513,7 @@ fn main() -> ExitCode {
         .stats
         .states;
         for timeouts in [false, true] {
-            for rank in 0..opts.ranks {
+            for rank in 0..layout.len() {
                 for half in 0..opts.halves {
                     let report = run_one(
                         ModelConfig {
@@ -522,15 +545,20 @@ fn main() -> ExitCode {
         }
         // The recovery layer above the solves: checkpoint barriers,
         // rollback, and the absolute kill addressing.
-        total_states += ckpt_suite(opts.ranks, opts.halves, &mut failures);
+        if opts.grid.is_none() {
+            total_states += ckpt_suite(opts.ranks, opts.halves, &mut failures);
+        }
     }
 
     gate_states(opts.expect_states, total_states, &mut failures);
     println!("modelcheck: {total_states} states explored across the suite; {failures} failure(s)");
     if failures == 0 {
-        println!(
-            "modelcheck: deadlock-freedom, delivery, typed-death, and checkpoint/resume properties hold"
-        );
+        let proved = if opts.grid.is_none() {
+            "deadlock-freedom, delivery, typed-death, and checkpoint/resume"
+        } else {
+            "deadlock-freedom, delivery, and typed-death"
+        };
+        println!("modelcheck: {proved} properties hold");
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -8,9 +8,10 @@
 //! past a hangup, disconnect-on-drop — and drives one abstract worker
 //! per rank through exactly the script
 //! [`prodpred_sor::protocol::half_iteration_script`] that the real
-//! `worker_loop` executes. A depth-first search with state hashing then
-//! explores *every* interleaving of the workers' atomic mailbox
-//! operations for small configurations (2–4 ranks, a few
+//! `worker_loop` executes, over the same [`BlockLayout`] topology: a chain
+//! of strips (`P x 1`) or a grid of blocks. A depth-first search with
+//! state hashing then explores *every* interleaving of the workers'
+//! atomic mailbox operations for small configurations (2–4 ranks, a few
 //! half-iterations), proving:
 //!
 //! * **deadlock freedom** — no reachable state has a live worker and no
@@ -36,15 +37,14 @@
 //! the real implementation's atomicity: every such operation holds the
 //! mailbox lock for its whole critical section. Local computation (the
 //! relaxation sweep) touches no shared state and is abstracted away.
-//! The model covers the 1-D strip topology; the 2-D block solver shares
-//! the same mailbox layer but its op ordering is not yet extracted.
 //! Buffer *identity* is abstracted to occupancy (the real link owns a
 //! single buffer, so occupancy determines identity); payload contents
 //! are abstracted to the half-iteration sequence number.
 
 use crate::mc::{self, ExploreStats, TransitionSystem};
 use prodpred_simgrid::faults::WorkerDeath;
-use prodpred_sor::protocol::{half_iteration_script, ExchangeOp, Peer};
+use prodpred_sor::protocol::{half_iteration_script, ExchangeOp};
+use prodpred_sor::{BlockLayout, Peer};
 
 /// Upper bound on ranks the fixed-size state encoding supports.
 pub const MAX_RANKS: usize = 4;
@@ -54,8 +54,10 @@ pub const MAX_HALVES: usize = 8;
 /// One checker configuration: topology, horizon, and fault model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelConfig {
-    /// Number of strip workers (2..=4; 1 exchanges nothing).
-    pub ranks: usize,
+    /// The processor grid, 2..=4 workers (1 exchanges nothing): `P x 1`
+    /// is the chain of `P` strips, `2 x 2` the smallest grid of blocks
+    /// whose workers talk both vertically and horizontally.
+    pub layout: BlockLayout,
     /// Half-iterations each worker runs (1..=8).
     pub halves: usize,
     /// Injected death: the worker exits at the start of this
@@ -102,10 +104,10 @@ pub enum Status {
 #[derive(Debug, Clone, Copy)]
 struct Micro {
     kind: MicroKind,
-    /// Neighbour pair index: link pair `i` joins ranks `i` and `i+1`.
-    pair: usize,
-    /// Direction within the pair: 0 = down (`i -> i+1`), 1 = up.
-    dir: usize,
+    /// The directed link this op works on, named by its sending rank...
+    sender: usize,
+    /// ...and the direction that rank sends in.
+    toward: Peer,
     /// The neighbouring rank this op talks to.
     peer: usize,
 }
@@ -123,27 +125,28 @@ enum MicroKind {
 }
 
 /// Expands the solver's per-half exchange script into mailbox micro-ops.
-fn micro_script(rank: usize, ranks: usize) -> Vec<Micro> {
+fn micro_script(rank: usize, layout: BlockLayout) -> Vec<Micro> {
     let mut micros = Vec::new();
-    for op in half_iteration_script(rank, ranks) {
-        let (peer, kinds): (usize, [MicroKind; 2]) = match op {
-            ExchangeOp::Send(p) => (p.rank_of(rank), [MicroKind::Acquire, MicroKind::Deposit]),
-            ExchangeOp::Recv(p) => (p.rank_of(rank), [MicroKind::Take, MicroKind::Return]),
-        };
-        let (pair, dir) = match op {
-            // Sending up travels pair `rank-1` in the up direction;
-            // sending down travels pair `rank` downward. Receives use the
-            // opposite direction of the same pair.
-            ExchangeOp::Send(Peer::Up) => (rank - 1, 1),
-            ExchangeOp::Send(Peer::Down) => (rank, 0),
-            ExchangeOp::Recv(Peer::Up) => (rank - 1, 0),
-            ExchangeOp::Recv(Peer::Down) => (rank, 1),
+    for op in half_iteration_script(rank, layout) {
+        let (ExchangeOp::Send(toward) | ExchangeOp::Recv(toward)) = op;
+        let peer = layout.neighbour(rank, toward);
+        // tidy:allow(PP003): half_iteration_script filters on this very lookup
+        let peer = peer.expect("the script names only existing neighbours");
+        // A send travels this rank's own link toward the neighbour; a
+        // receive drains the neighbour's link toward this rank.
+        let (kinds, sender, toward) = match op {
+            ExchangeOp::Send(_) => ([MicroKind::Acquire, MicroKind::Deposit], rank, toward),
+            ExchangeOp::Recv(_) => (
+                [MicroKind::Take, MicroKind::Return],
+                peer,
+                toward.opposite(),
+            ),
         };
         for kind in kinds {
             micros.push(Micro {
                 kind,
-                pair,
-                dir,
+                sender,
+                toward,
                 peer,
             });
         }
@@ -159,8 +162,9 @@ struct State {
     half: [u8; MAX_RANKS],
     /// Per worker: index into its micro script for the current half.
     op: [u8; MAX_RANKS],
-    /// Buffer location per link pair and direction.
-    links: [[Loc; 2]; MAX_RANKS - 1],
+    /// Buffer location per directed link: `[sender][direction sent in]`.
+    /// Entries for neighbours the layout does not give stay `Stash`.
+    links: [[Loc; 4]; MAX_RANKS],
 }
 
 /// The result of one exhaustive exploration.
@@ -204,19 +208,14 @@ struct Model {
 
 impl Model {
     fn new(config: ModelConfig) -> Self {
-        let scripts = (0..config.ranks)
-            .map(|r| micro_script(r, config.ranks))
+        let scripts = (0..config.layout.len())
+            .map(|r| micro_script(r, config.layout))
             .collect();
         Self { config, scripts }
     }
 
-    /// The owner ranks of a directed link: (sender, receiver).
-    fn endpoints(pair: usize, dir: usize) -> (usize, usize) {
-        if dir == 0 {
-            (pair, pair + 1) // down: i -> i+1
-        } else {
-            (pair + 1, pair) // up: i+1 -> i
-        }
+    fn ranks(&self) -> usize {
+        self.config.layout.len()
     }
 
     fn kill_fires(&self, rank: usize, half: usize) -> bool {
@@ -240,14 +239,14 @@ impl TransitionSystem for Model {
             status: [Status::Running; MAX_RANKS],
             half: [0; MAX_RANKS],
             op: [0; MAX_RANKS],
-            links: [[Loc::Stash; 2]; MAX_RANKS - 1],
+            links: [[Loc::Stash; 4]; MAX_RANKS],
         }
     }
 
     /// All transitions enabled in `state`, in deterministic rank order.
     fn enabled(&self, state: &State) -> Vec<Step> {
         let mut steps = Vec::new();
-        for rank in 0..self.config.ranks {
+        for rank in 0..self.ranks() {
             if state.status[rank] != Status::Running {
                 continue;
             }
@@ -263,7 +262,7 @@ impl TransitionSystem for Model {
                 continue;
             }
             let micro = self.scripts[rank][state.op[rank] as usize];
-            let loc = state.links[micro.pair][micro.dir];
+            let loc = state.links[micro.sender][micro.toward as usize];
             let peer_gone = Self::hung_up(state.status[micro.peer]);
             let (runnable, blocked_is_disconnect) = match micro.kind {
                 // Acquire succeeds from the stash or the return slot; a
@@ -308,7 +307,7 @@ impl TransitionSystem for Model {
                     return Ok(next);
                 }
                 let micro = self.scripts[rank][next.op[rank] as usize];
-                let loc = &mut next.links[micro.pair][micro.dir];
+                let loc = &mut next.links[micro.sender][micro.toward as usize];
                 match micro.kind {
                     MicroKind::Acquire => {
                         debug_assert!(matches!(*loc, Loc::Stash | Loc::Ret));
@@ -338,8 +337,7 @@ impl TransitionSystem for Model {
                     }
                     MicroKind::Return => {
                         debug_assert!(matches!(*loc, Loc::RxHeld));
-                        let (sender, _) = Self::endpoints(micro.pair, micro.dir);
-                        *loc = if Self::hung_up(next.status[sender]) {
+                        *loc = if Self::hung_up(next.status[micro.sender]) {
                             Loc::Gone
                         } else {
                             Loc::Ret
@@ -371,8 +369,8 @@ impl TransitionSystem for Model {
                 }
                 let micro = self.scripts[r][state.op[r] as usize];
                 format!(
-                    "worker {r} half {half}: {:?} on pair {} dir {} (peer {})",
-                    micro.kind, micro.pair, micro.dir, micro.peer
+                    "worker {r} half {half}: {:?} on rank {}'s link {:?} (peer {})",
+                    micro.kind, micro.sender, micro.toward, micro.peer
                 )
             }
         }
@@ -385,12 +383,14 @@ impl TransitionSystem for Model {
 ///
 /// # Panics
 ///
-/// Panics if `config.ranks` is outside `2..=MAX_RANKS` or
+/// Panics if `config.layout` has fewer than 2 or more than `MAX_RANKS`
+/// workers, or
 /// `config.halves` is outside `1..=MAX_HALVES` — configuration errors,
 /// not model failures.
 pub fn check(config: ModelConfig) -> Report {
+    let ranks = config.layout.len();
     assert!(
-        (2..=MAX_RANKS).contains(&config.ranks),
+        (2..=MAX_RANKS).contains(&ranks),
         "ranks must be 2..={MAX_RANKS}"
     );
     assert!(
@@ -403,18 +403,19 @@ pub fn check(config: ModelConfig) -> Report {
     let stats = mc::explore(&model, &mc::Budget::default(), |state: &State| {
         // Quiescent: either all workers exited (terminal) or a live
         // worker waits forever (deadlock).
-        let live = (0..config.ranks).any(|r| state.status[r] == Status::Running);
+        let live = (0..ranks).any(|r| state.status[r] == Status::Running);
         if live {
             return Err(format!(
                 "deadlock: workers {:?} blocked with no enabled transition",
-                &state.status[..config.ranks]
+                &state.status[..ranks]
             ));
         }
-        let statuses = &state.status[..config.ranks];
+        let statuses = &state.status[..ranks];
         if statuses.iter().all(|s| *s == Status::Done) {
             all_done_terminals += 1;
             // Healthy completion must leave no undelivered row.
-            let leftover = state.links[..config.ranks - 1]
+            let leftover = state
+                .links
                 .iter()
                 .flatten()
                 .any(|l| matches!(l, Loc::Data(_)));
@@ -443,7 +444,8 @@ pub fn check(config: ModelConfig) -> Report {
 /// Terminal-state property checks beyond deadlock and delivery.
 fn check_terminal(model: &Model, state: &State) -> Option<String> {
     let config = model.config;
-    let statuses = &state.status[..config.ranks];
+    let ranks = model.ranks();
+    let statuses = &state.status[..ranks];
     if config.timeouts {
         // With nondeterministic timeouts the run may collapse before an
         // injected death fires, so only the weak property holds: every
@@ -463,7 +465,7 @@ fn check_terminal(model: &Model, state: &State) -> Option<String> {
     }
     let kill_active = config
         .kill
-        .is_some_and(|d| d.rank < config.ranks && d.at_half_iteration < config.halves);
+        .is_some_and(|d| d.rank < ranks && d.at_half_iteration < config.halves);
     if let (Some(d), true) = (config.kill, kill_active) {
         if statuses[d.rank] != Status::Dead {
             return Some(format!(
@@ -487,7 +489,7 @@ fn check_terminal(model: &Model, state: &State) -> Option<String> {
                 d.rank
             ));
         }
-        if config.ranks > 1 && !statuses.contains(&Status::Lost) {
+        if ranks > 1 && !statuses.contains(&Status::Lost) {
             return Some(format!(
                 "no survivor observed Disconnected after rank {}'s death (terminal statuses {statuses:?})",
                 d.rank
@@ -520,7 +522,7 @@ mod tests {
 
     fn cfg(ranks: usize, halves: usize) -> ModelConfig {
         ModelConfig {
-            ranks,
+            layout: BlockLayout::new(ranks, 1),
             halves,
             kill: None,
             timeouts: false,
@@ -590,6 +592,28 @@ mod tests {
         // terminals; every one is typed (checked inside).
         assert!(report.all_done_terminals >= 1);
         assert!(report.stats.terminals > report.all_done_terminals);
+    }
+
+    #[test]
+    fn two_by_two_blocks_are_deadlock_free_and_deaths_are_typed() {
+        // Every worker of the smallest block grid talks both vertically
+        // and horizontally: the topology the chain cannot stand in for.
+        let blocks = ModelConfig {
+            layout: BlockLayout::new(2, 2),
+            ..cfg(2, 2)
+        };
+        let healthy = check(blocks);
+        assert!(healthy.holds(), "{:?}", healthy.stats.violation);
+        assert_eq!(healthy.stats.terminals, healthy.all_done_terminals);
+        let killed = check(ModelConfig {
+            kill: Some(WorkerDeath {
+                rank: 3,
+                at_half_iteration: 1,
+            }),
+            ..blocks
+        });
+        assert!(killed.holds(), "{:?}", killed.stats.violation);
+        assert_eq!(killed.stats.terminals, killed.lost_observed_terminals);
     }
 
     #[test]

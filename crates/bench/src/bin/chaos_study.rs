@@ -25,12 +25,12 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use prodpred_core::{predict_campaign, solve_strips_supervised, RetryPolicy};
+use prodpred_core::{predict_campaign, solve_supervised, RetryPolicy};
 use prodpred_pool::parallel_map;
 use prodpred_simgrid::faults::{mix, FaultSchedule};
 use prodpred_sor::{
-    partition_equal, solve_seq, try_solve_parallel_strips, try_solve_strips_checkpointed,
-    CheckpointPolicy, CheckpointStore, ExchangePolicy, Grid, SolveOptions, SorParams,
+    partition_equal, solve_seq, try_solve_checkpointed, try_solve_decomposed, CheckpointPolicy,
+    CheckpointStore, Decomposition, ExchangePolicy, Grid, SolveOptions, SorParams,
 };
 
 /// Campaign geometry: small enough that hundreds of faulted solves (each
@@ -73,11 +73,11 @@ struct Outcome {
 
 fn run_schedule(schedule: &FaultSchedule, reference: &Grid) -> Outcome {
     let params = SorParams::for_grid(N, ITERATIONS);
-    let strips = partition_equal(N - 2, RANKS);
+    let strips = Decomposition::strips(N, &partition_equal(N - 2, RANKS));
     let caught = catch_unwind(AssertUnwindSafe(|| {
         // Supervised: retries resume from the last checkpoint.
         let mut grid = Grid::laplace_problem(N);
-        let recovery = solve_strips_supervised(
+        let recovery = solve_supervised(
             &mut grid,
             params,
             &strips,
@@ -88,7 +88,7 @@ fn run_schedule(schedule: &FaultSchedule, reference: &Grid) -> Outcome {
         );
         // Unsupervised control: one attempt, no second chances.
         let mut bare = Grid::laplace_problem(N);
-        let no_retry = solve_strips_supervised(
+        let no_retry = solve_supervised(
             &mut bare,
             params,
             &strips,
@@ -156,16 +156,16 @@ fn healthy_checkpoint_overhead() -> (f64, f64, f64) {
     let every = iters / 2;
     let p = 2;
     let params = SorParams::for_grid(n, iters);
-    let strips = partition_equal(n - 2, p);
+    let strips = Decomposition::strips(n, &partition_equal(n - 2, p));
     let plain = |_: usize| {
         let mut g = Grid::laplace_problem(n);
-        try_solve_parallel_strips(&mut g, params, &strips, &SolveOptions::reliable()).unwrap();
+        try_solve_decomposed(&mut g, params, &strips, &SolveOptions::reliable()).unwrap();
         std::hint::black_box(g.interior_sum());
     };
     let checkpointed = |_: usize| {
         let mut g = Grid::laplace_problem(n);
         let mut store = CheckpointStore::new();
-        try_solve_strips_checkpointed(
+        try_solve_checkpointed(
             &mut g,
             params,
             &strips,

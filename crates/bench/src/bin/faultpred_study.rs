@@ -27,12 +27,14 @@
 use serde::Serialize;
 
 use prodpred_core::{
-    platform2_experiment, platform2_experiment_with_faults, predict_campaign,
-    solve_strips_supervised, storm_stretched_secs, RetryPolicy,
+    platform2_experiment, platform2_experiment_with_faults, predict_campaign, solve_supervised,
+    storm_stretched_secs, RetryPolicy,
 };
 use prodpred_pool::parallel_map;
 use prodpred_simgrid::faults::{FaultConfig, FaultSchedule};
-use prodpred_sor::{partition_equal, CheckpointPolicy, ExchangePolicy, Grid, SorParams};
+use prodpred_sor::{
+    partition_equal, CheckpointPolicy, Decomposition, ExchangePolicy, Grid, SorParams,
+};
 
 /// Campaign geometry — must mirror `chaos_study` exactly, since the
 /// committed `BENCH_chaos.json` is the measured side of these terms.
@@ -132,10 +134,10 @@ struct FaultPredReport {
 fn campaign_half(schedules: usize) -> Vec<Term> {
     let campaign = FaultSchedule::random_campaign(CAMPAIGN_SEED, schedules, RANKS, ITERATIONS);
     let params = SorParams::for_grid(N, ITERATIONS);
-    let strips = partition_equal(N - 2, RANKS);
+    let strips = Decomposition::strips(N, &partition_equal(N - 2, RANKS));
     let outcomes = parallel_map(&campaign, 0, |_, schedule| {
         let mut grid = Grid::laplace_problem(N);
-        let recovery = solve_strips_supervised(
+        let recovery = solve_supervised(
             &mut grid,
             params,
             &strips,

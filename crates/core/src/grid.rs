@@ -17,7 +17,7 @@
 use prodpred_simgrid::faults::{mix, unit};
 use prodpred_simgrid::grid::GridPlatform;
 use prodpred_simgrid::EventQueue;
-use prodpred_sor::{partition_equal, simulate_with, DistSorConfig};
+use prodpred_sor::{partition_equal, simulate_with, DistSorConfig, Part};
 use serde::{Deserialize, Serialize};
 
 /// The job every tenant runs: one distributed SOR solve.
@@ -176,7 +176,10 @@ fn run_shard(grid: &GridPlatform, cfg: &GridSimConfig, shard: usize) -> ShardOut
     let tenants: Vec<usize> = (0..cfg.tenants)
         .filter(|t| t % cfg.shards == shard)
         .collect();
-    let strips = partition_equal(cfg.tenant.n - 2, cfg.tenant.procs);
+    let parts = Part::strips(
+        &partition_equal(cfg.tenant.n - 2, cfg.tenant.procs),
+        cfg.tenant.n,
+    );
 
     // Pure arrival stream: the k-th gap depends only on (shard seed, k).
     let mut queue = EventQueue::new();
@@ -204,11 +207,11 @@ fn run_shard(grid: &GridPlatform, cfg: &GridSimConfig, shard: usize) -> ShardOut
                 // borrow checker see them as shared captures.
                 let work_events = std::cell::Cell::new(0u64);
                 let r = simulate_with(
-                    &strips,
+                    &parts,
                     DistSorConfig::new(cfg.tenant.n, cfg.tenant.iterations, now),
-                    |i, strip, clock| {
+                    |i, part, clock| {
                         work_events.set(work_events.get() + 1);
-                        let elems = strip.elements(cfg.tenant.n) as f64 / 2.0;
+                        let elems = part.elements as f64 / 2.0;
                         grid.compute_secs(base + i, elems, clock)
                     },
                     |bytes, t| {

@@ -77,8 +77,8 @@ pub use scheduler::{
     allocate_units, decompose, planned_completion, AllocationPolicy, DecompositionPolicy,
 };
 pub use supervisor::{
-    solve_blocks_supervised, solve_strips_supervised, BreakerState, CircuitBreaker, RecoveryStats,
-    RetryPolicy, SolveRecovery, Supervisor,
+    solve_supervised, BreakerState, CircuitBreaker, RecoveryStats, RetryPolicy, SolveRecovery,
+    Supervisor,
 };
 pub use sweep::{
     platform1_fault_sweep, platform1_seed_sweep, platform2_fault_sweep, platform2_seed_sweep,

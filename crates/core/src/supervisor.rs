@@ -14,9 +14,8 @@
 //!   without touching the failing sensor until a cooldown elapses
 //!   (half-open probe, then closed on success).
 //! * [`Supervisor`] — composes the two and accumulates
-//!   [`RecoveryStats`]; [`solve_strips_supervised`] and
-//!   [`solve_blocks_supervised`] apply the same policy to a killed
-//!   parallel SOR solve, resuming each retry from the last
+//!   [`RecoveryStats`]; [`solve_supervised`] applies the same policy to
+//!   a killed parallel SOR solve, resuming each retry from the last
 //!   [`Checkpoint`](prodpred_sor::Checkpoint) instead of iteration 0.
 //!
 //! Fault semantics follow [`FaultSchedule`]: the schedule's `k`-th kill
@@ -27,9 +26,8 @@
 
 use prodpred_simgrid::faults::{mix, unit, FaultSchedule};
 use prodpred_sor::{
-    resume_blocks_from, resume_strips_from, try_solve_blocks_checkpointed,
-    try_solve_strips_checkpointed, BlockLayout, CheckpointPolicy, CheckpointStore, ExchangePolicy,
-    Grid, SolveError, SolveOptions, SorParams, Strip,
+    resume_from, try_solve_checkpointed, CheckpointPolicy, CheckpointStore, Decomposition,
+    ExchangePolicy, Grid, SolveError, SolveOptions, SorParams,
 };
 use serde::{Deserialize, Serialize};
 
@@ -347,23 +345,21 @@ impl SolveRecovery {
     }
 }
 
-/// Shared attempt loop of the supervised solvers: attempt 0 runs the
-/// checkpointed solve from the grid's current state; each retry resumes
-/// from the latest checkpoint (or restarts if none was taken, the grid
-/// being untouched in that case). Attempt `k` suffers the schedule's
-/// `k`-th kill, if any.
-fn supervise_solve(
+/// A solve under supervision, over strips or blocks alike: attempt 0 runs
+/// the checkpointed solve from the grid's current state; each retry —
+/// spent per `retry` on a worker death from `schedule`, whose `k`-th kill
+/// hits attempt `k` only — resumes from the latest checkpoint taken under
+/// `checkpoint` (or restarts if none was taken, the grid being untouched
+/// in that case). A recovered solve is bit-identical to an unfaulted one;
+/// an exhausted budget returns the last typed error.
+pub fn solve_supervised(
     grid: &mut Grid,
+    params: SorParams,
+    decomposition: &Decomposition,
     exchange: ExchangePolicy,
     schedule: &FaultSchedule,
     retry: &RetryPolicy,
-    mut solve: impl FnMut(&mut Grid, &SolveOptions, &mut CheckpointStore) -> Result<(), SolveError>,
-    mut resume: impl FnMut(
-        &prodpred_sor::Checkpoint,
-        &mut Grid,
-        &SolveOptions,
-        &mut CheckpointStore,
-    ) -> Result<(), SolveError>,
+    checkpoint: CheckpointPolicy,
 ) -> SolveRecovery {
     let mut store = CheckpointStore::new();
     let mut stats = RecoveryStats::default();
@@ -374,10 +370,25 @@ fn supervise_solve(
             kill: schedule.kill_for_attempt(attempt),
         };
         let outcome = match store.latest().cloned() {
-            None => solve(grid, &options, &mut store),
+            None => try_solve_checkpointed(
+                grid,
+                params,
+                decomposition,
+                &options,
+                checkpoint,
+                &mut store,
+            ),
             Some(cp) => {
                 stats.resumed_iterations_saved += cp.iteration() as u64;
-                resume(&cp, grid, &options, &mut store)
+                resume_from(
+                    &cp,
+                    grid,
+                    params,
+                    decomposition,
+                    &options,
+                    checkpoint,
+                    &mut store,
+                )
             }
         };
         stats.checkpoints_taken = store.taken() as u64;
@@ -409,54 +420,11 @@ fn supervise_solve(
     }
 }
 
-/// A strip solve under supervision: worker deaths from `schedule` are
-/// retried per `retry`, each retry resuming from the last checkpoint
-/// taken under `checkpoint`. A recovered solve is bit-identical to an
-/// unfaulted one; an exhausted budget returns the last typed error.
-pub fn solve_strips_supervised(
-    grid: &mut Grid,
-    params: SorParams,
-    strips: &[Strip],
-    exchange: ExchangePolicy,
-    schedule: &FaultSchedule,
-    retry: &RetryPolicy,
-    checkpoint: CheckpointPolicy,
-) -> SolveRecovery {
-    supervise_solve(
-        grid,
-        exchange,
-        schedule,
-        retry,
-        |g, o, s| try_solve_strips_checkpointed(g, params, strips, o, checkpoint, s),
-        |cp, g, o, s| resume_strips_from(cp, g, params, strips, o, checkpoint, s),
-    )
-}
-
-/// The 2D-block analogue of [`solve_strips_supervised`].
-pub fn solve_blocks_supervised(
-    grid: &mut Grid,
-    params: SorParams,
-    layout: BlockLayout,
-    exchange: ExchangePolicy,
-    schedule: &FaultSchedule,
-    retry: &RetryPolicy,
-    checkpoint: CheckpointPolicy,
-) -> SolveRecovery {
-    supervise_solve(
-        grid,
-        exchange,
-        schedule,
-        retry,
-        |g, o, s| try_solve_blocks_checkpointed(g, params, layout, o, checkpoint, s),
-        |cp, g, o, s| resume_blocks_from(cp, g, params, layout, o, checkpoint, s),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use prodpred_simgrid::faults::WorkerDeath;
-    use prodpred_sor::{partition_equal, solve_seq};
+    use prodpred_sor::{partition_equal, solve_seq, BlockLayout};
     use std::time::Duration;
 
     fn snappy() -> ExchangePolicy {
@@ -691,7 +659,7 @@ mod tests {
         let n = 33;
         let iters = 24;
         let params = SorParams::for_grid(n, iters);
-        let strips = partition_equal(n - 2, 4);
+        let strips = Decomposition::strips(n, &partition_equal(n - 2, 4));
         let mut reference = Grid::laplace_problem(n);
         solve_seq(&mut reference, params);
 
@@ -703,7 +671,7 @@ mod tests {
             }],
         };
         let mut g = Grid::laplace_problem(n);
-        let recovery = solve_strips_supervised(
+        let recovery = solve_supervised(
             &mut g,
             params,
             &strips,
@@ -726,7 +694,7 @@ mod tests {
     fn schedule_outlasting_the_budget_exhausts_into_a_typed_error() {
         let n = 21;
         let params = SorParams::for_grid(n, 12);
-        let strips = partition_equal(n - 2, 3);
+        let strips = Decomposition::strips(n, &partition_equal(n - 2, 3));
         // Four kills against a one-retry budget: attempts 0 and 1 both
         // die; the supervisor must give up with the typed error.
         let schedule = FaultSchedule {
@@ -743,7 +711,7 @@ mod tests {
             ..Default::default()
         };
         let mut g = Grid::laplace_problem(n);
-        let recovery = solve_strips_supervised(
+        let recovery = solve_supervised(
             &mut g,
             params,
             &strips,
@@ -776,10 +744,10 @@ mod tests {
             }],
         };
         let mut g = Grid::laplace_problem(n);
-        let recovery = solve_blocks_supervised(
+        let recovery = solve_supervised(
             &mut g,
             params,
-            BlockLayout::new(2, 2),
+            &Decomposition::blocks(n, BlockLayout::new(2, 2)),
             snappy(),
             &schedule,
             &RetryPolicy::default(),
@@ -794,9 +762,9 @@ mod tests {
     fn healthy_schedule_costs_no_retries() {
         let n = 17;
         let params = SorParams::for_grid(n, 8);
-        let strips = partition_equal(n - 2, 2);
+        let strips = Decomposition::strips(n, &partition_equal(n - 2, 2));
         let mut g = Grid::laplace_problem(n);
-        let recovery = solve_strips_supervised(
+        let recovery = solve_supervised(
             &mut g,
             params,
             &strips,

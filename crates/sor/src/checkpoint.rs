@@ -1,20 +1,19 @@
-//! Checkpoint/restart for the parallel SOR solvers.
+//! Checkpoint/restart for the parallel SOR solver.
 //!
 //! Red-Black SOR has no hidden solver state: at every iteration boundary
-//! the workers' local strips (or blocks) plus their freshly exchanged
-//! ghosts are exactly the global grid, and the algorithm carries no RNG
-//! or accumulator across iterations. Running `iterations` as a sequence
-//! of shorter *segments* — each one a fresh call into
-//! [`crate::parallel::try_solve_parallel_strips`] or
-//! [`crate::parallel2d::try_solve_parallel_blocks`] — is therefore
+//! the workers' local blocks plus their freshly exchanged ghosts are
+//! exactly the global grid, and the algorithm carries no RNG or
+//! accumulator across iterations. Running `iterations` as a sequence of
+//! shorter *segments* — each one a fresh call into
+//! [`crate::parallel::try_solve_decomposed`] — is therefore
 //! bit-for-bit identical to one long run, and a snapshot of
 //! `(grid, completed iterations)` taken between segments is a fully
 //! consistent [`Checkpoint`]: no red/black half-sweep is ever split
 //! across it.
 //!
 //! [`CheckpointPolicy`] chooses the segment length (checkpoint every `k`
-//! iterations); the checkpointed drivers record each snapshot into a
-//! [`CheckpointStore`], and the `resume_*_from` entry points restart a
+//! iterations); [`try_solve_checkpointed`] records each snapshot into a
+//! [`CheckpointStore`], and [`resume_from`] restarts a
 //! killed solve from the last snapshot instead of iteration 0. An
 //! injected [`WorkerDeath`] is addressed in *global* half-iterations and
 //! translated into each segment's local frame, so a death scheduled for
@@ -27,11 +26,9 @@
 //! state if none was taken) — always a consistent iteration boundary,
 //! never a torn half-sweep.
 
-use crate::decomp::Strip;
-use crate::decomp2d::BlockLayout;
+use crate::decomp::Decomposition;
 use crate::grid::Grid;
-use crate::parallel::{try_solve_parallel_strips, SolveError, SolveOptions};
-use crate::parallel2d::try_solve_parallel_blocks;
+use crate::parallel::{try_solve_decomposed, SolveError, SolveOptions};
 use crate::seq::SorParams;
 use prodpred_simgrid::faults::WorkerDeath;
 use serde::{Deserialize, Serialize};
@@ -190,7 +187,7 @@ impl Checkpoint {
 }
 
 /// In-memory checkpoint sink: keeps the latest snapshot and counts how
-/// many were taken. The latest checkpoint is what `resume_*_from`
+/// many were taken. The latest checkpoint is what [`resume_from`]
 /// restarts a killed solve from.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
@@ -235,17 +232,17 @@ fn kill_in_segment(kill: Option<WorkerDeath>, start_iteration: usize) -> Option<
     })
 }
 
-/// Shared segmented driver: runs `params.iterations` from
-/// `start_iteration` in `policy`-sized segments, recording a checkpoint
-/// after every completed segment boundary short of the end.
+/// The segmented driver: runs `params.iterations` from `start_iteration`
+/// in `policy`-sized segments, recording a checkpoint after every
+/// completed segment boundary short of the end.
 fn run_segments(
     grid: &mut Grid,
     params: SorParams,
+    decomposition: &Decomposition,
     options: &SolveOptions,
     policy: CheckpointPolicy,
     store: &mut CheckpointStore,
     start_iteration: usize,
-    mut segment: impl FnMut(&mut Grid, SorParams, &SolveOptions) -> Result<(), SolveError>,
 ) -> Result<(), SolveError> {
     let total = params.iterations;
     let mut done = start_iteration;
@@ -262,7 +259,7 @@ fn run_segments(
             policy: options.policy,
             kill: kill_in_segment(options.kill, done),
         };
-        segment(grid, segment_params, &segment_options)?;
+        try_solve_decomposed(grid, segment_params, decomposition, &segment_options)?;
         done += step;
         if policy.every != 0 && done < total {
             store.record(Checkpoint::capture(grid, done));
@@ -271,10 +268,10 @@ fn run_segments(
     Ok(())
 }
 
-/// [`try_solve_parallel_strips`] run in checkpointed segments: every
+/// [`try_solve_decomposed`] run in checkpointed segments: every
 /// `policy.every` iterations the grid is snapshotted into `store`, so a
-/// later [`resume_strips_from`] restarts from the last consistent
-/// red/black boundary instead of iteration 0.
+/// later [`resume_from`] restarts from the last consistent red/black
+/// boundary instead of iteration 0.
 ///
 /// Bit-for-bit identical to the unsegmented solve on a healthy run. On
 /// error the grid holds the last completed segment's state (the latest
@@ -282,114 +279,57 @@ fn run_segments(
 ///
 /// # Panics
 ///
-/// Same configuration panics as [`try_solve_parallel_strips`].
+/// Same configuration panics as [`try_solve_decomposed`].
 ///
 /// # Errors
 ///
-/// Returns the same [`SolveError`]s as [`try_solve_parallel_strips`].
-pub fn try_solve_strips_checkpointed(
+/// Returns the same [`SolveError`]s as [`try_solve_decomposed`].
+pub fn try_solve_checkpointed(
     grid: &mut Grid,
     params: SorParams,
-    strips: &[Strip],
+    decomposition: &Decomposition,
     options: &SolveOptions,
     policy: CheckpointPolicy,
     store: &mut CheckpointStore,
 ) -> Result<(), SolveError> {
-    run_segments(grid, params, options, policy, store, 0, |g, p, o| {
-        try_solve_parallel_strips(g, p, strips, o)
-    })
+    run_segments(grid, params, decomposition, options, policy, store, 0)
 }
 
-/// Resumes a strip solve from `checkpoint`: restores the snapshotted
-/// grid and runs the remaining `params.iterations - checkpoint.iteration()`
+/// Resumes a solve from `checkpoint`: restores the snapshotted grid and
+/// runs the remaining `params.iterations - checkpoint.iteration()`
 /// iterations, continuing to checkpoint under the same policy. The
 /// injected kill in `options` keeps its *global* addressing — a death
 /// already consumed before the checkpoint does not re-fire.
 ///
 /// # Errors
 ///
-/// Returns the same [`SolveError`]s as [`try_solve_parallel_strips`].
-pub fn resume_strips_from(
+/// Returns [`SolveError::Checkpoint`] for a checkpoint this solve cannot
+/// use, and otherwise the same [`SolveError`]s as
+/// [`try_solve_decomposed`].
+pub fn resume_from(
     checkpoint: &Checkpoint,
     grid: &mut Grid,
     params: SorParams,
-    strips: &[Strip],
+    decomposition: &Decomposition,
     options: &SolveOptions,
     policy: CheckpointPolicy,
     store: &mut CheckpointStore,
 ) -> Result<(), SolveError> {
-    let start = validate_resume(checkpoint, grid, params)?;
-    run_segments(grid, params, options, policy, store, start, |g, p, o| {
-        try_solve_parallel_strips(g, p, strips, o)
-    })
-}
-
-/// [`try_solve_parallel_blocks`] run in checkpointed segments — the 2D
-/// analogue of [`try_solve_strips_checkpointed`], with the same
-/// consistency and error contract.
-///
-/// # Panics
-///
-/// Same configuration panics as [`try_solve_parallel_blocks`].
-///
-/// # Errors
-///
-/// Returns the same [`SolveError`]s as [`try_solve_parallel_blocks`].
-pub fn try_solve_blocks_checkpointed(
-    grid: &mut Grid,
-    params: SorParams,
-    layout: BlockLayout,
-    options: &SolveOptions,
-    policy: CheckpointPolicy,
-    store: &mut CheckpointStore,
-) -> Result<(), SolveError> {
-    run_segments(grid, params, options, policy, store, 0, |g, p, o| {
-        try_solve_parallel_blocks(g, p, layout, o)
-    })
-}
-
-/// Resumes a block solve from `checkpoint` — the 2D analogue of
-/// [`resume_strips_from`].
-///
-/// # Errors
-///
-/// Returns the same [`SolveError`]s as [`try_solve_parallel_blocks`].
-pub fn resume_blocks_from(
-    checkpoint: &Checkpoint,
-    grid: &mut Grid,
-    params: SorParams,
-    layout: BlockLayout,
-    options: &SolveOptions,
-    policy: CheckpointPolicy,
-    store: &mut CheckpointStore,
-) -> Result<(), SolveError> {
-    let start = validate_resume(checkpoint, grid, params)?;
-    run_segments(grid, params, options, policy, store, start, |g, p, o| {
-        try_solve_parallel_blocks(g, p, layout, o)
-    })
-}
-
-/// Restores `checkpoint` into `grid` and returns the iteration to resume
-/// from, rejecting checkpoints past the solve's total.
-fn validate_resume(
-    checkpoint: &Checkpoint,
-    grid: &mut Grid,
-    params: SorParams,
-) -> Result<usize, SolveError> {
     if checkpoint.iteration() > params.iterations {
         return Err(SolveError::Checkpoint(CheckpointError::IterationOverrun {
             at: checkpoint.iteration(),
             total: params.iterations,
         }));
     }
-    checkpoint.restore(grid).map_err(SolveError::Checkpoint)?;
-    Ok(checkpoint.iteration())
+    checkpoint.restore(grid)?;
+    let start = checkpoint.iteration();
+    run_segments(grid, params, decomposition, options, policy, store, start)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::partition_equal;
+    use crate::decomp::{partition_equal, BlockLayout};
     use crate::exchange::ExchangePolicy;
     use crate::seq::solve_seq;
     use std::time::Duration;
@@ -414,11 +354,11 @@ mod tests {
         let n = 25;
         let iters = 20;
         let reference = solved_seq(n, iters);
-        let strips = partition_equal(n - 2, 4);
+        let strips = Decomposition::strips(n, &partition_equal(n - 2, 4));
         for every in [0, 1, 3, 7, 20, 50] {
             let mut g = Grid::laplace_problem(n);
             let mut store = CheckpointStore::new();
-            try_solve_strips_checkpointed(
+            try_solve_checkpointed(
                 &mut g,
                 SorParams::for_grid(n, iters),
                 &strips,
@@ -458,10 +398,10 @@ mod tests {
         for every in [1, 4, 5] {
             let mut g = Grid::laplace_problem(n);
             let mut store = CheckpointStore::new();
-            try_solve_blocks_checkpointed(
+            try_solve_checkpointed(
                 &mut g,
                 SorParams::for_grid(n, iters),
-                BlockLayout::new(2, 3),
+                &Decomposition::blocks(n, BlockLayout::new(2, 3)),
                 &SolveOptions::reliable(),
                 CheckpointPolicy::every(every),
                 &mut store,
@@ -478,7 +418,7 @@ mod tests {
         let n = 33;
         let iters = 24;
         let params = SorParams::for_grid(n, iters);
-        let strips = partition_equal(n - 2, 4);
+        let strips = Decomposition::strips(n, &partition_equal(n - 2, 4));
         let reference = solved_seq(n, iters);
 
         // Kill rank 2 in iteration 13's black phase (global half 27):
@@ -490,7 +430,7 @@ mod tests {
         let policy = CheckpointPolicy::every(5);
         let mut store = CheckpointStore::new();
         let mut g = Grid::laplace_problem(n);
-        let err = try_solve_strips_checkpointed(
+        let err = try_solve_checkpointed(
             &mut g,
             params,
             &strips,
@@ -510,7 +450,7 @@ mod tests {
 
         // The worker is restarted (transient death): resume without the
         // kill — it already fired — and finish.
-        resume_strips_from(
+        resume_from(
             &checkpoint,
             &mut g,
             params,
@@ -537,7 +477,7 @@ mod tests {
         let n = 21;
         let iters = 16;
         let params = SorParams::for_grid(n, iters);
-        let strips = partition_equal(n - 2, 3);
+        let strips = Decomposition::strips(n, &partition_equal(n - 2, 3));
         let reference = solved_seq(n, iters);
 
         let mut base = Grid::laplace_problem(n);
@@ -547,7 +487,7 @@ mod tests {
             rank: 1,
             at_half_iteration: 9, // iteration 4's black phase
         };
-        let err = try_solve_strips_checkpointed(
+        let err = try_solve_checkpointed(
             &mut base,
             params,
             &strips,
@@ -568,7 +508,7 @@ mod tests {
         // modelling a permanent fault.
         let mut g = Grid::laplace_problem(n);
         checkpoint.restore(&mut g).unwrap();
-        let err = resume_strips_from(
+        let err = resume_from(
             &checkpoint,
             &mut g,
             params,
@@ -586,7 +526,7 @@ mod tests {
         // A kill addressed before the checkpoint is already in the past
         // and must not fire.
         let mut g = Grid::laplace_problem(n);
-        resume_strips_from(
+        resume_from(
             &checkpoint,
             &mut g,
             params,
@@ -610,12 +550,12 @@ mod tests {
         let n = 19;
         let iters = 12;
         let params = SorParams::for_grid(n, iters);
-        let strips = partition_equal(n - 2, 2);
+        let strips = Decomposition::strips(n, &partition_equal(n - 2, 2));
         let reference = solved_seq(n, iters);
 
         let mut g = Grid::laplace_problem(n);
         let mut store = CheckpointStore::new();
-        try_solve_strips_checkpointed(
+        try_solve_checkpointed(
             &mut g,
             SorParams {
                 omega: params.omega,
@@ -636,7 +576,7 @@ mod tests {
 
         let mut resumed = Grid::laplace_problem(n);
         let mut store2 = CheckpointStore::new();
-        resume_strips_from(
+        resume_from(
             &restored,
             &mut resumed,
             params,
@@ -683,9 +623,9 @@ mod tests {
         let n = 9;
         let g = Grid::laplace_problem(n);
         let cp = Checkpoint::capture(&g, 30);
-        let strips = partition_equal(n - 2, 2);
+        let strips = Decomposition::strips(n, &partition_equal(n - 2, 2));
         let mut target = Grid::laplace_problem(n);
-        let err = resume_strips_from(
+        let err = resume_from(
             &cp,
             &mut target,
             SorParams::for_grid(n, 10),
@@ -707,9 +647,9 @@ mod tests {
         let iters = 6;
         let reference = solved_seq(n, iters);
         let cp = Checkpoint::capture(&reference, iters);
-        let strips = partition_equal(n - 2, 2);
+        let strips = Decomposition::strips(n, &partition_equal(n - 2, 2));
         let mut g = Grid::laplace_problem(n);
-        resume_strips_from(
+        resume_from(
             &cp,
             &mut g,
             SorParams::for_grid(n, iters),
@@ -727,7 +667,7 @@ mod tests {
         let n = 26;
         let iters = 18;
         let params = SorParams::for_grid(n, iters);
-        let layout = BlockLayout::new(2, 2);
+        let layout = Decomposition::blocks(n, BlockLayout::new(2, 2));
         let reference = solved_seq(n, iters);
 
         let kill = WorkerDeath {
@@ -737,10 +677,10 @@ mod tests {
         let policy = CheckpointPolicy::every(4);
         let mut store = CheckpointStore::new();
         let mut g = Grid::laplace_problem(n);
-        let err = try_solve_blocks_checkpointed(
+        let err = try_solve_checkpointed(
             &mut g,
             params,
-            layout,
+            &layout,
             &SolveOptions {
                 policy: snappy(),
                 kill: Some(kill),
@@ -753,11 +693,11 @@ mod tests {
         let checkpoint = store.latest().unwrap().clone();
         assert_eq!(checkpoint.iteration(), 8);
 
-        resume_blocks_from(
+        resume_from(
             &checkpoint,
             &mut g,
             params,
-            layout,
+            &layout,
             &SolveOptions {
                 policy: snappy(),
                 kill: None,

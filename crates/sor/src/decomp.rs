@@ -1,11 +1,23 @@
-//! Strip decomposition of the SOR grid (paper Figure 6).
+//! Decomposition of the SOR grid over processors.
 //!
-//! "A common data distribution for this is a strip decomposition": each of
+//! The paper's distribution is the strip decomposition of its Figure 6 —
+//! "a common data distribution for this is a strip decomposition": each of
 //! `P` processors owns a contiguous band of interior rows and exchanges
 //! boundary rows with its neighbours each phase. "To balance load in a
 //! distributed setting, we may assign more work to processors with greater
 //! capacity, with the goal of having all processors complete at the same
 //! time" (paper footnote 2) — hence weighted partitioning.
+//!
+//! The classic alternative is a `pr x pc` block decomposition. A strip
+//! sends `2N` boundary elements per interior processor per phase regardless
+//! of `P`; a block sends `2(N/pr) + 2(N/pc)`, which shrinks as the
+//! processor grid grows (the comm-bound advantage over strips is
+//! `sqrt(P)/2` for P >= 16) — the crossover `ablation_decomposition`
+//! reproduces.
+//!
+//! The two are one thing: a strip is a block that spans every interior
+//! column, and `P` strips are a `P x 1` processor grid. [`Decomposition`]
+//! is that one thing, and the only form the threaded solver sees.
 
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -104,6 +116,215 @@ pub fn strips_are_valid(strips: &[Strip], n_interior: usize) -> bool {
         expected = s.rows.end;
     }
     expected == n_interior + 1
+}
+
+/// One processor's block: ranges of interior rows and columns.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Block {
+    /// Owning processor index (row-major in the processor grid).
+    pub proc: usize,
+    /// Processor-grid coordinates `(block row, block col)`.
+    pub coords: (usize, usize),
+    /// Interior grid rows `[start, end)`.
+    pub rows: Range<usize>,
+    /// Interior grid columns `[start, end)`.
+    pub cols: Range<usize>,
+}
+
+impl Block {
+    /// Rows owned.
+    pub fn n_rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Columns owned.
+    pub fn n_cols(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Elements owned.
+    pub fn elements(&self) -> usize {
+        self.n_rows() * self.n_cols()
+    }
+}
+
+/// A neighbour of a processor in the processor grid, in the order every
+/// per-neighbour list in this crate uses (the exchange script, the
+/// simulator's message list): up, down, left, right.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Peer {
+    /// The processor one block row above (`rank - pc`).
+    Up,
+    /// The processor one block row below (`rank + pc`).
+    Down,
+    /// The processor one block column to the left (`rank - 1`).
+    Left,
+    /// The processor one block column to the right (`rank + 1`).
+    Right,
+}
+
+impl Peer {
+    /// Every direction, in exchange order.
+    pub const ALL: [Peer; 4] = [Peer::Up, Peer::Down, Peer::Left, Peer::Right];
+
+    /// The direction the neighbour sees this processor in.
+    pub fn opposite(self) -> Peer {
+        match self {
+            Peer::Up => Peer::Down,
+            Peer::Down => Peer::Up,
+            Peer::Left => Peer::Right,
+            Peer::Right => Peer::Left,
+        }
+    }
+}
+
+/// The processor grid shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BlockLayout {
+    /// Processor-grid rows.
+    pub pr: usize,
+    /// Processor-grid columns.
+    pub pc: usize,
+}
+
+impl BlockLayout {
+    /// A layout with `pr * pc` processors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    pub fn new(pr: usize, pc: usize) -> Self {
+        assert!(pr > 0 && pc > 0, "layout needs positive dimensions");
+        Self { pr, pc }
+    }
+
+    /// The most square layout for `p` processors (factor pair closest to
+    /// `sqrt(p)`).
+    pub fn squarest(p: usize) -> Self {
+        assert!(p > 0);
+        let mut best = (1usize, p);
+        let mut r = 1usize;
+        while r * r <= p {
+            if p.is_multiple_of(r) {
+                best = (r, p / r);
+            }
+            r += 1;
+        }
+        Self::new(best.0, best.1)
+    }
+
+    /// Total processors.
+    pub fn len(&self) -> usize {
+        self.pr * self.pc
+    }
+
+    /// Always false.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// The processor (row-major rank) next to `rank` toward `peer`, `None`
+    /// at the edge of the processor grid.
+    pub fn neighbour(&self, rank: usize, peer: Peer) -> Option<usize> {
+        assert!(rank < self.len(), "rank {rank} outside {self:?}");
+        let (br, bc) = (rank / self.pc, rank % self.pc);
+        match peer {
+            Peer::Up => (br > 0).then(|| rank - self.pc),
+            Peer::Down => (br + 1 < self.pr).then(|| rank + self.pc),
+            Peer::Left => (bc > 0).then(|| rank - 1),
+            Peer::Right => (bc + 1 < self.pc).then(|| rank + 1),
+        }
+    }
+}
+
+/// Partitions the interior of an `n x n` grid into equal blocks: the
+/// equal strip split of the rows crossed with that of the columns, so the
+/// remainder goes to the leading block rows and columns.
+///
+/// # Panics
+///
+/// Panics if the layout has more rows/cols than the interior provides.
+pub fn partition_blocks(n: usize, layout: BlockLayout) -> Vec<Block> {
+    let interior = n - 2;
+    assert!(
+        layout.pr <= interior && layout.pc <= interior,
+        "layout {layout:?} too fine for an interior of {interior}"
+    );
+    let row_ranges = partition_equal(interior, layout.pr);
+    let col_ranges = partition_equal(interior, layout.pc);
+    let mut out = Vec::with_capacity(layout.len());
+    for (br, rr) in row_ranges.iter().enumerate() {
+        for (bc, cr) in col_ranges.iter().enumerate() {
+            out.push(Block {
+                proc: br * layout.pc + bc,
+                coords: (br, bc),
+                rows: rr.rows.clone(),
+                cols: cr.rows.clone(),
+            });
+        }
+    }
+    out
+}
+
+/// A checked tiling of an `n x n` grid's interior by non-empty blocks laid
+/// out on a processor grid — what the threaded solver, its checkpointed
+/// driver and the supervisor run over. Strips and blocks differ only in
+/// how they get here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Decomposition {
+    /// Dimension of the grid this decomposition tiles.
+    pub(crate) n: usize,
+    /// The processor grid; rank `r` owns `blocks[r]`.
+    pub(crate) layout: BlockLayout,
+    /// The blocks, in rank (row-major) order.
+    pub(crate) blocks: Vec<Block>,
+}
+
+impl Decomposition {
+    /// Strips, weighted or equal, as a `P x 1` processor grid of blocks
+    /// spanning every interior column of an `n x n` grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the strips do not tile the interior rows in order, or any
+    /// strip is empty (decompose with `n >> p`).
+    pub fn strips(n: usize, strips: &[Strip]) -> Self {
+        assert!(
+            strips_are_valid(strips, n - 2),
+            "strips must tile the interior rows"
+        );
+        assert!(
+            strips.iter().all(|s| s.n_rows() > 0),
+            "every processor needs at least one row"
+        );
+        let blocks = strips
+            .iter()
+            .map(|s| Block {
+                proc: s.proc,
+                coords: (s.proc, 0),
+                rows: s.rows.clone(),
+                cols: 1..n - 1,
+            })
+            .collect();
+        Self {
+            n,
+            layout: BlockLayout::new(strips.len(), 1),
+            blocks,
+        }
+    }
+
+    /// Equal blocks of an `n x n` grid over `layout`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout is finer than the interior.
+    pub fn blocks(n: usize, layout: BlockLayout) -> Self {
+        Self {
+            n,
+            layout,
+            blocks: partition_blocks(n, layout),
+        }
+    }
 }
 
 #[cfg(test)]

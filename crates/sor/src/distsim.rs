@@ -3,21 +3,28 @@
 //! the paper's Figures 9, 12, 14, and 16.
 //!
 //! Each processor advances a local clock. Per iteration and per colour
-//! phase it (a) computes its strip's cells, with wall-clock time obtained
+//! phase it (a) computes its part's cells, with wall-clock time obtained
 //! by integrating work against the machine's CPU-availability trace, and
-//! (b) exchanges ghost rows with its strip neighbours over the shared
+//! (b) exchanges ghost edges with its neighbours over the shared
 //! ethernet, with transfer times integrated against the bandwidth trace.
 //! A processor cannot begin the next phase until its own sends have
-//! drained *and* both neighbours' rows have arrived — the loose
+//! drained *and* every neighbour's edge has arrived — the loose
 //! synchronization whose accumulated delays produce the "skew" of the
 //! paper's Figure 7 (bounded by `P` iterations).
+//!
+//! The phase loop knows nothing of strips or blocks: a decomposition
+//! reaches it as a list of [`Part`]s — elements owned, plus an ordered
+//! neighbour list with the bytes of one message. The two conventions live
+//! in the two constructors: [`Part::strips`] ships whole grid rows (`N`
+//! elements, as the paper's model does), [`Part::blocks`] interior edges
+//! (`N - 2` for a `P x 1` layout — 0.2 % smaller at `N = 1000`).
 //!
 //! Self-contention among the application's own transfers is not modelled
 //! separately: the bandwidth-availability trace already carries the
 //! segment's contention state, and the application's ghost rows are small
 //! compared to the competing traffic.
 
-use crate::decomp::Strip;
+use crate::decomp::{Block, BlockLayout, Peer, Strip};
 use prodpred_simgrid::Platform;
 use serde::{Deserialize, Serialize};
 
@@ -65,73 +72,124 @@ pub struct DistSorResult {
     pub skew_secs: f64,
 }
 
+/// One processor's share of a decomposition, as the simulator sees it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Part {
+    /// Grid elements owned (`NumElt_p` in the paper's component models).
+    pub elements: usize,
+    /// The processors this one exchanges ghosts with, in exchange order,
+    /// each with the bytes of one message in either direction.
+    pub neighbours: Vec<(usize, f64)>,
+}
+
+impl Part {
+    /// One part per processor of `layout`: its element count, and each
+    /// neighbour with the bytes of the ghost message it exchanges.
+    fn list(
+        layout: BlockLayout,
+        elements: impl Fn(usize) -> usize,
+        ghost_elements: impl Fn(usize, Peer) -> usize,
+    ) -> Vec<Part> {
+        (0..layout.len())
+            .map(|i| Part {
+                elements: elements(i),
+                neighbours: Peer::ALL
+                    .into_iter()
+                    .filter_map(|peer| {
+                        let bytes = ghost_elements(i, peer) as f64 * BYTES_PER_ELEMENT;
+                        Some((layout.neighbour(i, peer)?, bytes))
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// Strips of an `n x n` grid: a chain whose every ghost message is a
+    /// whole grid row, boundary columns included (`n` elements).
+    pub fn strips(strips: &[Strip], n: usize) -> Vec<Part> {
+        let chain = BlockLayout::new(strips.len(), 1);
+        Self::list(chain, |i| strips[i].elements(n), |_, _| n)
+    }
+
+    /// Blocks on `layout`: a ghost message is the interior edge shared
+    /// with the neighbour — `n_cols` elements up and down, `n_rows` left
+    /// and right.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks` is not one block per processor of `layout`, in
+    /// rank order.
+    pub fn blocks(blocks: &[Block], layout: BlockLayout) -> Vec<Part> {
+        assert!(
+            blocks.len() == layout.len()
+                && blocks
+                    .iter()
+                    .enumerate()
+                    .all(|(i, b)| b.coords == (i / layout.pc, i % layout.pc)),
+            "blocks must be the layout's, in rank order"
+        );
+        let ghost_elements = |i: usize, peer| match peer {
+            Peer::Up | Peer::Down => blocks[i].n_cols(),
+            Peer::Left | Peer::Right => blocks[i].n_rows(),
+        };
+        Self::list(layout, |i| blocks[i].elements(), ghost_elements)
+    }
+}
+
 /// Simulates one distributed SOR run against an abstract platform: the
-/// generic core behind [`simulate`], also driven at grid scale by
-/// `prodpred-core`'s sharded tenant simulation with
+/// one phase loop behind [`simulate`] and [`simulate_blocks`], also driven
+/// at grid scale by `prodpred-core`'s sharded tenant simulation with
 /// [`prodpred_simgrid::grid::GridPlatform`] trace views.
 ///
-/// `compute(proc, strip, clock)` returns the wall-clock seconds for
-/// `proc` to finish one colour phase of `strip` starting at `clock`;
-/// `transfer(bytes, t)` the seconds to move one ghost-row message
-/// starting at `t`. [`simulate`] wraps this with closures performing the
-/// exact arithmetic it always performed, so results are bit-identical.
+/// `compute(proc, part, clock)` returns the wall-clock seconds for `proc`
+/// to finish one colour phase of `part` starting at `clock`;
+/// `transfer(bytes, t)` the seconds to move one ghost message starting at
+/// `t`.
 ///
 /// # Panics
 ///
-/// Panics if any strip is empty or `iterations == 0`.
+/// Panics if any part is empty or `cfg.iterations == 0`.
 pub fn simulate_with(
-    strips: &[Strip],
+    parts: &[Part],
     cfg: DistSorConfig,
-    mut compute: impl FnMut(usize, &Strip, f64) -> f64,
+    mut compute: impl FnMut(usize, &Part, f64) -> f64,
     mut transfer: impl FnMut(f64, f64) -> f64,
 ) -> DistSorResult {
     assert!(cfg.iterations > 0, "need at least one iteration");
     assert!(
-        strips.iter().all(|s| s.n_rows() > 0),
-        "every strip needs rows"
+        parts.iter().all(|part| part.elements > 0),
+        "every processor needs elements"
     );
-    let p = strips.len();
-    let ghost_bytes = cfg.n as f64 * BYTES_PER_ELEMENT;
 
-    let mut clocks = vec![cfg.start_time; p];
+    let mut clocks = vec![cfg.start_time; parts.len()];
+    let mut ready = vec![0.0f64; parts.len()];
     let mut iteration_secs = Vec::with_capacity(cfg.iterations);
     let mut frontier_prev = cfg.start_time;
 
     for _iter in 0..cfg.iterations {
         for _color in 0..2 {
-            // Compute phase: half the strip's elements have this colour.
-            let mut ready = vec![0.0f64; p];
-            for (i, strip) in strips.iter().enumerate() {
-                let dt = compute(i, strip, clocks[i]);
-                ready[i] = clocks[i] + dt;
+            // Compute phase: half the part's elements have this colour.
+            for (i, part) in parts.iter().enumerate() {
+                ready[i] = clocks[i] + compute(i, part, clocks[i]);
             }
-
-            if p == 1 {
-                clocks[0] = ready[0];
-            } else {
-                // Communication phase. A ghost-row exchange with a
-                // neighbour is a rendezvous: it cannot begin until both
-                // parties finish computing (neighbour lateness propagates —
-                // the skew of Figure 7). On the half-duplex shared segment
-                // each exchange then occupies one message slot per
-                // direction at the endpoint, so an interior processor pays
-                // for four transfers per phase (SendLR + ReceLR in the
-                // structural model) and an edge processor for two.
-                for i in 0..p {
-                    let mut sync = ready[i];
-                    if i > 0 {
-                        sync = sync.max(ready[i - 1]);
-                    }
-                    if i < p - 1 {
-                        sync = sync.max(ready[i + 1]);
-                    }
-                    let mut t = sync;
-                    let messages = 2 * (usize::from(i > 0) + usize::from(i < p - 1));
-                    for _ in 0..messages {
-                        t += transfer(ghost_bytes, t);
-                    }
-                    clocks[i] = t;
+            // Communication phase. A ghost exchange with a neighbour is a
+            // rendezvous: it cannot begin until both parties finish
+            // computing (neighbour lateness propagates — the skew of
+            // Figure 7). On the half-duplex shared segment each exchange
+            // then occupies one message slot per direction at the
+            // endpoint, so an interior strip pays for four transfers per
+            // phase (SendLR + ReceLR in the structural model), an edge
+            // strip for two, and a lone processor for none.
+            for (i, part) in parts.iter().enumerate() {
+                let mut t = ready[i];
+                for &(q, _) in &part.neighbours {
+                    t = t.max(ready[q]);
                 }
+                for &(_, bytes) in &part.neighbours {
+                    t += transfer(bytes, t);
+                    t += transfer(bytes, t);
+                }
+                clocks[i] = t;
             }
         }
         let frontier = clocks.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -149,32 +207,53 @@ pub fn simulate_with(
     }
 }
 
-/// Simulates one distributed SOR run.
+/// [`simulate_with`] on a [`Platform`]: machine `i` runs part `i`, with
+/// the paging model applied if `cfg` carries one.
+fn simulate_on(platform: &Platform, parts: &[Part], cfg: DistSorConfig) -> DistSorResult {
+    assert!(
+        parts.len() <= platform.machines.len(),
+        "more processors than machines"
+    );
+    simulate_with(
+        parts,
+        cfg,
+        |i, part, clock| {
+            let machine = &platform.machines[i];
+            let mut elems = part.elements as f64 / 2.0;
+            if let Some(paging) = &cfg.paging {
+                // Paging inflates the per-element cost; expressing it
+                // as extra elements keeps the load-trace integration.
+                elems *= paging.slowdown(&machine.spec, part.elements as f64);
+            }
+            machine.compute_secs(elems, clock)
+        },
+        |bytes, t| platform.network.transfer_secs(bytes, t),
+    )
+}
+
+/// Simulates one distributed SOR run over strips.
 ///
 /// # Panics
 ///
 /// Panics if there are more strips than machines, if any strip is empty,
 /// or if `iterations == 0`.
 pub fn simulate(platform: &Platform, strips: &[Strip], cfg: DistSorConfig) -> DistSorResult {
-    assert!(
-        strips.len() <= platform.machines.len(),
-        "more strips than machines"
-    );
-    simulate_with(
-        strips,
-        cfg,
-        |i, strip, clock| {
-            let machine = &platform.machines[i];
-            let mut elems = strip.elements(cfg.n) as f64 / 2.0;
-            if let Some(paging) = &cfg.paging {
-                // Paging inflates the per-element cost; expressing it
-                // as extra elements keeps the load-trace integration.
-                elems *= paging.slowdown(&machine.spec, strip.elements(cfg.n) as f64);
-            }
-            machine.compute_secs(elems, clock)
-        },
-        |bytes, t| platform.network.transfer_secs(bytes, t),
-    )
+    simulate_on(platform, &Part::strips(strips, cfg.n), cfg)
+}
+
+/// Simulates one distributed SOR run over blocks.
+///
+/// # Panics
+///
+/// Panics if blocks don't match the layout, there are more blocks than
+/// machines, or `iterations == 0`.
+pub fn simulate_blocks(
+    platform: &Platform,
+    blocks: &[Block],
+    layout: BlockLayout,
+    cfg: DistSorConfig,
+) -> DistSorResult {
+    simulate_on(platform, &Part::blocks(blocks, layout), cfg)
 }
 
 #[cfg(test)]
@@ -338,13 +417,13 @@ mod tests {
         c.paging = Some(prodpred_simgrid::PagingModel::default());
         let wrapped = simulate(&p, &strips, c);
         let direct = simulate_with(
-            &strips,
+            &Part::strips(&strips, c.n),
             c,
-            |i, strip, clock| {
+            |i, part, clock| {
                 let machine = &p.machines[i];
-                let mut elems = strip.elements(c.n) as f64 / 2.0;
+                let mut elems = part.elements as f64 / 2.0;
                 if let Some(paging) = &c.paging {
-                    elems *= paging.slowdown(&machine.spec, strip.elements(c.n) as f64);
+                    elems *= paging.slowdown(&machine.spec, part.elements as f64);
                 }
                 machine.compute_secs(elems, clock)
             },

@@ -1,7 +1,7 @@
 //! The shared five-point Red-Black relaxation kernel.
 //!
-//! Every solver in this crate — [`crate::seq`], [`crate::parallel`], and
-//! [`crate::parallel2d`] — relaxes one colour of one row at a time. This
+//! Both solvers in this crate — [`crate::seq`] and the [`crate::parallel`]
+//! worker — relax one colour of one row at a time. This
 //! module factors that inner loop into a single slice-based routine so the
 //! hot path is written (and optimized) exactly once: the row above, the
 //! row being updated, and the row below are passed as three slices

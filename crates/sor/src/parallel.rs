@@ -1,35 +1,37 @@
-//! The real multithreaded Red-Black SOR: strip decomposition, per-phase
-//! ghost-row exchange over rendezvous mailboxes, loose neighbour
-//! synchronization — a shared-nothing implementation of the distributed
-//! algorithm the paper models, validated bit-for-bit against the
-//! sequential solver.
+//! The real multithreaded Red-Black SOR: one shared-nothing worker per
+//! block of a [`Decomposition`], per-phase ghost-edge exchange over
+//! rendezvous mailboxes, loose neighbour synchronization — the
+//! distributed algorithm the paper models, validated bit-for-bit against
+//! the sequential solver.
 //!
 //! Because each colour's update reads only the *other* colour (fixed for
-//! the duration of the sweep), the parallel result is identical to the
-//! sequential one — floating-point operation order per cell does not
-//! change with the decomposition.
+//! the duration of the sweep) and the five-point stencil needs no corner
+//! ghosts, the parallel result is identical to the sequential one —
+//! floating-point operation order per cell does not change with the
+//! decomposition. Strips are the `P x 1` case of the same worker: a block
+//! spanning every interior column, whose halo columns are the grid's
+//! fixed boundary.
 //!
-//! Ghost rows travel through [`crate::exchange`] links that recycle their
+//! Ghost edges travel through [`crate::exchange`] links that recycle their
 //! owned buffers (send the buffer, get it back), so steady-state
 //! iterations perform **zero heap allocations** — see the `zero_alloc`
 //! integration test.
 //!
-//! Fault tolerance: both solvers run on a fallible core
-//! ([`try_solve_parallel_strips`]) in which every ghost exchange is
-//! bounded by an [`ExchangePolicy`] and a worker's death — a panic, or an
-//! injected [`WorkerDeath`] — surfaces as
-//! [`SolveError::WorkerDied`] from the driver instead of a permanent
-//! block or a secondary panic. The infallible entry points keep their
-//! original signatures by running the same core under
-//! [`ExchangePolicy::patient`].
+//! Fault tolerance: every entry point runs the one fallible core
+//! ([`try_solve_decomposed`]) in which every ghost exchange is bounded by
+//! an [`ExchangePolicy`] and a worker's death — a panic, or an injected
+//! [`WorkerDeath`] — surfaces as [`SolveError::WorkerDied`] from the
+//! driver instead of a permanent block or a secondary panic. The
+//! infallible entry points keep their original signatures by running the
+//! same core under [`ExchangePolicy::patient`].
 
-use crate::decomp::{partition_equal, Strip};
+use crate::decomp::{partition_equal, Block, BlockLayout, Decomposition, Peer, Strip};
 use crate::exchange::{
     recycled_link, ExchangeError, ExchangePolicy, RecycledReceiver, RecycledSender,
 };
 use crate::grid::{Color, Grid};
 use crate::kernel::relax_rows;
-use crate::protocol::{half_iteration_script, ExchangeOp, Peer};
+use crate::protocol::{half_iteration_script, ExchangeOp};
 use crate::seq::SorParams;
 use prodpred_simgrid::faults::WorkerDeath;
 
@@ -43,13 +45,13 @@ pub enum SolveError {
     /// dropped), `rank` is the dead neighbour as seen by the first
     /// reporting worker.
     WorkerDied {
-        /// Strip (or block) index of the dead worker.
+        /// Rank (strip or block index) of the dead worker.
         rank: usize,
     },
     /// Worker `rank` exhausted its [`ExchangePolicy`] waiting on a
     /// neighbour that is still alive but not exchanging.
     ExchangeTimeout {
-        /// Strip (or block) index of the worker that gave up.
+        /// Rank (strip or block index) of the worker that gave up.
         rank: usize,
     },
     /// A resume was handed an unusable [`crate::checkpoint::Checkpoint`]
@@ -113,7 +115,7 @@ impl SolveOptions {
 }
 
 /// How one worker's run ended, as reported to the driver.
-pub(crate) enum WorkerEnd {
+enum WorkerEnd {
     Completed,
     /// The injected death fired: the worker exited, dropping its links.
     Died,
@@ -125,23 +127,15 @@ pub(crate) enum WorkerEnd {
     TimedOut,
 }
 
-pub(crate) fn end_of(e: ExchangeError, neighbour: usize) -> WorkerEnd {
-    match e {
-        ExchangeError::Disconnected => WorkerEnd::NeighbourLost { neighbour },
-        ExchangeError::Timeout => WorkerEnd::TimedOut,
-    }
-}
-
-/// Resolves the per-worker end states into the solve's result. An actual
-/// death (panic or injected) names its own rank; a death seen only
-/// through a dropped link names the neighbour; timeouts rank below
-/// deaths because a cascade of timeouts usually *starts* at a death.
-pub(crate) fn resolve(
-    ends: Vec<(usize, std::thread::Result<WorkerEnd>)>,
-) -> Result<(), SolveError> {
+/// Resolves the per-worker end states, in rank order, into the solve's
+/// result. An actual death (panic or injected) names its own rank; a
+/// death seen only through a dropped link names the neighbour; timeouts
+/// rank below deaths because a cascade of timeouts usually *starts* at a
+/// death.
+fn resolve(ends: Vec<std::thread::Result<WorkerEnd>>) -> Result<(), SolveError> {
     let mut lost = None;
     let mut timed_out = None;
-    for (rank, end) in ends {
+    for (rank, end) in ends.into_iter().enumerate() {
         match end {
             Err(_) | Ok(WorkerEnd::Died) => return Err(SolveError::WorkerDied { rank }),
             Ok(WorkerEnd::NeighbourLost { neighbour }) => {
@@ -167,90 +161,139 @@ pub(crate) fn resolve(
 }
 
 /// True when the injected death targets `rank` at half-iteration `half`.
-pub(crate) fn death_fires(kill: Option<WorkerDeath>, rank: usize, half: usize) -> bool {
+fn death_fires(kill: Option<WorkerDeath>, rank: usize, half: usize) -> bool {
     kill.is_some_and(|d| d.rank == rank && d.at_half_iteration == half)
 }
 
-/// A worker's local state: its strip rows plus two ghost rows.
+/// A worker's local state: its block plus a one-cell halo on all sides.
 struct Worker {
-    /// Global index of the first owned row.
-    global_start: usize,
-    /// Number of owned rows.
     rows: usize,
-    /// Grid dimension.
-    n: usize,
-    /// Local data: `(rows + 2) x n`, row 0 = upper ghost, row rows+1 =
-    /// lower ghost.
+    cols: usize,
+    /// Global row plus global column of `data[0]`, the halo's corner: a
+    /// cell's colour is the parity of its global row plus column, so this
+    /// is all the sweep needs to know of where the block sits.
+    origin: usize,
+    /// `(rows + 2) x (cols + 2)`, halo included: row 0 and row `rows + 1`
+    /// are the upper and lower ghosts, column 0 and column `cols + 1` the
+    /// left and right ones.
     data: Vec<f64>,
 }
 
 impl Worker {
-    fn new(grid: &Grid, strip: &Strip) -> Self {
-        let n = grid.n();
-        let rows = strip.n_rows();
-        let mut data = Vec::with_capacity((rows + 2) * n);
-        // Upper ghost = row above the strip (boundary or neighbour row).
-        data.extend_from_slice(grid.row(strip.rows.start - 1));
-        for r in strip.rows.clone() {
-            data.extend_from_slice(grid.row(r));
+    fn new(grid: &Grid, block: &Block) -> Self {
+        let (rows, cols) = (block.n_rows(), block.n_cols());
+        let mut data = Vec::with_capacity((rows + 2) * (cols + 2));
+        for gi in block.rows.start - 1..=block.rows.end {
+            data.extend_from_slice(&grid.row(gi)[block.cols.start - 1..=block.cols.end]);
         }
-        data.extend_from_slice(grid.row(strip.rows.end));
         Self {
-            global_start: strip.rows.start,
             rows,
-            n,
+            cols,
+            origin: block.rows.start - 1 + block.cols.start - 1,
             data,
         }
     }
 
-    /// Relaxes the given colour over all owned rows via the shared slice
-    /// kernel. Local row `l` is global row `global_start + l - 1`.
+    /// Relaxes the given colour over the owned block via the shared slice
+    /// kernel, which derives colours from a row origin alone: the block's
+    /// column offset rides in it (a strip's is zero).
     fn sweep(&mut self, color: Color, omega: f64) {
         relax_rows(
             &mut self.data,
-            self.n,
+            self.cols + 2,
             color.parity(),
             omega,
             1,
             self.rows + 1,
-            self.global_start - 1,
+            self.origin,
         );
     }
 
-    fn copy_top_row(&self, out: &mut [f64]) {
-        out.copy_from_slice(&self.data[self.n..2 * self.n]);
+    /// Where the edge facing `peer` lives in `data`, as `(first index,
+    /// stride)`: the owned cells on that side, or with `halo` the ghost
+    /// cells one step beyond them.
+    fn edge(&self, peer: Peer, halo: bool) -> (usize, usize) {
+        let w = self.cols + 2;
+        let h = usize::from(halo);
+        match peer {
+            Peer::Up => ((1 - h) * w + 1, 1),
+            Peer::Down => ((self.rows + h) * w + 1, 1),
+            Peer::Left => (w + 1 - h, w),
+            Peer::Right => (w + self.cols + h, w),
+        }
     }
 
-    fn copy_bottom_row(&self, out: &mut [f64]) {
-        let l = self.rows;
-        out.copy_from_slice(&self.data[l * self.n..(l + 1) * self.n]);
+    /// Copies the owned edge facing `peer` into `out`.
+    fn copy_edge(&self, peer: Peer, out: &mut [f64]) {
+        let (start, stride) = self.edge(peer, false);
+        for (o, v) in out
+            .iter_mut()
+            .zip(self.data[start..].iter().step_by(stride))
+        {
+            *o = *v;
+        }
     }
 
-    fn set_upper_ghost(&mut self, row: &[f64]) {
-        self.data[..self.n].copy_from_slice(row);
+    /// Stores the edge that arrived from `peer` in the halo facing it.
+    fn set_halo(&mut self, peer: Peer, edge: &[f64]) {
+        let (start, stride) = self.edge(peer, true);
+        for (v, h) in edge
+            .iter()
+            .zip(self.data[start..].iter_mut().step_by(stride))
+        {
+            *h = *v;
+        }
     }
 
-    fn set_lower_ghost(&mut self, row: &[f64]) {
-        let l = self.rows + 1;
-        self.data[l * self.n..(l + 1) * self.n].copy_from_slice(row);
-    }
-
-    fn owned_rows(&self) -> &[f64] {
-        &self.data[self.n..(self.rows + 1) * self.n]
+    /// Owned cells of local row `li` (`1..=rows`).
+    fn owned_row(&self, li: usize) -> &[f64] {
+        let lo = li * (self.cols + 2) + 1;
+        &self.data[lo..lo + self.cols]
     }
 }
 
-/// Mailbox bundle for one worker's neighbour links.
+/// One worker's mailboxes toward one neighbour.
+struct Link {
+    /// The neighbour's rank.
+    rank: usize,
+    to: RecycledSender,
+    from: RecycledReceiver,
+}
+
+/// One worker's neighbour links, indexed by [`Peer`]; `None` where the
+/// layout gives it no neighbour.
 #[derive(Default)]
-struct Links {
-    to_up: Option<RecycledSender>,
-    from_up: Option<RecycledReceiver>,
-    to_down: Option<RecycledSender>,
-    from_down: Option<RecycledReceiver>,
+struct Links([Option<Link>; 4]);
+
+/// Builds every worker's links: two recycled mailboxes (one per direction)
+/// across each interior edge of the layout, each recycling one owned
+/// buffer of the shared edge's length for the whole solve.
+fn connect(decomposition: &Decomposition) -> Vec<Links> {
+    let mut links = Vec::from_iter(decomposition.blocks.iter().map(|_| Links::default()));
+    for (a, tile) in decomposition.blocks.iter().enumerate() {
+        for (peer, len) in [(Peer::Down, tile.n_cols()), (Peer::Right, tile.n_rows())] {
+            let Some(b) = decomposition.layout.neighbour(a, peer) else {
+                continue;
+            };
+            let (a_to_b, b_from_a) = recycled_link(len);
+            let (b_to_a, a_from_b) = recycled_link(len);
+            links[a].0[peer as usize] = Some(Link {
+                rank: b,
+                to: a_to_b,
+                from: a_from_b,
+            });
+            links[b].0[peer.opposite() as usize] = Some(Link {
+                rank: a,
+                to: b_to_a,
+                from: b_from_a,
+            });
+        }
+    }
+    links
 }
 
 /// One worker's full run: sweep, then execute the extracted
-/// [`half_iteration_script`] — ship boundary rows to both neighbours,
+/// [`half_iteration_script`] — ship boundary edges to every neighbour,
 /// then drain fresh ghosts — every half-iteration. Any exchange failure
 /// or injected death ends the run early (dropping the worker's links,
 /// which is what a neighbour observes as this worker's death).
@@ -261,27 +304,23 @@ struct Links {
 /// protocol deadlock-free for small configurations.
 fn worker_loop(
     rank: usize,
-    ranks: usize,
+    layout: BlockLayout,
     worker: &mut Worker,
-    link: &mut Links,
+    links: &mut Links,
     params: SorParams,
-    policy: &ExchangePolicy,
-    kill: Option<WorkerDeath>,
+    options: &SolveOptions,
 ) -> WorkerEnd {
-    let script = half_iteration_script(rank, ranks);
+    let script = half_iteration_script(rank, layout);
     let mut half = 0usize;
     for _ in 0..params.iterations {
         for color in [Color::Red, Color::Black] {
-            if death_fires(kill, rank, half) {
+            if death_fires(options.kill, rank, half) {
                 return WorkerEnd::Died;
             }
             worker.sweep(color, params.omega);
-            for op in &script {
-                if let Err(e) = run_op(*op, worker, link, policy) {
-                    let peer = match op {
-                        ExchangeOp::Send(p) | ExchangeOp::Recv(p) => *p,
-                    };
-                    return end_of(e, peer.rank_of(rank));
+            for &op in &script {
+                if let Err(end) = run_op(op, worker, links, &options.policy) {
+                    return end;
                 }
             }
             half += 1;
@@ -291,74 +330,67 @@ fn worker_loop(
 }
 
 /// Executes one scripted mailbox operation against the worker's links.
-/// The script only names neighbours the decomposition gave this rank, so
-/// the matching link is always present.
 fn run_op(
     op: ExchangeOp,
     worker: &mut Worker,
-    link: &mut Links,
+    links: &mut Links,
     policy: &ExchangePolicy,
-) -> Result<(), ExchangeError> {
+) -> Result<(), WorkerEnd> {
+    let (ExchangeOp::Send(peer) | ExchangeOp::Recv(peer)) = op;
+    let link = links.0[peer as usize]
+        .as_mut()
+        .expect("the script names only neighbours the layout gave this rank"); // tidy:allow(PP003): half_iteration_script and connect() read the same BlockLayout::neighbour
     match op {
-        ExchangeOp::Send(Peer::Up) => link
-            .to_up
-            .as_mut()
-            .expect("script sends up only when an upper link exists") // tidy:allow(PP003): half_iteration_script only emits ops for links that exist
-            .try_send_with(policy, |buf| worker.copy_top_row(buf)),
-        ExchangeOp::Send(Peer::Down) => link
-            .to_down
-            .as_mut()
-            .expect("script sends down only when a lower link exists") // tidy:allow(PP003): half_iteration_script only emits ops for links that exist
-            .try_send_with(policy, |buf| worker.copy_bottom_row(buf)),
-        ExchangeOp::Recv(Peer::Up) => link
-            .from_up
-            .as_ref()
-            .expect("script receives up only when an upper link exists") // tidy:allow(PP003): half_iteration_script only emits ops for links that exist
-            .try_recv_with(policy, |row| worker.set_upper_ghost(row)),
-        ExchangeOp::Recv(Peer::Down) => link
-            .from_down
-            .as_ref()
-            .expect("script receives down only when a lower link exists") // tidy:allow(PP003): half_iteration_script only emits ops for links that exist
-            .try_recv_with(policy, |row| worker.set_lower_ghost(row)),
+        ExchangeOp::Send(_) => link
+            .to
+            .try_send_with(policy, |buf| worker.copy_edge(peer, buf)),
+        ExchangeOp::Recv(_) => link
+            .from
+            .try_recv_with(policy, |edge| worker.set_halo(peer, edge)),
     }
+    .map_err(|e| match e {
+        ExchangeError::Disconnected => WorkerEnd::NeighbourLost {
+            neighbour: link.rank,
+        },
+        ExchangeError::Timeout => WorkerEnd::TimedOut,
+    })
 }
 
-/// Fallible core of the strip solver: every ghost exchange is bounded by
-/// `options.policy`, and a worker death — a panic, or `options.kill`
-/// firing — returns [`SolveError::WorkerDied`] instead of deadlocking or
-/// re-panicking. On any error the grid is left in its initial state.
+/// Fallible core of the threaded solver, over any [`Decomposition`]: every
+/// ghost exchange is bounded by `options.policy`, and a worker death — a
+/// panic, or `options.kill` firing at rank = block index in row-major
+/// layout order — returns [`SolveError::WorkerDied`] instead of
+/// deadlocking or re-panicking. On any error the grid is left in its
+/// initial state.
 ///
 /// # Panics
 ///
-/// Panics if any strip is empty (decompose with `n >> p`), if strips do
-/// not tile the interior, or on invalid `omega` — configuration errors,
-/// not runtime faults.
+/// Panics on invalid `omega` or a decomposition built for another grid
+/// size — configuration errors, not runtime faults.
 ///
 /// # Errors
 ///
 /// Returns [`SolveError::WorkerDied`] when a worker panics, an injected
-/// death fires, or a neighbour exchange disconnects or exhausts its
-/// timeout budget.
-pub fn try_solve_parallel_strips(
+/// death fires, or a neighbour exchange finds its link disconnected, and
+/// [`SolveError::ExchangeTimeout`] when no worker died but one exhausted
+/// its timeout budget waiting on a neighbour.
+pub fn try_solve_decomposed(
     grid: &mut Grid,
     params: SorParams,
-    strips: &[Strip],
+    decomposition: &Decomposition,
     options: &SolveOptions,
 ) -> Result<(), SolveError> {
     assert!(
         params.omega > 0.0 && params.omega < 2.0,
         "omega must lie in (0,2)"
     );
-    assert!(
-        crate::decomp::strips_are_valid(strips, grid.n() - 2),
-        "strips must tile the interior rows"
+    assert_eq!(
+        decomposition.n,
+        grid.n(),
+        "decomposition was built for another grid size"
     );
-    assert!(
-        strips.iter().all(|s| s.n_rows() > 0),
-        "every processor needs at least one row"
-    );
-    let p = strips.len();
-    if p == 1 {
+    let tiles = &decomposition.blocks;
+    if tiles.len() == 1 {
         // A single worker exchanges nothing, but an injected death still
         // kills the solve before it completes.
         if options
@@ -371,62 +403,84 @@ pub fn try_solve_parallel_strips(
         return Ok(());
     }
 
-    // Build the neighbour links: worker i exchanges rows with i+1. Each
-    // direction recycles one owned n-element buffer for the whole solve.
-    let n = grid.n();
-    let mut links: Vec<Links> = (0..p).map(|_| Links::default()).collect();
-    for i in 0..p - 1 {
-        let (tx_down, rx_down) = recycled_link(n); // i -> i+1
-        let (tx_up, rx_up) = recycled_link(n); // i+1 -> i
-        links[i].to_down = Some(tx_down);
-        links[i].from_down = Some(rx_up);
-        links[i + 1].to_up = Some(tx_up);
-        links[i + 1].from_up = Some(rx_down);
-    }
-
-    let mut workers: Vec<Worker> = strips.iter().map(|s| Worker::new(grid, s)).collect();
-
-    let ends: Vec<(usize, std::thread::Result<WorkerEnd>)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (rank, (worker, mut link)) in workers.iter_mut().zip(links).enumerate() {
-            let policy = options.policy;
-            let kill = options.kill;
-            handles.push(
-                scope.spawn(move || worker_loop(rank, p, worker, &mut link, params, &policy, kill)),
-            );
-        }
+    let layout = decomposition.layout;
+    let mut workers: Vec<Worker> = tiles.iter().map(|b| Worker::new(grid, b)).collect();
+    let ends = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .zip(connect(decomposition))
+            .enumerate()
+            .map(|(rank, (worker, mut links))| {
+                scope.spawn(move || worker_loop(rank, layout, worker, &mut links, params, options))
+            })
+            .collect();
         // Joining here (rather than letting the scope do it) converts a
         // worker's panic into an inspectable result instead of a
         // propagated re-panic.
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| (rank, h.join()))
-            .collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
     resolve(ends)?;
 
     // Assemble the solution.
-    for (worker, strip) in workers.iter().zip(strips) {
-        let owned = worker.owned_rows();
-        for (k, r) in strip.rows.clone().enumerate() {
-            grid.set_row(r, &owned[k * grid.n()..(k + 1) * grid.n()]);
+    let n = grid.n();
+    for (worker, tile) in workers.iter().zip(tiles) {
+        for (li, gi) in tile.rows.clone().enumerate() {
+            grid.data_mut()[gi * n + tile.cols.start..gi * n + tile.cols.end]
+                .copy_from_slice(worker.owned_row(li + 1));
         }
     }
     Ok(())
+}
+
+/// [`try_solve_decomposed`] over the given strips.
+///
+/// # Panics
+///
+/// Panics if any strip is empty (decompose with `n >> p`), if strips do
+/// not tile the interior, or on invalid `omega`.
+///
+/// # Errors
+///
+/// The [`SolveError`]s of [`try_solve_decomposed`].
+pub fn try_solve_parallel_strips(
+    grid: &mut Grid,
+    params: SorParams,
+    strips: &[Strip],
+    options: &SolveOptions,
+) -> Result<(), SolveError> {
+    let decomposition = Decomposition::strips(grid.n(), strips);
+    try_solve_decomposed(grid, params, &decomposition, options)
+}
+
+/// [`try_solve_decomposed`] over equal blocks on `layout`.
+///
+/// # Panics
+///
+/// Panics on invalid `omega` or a layout finer than the interior.
+///
+/// # Errors
+///
+/// The [`SolveError`]s of [`try_solve_decomposed`].
+pub fn try_solve_parallel_blocks(
+    grid: &mut Grid,
+    params: SorParams,
+    layout: BlockLayout,
+    options: &SolveOptions,
+) -> Result<(), SolveError> {
+    let decomposition = Decomposition::blocks(grid.n(), layout);
+    try_solve_decomposed(grid, params, &decomposition, options)
 }
 
 /// Solves in parallel over the given strips, updating `grid` in place.
 ///
 /// Runs the fallible core under [`SolveOptions::reliable`]: a wedged
 /// neighbour is waited out near-indefinitely, so on a healthy run this
-/// behaves exactly like the original blocking driver.
+/// behaves exactly like a blocking driver.
 ///
 /// # Panics
 ///
-/// Panics if any strip is empty (decompose with `n >> p`), if strips do
-/// not tile the interior, on invalid `omega`, or if a worker dies — use
-/// [`try_solve_parallel_strips`] to handle death as a typed error.
+/// Panics as [`try_solve_parallel_strips`] does, or if a worker dies —
+/// use that function to handle death as a typed error.
 pub fn solve_parallel_strips(grid: &mut Grid, params: SorParams, strips: &[Strip]) {
     try_solve_parallel_strips(grid, params, strips, &SolveOptions::reliable())
         .unwrap_or_else(|e| panic!("parallel solve failed: {e}"));
@@ -437,6 +491,18 @@ pub fn solve_parallel(grid: &mut Grid, params: SorParams, p: usize) {
     assert!(p > 0, "need at least one worker");
     let strips = partition_equal(grid.n() - 2, p);
     solve_parallel_strips(grid, params, &strips);
+}
+
+/// Solves in parallel over a 2D block decomposition, updating `grid` in
+/// place, under [`SolveOptions::reliable`].
+///
+/// # Panics
+///
+/// Panics as [`try_solve_parallel_blocks`] does, or if a worker dies —
+/// use that function to handle death as a typed error.
+pub fn solve_parallel_blocks(grid: &mut Grid, params: SorParams, layout: BlockLayout) {
+    try_solve_parallel_blocks(grid, params, layout, &SolveOptions::reliable())
+        .unwrap_or_else(|e| panic!("parallel block solve failed: {e}"));
 }
 
 #[cfg(test)]
@@ -611,5 +677,43 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, SolveError::WorkerDied { rank: 0 });
         assert_eq!(g.max_diff(&initial), 0.0);
+    }
+
+    #[test]
+    fn resolve_ranks_own_death_over_seen_death_over_timeout() {
+        use WorkerEnd::{Completed, Died, NeighbourLost, TimedOut};
+        fn ends(list: Vec<WorkerEnd>) -> Vec<std::thread::Result<WorkerEnd>> {
+            list.into_iter().map(Ok).collect()
+        }
+        assert_eq!(resolve(ends(vec![Completed, Completed])), Ok(()));
+        // Only timeouts: the solve timed out, and the first worker to
+        // report one is named.
+        assert_eq!(
+            resolve(ends(vec![Completed, TimedOut, TimedOut])),
+            Err(SolveError::ExchangeTimeout { rank: 1 })
+        );
+        // A death seen through a dropped link outranks a timeout reported
+        // before it, and names the neighbour the first such worker lost.
+        assert_eq!(
+            resolve(ends(vec![
+                TimedOut,
+                NeighbourLost { neighbour: 2 },
+                NeighbourLost { neighbour: 0 },
+            ])),
+            Err(SolveError::WorkerDied { rank: 2 })
+        );
+        // A worker's own death outranks everything reported before it.
+        assert_eq!(
+            resolve(ends(vec![TimedOut, NeighbourLost { neighbour: 3 }, Died])),
+            Err(SolveError::WorkerDied { rank: 2 })
+        );
+        // A panic is a death of the panicking rank.
+        assert_eq!(
+            resolve(vec![
+                Ok(NeighbourLost { neighbour: 5 }),
+                Err(Box::new("boom")),
+            ]),
+            Err(SolveError::WorkerDied { rank: 1 })
+        );
     }
 }

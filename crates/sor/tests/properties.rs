@@ -3,8 +3,8 @@
 
 use prodpred_simgrid::{MachineClass, Platform};
 use prodpred_sor::{
-    partition_equal, partition_rows, simulate, solve_parallel_strips, solve_seq, DistSorConfig,
-    Grid, SorParams,
+    partition_equal, partition_rows, simulate, solve_seq, try_solve_checkpointed, BlockLayout,
+    CheckpointPolicy, CheckpointStore, Decomposition, DistSorConfig, Grid, SolveOptions, SorParams,
 };
 use proptest::prelude::*;
 
@@ -48,15 +48,40 @@ proptest! {
 
     // ---- solver equivalence ----
 
+    // One solver, so one property: whatever the decomposition — weighted
+    // strips or a pr x pc block layout — and whether the run is one segment
+    // or checkpointed every `every` iterations, the threaded result is the
+    // sequential one bit for bit.
     #[test]
-    fn parallel_bitwise_equals_sequential(n in 8usize..40, p in 2usize..5, iters in 1usize..12) {
-        prop_assume!(n - 2 >= p);
+    fn parallel_bitwise_equals_sequential(
+        n in 8usize..40,
+        iters in 1usize..12,
+        weights in proptest::collection::vec(0.5f64..4.0, 2..5),
+        (pr, pc) in (1usize..4, 1usize..4),
+        every in 0usize..6,
+    ) {
         let params = SorParams::for_grid(n, iters);
         let mut seq = Grid::laplace_problem(n);
         solve_seq(&mut seq, params);
-        let mut par = Grid::laplace_problem(n);
-        solve_parallel_strips(&mut par, params, &partition_equal(n - 2, p));
-        prop_assert_eq!(par.max_diff(&seq), 0.0);
+
+        let strips = partition_rows(n - 2, &weights);
+        prop_assume!(strips.iter().all(|s| s.n_rows() > 0));
+        for decomposition in [
+            Decomposition::strips(n, &strips),
+            Decomposition::blocks(n, BlockLayout::new(pr, pc)),
+        ] {
+            let mut par = Grid::laplace_problem(n);
+            try_solve_checkpointed(
+                &mut par,
+                params,
+                &decomposition,
+                &SolveOptions::reliable(),
+                CheckpointPolicy::every(every),
+                &mut CheckpointStore::new(),
+            )
+            .unwrap();
+            prop_assert_eq!(par.max_diff(&seq), 0.0, "{:?}", decomposition);
+        }
     }
 
     #[test]

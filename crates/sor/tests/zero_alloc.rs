@@ -1,15 +1,19 @@
-//! Pins down the zero-allocation guarantee of the ghost exchange: once
-//! the recycled buffers exist, extra solver iterations must not touch the
-//! heap. A counting global allocator measures two solves that differ only
-//! in iteration count; per-iteration allocations would scale the delta by
-//! the extra ghost-row phases (hundreds of events), so the assertion has
-//! a wide margin against incidental noise (thread spawn bookkeeping etc.).
+//! Pins down the zero-allocation guarantee of the ghost exchange, for a
+//! strip and a block layout: once the recycled buffers exist, extra solver
+//! iterations must not touch the heap. A counting global allocator
+//! measures two solves that differ only in iteration count; per-iteration
+//! allocations would scale the delta by the extra ghost-edge phases
+//! (hundreds of events), so the assertion has a wide margin against
+//! incidental noise (thread spawn bookkeeping etc.).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 // tidy:allow(PP010): counting allocator — a monotone test-only tally, no cross-thread protocol
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use prodpred_sor::{solve_parallel, Grid, SorParams};
+use prodpred_sor::{
+    partition_equal, try_solve_decomposed, BlockLayout, Decomposition, Grid, SolveOptions,
+    SorParams,
+};
 
 struct CountingAlloc;
 
@@ -51,30 +55,35 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
-fn solve(n: usize, p: usize, iters: usize) {
-    let mut g = Grid::laplace_problem(n);
-    solve_parallel(&mut g, SorParams::for_grid(n, iters), p);
-}
-
 #[test]
 fn ghost_exchange_steady_state_allocates_nothing() {
     let n = 65;
-    let p = 4;
-    // Warm up thread-local and lazy-init allocations (panic hooks, TLS).
-    solve(n, p, 2);
+    let layouts = [
+        Decomposition::strips(n, &partition_equal(n - 2, 4)),
+        Decomposition::blocks(n, BlockLayout::new(2, 2)),
+    ];
+    for layout in &layouts {
+        let solve = |iters| {
+            let mut g = Grid::laplace_problem(n);
+            let params = SorParams::for_grid(n, iters);
+            try_solve_decomposed(&mut g, params, layout, &SolveOptions::reliable()).unwrap();
+        };
+        // Warm up thread-local and lazy-init allocations (panic hooks, TLS).
+        solve(2);
 
-    let base = allocations_during(|| solve(n, p, 4));
-    let long = allocations_during(|| solve(n, p, 64));
+        let base = allocations_during(|| solve(4));
+        let long = allocations_during(|| solve(64));
 
-    // 60 extra iterations x 2 colours x 6 inter-strip links would cost
-    // >= 720 allocations if each ghost-row send allocated (the old
-    // behaviour: a fresh Vec per boundary row per phase, plus a channel
-    // node per send). Recycled buffers make the counts identical up to
-    // scheduler noise.
-    let delta = long.saturating_sub(base);
-    assert!(
-        delta < 64,
-        "per-iteration allocations detected: {base} allocs at 4 iters, \
-         {long} at 64 iters (delta {delta})"
-    );
+        // 60 extra iterations x 2 colours x 6 (strips) or 8 (blocks)
+        // directed links would cost >= 720 allocations if each ghost-edge
+        // send allocated (the old behaviour: a fresh Vec per boundary row
+        // per phase, plus a channel node per send). Recycled buffers make
+        // the counts identical up to scheduler noise.
+        let delta = long.saturating_sub(base);
+        assert!(
+            delta < 64,
+            "{layout:?}: per-iteration allocations detected: {base} allocs at 4 iters, \
+             {long} at 64 iters (delta {delta})"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 use prodpred_simgrid::{MachineClass, Platform};
 use prodpred_sor::{
     partition_blocks, partition_equal, simulate, simulate_blocks, solve_parallel_blocks,
-    solve_parallel_strips, solve_seq, BlockLayout, DistSorConfig, Grid, SorParams,
+    solve_parallel_strips, solve_seq, BlockLayout, DistSorConfig, Grid, Peer, SorParams,
 };
 use prodpred_stochastic::{max_of, Dependence, MaxStrategy};
 use prodpred_structural::{phase_comm_messages, Param, PtToPtModel};
@@ -55,7 +55,7 @@ fn block_structural_model_tracks_simulator_when_dedicated() {
     let comm_terms: Vec<_> = blocks
         .iter()
         .map(|b| {
-            let (u, d, l, r) = layout.neighbours(b.coords.0, b.coords.1);
+            let [u, d, l, r] = Peer::ALL.map(|peer| layout.neighbour(b.proc, peer));
             let mut msgs = Vec::new();
             for (link, elems) in [
                 (u, b.n_cols() as f64),

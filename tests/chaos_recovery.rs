@@ -5,14 +5,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use prodpred_core::{
-    platform2_experiment_supervised, solve_blocks_supervised, solve_strips_supervised, RetryPolicy,
-};
+use prodpred_core::{platform2_experiment_supervised, solve_supervised, RetryPolicy};
 use prodpred_pool::parallel_map;
 use prodpred_simgrid::faults::{mix, FaultConfig, FaultSchedule, WorkerDeath};
 use prodpred_sor::{
-    partition_equal, solve_seq, BlockLayout, CheckpointPolicy, ExchangePolicy, Grid, SolveError,
-    SorParams,
+    partition_equal, solve_seq, BlockLayout, CheckpointPolicy, Decomposition, ExchangePolicy, Grid,
+    SolveError, SorParams,
 };
 
 fn snappy() -> ExchangePolicy {
@@ -37,10 +35,10 @@ fn killed_then_resumed_strip_solve_is_bit_identical() {
         }],
     };
     let mut grid = Grid::laplace_problem(n);
-    let recovery = solve_strips_supervised(
+    let recovery = solve_supervised(
         &mut grid,
         SorParams::for_grid(n, iters),
-        &partition_equal(n - 2, 4),
+        &Decomposition::strips(n, &partition_equal(n - 2, 4)),
         snappy(),
         &schedule,
         &RetryPolicy::default(),
@@ -75,10 +73,10 @@ fn killed_then_resumed_block_solve_is_bit_identical() {
         }],
     };
     let mut grid = Grid::laplace_problem(n);
-    let recovery = solve_blocks_supervised(
+    let recovery = solve_supervised(
         &mut grid,
         SorParams::for_grid(n, iters),
-        BlockLayout::new(2, 2),
+        &Decomposition::blocks(n, BlockLayout::new(2, 2)),
         snappy(),
         &schedule,
         &RetryPolicy::default(),
@@ -110,10 +108,10 @@ fn schedule_beyond_the_retry_budget_exhausts_into_a_typed_error() {
         ..RetryPolicy::default()
     };
     let mut grid = Grid::laplace_problem(n);
-    let recovery = solve_strips_supervised(
+    let recovery = solve_supervised(
         &mut grid,
         SorParams::for_grid(n, iters),
-        &partition_equal(n - 2, 3),
+        &Decomposition::strips(n, &partition_equal(n - 2, 3)),
         snappy(),
         &schedule,
         &retry,
@@ -141,10 +139,10 @@ fn mini_campaign_is_deterministic_across_pool_widths_with_zero_panics() {
         let outcomes = parallel_map(&campaign, threads, |_, schedule| {
             catch_unwind(AssertUnwindSafe(|| {
                 let mut grid = Grid::laplace_problem(n);
-                let recovery = solve_strips_supervised(
+                let recovery = solve_supervised(
                     &mut grid,
                     SorParams::for_grid(n, iters),
-                    &partition_equal(n - 2, ranks),
+                    &Decomposition::strips(n, &partition_equal(n - 2, ranks)),
                     snappy(),
                     schedule,
                     &RetryPolicy::default(),
