@@ -583,19 +583,55 @@ mod tests {
                 platform: 2
             })
         );
-        let pred = SorPredictor::try_new(&p, &nws, PredictorConfig::default()).unwrap();
-        // No polls yet: the first CPU sensor is dry.
+        // Every load source reads the instantaneous values first, so a
+        // caller sees the same error whichever one it asked for.
+        for load_source in [
+            LoadSource::Instantaneous,
+            LoadSource::ModalAverage,
+            LoadSource::RunHorizon,
+        ] {
+            let config = PredictorConfig {
+                load_source,
+                ..Default::default()
+            };
+            let pred = SorPredictor::try_new(&p, &nws, config).unwrap();
+            // No polls yet: the first CPU sensor is dry.
+            assert_eq!(
+                pred.try_predict(1000, &partition_equal(998, 4)).err(),
+                Some(PredictorError::NoData { machine: Some(0) }),
+                "{load_source:?}"
+            );
+            // More strips than machines is a structural error, not a panic.
+            assert_eq!(
+                pred.try_predict(1000, &partition_equal(998, 5)).err(),
+                Some(PredictorError::TooManyStrips {
+                    strips: 5,
+                    machines: 4
+                }),
+                "{load_source:?}"
+            );
+        }
+        // A dry instantaneous sensor is named before a dry modal one on
+        // an earlier machine: the instantaneous read comes first even
+        // when its values are not what the model is fed.
+        nws.advance_to(&p, 300.0);
+        let mut snapshot = nws.snapshot(1);
+        snapshot.machines[2].stochastic = None;
+        snapshot.machines[1].modal = None;
+        let modal = PredictorConfig {
+            load_source: LoadSource::ModalAverage,
+            ..Default::default()
+        };
+        let pred = SorPredictor::try_new(&p, &snapshot, modal).unwrap();
         assert_eq!(
             pred.try_predict(1000, &partition_equal(998, 4)).err(),
-            Some(PredictorError::NoData { machine: Some(0) })
+            Some(PredictorError::NoData { machine: Some(2) })
         );
-        // More strips than machines is a structural error, not a panic.
+        snapshot.machines[2].stochastic = snapshot.machines[0].stochastic;
+        let pred = SorPredictor::try_new(&p, &snapshot, modal).unwrap();
         assert_eq!(
-            pred.try_predict(1000, &partition_equal(998, 5)).err(),
-            Some(PredictorError::TooManyStrips {
-                strips: 5,
-                machines: 4
-            })
+            pred.try_predict(1000, &partition_equal(998, 4)).err(),
+            Some(PredictorError::NoData { machine: Some(1) })
         );
     }
 

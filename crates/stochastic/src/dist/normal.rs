@@ -202,6 +202,29 @@ mod tests {
     }
 
     #[test]
+    fn sample_stream_is_pinned() {
+        // `monte_carlo_par`, the mixtures, every simgrid digest and every
+        // `horizon_oracle` string hang off this stream: it must not move.
+        let n = Normal::new(10.0, 2.5);
+        let mut rng = StdRng::seed_from_u64(42);
+        let draws: Vec<u64> = (0..8).map(|_| n.sample(&mut rng).to_bits()).collect();
+        assert_eq!(
+            draws,
+            [
+                0x4028_e830_9fdc_8acb,
+                0x402a_b39d_e818_0cf3,
+                0x401e_5b98_72f1_5754,
+                0x4024_fb2b_825d_cc5f,
+                0x4025_03b9_126c_a06c,
+                0x4011_95b1_2eee_7b33,
+                0x4030_23de_86b9_f8ba,
+                0x4023_6335_bd3e_0288,
+            ],
+            "{draws:#x?}"
+        );
+    }
+
+    #[test]
     fn sampling_empirical_two_sigma_coverage() {
         let n = Normal::new(0.0, 1.0);
         let mut rng = StdRng::seed_from_u64(9);
