@@ -1,14 +1,17 @@
 //! Criterion benchmark for the full prediction pipeline: NWS advance plus
-//! a stochastic prediction — the cost a scheduler pays per decision — and
+//! a stochastic prediction — the cost a scheduler pays per decision — the
+//! model work behind a service cache miss (the `try-predict` group), and
 //! what it costs to put an answer on the wire (the `serialize` group: the
 //! vendored `serde_json` on the two bodies the service writes, compact,
 //! and on a `Trace` as an experiment artifact stores it, pretty).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use prodpred_core::{decompose, DecompositionPolicy, PredictorConfig, SorPredictor};
+use prodpred_core::{decompose, DecompositionPolicy, LoadSource, PredictorConfig, SorPredictor};
 use prodpred_nws::{NwsConfig, NwsService};
 use prodpred_service::{request_for, ServiceConfig, ServiceCore};
 use prodpred_simgrid::{Platform, Trace};
+use prodpred_sor::partition_equal;
+use prodpred_stochastic::MaxStrategy;
 
 fn bench_predict(c: &mut Criterion) {
     let platform = Platform::platform2(7, 20_000.0);
@@ -31,6 +34,40 @@ fn bench_predict(c: &mut Criterion) {
             nws.advance_to(&platform, black_box(t));
         })
     });
+}
+
+/// A cache miss's model work, by load source and `Max` strategy, against
+/// a frozen snapshot as the service holds it.
+fn bench_try_predict(c: &mut Criterion) {
+    let platform = Platform::platform2(7, 2_000.0);
+    let nws = NwsService::attach(&platform, NwsConfig::default());
+    nws.advance_to(&platform, 600.0);
+    let snapshot = nws.snapshot(1);
+    let strips = partition_equal(1598, 4);
+    let mc2000 = MaxStrategy::MonteCarlo {
+        samples: 2000,
+        seed: 42,
+    };
+
+    let mut group = c.benchmark_group("try-predict");
+    for (source, load_source) in [
+        ("inst", LoadSource::Instantaneous),
+        ("horizon", LoadSource::RunHorizon),
+        ("modal", LoadSource::ModalAverage),
+    ] {
+        for (max, max_strategy) in [("by_mean", MaxStrategy::ByMean), ("mc2000", mc2000)] {
+            let config = PredictorConfig {
+                load_source,
+                max_strategy,
+                ..PredictorConfig::default()
+            };
+            let predictor = SorPredictor::new(&platform, &snapshot, config);
+            group.bench_function(&format!("{source}/{max}"), |b| {
+                b.iter(|| predictor.try_predict(black_box(1600), black_box(&strips)))
+            });
+        }
+    }
+    group.finish();
 }
 
 fn bench_serialize(c: &mut Criterion) {
@@ -61,5 +98,5 @@ fn bench_serialize(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_predict, bench_serialize);
+criterion_group!(benches, bench_predict, bench_try_predict, bench_serialize);
 criterion_main!(benches);

@@ -52,6 +52,19 @@ fn bench_max_strategies(c: &mut Criterion) {
             )
         })
     });
+    // The shape a `/predict?max=mc:2000:<seed>` asks for: one maximum
+    // over four strips.
+    group.bench_function("monte_carlo_2k_4", |bch| {
+        bch.iter(|| {
+            max_of(
+                black_box(&values[..4]),
+                MaxStrategy::MonteCarlo {
+                    samples: 2000,
+                    seed: 1,
+                },
+            )
+        })
+    });
     group.finish();
 }
 

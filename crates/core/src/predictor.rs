@@ -337,10 +337,11 @@ impl<'a, V: LoadView> SorPredictor<'a, V> {
             .map(|p| p.load.value())
             .collect::<Vec<_>>();
         let model = SorStructuralModel::new(inputs);
+        let breakdown = model.phase_breakdown();
         Prediction {
-            stochastic: model.predict(),
+            stochastic: model.total_from(&breakdown),
             point: model.predict_point(),
-            breakdown: model.phase_breakdown(),
+            breakdown,
             loads,
         }
     }
@@ -348,9 +349,11 @@ impl<'a, V: LoadView> SorPredictor<'a, V> {
     /// Issues a prediction for a run of an `n x n` grid over `strips`.
     ///
     /// With [`LoadSource::RunHorizon`], the load values are scaled to the
-    /// run's own duration by fixed point: an instantaneous pass estimates
-    /// the duration, a second pass re-reads each machine's load averaged
-    /// over that horizon.
+    /// run's own duration by fixed point: the instantaneous model
+    /// estimates the duration, then each of two passes re-reads every
+    /// machine's load averaged over the latest estimate. Only the last
+    /// pass is evaluated in full; the earlier ones are read for their
+    /// mean alone.
     ///
     /// Returns `None` until the NWS has data for every machine in use —
     /// [`SorPredictor::try_predict`] reports *which* sensor is dry.
@@ -368,29 +371,28 @@ impl<'a, V: LoadView> SorPredictor<'a, V> {
     /// Returns a [`PredictorError`] when more strips than machines are
     /// requested or an NWS sensor cannot produce an estimate.
     pub fn try_predict(&self, n: usize, strips: &[Strip]) -> Result<Prediction, PredictorError> {
-        let inputs = self.build_inputs(n, strips, |i| self.instantaneous_load(i))?;
-        let instantaneous = self.prediction_from(inputs);
-        match self.config.load_source {
-            LoadSource::Instantaneous => Ok(instantaneous),
+        // Whatever the source, the instantaneous read comes first, so the
+        // sensor a caller is told is dry does not depend on it.
+        let instantaneous = self.build_inputs(n, strips, |i| self.instantaneous_load(i))?;
+        let inputs = match self.config.load_source {
+            LoadSource::Instantaneous => instantaneous,
             LoadSource::ModalAverage => {
-                let inputs = self.build_inputs(n, strips, |i| self.nws.cpu_modal_stochastic(i))?;
-                Ok(self.prediction_from(inputs))
+                self.build_inputs(n, strips, |i| self.nws.cpu_modal_stochastic(i))?
             }
             LoadSource::RunHorizon => {
-                let mut horizon = instantaneous.stochastic.mean().max(1.0);
-                let mut prediction = instantaneous;
+                let mut inputs = instantaneous;
                 // Two refinement passes are ample: duration enters only
                 // through the slowly varying averaging factor.
                 for _ in 0..2 {
-                    let inputs = self.build_inputs(n, strips, |i| {
+                    let horizon = SorStructuralModel::new(inputs).predict().mean().max(1.0);
+                    inputs = self.build_inputs(n, strips, |i| {
                         self.nws.cpu_stochastic_for_horizon(i, horizon)
                     })?;
-                    prediction = self.prediction_from(inputs);
-                    horizon = prediction.stochastic.mean().max(1.0);
                 }
-                Ok(prediction)
+                inputs
             }
-        }
+        };
+        Ok(self.prediction_from(inputs))
     }
 }
 

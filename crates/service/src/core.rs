@@ -22,7 +22,7 @@ use prodpred_core::supervisor::{BreakerState, CircuitBreaker};
 use prodpred_core::{FaultModel, Prediction, PredictorConfig, PredictorError, SorPredictor};
 use prodpred_nws::snapshot::ForecastSnapshot;
 use prodpred_nws::{NwsConfig, NwsService};
-use prodpred_simgrid::faults::{FaultConfig, FaultPlan};
+use prodpred_simgrid::faults::{FaultConfig, FaultPlan, IntensityError};
 use prodpred_simgrid::Platform;
 use prodpred_sor::decomp::partition_equal;
 use prodpred_stochastic::MaxStrategy;
@@ -564,13 +564,12 @@ impl ServiceCore {
             }
         }
         if let Some(intensity) = req.fault_intensity {
-            // The typed constructor is the only validation path: NaN,
-            // infinities, and out-of-range values are all rejected here,
-            // so the panicking `with_intensity` is never reachable from
-            // untrusted input.
-            if let Err(e) = FaultConfig::try_with_intensity(0, intensity) {
-                return Err(ServiceError::BadRequest(e.to_string()));
-            }
+            // The typed constructor's own check: NaN, infinities and
+            // out-of-range values are all rejected here, so the
+            // panicking `with_intensity` is never reachable from
+            // untrusted input, and a cache hit builds no `FaultConfig`.
+            IntensityError::check(intensity)
+                .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
         }
         Ok(())
     }

@@ -178,7 +178,7 @@ pub fn parse_predict(pairs: &[(&str, &str)]) -> Result<PredictRequest, String> {
                 }
             }
             // Range/finiteness checks live in `ServiceCore::validate`
-            // (via `FaultConfig::try_with_intensity`), which turns bad
+            // (via `IntensityError::check`), which turns bad
             // values into typed 400s — never a panic.
             "fault_intensity" => fault_intensity = Some(parse_num(key, value)?),
             other => return Err(format!("unknown parameter {other:?}")),

@@ -2,15 +2,17 @@
 //! the JSON body, and — rendered — the wire string. `ServiceCore::query`
 //! itself touches the heap not at all on a hit, and serialising the
 //! answer costs the output buffer and nothing else (no field-name
-//! `String`s, no per-number temporaries). A counting global allocator
-//! tallies per thread, so the harness's own threads cannot disturb the
-//! counts.
+//! `String`s, no per-number temporaries). A closed-form miss is pinned
+//! too, exactly, because its count is how many times the structural
+//! model ran. A counting global allocator tallies per thread, so the
+//! harness's own threads cannot disturb the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use prodpred_service::{http, request_for, ServiceConfig, ServiceCore};
+use prodpred_core::{LoadSource, PredictorConfig};
+use prodpred_service::{http, request_for, PredictRequest, ServiceConfig, ServiceCore};
 
 struct CountingAlloc;
 
@@ -53,15 +55,15 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Healthy targets: the three required parameters, the six the
-/// repository benchmark sends, and all eight a healthy query can carry.
-/// Past four pairs the pairs `Vec` grows once, which is the budget's
-/// third allocation. (A `fault_intensity` what-if is validated by
-/// building a `FaultConfig`, which allocates before the cache is asked.)
-const TARGETS: [&str; 3] = [
+/// The three required parameters, the six the repository benchmark
+/// sends, all eight a healthy query can carry, and a `fault_intensity`
+/// what-if. Past four pairs the pairs `Vec` grows once, which is the
+/// budget's third allocation.
+const TARGETS: [&str; 4] = [
     "/predict?platform=1&n=1000&procs=2",
     "/predict?platform=2&n=1600&procs=4&iters=20&source=horizon&staleness=0",
     "/predict?platform=2&n=2000&procs=4&iters=40&source=modal&staleness=1&max=clark&cap=0.25",
+    "/predict?platform=1&n=1000&procs=2&fault_intensity=0.5",
 ];
 
 #[test]
@@ -94,7 +96,7 @@ fn a_cache_hit_predict_allocates_its_pairs_its_body_and_its_wire_form() {
             "{target}: a hit allocated {rendered} times in handle + render"
         );
     }
-    assert!(core.stats().cache.hits >= 6, "{:?}", core.stats().cache);
+    assert!(core.stats().cache.hits >= 8, "{:?}", core.stats().cache);
 }
 
 #[test]
@@ -105,8 +107,12 @@ fn a_cache_hit_query_allocates_nothing() {
         warmup: 300.0,
         ..ServiceConfig::default()
     });
-    for index in 0..8 {
-        let request = request_for(11, index);
+    let faulted = PredictRequest {
+        fault_intensity: Some(0.5),
+        ..request_for(11, 0)
+    };
+    let requests = (0..8).map(|index| request_for(11, index)).chain([faulted]);
+    for (index, request) in requests.enumerate() {
         assert!(!core.query(&request).unwrap().cache_hit);
         let allocations = allocations_during(|| {
             assert!(
@@ -116,5 +122,42 @@ fn a_cache_hit_query_allocates_nothing() {
             );
         });
         assert_eq!(allocations, 0, "request {index}: a hit allocated in query");
+    }
+}
+
+/// The guard against evaluating a maximum twice. With four strips one
+/// `phase_breakdown` allocates six times (two operand vectors and a term
+/// vector per strip) and the collapsed copy behind `predict_point` a
+/// seventh, so a repeated evaluation, or a pass whose result is dropped,
+/// moves a count by six or more: an instantaneous or modal miss holds one
+/// full and one point evaluation, a run-horizon miss two mean-only passes
+/// more. (At the parent of this test the counts were 25, 67 and 46.)
+#[test]
+fn a_closed_form_miss_evaluates_each_maximum_once() {
+    let core = ServiceCore::new(ServiceConfig {
+        seed: 11,
+        horizon: 1200.0,
+        warmup: 300.0,
+        ..ServiceConfig::default()
+    });
+    for (load_source, expected) in [
+        (LoadSource::Instantaneous, 19),
+        (LoadSource::RunHorizon, 33),
+        (LoadSource::ModalAverage, 20),
+    ] {
+        let request = PredictRequest {
+            platform: 2,
+            n: 1600,
+            procs: 4,
+            config: PredictorConfig {
+                load_source,
+                ..PredictorConfig::default()
+            },
+            fault_intensity: None,
+        };
+        let allocations = allocations_during(|| {
+            black_box(core.query_uncached(black_box(&request))).unwrap();
+        });
+        assert_eq!(allocations, expected, "{load_source:?}");
     }
 }

@@ -66,6 +66,27 @@ pub enum IntensityError {
     OutOfRange(f64),
 }
 
+impl IntensityError {
+    /// The check itself, for a caller that wants the verdict without the
+    /// [`FaultConfig`] (and its two vectors) that
+    /// [`FaultConfig::try_with_intensity`] would build.
+    ///
+    /// # Errors
+    ///
+    /// [`IntensityError::NotFinite`] for NaN or ±infinity,
+    /// [`IntensityError::OutOfRange`] for finite values outside
+    /// `[0, 1]`; both carry the offending value.
+    pub fn check(intensity: f64) -> Result<(), IntensityError> {
+        if !intensity.is_finite() {
+            return Err(IntensityError::NotFinite(intensity));
+        }
+        if !(0.0..=1.0).contains(&intensity) {
+            return Err(IntensityError::OutOfRange(intensity));
+        }
+        Ok(())
+    }
+}
+
 impl std::fmt::Display for IntensityError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -157,16 +178,9 @@ impl FaultConfig {
     ///
     /// # Errors
     ///
-    /// [`IntensityError::NotFinite`] for NaN or ±infinity,
-    /// [`IntensityError::OutOfRange`] for finite values outside
-    /// `[0, 1]`; both carry the offending value.
+    /// Whatever [`IntensityError::check`] rejects.
     pub fn try_with_intensity(seed: u64, intensity: f64) -> Result<Self, IntensityError> {
-        if !intensity.is_finite() {
-            return Err(IntensityError::NotFinite(intensity));
-        }
-        if !(0.0..=1.0).contains(&intensity) {
-            return Err(IntensityError::OutOfRange(intensity));
-        }
+        IntensityError::check(intensity)?;
         let mut cfg = Self::none(seed);
         cfg.dropout = 0.15 * intensity;
         cfg.delay = 0.10 * intensity;

@@ -185,9 +185,15 @@ impl SorStructuralModel {
     /// The stochastic execution-time prediction: the `NumIts`-fold sum of
     /// the per-iteration time.
     pub fn predict(&self) -> StochasticValue {
-        let per_iter = self
-            .phase_breakdown()
-            .iteration_time(self.inputs.phase_dependence);
+        self.total_from(&self.phase_breakdown())
+    }
+
+    /// The execution time that `breakdown` — this model's
+    /// [`phase_breakdown`](Self::phase_breakdown) — adds up to, for a
+    /// caller that wants the maxima and the total without evaluating the
+    /// maxima twice.
+    pub fn total_from(&self, breakdown: &PhaseBreakdown) -> StochasticValue {
+        let per_iter = breakdown.iteration_time(self.inputs.phase_dependence);
         // Sum of NumIts identical related terms: scale by the count.
         // (Under the related rule, sum_{i=1..k} (X ± a) = kX ± ka.)
         match self.inputs.phase_dependence {
