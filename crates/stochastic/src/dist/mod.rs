@@ -20,6 +20,7 @@ mod truncated;
 pub use empirical::{ad_normality, anderson_darling, ks_p_value, ks_statistic, Empirical};
 pub use longtail::{LogNormal, LongTailed, TailDirection};
 pub use mixture::{Mixture, MixtureComponent};
+pub(crate) use normal::polar_pair;
 pub use normal::Normal;
 pub use truncated::TruncatedNormal;
 
@@ -66,7 +67,7 @@ pub trait Distribution {
 
 /// A uniform draw in `[0, 1)` with 53 bits of precision, straight from the
 /// raw generator (avoids any dependence on sized `Rng` adapters).
-pub(crate) fn uniform01(rng: &mut dyn RngCore) -> f64 {
+pub(crate) fn uniform01<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     // 2^-53
     const SCALE: f64 = 1.110_223_024_625_156_5e-16;
     (rng.next_u64() >> 11) as f64 * SCALE

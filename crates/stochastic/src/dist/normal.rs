@@ -101,22 +101,30 @@ impl Distribution for Normal {
         self.sigma * self.sigma
     }
 
-    /// Marsaglia polar (Box–Muller variant) sampling. One of the pair is
-    /// discarded to keep the trait stateless; throughput is not the concern
-    /// here (Criterion confirms tens of millions of draws per second).
+    /// Marsaglia polar (Box–Muller variant) sampling. The trait is
+    /// stateless, so the second variate of each [`polar_pair`] is dropped
+    /// here; a caller that draws in bulk and needs the throughput (the
+    /// Monte-Carlo `Max`) drives `polar_pair` itself and keeps both.
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        // tidy:allow(PP004): degenerate distribution has exactly zero sigma
-        if self.sigma == 0.0 {
+        if self.is_degenerate() {
             return self.mu;
         }
-        loop {
-            let u = 2.0 * uniform01(rng) - 1.0;
-            let v = 2.0 * uniform01(rng) - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let f = (-2.0 * s.ln() / s).sqrt();
-                return self.mu + self.sigma * u * f;
-            }
+        let (u, _, f) = polar_pair(rng);
+        self.mu + self.sigma * u * f
+    }
+}
+
+/// One accepted point of Marsaglia's polar method: `(u, v, f)` with
+/// `u * f` and `v * f` two independent standard-normal variates. The
+/// factor comes back unmultiplied because [`Normal::sample`] scales `u`
+/// by `sigma` before `f`, and its stream is pinned to the bit.
+pub(crate) fn polar_pair<R: RngCore + ?Sized>(rng: &mut R) -> (f64, f64, f64) {
+    loop {
+        let u = 2.0 * uniform01(rng) - 1.0;
+        let v = 2.0 * uniform01(rng) - 1.0;
+        let s = u * u + v * v;
+        if s > 0.0 && s < 1.0 {
+            return (u, v, (-2.0 * s.ln() / s).sqrt());
         }
     }
 }
@@ -222,6 +230,38 @@ mod tests {
             ],
             "{draws:#x?}"
         );
+    }
+
+    #[test]
+    fn both_halves_of_a_polar_pair_are_standard_normal_and_uncorrelated() {
+        use crate::dist::{ks_p_value, ks_statistic, Empirical};
+        let mut rng = StdRng::seed_from_u64(42);
+        let pairs = 100_000;
+        let mut halves = [Vec::with_capacity(pairs), Vec::with_capacity(pairs)];
+        // The order a consumer of both variates sees: first, second, first…
+        let mut stream = Vec::with_capacity(2 * pairs);
+        for _ in 0..pairs {
+            let (u, v, f) = polar_pair(&mut rng);
+            halves[0].push(u * f);
+            halves[1].push(v * f);
+            stream.extend([u * f, v * f]);
+        }
+        for half in &halves {
+            let s = Summary::from_slice(half);
+            assert!(s.mean().abs() < 0.05, "mean {}", s.mean());
+            assert!((s.sd() - 1.0).abs() < 0.05, "sd {}", s.sd());
+            assert!(s.skewness().abs() < 0.05, "skew {}", s.skewness());
+            assert!(s.kurtosis().abs() < 0.1, "kurtosis {}", s.kurtosis());
+            let d = ks_statistic(&Empirical::new(half), &Normal::standard());
+            assert!(ks_p_value(d, pairs) > 0.01, "KS distance {d}");
+        }
+        let s = Summary::from_slice(&stream);
+        let lag1 = stream
+            .windows(2)
+            .map(|w| (w[0] - s.mean()) * (w[1] - s.mean()))
+            .sum::<f64>()
+            / (stream.len() as f64 * s.population_variance());
+        assert!(lag1.abs() < 0.01, "lag-1 correlation {lag1}");
     }
 
     #[test]

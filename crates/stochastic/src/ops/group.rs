@@ -9,6 +9,7 @@
 //! moment-matching approximation for the max of normals, and a seeded
 //! Monte-Carlo estimator as ground truth.
 
+use crate::dist::polar_pair;
 use crate::special::{std_normal_cdf, std_normal_pdf};
 use crate::value::StochasticValue;
 use rand::rngs::StdRng;
@@ -120,7 +121,14 @@ pub fn clark_max(a: &StochasticValue, b: &StochasticValue) -> StochasticValue {
 const MC_MAX_CHUNK: usize = 8192;
 
 fn monte_carlo_max(values: &[StochasticValue], samples: usize, seed: u64) -> StochasticValue {
-    use crate::dist::Distribution;
+    if values.iter().all(StochasticValue::is_point) {
+        // Every sample would be this same maximum: exact, zero width.
+        let max = values
+            .iter()
+            .map(StochasticValue::mean)
+            .fold(f64::NEG_INFINITY, f64::max);
+        return StochasticValue::point(max);
+    }
     let samples = samples.max(2);
     let normals: Vec<crate::dist::Normal> = values.iter().map(|v| v.to_normal()).collect();
     // Chunked fan-out: chunk i draws from its own SplitMix64-derived
@@ -130,11 +138,27 @@ fn monte_carlo_max(values: &[StochasticValue], samples: usize, seed: u64) -> Sto
     let chunks = prodpred_pool::chunk_lengths(samples, MC_MAX_CHUNK);
     let partials = prodpred_pool::parallel_map(&chunks, 0, |i, &len| {
         let mut rng = StdRng::seed_from_u64(prodpred_pool::derive_seed(seed, i as u64));
+        // The polar method yields standard variates two at a time; the
+        // second waits here for the chunk's next non-point operand.
+        let mut spare = None;
         let mut summary = crate::stats::Summary::new();
         for _ in 0..len {
             let mut m = f64::NEG_INFINITY;
             for n in &normals {
-                m = m.max(n.sample(&mut rng));
+                let x = if n.is_degenerate() {
+                    n.mu()
+                } else {
+                    let z = match spare.take() {
+                        Some(z) => z,
+                        None => {
+                            let (u, v, f) = polar_pair(&mut rng);
+                            spare = Some(v * f);
+                            u * f
+                        }
+                    };
+                    n.mu() + n.sigma() * z
+                };
+                m = m.max(x);
             }
             summary.push(m);
         }
@@ -243,11 +267,37 @@ mod tests {
                 seed: 9,
             },
         );
-        assert_eq!(m.mean().to_bits(), 0x4010_6741_3a65_d0b4);
-        assert_eq!(m.half_width().to_bits(), 0x3fe6_072f_ecd6_af21);
+        assert_eq!(m.mean().to_bits(), 0x4010_654c_e936_24ca);
+        assert_eq!(m.half_width().to_bits(), 0x3fe5_fd84_b33d_6998);
         // Sanity on the decoded values: max of the paper's inputs sits a
         // little above A's mean of 4.
         assert!((4.0..4.3).contains(&m.mean()), "mean {}", m.mean());
+    }
+
+    #[test]
+    fn monte_carlo_of_points_is_the_exact_max() {
+        let points = [3.0, 7.25, -1.0].map(StochasticValue::point);
+        let m = max_of(
+            &points,
+            MaxStrategy::MonteCarlo {
+                samples: 2000,
+                seed: 3,
+            },
+        );
+        assert!(m.is_point());
+        assert_eq!(m.mean(), 7.25);
+        // One stochastic operand and the estimate has width again, with
+        // the point operands as its floor.
+        let mixed = [points[0], points[1], StochasticValue::new(7.0, 1.0)];
+        let m = max_of(
+            &mixed,
+            MaxStrategy::MonteCarlo {
+                samples: 2000,
+                seed: 3,
+            },
+        );
+        assert!(!m.is_point());
+        assert!(m.mean() > 7.25 && m.lo() < 7.25, "{m}");
     }
 
     #[test]
