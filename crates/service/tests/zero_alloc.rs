@@ -55,6 +55,15 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+fn core() -> ServiceCore {
+    ServiceCore::new(ServiceConfig {
+        seed: 11,
+        horizon: 1200.0,
+        warmup: 300.0,
+        ..ServiceConfig::default()
+    })
+}
+
 /// The three required parameters, the six the repository benchmark
 /// sends, all eight a healthy query can carry, and a `fault_intensity`
 /// what-if. Past four pairs the pairs `Vec` grows once, which is the
@@ -68,12 +77,7 @@ const TARGETS: [&str; 4] = [
 
 #[test]
 fn a_cache_hit_predict_allocates_its_pairs_its_body_and_its_wire_form() {
-    let core = ServiceCore::new(ServiceConfig {
-        seed: 11,
-        horizon: 1200.0,
-        warmup: 300.0,
-        ..ServiceConfig::default()
-    });
+    let core = core();
     for target in TARGETS {
         // The first ask fills the cache; every later one is a hit.
         assert_eq!(http::handle(&core, target).status, 200);
@@ -101,12 +105,7 @@ fn a_cache_hit_predict_allocates_its_pairs_its_body_and_its_wire_form() {
 
 #[test]
 fn a_cache_hit_query_allocates_nothing() {
-    let core = ServiceCore::new(ServiceConfig {
-        seed: 11,
-        horizon: 1200.0,
-        warmup: 300.0,
-        ..ServiceConfig::default()
-    });
+    let core = core();
     let faulted = PredictRequest {
         fault_intensity: Some(0.5),
         ..request_for(11, 0)
@@ -134,12 +133,7 @@ fn a_cache_hit_query_allocates_nothing() {
 /// more. (At the parent of this test the counts were 25, 67 and 46.)
 #[test]
 fn a_closed_form_miss_evaluates_each_maximum_once() {
-    let core = ServiceCore::new(ServiceConfig {
-        seed: 11,
-        horizon: 1200.0,
-        warmup: 300.0,
-        ..ServiceConfig::default()
-    });
+    let core = core();
     for (load_source, expected) in [
         (LoadSource::Instantaneous, 19),
         (LoadSource::RunHorizon, 33),

@@ -237,30 +237,24 @@ mod tests {
         use crate::dist::{ks_p_value, ks_statistic, Empirical};
         let mut rng = StdRng::seed_from_u64(42);
         let pairs = 100_000;
-        let mut halves = [Vec::with_capacity(pairs), Vec::with_capacity(pairs)];
         // The order a consumer of both variates sees: first, second, first…
-        let mut stream = Vec::with_capacity(2 * pairs);
-        for _ in 0..pairs {
-            let (u, v, f) = polar_pair(&mut rng);
-            halves[0].push(u * f);
-            halves[1].push(v * f);
-            stream.extend([u * f, v * f]);
-        }
-        for half in &halves {
-            let s = Summary::from_slice(half);
+        let stream: Vec<f64> = (0..pairs)
+            .flat_map(|_| {
+                let (u, v, f) = polar_pair(&mut rng);
+                [u * f, v * f]
+            })
+            .collect();
+        for first in [0, 1] {
+            let half: Vec<f64> = stream.iter().skip(first).step_by(2).copied().collect();
+            let s = Summary::from_slice(&half);
             assert!(s.mean().abs() < 0.05, "mean {}", s.mean());
             assert!((s.sd() - 1.0).abs() < 0.05, "sd {}", s.sd());
             assert!(s.skewness().abs() < 0.05, "skew {}", s.skewness());
             assert!(s.kurtosis().abs() < 0.1, "kurtosis {}", s.kurtosis());
-            let d = ks_statistic(&Empirical::new(half), &Normal::standard());
+            let d = ks_statistic(&Empirical::new(&half), &Normal::standard());
             assert!(ks_p_value(d, pairs) > 0.01, "KS distance {d}");
         }
-        let s = Summary::from_slice(&stream);
-        let lag1 = stream
-            .windows(2)
-            .map(|w| (w[0] - s.mean()) * (w[1] - s.mean()))
-            .sum::<f64>()
-            / (stream.len() as f64 * s.population_variance());
+        let lag1 = crate::stats::autocorrelation(&stream, 1).unwrap();
         assert!(lag1.abs() < 0.01, "lag-1 correlation {lag1}");
     }
 

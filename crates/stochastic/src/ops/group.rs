@@ -122,12 +122,9 @@ const MC_MAX_CHUNK: usize = 8192;
 
 fn monte_carlo_max(values: &[StochasticValue], samples: usize, seed: u64) -> StochasticValue {
     if values.iter().all(StochasticValue::is_point) {
-        // Every sample would be this same maximum: exact, zero width.
-        let max = values
-            .iter()
-            .map(StochasticValue::mean)
-            .fold(f64::NEG_INFINITY, f64::max);
-        return StochasticValue::point(max);
+        // Every sample would be the largest of the points: exact, zero
+        // width, and what `ByMean` selects.
+        return max_of(values, MaxStrategy::ByMean);
     }
     let samples = samples.max(2);
     let normals: Vec<crate::dist::Normal> = values.iter().map(|v| v.to_normal()).collect();
