@@ -208,3 +208,64 @@ fn supervised_experiment_rides_through_a_blackout() {
         assert!(r.prediction.stochastic.mean().is_finite());
     }
 }
+
+/// What the supervisor did about each schedule of a seeded campaign, over
+/// strips and over a 2 × 2 block grid: attempts spent and the whole
+/// recovery accounting (retries, jittered backoff to the bit, iterations a
+/// resume saved, checkpoints taken, recoveries, abandonments). Taken
+/// before `solve_supervised` stopped carrying a retry loop of its own.
+#[test]
+fn supervised_campaign_accounting_is_pinned() {
+    const GOLDEN: &str = include_str!("golden/solve_recovery.txt");
+
+    let n = 26;
+    let iters = 12;
+    let ranks = 4;
+    let retry = RetryPolicy {
+        max_retries: 2,
+        jitter_fraction: 0.25,
+        seed: 23,
+        ..RetryPolicy::default()
+    };
+    let layouts = [
+        (
+            "strips",
+            Decomposition::strips(n, &partition_equal(n - 2, ranks)),
+        ),
+        ("blocks", Decomposition::blocks(n, BlockLayout::new(2, 2))),
+    ];
+    let mut actual = String::new();
+    for (name, decomposition) in &layouts {
+        for schedule in FaultSchedule::random_campaign(23, 16, ranks, iters) {
+            let mut grid = Grid::laplace_problem(n);
+            let recovery = solve_supervised(
+                &mut grid,
+                SorParams::for_grid(n, iters),
+                decomposition,
+                snappy(),
+                &schedule,
+                &retry,
+                CheckpointPolicy::every(3),
+            );
+            actual += &format!(
+                "{name} {}: kills={} ok={} attempts={} {:?}\n",
+                schedule.id,
+                schedule.kills.len(),
+                recovery.succeeded(),
+                recovery.attempts,
+                recovery.stats
+            );
+        }
+    }
+    if actual != GOLDEN {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("solve_recovery.txt");
+        std::fs::write(&path, &actual).unwrap();
+        let first = actual.lines().zip(GOLDEN.lines()).find(|(a, g)| a != g);
+        panic!(
+            "recovery accounting moved (first: {first:?}); actual written to {}",
+            path.display()
+        );
+    }
+    assert!(actual.contains("ok=false"), "no schedule exhausted");
+    assert!(actual.contains("recovered: 1"), "no schedule recovered");
+}
