@@ -136,9 +136,9 @@ pub fn run_series(
     cfg: &ExperimentConfig,
     watched_machine: usize,
 ) -> ExperimentSeries {
-    run_series_inner(platform, sizes, cfg, watched_machine, None)
-        .series
-        .series
+    let mut none = unsupervised(platform);
+    let run = run_series_inner(platform, sizes, cfg, watched_machine, None, &mut none);
+    run.series.series
 }
 
 /// Like [`run_series`], but every sensor poll is routed through `plan`
@@ -154,7 +154,9 @@ pub fn run_series_faulted(
     watched_machine: usize,
     plan: FaultPlan,
 ) -> FaultedSeries {
-    run_series_inner(platform, sizes, cfg, watched_machine, Some(plan)).series
+    let mut none = unsupervised(platform);
+    let run = run_series_supervised(platform, sizes, cfg, watched_machine, plan, &mut none);
+    without_recovery(run)
 }
 
 /// A fault-injected series run under a [`Supervisor`]: recovery
@@ -186,7 +188,8 @@ pub fn run_series_supervised(
     plan: FaultPlan,
     supervisor: &mut Supervisor,
 ) -> SupervisedSeries {
-    run_series_supervised_inner(platform, sizes, cfg, watched_machine, plan, supervisor).series
+    let plan = Some(plan);
+    run_series_inner(platform, sizes, cfg, watched_machine, plan, supervisor).series
 }
 
 /// A finished series together with the runner's final clock: the end of
@@ -194,22 +197,44 @@ pub fn run_series_supervised(
 /// retries their backoffs). Nothing the runner read from the platform
 /// lies past it, so a series whose `end_clock` is inside the platform's
 /// horizon never saw a held value.
-struct Clocked<S> {
-    series: S,
+struct Clocked {
+    series: SupervisedSeries,
     end_clock: f64,
 }
 
-fn run_series_supervised_inner(
+/// The supervisor of the series that have none, whatever their platform:
+/// without breakers every query is allowed, and without retries
+/// `retry_timed` is one attempt.
+fn unsupervised(_: &Platform) -> Supervisor {
+    Supervisor::new(RetryPolicy::none())
+}
+
+/// A series run under [`unsupervised`] has no recovery to account for.
+fn without_recovery(series: SupervisedSeries) -> FaultedSeries {
+    FaultedSeries {
+        series: series.series,
+        stats: series.stats,
+    }
+}
+
+/// The one series runner. A healthy series is the faulted one with no
+/// plan: no diagnostic queries, and a prediction that cannot be issued is
+/// a bug, not an outage.
+fn run_series_inner(
     platform: &Platform,
     sizes: &[usize],
     cfg: &ExperimentConfig,
     watched_machine: usize,
-    plan: FaultPlan,
+    plan: Option<FaultPlan>,
     supervisor: &mut Supervisor,
-) -> Clocked<SupervisedSeries> {
+) -> Clocked {
     assert!(!sizes.is_empty(), "need at least one run");
     assert!(watched_machine < platform.machines.len());
-    let nws = NwsService::attach_with_faults(platform, NwsConfig::default(), plan);
+    let faulted = plan.is_some();
+    let nws = match plan {
+        Some(plan) => NwsService::attach_with_faults(platform, NwsConfig::default(), plan),
+        None => NwsService::attach(platform, NwsConfig::default()),
+    };
     let mut t = cfg.warmup_secs;
     let mut records = Vec::with_capacity(sizes.len());
     let mut stats = DegradationStats::default();
@@ -220,43 +245,49 @@ fn run_series_supervised_inner(
     for &n in sizes {
         nws.advance_to(platform, t);
         let strips = decompose(platform, n, cfg.decomposition, None);
-        for i in 0..strips.len() {
-            stats.queries += 1;
-            if !supervisor.query_allowed(i, t) {
-                // Open breaker: the sensor is known-bad, answer straight
-                // from the degraded path without poking it again.
-                stats.degraded_queries += 1;
-                continue;
-            }
-            match nws.cpu_query(i) {
-                Ok(q) => {
-                    supervisor.record_query_outcome(i, t, true);
-                    if q.degraded {
-                        stats.degraded_queries += 1;
-                    }
-                    stats.max_stale_intervals = stats.max_stale_intervals.max(q.stale_intervals);
-                }
-                Err(_) => {
-                    supervisor.record_query_outcome(i, t, false);
+        if faulted {
+            for i in 0..strips.len() {
+                stats.queries += 1;
+                if !supervisor.query_allowed(i, t) {
+                    // Open breaker: the sensor is known-bad, answer straight
+                    // from the degraded path without poking it again.
                     stats.degraded_queries += 1;
+                    continue;
+                }
+                let query = nws.cpu_query(i);
+                supervisor.record_query_outcome(i, t, query.is_ok());
+                match query {
+                    Ok(q) => {
+                        if q.degraded {
+                            stats.degraded_queries += 1;
+                        }
+                        stats.max_stale_intervals =
+                            stats.max_stale_intervals.max(q.stale_intervals);
+                    }
+                    Err(_) => stats.degraded_queries += 1,
                 }
             }
         }
-        let predicted = supervisor.retry_timed(&mut t, |_, now| {
-            // Backoff moved the clock: let the sensors poll up to `now`
-            // before asking again.
-            nws.advance_to(platform, now);
+        let predicted = supervisor.retry_timed(&mut t, |attempt, now| {
+            if attempt > 0 {
+                // Backoff moved the clock: let the sensors poll up to
+                // `now` before asking again.
+                nws.advance_to(platform, now);
+            }
             SorPredictor::try_new(platform, &nws, predictor_cfg)
                 .and_then(|p| p.try_predict(n, &strips))
         });
         let prediction = match predicted {
             Ok(p) => p,
-            Err(_) => {
-                // Retry budget exhausted inside the outage: skip the run.
+            Err(_) if faulted => {
+                // Nothing to predict from, and the retry budget (if any)
+                // ran out inside the outage. Skip the run rather than
+                // panic; the study counts it.
                 stats.skipped_runs += 1;
                 t += cfg.gap_secs;
                 continue;
             }
+            Err(e) => panic!("NWS has data after warmup: {e}"),
         };
         let run = simulate(
             platform,
@@ -296,99 +327,6 @@ fn run_series_supervised_inner(
             },
             stats,
             recovery: supervisor.stats(),
-        },
-        end_clock: t,
-    }
-}
-
-fn run_series_inner(
-    platform: &Platform,
-    sizes: &[usize],
-    cfg: &ExperimentConfig,
-    watched_machine: usize,
-    plan: Option<FaultPlan>,
-) -> Clocked<FaultedSeries> {
-    assert!(!sizes.is_empty(), "need at least one run");
-    assert!(watched_machine < platform.machines.len());
-    let faulted = plan.is_some();
-    let nws = match plan {
-        Some(plan) => NwsService::attach_with_faults(platform, NwsConfig::default(), plan),
-        None => NwsService::attach(platform, NwsConfig::default()),
-    };
-    let mut t = cfg.warmup_secs;
-    let mut records = Vec::with_capacity(sizes.len());
-    let mut stats = DegradationStats::default();
-
-    let mut predictor_cfg = cfg.predictor;
-    predictor_cfg.iterations = cfg.iterations;
-
-    for &n in sizes {
-        nws.advance_to(platform, t);
-        let strips = decompose(platform, n, cfg.decomposition, None);
-        if faulted {
-            for i in 0..strips.len() {
-                stats.queries += 1;
-                match nws.cpu_query(i) {
-                    Ok(q) => {
-                        if q.degraded {
-                            stats.degraded_queries += 1;
-                        }
-                        stats.max_stale_intervals =
-                            stats.max_stale_intervals.max(q.stale_intervals);
-                    }
-                    Err(_) => stats.degraded_queries += 1,
-                }
-            }
-        }
-        let predictor = SorPredictor::new(platform, &nws, predictor_cfg);
-        let prediction = match predictor.predict(n, &strips) {
-            Some(p) => p,
-            None if faulted => {
-                // Nothing to predict from: a total measurement outage.
-                // Skip the run rather than panic; the study counts it.
-                stats.skipped_runs += 1;
-                t += cfg.gap_secs;
-                continue;
-            }
-            None => panic!("NWS has data after warmup"),
-        };
-        let run = simulate(
-            platform,
-            &strips,
-            DistSorConfig {
-                paging: None,
-                n,
-                iterations: cfg.iterations,
-                start_time: t,
-            },
-        );
-        records.push(RunRecord {
-            start: t,
-            n,
-            actual_secs: run.total_secs,
-            prediction,
-        });
-        t += run.total_secs + cfg.gap_secs;
-    }
-
-    for i in 0..platform.machines.len() {
-        let (missed, corrupt) = nws.cpu_sensor_health(i);
-        stats.missed_polls += missed;
-        stats.corrupt_polls += corrupt;
-    }
-
-    let load_samples =
-        platform.machines[watched_machine]
-            .load
-            .sample_every(0.0, t.min(platform.horizon), 5.0);
-    Clocked {
-        series: FaultedSeries {
-            series: ExperimentSeries {
-                records,
-                load_samples,
-                watched_machine,
-            },
-            stats,
         },
         end_clock: t,
     }
@@ -454,23 +392,36 @@ pub fn dedicated_check(sizes: &[usize], iterations: usize) -> Vec<DedicatedCheck
 /// take a second attempt.
 const FIRST_HORIZON_SECS: f64 = 2048.0;
 
-/// Runs `attempt` on a platform horizon sized by what the series reads:
-/// start short, and whenever the runner's final clock is not strictly
-/// inside the horizon, double it and rerun the series from scratch.
+/// Runs a preset series on a platform horizon sized by what the series
+/// reads: start short, and whenever the runner's final clock is not
+/// strictly inside the horizon, double it and rerun the series from
+/// scratch — platform (`platform_at(cfg.seed, horizon)`), the plan's
+/// storms, NWS and the supervisor `supervise` builds, all afresh.
 ///
-/// `attempt(h)` must build everything it uses — platform, storms, NWS,
-/// supervisor — afresh from `h`. The result is then the series of an
-/// unbounded platform, bit for bit: the preset platforms' first `k`
-/// samples do not depend on the horizon (see `Platform::platform1`),
-/// storms are placed in absolute time, and an accepted run read nothing at
-/// or past its horizon, so no horizon is a limit. A fixed 40 000 s /
-/// 60 000 s platform, as these experiments used to build, silently read
-/// its held last value once a long series outran it; such a series now
-/// reads real load.
-fn on_sufficient_horizon<S>(mut attempt: impl FnMut(f64) -> Clocked<S>) -> S {
+/// The result is then the series of an unbounded platform, bit for bit:
+/// the preset platforms' first `k` samples do not depend on the horizon
+/// (see `Platform::platform1`), storms are placed in absolute time, and an
+/// accepted run read nothing at or past its horizon, so no horizon is a
+/// limit. A fixed 40 000 s / 60 000 s platform, as these experiments used
+/// to build, silently read its held last value once a long series outran
+/// it; such a series now reads real load.
+fn on_sufficient_horizon(
+    platform_at: fn(u64, f64) -> Platform,
+    sizes: &[usize],
+    cfg: &ExperimentConfig,
+    plan: Option<&FaultPlan>,
+    supervise: impl Fn(&Platform) -> Supervisor,
+) -> SupervisedSeries {
     let mut horizon = FIRST_HORIZON_SECS;
     loop {
-        let run = attempt(horizon);
+        let mut platform = platform_at(cfg.seed, horizon);
+        if let Some(plan) = plan {
+            plan.apply_storms(&mut platform);
+        }
+        // Watch machine 0. On Platform 1 that is a Sparc-2: "the load of
+        // the (consistently) slowest machine".
+        let mut supervisor = supervise(&platform);
+        let run = run_series_inner(&platform, sizes, cfg, 0, plan.cloned(), &mut supervisor);
         if run.end_clock < horizon {
             return run.series;
         }
@@ -485,12 +436,7 @@ pub fn platform1_experiment(seed: u64, sizes: &[usize]) -> ExperimentSeries {
         seed,
         ..Default::default()
     };
-    on_sufficient_horizon(|horizon| {
-        let platform = Platform::platform1(seed, horizon);
-        // Watch a Sparc-2: "the load of the (consistently) slowest machine".
-        run_series_inner(&platform, sizes, &cfg, 0, None)
-    })
-    .series
+    on_sufficient_horizon(Platform::platform1, sizes, &cfg, None, unsupervised).series
 }
 
 /// The Platform-2 experiment (Figures 12–17): bursty 4-modal load,
@@ -503,16 +449,12 @@ pub fn platform2_experiment(seed: u64, n: usize, runs: usize) -> ExperimentSerie
         ..Default::default()
     };
     let sizes = vec![n; runs];
-    on_sufficient_horizon(|horizon| {
-        let platform = Platform::platform2(seed, horizon);
-        run_series_inner(&platform, &sizes, &cfg, 0, None)
-    })
-    .series
+    on_sufficient_horizon(Platform::platform2, &sizes, &cfg, None, unsupervised).series
 }
 
-/// Shared setup of the fault-injected experiments: apply the plan's load
-/// storms to the ground truth, attach a fault-routed NWS, and predict
-/// through the staleness-aware query path.
+/// Shared setup of the fault-injected experiments: a plan whose load
+/// storms perturb the ground truth and whose sensor faults route every
+/// NWS poll, and predictions through the staleness-aware query path.
 fn faulted_config(seed: u64, faults: &FaultConfig) -> (FaultPlan, ExperimentConfig) {
     let plan = FaultPlan::new(faults.clone());
     let mut cfg = ExperimentConfig {
@@ -533,11 +475,8 @@ pub fn platform1_experiment_with_faults(
     faults: &FaultConfig,
 ) -> FaultedSeries {
     let (plan, cfg) = faulted_config(seed, faults);
-    on_sufficient_horizon(|horizon| {
-        let mut platform = Platform::platform1(seed, horizon);
-        plan.apply_storms(&mut platform);
-        run_series_inner(&platform, sizes, &cfg, 0, Some(plan.clone()))
-    })
+    let run = on_sufficient_horizon(Platform::platform1, sizes, &cfg, Some(&plan), unsupervised);
+    without_recovery(run)
 }
 
 /// The Platform-2 experiment under fault injection; see
@@ -552,11 +491,8 @@ pub fn platform2_experiment_with_faults(
     let (plan, mut cfg) = faulted_config(seed, faults);
     cfg.gap_secs = 20.0;
     let sizes = vec![n; runs];
-    on_sufficient_horizon(|horizon| {
-        let mut platform = Platform::platform2(seed, horizon);
-        plan.apply_storms(&mut platform);
-        run_series_inner(&platform, &sizes, &cfg, 0, Some(plan.clone()))
-    })
+    let run = on_sufficient_horizon(Platform::platform2, &sizes, &cfg, Some(&plan), unsupervised);
+    without_recovery(run)
 }
 
 /// The Platform-2 fault-injected experiment run under a supervisor: the
@@ -574,12 +510,8 @@ pub fn platform2_experiment_supervised(
     let (plan, mut cfg) = faulted_config(seed, faults);
     cfg.gap_secs = 20.0;
     let sizes = vec![n; runs];
-    on_sufficient_horizon(|horizon| {
-        let mut platform = Platform::platform2(seed, horizon);
-        plan.apply_storms(&mut platform);
-        let mut supervisor =
-            Supervisor::new(retry).with_breakers(platform.machines.len(), 3, 120.0);
-        run_series_supervised_inner(&platform, &sizes, &cfg, 0, plan.clone(), &mut supervisor)
+    on_sufficient_horizon(Platform::platform2, &sizes, &cfg, Some(&plan), |platform| {
+        Supervisor::new(retry).with_breakers(platform.machines.len(), 3, 120.0)
     })
 }
 

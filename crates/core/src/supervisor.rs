@@ -362,14 +362,16 @@ pub fn solve_supervised(
     checkpoint: CheckpointPolicy,
 ) -> SolveRecovery {
     let mut store = CheckpointStore::new();
-    let mut stats = RecoveryStats::default();
-    let mut attempt: u32 = 0;
-    loop {
+    let mut supervisor = Supervisor::new(*retry);
+    let mut resumed_iterations_saved = 0;
+    // Backoff is accounted in the stats; nothing here reads the clock.
+    let mut clock = 0.0;
+    let result = supervisor.retry_timed(&mut clock, |attempt, _| {
         let options = SolveOptions {
             policy: exchange,
             kill: schedule.kill_for_attempt(attempt),
         };
-        let outcome = match store.latest().cloned() {
+        match store.latest().cloned() {
             None => try_solve_checkpointed(
                 grid,
                 params,
@@ -379,7 +381,7 @@ pub fn solve_supervised(
                 &mut store,
             ),
             Some(cp) => {
-                stats.resumed_iterations_saved += cp.iteration() as u64;
+                resumed_iterations_saved += cp.iteration() as u64;
                 resume_from(
                     &cp,
                     grid,
@@ -390,33 +392,17 @@ pub fn solve_supervised(
                     &mut store,
                 )
             }
-        };
-        stats.checkpoints_taken = store.taken() as u64;
-        match outcome {
-            Ok(()) => {
-                if attempt > 0 {
-                    stats.recovered += 1;
-                }
-                return SolveRecovery {
-                    result: Ok(()),
-                    attempts: attempt + 1,
-                    stats,
-                };
-            }
-            Err(e) => {
-                if attempt >= retry.max_retries {
-                    stats.abandoned += 1;
-                    return SolveRecovery {
-                        result: Err(e),
-                        attempts: attempt + 1,
-                        stats,
-                    };
-                }
-                stats.retries += 1;
-                stats.backoff_secs += retry.backoff_secs(attempt);
-                attempt += 1;
-            }
         }
+    });
+    let stats = RecoveryStats {
+        resumed_iterations_saved,
+        checkpoints_taken: store.taken() as u64,
+        ..supervisor.stats()
+    };
+    SolveRecovery {
+        result,
+        attempts: stats.retries as u32 + 1,
+        stats,
     }
 }
 

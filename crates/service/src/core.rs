@@ -13,13 +13,14 @@
 //! zero real I/O; the `std::net` shell in [`crate::shell`] is a veneer.
 
 use crate::cache::{CacheConfig, CacheStats, EpochCache, QueryKey};
+use crate::ingest::SupervisedIngest;
 use crate::resilience::{
     widening_factor, Admission, IngestOutcome, IngestStats, ResilienceConfig, ServingCounters,
     ServingState, TickMirror,
 };
 use crate::swap::EpochSwap;
-use prodpred_core::supervisor::{BreakerState, CircuitBreaker};
-use prodpred_core::{FaultModel, Prediction, PredictorConfig, PredictorError, SorPredictor};
+use prodpred_core::supervisor::BreakerState;
+use prodpred_core::{FaultModel, PredictorConfig, PredictorError, SorPredictor};
 use prodpred_nws::snapshot::ForecastSnapshot;
 use prodpred_nws::{NwsConfig, NwsService};
 use prodpred_simgrid::faults::{FaultConfig, FaultPlan, IntensityError};
@@ -72,6 +73,20 @@ impl Default for ServiceConfig {
         }
     }
 }
+
+impl ServiceConfig {
+    /// One publish interval in whole seconds, at least 1: the shortest
+    /// Retry-After the service ever suggests.
+    fn publish_interval_secs(&self) -> u64 {
+        self.publish_interval.ceil().max(1.0) as u64
+    }
+}
+
+/// Most red+black iterations a request may ask about (the paper's runs
+/// take tens, the replay and benchmark generators a few hundred at most).
+/// A `fault_intensity` answer allocates and loops in proportion to the
+/// count, so an unbounded one could stall, exhaust or panic the daemon.
+const MAX_ITERATIONS: usize = 10_000;
 
 /// One query against the service: which testbed, what problem, which
 /// predictor configuration.
@@ -244,19 +259,6 @@ struct PublishedSnapshot {
     snapshot: ForecastSnapshot,
 }
 
-/// Mutable ingest state, held only for the duration of a tick (which
-/// also serializes writers; the query path never touches it).
-struct IngestState {
-    /// Simulated "now" in seconds.
-    clock: f64,
-    /// Per-platform ingest circuit breaker over the simulated clock.
-    breaker: CircuitBreaker,
-    /// The tick of the most recent publish (watchdog reference point).
-    last_publish_tick: u64,
-    /// Supervised-ingest accounting for this platform.
-    stats: IngestStats,
-}
-
 /// One hosted testbed: its simulated platform, live NWS, epoch-published
 /// snapshots, prediction cache, and supervised-ingest state.
 struct PlatformState {
@@ -264,7 +266,9 @@ struct PlatformState {
     nws: NwsService,
     published: EpochSwap<PublishedSnapshot>,
     cache: EpochCache<PredictResponse>,
-    ingest: Mutex<IngestState>,
+    /// Held only for the duration of a tick (which also serializes
+    /// writers); the query path never touches it.
+    ingest: Mutex<SupervisedIngest>,
     /// Lock-free mirrors of the tick clock, breaker state, and
     /// Retry-After hint — the query path's view of ingest, refreshed at
     /// every tick without the ingest lock.
@@ -285,144 +289,55 @@ impl PlatformState {
                 NwsService::attach_with_faults(&platform, NwsConfig::default(), plan)
             }
         };
-        let res = &config.resilience;
         Self {
+            ingest: Mutex::new(SupervisedIngest::new(
+                &config.resilience,
+                nws.n_machines() + 1,
+                config.horizon,
+            )),
             platform,
             nws,
             published: EpochSwap::new(),
             cache: EpochCache::new(config.cache),
-            ingest: Mutex::new(IngestState {
-                clock: 0.0,
-                breaker: CircuitBreaker::new(
-                    res.breaker_threshold.max(1),
-                    res.breaker_cooldown_secs,
-                ),
-                last_publish_tick: 0,
-                stats: IngestStats::default(),
-            }),
-            mirror: TickMirror::new(config.publish_interval.ceil().max(1.0) as u64),
+            mirror: TickMirror::new(config.publish_interval_secs()),
         }
     }
 
-    /// One supervised ingest tick: advance the sensors by `dt` (clamped
-    /// to the horizon), publish a snapshot if any sensor delivered fresh
-    /// data, retry with deterministic backoff otherwise, and keep the
-    /// breaker/watchdog honest. Without a configured fault the legacy
-    /// infallible path runs — bit-identical to the pre-resilience
-    /// service.
+    /// One supervised ingest tick of `dt` simulated seconds: drive the
+    /// [`SupervisedIngest`] machine with polls of the live NWS, publish a
+    /// snapshot when it says so, and refresh the query path's mirrors.
+    /// Without a configured fault every poll reports every sensor fresh,
+    /// so every tick publishes first time — at the clamped horizon too,
+    /// where no new measurement exists.
     fn try_tick(&self, dt: f64, config: &ServiceConfig) -> IngestOutcome {
         let mut ing = self.ingest.lock().unwrap_or_else(PoisonError::into_inner);
         let tick_no = self.mirror.next_tick();
-        ing.stats.attempts += 1;
-        let outcome = if config.fault.is_none() {
-            ing.clock = (ing.clock + dt).min(config.horizon);
-            self.nws.advance_to(&self.platform, ing.clock);
-            let epoch = self.publish(&mut ing, tick_no);
-            ing.stats.publishes += 1;
-            IngestOutcome::Published {
-                epoch,
-                partial: false,
-                retries: 0,
+        let outcome = ing.tick(dt, |prev, now| {
+            self.nws.advance_to(&self.platform, now);
+            match config.fault {
+                None => self.nws.n_machines() + 1,
+                Some(_) => self.fresh_sensors(prev),
             }
-        } else {
-            self.supervised_tick(&mut ing, tick_no, dt, config)
-        };
+        });
+        if let IngestOutcome::Published { epoch, .. } = outcome {
+            let published = self.published.publish(PublishedSnapshot {
+                tick: tick_no,
+                snapshot: self.nws.snapshot(epoch),
+            });
+            debug_assert_eq!(published, epoch, "epochs count publishes");
+            self.cache.bump_to(epoch);
+        }
         // Refresh the query path's lock-free mirrors.
-        let state = ing.breaker.state();
+        let state = ing.breaker().state();
         self.mirror.set_breaker(state);
         let hint = if state == BreakerState::Open {
-            (ing.breaker.open_until() - ing.clock).max(0.0).ceil() as u64
+            (ing.breaker().open_until() - ing.clock()).max(0.0).ceil() as u64
         } else {
             0
         };
         self.mirror
-            .set_retry_hint(hint.max(config.publish_interval.ceil().max(1.0) as u64));
+            .set_retry_hint(hint.max(config.publish_interval_secs()));
         outcome
-    }
-
-    /// Freezes and publishes the next snapshot; bumps the cache epoch.
-    fn publish(&self, ing: &mut IngestState, tick_no: u64) -> u64 {
-        let snapshot = self.nws.snapshot(self.published.epoch() + 1);
-        let epoch = self.published.publish(PublishedSnapshot {
-            tick: tick_no,
-            snapshot,
-        });
-        self.cache.bump_to(epoch);
-        ing.last_publish_tick = tick_no;
-        epoch
-    }
-
-    /// The fault-exposed tick: breaker gate, then a freshness-checked
-    /// poll with bounded, clock-advancing retries.
-    fn supervised_tick(
-        &self,
-        ing: &mut IngestState,
-        tick_no: u64,
-        dt: f64,
-        config: &ServiceConfig,
-    ) -> IngestOutcome {
-        let res = &config.resilience;
-        if !ing.breaker.allows(ing.clock) {
-            // Open and cooling down: skip the poll entirely, but let the
-            // simulated deadline pass so the cooldown can elapse.
-            ing.clock = (ing.clock + dt).min(config.horizon);
-            ing.stats.breaker_short_circuits += 1;
-            return IngestOutcome::ShortCircuited;
-        }
-        let total_sensors = self.platform.machines.len() + 1;
-        let mut attempt: u32 = 0;
-        let mut advance = dt;
-        loop {
-            let prev = ing.clock;
-            ing.clock = (prev + advance).min(config.horizon);
-            self.nws.advance_to(&self.platform, ing.clock);
-            let fresh = self.fresh_sensors(prev);
-            if fresh > 0 {
-                let epoch = self.publish(ing, tick_no);
-                ing.breaker.record_success();
-                ing.stats.publishes += 1;
-                let partial = fresh < total_sensors;
-                if partial {
-                    ing.stats.partial_publishes += 1;
-                }
-                if attempt > 0 {
-                    ing.stats.recovered += 1;
-                }
-                return IngestOutcome::Published {
-                    epoch,
-                    partial,
-                    retries: attempt,
-                };
-            }
-            if attempt >= res.retry.max_retries {
-                break;
-            }
-            // Backoff advances the *simulated* clock: the retry polls
-            // further into the future, which is how a blackout is ridden
-            // through inside one tick.
-            advance = res.retry.backoff_secs(attempt);
-            ing.stats.retries += 1;
-            ing.stats.backoff_secs += advance;
-            attempt += 1;
-        }
-        ing.stats.failures += 1;
-        if ing.breaker.record_failure(ing.clock) {
-            ing.stats.breaker_trips += 1;
-        } else if ing.breaker.state() == BreakerState::Closed
-            && res.watchdog_ticks != u64::MAX
-            && tick_no - ing.last_publish_tick >= res.watchdog_ticks
-        {
-            // Wedged epoch: failures keep landing below the streak
-            // threshold (or the streak resets on partial recoveries) yet
-            // nothing has published for `watchdog_ticks` — force the
-            // breaker open.
-            ing.breaker.trip(ing.clock);
-            ing.stats.breaker_trips += 1;
-            ing.stats.watchdog_trips += 1;
-        }
-        IngestOutcome::Failed {
-            attempts: attempt + 1,
-        }
     }
 
     /// How many sensors hold a measurement recorded strictly after
@@ -440,14 +355,27 @@ impl PlatformState {
         fresh
     }
 
-    /// Snapshot age in ticks plus whether the breaker is non-closed —
-    /// the two inputs of [`ServingState::derive`] — for the snapshot
-    /// published at `published_tick`. Lock-free.
-    fn age_and_breaker(&self, published_tick: u64) -> (u64, bool) {
+    /// The age in ticks of the snapshot published at `published_tick`
+    /// and the serving state that age and the mirrored breaker put it
+    /// in. Lock-free.
+    fn serving(&self, published_tick: u64, res: &ResilienceConfig) -> (ServingState, u64) {
         let age = self.mirror.ticks().saturating_sub(published_tick);
-        (age, self.mirror.breaker_open())
+        let state = ServingState::derive(age, self.mirror.breaker_open(), res);
+        (state, age)
     }
 }
+
+/// What a validated request is answered from and under: its platform,
+/// the latest epoch and its snapshot, the serving state that snapshot is
+/// in, and its age in ticks. A tuple, taken apart at once — read through
+/// a reference to a struct, the same five cost a cache hit ~10 ns.
+type Loaded<'a> = (
+    &'a PlatformState,
+    u64,
+    Arc<PublishedSnapshot>,
+    ServingState,
+    u64,
+);
 
 /// The daemon's heart: both testbeds plus the counters, behind a pure
 /// tick/query API.
@@ -516,10 +444,7 @@ impl ServiceCore {
         let state = self.platform_state(id)?;
         Ok(match state.published.load() {
             None => ServingState::Unavailable,
-            Some((_, published)) => {
-                let (age, open) = state.age_and_breaker(published.tick);
-                ServingState::derive(age, open, &self.config.resilience)
-            }
+            Some((_, published)) => state.serving(published.tick, &self.config.resilience).0,
         })
     }
 
@@ -544,10 +469,11 @@ impl ServiceCore {
                 req.procs
             )));
         }
-        if req.config.iterations == 0 {
-            return Err(ServiceError::BadRequest(
-                "iterations must be at least 1".to_string(),
-            ));
+        if req.config.iterations == 0 || req.config.iterations > MAX_ITERATIONS {
+            return Err(ServiceError::BadRequest(format!(
+                "iterations = {} out of range [1, {MAX_ITERATIONS}]",
+                req.config.iterations
+            )));
         }
         if let MaxStrategy::MonteCarlo { samples, .. } = req.config.max_strategy {
             if samples == 0 || samples > 1_000_000 {
@@ -597,27 +523,39 @@ impl ServiceCore {
         let outcome = self.query_inner(req);
         match &outcome {
             Ok(r) => self.counters.record_served(r.degraded),
-            Err(_) => self.counters.record_rejected(),
+            Err(e) => {
+                if matches!(e, ServiceError::Unavailable { .. }) {
+                    self.counters.record_unavailable();
+                }
+                self.counters.record_rejected();
+            }
         }
         outcome
     }
 
-    fn query_inner(&self, req: &PredictRequest) -> Result<PredictResponse, ServiceError> {
+    /// What the cached and the uncached route share before computing
+    /// anything: platform lookup, validation, the latest snapshot and the
+    /// serving state it is in — refused when [`ServingState::Unavailable`].
+    #[inline]
+    fn load(&self, req: &PredictRequest) -> Result<Loaded<'_>, ServiceError> {
         let state = self.platform_state(req.platform)?;
         Self::validate(req)?;
         let (epoch, published) = state.published.load().ok_or(ServiceError::NotReady {
             platform: req.platform,
         })?;
-        let (age, breaker_open) = state.age_and_breaker(published.tick);
-        let serving = ServingState::derive(age, breaker_open, &self.config.resilience);
+        let (serving, age) = state.serving(published.tick, &self.config.resilience);
         if serving == ServingState::Unavailable {
-            self.counters.record_unavailable();
             return Err(ServiceError::Unavailable {
                 platform: req.platform,
                 age_ticks: age,
                 retry_after_secs: state.mirror.retry_hint(),
             });
         }
+        Ok((state, epoch, published, serving, age))
+    }
+
+    fn query_inner(&self, req: &PredictRequest) -> Result<PredictResponse, ServiceError> {
+        let (state, epoch, published, serving, age) = self.load(req)?;
         let key = QueryKey::new(
             req.platform,
             req.n,
@@ -636,7 +574,7 @@ impl ServiceCore {
             .admission
             .try_admit_miss()
             .ok_or_else(|| ServiceError::Overloaded {
-                retry_after_secs: self.config.publish_interval.ceil().max(1.0) as u64,
+                retry_after_secs: self.config.publish_interval_secs(),
             })?;
         let response = Self::answer(&state.platform, &published.snapshot, req, epoch)?;
         let stored = state.cache.insert(epoch, key, response);
@@ -662,16 +600,6 @@ impl ServiceCore {
         r
     }
 
-    fn predict(
-        platform: &Platform,
-        snapshot: &ForecastSnapshot,
-        req: &PredictRequest,
-    ) -> Result<Prediction, ServiceError> {
-        let predictor = SorPredictor::try_new(platform, snapshot, req.config)?;
-        let strips = partition_equal(req.n - 2, req.procs);
-        Ok(predictor.try_predict(req.n, &strips)?)
-    }
-
     /// The single response-construction path shared by the cached-miss
     /// and uncached routes, so the two stay bit-identical by
     /// construction: healthy structural prediction, then — only when a
@@ -685,7 +613,9 @@ impl ServiceCore {
         req: &PredictRequest,
         epoch: u64,
     ) -> Result<PredictResponse, ServiceError> {
-        let prediction = Self::predict(platform, snapshot, req)?;
+        let strips = partition_equal(req.n - 2, req.procs);
+        let prediction =
+            SorPredictor::try_new(platform, snapshot, req.config)?.try_predict(req.n, &strips)?;
         let mut stochastic = prediction.stochastic;
         let mut point = prediction.point;
         if let Some(intensity) = req.fault_intensity {
@@ -725,20 +655,7 @@ impl ServiceCore {
     /// Same as [`ServiceCore::query`], minus
     /// [`ServiceError::Overloaded`].
     pub fn query_uncached(&self, req: &PredictRequest) -> Result<PredictResponse, ServiceError> {
-        let state = self.platform_state(req.platform)?;
-        Self::validate(req)?;
-        let (epoch, published) = state.published.load().ok_or(ServiceError::NotReady {
-            platform: req.platform,
-        })?;
-        let (age, breaker_open) = state.age_and_breaker(published.tick);
-        let serving = ServingState::derive(age, breaker_open, &self.config.resilience);
-        if serving == ServingState::Unavailable {
-            return Err(ServiceError::Unavailable {
-                platform: req.platform,
-                age_ticks: age,
-                retry_after_secs: state.mirror.retry_hint(),
-            });
-        }
+        let (state, epoch, published, serving, age) = self.load(req)?;
         let response = Self::answer(&state.platform, &published.snapshot, req, epoch)?;
         Ok(self.finalize(response, serving, age))
     }
@@ -767,7 +684,7 @@ impl ServiceCore {
             cache.evicted += s.evicted;
             cache.entries += s.entries;
             let ing = p.ingest.lock().unwrap_or_else(PoisonError::into_inner);
-            ingest.merge(&ing.stats);
+            ingest.merge(&ing.stats());
         }
         ServiceStats {
             epochs_published: self.epoch(),
@@ -894,6 +811,24 @@ mod tests {
         r.config.iterations = 0;
         assert!(matches!(core.query(&r), Err(ServiceError::BadRequest(_))));
         assert_eq!(core.stats().rejected, 4);
+
+        // Iteration counts that would overflow, exhaust memory in, or
+        // merely stall the fault model's retry expectation never reach it.
+        for iterations in [usize::MAX, 1_000_000_000, 20_000] {
+            let mut r = req(1, 600);
+            r.procs = 2;
+            r.config.iterations = iterations;
+            r.fault_intensity = Some(0.5);
+            let rejected = core.query(&r);
+            assert!(
+                matches!(&rejected, Err(ServiceError::BadRequest(why)) if why.contains("iterations")),
+                "iterations = {iterations}: {rejected:?}"
+            );
+        }
+        let mut r = req(1, 600);
+        r.config.iterations = MAX_ITERATIONS;
+        r.fault_intensity = Some(0.5);
+        assert!(core.query(&r).is_ok(), "bound itself must stay accepted");
     }
 
     #[test]

@@ -11,16 +11,21 @@
 //! * [`cache`] — the sharded, bounded, deterministic prediction cache,
 //!   keyed by `(query configuration, snapshot epoch)` and invalidated
 //!   wholesale on every epoch bump;
-//! * [`core`] — the pure service core: simulated platforms, NWS ingest
-//!   ticks, snapshot publication, the cached query path. A pure function
-//!   of `(seed, ticks, queries)` — no wall clock, no I/O;
+//! * [`core`] — the pure service core: simulated platforms, NWS polls
+//!   and snapshot publication driven by the ingest machine, the cached
+//!   query path. A pure function of `(seed, ticks, queries)` — no wall
+//!   clock, no I/O;
 //! * [`http`] — socket-free request parsing, routing, and response
 //!   rendering;
-//! * [`replay`] — the seeded request stream shared by the latency bench,
+//! * [`ingest`] — the supervised ingest tick (breaker gate, retry on the
+//!   simulated clock, watchdog, accounting) as one state machine over a
+//!   `poll` closure, driven by the core and by the availability
+//!   predictor alike;
+//! * [`replay`] — the seeded request stream shared by the chaos bench,
 //!   the CI smoke test, and the tier-1 tests;
 //! * [`resilience`] — the degraded-mode serving state machine
 //!   (Healthy → Degraded → Stale → Unavailable), deterministic admission
-//!   control, supervised-ingest accounting, and the availability
+//!   control, ingest outcome and accounting types, and the availability
 //!   predictor the chaos bench gates against;
 //! * [`shell`] — the thin `std::net` veneer (the only socket code in the
 //!   workspace, fenced by tidy lint PP008).
@@ -32,6 +37,7 @@
 pub mod cache;
 pub mod core;
 pub mod http;
+pub mod ingest;
 pub mod replay;
 pub mod resilience;
 pub mod shell;

@@ -17,7 +17,8 @@
 //! discipline the NWS applies per-sensor — while Unavailable maps to a
 //! typed 503 with a Retry-After hint.
 
-use prodpred_core::supervisor::{BreakerState, CircuitBreaker, RetryPolicy};
+use crate::ingest::SupervisedIngest;
+use prodpred_core::supervisor::{BreakerState, RetryPolicy};
 use prodpred_simgrid::faults::FaultConfig;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -513,9 +514,10 @@ pub struct AvailabilityPrediction {
 }
 
 /// Predicts a chaos campaign's availability without running the
-/// service: the same tick/retry/breaker/watchdog recurrence as
-/// `ServiceCore::ingest_tick`, with "fresh data arrived" replaced by
-/// its deterministic dominant term — *some sensor poll falls outside
+/// service. It drives the same [`SupervisedIngest`] machine as
+/// `ServiceCore::ingest_tick`, so retry, breaker and watchdog cannot
+/// drift; only the poll is a model — "fresh data arrived" is replaced by
+/// its deterministic dominant term, *some sensor poll falls outside
 /// every blackout window* — mirroring how `faultpred_study` predicts
 /// runtimes from the fault DP before measuring them. Random per-poll
 /// dropout is ignored: with several sensors per platform the
@@ -533,95 +535,28 @@ pub fn predict_availability(
     horizon: f64,
     ticks: u64,
 ) -> AvailabilityPrediction {
-    let mut clock = 0.0f64;
-    let mut breaker = CircuitBreaker::new(res.breaker_threshold.max(1), res.breaker_cooldown_secs);
-    let mut tick_no = 0u64;
-    let mut last_publish = 0u64;
-    let mut out = AvailabilityPrediction {
-        availability: 0.0,
-        degraded_fraction: 0.0,
-        published_ticks: 0,
-        failed_ticks: 0,
-        short_circuited_ticks: 0,
-        unavailable_ticks: 0,
-    };
-
-    // Per-tick outcome, mirroring `IngestStats` accounting: 0 published,
-    // 1 short-circuited (the breaker refused the poll), 2 failed (the
-    // retry budget ran dry — including a failed half-open probe).
-    let step = |dt: f64,
-                clock: &mut f64,
-                breaker: &mut CircuitBreaker,
-                tick_no: &mut u64,
-                last_publish: &mut u64|
-     -> u8 {
-        *tick_no += 1;
-        if !breaker.allows(*clock) {
-            *clock = (*clock + dt).min(horizon);
-            return 1;
-        }
-        let mut attempt = 0u32;
-        let mut advance = dt;
-        loop {
-            let prev = *clock;
-            *clock = (prev + advance).min(horizon);
-            if any_poll_delivers(fault, poll_interval, prev, *clock) {
-                *last_publish = *tick_no;
-                breaker.record_success();
-                return 0;
-            }
-            if attempt >= res.retry.max_retries {
-                break;
-            }
-            advance = res.retry.backoff_secs(attempt);
-            attempt += 1;
-        }
-        if !breaker.record_failure(*clock)
-            && breaker.state() == prodpred_core::supervisor::BreakerState::Closed
-            && res.watchdog_ticks != u64::MAX
-            && *tick_no - *last_publish >= res.watchdog_ticks
-        {
-            breaker.trip(*clock);
-        }
-        2
-    };
-
+    let mut ingest = SupervisedIngest::new(res, 1, horizon);
+    let mut poll = |prev, now| usize::from(any_poll_delivers(fault, poll_interval, prev, now));
     // Warmup tick (epoch 1) — not part of the campaign accounting.
-    step(
-        warmup,
-        &mut clock,
-        &mut breaker,
-        &mut tick_no,
-        &mut last_publish,
-    );
-
+    ingest.tick(warmup, &mut poll);
+    let warm = ingest.stats();
+    let (mut unavailable_ticks, mut degraded_ticks) = (0u64, 0u64);
     for _ in 0..ticks {
-        let outcome = step(
-            publish_interval,
-            &mut clock,
-            &mut breaker,
-            &mut tick_no,
-            &mut last_publish,
-        );
-        match outcome {
-            0 => out.published_ticks += 1,
-            1 => out.short_circuited_ticks += 1,
-            _ => out.failed_ticks += 1,
-        }
-        let age = tick_no - last_publish;
-        let open = breaker.state() != prodpred_core::supervisor::BreakerState::Closed;
-        let state = ServingState::derive(age, open, res);
-        if state == ServingState::Unavailable {
-            out.unavailable_ticks += 1;
-        }
-        if state != ServingState::Healthy {
-            out.degraded_fraction += 1.0;
-        }
+        ingest.tick(publish_interval, &mut poll);
+        let open = ingest.breaker().state() != BreakerState::Closed;
+        let state = ServingState::derive(ingest.age_ticks(), open, res);
+        unavailable_ticks += u64::from(state == ServingState::Unavailable);
+        degraded_ticks += u64::from(state != ServingState::Healthy);
     }
-    let total = ticks.max(1) as f64;
-    out.availability = 1.0 - out.unavailable_ticks as f64 / total;
-    out.degraded_fraction /= total;
-    out
+    let (done, total) = (ingest.stats(), ticks.max(1) as f64);
+    AvailabilityPrediction {
+        availability: 1.0 - unavailable_ticks as f64 / total,
+        degraded_fraction: degraded_ticks as f64 / total,
+        published_ticks: done.publishes - warm.publishes,
+        failed_ticks: done.failures - warm.failures,
+        short_circuited_ticks: done.breaker_short_circuits - warm.breaker_short_circuits,
+        unavailable_ticks,
+    }
 }
 
 /// Whether any sensor poll scheduled in `(prev, now]` lands outside

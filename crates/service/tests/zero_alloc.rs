@@ -4,8 +4,9 @@
 //! answer costs the output buffer and nothing else (no field-name
 //! `String`s, no per-number temporaries). A closed-form miss is pinned
 //! too, exactly, because its count is how many times the structural
-//! model ran. A counting global allocator tallies per thread, so the
-//! harness's own threads cannot disturb the counts.
+//! model ran. And a request refused for its iteration count allocates
+//! nothing in proportion to it. A counting global allocator tallies per
+//! thread, so the harness's own threads cannot disturb the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,26 +19,28 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // A thread being torn down has no tally left to keep; ignore it.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get().saturating_add(bytes)));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -154,4 +157,26 @@ fn a_closed_form_miss_evaluates_each_maximum_once() {
         });
         assert_eq!(allocations, expected, "{load_source:?}");
     }
+}
+
+/// A request's `iters` sizes two vectors in the fault model's retry
+/// expectation, so it is refused at validation: `usize::MAX` used to
+/// overflow the allocation and panic the daemon, `10^9` asked for 16 GB.
+/// Whatever the count, the refusal costs its error text and nothing more.
+#[test]
+fn a_hostile_iteration_count_is_refused_before_anything_is_sized_by_it() {
+    let core = core();
+    for iters in ["18446744073709551615", "1000000000", "20000"] {
+        let target = format!("/predict?platform=1&n=600&procs=2&iters={iters}&fault_intensity=0.5");
+        let before = BYTES.with(Cell::get);
+        let response = http::handle(&core, black_box(&target));
+        let bytes = BYTES.with(Cell::get) - before;
+        assert_eq!(response.status, 400, "iters={iters}: {}", response.body);
+        assert!(response.body.contains("iterations"), "{}", response.body);
+        assert!(
+            bytes < 2048,
+            "iters={iters}: refusal allocated {bytes} bytes"
+        );
+    }
+    assert_eq!(core.stats().rejected, 3);
 }
