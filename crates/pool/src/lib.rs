@@ -245,9 +245,9 @@ mod tests {
 
     #[test]
     fn single_thread_runs_inline_on_the_caller() {
-        // The satellite fix for BENCH_baseline's 0.98x single-core
-        // "speedup": at threads=1 there must be no spawn at all. Every
-        // task must observe the caller's own thread id.
+        // The fix for a once-recorded 0.98x single-core "speedup": at
+        // threads=1 there must be no spawn at all. Every task must
+        // observe the caller's own thread id.
         let caller = std::thread::current().id();
         let items: Vec<u64> = (0..64).collect();
         let out = parallel_map(&items, 1, |i, &m| {

@@ -10,10 +10,7 @@
 //! `--smoke N` instead boots on an ephemeral loopback port, replays `N`
 //! seeded requests over real sockets, requires every one to come back
 //! `200 OK`, prints a latency report, and exits non-zero on any error —
-//! the CI `service-smoke` job runs exactly this. With `--gate FILE` the
-//! smoke run also compares its socket-path p99 against the committed
-//! in-process benchmark report (`BENCH_service.json`), scaled by
-//! `--margin` and a floor that absorbs loopback + shared-runner noise.
+//! the CI `service-smoke` job runs exactly this.
 
 use prodpred_core::supervisor::RetryPolicy;
 use prodpred_service::replay::{percentile_us, request_path, ReplayReport};
@@ -34,8 +31,6 @@ struct Args {
     workers: usize,
     tick_millis: u64,
     smoke: Option<u64>,
-    gate: Option<String>,
-    margin: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -46,8 +41,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 0,
         tick_millis: 250,
         smoke: None,
-        gate: None,
-        margin: 20.0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -59,12 +52,9 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => args.workers = parse(&value("--workers")?, "--workers")?,
             "--tick-ms" => args.tick_millis = parse(&value("--tick-ms")?, "--tick-ms")?,
             "--smoke" => args.smoke = Some(parse(&value("--smoke")?, "--smoke")?),
-            "--gate" => args.gate = Some(value("--gate")?),
-            "--margin" => args.margin = parse(&value("--margin")?, "--margin")?,
             "--help" | "-h" => {
                 println!(
-                    "serviced [--host H] [--port P] [--seed S] [--workers W] [--tick-ms T]\n\
-                     \x20        [--smoke N [--gate BENCH_service.json] [--margin M]]"
+                    "serviced [--host H] [--port P] [--seed S] [--workers W] [--tick-ms T] [--smoke N]"
                 );
                 std::process::exit(0);
             }
@@ -217,28 +207,6 @@ fn degraded_smoke(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// p99 gate: smoke (socket path, shared runner) vs committed in-process
-/// bench, with a multiplicative margin and an absolute floor.
-fn gate(report: &ReplayReport, path: &str, margin: f64) -> Result<(), String> {
-    let committed =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read gate file {path}: {e}"))?;
-    let committed: ReplayReport = serde_json::from_str(&committed)
-        .map_err(|e| format!("cannot parse gate file {path}: {e}"))?;
-    let floor_us = 50_000.0; // loopback + scheduler noise on a busy runner
-    let budget = (committed.p99_us as f64 * margin).max(floor_us);
-    if (report.p99_us as f64) > budget {
-        return Err(format!(
-            "p99 {}us exceeds budget {:.0}us (committed {}us x margin {margin})",
-            report.p99_us, budget, committed.p99_us
-        ));
-    }
-    eprintln!(
-        "gate: p99 {}us within budget {:.0}us (committed {}us x margin {margin})",
-        report.p99_us, budget, committed.p99_us
-    );
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -264,12 +232,6 @@ fn main() -> ExitCode {
             Ok(json) => println!("{json}"),
             Err(e) => {
                 eprintln!("serviced: cannot render report: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(path) = &args.gate {
-            if let Err(why) = gate(&report, path, args.margin) {
-                eprintln!("serviced: gate failed: {why}");
                 return ExitCode::FAILURE;
             }
         }

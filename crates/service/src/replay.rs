@@ -1,5 +1,5 @@
 //! Seeded traffic replay: a deterministic stream of [`PredictRequest`]s
-//! that the latency bench, the CI smoke test, and the tier-1 tests all
+//! that the chaos bench, the CI smoke test, and the tier-1 tests all
 //! share, so "the workload" means the same bytes everywhere.
 //!
 //! Request `i` of a replay is a pure function of `(master_seed, i)` via
@@ -47,9 +47,8 @@ pub fn request_for(master_seed: u64, index: u64) -> PredictRequest {
         n,
         procs,
         config,
-        // The replay workload stays healthy-only so the committed
-        // latency baselines keep measuring the same code path; the
-        // fault surface has its own bench (`faultpred_study`).
+        // The replay workload stays healthy-only; the fault surface has
+        // its own bench (`faultpred_study`).
         fault_intensity: None,
     }
 }
@@ -74,10 +73,8 @@ pub fn request_path(master_seed: u64, index: u64) -> String {
     )
 }
 
-/// What one replay run measures. The latency bench commits this as
-/// `BENCH_service.json`; the CI smoke test reads the committed copy back
-/// and gates its own p99 against it (with a generous margin, since the
-/// smoke run crosses real loopback sockets on a shared runner).
+/// What one replay run measures; `serviced --smoke` prints it for the
+/// replay it drives over real loopback sockets.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ReplayReport {
     /// Master seed the request stream was derived from.
