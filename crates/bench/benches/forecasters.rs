@@ -1,12 +1,15 @@
 //! Criterion benchmarks for the NWS forecaster ensemble. The tournament
-//! keeps running scores: absorbing a sample evaluates every strategy
-//! once (`tournament-observe`), reading the winner evaluates none
+//! keeps running scores: absorbing a sample steps every strategy once
+//! (`tournament-observe`; the numbered cases clone a warm board per
+//! sample, `warm-stream` carries one board over 256 samples, which is
+//! what a sensor does — the windowed strategies slide a sorted window
+//! there and nothing allocates), reading the winner evaluates none
 //! (`tournament-best`), and replaying a whole series — a ring eviction,
 //! or `AdaptiveForecaster::forecast` — is linear in it
 //! (`adaptive-forecast`). `postcast-mse-256` is the quadratic prefix walk
 //! the scores replace.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use prodpred_nws::forecast::{
     postcast_mse, AdaptiveForecaster, ExpSmoothing, LastValue, Scoreboard,
 };
@@ -49,6 +52,22 @@ fn bench_running_scores(c: &mut Criterion) {
             })
         });
     }
+    // Every window full (the longest is 24), then a stream of samples on
+    // the same board; the one clone is spread over the stream.
+    let (warm_len, stream) = (64usize, 256usize);
+    let history = series_of(warm_len + stream).values();
+    let mut warm = Scoreboard::default();
+    ens.replay(&mut warm, &history[..warm_len]);
+    observe.throughput(Throughput::Elements(stream as u64));
+    observe.bench_with_input(BenchmarkId::new("warm-stream", stream), &history, |b, h| {
+        b.iter(|| {
+            let mut board = warm.clone();
+            for end in warm_len + 1..=h.len() {
+                ens.observe(&mut board, black_box(&h[..end]));
+            }
+            board
+        })
+    });
     observe.finish();
 
     let mut board = Scoreboard::default();

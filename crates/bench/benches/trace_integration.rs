@@ -1,7 +1,11 @@
 //! Criterion benchmarks for `Trace` integration: the O(1) prefix-integral
 //! path against the O(steps) step-walk reference it replaced, and the
-//! binary-search `time_to_complete` against its walking reference, on
-//! production-scale (hour-long, one-second-step) traces. Plus what it
+//! forward-searching `time_to_complete` against its walking reference, on
+//! production-scale (hour-long, one-second-step) traces — and by how far
+//! away the work ends (`near` / `mid` / `far`: the same step or the next,
+//! a few dozen steps on, thousands of steps on or past the horizon), since
+//! the search gallops from where the work starts and `far` is its worst
+//! case: about twice the probes of a search over the whole array. Plus what it
 //! costs to generate the traces in the first place: a Platform-2 at the
 //! horizon the preset experiments start from and at the 60 000 s they
 //! used to generate, beside the whole experiment that now pays the former.
@@ -82,6 +86,27 @@ fn bench_time_to_complete(c: &mut Criterion) {
                 black_box(acc)
             })
         });
+    }
+    // By distance: the preset experiments' horizon and the one they used
+    // to generate, work that ends 0.3 s, 20 s and 5 000 s of dedicated
+    // time after it starts.
+    for steps in [2_048usize, 60_000] {
+        let trace = hour_trace(steps);
+        let starts: Vec<f64> = (0..256)
+            .map(|i| i as f64 * (steps as f64 * 0.8 / 256.0) + 0.37)
+            .collect();
+        group.throughput(Throughput::Elements(starts.len() as u64));
+        for (distance, work) in [("near", 0.3), ("mid", 20.0), ("far", 5_000.0)] {
+            group.bench_with_input(BenchmarkId::new(distance, steps), &trace, |b, trace| {
+                b.iter(|| {
+                    let mut acc = 0.0;
+                    for &t in &starts {
+                        acc += trace.time_to_complete(t, black_box(work));
+                    }
+                    black_box(acc)
+                })
+            });
+        }
     }
     group.finish();
 }

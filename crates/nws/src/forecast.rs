@@ -20,18 +20,56 @@ pub trait Forecaster {
 
     /// Incremental form of [`Forecaster::forecast`], called once per
     /// sample with the history ending in that sample: it must return
-    /// exactly `self.forecast(history)`, bit for bit. `carry` is one word
-    /// of running state private to this strategy and this history; a
-    /// history that starts or restarts arrives with `history.len() == 1`,
-    /// which is where a strategy that uses `carry` (re)initialises it.
+    /// exactly `self.forecast(history)`, bit for bit. `state` is running
+    /// state private to this strategy and this history — a word and a
+    /// buffer, see [`LaneState`]; a history that starts or restarts
+    /// arrives with `history.len() == 1`, which is where a strategy that
+    /// uses `state` (re)initialises it.
     ///
     /// The default recomputes from the history, which costs what
-    /// `forecast` costs: O(window) for the sliding strategies. A strategy
-    /// whose `forecast` folds the whole history overrides it.
-    fn step(&self, carry: &mut f64, history: &[f64]) -> Option<f64> {
-        let _ = carry;
+    /// `forecast` costs. A strategy whose `forecast` folds the whole
+    /// history, or sorts a window that moved by one sample, overrides it.
+    fn step(&self, state: &mut LaneState, history: &[f64]) -> Option<f64> {
+        let _ = state;
         self.forecast(history)
     }
+}
+
+/// What a strategy carries from one [`Forecaster::step`] to the next over
+/// one history. Both fields are the strategy's to use as it likes; the
+/// tournament only keeps them, one `LaneState` per strategy per history.
+#[derive(Debug, Clone, Default)]
+pub struct LaneState {
+    /// One running value: a sum, a smoothed level.
+    pub word: f64,
+    /// A running sequence: the sliding strategies keep their window here,
+    /// sorted. Its allocation outlives a restart of the history.
+    pub buf: Vec<f64>,
+}
+
+/// Slides `sorted` one sample forward and returns it: on entry it holds
+/// the last `window` values of the history before its newest sample,
+/// ascending by `total_cmp`; on return the last `window` values including
+/// it (`None` for an empty history). The value that left the window is
+/// taken out and the one that arrived put in, each found by binary
+/// search. `total_cmp` orders distinct bit patterns strictly, so this is
+/// the sequence — bit for bit — that copying the window and sorting it
+/// gives.
+fn slide_sorted<'a>(sorted: &'a mut Vec<f64>, window: usize, history: &[f64]) -> Option<&'a [f64]> {
+    let window = window.max(1);
+    let (&arrived, earlier) = history.split_last()?;
+    if earlier.is_empty() {
+        sorted.clear();
+    } else if earlier.len() >= window {
+        let left = earlier[earlier.len() - window];
+        if let Ok(at) = sorted.binary_search_by(|p| p.total_cmp(&left)) {
+            sorted.remove(at);
+        }
+    }
+    debug_assert_eq!(sorted.len(), earlier.len().min(window - 1));
+    let at = sorted.partition_point(|p| p.total_cmp(&arrived).is_lt());
+    sorted.insert(at, arrived);
+    Some(sorted)
 }
 
 /// Predicts the last observed value (martingale / persistence).
@@ -62,16 +100,16 @@ impl Forecaster for RunningMean {
             Some(history.iter().sum::<f64>() / history.len() as f64)
         }
     }
-    fn step(&self, sum: &mut f64, history: &[f64]) -> Option<f64> {
+    fn step(&self, state: &mut LaneState, history: &[f64]) -> Option<f64> {
         let (&x, earlier) = history.split_last()?;
         // The first sample goes through `Iterator::sum`, so the running
         // sum is the same left fold from the same seed as `forecast`'s.
-        *sum = if earlier.is_empty() {
+        state.word = if earlier.is_empty() {
             history.iter().sum()
         } else {
-            *sum + x
+            state.word + x
         };
-        Some(*sum / history.len() as f64)
+        Some(state.word / history.len() as f64)
     }
 }
 
@@ -115,6 +153,10 @@ impl Forecaster for SlidingMedian {
         let start = history.len().saturating_sub(self.window.max(1));
         stats::median(&history[start..])
     }
+    fn step(&self, state: &mut LaneState, history: &[f64]) -> Option<f64> {
+        let sorted = slide_sorted(&mut state.buf, self.window, history)?;
+        Some(stats::quantile_sorted(sorted, 0.5))
+    }
 }
 
 /// Exponential smoothing with gain `alpha`.
@@ -148,8 +190,9 @@ impl Forecaster for ExpSmoothing {
         }
         Some(s)
     }
-    fn step(&self, s: &mut f64, history: &[f64]) -> Option<f64> {
+    fn step(&self, state: &mut LaneState, history: &[f64]) -> Option<f64> {
         let (&x, earlier) = history.split_last()?;
+        let s = &mut state.word;
         if earlier.is_empty() {
             *s = x;
         } else {
@@ -181,9 +224,22 @@ impl Forecaster for TrimmedMean {
         let start = history.len().saturating_sub(self.window.max(1));
         let mut w: Vec<f64> = history[start..].to_vec();
         w.sort_by(f64::total_cmp);
+        Some(self.mean_of_sorted(&w))
+    }
+    fn step(&self, state: &mut LaneState, history: &[f64]) -> Option<f64> {
+        let sorted = slide_sorted(&mut state.buf, self.window, history)?;
+        Some(self.mean_of_sorted(sorted))
+    }
+}
+
+impl TrimmedMean {
+    /// The mean of a sorted, non-empty window without its `trim` smallest
+    /// and largest (fewer when the window is too short to spare them),
+    /// summed left to right.
+    fn mean_of_sorted(&self, w: &[f64]) -> f64 {
         let t = self.trim.min((w.len().saturating_sub(1)) / 2);
         let kept = &w[t..w.len() - t];
-        Some(kept.iter().sum::<f64>() / kept.len() as f64)
+        kept.iter().sum::<f64>() / kept.len() as f64
     }
 }
 
@@ -263,7 +319,7 @@ pub struct Forecast {
 }
 
 /// One strategy's running score on a [`Scoreboard`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct Lane {
     /// Squared one-step errors summed in arrival order.
     se: f64,
@@ -272,7 +328,7 @@ struct Lane {
     /// The strategy's forecast of the next sample.
     standing: Option<f64>,
     /// The strategy's own running state ([`Forecaster::step`]).
-    carry: f64,
+    state: LaneState,
 }
 
 /// The tournament's running state over one measurement history: per
@@ -396,24 +452,29 @@ impl AdaptiveForecaster {
             return;
         };
         debug_assert_eq!(history.len(), board.seen + 1, "one sample at a time");
-        board.lanes.resize(self.strategies.len(), Lane::default());
+        board
+            .lanes
+            .resize_with(self.strategies.len(), Lane::default);
         for (lane, strategy) in board.lanes.iter_mut().zip(&self.strategies) {
             if let Some(p) = lane.standing {
                 let e = p - x;
                 lane.se += e * e;
                 lane.scored += 1;
             }
-            lane.standing = strategy.step(&mut lane.carry, history);
+            lane.standing = strategy.step(&mut lane.state, history);
         }
         board.seen += 1;
         board.last = x;
     }
 
     /// Rebuilds `board` from scratch by replaying `history` (oldest-first)
-    /// one sample at a time: O(history × Σ window), the cost of a ring
-    /// eviction.
+    /// one sample at a time: O(history × strategies) steps, each at most
+    /// O(window) — the cost of a ring eviction. The lanes keep their
+    /// strategies' buffers; every strategy restarts on the first sample.
     pub fn replay(&self, board: &mut Scoreboard, history: &[f64]) {
-        board.lanes.clear();
+        for lane in &mut board.lanes {
+            (lane.se, lane.scored, lane.standing) = (0.0, 0, None);
+        }
         board.seen = 0;
         for end in 1..=history.len() {
             self.observe(board, &history[..end]);

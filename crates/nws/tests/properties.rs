@@ -2,8 +2,8 @@
 //! histories and series retention invariants.
 
 use prodpred_nws::forecast::{
-    postcast_mse, AdaptiveForecaster, ExpSmoothing, Forecaster, LastValue, RunningMean,
-    SlidingMean, SlidingMedian,
+    postcast_mse, AdaptiveForecaster, ExpSmoothing, Forecaster, LaneState, LastValue, RunningMean,
+    SlidingMean, SlidingMedian, TrimmedMean,
 };
 use prodpred_nws::TimeSeries;
 use proptest::prelude::*;
@@ -12,7 +12,57 @@ fn history() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..1.0, 2..120)
 }
 
+/// A small alphabet, so windows are full of ties, with both zeros:
+/// `total_cmp` tells `-0.0` from `0.0` where `==` does not.
+const ALPHABET: [f64; 6] = [-0.0, 0.0, 0.25, 0.5, 0.5000000000000001, 1.0];
+
+fn tied_history(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec((0..ALPHABET.len()).prop_map(|i| ALPHABET[i]), 1..max_len)
+}
+
+/// Carries `f.step` sample by sample over `history` on `lane` and holds
+/// every answer to `f.forecast` of the same prefix, bit for bit.
+fn step_matches_forecast(
+    f: &dyn Forecaster,
+    lane: &mut LaneState,
+    history: &[f64],
+) -> Result<(), TestCaseError> {
+    for end in 1..=history.len() {
+        let stepped = f.step(lane, &history[..end]).map(f64::to_bits);
+        let defined = f.forecast(&history[..end]).map(f64::to_bits);
+        prop_assert_eq!(
+            stepped,
+            defined,
+            "{} after {} of {:?}",
+            f.name(),
+            end,
+            history
+        );
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn sliding_windows_step_to_the_bits_of_their_definition(
+        first in tied_history(80),
+        second in tied_history(80),
+        window_pick in 0usize..6,
+        trim_pick in 0usize..3,
+    ) {
+        let window = [0, 1, 2, 6, 24, 200][window_pick];
+        let trim = [0, 2, window / 2 + 1][trim_pick];
+        let strategies: [&dyn Forecaster; 2] =
+            [&SlidingMedian { window }, &TrimmedMean { window, trim }];
+        for f in strategies {
+            let mut lane = LaneState::default();
+            step_matches_forecast(f, &mut lane, &first)?;
+            // A history that restarts on a used lane, as after `replay`:
+            // its first sample arrives alone.
+            step_matches_forecast(f, &mut lane, &second)?;
+        }
+    }
+
     #[test]
     fn averaging_forecasters_stay_in_convex_hull(h in history()) {
         let lo = h.iter().copied().fold(f64::INFINITY, f64::min);

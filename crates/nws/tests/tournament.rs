@@ -10,7 +10,7 @@
 
 use prodpred_nws::forecast::{
     postcast_mse, AdaptiveForecaster, AdaptiveWindowMean, ExpSmoothing, Forecast, Forecaster,
-    LastValue, RunningMean, SlidingMedian,
+    LaneState, LastValue, RunningMean, SlidingMedian,
 };
 use prodpred_nws::Sensor;
 use prodpred_simgrid::faults::{FaultConfig, FaultPlan};
@@ -189,8 +189,8 @@ impl Forecaster for Counted {
     fn forecast(&self, history: &[f64]) -> Option<f64> {
         self.inner().forecast(history)
     }
-    fn step(&self, carry: &mut f64, history: &[f64]) -> Option<f64> {
-        self.inner().step(carry, history)
+    fn step(&self, state: &mut LaneState, history: &[f64]) -> Option<f64> {
+        self.inner().step(state, history)
     }
 }
 

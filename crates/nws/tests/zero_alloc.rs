@@ -1,14 +1,17 @@
 //! Pins the cost contract of a load query: once four samples exist (the
 //! forecast mode), `cpu_query` and `cpu_stochastic` read the sensor's
 //! running scores and a view of its ring, and never touch the heap —
-//! under every spread policy, and with the ring wrapped. A counting
-//! global allocator tallies per thread, so the harness's own threads
-//! cannot disturb an exact zero.
+//! under every spread policy, and with the ring wrapped. And that of a
+//! sample: once every window of the standard tournament is full,
+//! observing one allocates nothing either. A counting global allocator
+//! tallies per thread, so the harness's own threads cannot disturb an
+//! exact zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use prodpred_nws::forecast::{AdaptiveForecaster, Scoreboard};
 use prodpred_nws::{NwsConfig, NwsService, QueryMode, SpreadPolicy};
 use prodpred_simgrid::Platform;
 
@@ -88,4 +91,27 @@ fn load_queries_allocate_nothing_once_four_samples_exist() {
             }
         }
     }
+}
+
+#[test]
+fn observing_a_sample_allocates_nothing_once_every_window_is_full() {
+    let ensemble = AdaptiveForecaster::standard();
+    let history: Vec<f64> = (0..400)
+        .map(|i| 0.5 + 0.4 * (i as f64 * 0.37).sin())
+        .collect();
+    // The longest window of the standard ensemble is 24 samples.
+    let warm = 24;
+    let mut board = Scoreboard::default();
+    ensemble.replay(&mut board, &history[..warm]);
+    let allocations = allocations_during(|| {
+        for end in warm + 1..=history.len() {
+            ensemble.observe(&mut board, &history[..end]);
+        }
+        black_box(board.best());
+    });
+    assert_eq!(allocations, 0, "observe allocated on a warm scoreboard");
+    // A replay on the same board restarts every strategy in the buffers
+    // it already has.
+    let allocations = allocations_during(|| ensemble.replay(&mut board, &history[..200]));
+    assert_eq!(allocations, 0, "replay allocated on a used scoreboard");
 }

@@ -17,9 +17,9 @@
 //!   `(seed, machine_index)`.
 //! * A [`TraceRef`] is the machine's trace *view*: `at` is O(1),
 //!   `integral` is O(1) via the column's lazily-built prefix array, and
-//!   `time_to_complete` is an O(log steps) binary search — the same
-//!   contracts as [`crate::Trace`], pinned to ≤ 1e-9 agreement against
-//!   the materialized reference oracles.
+//!   `time_to_complete` is the forward search of [`crate::Trace`]'s, O(log
+//!   steps-until-done) — the same contracts as [`crate::Trace`], pinned
+//!   to ≤ 1e-9 agreement against the materialized reference oracles.
 //!
 //! The store asserts every template value stays strictly above the work
 //! integration floor (`1e-6`) even under the smallest scale, so the raw
@@ -28,7 +28,7 @@
 
 use crate::faults::{mix, unit};
 use crate::load::LoadGenerator;
-use crate::trace::{cumulative_prefix, Trace, AVAIL_FLOOR};
+use crate::trace::{crossing_step, cumulative_prefix, Trace, AVAIL_FLOOR};
 use std::sync::OnceLock;
 
 /// Smallest per-machine value scale a slot may carry.
@@ -314,7 +314,7 @@ impl TraceStore {
 /// A machine's trace view into a [`TraceStore`] — the thin replacement
 /// for a per-machine [`Trace`], with the same query contracts:
 /// [`TraceRef::at`] O(1), [`TraceRef::integral`] O(1),
-/// [`TraceRef::time_to_complete`] O(log steps).
+/// [`TraceRef::time_to_complete`] O(log steps-until-done).
 #[derive(Debug, Clone, Copy)]
 pub struct TraceRef<'a> {
     store: &'a TraceStore,
@@ -382,14 +382,22 @@ impl<'a> TraceRef<'a> {
     /// column's shared prefix array: two lookups and an interpolation.
     #[inline]
     fn cum_raw(&self, x: f64) -> f64 {
+        self.cum_raw_in_step(x).1
+    }
+
+    /// [`Self::cum_raw`] with the visible step that contains `x` (0
+    /// before the window starts).
+    #[inline]
+    fn cum_raw_in_step(&self, x: f64) -> (usize, f64) {
         let t0 = self.store.t0;
         if x <= t0 {
-            return self.raw(0) * (x - t0);
+            return (0, self.raw(0) * (x - t0));
         }
         let prefix = self.store.columns[self.slot.column as usize].prefix(self.store.dt);
         let off = self.slot.shift as usize;
         let k = self.step_of(x);
-        (prefix[off + k] - prefix[off]) + self.raw(k) * (x - (t0 + k as f64 * self.store.dt))
+        let within = self.raw(k) * (x - (t0 + k as f64 * self.store.dt));
+        (k, (prefix[off + k] - prefix[off]) + within)
     }
 
     /// Integral of the view over `[a, b]` in O(1).
@@ -416,8 +424,9 @@ impl<'a> TraceRef<'a> {
     }
 
     /// How long work of `dedicated_work` seconds takes when started at
-    /// `t0_work` — the O(log steps) binary search of
-    /// [`Trace::time_to_complete`], served from the shared column prefix.
+    /// `t0_work` — the forward search of [`Trace::time_to_complete`]
+    /// (O(log steps-until-done) from the step the work starts in), served
+    /// from the shared column prefix.
     /// Store construction guarantees scaled values stay strictly above the
     /// integration floor, so the raw prefix *is* the work curve.
     ///
@@ -436,21 +445,20 @@ impl<'a> TraceRef<'a> {
         let t0 = self.store.t0;
         let dt = self.store.dt;
         // Work in raw-curve units: the scale divides out once.
-        let target = self.cum_raw(t0_work) + dedicated_work / self.slot.scale;
+        let (k0, started) = self.cum_raw_in_step(t0_work);
+        let target = started + dedicated_work / self.slot.scale;
         if target <= 0.0 {
             // Finishes before the window starts: constant first value.
             return t0 + target / self.raw(0) - t0_work;
         }
         let prefix = self.store.columns[self.slot.column as usize].prefix(dt);
         let off = self.slot.shift as usize;
-        let last = self.store.steps - 1;
         let base = prefix[off];
-        // First window step start whose cumulative reaches the target; the
-        // crossing lies in the step before it (the last step extends to
-        // +infinity, so a target beyond the horizon clamps there).
-        let i = prefix[off..=off + last].partition_point(|&p| p - base < target);
-        let k = i.saturating_sub(1).min(last);
-        let x = t0 + k as f64 * dt + (target - (prefix[off + k] - base)) / self.raw(k);
+        // Over the window's step starts only: the last step extends to
+        // +infinity, so a target beyond the horizon clamps there.
+        let cum = &prefix[off..off + self.store.steps];
+        let k = crossing_step(cum, k0, |p| p - base < target);
+        let x = t0 + k as f64 * dt + (target - (cum[k] - base)) / self.raw(k);
         x - t0_work
     }
 
@@ -508,6 +516,65 @@ impl<'a> TraceRef<'a> {
 mod tests {
     use super::*;
     use crate::load::{MarkovModal, SingleModeAr1};
+    use crate::trace::search_cases;
+    use proptest::prelude::*;
+
+    impl TraceRef<'_> {
+        /// [`TraceRef::time_to_complete`] as it was before the search
+        /// started where the work does: one `partition_point` over the
+        /// whole window. The oracle the forward search is held to, bit
+        /// for bit.
+        fn time_to_complete_whole_array(&self, t0_work: f64, dedicated_work: f64) -> f64 {
+            if dedicated_work == 0.0 {
+                return 0.0;
+            }
+            let t0 = self.store.t0;
+            let dt = self.store.dt;
+            let target = self.cum_raw(t0_work) + dedicated_work / self.slot.scale;
+            if target <= 0.0 {
+                return t0 + target / self.raw(0) - t0_work;
+            }
+            let prefix = self.store.columns[self.slot.column as usize].prefix(dt);
+            let off = self.slot.shift as usize;
+            let last = self.store.steps - 1;
+            let base = prefix[off];
+            let i = prefix[off..=off + last].partition_point(|&p| p - base < target);
+            let k = i.saturating_sub(1).min(last);
+            let x = t0 + k as f64 * dt + (target - (prefix[off + k] - base)) / self.raw(k);
+            x - t0_work
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn view_forward_search_matches_the_whole_array_search_bitwise(
+            steps in search_cases::steps(),
+            grid in search_cases::grid(),
+            runs in proptest::collection::vec((0.01f64..3.0, 1usize..80), 1..12),
+            shift in 1u32..17,
+            scale in SCALE_LO..0.999,
+            start in search_cases::start(),
+            work in search_cases::work(),
+        ) {
+            let pad = 16;
+            let column: Vec<f64> = runs
+                .iter()
+                .flat_map(|&(level, len)| std::iter::repeat_n(level, len))
+                .cycle()
+                .take(steps + pad)
+                .collect();
+            let store = TraceStore::from_columns(grid.0, grid.1, steps, pad, vec![column]);
+            let view = store.trace(MachineSlot { column: 0, shift, scale });
+            let at = search_cases::place(grid, steps, start);
+            prop_assert_eq!(
+                view.time_to_complete(at, work).to_bits(),
+                view.time_to_complete_whole_array(at, work).to_bits(),
+                "start {}, work {}", at, work
+            );
+        }
+    }
 
     fn small_store() -> TraceStore {
         let bursty = MarkovModal::platform2(20.0);

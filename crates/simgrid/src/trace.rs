@@ -11,11 +11,14 @@
 //! Both queries are answered in constant / logarithmic time from a
 //! cumulative-integral (prefix-sum) array built once at construction:
 //! [`Trace::integral`] is two O(1) interpolated lookups and
-//! [`Trace::time_to_complete`] is a binary search over the prefix array.
+//! [`Trace::time_to_complete`] searches the prefix array forward from the
+//! step the work starts in — O(log distance) to where it finishes, two
+//! probes when that is the same step or the next.
 //! The historical step-walking implementations are kept as
 //! [`Trace::integral_reference`] and [`Trace::time_to_complete_reference`]
 //! — O(steps) but independently simple — and the unit/property tests pin
-//! the two to ≤ 1e-9 agreement.
+//! the two to ≤ 1e-9 agreement; the whole-array binary search the forward
+//! search replaced is the test-only oracle it is held to bit for bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -41,7 +44,9 @@ pub struct Trace {
     prefix: Vec<f64>,
     /// Same, with each value clamped up to [`AVAIL_FLOOR`] — the work
     /// integration curve, strictly increasing and therefore searchable.
-    prefix_floored: Vec<f64>,
+    /// Built only when some value lies below the floor: otherwise the
+    /// clamp changes nothing and `prefix` is that curve, bit for bit.
+    prefix_floored: Option<Vec<f64>>,
 }
 
 /// Builds the Kahan-compensated cumulative integral of `values * dt`,
@@ -63,6 +68,37 @@ pub(crate) fn cumulative_prefix(dt: f64, values: &[f64], floor: f64) -> Vec<f64>
     out
 }
 
+/// The step in which a cumulative curve crosses a target: `cum` holds the
+/// curve at every step start (non-decreasing), `below(p)` says `p` is
+/// still short of the target, and `k0` is the step the work starts in.
+/// The answer is the step before the first start that is not below — the
+/// last step, which extends to +infinity, if every start is — exactly the
+/// index a `partition_point` over all of `cum` leads to. It is found by
+/// galloping forward from `k0` (+1, +2, +4, … clamped to the last step)
+/// and bisecting the bracket, so the cost follows the distance to the
+/// crossing and not the length of the trace: two probes when the work
+/// ends in the step it starts in, at most about twice the whole-array
+/// search's when it ends at the far end.
+pub(crate) fn crossing_step(cum: &[f64], k0: usize, below: impl Fn(f64) -> bool) -> usize {
+    if !below(cum[k0]) {
+        // Rounding in the partial step put the target at or before the
+        // start of `k0`: the crossing is behind, not ahead.
+        return cum[..k0].partition_point(|&p| below(p)).saturating_sub(1);
+    }
+    let last = cum.len() - 1;
+    // Invariant: every start up to and including `lo` is below.
+    let (mut lo, mut stride) = (k0, 1);
+    while lo < last {
+        let hi = (lo + stride).min(last);
+        if !below(cum[hi]) {
+            return lo + cum[lo + 1..hi].partition_point(|&p| below(p));
+        }
+        lo = hi;
+        stride *= 2;
+    }
+    last
+}
+
 impl Trace {
     /// Creates a trace.
     ///
@@ -77,7 +113,10 @@ impl Trace {
             "trace values must be finite"
         );
         let prefix = cumulative_prefix(dt, &values, f64::NEG_INFINITY);
-        let prefix_floored = cumulative_prefix(dt, &values, AVAIL_FLOOR);
+        let prefix_floored = values
+            .iter()
+            .any(|&v| v < AVAIL_FLOOR)
+            .then(|| cumulative_prefix(dt, &values, AVAIL_FLOOR));
         Self {
             t0,
             dt,
@@ -177,15 +216,23 @@ impl Trace {
         self.prefix[k] + self.values[k] * (x - (self.t0 + k as f64 * self.dt))
     }
 
-    /// [`Self::cumulative`] over the floor-clamped availability curve.
+    /// The floor-clamped cumulative curve at every step start — the work
+    /// integration curve.
     #[inline]
-    fn cumulative_floored(&self, x: f64) -> f64 {
+    fn work_prefix(&self) -> &[f64] {
+        self.prefix_floored.as_deref().unwrap_or(&self.prefix)
+    }
+
+    /// [`Self::cumulative`] over the floor-clamped availability curve,
+    /// with the step that contains `x` (0 before the trace starts).
+    #[inline]
+    fn cumulative_floored(&self, x: f64) -> (usize, f64) {
         if x <= self.t0 {
-            return self.values[0].max(AVAIL_FLOOR) * (x - self.t0);
+            return (0, self.values[0].max(AVAIL_FLOOR) * (x - self.t0));
         }
         let k = self.step_of(x);
-        self.prefix_floored[k]
-            + self.values[k].max(AVAIL_FLOOR) * (x - (self.t0 + k as f64 * self.dt))
+        let within = self.values[k].max(AVAIL_FLOOR) * (x - (self.t0 + k as f64 * self.dt));
+        (k, self.work_prefix()[k] + within)
     }
 
     /// Integral of the trace over `[a, b]`: the difference of two O(1)
@@ -245,10 +292,12 @@ impl Trace {
     /// Availability at or below the `1e-6` floor is clamped up so a
     /// zero-availability stretch cannot hang the simulation forever.
     ///
-    /// Implemented as a binary search (`partition_point`) over the
-    /// floored prefix array for the step where the cumulative work curve
-    /// crosses the target, then one division to interpolate inside it —
-    /// O(log steps) instead of the O(steps) walk of
+    /// Implemented as a search over the floored prefix array for the step
+    /// where the cumulative work curve crosses the target, then one
+    /// division to interpolate inside it. The search (`crossing_step`)
+    /// gallops forward from the step the work starts in, so it costs
+    /// O(log steps-until-done) — two probes for work that ends in its own
+    /// step or the next — instead of the O(steps) walk of
     /// [`Self::time_to_complete_reference`].
     pub fn time_to_complete(&self, t0_work: f64, dedicated_work: f64) -> f64 {
         assert!(
@@ -262,25 +311,24 @@ impl Trace {
         // Work finishes at the x where the cumulative floored curve G
         // reaches G(t0_work) + W. G is strictly increasing (values are
         // clamped to a positive floor), so x is unique.
-        let target = self.cumulative_floored(t0_work) + dedicated_work;
+        let (k0, started) = self.cumulative_floored(t0_work);
+        let target = started + dedicated_work;
         if target <= 0.0 {
             // Finishes before the trace even starts: constant first value.
             let v = self.values[0].max(AVAIL_FLOOR);
             return self.t0 + target / v - t0_work;
         }
-        let last = self.values.len() - 1;
-        // First prefix entry >= target, over the `last + 1` step starts;
-        // the crossing lies in the step before it (the last step extends
-        // to +infinity, so a target beyond the horizon clamps there).
-        let i = self.prefix_floored[..=last].partition_point(|&p| p < target);
-        let k = i.saturating_sub(1).min(last);
+        // Over the step starts only: the last step extends to +infinity,
+        // so a target beyond the horizon clamps there.
+        let cum = &self.work_prefix()[..self.values.len()];
+        let k = crossing_step(cum, k0, |p| p < target);
         let v = self.values[k].max(AVAIL_FLOOR);
-        let x = self.t0 + k as f64 * self.dt + (target - self.prefix_floored[k]) / v;
+        let x = self.t0 + k as f64 * self.dt + (target - cum[k]) / v;
         x - t0_work
     }
 
     /// The historical step-walking `time_to_complete`, kept as the
-    /// reference implementation the binary-search path is validated
+    /// reference implementation the prefix-search path is validated
     /// against.
     pub fn time_to_complete_reference(&self, t0_work: f64, dedicated_work: f64) -> f64 {
         assert!(
@@ -438,9 +486,154 @@ impl Deserialize for Trace {
     }
 }
 
+/// What the completion-search proptests, here and in [`crate::store`],
+/// draw from: how long a trace is, where on it work starts and how much
+/// work there is.
+#[cfg(test)]
+pub(crate) mod search_cases {
+    use proptest::prelude::*;
+
+    /// Traces of one, two and three steps, and of about two thousand.
+    pub(crate) fn steps() -> impl Strategy<Value = usize> {
+        (0usize..4, 1900usize..2100).prop_map(|(pick, long)| [1, 2, 3, long][pick])
+    }
+
+    /// A time grid whose step starts are not exact in binary.
+    pub(crate) fn grid() -> impl Strategy<Value = (f64, f64)> {
+        (0usize..3).prop_map(|pick| [(0.0, 1.0), (5.0, 0.7), (-3.5, 5.0)][pick])
+    }
+
+    /// A start time: before the trace, exactly on a step boundary, inside
+    /// the last step, past the horizon, or anywhere on the trace.
+    pub(crate) fn start() -> impl Strategy<Value = (usize, f64)> {
+        (0usize..5, 0.0f64..1.0)
+    }
+
+    /// Places [`start`]'s draw on a `(t0, dt)` grid of `steps` steps.
+    pub(crate) fn place((t0, dt): (f64, f64), steps: usize, (kind, frac): (usize, f64)) -> f64 {
+        let n = steps as f64;
+        match kind {
+            0 => t0 - 40.0 * frac * dt,
+            1 => t0 + (frac * n).floor() * dt,
+            2 => t0 + (n - 1.0 + frac) * dt,
+            3 => t0 + (n + 50.0 * frac) * dt,
+            _ => t0 + frac * n * dt,
+        }
+    }
+
+    /// Work from 1e-16 dedicated seconds — small enough to vanish when
+    /// added to the curve, which puts the target on a step start — to
+    /// several horizons of the longest trace, log-uniform.
+    pub(crate) fn work() -> impl Strategy<Value = f64> {
+        (-16.0f64..4.7).prop_map(|e| 10f64.powf(e))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Trace {
+        /// [`Trace::time_to_complete`] as it was before the search
+        /// started where the work does: one `partition_point` over the
+        /// whole prefix array. The oracle the forward search is held to,
+        /// bit for bit.
+        fn time_to_complete_whole_array(&self, t0_work: f64, dedicated_work: f64) -> f64 {
+            if dedicated_work == 0.0 {
+                return 0.0;
+            }
+            let target = self.cumulative_floored(t0_work).1 + dedicated_work;
+            if target <= 0.0 {
+                let v = self.values[0].max(AVAIL_FLOOR);
+                return self.t0 + target / v - t0_work;
+            }
+            let last = self.values.len() - 1;
+            let floored = self.work_prefix();
+            let i = floored[..=last].partition_point(|&p| p < target);
+            let k = i.saturating_sub(1).min(last);
+            let v = self.values[k].max(AVAIL_FLOOR);
+            let x = self.t0 + k as f64 * self.dt + (target - floored[k]) / v;
+            x - t0_work
+        }
+    }
+
+    /// Runs of a level each — dead (`0.0`, `-0.0`), below the floor,
+    /// barely above it, ordinary, a spike — cycled to `steps` samples.
+    fn stretches(steps: usize, runs: &[(usize, f64, usize)]) -> Vec<f64> {
+        runs.iter()
+            .flat_map(|&(kind, level, len)| {
+                let v = match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 1e-9 * level,
+                    3 => AVAIL_FLOOR * (1.0 + level),
+                    4 => 3.0 + level,
+                    _ => 0.01 + level,
+                };
+                std::iter::repeat_n(v, len)
+            })
+            .cycle()
+            .take(steps)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn forward_search_matches_the_whole_array_search_bitwise(
+            steps in search_cases::steps(),
+            grid in search_cases::grid(),
+            runs in proptest::collection::vec((0usize..9, 0.0f64..1.0, 1usize..80), 1..12),
+            start in search_cases::start(),
+            work in search_cases::work(),
+        ) {
+            let trace = Trace::new(grid.0, grid.1, stretches(steps, &runs));
+            let at = search_cases::place(grid, steps, start);
+            prop_assert_eq!(
+                trace.time_to_complete(at, work).to_bits(),
+                trace.time_to_complete_whole_array(at, work).to_bits(),
+                "start {}, work {}", at, work
+            );
+        }
+    }
+
+    #[test]
+    fn a_trace_that_never_dips_below_the_floor_keeps_one_prefix_array() {
+        let t = Trace::new(0.0, 1.0, vec![AVAIL_FLOOR, 0.5, 2.0]);
+        assert!(t.prefix_floored.is_none());
+        assert_eq!(t.work_prefix(), &t.prefix[..]);
+    }
+
+    #[test]
+    fn a_zero_availability_stretch_builds_and_uses_its_own_floored_curve() {
+        let values = vec![0.5, 0.0, 0.0, 0.0, 1e-9, 0.25];
+        let t = Trace::new(0.0, 2.0, values.clone());
+        let floored = t
+            .prefix_floored
+            .as_deref()
+            .expect("a value is below the floor");
+        assert_eq!(floored, &cumulative_prefix(2.0, &values, AVAIL_FLOOR)[..]);
+        assert_eq!(t.work_prefix(), floored);
+        assert_ne!(
+            floored,
+            &t.prefix[..],
+            "the raw curve is flat where the floored one climbs"
+        );
+        // Work that has to cross the dead stretch: 1.0 from the first
+        // step, 8 s at the floor, the rest at 0.25.
+        let d = t.time_to_complete(0.0, 1.5);
+        let want = 10.0 + (0.5 - 8.0 * AVAIL_FLOOR) / 0.25;
+        assert!((d - want).abs() < 1e-9, "{d} vs {want}");
+        assert_eq!(
+            d.to_bits(),
+            t.time_to_complete_whole_array(0.0, 1.5).to_bits()
+        );
+        assert!((d - t.time_to_complete_reference(0.0, 1.5)).abs() <= 1e-9);
+        // The integral still reads the raw curve.
+        assert!((t.integral(0.0, 12.0) - (1.5 + 2e-9)).abs() < 1e-12);
+    }
 
     fn ramp() -> Trace {
         // 1.0 for t in [0,1), 0.5 for [1,2), 0.25 for [2,3)
