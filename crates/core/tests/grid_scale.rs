@@ -1,7 +1,9 @@
 //! Tier-1 pins for the 1000×-scale grid path: sharded simulation must be
 //! bit-identical at 1/2/4/8 pool threads, and the columnar store's
 //! [`prodpred_simgrid::store::TraceRef`] views must agree with the
-//! materialized `*_reference` oracles to ≤ 1e-9.
+//! materialized `*_reference` oracles to ≤ 1e-9. `golden_grid_bits.txt`
+//! pins the path's bits themselves: one simulation digest and a table of
+//! view queries.
 
 use prodpred_core::{simulate_grid_sharded, GridSimConfig, TenantSpec};
 use prodpred_simgrid::store::MachineSlot;
@@ -104,4 +106,71 @@ fn slots_are_pure_functions_of_seed_and_index() {
     let a = MachineSlot::derive(4242, 12, 0, 8, 256);
     let b = MachineSlot::derive(4242, 12, 0, 8, 256);
     assert_eq!(a, b);
+}
+
+const GOLDEN: &str = include_str!("golden_grid_bits.txt");
+
+/// The grid path's bits on `GridPlatform::production(200, 42, 900.0, 1)`:
+/// the digest of a small sharded simulation, then one line per (machine,
+/// start, work) with the bits of `TraceRef::{at, integral, mean_over,
+/// time_to_complete}` — starts before `t0`, on step boundaries, inside
+/// the last step and beyond the horizon; work that ends before the trace
+/// starts, in its own step, steps away and past the end.
+fn grid_bits() -> String {
+    use std::fmt::Write;
+    let g = GridPlatform::production(200, 42, 900.0, 1);
+    let c = GridSimConfig {
+        tenants: 24,
+        shards: 4,
+        tenant: TenantSpec {
+            n: 150,
+            iterations: 5,
+            procs: 4,
+        },
+        seed: 9,
+        mean_arrival_gap: 8.0,
+    };
+    let run = simulate_grid_sharded(&g, &c, 1);
+    let mut out = format!("digest {:#018x} events {}\n", run.digest, run.events);
+    for machine in [0usize, 17, 101, 199] {
+        let view = g.trace(machine);
+        for start in [-37.5, 0.0, 0.35, 123.0, 456.75, 899.0, 899.5, 900.0, 940.0] {
+            for work in [0.0, 1e-9, 2.5, 60.0, 2000.0] {
+                writeln!(
+                    out,
+                    "m{machine} start={start} work={work}: {:016x} {:016x} {:016x} {:016x}",
+                    view.at(start).to_bits(),
+                    view.integral(start, start + work).to_bits(),
+                    view.mean_over(start, start + work).to_bits(),
+                    view.time_to_complete(start, work).to_bits(),
+                )
+                .unwrap();
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn grid_path_bits_are_pinned() {
+    let actual = grid_bits();
+    if actual == GOLDEN {
+        return;
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden_grid_bits.txt");
+    std::fs::write(&path, &actual).unwrap();
+    let moved: Vec<&str> = actual
+        .lines()
+        .zip(GOLDEN.lines())
+        .filter(|(a, g)| a != g)
+        .map(|(a, _)| a.split(':').next().unwrap())
+        .collect();
+    panic!(
+        "{} of {} golden lines moved ({} expected), first: {:?}; actual table written to {}",
+        moved.len(),
+        actual.lines().count(),
+        GOLDEN.lines().count(),
+        moved.first(),
+        path.display()
+    );
 }
