@@ -1,73 +1,58 @@
 //! `tidy` — the prodpred repo lint driver.
 //!
 //! ```text
-//! tidy                  list unbaselined findings (human format)
-//! tidy --check          CI mode: exit 1 on any ratchet violation
-//! tidy --json           machine-readable findings + ratchet verdict
-//! tidy --write-baseline rewrite tidy-baseline.json from current findings
-//! tidy --root PATH      lint a different workspace root
-//! tidy --baseline PATH  use a different baseline file
+//! tidy              list every finding (human format)
+//! tidy --check      the same, under the name CI calls it by
+//! tidy --json       machine-readable findings + per-lint counts
+//! tidy --root PATH  lint a different workspace root
 //! ```
 //!
+//! Any finding fails the run (exit 1): the tree is kept at zero, and a
+//! deliberate exception is an inline `tidy:allow` with its justification.
 //! Output is byte-identical across repeated runs on an unchanged tree:
-//! the walk is sorted, the diagnostics are sorted, and the baseline
-//! serialization is canonical.
+//! the walk is sorted and the diagnostics are sorted.
 
-use prodpred_analysis::baseline::{json_string, Baseline, RatchetIssue};
 use prodpred_analysis::lints::{lint_source, Finding, CODES};
 use prodpred_analysis::walk::{default_root, workspace_files};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: tidy [--check] [--json] [--root PATH]";
+
 struct Options {
-    check: bool,
     json: bool,
-    write_baseline: bool,
     root: PathBuf,
-    baseline: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Options, String> {
+/// `Ok(None)` is a request for the usage text.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
-        check: false,
         json: false,
-        write_baseline: false,
         root: default_root(),
-        baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--check" => opts.check = true,
+            // The gate is the default; the flag is what CI spells out.
+            "--check" => {}
             "--json" => opts.json = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--root" => {
                 opts.root = PathBuf::from(args.next().ok_or("--root needs a path argument")?);
             }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(
-                    args.next().ok_or("--baseline needs a path argument")?,
-                ));
-            }
-            "--help" | "-h" => {
-                return Err("usage: tidy [--check] [--json] [--write-baseline] [--root PATH] [--baseline PATH]".to_string());
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    Ok(opts)
+    Ok(Some(opts))
 }
 
 fn run() -> Result<ExitCode, String> {
-    let opts = parse_args()?;
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("tidy-baseline.json"));
-
-    let files = workspace_files(&opts.root)?;
+    let Some(opts) = parse_args()? else {
+        println!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    };
     let mut findings: Vec<Finding> = Vec::new();
-    for rel in &files {
+    for rel in &workspace_files(&opts.root)? {
         let path = opts.root.join(rel);
         let src =
             std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
@@ -75,92 +60,42 @@ fn run() -> Result<ExitCode, String> {
     }
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.code).cmp(&(&b.file, b.line, b.col, b.code)));
-    let current = Baseline::from_findings(&findings);
-
-    if opts.write_baseline {
-        std::fs::write(&baseline_path, current.to_json())
-            .map_err(|e| format!("write {}: {e}", baseline_path.display()))?;
-        println!(
-            "tidy: wrote {} ({} findings across {} files)",
-            baseline_path.display(),
-            current.total(),
-            current.counts.len()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let committed = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => return Err(format!("read {}: {e}", baseline_path.display())),
-    };
-    let issues = committed.ratchet(&current);
-    let regressions: Vec<&RatchetIssue> = issues
-        .iter()
-        .filter(|i| matches!(i, RatchetIssue::Regression { .. }))
-        .collect();
 
     if opts.json {
-        print_json(&findings, &issues);
+        print_json(&findings);
     } else {
-        print_human(&findings, &committed, &issues);
+        for f in &findings {
+            println!("{}", f.render());
+        }
+        println!("tidy: {} finding(s)", findings.len());
     }
-
-    if opts.check && !issues.is_empty() {
-        return Ok(ExitCode::FAILURE);
-    }
-    // Even outside --check, regressions are worth a failing exit so ad
-    // hoc runs notice them.
-    if !regressions.is_empty() {
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
+    Ok(if findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
-/// Findings that exceed the baseline for their (file, code) bucket —
-/// the ones a regression message should point at. When a bucket has
-/// more findings than baseline slots, the *later* lines are reported
-/// (earlier ones are assumed grandfathered).
-fn over_baseline<'a>(findings: &'a [Finding], baseline: &Baseline) -> Vec<&'a Finding> {
-    use std::collections::BTreeMap;
-    let mut seen: BTreeMap<(&str, &str), u64> = BTreeMap::new();
-    let mut over = Vec::new();
-    for f in findings {
-        let slot = seen.entry((f.file.as_str(), f.code)).or_insert(0);
-        *slot += 1;
-        let allowed = baseline
-            .counts
-            .get(&f.file)
-            .and_then(|m| m.get(f.code))
-            .copied()
-            .unwrap_or(0);
-        if *slot > allowed {
-            over.push(f);
+/// Renders `s` as a JSON string literal.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
         }
     }
-    over
+    out.push('"');
+    out
 }
 
-fn print_human(findings: &[Finding], committed: &Baseline, issues: &[RatchetIssue]) {
-    for f in over_baseline(findings, committed) {
-        println!("{}", f.render());
-    }
-    for issue in issues {
-        println!("{}", issue.render());
-    }
-    let current = Baseline::from_findings(findings);
-    println!(
-        "tidy: {} findings total, {} baselined, {} ratchet issue(s)",
-        current.total(),
-        committed.total(),
-        issues.len()
-    );
-    if issues.is_empty() {
-        println!("tidy: clean against the baseline");
-    }
-}
-
-fn print_json(findings: &[Finding], issues: &[RatchetIssue]) {
+fn print_json(findings: &[Finding]) {
     let mut out = String::from("{\n  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         if i > 0 {
@@ -178,16 +113,6 @@ fn print_json(findings: &[Finding], issues: &[RatchetIssue]) {
     if !findings.is_empty() {
         out.push_str("\n  ");
     }
-    out.push_str("],\n  \"ratchet\": [");
-    for (i, issue) in issues.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    {}", json_string(&issue.render())));
-    }
-    if !issues.is_empty() {
-        out.push_str("\n  ");
-    }
     out.push_str("],\n  \"counts\": {");
     // Every stable code appears (zero included), in CODES order, so CI
     // consumers get a fixed-shape object to diff across runs.
@@ -200,7 +125,7 @@ fn print_json(findings: &[Finding], issues: &[RatchetIssue]) {
     }
     out.push_str("\n  },\n");
     out.push_str(&format!("  \"total\": {},\n", findings.len()));
-    out.push_str(&format!("  \"clean\": {}\n}}", issues.is_empty()));
+    out.push_str(&format!("  \"clean\": {}\n}}", findings.is_empty()));
     println!("{out}");
 }
 

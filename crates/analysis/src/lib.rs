@@ -4,12 +4,11 @@
 //! turns the determinism and fault-recovery invariants of PRs 1–4 from
 //! conventions into *checked* properties:
 //!
-//! * [`scan`] + [`lints`] + [`baseline`] — the `tidy` lint engine: a
-//!   hand-rolled, token-aware Rust source scanner (std-only, works
-//!   offline, no rustc plugin) implementing the repo-specific `PPnnn`
-//!   lints with inline justified suppressions and a shrink-only
-//!   baseline ratchet. Run it via `cargo run -p prodpred-analysis --bin
-//!   tidy -- --check`.
+//! * [`scan`] + [`lints`] — the `tidy` lint engine: a hand-rolled,
+//!   token-aware Rust source scanner (std-only, works offline, no rustc
+//!   plugin) implementing the repo-specific `PPnnn` lints with inline
+//!   justified suppressions. The tree is kept at zero findings: any
+//!   finding fails `cargo run -p prodpred-analysis --bin tidy -- --check`.
 //! * [`model`] — a bounded model checker that exhaustively enumerates
 //!   every interleaving of the SOR ghost-exchange mailbox protocol for
 //!   small configurations, proving deadlock freedom, exact message
@@ -48,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod baseline;
 pub mod ckpt;
 pub mod lints;
 pub mod mc;

@@ -5,6 +5,8 @@
 //! and review the diff.
 
 use prodpred_analysis::lints::lint_source;
+use std::path::Path;
+use std::process::Command;
 
 fn fixture_dir() -> String {
     format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"))
@@ -96,4 +98,49 @@ fn diagnostics_are_deterministic() {
             "non-deterministic output for {name}"
         );
     }
+}
+
+/// Runs the `tidy` binary over `root`.
+fn tidy(root: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_tidy"))
+        .arg("--root")
+        .arg(root)
+        .args(args)
+        .output()
+        .expect("tidy runs");
+    (
+        out.status.code(),
+        String::from_utf8(out.stdout).expect("utf-8"),
+    )
+}
+
+#[test]
+fn a_fixture_finding_fails_the_gate() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("tidy_gate");
+    let src = root.join("crates/fixture/src");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&src).expect("scratch root");
+    // Nothing to find: the gate passes, with or without its CI name.
+    assert_eq!(tidy(&root, &[]).0, Some(0));
+    assert_eq!(tidy(&root, &["--check"]).0, Some(0));
+    // One fixture in the tree: every finding is listed and the run fails.
+    std::fs::copy(format!("{}/pp003.rs", fixture_dir()), src.join("pp003.rs")).expect("copy");
+    let expected = render_fixture("pp003");
+    for args in [&[][..], &["--check"]] {
+        let (code, stdout) = tidy(&root, args);
+        assert_eq!(code, Some(1), "tidy {args:?}");
+        for line in expected.lines() {
+            assert!(stdout.contains(line), "tidy {args:?} lost `{line}`");
+        }
+    }
+    let (code, json) = tidy(&root, &["--json"]);
+    assert_eq!(code, Some(1));
+    assert!(json.contains("\"clean\": false") && !json.contains("ratchet"));
+}
+
+#[test]
+fn help_is_not_an_error() {
+    let (code, stdout) = tidy(Path::new("."), &["--help"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.starts_with("usage: tidy"), "{stdout}");
 }

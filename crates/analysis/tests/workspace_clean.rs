@@ -1,7 +1,6 @@
-//! The tier-1 guarantee behind `tidy --check`: the workspace lints clean
-//! against the committed baseline, and the scan is deterministic.
+//! The tier-1 guarantee behind `tidy --check`: the workspace has no
+//! finding at all, and the scan is deterministic.
 
-use prodpred_analysis::baseline::Baseline;
 use prodpred_analysis::lints::{lint_source, Finding};
 use prodpred_analysis::walk::{default_root, workspace_files};
 
@@ -18,23 +17,14 @@ fn scan_workspace() -> Vec<Finding> {
     findings
 }
 
+/// Zero findings is the only baseline there is.
 #[test]
 fn workspace_is_clean_against_committed_baseline() {
-    let root = default_root();
-    let committed = Baseline::parse(
-        &std::fs::read_to_string(root.join("tidy-baseline.json")).expect("baseline committed"),
-    )
-    .expect("baseline parses");
-    let current = Baseline::from_findings(&scan_workspace());
-    let issues = committed.ratchet(&current);
+    let findings: Vec<String> = scan_workspace().iter().map(Finding::render).collect();
     assert!(
-        issues.is_empty(),
-        "tidy ratchet violations:\n{}",
-        issues
-            .iter()
-            .map(|i| i.render())
-            .collect::<Vec<_>>()
-            .join("\n")
+        findings.is_empty(),
+        "tidy findings:\n{}",
+        findings.join("\n")
     );
 }
 

@@ -1,7 +1,6 @@
 //! Criterion benchmarks for `Trace` integration: the O(1) prefix-integral
-//! path against the O(steps) step-walk reference it replaced, and the
-//! forward-searching `time_to_complete` against its walking reference, on
-//! production-scale (hour-long, one-second-step) traces — and by how far
+//! path and the forward-searching `time_to_complete` on production-scale
+//! (hour-long, one-second-step) traces — and by how far
 //! away the work ends (`near` / `mid` / `far`: the same step or the next,
 //! a few dozen steps on, thousands of steps on or past the horizon), since
 //! the search gallops from where the work starts and `far` is its worst
@@ -23,7 +22,7 @@ fn hour_trace(steps: usize) -> Trace {
 }
 
 /// Query windows spread across the horizon, most spanning hundreds of
-/// steps — the regime where the walk pays its O(steps) cost.
+/// steps.
 fn windows(horizon: f64) -> Vec<(f64, f64)> {
     (0..256)
         .map(|i| {
@@ -49,15 +48,6 @@ fn bench_integral(c: &mut Criterion) {
                 black_box(acc)
             })
         });
-        group.bench_with_input(BenchmarkId::new("walk", steps), &trace, |b, trace| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for &(x, y) in &qs {
-                    acc += trace.integral_reference(x, y);
-                }
-                black_box(acc)
-            })
-        });
     }
     group.finish();
 }
@@ -73,15 +63,6 @@ fn bench_time_to_complete(c: &mut Criterion) {
                 let mut acc = 0.0;
                 for &(x, y) in &qs {
                     acc += trace.time_to_complete(x.max(0.0), y.max(1.0));
-                }
-                black_box(acc)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("walk", steps), &trace, |b, trace| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for &(x, y) in &qs {
-                    acc += trace.time_to_complete_reference(x.max(0.0), y.max(1.0));
                 }
                 black_box(acc)
             })

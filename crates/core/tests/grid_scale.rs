@@ -1,13 +1,17 @@
 //! Tier-1 pins for the 1000×-scale grid path: sharded simulation must be
 //! bit-identical at 1/2/4/8 pool threads, and the columnar store's
 //! [`prodpred_simgrid::store::TraceRef`] views must agree with the
-//! materialized `*_reference` oracles to ≤ 1e-9. `golden_grid_bits.txt`
-//! pins the path's bits themselves: one simulation digest and a table of
-//! view queries.
+//! step-walking oracles over the materialized trace to ≤ 1e-9.
+//! `golden_grid_bits.txt` pins the path's bits themselves: one simulation
+//! digest and a table of view queries.
 
 use prodpred_core::{simulate_grid_sharded, GridSimConfig, TenantSpec};
 use prodpred_simgrid::store::MachineSlot;
-use prodpred_simgrid::GridPlatform;
+use prodpred_simgrid::{GridPlatform, Trace};
+
+#[path = "../../simgrid/tests/support/walking_oracles.rs"]
+mod walking_oracles;
+use walking_oracles::{integral_walk, time_to_complete_walk};
 
 fn grid() -> GridPlatform {
     GridPlatform::production(96, 4242, 900.0, 1)
@@ -81,7 +85,7 @@ fn trace_ref_agrees_with_reference_oracles() {
         for (pi, &a) in points.iter().enumerate() {
             for &b in &points[pi..] {
                 let fast = view.integral(a, b);
-                let slow = full.integral_reference(a, b);
+                let slow = integral_walk(&full, a, b);
                 assert!(
                     (fast - slow).abs() <= 1e-9,
                     "machine {i} integral([{a}, {b}]): {fast} vs {slow}"
@@ -91,7 +95,7 @@ fn trace_ref_agrees_with_reference_oracles() {
         for &start in &[0.0, 123.4, 880.0] {
             for &work in &[0.05, 2.0, 60.0, 2000.0] {
                 let fast = view.time_to_complete(start, work);
-                let slow = full.time_to_complete_reference(start, work);
+                let slow = time_to_complete_walk(&full, start, work);
                 assert!(
                     (fast - slow).abs() <= 1e-9,
                     "machine {i} ttc({start}, {work}): {fast} vs {slow}"

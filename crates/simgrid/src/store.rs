@@ -15,20 +15,17 @@
 //!   whole-step **phase shift** into the column's pad, and a **value
 //!   scale** — 16 bytes, derived deterministically from
 //!   `(seed, machine_index)`.
-//! * A [`TraceRef`] is the machine's trace *view*: `at` is O(1),
-//!   `integral` is O(1) via the column's lazily-built prefix array, and
-//!   `time_to_complete` is the forward search of [`crate::Trace`]'s, O(log
-//!   steps-until-done) — the same contracts as [`crate::Trace`], pinned
-//!   to ≤ 1e-9 agreement against the materialized reference oracles.
-//!
-//! The store asserts every template value stays strictly above the work
-//! integration floor (`1e-6`) even under the smallest scale, so the raw
-//! prefix array doubles as the floored work-integration curve and only
-//! one prefix per column is ever built.
+//! * A [`TraceRef`] is the machine's trace *view*: the slot's window of
+//!   its column read through the one curve algebra of [`crate::trace`] —
+//!   [`crate::Trace`]'s own queries, bit for bit, over the column's
+//!   lazily built prefix array. Only one prefix per column is ever built:
+//!   the store asserts every template value clears the work-integration
+//!   floor (`1e-6`) even under the smallest scale, so the raw prefix
+//!   doubles as the floored work-integration curve.
 
 use crate::faults::{mix, unit};
 use crate::load::LoadGenerator;
-use crate::trace::{crossing_step, cumulative_prefix, Trace, AVAIL_FLOOR};
+use crate::trace::{cumulative_prefix, Curve, Trace, AVAIL_FLOOR};
 use std::sync::OnceLock;
 
 /// Smallest per-machine value scale a slot may carry.
@@ -280,7 +277,18 @@ impl TraceStore {
             "scale {} outside [{SCALE_LO}, {SCALE_HI}]",
             slot.scale
         );
-        TraceRef { store: self, slot }
+        let column = &self.columns[slot.column as usize];
+        let off = slot.shift as usize;
+        TraceRef {
+            curve: Curve {
+                t0: self.t0,
+                dt: self.dt,
+                samples: &column.values[off..off + self.steps],
+                scale: slot.scale,
+            },
+            column,
+            slot,
+        }
     }
 
     /// Bytes held by the template value blocks.
@@ -303,21 +311,20 @@ impl TraceStore {
         self.value_bytes() + self.prefix_bytes_built()
     }
 
-    /// What one machine would cost as a standalone [`Trace`]: samples plus
-    /// prefix integral, 16 bytes per step — the naive baseline the
-    /// `grid_scale` bench compares against.
+    /// What one machine would cost as a standalone [`Trace`] (samples plus
+    /// prefix integral, 16 bytes per step): `grid_scale`'s naive baseline.
     pub fn naive_bytes_per_machine(&self) -> usize {
         self.steps * 2 * std::mem::size_of::<f64>()
     }
 }
 
 /// A machine's trace view into a [`TraceStore`] — the thin replacement
-/// for a per-machine [`Trace`], with the same query contracts:
-/// [`TraceRef::at`] O(1), [`TraceRef::integral`] O(1),
-/// [`TraceRef::time_to_complete`] O(log steps-until-done).
+/// for a per-machine [`Trace`] with the same queries: the slot's window
+/// of its column at the slot's scale, as a [`Curve`].
 #[derive(Debug, Clone, Copy)]
 pub struct TraceRef<'a> {
-    store: &'a TraceStore,
+    curve: Curve<'a>,
+    column: &'a Column,
     slot: MachineSlot,
 }
 
@@ -329,17 +336,17 @@ impl<'a> TraceRef<'a> {
 
     /// Start time of the visible window.
     pub fn t0(&self) -> f64 {
-        self.store.t0
+        self.curve.t0
     }
 
     /// Step width in seconds.
     pub fn dt(&self) -> f64 {
-        self.store.dt
+        self.curve.dt
     }
 
     /// Number of visible steps.
     pub fn len(&self) -> usize {
-        self.store.steps
+        self.curve.samples.len()
     }
 
     /// Always false (stores reject empty columns).
@@ -349,166 +356,66 @@ impl<'a> TraceRef<'a> {
 
     /// End of the visible horizon.
     pub fn t_end(&self) -> f64 {
-        self.store.t0 + self.store.dt * self.store.steps as f64
+        self.t0() + self.dt() * self.len() as f64
     }
 
-    /// The window of raw (unscaled) column samples this view reads.
-    fn window(&self) -> &'a [f64] {
+    /// The view's window of the column's shared prefix, built on the
+    /// first integrating query against the column — the work-integration
+    /// curve too, because no sample reaches the floor.
+    fn prefix(&self) -> &'a [f64] {
         let off = self.slot.shift as usize;
-        &self.store.columns[self.slot.column as usize].values[off..off + self.store.steps]
-    }
-
-    /// Raw sample at visible step `k`.
-    fn raw(&self, k: usize) -> f64 {
-        self.window()[k]
-    }
-
-    /// The step index whose segment contains `x`, clamped to the last
-    /// step. Callers guarantee `x > t0`.
-    #[inline]
-    fn step_of(&self, x: f64) -> usize {
-        (((x - self.store.t0) / self.store.dt) as usize).min(self.store.steps - 1)
+        &self.column.prefix(self.dt())[off..=off + self.len()]
     }
 
     /// The value at time `t` (clamped to the visible horizon).
     pub fn at(&self, t: f64) -> f64 {
-        if t <= self.store.t0 {
-            return self.slot.scale * self.raw(0);
-        }
-        self.slot.scale * self.raw(self.step_of(t))
+        self.curve.at(t)
     }
 
-    /// Unscaled cumulative integral of the view from `t0` to `x`, from the
-    /// column's shared prefix array: two lookups and an interpolation.
-    #[inline]
-    fn cum_raw(&self, x: f64) -> f64 {
-        self.cum_raw_in_step(x).1
-    }
-
-    /// [`Self::cum_raw`] with the visible step that contains `x` (0
-    /// before the window starts).
-    #[inline]
-    fn cum_raw_in_step(&self, x: f64) -> (usize, f64) {
-        let t0 = self.store.t0;
-        if x <= t0 {
-            return (0, self.raw(0) * (x - t0));
-        }
-        let prefix = self.store.columns[self.slot.column as usize].prefix(self.store.dt);
-        let off = self.slot.shift as usize;
-        let k = self.step_of(x);
-        let within = self.raw(k) * (x - (t0 + k as f64 * self.store.dt));
-        (k, (prefix[off + k] - prefix[off]) + within)
-    }
-
-    /// Integral of the view over `[a, b]` in O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b < a`.
+    /// [`Trace::integral`] over the view: O(1), panics if `b < a`.
     pub fn integral(&self, a: f64, b: f64) -> f64 {
-        assert!(b >= a, "inverted interval [{a}, {b}]");
-        self.slot.scale * (self.cum_raw(b) - self.cum_raw(a))
+        self.curve.integral(self.prefix(), a, b)
     }
 
-    /// Mean value over `[a, b]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b < a`.
+    /// [`Trace::mean_over`] over the view: panics if `b < a`.
     pub fn mean_over(&self, a: f64, b: f64) -> f64 {
-        assert!(b >= a, "inverted interval [{a}, {b}]");
-        if b == a {
-            return self.at(a);
-        }
-        self.integral(a, b) / (b - a)
+        self.curve.mean_over(self.prefix(), a, b)
     }
 
-    /// How long work of `dedicated_work` seconds takes when started at
-    /// `t0_work` — the forward search of [`Trace::time_to_complete`]
-    /// (O(log steps-until-done) from the step the work starts in), served
-    /// from the shared column prefix.
-    /// Store construction guarantees scaled values stay strictly above the
-    /// integration floor, so the raw prefix *is* the work curve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dedicated_work < 0`.
+    /// [`Trace::time_to_complete`] over the view, served from the shared
+    /// column prefix: panics if `dedicated_work < 0`.
     pub fn time_to_complete(&self, t0_work: f64, dedicated_work: f64) -> f64 {
-        assert!(
-            dedicated_work >= 0.0,
-            "work must be non-negative: {dedicated_work}"
-        );
-        // tidy:allow(PP004): exact zero-work shortcut, no tolerance wanted
-        if dedicated_work == 0.0 {
-            return 0.0;
-        }
-        let t0 = self.store.t0;
-        let dt = self.store.dt;
-        // Work in raw-curve units: the scale divides out once.
-        let (k0, started) = self.cum_raw_in_step(t0_work);
-        let target = started + dedicated_work / self.slot.scale;
-        if target <= 0.0 {
-            // Finishes before the window starts: constant first value.
-            return t0 + target / self.raw(0) - t0_work;
-        }
-        let prefix = self.store.columns[self.slot.column as usize].prefix(dt);
-        let off = self.slot.shift as usize;
-        let base = prefix[off];
-        // Over the window's step starts only: the last step extends to
-        // +infinity, so a target beyond the horizon clamps there.
-        let cum = &prefix[off..off + self.store.steps];
-        let k = crossing_step(cum, k0, |p| p - base < target);
-        let x = t0 + k as f64 * dt + (target - (cum[k] - base)) / self.raw(k);
-        x - t0_work
+        self.curve
+            .time_to_complete(self.prefix(), t0_work, dedicated_work)
     }
 
-    /// Samples the view every `interval` seconds over `[a, b)` — the NWS
-    /// sensor cadence, same semantics as [`Trace::sample_every`].
+    /// [`Trace::sample_every`] over the view (the NWS sensor cadence).
     pub fn sample_every(&self, a: f64, b: f64, interval: f64) -> Vec<(f64, f64)> {
-        assert!(interval > 0.0 && b >= a);
-        let mut out = Vec::new();
-        let mut t = a;
-        while t < b {
-            out.push((t, self.at(t)));
-            t += interval;
-        }
-        out
+        self.curve.sample_every(a, b, interval)
     }
 
     /// The minimum visible sample value.
     pub fn min(&self) -> f64 {
-        self.slot.scale * self.window().iter().copied().fold(f64::INFINITY, f64::min)
+        self.curve.min()
     }
 
     /// The maximum visible sample value.
     pub fn max(&self) -> f64 {
-        self.slot.scale
-            * self
-                .window()
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max)
+        self.curve.max()
     }
 
     /// Mean of the visible samples.
     pub fn mean(&self) -> f64 {
-        self.slot.scale * self.window().iter().sum::<f64>() / self.store.steps as f64
+        self.curve.mean()
     }
 
-    /// Materializes the view as a standalone [`Trace`] — the reference
-    /// oracle path: the tests pin `at`/`integral`/`time_to_complete`
-    /// against the materialized trace's `*_reference` walks to ≤ 1e-9.
-    /// From here, [`Trace::slice`] and [`Trace::downsample`] apply.
-    ///
-    /// This is an intentional O(steps) copy; everything on the simulation
-    /// hot path stays on the shared columns.
+    /// Materializes the view as a standalone [`Trace`] — what the tests
+    /// hand the walking oracles (`tests/support/walking_oracles.rs`), and
+    /// where [`Trace::slice`] and [`Trace::downsample`] apply. An O(steps)
+    /// copy on purpose; the simulation hot path stays on the shared columns.
     pub fn materialize(&self) -> Trace {
-        let scale = self.slot.scale;
-        Trace::new(
-            self.store.t0,
-            self.store.dt,
-            self.window().iter().map(|&v| scale * v).collect(),
-        )
+        let c = self.curve;
+        Trace::new(c.t0, c.dt, c.samples.iter().map(|&v| c.scale * v).collect())
     }
 }
 
@@ -517,33 +424,8 @@ mod tests {
     use super::*;
     use crate::load::{MarkovModal, SingleModeAr1};
     use crate::trace::search_cases;
+    use crate::trace::walking_oracles::{integral_walk, time_to_complete_walk};
     use proptest::prelude::*;
-
-    impl TraceRef<'_> {
-        /// [`TraceRef::time_to_complete`] as it was before the search
-        /// started where the work does: one `partition_point` over the
-        /// whole window. The oracle the forward search is held to, bit
-        /// for bit.
-        fn time_to_complete_whole_array(&self, t0_work: f64, dedicated_work: f64) -> f64 {
-            if dedicated_work == 0.0 {
-                return 0.0;
-            }
-            let t0 = self.store.t0;
-            let dt = self.store.dt;
-            let target = self.cum_raw(t0_work) + dedicated_work / self.slot.scale;
-            if target <= 0.0 {
-                return t0 + target / self.raw(0) - t0_work;
-            }
-            let prefix = self.store.columns[self.slot.column as usize].prefix(dt);
-            let off = self.slot.shift as usize;
-            let last = self.store.steps - 1;
-            let base = prefix[off];
-            let i = prefix[off..=off + last].partition_point(|&p| p - base < target);
-            let k = i.saturating_sub(1).min(last);
-            let x = t0 + k as f64 * dt + (target - (prefix[off + k] - base)) / self.raw(k);
-            x - t0_work
-        }
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
@@ -552,27 +434,57 @@ mod tests {
         fn view_forward_search_matches_the_whole_array_search_bitwise(
             steps in search_cases::steps(),
             grid in search_cases::grid(),
-            runs in proptest::collection::vec((0.01f64..3.0, 1usize..80), 1..12),
+            runs in search_cases::runs(4..9),
             shift in 1u32..17,
             scale in SCALE_LO..0.999,
             start in search_cases::start(),
             work in search_cases::work(),
         ) {
             let pad = 16;
-            let column: Vec<f64> = runs
-                .iter()
-                .flat_map(|&(level, len)| std::iter::repeat_n(level, len))
-                .cycle()
-                .take(steps + pad)
-                .collect();
+            let column = search_cases::stretches(steps + pad, &runs);
             let store = TraceStore::from_columns(grid.0, grid.1, steps, pad, vec![column]);
             let view = store.trace(MachineSlot { column: 0, shift, scale });
             let at = search_cases::place(grid, steps, start);
             prop_assert_eq!(
                 view.time_to_complete(at, work).to_bits(),
-                view.time_to_complete_whole_array(at, work).to_bits(),
+                view.curve.time_to_complete_whole_array(view.prefix(), at, work).to_bits(),
                 "start {}, work {}", at, work
             );
+        }
+
+        /// The two constructors of the one curve algebra cannot drift: a
+        /// column read through the identity slot and a `Trace` over the
+        /// same samples answer every query with the same bits.
+        #[test]
+        fn identity_view_and_trace_agree_bitwise(
+            steps in search_cases::steps(),
+            grid in search_cases::grid(),
+            runs in search_cases::runs(4..9),
+            start in search_cases::start(),
+            span in search_cases::start(),
+            work in search_cases::work(),
+        ) {
+            let samples = search_cases::stretches(steps, &runs);
+            let store = TraceStore::from_columns(grid.0, grid.1, steps, 0, vec![samples.clone()]);
+            let view = store.trace(MachineSlot { column: 0, shift: 0, scale: 1.0 });
+            let trace = Trace::new(grid.0, grid.1, samples);
+            let a = search_cases::place(grid, steps, start);
+            let b = a.max(search_cases::place(grid, steps, span));
+            let a = a.min(b);
+            prop_assert_eq!(view.at(a).to_bits(), trace.at(a).to_bits(), "at {}", a);
+            prop_assert_eq!(
+                view.integral(a, b).to_bits(),
+                trace.integral(a, b).to_bits(),
+                "integral [{}, {}]", a, b
+            );
+            prop_assert_eq!(
+                view.time_to_complete(a, work).to_bits(),
+                trace.time_to_complete(a, work).to_bits(),
+                "start {}, work {}", a, work
+            );
+            prop_assert_eq!(view.min().to_bits(), trace.min().to_bits());
+            prop_assert_eq!(view.max().to_bits(), trace.max().to_bits());
+            prop_assert_eq!(view.mean().to_bits(), trace.mean().to_bits());
         }
     }
 
@@ -668,7 +580,7 @@ mod tests {
             for (pi, &a) in points.iter().enumerate() {
                 for &b in &points[pi..] {
                     let fast = view.integral(a, b);
-                    let slow = full.integral_reference(a, b);
+                    let slow = integral_walk(&full, a, b);
                     assert!(
                         (fast - slow).abs() <= 1e-9,
                         "machine {i} integral([{a}, {b}]): {fast} vs {slow}"
@@ -697,7 +609,7 @@ mod tests {
             for &s in &starts {
                 for &w in &works {
                     let fast = view.time_to_complete(s, w);
-                    let slow = full.time_to_complete_reference(s, w);
+                    let slow = time_to_complete_walk(&full, s, w);
                     assert!(
                         (fast - slow).abs() <= 1e-9,
                         "machine {i} ttc(start={s}, work={w}): {fast} vs {slow}"

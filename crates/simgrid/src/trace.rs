@@ -2,31 +2,29 @@
 //!
 //! Every dynamic quantity in the simulated environment — CPU availability,
 //! network availability — is a [`Trace`]: a piecewise-constant function of
-//! time at fixed resolution. Traces support the two queries the rest of the
-//! system needs: *sampling* (what the NWS sensors do every five seconds)
-//! and *work integration* (how long does a computation of `W` dedicated
-//! seconds take if it starts at `t0` and proceeds at the traced
-//! availability).
+//! time at fixed resolution, answering *sampling* (what the NWS sensors do
+//! every five seconds) and *work integration* (how long `W` dedicated
+//! seconds of computation take from `t0` at the traced availability).
 //!
-//! Both queries are answered in constant / logarithmic time from a
-//! cumulative-integral (prefix-sum) array built once at construction:
-//! [`Trace::integral`] is two O(1) interpolated lookups and
-//! [`Trace::time_to_complete`] searches the prefix array forward from the
-//! step the work starts in — O(log distance) to where it finishes, two
-//! probes when that is the same step or the next.
-//! The historical step-walking implementations are kept as
-//! [`Trace::integral_reference`] and [`Trace::time_to_complete_reference`]
-//! — O(steps) but independently simple — and the unit/property tests pin
-//! the two to ≤ 1e-9 agreement; the whole-array binary search the forward
-//! search replaced is the test-only oracle it is held to bit for bit.
+//! The algebra is written once, on the private `Curve` view — a time
+//! grid, a window of samples, a value scale — over cumulative-integral
+//! (prefix-sum) arrays: `integral` is two O(1) interpolated lookups,
+//! `time_to_complete` a search forward from the step the work starts in,
+//! O(log distance). [`Trace`] (own samples, scale 1, prefixes built at
+//! construction) and [`crate::store::TraceRef`] (a window of a shared
+//! column, the machine's scale, the column's lazily built prefix) only
+//! construct the view; a proptest holds them to each other bit for bit.
+//! The step-walking definitions (`tests/support/walking_oracles.rs`,
+//! O(steps) but independently simple) pin the prefix path to ≤ 1e-9; the
+//! whole-array binary search is the test-only oracle the forward search
+//! is held to bit for bit.
 
 use serde::{Deserialize, Serialize};
 
 /// Availability at or below this floor is clamped up during work
 /// integration so a zero-availability stretch cannot hang the simulation.
-/// Crate-visible so the columnar [`crate::store::TraceStore`] can assert
-/// its templates stay strictly above it (which lets the store serve work
-/// integration from a single raw prefix array).
+/// The columnar [`crate::store::TraceStore`] asserts its templates stay
+/// strictly above it, so one raw prefix per column serves both queries.
 pub(crate) const AVAIL_FLOOR: f64 = 1e-6;
 
 /// A piecewise-constant time series starting at `t0` with step `dt`.
@@ -50,9 +48,8 @@ pub struct Trace {
 }
 
 /// Builds the Kahan-compensated cumulative integral of `values * dt`,
-/// clamping each value to at least `floor` (pass `f64::NEG_INFINITY` for
-/// no clamping). `out[k]` covers the first `k` whole steps; `out.len() ==
-/// values.len() + 1`.
+/// clamping each value up to `floor` (`f64::NEG_INFINITY`: no clamp).
+/// `out[k]` covers the first `k` whole steps; `out.len() == values.len() + 1`.
 pub(crate) fn cumulative_prefix(dt: f64, values: &[f64], floor: f64) -> Vec<f64> {
     let mut out = Vec::with_capacity(values.len() + 1);
     out.push(0.0);
@@ -73,13 +70,12 @@ pub(crate) fn cumulative_prefix(dt: f64, values: &[f64], floor: f64) -> Vec<f64>
 /// still short of the target, and `k0` is the step the work starts in.
 /// The answer is the step before the first start that is not below — the
 /// last step, which extends to +infinity, if every start is — exactly the
-/// index a `partition_point` over all of `cum` leads to. It is found by
-/// galloping forward from `k0` (+1, +2, +4, … clamped to the last step)
-/// and bisecting the bracket, so the cost follows the distance to the
-/// crossing and not the length of the trace: two probes when the work
-/// ends in the step it starts in, at most about twice the whole-array
-/// search's when it ends at the far end.
-pub(crate) fn crossing_step(cum: &[f64], k0: usize, below: impl Fn(f64) -> bool) -> usize {
+/// index a `partition_point` over all of `cum` leads to. Galloping forward
+/// from `k0` (+1, +2, +4, … clamped to the last step) and bisecting the
+/// bracket makes the cost follow the distance to the crossing — two
+/// probes when that is `k0` itself — not the length of the trace.
+#[inline]
+fn crossing_step(cum: &[f64], k0: usize, below: impl Fn(f64) -> bool) -> usize {
     if !below(cum[k0]) {
         // Rounding in the partial step put the target at or before the
         // start of `k0`: the crossing is behind, not ahead.
@@ -97,6 +93,112 @@ pub(crate) fn crossing_step(cum: &[f64], k0: usize, below: impl Fn(f64) -> bool)
         stride *= 2;
     }
     last
+}
+
+/// The curve algebra, written once: the step function on the `(t0, dt)`
+/// grid whose value in step `k` is `scale * samples[k]`, holding its
+/// first value before `t0` and its last beyond the final step.
+///
+/// The integrating queries take `cum`, the cumulative integral of the
+/// samples at every step start (`samples.len() + 1` entries, unscaled,
+/// from any base); `at` takes none, so a lazily built prefix stays
+/// unbuilt under it. Work integration clamps the *sample*, not the scaled
+/// value, up to [`AVAIL_FLOOR`]: exact for [`Trace`] (scale 1), never
+/// reached through the store, which keeps every scaled sample above it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Curve<'a> {
+    pub(crate) t0: f64,
+    pub(crate) dt: f64,
+    pub(crate) samples: &'a [f64],
+    pub(crate) scale: f64,
+}
+
+impl Curve<'_> {
+    /// The step whose segment contains `x`: 0 at or before `t0` (the cast
+    /// saturates), the last step — which extends to +infinity — beyond it.
+    fn step_of(&self, x: f64) -> usize {
+        (((x - self.t0) / self.dt) as usize).min(self.samples.len() - 1)
+    }
+
+    pub(crate) fn at(&self, t: f64) -> f64 {
+        self.scale * self.samples[self.step_of(t)]
+    }
+
+    /// The step that contains `x` and the unscaled integral from `t0` to
+    /// `x` of the samples clamped up to `floor`, in O(1): whole steps are
+    /// a lookup in `cum` (built with that clamp), the partial step an
+    /// interpolation. Before `t0` the first value extends back (negative).
+    fn cumulative(&self, cum: &[f64], floor: f64, x: f64) -> (usize, f64) {
+        if x <= self.t0 {
+            return (0, self.samples[0].max(floor) * (x - self.t0));
+        }
+        let k = self.step_of(x);
+        let within = self.samples[k].max(floor) * (x - (self.t0 + k as f64 * self.dt));
+        (k, (cum[k] - cum[0]) + within)
+    }
+
+    pub(crate) fn integral(&self, cum: &[f64], a: f64, b: f64) -> f64 {
+        assert!(b >= a, "inverted interval [{a}, {b}]");
+        let upto = |x| self.cumulative(cum, f64::NEG_INFINITY, x).1;
+        self.scale * (upto(b) - upto(a))
+    }
+
+    pub(crate) fn mean_over(&self, cum: &[f64], a: f64, b: f64) -> f64 {
+        if b == a {
+            return self.at(a);
+        }
+        self.integral(cum, a, b) / (b - a)
+    }
+
+    /// Finds the step where the cumulative work curve G crosses
+    /// `G(start) + work` ([`crossing_step`], galloping forward from the
+    /// step the work starts in), then interpolates inside it with one
+    /// division — in sample units, so the scale divides out once. G is
+    /// strictly increasing (the floor is positive): the crossing is unique.
+    #[inline]
+    pub(crate) fn time_to_complete(&self, floored_cum: &[f64], start: f64, work: f64) -> f64 {
+        assert!(work >= 0.0, "work must be non-negative: {work}");
+        // tidy:allow(PP004): exact zero-work shortcut, no tolerance wanted
+        if work == 0.0 {
+            return 0.0;
+        }
+        let floored = |k: usize| self.samples[k].max(AVAIL_FLOOR);
+        let (k0, started) = self.cumulative(floored_cum, AVAIL_FLOOR, start);
+        let target = started + work / self.scale;
+        if target <= 0.0 {
+            // Finishes before the curve even starts: constant first value.
+            return self.t0 + target / floored(0) - start;
+        }
+        // Over the step starts only: the last step extends to +infinity,
+        // so a target beyond the horizon clamps there.
+        let cum = &floored_cum[..self.samples.len()];
+        let base = cum[0];
+        let k = crossing_step(cum, k0, |p| p - base < target);
+        let x = self.t0 + k as f64 * self.dt + (target - (cum[k] - base)) / floored(k);
+        x - start
+    }
+
+    pub(crate) fn sample_every(&self, a: f64, b: f64, interval: f64) -> Vec<(f64, f64)> {
+        assert!(interval > 0.0 && b >= a);
+        let times = std::iter::successors(Some(a), |t| Some(t + interval));
+        times
+            .take_while(|&t| t < b)
+            .map(|t| (t, self.at(t)))
+            .collect()
+    }
+
+    pub(crate) fn min(&self) -> f64 {
+        self.scale * self.samples.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    pub(crate) fn max(&self) -> f64 {
+        let samples = self.samples.iter().copied();
+        self.scale * samples.fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    pub(crate) fn mean(&self) -> f64 {
+        self.scale * self.samples.iter().sum::<f64>() / self.samples.len() as f64
+    }
 }
 
 impl Trace {
@@ -157,9 +259,8 @@ impl Trace {
         &self.values
     }
 
-    /// Consumes the trace, returning its samples without copying — the
-    /// chunked generators hand freshly generated blocks to the columnar
-    /// store this way.
+    /// Consumes the trace, returning its samples without copying (how the
+    /// chunked generators hand blocks to the columnar store).
     pub fn into_values(self) -> Vec<f64> {
         self.values
     }
@@ -174,13 +275,19 @@ impl Trace {
         false
     }
 
+    /// The trace as a [`Curve`]: its own samples at scale 1.
+    fn curve(&self) -> Curve<'_> {
+        Curve {
+            t0: self.t0,
+            dt: self.dt,
+            samples: &self.values,
+            scale: 1.0,
+        }
+    }
+
     /// The value at time `t` (clamped to the horizon).
     pub fn at(&self, t: f64) -> f64 {
-        if t <= self.t0 {
-            return self.values[0];
-        }
-        let idx = ((t - self.t0) / self.dt) as usize;
-        self.values[idx.min(self.values.len() - 1)]
+        self.curve().at(t)
     }
 
     /// Mean value over `[a, b]`, integrating the step function exactly.
@@ -189,50 +296,7 @@ impl Trace {
     ///
     /// Panics if `b < a`.
     pub fn mean_over(&self, a: f64, b: f64) -> f64 {
-        assert!(b >= a, "inverted interval [{a}, {b}]");
-        if b == a {
-            return self.at(a);
-        }
-        self.integral(a, b) / (b - a)
-    }
-
-    /// The step index whose segment contains `x`, clamped to the last
-    /// step (which extends to +infinity). Callers guarantee `x > t0`.
-    #[inline]
-    fn step_of(&self, x: f64) -> usize {
-        (((x - self.t0) / self.dt) as usize).min(self.values.len() - 1)
-    }
-
-    /// The cumulative integral `F(x) = ∫ trace` from `t0` to `x`, in O(1)
-    /// via the prefix array: whole steps are a lookup, the partial step an
-    /// interpolation. `x` before `t0` extends the first value backwards
-    /// (negative area), `x` beyond the horizon extends the last forwards.
-    #[inline]
-    fn cumulative(&self, x: f64) -> f64 {
-        if x <= self.t0 {
-            return self.values[0] * (x - self.t0);
-        }
-        let k = self.step_of(x);
-        self.prefix[k] + self.values[k] * (x - (self.t0 + k as f64 * self.dt))
-    }
-
-    /// The floor-clamped cumulative curve at every step start — the work
-    /// integration curve.
-    #[inline]
-    fn work_prefix(&self) -> &[f64] {
-        self.prefix_floored.as_deref().unwrap_or(&self.prefix)
-    }
-
-    /// [`Self::cumulative`] over the floor-clamped availability curve,
-    /// with the step that contains `x` (0 before the trace starts).
-    #[inline]
-    fn cumulative_floored(&self, x: f64) -> (usize, f64) {
-        if x <= self.t0 {
-            return (0, self.values[0].max(AVAIL_FLOOR) * (x - self.t0));
-        }
-        let k = self.step_of(x);
-        let within = self.values[k].max(AVAIL_FLOOR) * (x - (self.t0 + k as f64 * self.dt));
-        (k, self.work_prefix()[k] + within)
+        self.curve().mean_over(&self.prefix, a, b)
     }
 
     /// Integral of the trace over `[a, b]`: the difference of two O(1)
@@ -242,147 +306,28 @@ impl Trace {
     ///
     /// Panics if `b < a`.
     pub fn integral(&self, a: f64, b: f64) -> f64 {
-        assert!(b >= a, "inverted interval [{a}, {b}]");
-        self.cumulative(b) - self.cumulative(a)
-    }
-
-    /// The historical step-walking `integral`, kept as the independently
-    /// simple reference the prefix path is validated against (and the
-    /// baseline the `trace_integration` bench compares with).
-    ///
-    /// An integer step cursor guarantees termination even when interval
-    /// endpoints land exactly on step boundaries (a float-recomputation
-    /// loop can stall there).
-    pub fn integral_reference(&self, a: f64, b: f64) -> f64 {
-        assert!(b >= a, "inverted interval [{a}, {b}]");
-        let mut acc = 0.0;
-        let mut t = a;
-        // Stretch before the horizon: the first value holds.
-        if t < self.t0 {
-            let seg_end = self.t0.min(b);
-            acc += self.values[0] * (seg_end - t);
-            t = seg_end;
-        }
-        if t >= b {
-            return acc;
-        }
-        let last = self.values.len() - 1;
-        let mut k = (((t - self.t0) / self.dt) as usize).min(last);
-        loop {
-            if k >= last {
-                // Final value holds to the end of the interval.
-                acc += self.values[last] * (b - t).max(0.0);
-                return acc;
-            }
-            let step_end = self.t0 + (k as f64 + 1.0) * self.dt;
-            if step_end >= b {
-                acc += self.values[k] * (b - t).max(0.0);
-                return acc;
-            }
-            acc += self.values[k] * (step_end - t).max(0.0);
-            t = step_end;
-            k += 1;
-        }
+        self.curve().integral(&self.prefix, a, b)
     }
 
     /// How long work of `dedicated_work` seconds takes when started at
     /// `t0_work`, proceeding at the traced availability: the smallest `d`
-    /// with `integral(t0_work, t0_work + d) == dedicated_work`.
+    /// with `integral(t0_work, t0_work + d) == dedicated_work`, in O(log
+    /// steps-until-done). Availability at or below the `1e-6` floor is
+    /// clamped up so a zero-availability stretch cannot hang the simulation.
     ///
-    /// Availability at or below the `1e-6` floor is clamped up so a
-    /// zero-availability stretch cannot hang the simulation forever.
+    /// # Panics
     ///
-    /// Implemented as a search over the floored prefix array for the step
-    /// where the cumulative work curve crosses the target, then one
-    /// division to interpolate inside it. The search (`crossing_step`)
-    /// gallops forward from the step the work starts in, so it costs
-    /// O(log steps-until-done) — two probes for work that ends in its own
-    /// step or the next — instead of the O(steps) walk of
-    /// [`Self::time_to_complete_reference`].
+    /// Panics if `dedicated_work < 0`.
     pub fn time_to_complete(&self, t0_work: f64, dedicated_work: f64) -> f64 {
-        assert!(
-            dedicated_work >= 0.0,
-            "work must be non-negative: {dedicated_work}"
-        );
-        // tidy:allow(PP004): exact zero-work shortcut, no tolerance wanted
-        if dedicated_work == 0.0 {
-            return 0.0;
-        }
-        // Work finishes at the x where the cumulative floored curve G
-        // reaches G(t0_work) + W. G is strictly increasing (values are
-        // clamped to a positive floor), so x is unique.
-        let (k0, started) = self.cumulative_floored(t0_work);
-        let target = started + dedicated_work;
-        if target <= 0.0 {
-            // Finishes before the trace even starts: constant first value.
-            let v = self.values[0].max(AVAIL_FLOOR);
-            return self.t0 + target / v - t0_work;
-        }
-        // Over the step starts only: the last step extends to +infinity,
-        // so a target beyond the horizon clamps there.
-        let cum = &self.work_prefix()[..self.values.len()];
-        let k = crossing_step(cum, k0, |p| p < target);
-        let v = self.values[k].max(AVAIL_FLOOR);
-        let x = self.t0 + k as f64 * self.dt + (target - cum[k]) / v;
-        x - t0_work
-    }
-
-    /// The historical step-walking `time_to_complete`, kept as the
-    /// reference implementation the prefix-search path is validated
-    /// against.
-    pub fn time_to_complete_reference(&self, t0_work: f64, dedicated_work: f64) -> f64 {
-        assert!(
-            dedicated_work >= 0.0,
-            "work must be non-negative: {dedicated_work}"
-        );
-        // tidy:allow(PP004): exact zero-work shortcut, no tolerance wanted
-        if dedicated_work == 0.0 {
-            return 0.0;
-        }
-        let mut remaining = dedicated_work;
-        let mut t = t0_work;
-        // Stretch before the horizon: the first value holds.
-        if t < self.t0 {
-            let v = self.values[0].max(AVAIL_FLOOR);
-            let capacity = v * (self.t0 - t);
-            if capacity >= remaining {
-                return remaining / v;
-            }
-            remaining -= capacity;
-            t = self.t0;
-        }
-        // Integer step cursor: strictly increasing, so the loop always
-        // terminates (a float-recomputed index can stall on boundaries).
-        let last = self.values.len() - 1;
-        let mut k = (((t - self.t0) / self.dt) as usize).min(last);
-        loop {
-            let v = self.values[k].max(AVAIL_FLOOR);
-            if k >= last {
-                // Final value holds forever.
-                return t + remaining / v - t0_work;
-            }
-            let step_end = self.t0 + (k as f64 + 1.0) * self.dt;
-            let capacity = v * (step_end - t).max(0.0);
-            if capacity >= remaining {
-                return t + remaining / v - t0_work;
-            }
-            remaining -= capacity;
-            t = step_end;
-            k += 1;
-        }
+        let floored = self.prefix_floored.as_deref().unwrap_or(&self.prefix);
+        self.curve()
+            .time_to_complete(floored, t0_work, dedicated_work)
     }
 
     /// Samples the trace every `interval` seconds over `[a, b)` — the NWS
     /// sensor cadence. Returns `(t, value)` pairs.
     pub fn sample_every(&self, a: f64, b: f64, interval: f64) -> Vec<(f64, f64)> {
-        assert!(interval > 0.0 && b >= a);
-        let mut out = Vec::new();
-        let mut t = a;
-        while t < b {
-            out.push((t, self.at(t)));
-            t += interval;
-        }
-        out
+        self.curve().sample_every(a, b, interval)
     }
 
     /// The sub-trace covering `[a, b)`, clamped to the horizon. The
@@ -393,16 +338,11 @@ impl Trace {
     /// Panics if `b <= a`.
     pub fn slice(&self, a: f64, b: f64) -> Trace {
         assert!(b > a, "empty slice [{a}, {b})");
-        let last = self.values.len() - 1;
-        let k0 = if a <= self.t0 {
-            0
-        } else {
-            (((a - self.t0) / self.dt) as usize).min(last)
-        };
+        let k0 = self.curve().step_of(a);
         let k1 = if b <= self.t0 {
             1
         } else {
-            ((((b - self.t0) / self.dt).ceil()) as usize).clamp(k0 + 1, last + 1)
+            ((((b - self.t0) / self.dt).ceil()) as usize).clamp(k0 + 1, self.values.len())
         };
         Trace::new(
             self.t0 + k0 as f64 * self.dt,
@@ -433,20 +373,17 @@ impl Trace {
 
     /// The minimum sample value.
     pub fn min(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
+        self.curve().min()
     }
 
     /// The maximum sample value.
     pub fn max(&self) -> f64 {
-        self.values
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
+        self.curve().max()
     }
 
     /// Mean of all samples.
     pub fn mean(&self) -> f64 {
-        self.values.iter().sum::<f64>() / self.values.len() as f64
+        self.curve().mean()
     }
 }
 
@@ -458,9 +395,8 @@ impl PartialEq for Trace {
     }
 }
 
-/// Serializes only the defining fields (`t0`, `dt`, `values`) — the same
-/// shape the former derive produced — so stored traces stay readable and
-/// the prefix arrays never hit disk.
+/// Serializes only the defining fields (`t0`, `dt`, `values`): the
+/// prefix arrays never hit disk.
 impl Serialize for Trace {
     fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), serde::Error> {
         sink.begin_map();
@@ -472,8 +408,7 @@ impl Serialize for Trace {
     }
 }
 
-/// Deserializes through [`Trace::new`], revalidating the data and
-/// rebuilding the prefix arrays.
+/// Deserializes through [`Trace::new`], which rebuilds the prefix arrays.
 impl Deserialize for Trace {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let t0 = f64::from_value(v.field("t0")?)?;
@@ -486,12 +421,76 @@ impl Deserialize for Trace {
     }
 }
 
+/// The step-walking oracles, shared with [`crate::store`]'s tests and the
+/// integration tests that include the same file.
+#[cfg(test)]
+#[path = "../tests/support/walking_oracles.rs"]
+pub(crate) mod walking_oracles;
+
 /// What the completion-search proptests, here and in [`crate::store`],
 /// draw from: how long a trace is, where on it work starts and how much
 /// work there is.
 #[cfg(test)]
 pub(crate) mod search_cases {
+    use super::{Curve, AVAIL_FLOOR};
     use proptest::prelude::*;
+
+    impl Curve<'_> {
+        /// [`Curve::time_to_complete`] as it was before the search started
+        /// where the work does: one `partition_point` over the whole
+        /// prefix array. The oracle the forward search is held to, bit
+        /// for bit, through either constructor.
+        pub(crate) fn time_to_complete_whole_array(
+            &self,
+            floored_cum: &[f64],
+            start: f64,
+            work: f64,
+        ) -> f64 {
+            if work == 0.0 {
+                return 0.0;
+            }
+            let floored = |k: usize| self.samples[k].max(AVAIL_FLOOR);
+            let target = self.cumulative(floored_cum, AVAIL_FLOOR, start).1 + work / self.scale;
+            if target <= 0.0 {
+                return self.t0 + target / floored(0) - start;
+            }
+            let last = self.samples.len() - 1;
+            let base = floored_cum[0];
+            let i = floored_cum[..=last].partition_point(|&p| p - base < target);
+            let k = i.saturating_sub(1).min(last);
+            let x = self.t0 + k as f64 * self.dt + (target - (floored_cum[k] - base)) / floored(k);
+            x - start
+        }
+    }
+
+    /// Runs of `(kind, level, length)`, each a stretch of one sample
+    /// level. Kinds `0..4` are dead (`0.0`, `-0.0`), below the
+    /// work-integration floor and barely above it; kinds from 4 up are a
+    /// spike and ordinary levels, the only ones a store column may hold.
+    pub(crate) fn runs(
+        kinds: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Vec<(usize, f64, usize)>> {
+        proptest::collection::vec((kinds, 0.0f64..1.0, 1usize..80), 1..12)
+    }
+
+    /// [`runs`]' draw, cycled to `len` samples.
+    pub(crate) fn stretches(len: usize, runs: &[(usize, f64, usize)]) -> Vec<f64> {
+        runs.iter()
+            .flat_map(|&(kind, level, run)| {
+                let v = match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 1e-9 * level,
+                    3 => AVAIL_FLOOR * (1.0 + level),
+                    4 => 3.0 + level,
+                    _ => 0.01 + level,
+                };
+                std::iter::repeat_n(v, run)
+            })
+            .cycle()
+            .take(len)
+            .collect()
+    }
 
     /// Traces of one, two and three steps, and of about two thousand.
     pub(crate) fn steps() -> impl Strategy<Value = usize> {
@@ -534,48 +533,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    impl Trace {
-        /// [`Trace::time_to_complete`] as it was before the search
-        /// started where the work does: one `partition_point` over the
-        /// whole prefix array. The oracle the forward search is held to,
-        /// bit for bit.
-        fn time_to_complete_whole_array(&self, t0_work: f64, dedicated_work: f64) -> f64 {
-            if dedicated_work == 0.0 {
-                return 0.0;
-            }
-            let target = self.cumulative_floored(t0_work).1 + dedicated_work;
-            if target <= 0.0 {
-                let v = self.values[0].max(AVAIL_FLOOR);
-                return self.t0 + target / v - t0_work;
-            }
-            let last = self.values.len() - 1;
-            let floored = self.work_prefix();
-            let i = floored[..=last].partition_point(|&p| p < target);
-            let k = i.saturating_sub(1).min(last);
-            let v = self.values[k].max(AVAIL_FLOOR);
-            let x = self.t0 + k as f64 * self.dt + (target - floored[k]) / v;
-            x - t0_work
-        }
-    }
+    use walking_oracles::{integral_walk, time_to_complete_walk};
 
-    /// Runs of a level each — dead (`0.0`, `-0.0`), below the floor,
-    /// barely above it, ordinary, a spike — cycled to `steps` samples.
-    fn stretches(steps: usize, runs: &[(usize, f64, usize)]) -> Vec<f64> {
-        runs.iter()
-            .flat_map(|&(kind, level, len)| {
-                let v = match kind {
-                    0 => 0.0,
-                    1 => -0.0,
-                    2 => 1e-9 * level,
-                    3 => AVAIL_FLOOR * (1.0 + level),
-                    4 => 3.0 + level,
-                    _ => 0.01 + level,
-                };
-                std::iter::repeat_n(v, len)
-            })
-            .cycle()
-            .take(steps)
-            .collect()
+    impl Trace {
+        /// The whole-array oracle over this trace's floored prefix.
+        fn time_to_complete_whole_array(&self, start: f64, work: f64) -> f64 {
+            let floored = self.prefix_floored.as_deref().unwrap_or(&self.prefix);
+            self.curve()
+                .time_to_complete_whole_array(floored, start, work)
+        }
     }
 
     proptest! {
@@ -585,11 +551,11 @@ mod tests {
         fn forward_search_matches_the_whole_array_search_bitwise(
             steps in search_cases::steps(),
             grid in search_cases::grid(),
-            runs in proptest::collection::vec((0usize..9, 0.0f64..1.0, 1usize..80), 1..12),
+            runs in search_cases::runs(0..9),
             start in search_cases::start(),
             work in search_cases::work(),
         ) {
-            let trace = Trace::new(grid.0, grid.1, stretches(steps, &runs));
+            let trace = Trace::new(grid.0, grid.1, search_cases::stretches(steps, &runs));
             let at = search_cases::place(grid, steps, start);
             prop_assert_eq!(
                 trace.time_to_complete(at, work).to_bits(),
@@ -603,7 +569,6 @@ mod tests {
     fn a_trace_that_never_dips_below_the_floor_keeps_one_prefix_array() {
         let t = Trace::new(0.0, 1.0, vec![AVAIL_FLOOR, 0.5, 2.0]);
         assert!(t.prefix_floored.is_none());
-        assert_eq!(t.work_prefix(), &t.prefix[..]);
     }
 
     #[test]
@@ -615,7 +580,6 @@ mod tests {
             .as_deref()
             .expect("a value is below the floor");
         assert_eq!(floored, &cumulative_prefix(2.0, &values, AVAIL_FLOOR)[..]);
-        assert_eq!(t.work_prefix(), floored);
         assert_ne!(
             floored,
             &t.prefix[..],
@@ -630,7 +594,7 @@ mod tests {
             d.to_bits(),
             t.time_to_complete_whole_array(0.0, 1.5).to_bits()
         );
-        assert!((d - t.time_to_complete_reference(0.0, 1.5)).abs() <= 1e-9);
+        assert!((d - time_to_complete_walk(&t, 0.0, 1.5)).abs() <= 1e-9);
         // The integral still reads the raw curve.
         assert!((t.integral(0.0, 12.0) - (1.5 + 2e-9)).abs() < 1e-12);
     }
@@ -727,7 +691,7 @@ mod tests {
         for (i, &a) in points.iter().enumerate() {
             for &b in &points[i..] {
                 let fast = t.integral(a, b);
-                let slow = t.integral_reference(a, b);
+                let slow = integral_walk(&t, a, b);
                 assert!(
                     (fast - slow).abs() <= 1e-9,
                     "integral([{a}, {b}]): {fast} vs {slow}"
@@ -745,7 +709,7 @@ mod tests {
             for m in k..=t.len() {
                 let b = t.t0() + m as f64 * t.dt();
                 let fast = t.integral(a, b);
-                let slow = t.integral_reference(a, b);
+                let slow = integral_walk(&t, a, b);
                 assert!(
                     (fast - slow).abs() <= 1e-9,
                     "boundary integral([{a}, {b}]): {fast} vs {slow}"
@@ -769,7 +733,7 @@ mod tests {
         for &s in &starts {
             for &w in &works {
                 let fast = t.time_to_complete(s, w);
-                let slow = t.time_to_complete_reference(s, w);
+                let slow = time_to_complete_walk(&t, s, w);
                 assert!(
                     (fast - slow).abs() <= 1e-9,
                     "ttc(start={s}, work={w}): {fast} vs {slow}"
@@ -786,7 +750,7 @@ mod tests {
         for k in 1..60u32 {
             let w = 0.5 * k as f64;
             let fast = t.time_to_complete(2.0, w);
-            let slow = t.time_to_complete_reference(2.0, w);
+            let slow = time_to_complete_walk(&t, 2.0, w);
             assert!((fast - slow).abs() <= 1e-9, "work {w}: {fast} vs {slow}");
             assert!((fast - k as f64).abs() <= 1e-9, "work {w} -> {fast}");
         }
@@ -812,10 +776,10 @@ mod tests {
         // prefix keeps whole-horizon integrals at reference accuracy.
         let t = Trace::from_fn(0.0, 1.0, 3600, |x| 0.5 + 0.45 * (x * 0.01).sin());
         let fast = t.integral(0.0, 3600.0);
-        let slow = t.integral_reference(0.0, 3600.0);
+        let slow = integral_walk(&t, 0.0, 3600.0);
         assert!((fast - slow).abs() <= 1e-9, "{fast} vs {slow}");
         let d_fast = t.time_to_complete(17.3, 900.0);
-        let d_slow = t.time_to_complete_reference(17.3, 900.0);
+        let d_slow = time_to_complete_walk(&t, 17.3, 900.0);
         assert!((d_fast - d_slow).abs() <= 1e-9, "{d_fast} vs {d_slow}");
     }
 

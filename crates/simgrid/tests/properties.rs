@@ -9,6 +9,10 @@ use prodpred_simgrid::network::EthernetContention;
 use prodpred_simgrid::{EventQueue, Platform, Trace};
 use proptest::prelude::*;
 
+#[path = "support/walking_oracles.rs"]
+mod walking_oracles;
+use walking_oracles::{integral_walk, time_to_complete_walk};
+
 fn trace_strategy() -> impl Strategy<Value = Trace> {
     (
         proptest::collection::vec(0.01f64..2.0, 1..64),
@@ -142,7 +146,7 @@ proptest! {
     fn prefix_integral_agrees_with_walk(trace in trace_strategy(), a in -150.0f64..250.0, len in 0.0f64..200.0) {
         let b = a + len;
         let fast = trace.integral(a, b);
-        let slow = trace.integral_reference(a, b);
+        let slow = integral_walk(&trace, a, b);
         prop_assert!((fast - slow).abs() <= 1e-9 * (1.0 + slow.abs()), "[{a}, {b}]: {fast} vs {slow}");
     }
 
@@ -152,14 +156,14 @@ proptest! {
         let a = trace.t0() + k1.min(k2) as f64 * trace.dt();
         let b = trace.t0() + k1.max(k2) as f64 * trace.dt();
         let fast = trace.integral(a, b);
-        let slow = trace.integral_reference(a, b);
+        let slow = integral_walk(&trace, a, b);
         prop_assert!((fast - slow).abs() <= 1e-9 * (1.0 + slow.abs()), "[{a}, {b}]: {fast} vs {slow}");
     }
 
     #[test]
     fn completion_search_agrees_with_walk(trace in trace_strategy(), t0 in -150.0f64..250.0, work in 0.0f64..500.0) {
         let fast = trace.time_to_complete(t0, work);
-        let slow = trace.time_to_complete_reference(t0, work);
+        let slow = time_to_complete_walk(&trace, t0, work);
         prop_assert!((fast - slow).abs() <= 1e-9 * (1.0 + slow.abs()), "start {t0}, work {work}: {fast} vs {slow}");
     }
 

@@ -22,10 +22,12 @@
 //! which the neighbour reaches without needing anything from this
 //! worker's current phase, so no cycle of waits can form.
 //!
-//! Fault tolerance: the `try_*` variants bound every wait with an
-//! [`ExchangePolicy`] (per-attempt timeout plus bounded retries) and
-//! surface a dead neighbour as [`ExchangeError::Disconnected`] and a
-//! wedged one as [`ExchangeError::Timeout`] instead of blocking forever.
+//! Fault tolerance: there is one exchange path and it is fallible. Every
+//! wait is bounded by an [`ExchangePolicy`] (per-attempt timeout plus
+//! bounded retries), a dead neighbour surfaces as
+//! [`ExchangeError::Disconnected`] and a wedged one as
+//! [`ExchangeError::Timeout`] instead of blocking forever; callers that
+//! want to wait a neighbour out pass [`ExchangePolicy::patient`].
 //! All locking recovers from a peer's panic (no poisoned-lock panics);
 //! dropping either endpoint wakes and disconnects the other side.
 
@@ -61,10 +63,6 @@ pub struct MailSender<T> {
 pub struct MailReceiver<T> {
     shared: Arc<Shared<T>>,
 }
-
-/// Error returned by [`MailReceiver::recv`] when the sender is gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Disconnected;
 
 /// Error returned by [`MailReceiver::recv_timeout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,7 +123,6 @@ impl Default for ExchangePolicy {
 impl ExchangePolicy {
     /// The near-infinite policy backing the infallible solver entry
     /// points: a wedged neighbour is waited out for an hour per attempt
-    /// (matching the old blocking behaviour for all practical purposes)
     /// while a *dead* neighbour still surfaces immediately.
     pub fn patient() -> Self {
         Self {
@@ -170,32 +167,8 @@ pub fn mailbox<T>() -> (MailSender<T>, MailReceiver<T>) {
 }
 
 impl<T> MailSender<T> {
-    /// Moves `value` into the slot, blocking while the previous value is
-    /// still unconsumed. Returns the value back on a disconnected peer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the value back as `Err` when the receiver hung up.
-    pub fn send(&self, value: T) -> Result<(), T> {
-        let mut state = lock(&self.shared.state);
-        while state.slot.is_some() && !state.closed {
-            state = self
-                .shared
-                .cond
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if state.closed {
-            return Err(value);
-        }
-        state.slot = Some(value);
-        self.shared.cond.notify_all();
-        Ok(())
-    }
-
-    /// Like [`MailSender::send`], but gives up once `timeout` elapses
-    /// with the previous value still unconsumed. The value rides back in
-    /// the error either way.
+    /// Moves `value` into the slot, waiting while the previous value is
+    /// still unconsumed and giving up once `timeout` elapses.
     ///
     /// # Errors
     ///
@@ -227,31 +200,8 @@ impl<T> MailSender<T> {
 }
 
 impl<T> MailReceiver<T> {
-    /// Takes the value out of the slot, blocking until one arrives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Disconnected`] when the sender hung up with the slot empty.
-    pub fn recv(&self) -> Result<T, Disconnected> {
-        let mut state = lock(&self.shared.state);
-        loop {
-            if let Some(value) = state.slot.take() {
-                self.shared.cond.notify_all();
-                return Ok(value);
-            }
-            if state.closed {
-                return Err(Disconnected);
-            }
-            state = self
-                .shared
-                .cond
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Like [`MailReceiver::recv`], but gives up once `timeout` elapses
-    /// with nothing delivered.
+    /// Takes the value out of the slot, waiting until one arrives and
+    /// giving up once `timeout` elapses with nothing delivered.
     ///
     /// # Errors
     ///
@@ -334,26 +284,10 @@ pub fn recycled_link(len: usize) -> (RecycledSender, RecycledReceiver) {
 }
 
 impl RecycledSender {
-    /// Sends one boundary row: reclaims the recycled buffer (blocking for
+    /// Sends one boundary row: reclaims the recycled buffer (waiting for
     /// the neighbour's return if it is still in flight), fills it via
-    /// `fill`, and ships it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the neighbour hung up.
-    pub fn send_with(&mut self, fill: impl FnOnce(&mut [f64])) {
-        let mut buf = match self.stash.take() {
-            Some(buf) => buf,
-            None => self.returns.recv().expect("neighbour hung up"), // tidy:allow(PP003): documented panic contract of the infallible path
-        };
-        fill(&mut buf);
-        if self.data.send(buf).is_err() {
-            panic!("neighbour hung up");
-        }
-    }
-
-    /// Fallible [`RecycledSender::send_with`]: a dead neighbour surfaces
-    /// as [`ExchangeError::Disconnected`], a wedged one as
+    /// `fill`, and ships it. A dead neighbour surfaces as
+    /// [`ExchangeError::Disconnected`], a wedged one as
     /// [`ExchangeError::Timeout`] once the policy's
     /// [total budget](ExchangePolicy::total_budget) is spent. The budget
     /// is armed once on entry and shared between the buffer-reclaim and
@@ -403,20 +337,7 @@ impl RecycledSender {
 
 impl RecycledReceiver {
     /// Receives one boundary row, hands it to `consume`, and returns the
-    /// buffer to the sender for reuse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the neighbour hung up.
-    pub fn recv_with(&self, consume: impl FnOnce(&[f64])) {
-        let row = self.data.recv().expect("neighbour hung up"); // tidy:allow(PP003): documented panic contract of the infallible path
-        consume(&row);
-        // Returning the buffer can only fail if the sender is gone, at
-        // which point recycling no longer matters.
-        let _ = self.returns.send(row);
-    }
-
-    /// Fallible [`RecycledReceiver::recv_with`] with the same contract as
+    /// buffer to the sender for reuse, with the same contract as
     /// [`RecycledSender::try_send_with`]: the policy's total budget is
     /// armed once on entry and bounds the whole receive. The post-success
     /// buffer-return leg may add at most one further `timeout`, so the
@@ -457,16 +378,22 @@ mod tests {
     use super::*;
     use std::thread;
 
+    /// One attempt of the patient policy: the wait of a caller that means
+    /// to block.
+    fn patience() -> Duration {
+        ExchangePolicy::patient().timeout
+    }
+
     #[test]
     fn mailbox_passes_values_in_order() {
         let (tx, rx) = mailbox();
         let h = thread::spawn(move || {
             for i in 0..100u64 {
-                tx.send(i).unwrap();
+                tx.send_timeout(i, patience()).unwrap();
             }
         });
         for i in 0..100u64 {
-            assert_eq!(rx.recv().unwrap(), i);
+            assert_eq!(rx.recv_timeout(patience()), Ok(i));
         }
         h.join().unwrap();
     }
@@ -474,31 +401,39 @@ mod tests {
     #[test]
     fn recv_errors_after_sender_drops() {
         let (tx, rx) = mailbox::<u32>();
-        tx.send(7).unwrap();
+        tx.send_timeout(7, patience()).unwrap();
         drop(tx);
-        assert_eq!(rx.recv(), Ok(7)); // buffered value still delivered
-        assert_eq!(rx.recv(), Err(Disconnected));
+        assert_eq!(rx.recv_timeout(patience()), Ok(7)); // buffered value still delivered
+        assert_eq!(
+            rx.recv_timeout(patience()),
+            Err(RecvTimeoutError::Disconnected)
+        );
     }
 
     #[test]
     fn send_errors_after_receiver_drops() {
         let (tx, rx) = mailbox::<u32>();
         drop(rx);
-        assert_eq!(tx.send(7), Err(7));
+        assert_eq!(
+            tx.send_timeout(7, patience()),
+            Err(SendTimeoutError::Disconnected(7))
+        );
     }
 
     #[test]
     fn recycled_link_round_trips_the_same_buffer() {
         let (mut tx, rx) = recycled_link(4);
+        let policy = ExchangePolicy::patient();
         let h = thread::spawn(move || {
             let mut ptrs = Vec::new();
             for _ in 0..50 {
-                rx.recv_with(|row| ptrs.push(row.as_ptr() as usize));
+                rx.try_recv_with(&policy, |row| ptrs.push(row.as_ptr() as usize))
+                    .unwrap();
             }
             ptrs
         });
         for i in 0..50 {
-            tx.send_with(|buf| buf.fill(i as f64));
+            tx.try_send_with(&policy, |buf| buf.fill(i as f64)).unwrap();
         }
         let ptrs = h.join().unwrap();
         // Steady state reuses one allocation: every delivery saw the same
@@ -520,7 +455,7 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(20)),
             Err(RecvTimeoutError::Timeout)
         );
-        tx.send(9).unwrap();
+        tx.send_timeout(9, patience()).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_millis(20)), Ok(9));
         drop(tx);
         assert_eq!(
@@ -532,13 +467,13 @@ mod tests {
     #[test]
     fn send_timeout_returns_the_value_on_full_slot() {
         let (tx, rx) = mailbox();
-        tx.send(1u32).unwrap();
+        tx.send_timeout(1u32, patience()).unwrap();
         // Slot occupied, receiver not draining: the value rides back.
         assert_eq!(
             tx.send_timeout(2, Duration::from_millis(20)),
             Err(SendTimeoutError::Timeout(2))
         );
-        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.recv_timeout(patience()), Ok(1));
         tx.send_timeout(3, Duration::from_millis(20)).unwrap();
         drop(rx);
         assert_eq!(
@@ -587,6 +522,8 @@ mod tests {
 
     #[test]
     fn try_exchange_recycles_like_the_infallible_path() {
+        // The same round trip under the default policy, whose waits are
+        // retried attempts rather than one long one.
         let (mut tx, rx) = recycled_link(4);
         let policy = ExchangePolicy::default();
         let h = thread::spawn(move || {
@@ -666,7 +603,8 @@ mod tests {
         let peer = thread::spawn(move || {
             for _ in 0..20 {
                 thread::sleep(Duration::from_millis(30));
-                rx.recv_with(|_| {});
+                rx.try_recv_with(&ExchangePolicy::patient(), |_| {})
+                    .unwrap();
             }
         });
         for i in 0..20 {
@@ -686,7 +624,8 @@ mod tests {
         // panic.
         let (mut tx, rx) = recycled_link(2);
         let h = thread::spawn(move || {
-            rx.recv_with(|_| {});
+            rx.try_recv_with(&ExchangePolicy::patient(), |_| {})
+                .unwrap();
             panic!("worker dies");
         });
         tx.try_send_with(&ExchangePolicy::default(), |buf| buf.fill(1.0))
@@ -708,15 +647,20 @@ mod tests {
         // then drain, many times over.
         let (mut a_tx, b_rx) = recycled_link(8);
         let (mut b_tx, a_rx) = recycled_link(8);
+        let policy = ExchangePolicy::patient();
         let peer = thread::spawn(move || {
             for i in 0..200 {
-                b_tx.send_with(|buf| buf.fill(i as f64));
-                b_rx.recv_with(|row| assert_eq!(row[0], i as f64));
+                b_tx.try_send_with(&policy, |buf| buf.fill(i as f64))
+                    .unwrap();
+                b_rx.try_recv_with(&policy, |row| assert_eq!(row[0], i as f64))
+                    .unwrap();
             }
         });
         for i in 0..200 {
-            a_tx.send_with(|buf| buf.fill(i as f64));
-            a_rx.recv_with(|row| assert_eq!(row[0], i as f64));
+            a_tx.try_send_with(&policy, |buf| buf.fill(i as f64))
+                .unwrap();
+            a_rx.try_recv_with(&policy, |row| assert_eq!(row[0], i as f64))
+                .unwrap();
         }
         peer.join().unwrap();
     }

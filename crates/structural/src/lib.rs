@@ -36,4 +36,4 @@ pub use param::{Param, ParamSource};
 pub use sor_model::{
     skew_bound, PhaseBreakdown, ProcessorInputs, SorModelInputs, SorStructuralModel,
 };
-pub use validate::{monte_carlo, monte_carlo_par, monte_carlo_par_reference, McResult, MC_CHUNK};
+pub use validate::{monte_carlo, monte_carlo_par, McResult, MC_CHUNK};

@@ -41,22 +41,8 @@ pub const MC_CHUNK: usize = 4096;
 /// library panic-free on degenerate requests.
 pub fn monte_carlo(component: &Component, n: usize, seed: u64) -> McResult {
     let n = n.max(2);
-    let closed = component.evaluate();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut s = Summary::new();
-    let mut inside = 0usize;
-    for _ in 0..n {
-        let x = sample_once(component, &mut rng);
-        s.push(x);
-        if closed.contains(x) {
-            inside += 1;
-        }
-    }
-    McResult {
-        summary: StochasticValue::from_mean_sd(s.mean(), s.sd()),
-        skewness: s.skewness(),
-        closed_form_coverage: inside as f64 / n as f64,
-    }
+    // One chunk, one stream: merging into an empty accumulator copies it.
+    merge_mc_partials(&[mc_chunk(component, &component.evaluate(), n, seed)], n)
 }
 
 /// Parallel Monte-Carlo evaluation: the samples are split into fixed
@@ -66,11 +52,11 @@ pub fn monte_carlo(component: &Component, n: usize, seed: u64) -> McResult {
 /// mean/variance merge ([`Summary::merge`]).
 ///
 /// Because neither the chunk structure nor the merge order depends on
-/// the worker count, the result is bit-identical to
-/// [`monte_carlo_par_reference`] at every `threads` value (0 = auto /
-/// `PRODPRED_THREADS`). The sample *stream* differs from the
-/// single-stream [`monte_carlo`] — same distribution, different draws —
-/// which is why the serial chunked reference exists as the oracle.
+/// the worker count, the result is bit-identical at every `threads`
+/// value (0 = auto / `PRODPRED_THREADS`); `threads = 1` maps the chunks
+/// inline on the calling thread and is the oracle the tier-1 tests hold
+/// 2, 4 and 8 threads to. The sample *stream* differs from the
+/// single-stream [`monte_carlo`] — same distribution, different draws.
 ///
 /// `n` saturates to 2, as in [`monte_carlo`].
 pub fn monte_carlo_par(component: &Component, n: usize, seed: u64, threads: usize) -> McResult {
@@ -85,28 +71,6 @@ pub fn monte_carlo_par(component: &Component, n: usize, seed: u64, threads: usiz
             prodpred_pool::derive_seed(seed, i as u64),
         )
     });
-    merge_mc_partials(&partials, n)
-}
-
-/// Serial oracle for [`monte_carlo_par`]: the same chunked seed scheme
-/// and ordered Chan merge, executed on the calling thread. Kept (like
-/// the `*_reference` trace oracles) so tier-1 tests can assert the
-/// parallel path is bit-identical at 1, 2, 4, and 8 threads.
-pub fn monte_carlo_par_reference(component: &Component, n: usize, seed: u64) -> McResult {
-    let n = n.max(2);
-    let closed = component.evaluate();
-    let partials: Vec<(Summary, usize)> = prodpred_pool::chunk_lengths(n, MC_CHUNK)
-        .iter()
-        .enumerate()
-        .map(|(i, &len)| {
-            mc_chunk(
-                component,
-                &closed,
-                len,
-                prodpred_pool::derive_seed(seed, i as u64),
-            )
-        })
-        .collect();
     merge_mc_partials(&partials, n)
 }
 
@@ -287,6 +251,8 @@ mod tests {
 
     #[test]
     fn parallel_bitwise_matches_reference_across_thread_counts() {
+        // The reference is the same driver on one thread, which
+        // `parallel_map` runs inline on the caller.
         // A tree with every node kind, spanning several chunks.
         let c = Component::Sum(
             vec![
@@ -297,8 +263,8 @@ mod tests {
             Dependence::Unrelated,
         );
         let n = 3 * MC_CHUNK + 101;
-        let reference = monte_carlo_par_reference(&c, n, 11);
-        for threads in [1usize, 2, 4, 8] {
+        let reference = monte_carlo_par(&c, n, 11, 1);
+        for threads in [2usize, 4, 8] {
             let par = monte_carlo_par(&c, n, 11, threads);
             assert_eq!(
                 par.summary.mean().to_bits(),
