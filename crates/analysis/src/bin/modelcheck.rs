@@ -46,6 +46,7 @@
 //! deterministic exploration changes only when the model changes.
 
 use prodpred_analysis::ckpt::{check_ckpt, CkptConfig, CkptReport, MAX_KILLS};
+use prodpred_analysis::mc::ExploreStats;
 use prodpred_analysis::model::{check, ModelConfig, Report};
 use prodpred_analysis::svc::{self, SvcConfig, SvcReport, Variant};
 use prodpred_simgrid::faults::WorkerDeath;
@@ -67,7 +68,12 @@ struct Options {
     expect_states: Option<u64>,
 }
 
-fn parse_args() -> Result<Options, String> {
+const USAGE: &str =
+    "usage: modelcheck [--ranks N | --layout RxC] [--halves M] [--kill R:H] [--timeouts] [--ckpt] \
+                     [--svc] [--readers N] [--shards N] [--epochs N] [--expect-states N]";
+
+/// `Ok(None)` is a request for the usage text.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
         ranks: 2,
         grid: None,
@@ -82,14 +88,18 @@ fn parse_args() -> Result<Options, String> {
         expect_states: None,
     };
     let mut args = std::env::args().skip(1);
+    // The integer that follows `flag`.
+    fn int<T: std::str::FromStr>(
+        args: &mut impl Iterator<Item = String>,
+        flag: &str,
+    ) -> Result<T, String> {
+        args.next()
+            .and_then(|v| v.parse().ok())
+            .ok_or(format!("{flag} needs an integer"))
+    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--ranks" => {
-                opts.ranks = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--ranks needs an integer")?;
-            }
+            "--ranks" => opts.ranks = int(&mut args, "--ranks")?,
             "--layout" => {
                 let spec = args.next().ok_or("--layout needs ROWSxCOLS")?;
                 let dims = spec
@@ -99,12 +109,7 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or("--layout needs ROWSxCOLS, both positive")?;
                 opts.grid = Some(BlockLayout::new(dims.0, dims.1));
             }
-            "--halves" => {
-                opts.halves = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--halves needs an integer")?;
-            }
+            "--halves" => opts.halves = int(&mut args, "--halves")?,
             "--kill" => {
                 let spec = args.next().ok_or("--kill needs RANK:HALF")?;
                 let (r, h) = spec.split_once(':').ok_or("--kill needs RANK:HALF")?;
@@ -116,42 +121,15 @@ fn parse_args() -> Result<Options, String> {
             "--timeouts" => opts.timeouts_only = true,
             "--ckpt" => opts.ckpt_only = true,
             "--svc" => opts.svc_only = true,
-            "--readers" => {
-                opts.readers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--readers needs an integer")?;
-            }
-            "--shards" => {
-                opts.shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--shards needs an integer")?;
-            }
-            "--epochs" => {
-                opts.epochs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--epochs needs an integer")?;
-            }
-            "--expect-states" => {
-                opts.expect_states = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--expect-states needs an integer")?,
-                );
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: modelcheck [--ranks N | --layout RxC] [--halves M] [--kill R:H] [--timeouts] [--ckpt] \
-                     [--svc] [--readers N] [--shards N] [--epochs N] [--expect-states N]"
-                        .to_string(),
-                );
-            }
+            "--readers" => opts.readers = int(&mut args, "--readers")?,
+            "--shards" => opts.shards = int(&mut args, "--shards")?,
+            "--epochs" => opts.epochs = int(&mut args, "--epochs")?,
+            "--expect-states" => opts.expect_states = Some(int(&mut args, "--expect-states")?),
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    Ok(opts)
+    Ok(Some(opts))
 }
 
 fn describe(report: &Report) -> String {
@@ -178,20 +156,26 @@ fn describe(report: &Report) -> String {
     )
 }
 
-fn run_one(config: ModelConfig, failures: &mut u32) -> Report {
-    let report = check(config);
-    if report.holds() {
-        println!("ok    {}", describe(&report));
-    } else {
-        *failures += 1;
-        println!("FAIL  {}", describe(&report));
-        if let Some(v) = &report.stats.violation {
-            println!("      violation: {}", v.kind);
-            for (i, step) in v.trace.iter().enumerate() {
-                println!("      {i:>3}. {step}");
-            }
+/// Prints one exploration's verdict — and, when a property failed, the
+/// violation with its trace — and counts the failure.
+fn report_one(holds: bool, description: String, stats: &ExploreStats, failures: &mut u32) {
+    if holds {
+        println!("ok    {description}");
+        return;
+    }
+    *failures += 1;
+    println!("FAIL  {description}");
+    if let Some(v) = &stats.violation {
+        println!("      violation: {}", v.kind);
+        for (i, step) in v.trace.iter().enumerate() {
+            println!("      {i:>3}. {step}");
         }
     }
+}
+
+fn run_one(config: ModelConfig, failures: &mut u32) -> Report {
+    let report = check(config);
+    report_one(report.holds(), describe(&report), &report.stats, failures);
     report
 }
 
@@ -227,18 +211,12 @@ fn describe_ckpt(report: &CkptReport) -> String {
 
 fn run_one_ckpt(config: CkptConfig, failures: &mut u32) -> CkptReport {
     let report = check_ckpt(config);
-    if report.holds() {
-        println!("ok    {}", describe_ckpt(&report));
-    } else {
-        *failures += 1;
-        println!("FAIL  {}", describe_ckpt(&report));
-        if let Some(v) = &report.stats.violation {
-            println!("      violation: {}", v.kind);
-            for (i, step) in v.trace.iter().enumerate() {
-                println!("      {i:>3}. {step}");
-            }
-        }
-    }
+    report_one(
+        report.holds(),
+        describe_ckpt(&report),
+        &report.stats,
+        failures,
+    );
     report
 }
 
@@ -328,18 +306,12 @@ fn describe_svc(report: &SvcReport) -> String {
 
 fn run_one_svc(config: SvcConfig, failures: &mut u32) -> u64 {
     let report = svc::check(config);
-    if report.holds() {
-        println!("ok    {}", describe_svc(&report));
-    } else {
-        *failures += 1;
-        println!("FAIL  {}", describe_svc(&report));
-        if let Some(v) = &report.stats.violation {
-            println!("      violation: {}", v.kind);
-            for (i, step) in v.trace.iter().enumerate() {
-                println!("      {i:>3}. {step}");
-            }
-        }
-    }
+    report_one(
+        report.holds(),
+        describe_svc(&report),
+        &report.stats,
+        failures,
+    );
     report.stats.states
 }
 
@@ -435,7 +407,11 @@ fn gate_states(expect: Option<u64>, total: u64, failures: &mut u32) {
 
 fn main() -> ExitCode {
     let opts = match parse_args() {
-        Ok(o) => o,
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("modelcheck: {msg}");
             return ExitCode::from(2);
@@ -451,37 +427,24 @@ fn main() -> ExitCode {
     let mut failures = 0u32;
     let mut total_states = 0u64;
 
+    // What ran, and what it proves when nothing failed.
+    let (mut suite, mut proved) = (
+        "the suite",
+        if opts.grid.is_none() {
+            "deadlock-freedom, delivery, typed-death, and checkpoint/resume"
+        } else {
+            "deadlock-freedom, delivery, and typed-death"
+        },
+    );
     if opts.svc_only {
         total_states += svc_suite(opts.readers, opts.shards, opts.epochs, &mut failures);
-        gate_states(opts.expect_states, total_states, &mut failures);
-        println!(
-            "modelcheck: {total_states} states explored across the svc suite; {failures} failure(s)"
-        );
-        return if failures == 0 {
-            println!(
-                "modelcheck: serving-path snapshot, cache-epoch, and admission properties hold"
-            );
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if opts.ckpt_only {
+        suite = "the svc suite";
+        proved = "serving-path snapshot, cache-epoch, and admission";
+    } else if opts.ckpt_only {
         total_states += ckpt_suite(opts.ranks, opts.halves, &mut failures);
-        gate_states(opts.expect_states, total_states, &mut failures);
-        println!(
-            "modelcheck: {total_states} states explored across the ckpt suite; {failures} failure(s)"
-        );
-        return if failures == 0 {
-            println!(
-                "modelcheck: checkpoint/resume convergence and consumed-death properties hold"
-            );
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if let Some(kill) = opts.kill {
+        suite = "the ckpt suite";
+        proved = "checkpoint/resume convergence and consumed-death";
+    } else if let Some(kill) = opts.kill {
         let report = run_one(
             ModelConfig {
                 kill: Some(kill),
@@ -551,13 +514,8 @@ fn main() -> ExitCode {
     }
 
     gate_states(opts.expect_states, total_states, &mut failures);
-    println!("modelcheck: {total_states} states explored across the suite; {failures} failure(s)");
+    println!("modelcheck: {total_states} states explored across {suite}; {failures} failure(s)");
     if failures == 0 {
-        let proved = if opts.grid.is_none() {
-            "deadlock-freedom, delivery, typed-death, and checkpoint/resume"
-        } else {
-            "deadlock-freedom, delivery, and typed-death"
-        };
         println!("modelcheck: {proved} properties hold");
         ExitCode::SUCCESS
     } else {

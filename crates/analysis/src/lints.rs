@@ -95,19 +95,16 @@ const PP008_NET: [&str; 4] = ["std::net", "TcpListener", "TcpStream", "UdpSocket
 /// Wall-clock reads flagged by PP009 inside the service crate.
 const PP009_CLOCKS: [&str; 2] = ["SystemTime::now(", "Instant::now("];
 
-/// Memory-ordering tokens flagged by PP010. Only the five
-/// `std::sync::atomic::Ordering` variants — a bare `Ordering::` pattern
-/// would also catch the unrelated `std::cmp::Ordering`.
-const PP010_ORDERINGS: [&str; 5] = [
+/// Tokens flagged by PP010: the five `std::sync::atomic::Ordering`
+/// variants (a bare `Ordering::` pattern would also catch the unrelated
+/// `std::cmp::Ordering`), then the atomic cell types and the module path
+/// itself.
+const PP010_ATOMICS: [&str; 18] = [
     "Ordering::Relaxed",
     "Ordering::Acquire",
     "Ordering::Release",
     "Ordering::AcqRel",
     "Ordering::SeqCst",
-];
-
-/// Atomic cell types (and the module path itself) flagged by PP010.
-const PP010_ATOMICS: [&str; 13] = [
     "std::sync::atomic",
     "AtomicBool",
     "AtomicU8",
@@ -164,6 +161,113 @@ fn path_scope(relpath: &str) -> PathScope {
     }
 }
 
+/// A lint that fences a list of tokens out of part of the tree: every
+/// word-boundary occurrence of a token where the fence applies is a
+/// finding. A new fence is a new row of [`FENCES`].
+struct TokenFence {
+    code: &'static str,
+    tokens: &'static [&'static str],
+    /// Whether the fence covers a line of `relpath`, given what the path
+    /// says about the file and whether the line is test code.
+    applies: fn(relpath: &str, scope: PathScope, in_test: bool) -> bool,
+    /// The diagnostic for one matched token.
+    message: fn(token: &str) -> String,
+}
+
+/// The service crate's shell module (the designed socket veneer, whose
+/// tick loop and socket timeouts are real time by design) and its binary
+/// targets (the daemon and its smoke-mode HTTP client, which measures
+/// real sockets): the paths PP008 and PP009 exempt.
+fn service_shell(relpath: &str) -> bool {
+    relpath == "crates/service/src/shell.rs" || relpath.starts_with("crates/service/src/bin/")
+}
+
+const FENCES: [TokenFence; 6] = [
+    TokenFence {
+        code: "PP001",
+        tokens: &PP001_SOURCES,
+        applies: |_, scope, in_test| !in_test && !scope.bin && !scope.bench_crate,
+        message: |pat| {
+            let name = pat.trim_end_matches('(');
+            format!("nondeterminism source `{name}` in a simulation/prediction path; inject time or seed explicitly")
+        },
+    },
+    TokenFence {
+        code: "PP003",
+        tokens: &PP003_PANICS,
+        applies: |_, scope, in_test| !in_test && !scope.bin,
+        message: |pat| {
+            let name = pat.trim_start_matches('.').trim_end_matches('(');
+            let name = name.trim_end_matches("()");
+            format!("`{name}` in non-test library code; return a typed error, or document the invariant and add a tidy:allow")
+        },
+    },
+    TokenFence {
+        code: "PP005",
+        tokens: &PP005_LOCKS,
+        applies: |_, _, in_test| !in_test,
+        message: |pat| {
+            format!("raw `{pat}` bypasses the poison-recovering lock helpers; a peer's panic becomes a secondary panic here")
+        },
+    },
+    // PP008: `std::net` socket usage outside the service crate's shell.
+    // The service core is a pure function of `(sensor trace, clock)` and
+    // the tier-1 tests drive it with zero real I/O — a guarantee that
+    // only holds while socket code stays quarantined in the shell and
+    // the service binaries. Runs in every scope, tests included: the
+    // tier-1 suite is contractually socket-free.
+    TokenFence {
+        code: "PP008",
+        tokens: &PP008_NET,
+        applies: |relpath, _, _| !service_shell(relpath),
+        message: |pat| {
+            format!("`{pat}` outside the service shell; sockets live only in crates/service/src/shell.rs (the core must stay I/O-free)")
+        },
+    },
+    // PP009: wall-clock reads in the service crate outside its shell.
+    // Resilience decisions — serving-state derivation, retry backoff,
+    // breaker cooldowns, admission budgets — are pure functions of
+    // `(seed, simulated clock)`; that is what makes the chaos campaign
+    // and the availability DP replayable bit-for-bit. PP001 already bans
+    // nondeterminism in library code but waives tests and binaries; here
+    // even a test that consults `Instant::now` for control flow can mask
+    // a determinism regression, so the ban covers every scope.
+    TokenFence {
+        code: "PP009",
+        tokens: &PP009_CLOCKS,
+        applies: |relpath, _, _| {
+            relpath.starts_with("crates/service/src/") && !service_shell(relpath)
+        },
+        message: |pat| {
+            let name = pat.trim_end_matches('(');
+            format!("`{name}` in the service crate outside shell.rs; resilience logic must run on the simulated clock")
+        },
+    },
+    // PP010: atomics fenced into the audited concurrency modules. The
+    // serving-path proof (`prodpred-analysis::svc`) enumerates every
+    // interleaving of the atomics in `swap.rs`/`cache.rs`/`resilience.rs`;
+    // the pool's primitives predate it and are covered by their own
+    // stress suite. An `Atomic*` cell or memory ordering anywhere else
+    // has no model backing its orderings — move the state behind one of
+    // the audited modules' abstractions, or justify the escape with
+    // `tidy:allow(PP010): reason`. Covers every scope (tests and binaries
+    // included): an unaudited atomic in a test harness can hide the same
+    // ordering bugs.
+    TokenFence {
+        code: "PP010",
+        tokens: &PP010_ATOMICS,
+        applies: |relpath, _, _| {
+            !(relpath == "crates/service/src/swap.rs"
+                || relpath == "crates/service/src/cache.rs"
+                || relpath == "crates/service/src/resilience.rs"
+                || relpath.starts_with("crates/pool/"))
+        },
+        message: |pat| {
+            format!("`{pat}` outside the audited atomics modules (service swap/cache/resilience, crates/pool); route the state through them or justify with tidy:allow(PP010)")
+        },
+    },
+];
+
 /// Lints one source file, applying scoping rules and `tidy:allow`
 /// suppressions. Returns the surviving findings in (line, col, code)
 /// order.
@@ -178,38 +282,31 @@ pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
     for (idx, line) in lines.iter().enumerate() {
         let in_test = scope.test_path || regions.in_test[idx];
         let code_line = line.code.as_str();
-        if !in_test && !scope.bin && !scope.bench_crate {
-            pp001(relpath, idx, code_line, &mut findings);
+        for fence in &FENCES {
+            if !(fence.applies)(relpath, scope, in_test) {
+                continue;
+            }
+            for pat in fence.tokens {
+                let mut from = 0;
+                while let Some(at) = find_word(code_line, pat, from) {
+                    push(
+                        &mut findings,
+                        relpath,
+                        idx,
+                        at,
+                        fence.code,
+                        (fence.message)(pat),
+                    );
+                    from = at + pat.len();
+                }
+            }
         }
         if !in_test {
             pp002(relpath, idx, code_line, &hash_names, &mut findings);
             pp004(relpath, idx, code_line, &mut findings);
-            pp005(relpath, idx, code_line, &mut findings);
-        }
-        if !in_test && !scope.bin {
-            pp003(relpath, idx, code_line, &mut findings);
         }
         if !in_test && scope.hot_path {
             pp007(relpath, idx, code_line, &mut findings);
-        }
-        // PP008 runs in every scope, tests included: the tier-1 suite is
-        // contractually socket-free, so sockets outside the shell are a
-        // defect even in test code.
-        if !pp008_exempt(relpath) {
-            pp008(relpath, idx, code_line, &mut findings);
-        }
-        // PP009 also ignores scope: the serving state machine, admission
-        // control and ingest supervisor are pure functions of the
-        // simulated clock, and a wall-clock read anywhere in the service
-        // crate (tests included) silently breaks replay determinism.
-        if relpath.starts_with("crates/service/src/") && !pp009_exempt(relpath) {
-            pp009(relpath, idx, code_line, &mut findings);
-        }
-        // PP010 likewise covers every scope: the svc model checker's
-        // memory-ordering proofs only reach the designated modules, so
-        // an atomic anywhere else is unaudited by construction.
-        if !pp010_exempt(relpath) {
-            pp010(relpath, idx, code_line, &mut findings);
         }
     }
     if !scope.test_path && !scope.bin {
@@ -236,24 +333,6 @@ fn push(
         code,
         message,
     });
-}
-
-fn pp001(file: &str, idx: usize, code_line: &str, findings: &mut Vec<Finding>) {
-    for pat in PP001_SOURCES {
-        let mut from = 0;
-        while let Some(at) = find_word(code_line, pat, from) {
-            let name = pat.trim_end_matches('(');
-            push(
-                findings,
-                file,
-                idx,
-                at,
-                "PP001",
-                format!("nondeterminism source `{name}` in a simulation/prediction path; inject time or seed explicitly"),
-            );
-            from = at + pat.len();
-        }
-    }
 }
 
 /// First pass of PP002: names bound or declared with a `HashMap`/`HashSet`
@@ -339,25 +418,6 @@ fn pp002(
                 );
                 from = at + pat.len();
             }
-        }
-    }
-}
-
-fn pp003(file: &str, idx: usize, code_line: &str, findings: &mut Vec<Finding>) {
-    for pat in PP003_PANICS {
-        let mut from = 0;
-        while let Some(at) = find_word(code_line, pat, from) {
-            let name = pat.trim_start_matches('.').trim_end_matches('(');
-            let name = name.trim_end_matches("()");
-            push(
-                findings,
-                file,
-                idx,
-                at,
-                "PP003",
-                format!("`{name}` in non-test library code; return a typed error, or document the invariant and add a tidy:allow"),
-            );
-            from = at + pat.len();
         }
     }
 }
@@ -482,23 +542,6 @@ fn is_float_literal(tok: &str) -> bool {
     has_suffix || body.contains('.') || body.contains('e') || body.contains('E')
 }
 
-fn pp005(file: &str, idx: usize, code_line: &str, findings: &mut Vec<Finding>) {
-    for pat in PP005_LOCKS {
-        let mut from = 0;
-        while let Some(at) = find_word(code_line, pat, from) {
-            push(
-                findings,
-                file,
-                idx,
-                at,
-                "PP005",
-                format!("raw `{pat}` bypasses the poison-recovering lock helpers; a peer's panic becomes a secondary panic here"),
-            );
-            from = at + pat.len();
-        }
-    }
-}
-
 /// PP007: trace-sized buffer copies in `simgrid`/`core` hot paths.
 ///
 /// Flags `.values().to_vec()` literally, plus `.clone()`/`.to_vec()`
@@ -539,116 +582,6 @@ fn pp007(file: &str, idx: usize, code_line: &str, findings: &mut Vec<Finding>) {
                     format!("`{last}{pat}` copies a trace-sized buffer in a hot path; borrow it or route through TraceStore views"),
                 );
             }
-        }
-    }
-}
-
-/// Paths allowed to touch `std::net`: the service crate's shell module
-/// (the designed socket veneer) and its binary targets (the daemon and
-/// its smoke-mode HTTP client).
-fn pp008_exempt(relpath: &str) -> bool {
-    relpath == "crates/service/src/shell.rs" || relpath.starts_with("crates/service/src/bin/")
-}
-
-/// PP008: `std::net` socket usage outside the service crate's shell.
-///
-/// The service core is a pure function of `(sensor trace, clock)` and
-/// the tier-1 tests drive it with zero real I/O — a guarantee that only
-/// holds while socket code stays quarantined in
-/// `crates/service/src/shell.rs` and the service binaries. Any other
-/// `std::net` reference (tests included) is flagged.
-fn pp008(file: &str, idx: usize, code_line: &str, findings: &mut Vec<Finding>) {
-    for pat in PP008_NET {
-        let mut from = 0;
-        while let Some(at) = find_word(code_line, pat, from) {
-            push(
-                findings,
-                file,
-                idx,
-                at,
-                "PP008",
-                format!(
-                    "`{pat}` outside the service shell; sockets live only in crates/service/src/shell.rs (the core must stay I/O-free)"
-                ),
-            );
-            from = at + pat.len();
-        }
-    }
-}
-
-/// Paths inside the service crate allowed to read the wall clock: the
-/// shell (its tick loop and socket timeouts are real time by design)
-/// and the binaries (the daemon's smoke harness measures real sockets).
-fn pp009_exempt(relpath: &str) -> bool {
-    relpath == "crates/service/src/shell.rs" || relpath.starts_with("crates/service/src/bin/")
-}
-
-/// PP009: wall-clock reads in the service crate outside its shell.
-///
-/// Resilience decisions — serving-state derivation, retry backoff,
-/// breaker cooldowns, admission budgets — are pure functions of
-/// `(seed, simulated clock)`; that is what makes the chaos campaign and
-/// the availability DP replayable bit-for-bit. PP001 already bans
-/// nondeterminism in library code but waives tests and binaries; here
-/// even a test that consults `Instant::now` for control flow can mask a
-/// determinism regression, so the ban covers every scope.
-fn pp009(file: &str, idx: usize, code_line: &str, findings: &mut Vec<Finding>) {
-    for pat in PP009_CLOCKS {
-        let mut from = 0;
-        while let Some(at) = find_word(code_line, pat, from) {
-            let name = pat.trim_end_matches('(');
-            push(
-                findings,
-                file,
-                idx,
-                at,
-                "PP009",
-                format!(
-                    "`{name}` in the service crate outside shell.rs; resilience logic must run on the simulated clock"
-                ),
-            );
-            from = at + pat.len();
-        }
-    }
-}
-
-/// The modules allowed to use atomics: the serving path's audited
-/// concurrency modules — whose orderings the `prodpred-analysis::svc`
-/// model checker explores exhaustively — and the worker pool's
-/// coordination primitives.
-fn pp010_exempt(relpath: &str) -> bool {
-    relpath == "crates/service/src/swap.rs"
-        || relpath == "crates/service/src/cache.rs"
-        || relpath == "crates/service/src/resilience.rs"
-        || relpath.starts_with("crates/pool/")
-}
-
-/// PP010: atomics fenced into the audited concurrency modules.
-///
-/// The serving-path proof (`prodpred-analysis::svc`) enumerates every
-/// interleaving of the atomics in `swap.rs`/`cache.rs`/`resilience.rs`;
-/// the pool's primitives predate it and are covered by their own stress
-/// suite. An `Atomic*` cell or memory ordering anywhere else has no
-/// model backing its orderings — move the state behind one of the
-/// audited modules' abstractions, or justify the escape with
-/// `tidy:allow(PP010): reason`. Covers every scope (tests and binaries
-/// included): an unaudited atomic in a test harness can hide the same
-/// ordering bugs.
-fn pp010(file: &str, idx: usize, code_line: &str, findings: &mut Vec<Finding>) {
-    for pat in PP010_ORDERINGS.iter().chain(PP010_ATOMICS.iter()) {
-        let mut from = 0;
-        while let Some(at) = find_word(code_line, pat, from) {
-            push(
-                findings,
-                file,
-                idx,
-                at,
-                "PP010",
-                format!(
-                    "`{pat}` outside the audited atomics modules (service swap/cache/resilience, crates/pool); route the state through them or justify with tidy:allow(PP010)"
-                ),
-            );
-            from = at + pat.len();
         }
     }
 }

@@ -13,58 +13,36 @@
 //! * the whole campaign digest is **bit-deterministic** at 1 and 8 pool
 //!   threads,
 //! * checkpointing a **healthy** solve costs only a bounded wall-time
-//!   overhead (CI gates the committed number at 5%).
+//!   overhead (`records::ChaosReport::gate` holds it to 5%).
 //!
-//! Results are written to `BENCH_chaos.json` (override with the second
-//! argument) so recovery-rate or overhead regressions show up as diffs.
+//! Results are written to `target/tmp/BENCH_chaos.json`; pass the
+//! committed `BENCH_chaos.json` as the second argument to replace it, so
+//! recovery-rate or overhead regressions show up as diffs.
 //!
 //! Usage: `cargo run --release --bin chaos_study [schedules] [out.json]`
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use serde::Serialize;
-
-use prodpred_core::{predict_campaign, solve_supervised, RetryPolicy};
+use prodpred_bench::campaign::{self, CAMPAIGN_SEED, CHECKPOINT_EVERY, ITERATIONS, N, RANKS};
+use prodpred_bench::records::{ChaosReport, Record};
+use prodpred_core::{RecoveryStats, RetryPolicy};
 use prodpred_pool::parallel_map;
 use prodpred_simgrid::faults::{mix, FaultSchedule};
 use prodpred_sor::{
     partition_equal, solve_seq, try_solve_checkpointed, try_solve_decomposed, CheckpointPolicy,
-    CheckpointStore, Decomposition, ExchangePolicy, Grid, SolveOptions, SorParams,
+    CheckpointStore, Decomposition, Grid, SolveOptions, SorParams,
 };
-
-/// Campaign geometry: small enough that hundreds of faulted solves (each
-/// spawning real worker threads, some twice) finish in seconds, large
-/// enough that every rank owns several rows.
-const N: usize = 33;
-const ITERATIONS: usize = 20;
-const RANKS: usize = 4;
-const CHECKPOINT_EVERY: usize = 4;
-const CAMPAIGN_SEED: u64 = 4242;
-
-fn snappy() -> ExchangePolicy {
-    ExchangePolicy {
-        timeout: std::time::Duration::from_millis(200),
-        retries: 1,
-    }
-}
-
-fn retry() -> RetryPolicy {
-    RetryPolicy {
-        seed: CAMPAIGN_SEED,
-        ..Default::default()
-    }
-}
+use prodpred_stochastic::stats;
 
 /// What one schedule did, reduced to deterministic bits.
+#[derive(Default)]
 struct Outcome {
     panicked: bool,
     completed: bool,
     completed_unsupervised: bool,
-    retries: u64,
-    abandoned: bool,
-    resumed_iterations_saved: u64,
-    backoff_secs: f64,
+    /// The supervised arm's recovery accounting.
+    stats: RecoveryStats,
     exact: bool,
     /// Interior sum bits of the final grid state (the solution when
     /// completed, the last checkpoint boundary when abandoned).
@@ -72,53 +50,23 @@ struct Outcome {
 }
 
 fn run_schedule(schedule: &FaultSchedule, reference: &Grid) -> Outcome {
-    let params = SorParams::for_grid(N, ITERATIONS);
-    let strips = Decomposition::strips(N, &partition_equal(N - 2, RANKS));
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        // Supervised: retries resume from the last checkpoint.
-        let mut grid = Grid::laplace_problem(N);
-        let recovery = solve_supervised(
-            &mut grid,
-            params,
-            &strips,
-            snappy(),
-            schedule,
-            &retry(),
-            CheckpointPolicy::every(CHECKPOINT_EVERY),
-        );
+        let (grid, recovery) = campaign::solve_with_recovery(schedule);
         // Unsupervised control: one attempt, no second chances.
-        let mut bare = Grid::laplace_problem(N);
-        let no_retry = solve_supervised(
-            &mut bare,
-            params,
-            &strips,
-            snappy(),
-            schedule,
-            &RetryPolicy::none(),
-            CheckpointPolicy::disabled(),
-        );
+        let (_, no_retry) =
+            campaign::solve(schedule, &RetryPolicy::none(), CheckpointPolicy::disabled());
         Outcome {
             panicked: false,
             completed: recovery.succeeded(),
             completed_unsupervised: no_retry.succeeded(),
-            retries: recovery.stats.retries,
-            abandoned: recovery.stats.abandoned > 0,
-            resumed_iterations_saved: recovery.stats.resumed_iterations_saved,
-            backoff_secs: recovery.stats.backoff_secs,
+            stats: recovery.stats,
             exact: recovery.succeeded() && grid.max_diff(reference) == 0.0, // tidy:allow(PP004): bit-exact recovery equality is the point of this field
             sum_bits: grid.interior_sum().to_bits(),
         }
     }));
     caught.unwrap_or(Outcome {
         panicked: true,
-        completed: false,
-        completed_unsupervised: false,
-        retries: 0,
-        abandoned: false,
-        resumed_iterations_saved: 0,
-        backoff_secs: 0.0,
-        exact: false,
-        sum_bits: 0,
+        ..Outcome::default()
     })
 }
 
@@ -134,7 +82,7 @@ fn run_campaign(
     for (s, o) in campaign.iter().zip(&outcomes) {
         digest = mix(digest ^ s.id);
         digest = mix(digest ^ u64::from(o.completed));
-        digest = mix(digest ^ o.retries);
+        digest = mix(digest ^ o.stats.retries);
         digest = mix(digest ^ o.sum_bits);
     }
     (outcomes, digest)
@@ -195,54 +143,12 @@ fn healthy_checkpoint_overhead() -> (f64, f64, f64) {
         ck_times.push(ck);
         ratios.push(ck / base - 1.0);
     }
-    base_times.sort_by(|a, b| a.total_cmp(b));
-    ck_times.sort_by(|a, b| a.total_cmp(b));
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    (
-        base_times[pairs / 2],
-        ck_times[pairs / 2],
-        ratios[pairs / 2],
-    )
-}
-
-/// The committed record.
-#[derive(Debug, Serialize)]
-struct ChaosReport {
-    schedules: usize,
-    campaign_seed: u64,
-    panics: usize,
-    faulty_schedules: usize,
-    completed_with_recovery: usize,
-    completed_without_recovery: usize,
-    completion_rate_with_recovery: f64,
-    completion_rate_without_recovery: f64,
-    recovered_exact: usize,
-    mean_retries: f64,
-    mean_backoff_secs: f64,
-    abandoned: usize,
-    resumed_iterations_saved: u64,
-    /// Fault-model forecasts of the campaign aggregates above, computed
-    /// *before* running a single schedule (`prodpred_core::faultmodel`
-    /// at intensity 1.0 — the campaign's own kill-count distribution).
-    predicted_completion_rate: f64,
-    predicted_mean_retries: f64,
-    predicted_mean_backoff_secs: f64,
-    predicted_mean_saved_iterations: f64,
-    healthy_solve_secs: f64,
-    checkpointed_solve_secs: f64,
-    checkpoint_overhead_healthy: f64,
-    deterministic_1_vs_8: bool,
-    digest: String,
+    let median = |times: &[f64]| stats::median(times).expect("31 pairs were timed");
+    (median(&base_times), median(&ck_times), median(&ratios))
 }
 
 fn main() {
-    let schedules: usize = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("schedule count"))
-        .unwrap_or(200);
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_chaos.json".to_string());
+    let schedules: usize = prodpred_bench::arg_or(1, "schedules", 200);
 
     println!(
         "== Chaos campaign: {schedules} seeded fault schedules over the \
@@ -251,7 +157,7 @@ fn main() {
          every {CHECKPOINT_EVERY}\n"
     );
 
-    let campaign = FaultSchedule::random_campaign(CAMPAIGN_SEED, schedules, RANKS, ITERATIONS);
+    let campaign = campaign::schedules(schedules);
     let mut reference = Grid::laplace_problem(N);
     solve_seq(&mut reference, SorParams::for_grid(N, ITERATIONS));
 
@@ -259,99 +165,28 @@ fn main() {
     // oversubscribed pool must fold to the same digest.
     let (outcomes, digest1) = run_campaign(&campaign, &reference, 1);
     let (_, digest8) = run_campaign(&campaign, &reference, 8);
-    let deterministic = digest1 == digest8;
-
-    let panics = outcomes.iter().filter(|o| o.panicked).count();
-    let faulty = campaign.iter().filter(|s| !s.is_healthy()).count();
-    let with_recovery = outcomes.iter().filter(|o| o.completed).count();
-    let without_recovery = outcomes.iter().filter(|o| o.completed_unsupervised).count();
-    let exact = outcomes.iter().filter(|o| o.exact).count();
-    let abandoned = outcomes.iter().filter(|o| o.abandoned).count();
-    let retries: u64 = outcomes.iter().map(|o| o.retries).sum();
-    let saved: u64 = outcomes.iter().map(|o| o.resumed_iterations_saved).sum();
-    let backoff: f64 = outcomes.iter().map(|o| o.backoff_secs).sum();
-
+    let count = |pred: fn(&Outcome) -> bool| outcomes.iter().filter(|o| pred(o)).count();
+    let without_recovery = count(|o| o.completed_unsupervised);
+    let totals = campaign::measured(outcomes.iter().map(|o| (o.completed, &o.stats)));
     // The fault model's forecast of the same aggregates, from the kill
     // distribution alone — the numbers `faultpred_study` gates.
-    let predicted = predict_campaign(
-        1.0,
-        &retry(),
-        CheckpointPolicy::every(CHECKPOINT_EVERY),
-        ITERATIONS,
-    );
-
-    // The invariants the campaign exists to enforce.
-    assert_eq!(panics, 0, "every failure must be a typed error");
-    assert_eq!(
-        exact, with_recovery,
-        "every completed solve must match the unfaulted reference bits"
-    );
-    assert_eq!(
-        with_recovery + abandoned,
-        schedules,
-        "every schedule either completes or exhausts into a typed error"
-    );
-    assert!(deterministic, "campaign must not depend on pool width");
-
-    println!("schedules            {schedules:>8}  ({faulty} faulty)");
-    println!("panics               {panics:>8}");
-    println!(
-        "completed            {with_recovery:>8}  with recovery ({:.1}%)",
-        100.0 * with_recovery as f64 / schedules as f64
-    );
-    println!(
-        "                     {without_recovery:>8}  without recovery ({:.1}%)",
-        100.0 * without_recovery as f64 / schedules as f64
-    );
-    println!("bit-exact recoveries {exact:>8}");
-    println!("abandoned            {abandoned:>8}  (kills outlasting the retry budget)");
-    println!(
-        "retries              {retries:>8}  (mean {:.2}/schedule)",
-        retries as f64 / schedules as f64
-    );
-    println!("iterations saved     {saved:>8}  (resumed from checkpoints, not recomputed)");
-    println!("digest (1 == 8 thr)  {digest1:>#18x}");
-    println!(
-        "predicted            {:>8.3}  completion rate (measured {:.3})",
-        predicted.completion_rate,
-        with_recovery as f64 / schedules as f64
-    );
-    println!(
-        "                     {:>8.3}  mean retries (measured {:.3})",
-        predicted.mean_retries,
-        retries as f64 / schedules as f64
-    );
-    println!(
-        "                     {:>8.1}  mean backoff secs (measured {:.1})",
-        predicted.mean_backoff_secs,
-        backoff / schedules as f64
-    );
-    println!(
-        "                     {:>8.2}  mean saved iterations (measured {:.2})",
-        predicted.mean_saved_iterations,
-        saved as f64 / schedules as f64
-    );
-
-    println!("\n-- healthy checkpoint overhead (n=513, 480 iters, 1 mid-solve checkpoint) --");
+    let predicted = campaign::predicted();
     let (base, checkpointed, overhead) = healthy_checkpoint_overhead();
-    println!("plain solve          {:>11.4} s", base);
-    println!("checkpointed solve   {:>11.4} s", checkpointed);
-    println!("overhead             {:>11.2} %", overhead * 100.0);
 
     let report = ChaosReport {
         schedules,
         campaign_seed: CAMPAIGN_SEED,
-        panics,
-        faulty_schedules: faulty,
-        completed_with_recovery: with_recovery,
+        panics: count(|o| o.panicked),
+        faulty_schedules: campaign.iter().filter(|s| !s.is_healthy()).count(),
+        completed_with_recovery: totals.completed,
         completed_without_recovery: without_recovery,
-        completion_rate_with_recovery: with_recovery as f64 / schedules as f64,
+        completion_rate_with_recovery: totals.completion_rate,
         completion_rate_without_recovery: without_recovery as f64 / schedules as f64,
-        recovered_exact: exact,
-        mean_retries: retries as f64 / schedules as f64,
-        mean_backoff_secs: backoff / schedules as f64,
-        abandoned,
-        resumed_iterations_saved: saved,
+        recovered_exact: count(|o| o.exact),
+        mean_retries: totals.mean_retries,
+        mean_backoff_secs: totals.mean_backoff_secs,
+        abandoned: count(|o| o.stats.abandoned > 0),
+        resumed_iterations_saved: totals.stats.resumed_iterations_saved,
         predicted_completion_rate: predicted.completion_rate,
         predicted_mean_retries: predicted.mean_retries,
         predicted_mean_backoff_secs: predicted.mean_backoff_secs,
@@ -359,10 +194,27 @@ fn main() {
         healthy_solve_secs: base,
         checkpointed_solve_secs: checkpointed,
         checkpoint_overhead_healthy: overhead,
-        deterministic_1_vs_8: deterministic,
+        deterministic_1_vs_8: digest1 == digest8,
         digest: format!("{digest1:#x}"),
     };
-    let json = serde_json::to_string_pretty(&report).expect("serializable report");
-    std::fs::write(&out_path, json + "\n").expect("write chaos report");
+
+    // The invariants the campaign exists to enforce.
+    assert_eq!(report.panics, 0, "every failure must be a typed error");
+    assert_eq!(
+        report.recovered_exact, report.completed_with_recovery,
+        "every completed solve must match the unfaulted reference bits"
+    );
+    assert_eq!(
+        report.completed_with_recovery + report.abandoned,
+        schedules,
+        "every schedule either completes or exhausts into a typed error"
+    );
+    assert!(
+        report.deterministic_1_vs_8,
+        "campaign must not depend on pool width"
+    );
+    let out_path = report
+        .write(std::env::args().nth(2))
+        .expect("write the record");
     println!("\nwrote {out_path}");
 }

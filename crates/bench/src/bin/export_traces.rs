@@ -10,6 +10,10 @@ use prodpred_simgrid::Platform;
 use std::fs;
 use std::path::PathBuf;
 
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("platforms and series serialize")
+}
+
 fn main() -> std::io::Result<()> {
     let out: PathBuf = std::env::args()
         .nth(1)
@@ -17,32 +21,19 @@ fn main() -> std::io::Result<()> {
         .into();
     fs::create_dir_all(&out)?;
 
-    let p1 = Platform::platform1(42, 3600.0);
-    fs::write(
-        out.join("platform1.json"),
-        serde_json::to_string_pretty(&p1).expect("serialize platform1"),
-    )?;
-    let p2 = Platform::platform2(42, 3600.0);
-    fs::write(
-        out.join("platform2.json"),
-        serde_json::to_string_pretty(&p2).expect("serialize platform2"),
-    )?;
-
-    let series = platform2_experiment(1600, 1600, 10);
-    fs::write(
-        out.join("platform2_1600_series.json"),
-        serde_json::to_string_pretty(&series).expect("serialize series"),
-    )?;
-
+    let files = [
+        ("platform1.json", json(&Platform::platform1(42, 3600.0))),
+        ("platform2.json", json(&Platform::platform2(42, 3600.0))),
+        (
+            "platform2_1600_series.json",
+            json(&platform2_experiment(1600, 1600, 10)),
+        ),
+    ];
     println!("wrote:");
-    for f in [
-        "platform1.json",
-        "platform2.json",
-        "platform2_1600_series.json",
-    ] {
-        let path = out.join(f);
-        let bytes = fs::metadata(&path)?.len();
-        println!("  {} ({} KiB)", path.display(), bytes / 1024);
+    for (name, text) in files {
+        let path = out.join(name);
+        fs::write(&path, &text)?;
+        println!("  {} ({} KiB)", path.display(), text.len() / 1024);
     }
     println!(
         "\nEach file reloads losslessly (see tests/serialization.rs) so\n\

@@ -11,7 +11,7 @@ use prodpred_sor::{
     partition_blocks, partition_equal, simulate, simulate_blocks, BlockLayout, DistSorConfig,
 };
 
-fn main() {
+pub fn run() {
     println!("== Ablation: strip vs block decomposition ==\n");
     let n = 600;
     let iterations = 10;

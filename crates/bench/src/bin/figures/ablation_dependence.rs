@@ -5,12 +5,13 @@
 //! conservative related rule is the faithful default; this study shows
 //! what the optimistic independence assumption would do to coverage.
 
+use prodpred_bench::{ablation_series, mean_relative_width};
 use prodpred_core::report::{f, render_table};
-use prodpred_core::{run_series, ExperimentConfig, PredictorConfig};
+use prodpred_core::PredictorConfig;
 use prodpred_simgrid::Platform;
 use prodpred_stochastic::Dependence;
 
-fn main() {
+pub fn run() {
     println!("== Ablation: dependence assumption between phase terms ==\n");
     let mut rows = Vec::new();
     for (name, dep) in [
@@ -28,29 +29,18 @@ fn main() {
             } else {
                 vec![1600; 12]
             };
-            let cfg = ExperimentConfig {
-                seed,
-                gap_secs: 20.0,
-                predictor: PredictorConfig {
-                    phase_dependence: dep,
-                    ..Default::default()
-                },
+            let predictor = PredictorConfig {
+                phase_dependence: dep,
                 ..Default::default()
             };
-            let series = run_series(&platform, &sizes, &cfg, 0);
+            let series = ablation_series(&platform, &sizes, seed, predictor);
             let acc = series.accuracy().unwrap();
-            let mean_width: f64 = series
-                .records
-                .iter()
-                .map(|r| r.prediction.stochastic.half_width() / r.prediction.stochastic.mean())
-                .sum::<f64>()
-                / series.records.len() as f64;
             rows.push(vec![
                 name.to_string(),
                 pname.to_string(),
                 f(acc.coverage * 100.0, 0),
                 f(acc.max_range_error * 100.0, 1),
-                f(mean_width * 100.0, 1),
+                f(mean_relative_width(&series) * 100.0, 1),
             ]);
         }
     }

@@ -52,7 +52,7 @@ fn run_with(spread: SpreadPolicy, seed: u64, runs: usize) -> (AccuracyReport, f6
     )
 }
 
-fn main() {
+pub fn run() {
     println!("== Ablation: NWS spread policy (Platform 2, 1600², 12 runs) ==\n");
     // Each policy replays its own platform from the same seed, so the
     // three studies are independent and fan out over the work pool.

@@ -6,11 +6,12 @@
 //! long-run mean) than the instantaneous NWS reading. This study compares
 //! both load sources end-to-end on Platform 2.
 
+use prodpred_bench::{ablation_series, mean_relative_width};
 use prodpred_core::report::{f, render_table};
-use prodpred_core::{run_series, ExperimentConfig, LoadSource, PredictorConfig};
+use prodpred_core::{LoadSource, PredictorConfig};
 use prodpred_simgrid::Platform;
 
-fn main() {
+pub fn run() {
     println!("== Ablation: load source for bursty-platform predictions ==\n");
     // The 3x3 configuration grid: every cell is an independent series
     // (its own platform, clock, and NWS), so the grid fans out over the
@@ -25,36 +26,19 @@ fn main() {
     .collect();
     let rows = prodpred_pool::parallel_map(&grid, 0, |_, &(name, source, n)| {
         let platform = Platform::platform2(n as u64, 60_000.0);
-        let cfg = ExperimentConfig {
-            seed: n as u64,
-            gap_secs: 20.0,
-            predictor: PredictorConfig {
-                load_source: source,
-                ..Default::default()
-            },
+        let predictor = PredictorConfig {
+            load_source: source,
             ..Default::default()
         };
-        let series = run_series(&platform, &[n; 12], &cfg, 0);
+        let series = ablation_series(&platform, &[n; 12], n as u64, predictor);
         let acc = series.accuracy().unwrap();
-        let mean_width: f64 = series
-            .records
-            .iter()
-            .map(|r| r.prediction.stochastic.half_width() / r.prediction.stochastic.mean())
-            .sum::<f64>()
-            / series.records.len() as f64;
-        let mean_point_err: f64 = series
-            .records
-            .iter()
-            .map(|r| (r.prediction.stochastic.mean() - r.actual_secs).abs() / r.actual_secs)
-            .sum::<f64>()
-            / series.records.len() as f64;
         vec![
             name.to_string(),
             n.to_string(),
             f(acc.coverage * 100.0, 0),
             f(acc.max_range_error * 100.0, 1),
-            f(mean_point_err * 100.0, 1),
-            f(mean_width * 100.0, 1),
+            f(acc.mean_mean_error * 100.0, 1),
+            f(mean_relative_width(&series) * 100.0, 1),
         ]
     });
     println!(

@@ -7,7 +7,7 @@ use prodpred_simgrid::network::EthernetContention;
 use prodpred_stochastic::fit::normality_report;
 use prodpred_stochastic::Summary;
 
-fn main() {
+pub fn run() {
     println!("== Ablation: normal summary vs. tail weight ==\n");
     // Six independent 30k-sample trace generations + normality reports:
     // one pool task per tail weight, results in input order.

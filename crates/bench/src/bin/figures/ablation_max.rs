@@ -4,12 +4,13 @@
 //! may be taken." This study quantifies the trade-off: per strategy, how
 //! the Platform-2 prediction's coverage and width change.
 
+use prodpred_bench::{ablation_series, mean_relative_width};
 use prodpred_core::report::{f, render_table};
-use prodpred_core::{platform2_experiment, run_series, ExperimentConfig, PredictorConfig};
+use prodpred_core::PredictorConfig;
 use prodpred_simgrid::Platform;
 use prodpred_stochastic::{max_of, MaxStrategy, StochasticValue};
 
-fn main() {
+pub fn run() {
     println!("== Ablation: Max strategy over per-processor components ==\n");
 
     // Micro level: the paper's worked example A=4±0.5, B=3±2, C=3±1.
@@ -48,29 +49,18 @@ fn main() {
     let mut rows = Vec::new();
     for (name, s) in &strategies {
         let platform = Platform::platform2(1600, 60_000.0);
-        let cfg = ExperimentConfig {
-            seed: 1600,
-            gap_secs: 20.0,
-            predictor: PredictorConfig {
-                max_strategy: *s,
-                ..Default::default()
-            },
+        let predictor = PredictorConfig {
+            max_strategy: *s,
             ..Default::default()
         };
-        let series = run_series(&platform, &[1600; 12], &cfg, 0);
+        let series = ablation_series(&platform, &[1600; 12], 1600, predictor);
         let acc = series.accuracy().unwrap();
-        let mean_width: f64 = series
-            .records
-            .iter()
-            .map(|r| r.prediction.stochastic.half_width() / r.prediction.stochastic.mean())
-            .sum::<f64>()
-            / series.records.len() as f64;
         rows.push(vec![
             name.to_string(),
             f(acc.coverage * 100.0, 0),
             f(acc.max_range_error * 100.0, 1),
             f(acc.max_mean_error * 100.0, 1),
-            f(mean_width * 100.0, 1),
+            f(mean_relative_width(&series) * 100.0, 1),
         ]);
     }
     println!(
@@ -86,7 +76,6 @@ fn main() {
             &rows
         )
     );
-    let _ = platform2_experiment; // referenced for discoverability
     println!(
         "\nSelection strategies (by mean / bounds) pick one input's interval;\n\
          Clark folds all inputs into a genuinely new distribution and tracks\n\

@@ -5,7 +5,7 @@
 use prodpred_core::dedicated_check;
 use prodpred_core::report::{f, render_table};
 
-fn main() {
+pub fn run() {
     println!("== Dedicated structural-model validation (Sec 2.2.1) ==\n");
     let checks = dedicated_check(&[600, 800, 1000, 1200, 1400, 1600, 1800, 2000], 50);
     let rows: Vec<Vec<String>> = checks

@@ -10,7 +10,7 @@ use prodpred_core::report::{f, render_table};
 use prodpred_core::AllocationPolicy;
 use prodpred_simgrid::Platform;
 
-fn main() {
+pub fn run() {
     println!("== EP scheduling study: allocation policy vs outcome ==\n");
     let job = EpJob {
         units: 400,

@@ -83,7 +83,7 @@ const HEADERS: [&str; 11] = [
     "corrupt",
 ];
 
-fn main() {
+pub fn run() {
     println!(
         "== Fault study: prediction accuracy vs fault intensity ==\n\
          {} seeds per intensity; faults: dropout/delay/spike/corruption\n\

@@ -9,7 +9,7 @@ use prodpred_simgrid::benchmark::{figure1_runtimes, run_sort_benchmark};
 use prodpred_stochastic::fit::normality_report;
 use prodpred_stochastic::StochasticValue;
 
-fn main() {
+pub fn run() {
     let live = std::env::args().any(|a| a == "--live");
     let runtimes = if live {
         // Real sorts: scale counts so one repetition takes ~5-20 ms.

@@ -8,7 +8,7 @@ use prodpred_simgrid::network::EthernetContention;
 use prodpred_stochastic::fit::normality_report;
 use prodpred_stochastic::{StochasticValue, Summary};
 
-fn main() {
+pub fn run() {
     let contention = EthernetContention::default();
     let trace = contention.generate(3, 0.0, 5.0, 20_000);
     let mbit: Vec<f64> = trace.values().iter().map(|f| f * 10.0).collect();

@@ -7,7 +7,7 @@ use prodpred_simgrid::load::{LoadGenerator, MarkovModal, SessionLoad};
 use prodpred_stochastic::fit::detect_modes;
 use prodpred_stochastic::Histogram;
 
-fn main() {
+pub fn run() {
     // The statistical generator used by the experiments...
     let markov = MarkovModal::platform1(120.0).generate(5, 0.0, 1.0, 100_000);
     // ...and the mechanistic competing-user model that explains *why* load

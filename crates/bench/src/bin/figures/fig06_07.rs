@@ -11,7 +11,7 @@ use prodpred_core::report::{f, render_table};
 use prodpred_simgrid::{Machine, MachineClass, MachineSpec, Platform, Trace};
 use prodpred_sor::{partition_rows, simulate, DistSorConfig};
 
-fn main() {
+pub fn run() {
     println!("== Figure 6: strip decomposition (1000 x 1000, Platform 1 speeds) ==\n");
     let weights = [
         1.0 / MachineClass::Sparc2.benchmark_secs_per_element(),

@@ -13,10 +13,10 @@
 //! to show the coverage claim is a property of the method, not of one
 //! lucky load realization.
 
-use prodpred_bench::{print_experiment, print_replication_table};
+use prodpred_bench::{print_experiment, print_paper_vs_here, print_replication_table};
 use prodpred_core::{platform1_experiment, platform1_seed_sweep};
 
-fn main() {
+pub fn run() {
     let sizes = [
         1000, 1100, 1200, 1300, 1400, 1500, 1600, 1700, 1800, 1900, 2000,
     ];
@@ -26,13 +26,9 @@ fn main() {
         "Figures 8-9: Platform 1, single-mode load, size sweep",
         40,
     );
-    let acc = series.accuracy().unwrap();
-    println!(
-        "paper: coverage 100%, stochastic discrepancy 0%, mean-point max 9.7%\n\
-         here : coverage {:.0}%, stochastic max {:.1}%, mean-point max {:.1}%",
-        acc.coverage * 100.0,
-        acc.max_range_error * 100.0,
-        acc.max_mean_error * 100.0
+    print_paper_vs_here(
+        &series,
+        "coverage 100%, stochastic discrepancy 0%, mean-point max 9.7%",
     );
 
     let seeds: Vec<u64> = (43..50).collect();

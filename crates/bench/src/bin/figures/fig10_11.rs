@@ -6,7 +6,7 @@ use prodpred_simgrid::Platform;
 use prodpred_stochastic::fit::detect_modes;
 use prodpred_stochastic::Histogram;
 
-fn main() {
+pub fn run() {
     let platform = Platform::platform2(9, 40_000.0);
     let trace = &platform.machines[0].load;
 

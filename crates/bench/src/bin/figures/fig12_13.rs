@@ -8,7 +8,7 @@
 
 use prodpred_bench::platform2_figure;
 
-fn main() {
+pub fn run() {
     platform2_figure(
         1600,
         14,

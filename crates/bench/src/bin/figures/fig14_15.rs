@@ -3,7 +3,7 @@
 
 use prodpred_bench::platform2_figure;
 
-fn main() {
+pub fn run() {
     platform2_figure(
         1000,
         14,

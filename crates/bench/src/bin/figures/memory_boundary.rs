@@ -8,7 +8,7 @@ use prodpred_core::{decompose, predict_dedicated, DecompositionPolicy};
 use prodpred_simgrid::{MachineClass, PagingModel, Platform};
 use prodpred_sor::{simulate, DistSorConfig};
 
-fn main() {
+pub fn run() {
     println!("== Memory boundary: where the prediction regime ends ==\n");
     let platform = Platform::dedicated(&[MachineClass::Sparc2, MachineClass::Sparc2], 1.0e7);
     let paging = PagingModel::default();

@@ -6,7 +6,7 @@ use prodpred_core::report::render_table;
 use prodpred_core::{allocate_units, planned_completion, AllocationPolicy};
 use prodpred_stochastic::StochasticValue;
 
-fn main() {
+pub fn run() {
     println!("== Table 1: execution times for a unit of work ==\n");
     let dedicated = [StochasticValue::point(10.0), StochasticValue::point(5.0)];
     let production_point = [StochasticValue::point(12.0), StochasticValue::point(12.0)];

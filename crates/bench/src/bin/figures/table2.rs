@@ -7,32 +7,24 @@ use prodpred_stochastic::{Dependence, Distribution, StochasticValue, Summary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn mc_sum(a: StochasticValue, b: StochasticValue, samples: usize) -> StochasticValue {
+/// Monte-Carlo ground truth for `a op b` over independent normals.
+fn mc(a: StochasticValue, b: StochasticValue, seed: u64, op: fn(f64, f64) -> f64) -> StochasticValue {
     let (na, nb) = (a.to_normal(), b.to_normal());
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut s = Summary::new();
-    for _ in 0..samples {
-        s.push(na.sample(&mut rng) + nb.sample(&mut rng));
+    for _ in 0..400_000 {
+        s.push(op(na.sample(&mut rng), nb.sample(&mut rng)));
     }
     StochasticValue::from_mean_sd(s.mean(), s.sd())
 }
 
-fn mc_product(a: StochasticValue, b: StochasticValue, samples: usize) -> StochasticValue {
-    let (na, nb) = (a.to_normal(), b.to_normal());
-    let mut rng = StdRng::seed_from_u64(8);
-    let mut s = Summary::new();
-    for _ in 0..samples {
-        s.push(na.sample(&mut rng) * nb.sample(&mut rng));
-    }
-    StochasticValue::from_mean_sd(s.mean(), s.sd())
-}
-
-fn main() {
+pub fn run() {
     println!("== Table 2: arithmetic combinations of stochastic values ==\n");
     let x = StochasticValue::new(12.0, 0.6);
     let y = StochasticValue::new(5.0, 1.0);
     let p = 3.0;
-    let samples = 400_000;
+    let add_mc = mc(x, y, 7, |a, b| a + b);
+    let mul_mc = mc(x, y, 8, |a, b| a * b);
 
     let rows = vec![
         vec![
@@ -57,7 +49,7 @@ fn main() {
             "unrelated addition".to_string(),
             format!("({x}) + ({y})"),
             format!("{}", x.add(&y, Dependence::Unrelated)),
-            format!("MC truth: {}", mc_sum(x, y, samples)),
+            format!("MC truth: {add_mc}"),
         ],
         vec![
             "related multiplication".to_string(),
@@ -69,7 +61,7 @@ fn main() {
             "unrelated multiplication".to_string(),
             format!("({x}) * ({y})"),
             format!("{}", x.mul(&y, Dependence::Unrelated)),
-            format!("MC truth: {}", mc_product(x, y, samples)),
+            format!("MC truth: {mul_mc}"),
         ],
         vec![
             "division (via reciprocal)".to_string(),
@@ -87,39 +79,31 @@ fn main() {
     );
 
     // Quantify the agreement of the independence rules with sampling.
-    let add_rule = x.add(&y, Dependence::Unrelated);
-    let add_mc = mc_sum(x, y, samples);
-    let mul_rule = x.mul(&y, Dependence::Unrelated);
-    let mul_mc = mc_product(x, y, samples);
+    let agreement = |name: &str, rule: StochasticValue, mc: StochasticValue| {
+        vec![
+            name.to_string(),
+            f((rule.mean() - mc.mean()).abs() / mc.mean() * 100.0, 3),
+            f(
+                (rule.half_width() - mc.half_width()).abs() / mc.half_width() * 100.0,
+                2,
+            ),
+        ]
+    };
     println!(
         "{}",
         render_table(
             &["rule", "mean err %", "width err %"],
             &[
-                vec![
-                    "unrelated addition".to_string(),
-                    f(
-                        (add_rule.mean() - add_mc.mean()).abs() / add_mc.mean() * 100.0,
-                        3
-                    ),
-                    f(
-                        (add_rule.half_width() - add_mc.half_width()).abs() / add_mc.half_width()
-                            * 100.0,
-                        2
-                    ),
-                ],
-                vec![
-                    "unrelated multiplication".to_string(),
-                    f(
-                        (mul_rule.mean() - mul_mc.mean()).abs() / mul_mc.mean() * 100.0,
-                        3
-                    ),
-                    f(
-                        (mul_rule.half_width() - mul_mc.half_width()).abs() / mul_mc.half_width()
-                            * 100.0,
-                        2
-                    ),
-                ],
+                agreement(
+                    "unrelated addition",
+                    x.add(&y, Dependence::Unrelated),
+                    add_mc
+                ),
+                agreement(
+                    "unrelated multiplication",
+                    x.mul(&y, Dependence::Unrelated),
+                    mul_mc
+                ),
             ]
         )
     );

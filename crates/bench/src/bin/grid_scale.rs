@@ -2,7 +2,8 @@
 //! thousands of machines on the columnar `TraceStore`, runs hundreds of
 //! SOR tenants through the sharded deterministic simulation, checks the
 //! result is bit-identical at 1/2/4/8 pool threads, and writes the
-//! committed `BENCH_scale.json` record:
+//! `BENCH_scale.json` record (to `target/tmp/` unless the committed
+//! file's path is the third argument):
 //!
 //! * `machines`, `tenants`, `shards` — the configuration that ran,
 //! * `gen_wall_s` — wall seconds to generate the grid (streamed chunks),
@@ -21,48 +22,19 @@
 //! Usage: `cargo run --release --bin grid_scale [machines] [tenants] [output.json]`
 //!
 //! Defaults run the acceptance configuration: 10,000 machines × 120
-//! tenants. The CI smoke job runs a reduced grid (still asserting the
-//! determinism and memory gates) under a hard timeout.
+//! tenants, held to `records::ScaleRecord::gate` before it is written.
+//! The CI smoke job runs a reduced grid (still asserting determinism)
+//! under a hard timeout.
 
 use std::time::Instant;
 
-use serde::Serialize;
-
+use prodpred_bench::records::{Record, ScaleRecord};
 use prodpred_core::{simulate_grid_sharded, GridSimConfig, TenantSpec};
 use prodpred_simgrid::GridPlatform;
 
-/// The committed scale record.
-#[derive(Debug, Serialize)]
-struct ScaleRecord {
-    machines: usize,
-    tenants: usize,
-    shards: usize,
-    horizon_s: f64,
-    gen_wall_s: f64,
-    sim_wall_s: f64,
-    events: u64,
-    events_per_s: f64,
-    bytes_per_machine: f64,
-    naive_bytes_per_machine: usize,
-    memory_ratio: f64,
-    deterministic_1_vs_8: bool,
-    makespan_s: f64,
-    peak_concurrency: usize,
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let machines: usize = args
-        .next()
-        .map(|a| a.parse().expect("machines must be a number"))
-        .unwrap_or(10_000);
-    let tenants: usize = args
-        .next()
-        .map(|a| a.parse().expect("tenants must be a number"))
-        .unwrap_or(120);
-    let out_path = args
-        .next()
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
+    let machines: usize = prodpred_bench::arg_or(1, "machines", 10_000);
+    let tenants: usize = prodpred_bench::arg_or(2, "tenants", 120);
 
     let horizon = 3600.0;
     let seed = 2026;
@@ -131,18 +103,6 @@ fn main() {
     println!(
         "  {bytes_per_machine:.1} bytes/machine vs naive {naive} ({memory_ratio:.1}x smaller)"
     );
-    // The 20x gate is a property of the acceptance scale: the store's
-    // cost is O(columns · steps) + O(machines), so it only amortizes past
-    // a few thousand machines. Reduced smoke grids skip the hard assert
-    // (CI bounds their bytes/machine against the committed record
-    // instead) but still report the ratio.
-    if machines >= 10_000 {
-        assert!(
-            memory_ratio >= 20.0,
-            "bytes/machine must be ≤ 1/20th of the naive cost, got {memory_ratio:.1}x"
-        );
-    }
-
     let record = ScaleRecord {
         machines,
         tenants,
@@ -159,7 +119,13 @@ fn main() {
         makespan_s: result.makespan,
         peak_concurrency: result.peak_concurrency,
     };
-    let json = serde_json::to_string_pretty(&record).expect("serializable record");
-    std::fs::write(&out_path, json + "\n").expect("write scale file");
+    // The 20x bound is a property of the acceptance scale: the store's
+    // cost is O(columns · steps) + O(machines), so it only amortizes past
+    // a few thousand machines. Reduced smoke grids report the ratio and
+    // are not gated (`crates/core/tests/grid_scale.rs` bounds their
+    // bytes/machine against the committed record instead).
+    let out_path = record
+        .write(std::env::args().nth(3))
+        .expect("write the record");
     println!("\nwrote {out_path}");
 }

@@ -1,8 +1,17 @@
-//! Shared helpers for the figure/table regeneration binaries.
+//! What the evaluation binaries share: the fault campaign of the two
+//! solver studies, the committed records and their gates, and the
+//! printing helpers of the `figures` binary.
+
+pub mod campaign;
+pub mod records;
 
 use prodpred_core::report::{f, render_interval_chart, render_series, render_table};
-use prodpred_core::{platform2_experiment, platform2_seed_sweep, ExperimentSeries, SweepSummary};
-use prodpred_stochastic::{Distribution, Histogram, Normal};
+use prodpred_core::{
+    platform2_experiment, platform2_seed_sweep, run_series, ExperimentConfig, ExperimentSeries,
+    PredictorConfig, SweepSummary,
+};
+use prodpred_simgrid::Platform;
+use prodpred_stochastic::{Distribution, Histogram};
 
 /// Prints a histogram with its fitted-normal overlay, in the style of the
 /// paper's PDF figures: per bin, the observed percentage and the normal's
@@ -152,9 +161,22 @@ pub fn print_experiment(series: &ExperimentSeries, title: &str, max_load_rows: u
 /// [`print_experiment`], its accuracy against `paper_line`, and a
 /// multi-seed replication table (run in parallel over the work pool) that
 /// quantifies how stable the claim is across reseeded replays.
-pub fn platform2_figure(n: usize, runs: usize, title: &str, paper_line: &str) -> ExperimentSeries {
+pub fn platform2_figure(n: usize, runs: usize, title: &str, paper_line: &str) {
     let series = platform2_experiment(n as u64, n, runs);
     print_experiment(&series, title, 40);
+    print_paper_vs_here(&series, paper_line);
+    let seeds: Vec<u64> = (1..=6).map(|i| n as u64 + i * 1000).collect();
+    let sweep = platform2_seed_sweep(&seeds, n, runs, 0);
+    print_replication_table(
+        &seeds,
+        &sweep,
+        &format!("replication across seeds ({n}x{n}, {runs} runs each)"),
+    );
+}
+
+/// Prints the paper's headline accuracy for a figure above what this
+/// series measured.
+pub fn print_paper_vs_here(series: &ExperimentSeries, paper_line: &str) {
     let acc = series.accuracy().expect("figure series has runs"); // tidy:allow(PP003): figure harness drives a non-zero run count
     println!(
         "paper: {paper_line}\n\
@@ -163,14 +185,6 @@ pub fn platform2_figure(n: usize, runs: usize, title: &str, paper_line: &str) ->
         acc.max_range_error * 100.0,
         acc.max_mean_error * 100.0
     );
-    let seeds: Vec<u64> = (1..=6).map(|i| n as u64 + i * 1000).collect();
-    let sweep = platform2_seed_sweep(&seeds, n, runs, 0);
-    print_replication_table(
-        &seeds,
-        &sweep,
-        &format!("replication across seeds ({n}x{n}, {runs} runs each)"),
-    );
-    series
 }
 
 /// Prints a per-seed accuracy table for a replication sweep, plus the
@@ -210,10 +224,40 @@ pub fn print_replication_table(seeds: &[u64], sweep: &[ExperimentSeries], title:
     }
 }
 
-/// Convenience: samples a normal deterministically.
-pub fn sample_normal(mu: f64, sigma: f64, n: usize, seed: u64) -> Vec<f64> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(seed);
-    Normal::new(mu, sigma).sample_n(&mut rng, n)
+/// The series an ablation compares: `sizes` back to back on `platform`
+/// (20 s apart) under `predictor`, everything else at its default.
+pub fn ablation_series(
+    platform: &Platform,
+    sizes: &[usize],
+    seed: u64,
+    predictor: PredictorConfig,
+) -> ExperimentSeries {
+    let cfg = ExperimentConfig {
+        seed,
+        gap_secs: 20.0,
+        predictor,
+        ..Default::default()
+    };
+    run_series(platform, sizes, &cfg, 0)
+}
+
+/// Mean relative half-width of a series' predicted intervals.
+pub fn mean_relative_width(series: &ExperimentSeries) -> f64 {
+    series
+        .records
+        .iter()
+        .map(|r| r.prediction.stochastic.half_width() / r.prediction.stochastic.mean())
+        .sum::<f64>()
+        / series.records.len() as f64
+}
+
+/// A study binary's `n`-th command-line argument as a number, or
+/// `default` when it is absent.
+pub fn arg_or<T: std::str::FromStr>(n: usize, name: &str, default: T) -> T {
+    match std::env::args().nth(n) {
+        Some(a) => a
+            .parse()
+            .unwrap_or_else(|_| panic!("{name} must be a number, got {a:?}")),
+        None => default,
+    }
 }

@@ -178,3 +178,41 @@ fn grid_path_bits_are_pinned() {
         path.display()
     );
 }
+
+/// The committed scale record's one field this file reads.
+#[derive(serde::Deserialize)]
+struct CommittedScale {
+    bytes_per_machine: f64,
+}
+
+#[test]
+fn reduced_grid_stays_within_10x_of_the_committed_bytes_per_machine() {
+    // `grid_scale 1600 24`, the CI smoke configuration. The store's cost
+    // is fixed, so a reduced grid amortizes it over fewer machines: 10x
+    // covers the gap to the committed 10 000-machine record with margin
+    // while still catching accidental per-machine cost growth.
+    let record = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
+    let committed: CommittedScale =
+        serde_json::from_str(&std::fs::read_to_string(record).unwrap()).unwrap();
+    let grid = GridPlatform::production(1600, 2026, 3600.0, 0);
+    let cfg = GridSimConfig {
+        tenants: 24,
+        shards: 25,
+        tenant: TenantSpec {
+            n: 600,
+            iterations: 20,
+            procs: 4,
+        },
+        seed: 2026 ^ 0xBEEF,
+        mean_arrival_gap: 12.0,
+    };
+    // Simulate first: the prefixes the run builds are part of the cost.
+    let run = simulate_grid_sharded(&grid, &cfg, 0);
+    assert_eq!(run.digest, 0x890a_f3d1_ef96_0955, "the smoke run's digest");
+    let bytes = grid.bytes_per_machine();
+    assert!(
+        bytes <= committed.bytes_per_machine * 10.0,
+        "{bytes:.1} bytes/machine at 1 600 machines vs {:.1} committed",
+        committed.bytes_per_machine
+    );
+}
