@@ -46,6 +46,12 @@ fn bench_kernels(c: &mut Criterion) {
             black_box(g.get(1, 1))
         })
     });
+    // The residual `solve_seq` takes after the two sweeps of an iteration.
+    group.bench_function("max-residual", |b| {
+        let mut g = Grid::laplace_problem(n);
+        prodpred_sor::sweep_iteration(&mut g, omega);
+        b.iter(|| black_box(&g).max_residual())
+    });
     group.bench_function("indexed", |b| {
         let mut g = Grid::laplace_problem(n);
         b.iter(|| {

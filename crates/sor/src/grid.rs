@@ -137,17 +137,41 @@ impl Grid {
     /// The residual `max |laplacian|` over interior cells — zero at the
     /// exact solution of Laplace's equation.
     pub fn max_residual(&self) -> f64 {
+        // One running maximum is one serial dependency chain over every
+        // cell. LANES independent ones, each a compare-and-select (a packed
+        // max; `f64::max` compiles to a slower NaN-propagating sequence),
+        // are folded at the end: the maximum of non-NaN values is exact in
+        // any order, and a NaN `x` fails `x > acc` and is skipped exactly as
+        // `acc.max(x)` skips it. `acc` starts at 0.0 and only ever takes an
+        // `abs()`, so it is never NaN and never -0.0.
+        const LANES: usize = 8;
+        let keep_max = |acc: &mut f64, x: f64| *acc = if x > *acc { x } else { *acc };
+        let lap = |a: f64, b: f64, l: f64, r: f64, c: f64| (a + b + l + r - 4.0 * c).abs();
         let n = self.n;
-        let mut r: f64 = 0.0;
+        let mut lanes = [0.0f64; LANES];
         for i in 1..n - 1 {
-            for j in 1..n - 1 {
-                let lap = self.get(i - 1, j)
-                    + self.get(i + 1, j)
-                    + self.get(i, j - 1)
-                    + self.get(i, j + 1)
-                    - 4.0 * self.get(i, j);
-                r = r.max(lap.abs());
+            // The five operand streams of row i's interior, equally long.
+            let (above, below, row) = (self.row(i - 1), self.row(i + 1), self.row(i));
+            let (above, below) = (&above[1..n - 1], &below[1..n - 1]);
+            let (left, centre, right) = (&row[..n - 2], &row[1..n - 1], &row[2..]);
+            let blocks = above
+                .chunks_exact(LANES)
+                .zip(below.chunks_exact(LANES))
+                .zip(left.chunks_exact(LANES))
+                .zip(right.chunks_exact(LANES))
+                .zip(centre.chunks_exact(LANES));
+            for ((((a, b), l), r), c) in blocks {
+                for k in 0..LANES {
+                    keep_max(&mut lanes[k], lap(a[k], b[k], l[k], r[k], c[k]));
+                }
             }
+            for (lane, j) in lanes.iter_mut().zip((n - 2) / LANES * LANES..n - 2) {
+                keep_max(lane, lap(above[j], below[j], left[j], right[j], centre[j]));
+            }
+        }
+        let mut r = 0.0;
+        for lane in lanes {
+            keep_max(&mut r, lane);
         }
         r
     }
@@ -188,6 +212,8 @@ pub fn optimal_omega(n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::tests::cells;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_and_access() {
@@ -230,6 +256,29 @@ mod tests {
         let mut g = Grid::new(5);
         g.set(2, 2, 1.0);
         assert!(g.max_residual() > 3.9);
+    }
+
+    proptest! {
+        #[test]
+        fn max_residual_matches_walking_definition(
+            n in 3usize..70,
+            vals in cells(69 * 69),
+        ) {
+            let g = Grid { n, data: vals[..n * n].to_vec() };
+            // The definition, cell by cell in one running maximum.
+            let mut r: f64 = 0.0;
+            for i in 1..n - 1 {
+                for j in 1..n - 1 {
+                    let lap = g.get(i - 1, j)
+                        + g.get(i + 1, j)
+                        + g.get(i, j - 1)
+                        + g.get(i, j + 1)
+                        - 4.0 * g.get(i, j);
+                    r = r.max(lap.abs());
+                }
+            }
+            prop_assert_eq!(g.max_residual().to_bits(), r.to_bits());
+        }
     }
 
     #[test]

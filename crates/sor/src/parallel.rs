@@ -580,6 +580,58 @@ mod tests {
         solve_parallel(&mut g, SorParams::for_grid(4, 1), 3);
     }
 
+    #[test]
+    fn blocks_match_sequential_bitwise() {
+        for (pr, pc) in [(2, 2), (1, 3), (3, 1), (2, 3), (3, 3)] {
+            let n = 26;
+            let iters = 15;
+            let reference = solved_seq(n, iters);
+            let mut g = Grid::laplace_problem(n);
+            solve_parallel_blocks(
+                &mut g,
+                SorParams::for_grid(n, iters),
+                BlockLayout::new(pr, pc),
+            );
+            assert_eq!(
+                g.max_diff(&reference),
+                0.0,
+                "layout {pr}x{pc} differs from sequential"
+            );
+        }
+    }
+
+    #[test]
+    fn single_block_delegates() {
+        let n = 15;
+        let reference = solved_seq(n, 8);
+        let mut g = Grid::laplace_problem(n);
+        solve_parallel_blocks(&mut g, SorParams::for_grid(n, 8), BlockLayout::new(1, 1));
+        assert_eq!(g.max_diff(&reference), 0.0);
+    }
+
+    #[test]
+    fn converges_with_blocks() {
+        let n = 33;
+        let mut g = Grid::laplace_problem(n);
+        solve_parallel_blocks(&mut g, SorParams::for_grid(n, 400), BlockLayout::new(2, 2));
+        assert!(g.max_residual() < 1e-9, "residual {}", g.max_residual());
+    }
+
+    #[test]
+    fn uneven_blocks_still_match() {
+        // Interior 11 split 3x2: ragged blocks.
+        let n = 13;
+        let iters = 10;
+        let reference = solved_seq(n, iters);
+        let mut g = Grid::laplace_problem(n);
+        solve_parallel_blocks(
+            &mut g,
+            SorParams::for_grid(n, iters),
+            BlockLayout::new(3, 2),
+        );
+        assert_eq!(g.max_diff(&reference), 0.0);
+    }
+
     fn kill_options(rank: usize, at_half_iteration: usize) -> SolveOptions {
         SolveOptions {
             policy: ExchangePolicy {
