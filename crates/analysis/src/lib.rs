@@ -29,9 +29,8 @@
 //!   for the negative-control suites, and schedule harvesting for
 //!   conformance replay.
 //! * [`svc`] — the serving-path proof: an abstract model of the
-//!   `prodpred-service` atomics (the `EpochSwap` slot ring and
-//!   Release/Acquire epoch word, reader snapshot loads, `EpochCache`
-//!   shard probes/inserts, `bump_to`'s fetch_max-then-clear, and
+//!   `prodpred-service` shared state (`EpochSwap` publishes and loads,
+//!   `EpochCache` shard probes/inserts and `bump_to`'s per-shard sweeps,
 //!   admission token grant/release), explored across every interleaving
 //!   at small bounds, plus the conformance harness that replays
 //!   explored schedules against the real implementation. Run it via

@@ -1,32 +1,26 @@
-//! Bounded, exhaustive model checking of the lock-free serving path.
+//! Bounded, exhaustive model checking of the serving path.
 //!
-//! PR 7–9 put the prediction path behind shared-memory concurrency:
-//! `EpochSwap` publishes snapshots into a slot ring behind a
-//! Release/Acquire epoch word, `EpochCache` guards its shards with
-//! per-shard epochs cleared by `bump_to`'s fetch_max-then-sweep, and
-//! `Admission` hands out RAII miss permits from a token counter. Their
-//! correctness was pinned by race regression tests — schedules *sampled*
-//! by spawning threads. This module *enumerates* the schedules instead:
-//! an abstract model of exactly those atomics, explored across every
-//! interleaving at small bounds on the shared [`mc`](crate::mc) kernel.
+//! The prediction path shares memory between threads: `EpochSwap`
+//! publishes each snapshot as one `(epoch, Arc)` pair under a `RwLock`,
+//! `EpochCache` guards its shards with per-shard epochs that `bump_to`
+//! sweeps forward one shard lock at a time, and `Admission` hands out
+//! RAII miss permits from a token counter. Race regression tests
+//! *sample* their schedules by spawning threads; this module
+//! *enumerates* them instead: an abstract model of exactly those steps,
+//! explored across every interleaving at small bounds on the shared
+//! [`mc`](crate::mc) kernel.
 //!
 //! ## The model
 //!
-//! One writer thread publishes epochs `1..=epochs` into a 2-slot ring
-//! (the real ring has 8 slots; only the index arithmetic differs, so a
-//! smaller ring reaches the lapped-slot path at checkable bounds). Each
-//! publish is three micro-steps — write the slot's epoch tag, write its
-//! value, store the epoch word — because that is what the Release fence
-//! orders: both slot writes happen-before the word store. The epoch word
-//! store also refills admission tokens, mirroring the ingest tick.
-//! `bump_to(e)` runs as its own task per published epoch (the real
-//! `bump_to` is callable concurrently): one fetch_max micro-step on the
-//! cache epoch word, then one sweep micro-step per shard under that
-//! shard's lock. N identical reader threads each run one query per
-//! shard: load the epoch word, validate the ring slot, probe the
-//! shard (hit ends the query), and on a miss take an admission token,
-//! enter the inflight gauge (rolling back over the cap), insert under
-//! the shard lock, and release the permit.
+//! One writer thread publishes epochs `1..=epochs`, each in one step —
+//! store the `(epoch, snapshot)` pair, refill admission tokens — as the
+//! ingest tick does under the swap's write lock. `bump_to(e)` runs as
+//! its own task per published epoch: one sweep step per shard under
+//! that shard's lock. N identical reader threads each run one query per
+//! shard: load the `(epoch, snapshot)` pair, probe the shard (hit ends
+//! the query), and on a miss take an admission token, enter the
+//! inflight gauge (rolling back over the cap), insert under the shard
+//! lock, and release the permit.
 //!
 //! Values are abstracted to the epoch that produced them, so every
 //! cached or loaded value carries its provenance and the checker can
@@ -34,13 +28,9 @@
 //!
 //! ## Checked invariants
 //!
-//! * **no torn or reclaimed reads** — a reader that validates a slot for
-//!   epoch `e` always observes the value written under `e`;
 //! * **no cross-epoch hits** — a cache hit never returns a value
 //!   inserted under a different epoch (the PR-7 TOCTOU, now a theorem at
 //!   model scale);
-//! * **epoch monotonicity** — the cache epoch word never regresses, even
-//!   under racing bumps;
 //! * **permit balance** — every admission permit granted is released
 //!   exactly once: no leak, no double-spend, inflight drains to zero;
 //! * **convergence** — at quiescence every shard sits at the final
@@ -50,23 +40,20 @@
 //!
 //! [`Variant`] seeds the historical (or plausible) bugs back into the
 //! model: dropping the shard-lock epoch compare on insert
-//! ([`Variant::NoShardEpochCheck`], the TOCTOU), publishing the epoch
-//! word before the slot value lands ([`Variant::NoReleaseFence`]),
-//! replacing fetch_max with a plain store ([`Variant::NoFetchMax`]), and
-//! skipping the over-cap inflight rollback
-//! ([`Variant::NoInflightRollback`]). Each must produce a violation, and
-//! [`minimal_counterexample`] reconstructs the shortest schedule that
-//! exhibits it.
+//! ([`Variant::NoShardEpochCheck`], the TOCTOU) and skipping the
+//! over-cap inflight rollback ([`Variant::NoInflightRollback`]). Each
+//! must produce a violation, and [`minimal_counterexample`] reconstructs
+//! the shortest schedule that exhibits it.
 //!
 //! ## Conformance
 //!
 //! The model would prove nothing if it drifted from the implementation,
 //! so [`replay`] walks any explored schedule step-for-step against a
-//! [`ServingHarness`] — the trait-level instrumentation hook the real
-//! `EpochSwap`/`EpochCache`/`Admission` implement via their probe seams
-//! — asserting at every step that the implementation observes exactly
-//! what the model predicts (epoch loads, slot validation, hit/miss,
-//! admission outcomes).
+//! [`ServingHarness`] — the trait the real
+//! `EpochSwap`/`EpochCache`/`Admission` implement through their public
+//! entry points — asserting at every step that the implementation
+//! observes exactly what the model predicts (published epochs, loaded
+//! pairs, hit/miss, admission outcomes).
 
 use crate::mc::{self, ExploreStats, TransitionSystem, Violation};
 
@@ -76,8 +63,6 @@ pub const MAX_READERS: usize = 3;
 pub const MAX_SHARDS: usize = 3;
 /// Upper bound on published epochs.
 pub const MAX_EPOCHS: usize = 3;
-/// Ring slots in the model (the real `EpochSwap` uses 8; see module docs).
-pub const RING: usize = 2;
 /// Sentinel for an unbounded token pool or inflight cap.
 pub const UNBOUNDED: u8 = u8::MAX;
 
@@ -90,12 +75,6 @@ pub enum Variant {
     /// Insert skips the under-shard-lock epoch compare (the PR-7
     /// TOCTOU): a stale insert can land after a bump's sweep.
     NoShardEpochCheck,
-    /// The epoch word store is reordered before the slot value write —
-    /// what dropping the Release/Acquire pair permits.
-    NoReleaseFence,
-    /// `bump_to` stores the epoch word instead of fetch_max-ing it, so
-    /// racing bumps can regress it.
-    NoFetchMax,
     /// The over-cap admission path forgets the inflight rollback,
     /// leaking a permit.
     NoInflightRollback,
@@ -110,7 +89,7 @@ pub struct SvcConfig {
     pub readers: usize,
     /// Cache shards, one query key each (1..=3).
     pub shards: usize,
-    /// Epochs the writer publishes (1..=3; 3 laps the 2-slot ring).
+    /// Epochs the writer publishes (1..=3).
     pub epochs: usize,
     /// Miss tokens refilled at each publish; [`UNBOUNDED`] disables the
     /// token gate.
@@ -148,14 +127,6 @@ impl SvcConfig {
     }
 }
 
-/// One ring slot: the epoch tag and the value, written separately so
-/// the fence (or its absence) is visible to readers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Slot {
-    tag: u8,
-    val: u8,
-}
-
 /// One cache shard: its epoch and the single keyed entry, holding the
 /// epoch tag of the cached value (0 = empty).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,10 +138,9 @@ struct Shard {
 /// A reader thread's program counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum Rpc {
-    /// Acquire-load the epoch word (blocked until the first publish).
+    /// Load the published `(epoch, snapshot)` pair (blocked until the
+    /// first publish).
     Load,
-    /// Validate the ring slot against the loaded epoch.
-    ReadSlot,
     /// Probe the query's shard under the shard lock.
     Probe,
     /// Take a miss token (CAS loop).
@@ -200,15 +170,11 @@ struct Reader {
 /// Global model state: fully explicit, hashable, fixed-size.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct SvcState {
-    /// Writer micro-steps completed (3 per epoch).
-    wpc: u8,
-    /// The `EpochSwap` epoch word.
-    word: u8,
-    slots: [Slot; RING],
-    /// The `EpochCache` epoch word (`bump_to`'s fetch_max target).
-    cword: u8,
-    /// Per published epoch: bump-task progress. 0 = word step pending,
-    /// `1 + k` = sweeping shard `k`, `shards + 1` = done.
+    /// The `EpochSwap`'s published epoch (its value is that epoch's
+    /// snapshot); 0 before the first publish.
+    published: u8,
+    /// Per published epoch: shards its bump task has swept
+    /// (`shards` = done).
     bump: [u8; MAX_EPOCHS],
     shards: [Shard; MAX_SHARDS],
     readers: [Reader; MAX_READERS],
@@ -222,23 +188,15 @@ pub struct SvcState {
     released: u8,
 }
 
-/// One scheduling choice: which thread executes its next micro-step.
+/// One scheduling choice: which thread executes its next step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// The writer's next publish micro-step.
+    /// The writer publishes the next epoch.
     Writer,
-    /// The bump task of this epoch performs its next micro-step.
+    /// The bump task of this epoch sweeps its next shard.
     Bumper(u8),
-    /// This reader performs its next micro-step.
+    /// This reader performs its next step.
     Reader(u8),
-}
-
-/// What the writer does at one micro-step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WriterOp {
-    Tag,
-    Val,
-    Publish,
 }
 
 /// The serving-path transition system. Construct via [`Svc::new`], then
@@ -270,30 +228,6 @@ impl Svc {
         Svc { config }
     }
 
-    /// The writer's op at micro-step `sub` of an epoch. The correct
-    /// order writes the whole slot before the word store (the Release
-    /// fence); [`Variant::NoReleaseFence`] lets the word store overtake
-    /// the value write.
-    fn writer_op(&self, sub: u8) -> WriterOp {
-        let order = if self.config.variant == Variant::NoReleaseFence {
-            [WriterOp::Tag, WriterOp::Publish, WriterOp::Val]
-        } else {
-            [WriterOp::Tag, WriterOp::Val, WriterOp::Publish]
-        };
-        order[sub as usize]
-    }
-
-    /// True once the writer has executed the word store for `epoch`.
-    fn published(&self, state: &SvcState, epoch: u8) -> bool {
-        let base = 3 * (epoch - 1);
-        let pub_sub = if self.config.variant == Variant::NoReleaseFence {
-            1
-        } else {
-            2
-        };
-        state.wpc > base + pub_sub
-    }
-
     /// Ends the reader's current query and lines up the next.
     fn finish_query(&self, rd: &mut Reader) {
         rd.qi += 1;
@@ -309,8 +243,8 @@ impl Svc {
     /// balanced permits and converged shards.
     fn check_terminal(&self, state: &SvcState) -> Result<(), String> {
         let c = &self.config;
-        let writer_done = state.wpc as usize == 3 * c.epochs;
-        let bumps_done = (0..c.epochs).all(|i| state.bump[i] as usize == c.shards + 1);
+        let writer_done = state.published as usize == c.epochs;
+        let bumps_done = (0..c.epochs).all(|i| state.bump[i] as usize == c.shards);
         let readers_done = state.readers[..c.readers].iter().all(|r| r.pc == Rpc::Done);
         if !(writer_done && bumps_done && readers_done) {
             return Err(format!(
@@ -327,12 +261,6 @@ impl Svc {
             return Err(format!(
                 "permit-imbalance: {} permits granted but {} released",
                 state.granted, state.released
-            ));
-        }
-        if state.cword as usize != c.epochs {
-            return Err(format!(
-                "bump-divergence: cache epoch word ended at {}, expected {}",
-                state.cword, c.epochs
             ));
         }
         for k in 0..c.shards {
@@ -370,16 +298,11 @@ impl TransitionSystem for Svc {
         // Bump tasks past the horizon are born done so quiescence does
         // not wait on them.
         let mut bump = [0u8; MAX_EPOCHS];
-        for (i, b) in bump.iter_mut().enumerate() {
-            if i >= self.config.epochs {
-                *b = self.config.shards as u8 + 1;
-            }
+        for b in bump.iter_mut().skip(self.config.epochs) {
+            *b = self.config.shards as u8;
         }
         SvcState {
-            wpc: 0,
-            word: 0,
-            slots: [Slot { tag: 0, val: 0 }; RING],
-            cword: 0,
+            published: 0,
             bump,
             shards: [Shard { epoch: 0, entry: 0 }; MAX_SHARDS],
             readers,
@@ -395,20 +318,20 @@ impl TransitionSystem for Svc {
     fn enabled(&self, state: &SvcState) -> Vec<Action> {
         let c = &self.config;
         let mut steps = Vec::new();
-        if (state.wpc as usize) < 3 * c.epochs {
+        if (state.published as usize) < c.epochs {
             steps.push(Action::Writer);
         }
-        for e in 1..=c.epochs as u8 {
-            if self.published(state, e) && (state.bump[e as usize - 1] as usize) <= c.shards {
+        for e in 1..=state.published {
+            if (state.bump[e as usize - 1] as usize) < c.shards {
                 steps.push(Action::Bumper(e));
             }
         }
         for (r, rd) in state.readers[..c.readers].iter().enumerate() {
             match rd.pc {
                 Rpc::Done => {}
-                // A reader spins (parks) until the first publish; the
-                // load is only a step once the word is nonzero.
-                Rpc::Load if state.word == 0 => {}
+                // A reader parks until the first publish; the load is
+                // only a step once there is a pair to load.
+                Rpc::Load if state.published == 0 => {}
                 _ => steps.push(Action::Reader(r as u8)),
             }
         }
@@ -420,74 +343,25 @@ impl TransitionSystem for Svc {
         let mut next = state.clone();
         match action {
             Action::Writer => {
-                let epoch = next.wpc / 3 + 1;
-                match self.writer_op(next.wpc % 3) {
-                    WriterOp::Tag => next.slots[epoch as usize % RING].tag = epoch,
-                    WriterOp::Val => next.slots[epoch as usize % RING].val = epoch,
-                    WriterOp::Publish => {
-                        next.word = epoch;
-                        // The ingest tick refills miss tokens before it
-                        // publishes.
-                        next.tokens = c.tokens;
-                    }
-                }
-                next.wpc += 1;
+                next.published += 1;
+                // The ingest tick refills miss tokens as it publishes.
+                next.tokens = c.tokens;
             }
             Action::Bumper(e) => {
                 let i = e as usize - 1;
-                if next.bump[i] == 0 {
-                    let prev = next.cword;
-                    let new = if c.variant == Variant::NoFetchMax {
-                        e
-                    } else {
-                        prev.max(e)
-                    };
-                    if new < prev {
-                        return Err(format!(
-                            "epoch-regression: cache epoch word regressed from {prev} to {new} under racing bumps"
-                        ));
-                    }
-                    next.cword = new;
-                    // fetch_max returning prev >= e means a newer bump
-                    // already swept; this one returns without sweeping.
-                    next.bump[i] = if c.variant != Variant::NoFetchMax && prev >= e {
-                        c.shards as u8 + 1
-                    } else {
-                        1
-                    };
-                } else {
-                    let k = next.bump[i] as usize - 1;
-                    let sh = &mut next.shards[k];
-                    if sh.epoch < e {
-                        sh.entry = 0;
-                        sh.epoch = e;
-                    }
-                    next.bump[i] += 1;
+                let sh = &mut next.shards[next.bump[i] as usize];
+                if sh.epoch < e {
+                    sh.entry = 0;
+                    sh.epoch = e;
                 }
+                next.bump[i] += 1;
             }
             Action::Reader(r) => {
                 let rd = &mut next.readers[r as usize];
                 match rd.pc {
                     Rpc::Load => {
-                        rd.e = next.word;
-                        rd.pc = Rpc::ReadSlot;
-                    }
-                    Rpc::ReadSlot => {
-                        let slot = next.slots[rd.e as usize % RING];
-                        if slot.tag != rd.e {
-                            // Lapped or not yet tagged: retry the load,
-                            // exactly like the real validation loop.
-                            rd.e = 0;
-                            rd.pc = Rpc::Load;
-                        } else {
-                            if slot.val != rd.e {
-                                return Err(format!(
-                                    "torn-read: reader {r} validated the slot for epoch {} but read a value written under epoch {}",
-                                    rd.e, slot.val
-                                ));
-                            }
-                            rd.pc = Rpc::Probe;
-                        }
+                        rd.e = next.published;
+                        rd.pc = Rpc::Probe;
                     }
                     Rpc::Probe => {
                         let sh = next.shards[rd.qi as usize];
@@ -561,51 +435,21 @@ impl TransitionSystem for Svc {
 
     fn describe(&self, state: &SvcState, action: Action) -> String {
         match action {
-            Action::Writer => {
-                let epoch = state.wpc / 3 + 1;
-                match self.writer_op(state.wpc % 3) {
-                    WriterOp::Tag => format!(
-                        "writer: tags slot {} for epoch {epoch}",
-                        epoch as usize % RING
-                    ),
-                    WriterOp::Val => format!(
-                        "writer: writes the epoch-{epoch} value into slot {}",
-                        epoch as usize % RING
-                    ),
-                    WriterOp::Publish => {
-                        format!(
-                            "writer: publishes epoch word := {epoch} (Release) and refills tokens"
-                        )
-                    }
-                }
-            }
-            Action::Bumper(e) => {
-                let prog = state.bump[e as usize - 1];
-                if prog == 0 {
-                    if self.config.variant == Variant::NoFetchMax {
-                        format!("bump({e}): stores the cache epoch word (no fetch_max)")
-                    } else {
-                        format!("bump({e}): fetch_max on the cache epoch word")
-                    }
-                } else {
-                    format!("bump({e}): sweeps shard {} under its lock", prog - 1)
-                }
-            }
+            Action::Writer => format!(
+                "writer: publishes (epoch {}, snapshot) under the write lock and refills tokens",
+                state.published + 1
+            ),
+            Action::Bumper(e) => format!(
+                "bump({e}): sweeps shard {} under its lock",
+                state.bump[e as usize - 1]
+            ),
             Action::Reader(r) => {
                 let rd = state.readers[r as usize];
                 match rd.pc {
-                    Rpc::Load => format!("reader {r}: loads epoch word -> {}", state.word),
-                    Rpc::ReadSlot => {
-                        let slot = state.slots[rd.e as usize % RING];
-                        if slot.tag != rd.e {
-                            format!(
-                                "reader {r}: slot tagged {} != loaded epoch {}, retries",
-                                slot.tag, rd.e
-                            )
-                        } else {
-                            format!("reader {r}: validates the slot for epoch {}", rd.e)
-                        }
-                    }
+                    Rpc::Load => format!(
+                        "reader {r}: loads (epoch {}, snapshot) under the read lock",
+                        state.published
+                    ),
                     Rpc::Probe => format!("reader {r}: probes shard {} at epoch {}", rd.qi, rd.e),
                     Rpc::AdmitToken => {
                         if state.tokens == 0 {
@@ -678,24 +522,18 @@ pub fn schedules(config: SvcConfig, limit: usize) -> Vec<Vec<Action>> {
 
 /// The trait-level instrumentation hook the conformance layer drives.
 ///
-/// Each method is one model micro-step; the real
-/// `EpochSwap`/`EpochCache`/`Admission` implement it via their probe
-/// seams (`begin_publish`/`commit`, `try_load_at`, `bump_word`,
-/// `sweep_shard`, `take_token`/`enter_inflight`/`exit_inflight`), and
-/// [`replay`] asserts after every step that the implementation observed
-/// exactly what the model predicts.
+/// Each method is one model step; the real
+/// `EpochSwap`/`EpochCache`/`Admission` implement it through their
+/// entry points (`publish`, `load`, `get`, `insert`, `sweep_shard`,
+/// `take_token`/`enter_inflight`/`exit_inflight`), and [`replay`]
+/// asserts after every step that the implementation observed exactly
+/// what the model predicts.
 pub trait ServingHarness {
-    /// Stage the slot write for `epoch` (the tag half).
-    fn write_slot_tag(&mut self, epoch: u64);
-    /// Complete the slot write for `epoch` (the value half).
-    fn write_slot_val(&mut self, epoch: u64);
-    /// Release-store the epoch word and refill miss tokens.
-    fn publish_epoch(&mut self, epoch: u64);
-    /// Acquire-load the epoch word.
-    fn load_epoch(&mut self) -> u64;
-    /// Validate the ring slot for `epoch`; `Some(value)` on success,
-    /// `None` when the slot was lapped (retry).
-    fn read_slot(&mut self, epoch: u64) -> Option<u64>;
+    /// Publish the value `epoch` and refill miss tokens; returns the
+    /// epoch the implementation assigned.
+    fn publish(&mut self, epoch: u64) -> u64;
+    /// Load the published `(epoch, value)` pair.
+    fn load(&mut self) -> Option<(u64, u64)>;
     /// Probe `shard` at `epoch`; `Some(value)` on a hit.
     fn probe(&mut self, shard: usize, epoch: u64) -> Option<u64>;
     /// Take a miss token; false = shed.
@@ -708,19 +546,16 @@ pub trait ServingHarness {
     fn insert(&mut self, shard: usize, epoch: u64);
     /// Release the miss permit.
     fn release_permit(&mut self);
-    /// `bump_to`'s fetch_max on the cache epoch word; returns whether
-    /// this bump must sweep (the word advanced).
-    fn bump_word(&mut self, epoch: u64) -> bool;
-    /// Sweep one shard under its lock.
+    /// Sweep one shard forward to `epoch` under its lock.
     fn sweep_shard(&mut self, shard: usize, epoch: u64);
 }
 
 /// Replays `schedule` step-for-step against `harness`, walking the
 /// model alongside and asserting at every step that the implementation
-/// agrees with the model's prediction: epoch loads, slot validation,
-/// hit/miss outcomes, hit values, admission outcomes, and sweep
-/// decisions. Use [`Variant::Correct`] configs — the point is to pin
-/// the *implementation* to the *proved* model.
+/// agrees with the model's prediction: published epochs, loaded pairs,
+/// hit/miss outcomes, hit values, and admission outcomes. Use
+/// [`Variant::Correct`] configs — the point is to pin the
+/// *implementation* to the *proved* model.
 ///
 /// # Errors
 ///
@@ -737,57 +572,27 @@ pub fn replay<H: ServingHarness>(
         let step = sys.describe(&state, action);
         match action {
             Action::Writer => {
-                let epoch = u64::from(state.wpc / 3 + 1);
-                match sys.writer_op(state.wpc % 3) {
-                    WriterOp::Tag => harness.write_slot_tag(epoch),
-                    WriterOp::Val => harness.write_slot_val(epoch),
-                    WriterOp::Publish => harness.publish_epoch(epoch),
+                let epoch = u64::from(state.published) + 1;
+                let got = harness.publish(epoch);
+                if got != epoch {
+                    return Err(format!(
+                        "conformance step {i} [{step}]: published epoch {got}, model predicts {epoch}"
+                    ));
                 }
             }
             Action::Bumper(e) => {
-                let i = e as usize - 1;
-                if state.bump[i] == 0 {
-                    let model_sweeps = state.cword < e;
-                    let impl_sweeps = harness.bump_word(u64::from(e));
-                    if impl_sweeps != model_sweeps {
-                        return Err(format!(
-                            "conformance step {i} [{step}]: bump_word({e}) swept={impl_sweeps}, model predicts {model_sweeps}"
-                        ));
-                    }
-                } else {
-                    harness.sweep_shard(state.bump[i] as usize - 1, u64::from(e));
-                }
+                harness.sweep_shard(state.bump[e as usize - 1] as usize, u64::from(e));
             }
             Action::Reader(r) => {
                 let rd = state.readers[r as usize];
                 match rd.pc {
                     Rpc::Load => {
-                        let got = harness.load_epoch();
-                        if got != u64::from(state.word) {
+                        let e = u64::from(state.published);
+                        let got = harness.load();
+                        if got != Some((e, e)) {
                             return Err(format!(
-                                "conformance step {i} [{step}]: loaded epoch {got}, model predicts {}",
-                                state.word
+                                "conformance step {i} [{step}]: loaded {got:?}, model predicts ({e}, {e})"
                             ));
-                        }
-                    }
-                    Rpc::ReadSlot => {
-                        let slot = state.slots[rd.e as usize % RING];
-                        let model_valid = slot.tag == rd.e;
-                        let got = harness.read_slot(u64::from(rd.e));
-                        match (got, model_valid) {
-                            (Some(v), true) if v != u64::from(slot.val) => {
-                                return Err(format!(
-                                    "conformance step {i} [{step}]: slot value {v}, model predicts {}",
-                                    slot.val
-                                ));
-                            }
-                            (Some(_), true) | (None, false) => {}
-                            (got, _) => {
-                                return Err(format!(
-                                    "conformance step {i} [{step}]: slot validation {:?}, model predicts valid={model_valid}",
-                                    got.map(|_| "valid")
-                                ));
-                            }
                         }
                     }
                     Rpc::Probe => {
@@ -861,8 +666,8 @@ mod tests {
 
     #[test]
     fn lapping_the_ring_holds() {
-        // 3 epochs on a 2-slot ring: epoch 3 reclaims epoch 1's slot,
-        // exercising the retry path of slot validation.
+        // 3 epochs: readers load across a three-epoch horizon, with two
+        // bump tasks racing behind the last publish.
         let report = check(SvcConfig::new(2, 1, 3));
         assert!(report.holds(), "{:?}", report.stats.violation);
     }
@@ -881,23 +686,6 @@ mod tests {
         let v = minimal_counterexample(config).expect("BFS must find it too");
         assert!(v.kind.starts_with("cross-epoch-hit") || v.kind.starts_with("stale-entry"));
         assert!(!v.trace.is_empty());
-    }
-
-    #[test]
-    fn dropped_release_fence_is_refuted_with_a_trace() {
-        let config = SvcConfig::new(2, 2, 2).with_variant(Variant::NoReleaseFence);
-        let report = check(config);
-        assert!(!report.holds(), "the dropped fence must be found");
-        let v = minimal_counterexample(config).expect("BFS must find it too");
-        assert!(v.kind.starts_with("torn-read"), "{}", v.kind);
-        assert!(!v.trace.is_empty());
-    }
-
-    #[test]
-    fn plain_store_bump_is_refuted() {
-        let config = SvcConfig::new(1, 1, 2).with_variant(Variant::NoFetchMax);
-        let v = minimal_counterexample(config).expect("racing bumps must regress");
-        assert!(v.kind.starts_with("epoch-regression"), "{}", v.kind);
     }
 
     #[test]
@@ -924,9 +712,7 @@ mod tests {
     /// suite, which depends on `prodpred-service`).
     struct Shadow {
         config: SvcConfig,
-        word: u64,
-        slots: [(u64, u64); RING],
-        cword: u64,
+        published: u64,
         shards: Vec<(u64, u64)>,
         tokens: u64,
         inflight: u64,
@@ -936,9 +722,7 @@ mod tests {
         fn new(config: SvcConfig) -> Self {
             Shadow {
                 config,
-                word: 0,
-                slots: [(0, 0); RING],
-                cword: 0,
+                published: 0,
                 shards: vec![(0, 0); config.shards],
                 tokens: u64::from(config.tokens),
                 inflight: 0,
@@ -947,22 +731,13 @@ mod tests {
     }
 
     impl ServingHarness for Shadow {
-        fn write_slot_tag(&mut self, epoch: u64) {
-            self.slots[epoch as usize % RING].0 = epoch;
-        }
-        fn write_slot_val(&mut self, epoch: u64) {
-            self.slots[epoch as usize % RING].1 = epoch;
-        }
-        fn publish_epoch(&mut self, epoch: u64) {
-            self.word = epoch;
+        fn publish(&mut self, _epoch: u64) -> u64 {
+            self.published += 1;
             self.tokens = u64::from(self.config.tokens);
+            self.published
         }
-        fn load_epoch(&mut self) -> u64 {
-            self.word
-        }
-        fn read_slot(&mut self, epoch: u64) -> Option<u64> {
-            let (tag, val) = self.slots[epoch as usize % RING];
-            (tag == epoch).then_some(val)
+        fn load(&mut self) -> Option<(u64, u64)> {
+            (self.published != 0).then_some((self.published, self.published))
         }
         fn probe(&mut self, shard: usize, epoch: u64) -> Option<u64> {
             let (sh_epoch, entry) = self.shards[shard];
@@ -992,11 +767,6 @@ mod tests {
         }
         fn release_permit(&mut self) {
             self.inflight -= 1;
-        }
-        fn bump_word(&mut self, epoch: u64) -> bool {
-            let prev = self.cword;
-            self.cword = self.cword.max(epoch);
-            prev < epoch
         }
         fn sweep_shard(&mut self, shard: usize, epoch: u64) {
             if self.shards[shard].0 < epoch {

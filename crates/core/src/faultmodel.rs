@@ -45,15 +45,10 @@
 //! service path bit-identical.
 
 use crate::supervisor::RetryPolicy;
-use prodpred_simgrid::faults::{FaultConfig, IntensityError};
+use prodpred_simgrid::faults::{FaultConfig, IntensityError, CAMPAIGN_KILL_WEIGHTS};
 use prodpred_sor::CheckpointPolicy;
 use prodpred_structural::DegradationTerms;
 use serde::{Deserialize, Serialize};
-
-/// Kill-count weights of `FaultSchedule::random_campaign`: the
-/// probability a schedule carries 0..=4 worker deaths (thresholds 0.25 /
-/// 0.65 / 0.85 / 0.95 on a uniform hash).
-pub const CAMPAIGN_KILL_WEIGHTS: [f64; 5] = [0.25, 0.40, 0.20, 0.10, 0.05];
 
 /// Measured healthy checkpoint overhead from `BENCH_chaos.json`: one
 /// snapshot over 480 iterations cost ≈0.66% of the solve.

@@ -13,7 +13,7 @@
 //! sensor lock.
 //!
 //! Every accessor is pinned **bit-identical** to the live method it
-//! mirrors (`crates/tests/service_core.rs`): a snapshot taken at sensor
+//! mirrors (`tests/service_core.rs`): a snapshot taken at sensor
 //! time `t` answers exactly what the live service would have answered at
 //! `t`, for every machine, load source, and staleness mode.
 

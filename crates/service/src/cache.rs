@@ -143,7 +143,6 @@ struct Shard<V> {
 /// A sharded, bounded, epoch-invalidated map from [`QueryKey`] to an
 /// immutable cached value.
 pub struct EpochCache<V> {
-    epoch: AtomicU64,
     shards: Box<[Mutex<Shard<V>>]>,
     per_shard_capacity: usize,
     hits: AtomicU64,
@@ -168,7 +167,6 @@ impl<V> EpochCache<V> {
             .collect::<Vec<_>>()
             .into_boxed_slice();
         Self {
-            epoch: AtomicU64::new(0),
             shards,
             per_shard_capacity,
             hits: AtomicU64::new(0),
@@ -176,11 +174,6 @@ impl<V> EpochCache<V> {
             invalidated: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
         }
-    }
-
-    /// The epoch the cache currently serves.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 
     fn shard(&self, key: &QueryKey) -> &Mutex<Shard<V>> {
@@ -201,31 +194,19 @@ impl<V> EpochCache<V> {
 
     /// Advances the cache to `epoch`, dropping **every** entry: a new
     /// snapshot invalidates all predictions computed from the old one.
-    /// Idempotent for the current epoch; ignores regressions even under
-    /// concurrent callers (`fetch_max` keeps the stored epoch monotone,
-    /// and the per-shard epoch only ever advances under its lock).
+    /// Sweeps every shard; each shard's own epoch compare makes the call
+    /// idempotent for the current epoch and inert for a regression.
     pub fn bump_to(&self, epoch: u64) {
-        if !self.bump_word(epoch) {
-            return;
-        }
         for i in 0..self.shards.len() {
             self.sweep_shard(i, epoch);
         }
     }
 
-    /// The fetch_max half of [`Self::bump_to`]: advances the cache-wide
-    /// epoch word and reports whether this caller won the advance (and
-    /// so must sweep the shards). A `false` return means an equal or
-    /// newer bump already owns the sweep. This is the conformance seam
-    /// the `prodpred-analysis::svc` model replays.
-    pub fn bump_word(&self, epoch: u64) -> bool {
-        self.epoch.fetch_max(epoch, Ordering::AcqRel) < epoch
-    }
-
-    /// The per-shard half of [`Self::bump_to`]: under shard `i`'s lock,
-    /// drops its entries and advances its epoch if it is still behind
-    /// `epoch`. Idempotent; out-of-order sweeps from racing bumps are
-    /// ignored by the same comparison.
+    /// One step of [`Self::bump_to`]: under shard `i`'s lock, drops its
+    /// entries and advances its epoch if it is still behind `epoch`.
+    /// Idempotent; an out-of-order sweep is ignored by the same
+    /// comparison. The conformance seam the `prodpred-analysis::svc`
+    /// model replays.
     pub fn sweep_shard(&self, i: usize, epoch: u64) {
         let mut guard = self.shards[i]
             .lock()
@@ -441,7 +422,6 @@ mod tests {
         cache.bump_to(3);
         cache.insert(3, key(1), 7);
         cache.bump_to(2);
-        assert_eq!(cache.epoch(), 3);
         assert_eq!(*cache.get(3, &key(1)).unwrap(), 7);
         cache.bump_to(3); // idempotent for the current epoch
         assert_eq!(*cache.get(3, &key(1)).unwrap(), 7);
@@ -453,18 +433,23 @@ mod tests {
         // advances the cache; any hit must carry the reader's own epoch.
         // This is the TOCTOU shape: an insert that passes a pre-lock
         // epoch check, loses the race to a bump, and lands anyway would
-        // surface here as a hit whose value names the wrong epoch.
+        // surface here as a hit whose value names the wrong epoch. The
+        // bumper announces each epoch before sweeping for it, so workers
+        // race the sweep itself.
         use std::sync::atomic::AtomicBool;
         let cache: Arc<EpochCache<u64>> = Arc::new(EpochCache::new(CacheConfig {
             capacity: 256,
             shards: 4,
         }));
         let stop = Arc::new(AtomicBool::new(false));
+        let announced = Arc::new(AtomicU64::new(0));
         let bumper = {
             let cache = Arc::clone(&cache);
             let stop = Arc::clone(&stop);
+            let announced = Arc::clone(&announced);
             std::thread::spawn(move || {
                 for epoch in 2..300 {
+                    announced.store(epoch, Ordering::Release);
                     cache.bump_to(epoch);
                     std::thread::yield_now();
                 }
@@ -475,9 +460,10 @@ mod tests {
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 let stop = Arc::clone(&stop);
+                let announced = Arc::clone(&announced);
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Acquire) {
-                        let epoch = cache.epoch();
+                        let epoch = announced.load(Ordering::Acquire);
                         for n in 0..16 {
                             if let Some(v) = cache.get(epoch, &key(n)) {
                                 assert_eq!(*v, epoch, "cross-epoch value served");
@@ -494,9 +480,10 @@ mod tests {
             w.join().unwrap();
         }
         // Whatever survived belongs to the final epoch only.
+        let last = announced.load(Ordering::Acquire);
         for n in 0..16 {
-            if let Some(v) = cache.get(cache.epoch(), &key(n)) {
-                assert_eq!(*v, cache.epoch());
+            if let Some(v) = cache.get(last, &key(n)) {
+                assert_eq!(*v, last);
             }
         }
     }

@@ -502,8 +502,9 @@ impl ServiceCore {
 
     /// Answers one query against the latest published snapshot.
     ///
-    /// The fast path is entirely lock-free with respect to the ingest
-    /// writer: an epoch-swap load plus one sharded cache probe. Misses
+    /// The fast path is an epoch-swap load — which can meet the ingest
+    /// writer for one pointer swap per publish — plus one sharded cache
+    /// probe. Misses
     /// run the structural model against the frozen snapshot — whose
     /// arithmetic is bit-identical to the live service at capture time —
     /// and populate the cache for the rest of the epoch.

@@ -1,13 +1,14 @@
 //! Prediction-as-a-service: the paper's structural predictor behind a
-//! daemon with epoch-published forecast snapshots and a lock-free query
+//! daemon with epoch-published forecast snapshots and a cached query
 //! path.
 //!
 //! The paper's predictor answers "how long will this SOR run take right
 //! now?" — a question whose answer decays as fast as the load does. This
 //! crate packages it as a continuously-refreshing service:
 //!
-//! * [`swap`] — `EpochSwap`, single-writer epoch publication of
-//!   immutable values with reader loads that never wait on the writer;
+//! * [`swap`] — `EpochSwap`, epoch publication of immutable values: one
+//!   `RwLock`ed `(epoch, Arc)` pair, so a reader waits at most for one
+//!   pointer swap per publish;
 //! * [`cache`] — the sharded, bounded, deterministic prediction cache,
 //!   keyed by `(query configuration, snapshot epoch)` and invalidated
 //!   wholesale on every epoch bump;

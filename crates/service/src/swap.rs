@@ -1,46 +1,15 @@
-//! Epoch-pointer publication: a hand-rolled, std-only arc-swap that lets
-//! one ingest thread publish immutable snapshots while any number of
-//! reader threads load the latest one without ever waiting on the
-//! writer.
+//! Epoch-pointer publication: one ingest thread publishes immutable
+//! snapshots while any number of reader threads load the latest one.
 //!
-//! ## The protocol
-//!
-//! [`EpochSwap`] keeps a small ring of slots, each holding `(epoch,
-//! Arc<T>)`, plus a single `AtomicU64` naming the latest published
-//! epoch. Publication writes the *next* ring slot — one the last `N-1`
-//! epochs of readers cannot be looking at — and only then bumps the
-//! epoch counter with `Release` ordering. A read loads the epoch
-//! (`Acquire`), indexes its slot, clones the `Arc`, and validates that
-//! the slot still carries the expected epoch; a reader that slept so
-//! long the writer lapped the whole ring simply observes the mismatch
-//! and retries against the now-newer epoch.
-//!
-//! ## Why this is "lock-free reads" without unsafe code
-//!
-//! The read path takes no `Mutex` and never blocks on the writer in
-//! steady state: the writer only ever write-locks the slot `N-1` epochs
-//! ahead of the one current readers index, so a reader's slot
-//! acquisition is always uncontended (an atomic refcount bump, no
-//! waiting). The only way a reader meets the writer on a slot is being
-//! delayed for `N-1` full publish intervals — seconds, against a
-//! nanosecond read — and even then it waits only for one pointer store
-//! before detecting the epoch mismatch and retrying. The classic
-//! `AtomicPtr`-of-`Arc` formulation buys the same property with unsafe
-//! deferred reclamation; the ring buys it with slot validation and keeps
-//! the crate `forbid(unsafe_code)`.
+//! [`EpochSwap`] is one `RwLock<Option<(u64, Arc<T>)>>`. `publish`
+//! swaps in the next `(epoch, value)` pair under the write lock and
+//! drops the previous `Arc` after unlocking; `load` clones the pair
+//! under a read lock. The snapshot itself is built before `publish` is
+//! called, so a reader can wait for at most one pointer swap, once per
+//! publish — and an old snapshot lives exactly as long as some reader
+//! still holds its `Arc`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
-
-/// Ring capacity: how many epochs of grace a stalled reader gets before
-/// its load retries. Publication cadence is seconds; reads are
-/// sub-microsecond, so 8 is already astronomically conservative.
-const SLOTS: usize = 8;
-
-struct Slot<T> {
-    epoch: u64,
-    value: Option<Arc<T>>,
-}
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 /// Single-writer, many-reader epoch publication of immutable values.
 ///
@@ -53,11 +22,9 @@ struct Slot<T> {
 /// assert_eq!((epoch, value.as_str()), (1, "hello"));
 /// ```
 pub struct EpochSwap<T> {
-    /// Latest published epoch; 0 means nothing published yet.
-    epoch: AtomicU64,
-    slots: Box<[RwLock<Slot<T>>]>,
-    /// Serializes publishers (the reader path never touches this).
-    writer: Mutex<u64>,
+    /// The latest published `(epoch, value)`; `None` before the first
+    /// publish.
+    current: RwLock<Option<(u64, Arc<T>)>>,
 }
 
 impl<T> Default for EpochSwap<T> {
@@ -69,131 +36,46 @@ impl<T> Default for EpochSwap<T> {
 impl<T> EpochSwap<T> {
     /// An empty publication point (no epoch yet).
     pub fn new() -> Self {
-        let slots = (0..SLOTS)
-            .map(|_| {
-                RwLock::new(Slot {
-                    epoch: 0,
-                    value: None,
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Self {
-            epoch: AtomicU64::new(0),
-            slots,
-            writer: Mutex::new(0),
+            current: RwLock::new(None),
         }
     }
 
-    /// The latest published epoch (0 before the first publish). A plain
-    /// atomic load — readers use it to detect staleness cheaply.
+    fn read(&self) -> RwLockReadGuard<'_, Option<(u64, Arc<T>)>> {
+        self.current.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The latest published epoch (0 before the first publish).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.read().as_ref().map_or(0, |(epoch, _)| *epoch)
     }
 
     /// Publishes `value` as the next epoch and returns that epoch.
-    /// Publishers are serialized against each other; readers are never
-    /// blocked (they read a different slot).
+    /// Publishers are serialized by the write lock.
     pub fn publish(&self, value: T) -> u64 {
-        self.begin_publish(value).commit()
-    }
-
-    /// Writes `value` into the next epoch's slot but does **not** make
-    /// the epoch visible yet: readers keep loading the previous epoch
-    /// until [`PendingPublish::commit`] performs the Release store.
-    ///
-    /// This is the publication protocol's natural seam — the returned
-    /// guard holds the writer lock, so the slot-write/word-store pair
-    /// stays a single serialized publication — and it is what the
-    /// model-checking conformance harness drives to replay explored
-    /// schedules step-for-step (see `prodpred-analysis::svc`).
-    pub fn begin_publish(&self, value: T) -> PendingPublish<'_, T> {
-        let writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let epoch = *writer + 1;
-        {
-            let mut slot = self.slots[(epoch as usize) % SLOTS]
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            slot.epoch = epoch;
-            slot.value = Some(Arc::new(value));
-        }
-        PendingPublish {
-            swap: self,
-            writer,
-            epoch,
-        }
-    }
-
-    /// One validation attempt against a specific `epoch`: the slot read
-    /// half of [`Self::load`], without the retry loop. `None` means the
-    /// slot no longer carries `epoch` (the writer lapped it, or nothing
-    /// was published) and the caller must re-load the epoch word.
-    pub fn try_load_at(&self, epoch: u64) -> Option<Arc<T>> {
-        if epoch == 0 {
-            return None;
-        }
-        let slot = self.slots[(epoch as usize) % SLOTS]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        if slot.epoch == epoch {
-            if let Some(value) = &slot.value {
-                return Some(Arc::clone(value));
-            }
-        }
-        None
+        let value = Arc::new(value);
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        let epoch = current.as_ref().map_or(0, |(epoch, _)| *epoch) + 1;
+        let previous = current.replace((epoch, value));
+        // The previous snapshot may be the last handle to it: free it
+        // outside the lock.
+        drop(current);
+        drop(previous);
+        epoch
     }
 
     /// Loads the latest published `(epoch, value)`, or `None` before the
-    /// first publish. Wait-free against the writer in steady state; a
-    /// reader lapped by `SLOTS - 1` publishes mid-load retries against
-    /// the fresher epoch.
+    /// first publish.
     pub fn load(&self) -> Option<(u64, Arc<T>)> {
-        loop {
-            let epoch = self.epoch.load(Ordering::Acquire);
-            if epoch == 0 {
-                return None;
-            }
-            if let Some(value) = self.try_load_at(epoch) {
-                return Some((epoch, value));
-            }
-            // Lapped: the writer reused this slot for a newer epoch
-            // between our epoch load and slot read. Retry; the fresh
-            // epoch's slot is untouched for another SLOTS - 1 publishes.
-        }
-    }
-}
-
-/// A publication whose slot is written but whose epoch is not yet
-/// visible to readers. Holds the writer lock; dropping it without
-/// [`commit`](Self::commit) abandons the slot write (the next publish
-/// simply overwrites the same slot with the same epoch number).
-#[must_use = "the epoch only becomes visible on commit"]
-pub struct PendingPublish<'a, T> {
-    swap: &'a EpochSwap<T>,
-    writer: MutexGuard<'a, u64>,
-    epoch: u64,
-}
-
-impl<T> PendingPublish<'_, T> {
-    /// The epoch this publication will become once committed.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Release-stores the epoch word, making the publication visible to
-    /// readers, and returns the published epoch.
-    pub fn commit(mut self) -> u64 {
-        // The slot is fully written before the epoch becomes visible.
-        self.swap.epoch.store(self.epoch, Ordering::Release);
-        *self.writer = self.epoch;
-        self.epoch
+        self.read().clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    // tidy:allow(PP010): the reader storm's stop flag — a monotone test-only latch, no data is published through it
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn empty_then_publish_then_load() {
@@ -218,19 +100,32 @@ mod tests {
 
     #[test]
     fn held_arc_survives_ring_reuse() {
-        // A reader's Arc stays valid no matter how many epochs lap the
-        // ring: the Arc owns the value, the ring only owns a reference.
+        // A reader's Arc stays valid no matter how many epochs publish
+        // after it: the Arc owns the value, the swap only a reference.
         let swap: EpochSwap<Vec<u64>> = EpochSwap::new();
         swap.publish(vec![42; 1000]);
         let (e, old) = swap.load().unwrap();
         assert_eq!(e, 1);
-        for i in 0..(SLOTS as u64 * 4) {
+        for i in 0..32 {
             swap.publish(vec![i; 10]);
         }
         assert_eq!(old.len(), 1000);
         assert!(old.iter().all(|&x| x == 42));
         let (e, _) = swap.load().unwrap();
-        assert_eq!(e, 1 + SLOTS as u64 * 4);
+        assert_eq!(e, 1 + 32);
+    }
+
+    #[test]
+    fn one_publish_frees_an_unheld_snapshot() {
+        // The swap keeps only the latest pair: once no reader holds the
+        // old snapshot, the next publish frees it.
+        let swap: EpochSwap<Vec<u64>> = EpochSwap::new();
+        swap.publish(vec![1; 1000]);
+        let (_, held) = swap.load().unwrap();
+        let weak = Arc::downgrade(&held);
+        drop(held);
+        swap.publish(vec![2; 10]);
+        assert!(weak.upgrade().is_none(), "superseded snapshot still alive");
     }
 
     #[test]
@@ -240,6 +135,7 @@ mod tests {
         // epochs must be monotone per reader.
         let swap = Arc::new(EpochSwap::<u64>::new());
         swap.publish(1);
+        // tidy:allow(PP010): the reader storm's stop flag — a monotone test-only latch, no data is published through it
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
             .map(|_| {
@@ -256,6 +152,7 @@ mod tests {
                         assert!(e >= last, "epochs monotone per reader");
                         last = e;
                         seen += 1;
+                        // tidy:allow(PP010): the reader storm's stop flag — a monotone test-only latch, no data is published through it
                         if stop.load(Ordering::Relaxed) {
                             break;
                         }
@@ -267,6 +164,7 @@ mod tests {
         for i in 2..=5000u64 {
             swap.publish(i);
         }
+        // tidy:allow(PP010): the reader storm's stop flag — a monotone test-only latch, no data is published through it
         stop.store(true, Ordering::Relaxed);
         for r in readers {
             assert!(r.join().unwrap() > 0);

@@ -349,6 +349,12 @@ pub fn apply_storms(platform: &mut Platform, storms: &[LoadStorm]) {
     }
 }
 
+/// The campaign's kill law: the probability a
+/// [`FaultSchedule::random_campaign`] schedule carries 0..=4 worker
+/// deaths. The campaign draws against its running sums; the fault model
+/// (`prodpred_core::faultmodel`) predicts from the weights themselves.
+pub const CAMPAIGN_KILL_WEIGHTS: [f64; 5] = [0.25, 0.40, 0.20, 0.10, 0.05];
+
 /// A deterministic per-attempt fault schedule for one supervised solve:
 /// attempt `k` (0-based) suffers `kills[k]`; attempts past the end of
 /// the list run clean. This models *transient* worker deaths — a death
@@ -386,12 +392,11 @@ impl FaultSchedule {
     /// solve with `ranks` workers and `iterations` red+black iterations.
     /// Every decision is a pure function of `(seed, schedule id, kill
     /// index)`, so the same arguments replay bit-for-bit on any machine
-    /// and at any pool thread count. The kill-count distribution is
-    /// weighted toward recoverable runs (≈25% healthy, ≈40% one death,
-    /// the rest two to four) so a bounded-retry supervisor sees both
-    /// successful recoveries and deterministic exhaustion. Every
-    /// generated death targets a live rank at a half-iteration that
-    /// actually fires.
+    /// and at any pool thread count. The kill count follows
+    /// [`CAMPAIGN_KILL_WEIGHTS`], weighted toward recoverable runs so a
+    /// bounded-retry supervisor sees both successful recoveries and
+    /// deterministic exhaustion. Every generated death targets a live
+    /// rank at a half-iteration that actually fires.
     ///
     /// # Panics
     ///
@@ -408,13 +413,15 @@ impl FaultSchedule {
             .map(|id| {
                 let base = mix(seed ^ mix(id.wrapping_add(1)));
                 let u = unit(base);
-                let n_kills = match u {
-                    u if u < 0.25 => 0,
-                    u if u < 0.65 => 1,
-                    u if u < 0.85 => 2,
-                    u if u < 0.95 => 3,
-                    _ => 4,
-                };
+                // The first count whose running weight exceeds `u`.
+                let mut threshold = 0.0;
+                let n_kills = CAMPAIGN_KILL_WEIGHTS
+                    .iter()
+                    .position(|w| {
+                        threshold += w;
+                        u < threshold
+                    })
+                    .unwrap_or(CAMPAIGN_KILL_WEIGHTS.len() - 1);
                 let kills = (0..n_kills as u64)
                     .map(|k| {
                         let h = mix(base ^ mix(k.wrapping_add(1)));

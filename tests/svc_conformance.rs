@@ -3,28 +3,26 @@
 //!
 //! The model checker proves the invariants over *model* semantics; these
 //! tests close the loop by replaying explored schedules step-for-step
-//! against the real types through their instrumentation seams
-//! (`begin_publish`/`commit`, `try_load_at`, `bump_word`/`sweep_shard`,
-//! `take_token`/`enter_inflight`/`exit_inflight`), asserting the
-//! implementation observes exactly what the model predicts at every
-//! micro-step. A proptest drives random walks through the model's
-//! enabled transitions so the replayed schedules are not limited to the
-//! deterministic harvest.
+//! against the real types through their entry points (`publish`/`load`,
+//! `get`/`insert`/`sweep_shard`, `take_token`/`enter_inflight`/
+//! `exit_inflight`), asserting the implementation observes exactly what
+//! the model predicts at every step. A proptest drives random walks
+//! through the model's enabled transitions so the replayed schedules are
+//! not limited to the deterministic harvest.
 
 use prodpred_analysis::mc::TransitionSystem;
 use prodpred_analysis::svc::{self, Action, ServingHarness, Svc, SvcConfig};
 use prodpred_core::PredictorConfig;
 use prodpred_service::cache::{CacheConfig, EpochCache, QueryKey};
 use prodpred_service::resilience::{Admission, AdmissionConfig};
-use prodpred_service::swap::{EpochSwap, PendingPublish};
+use prodpred_service::swap::EpochSwap;
 
 /// The real serving stack wired up as a model harness: one
 /// `EpochSwap<u64>` (values are their epoch, matching the model's
 /// value-is-provenance abstraction), one `EpochCache<u64>` with one
 /// pre-located key per shard, and one `Admission` gauge.
-struct RealHarness<'a> {
-    swap: &'a EpochSwap<u64>,
-    pending: Option<PendingPublish<'a, u64>>,
+struct RealHarness {
+    swap: EpochSwap<u64>,
     cache: EpochCache<u64>,
     keys: Vec<QueryKey>,
     admission: Admission,
@@ -52,8 +50,8 @@ fn keys_per_shard(cache: &EpochCache<u64>) -> Vec<QueryKey> {
         .collect()
 }
 
-impl<'a> RealHarness<'a> {
-    fn new(swap: &'a EpochSwap<u64>, config: SvcConfig) -> Self {
+impl RealHarness {
+    fn new(config: SvcConfig) -> Self {
         let cache = EpochCache::new(CacheConfig {
             capacity: 64,
             shards: config.shards,
@@ -71,8 +69,7 @@ impl<'a> RealHarness<'a> {
             miss_tokens_per_tick: to_u64(config.tokens),
         });
         RealHarness {
-            swap,
-            pending: None,
+            swap: EpochSwap::new(),
             cache,
             keys,
             admission,
@@ -80,34 +77,15 @@ impl<'a> RealHarness<'a> {
     }
 }
 
-impl ServingHarness for RealHarness<'_> {
-    fn write_slot_tag(&mut self, epoch: u64) {
-        // The real writer fills the whole slot (tag + value) under the
-        // writer lock in `begin_publish`; the model's separate tag/value
-        // steps both map onto this one write, which is sound because no
-        // correct-variant reader can observe the half-written window
-        // (the epoch word still names the previous epoch).
-        let pending = self.swap.begin_publish(epoch);
-        assert_eq!(pending.epoch(), epoch, "publication epoch agrees");
-        self.pending = Some(pending);
-    }
-
-    fn write_slot_val(&mut self, _epoch: u64) {
-        // Already written by `begin_publish`; see `write_slot_tag`.
-    }
-
-    fn publish_epoch(&mut self, epoch: u64) {
-        let pending = self.pending.take().expect("publish follows the slot write");
-        assert_eq!(pending.commit(), epoch);
+impl ServingHarness for RealHarness {
+    fn publish(&mut self, epoch: u64) -> u64 {
+        let published = self.swap.publish(epoch);
         self.admission.refill();
+        published
     }
 
-    fn load_epoch(&mut self) -> u64 {
-        self.swap.epoch()
-    }
-
-    fn read_slot(&mut self, epoch: u64) -> Option<u64> {
-        self.swap.try_load_at(epoch).map(|v| *v)
+    fn load(&mut self) -> Option<(u64, u64)> {
+        self.swap.load().map(|(epoch, v)| (epoch, *v))
     }
 
     fn probe(&mut self, shard: usize, epoch: u64) -> Option<u64> {
@@ -134,10 +112,6 @@ impl ServingHarness for RealHarness<'_> {
         self.admission.exit_inflight();
     }
 
-    fn bump_word(&mut self, epoch: u64) -> bool {
-        self.cache.bump_word(epoch)
-    }
-
     fn sweep_shard(&mut self, shard: usize, epoch: u64) {
         self.cache.sweep_shard(shard, epoch);
     }
@@ -149,8 +123,7 @@ fn replay_all(config: SvcConfig, limit: usize) {
     let schedules = svc::schedules(config, limit);
     assert!(!schedules.is_empty(), "harvest must produce schedules");
     for (i, schedule) in schedules.iter().enumerate() {
-        let swap: EpochSwap<u64> = EpochSwap::new();
-        let mut harness = RealHarness::new(&swap, config);
+        let mut harness = RealHarness::new(config);
         svc::replay(config, schedule, &mut harness)
             .unwrap_or_else(|e| panic!("schedule {i} diverged: {e}"));
     }
@@ -168,6 +141,7 @@ fn admission_pressure_schedules_replay_on_the_real_stack() {
 
 #[test]
 fn ring_lapping_schedules_replay_on_the_real_stack() {
+    // Readers load across a three-epoch horizon.
     replay_all(SvcConfig::new(2, 1, 3), 300);
 }
 
@@ -211,8 +185,7 @@ mod random_schedules {
         ) {
             let config = SvcConfig::new(2, 2, 2);
             let schedule = random_walk(config, &choices);
-            let swap: EpochSwap<u64> = EpochSwap::new();
-            let mut harness = RealHarness::new(&swap, config);
+            let mut harness = RealHarness::new(config);
             prop_assert!(svc::replay(config, &schedule, &mut harness).is_ok());
         }
 
@@ -224,8 +197,7 @@ mod random_schedules {
         ) {
             let config = SvcConfig::new(2, 2, 2).with_admission(1, 1);
             let schedule = random_walk(config, &choices);
-            let swap: EpochSwap<u64> = EpochSwap::new();
-            let mut harness = RealHarness::new(&swap, config);
+            let mut harness = RealHarness::new(config);
             prop_assert!(svc::replay(config, &schedule, &mut harness).is_ok());
         }
     }
