@@ -548,6 +548,59 @@ fn supervised_ingest_is_pinned_tick_for_tick() {
     }
 }
 
+/// Admission under fault, pinned request by request: a three-token miss
+/// budget against a seeded stream of mostly-missing queries, through two
+/// blackouts that age the snapshot into Degraded / Stale and trip the
+/// breaker. Every query's outcome kind and the final counters are pinned,
+/// so a change to how misses are admitted or shed shows up here.
+#[test]
+fn admission_shed_counts_are_pinned() {
+    use prodpred_core::RetryPolicy;
+    use prodpred_service::{AdmissionConfig, ResilienceConfig, ServiceError};
+    use prodpred_simgrid::faults::FaultConfig;
+
+    let mut fault = FaultConfig::none(SEED);
+    fault.blackouts = vec![(340.0, 385.0), (450.0, 500.0)];
+    let mut admission = AdmissionConfig::unbounded();
+    admission.miss_tokens_per_tick = 3;
+    let core = ServiceCore::new(ServiceConfig {
+        fault: Some(fault),
+        resilience: ResilienceConfig {
+            retry: RetryPolicy::none(),
+            breaker_cooldown_secs: 20.0,
+            admission,
+            ..ResilienceConfig::default()
+        },
+        ..small_config()
+    });
+
+    const PER_TICK: u64 = 6;
+    let mut outcomes = String::new();
+    for tick in 0..60 {
+        core.ingest_tick();
+        for q in 0..PER_TICK {
+            outcomes.push(match core.query(&request_for(SEED, tick * PER_TICK + q)) {
+                Ok(r) if r.degraded => 'd',
+                Ok(_) => 'h',
+                Err(ServiceError::Overloaded { .. }) => 's',
+                Err(ServiceError::Unavailable { .. }) => 'u',
+                Err(_) => 'e',
+            });
+        }
+    }
+    // FNV-1a over the outcome kinds, in request order.
+    let digest = outcomes.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    let s = core.stats();
+    assert_eq!(
+        (s.queries, s.rejected, s.shed, s.degraded_served, digest),
+        (160, 200, 140, 48, 0xcb2c_a59b_0c87_9fa5),
+        "admission outcomes moved: {outcomes}"
+    );
+    assert_eq!(s.unavailable, 60, "{outcomes}");
+}
+
 mod poll_model {
     //! `predict_availability` and the service share the supervision
     //! recurrence by construction; what the predictor still models on its
