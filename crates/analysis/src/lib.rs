@@ -31,7 +31,7 @@
 //! * [`svc`] — the serving-path proof: an abstract model of the
 //!   `prodpred-service` shared state (`EpochSwap` publishes and loads,
 //!   `EpochCache` shard probes/inserts and `bump_to`'s per-shard sweeps,
-//!   admission token grant/release), explored across every interleaving
+//!   admission token grants and sheds), explored across every interleaving
 //!   at small bounds, plus the conformance harness that replays
 //!   explored schedules against the real implementation. Run it via
 //!   `cargo run -p prodpred-analysis --bin modelcheck -- --svc`.

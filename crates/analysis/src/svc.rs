@@ -4,7 +4,7 @@
 //! publishes each snapshot as one `(epoch, Arc)` pair under a `RwLock`,
 //! `EpochCache` guards its shards with per-shard epochs that `bump_to`
 //! sweeps forward one shard lock at a time, and `Admission` hands out
-//! RAII miss permits from a token counter. Race regression tests
+//! miss tokens from a per-tick counter. Race regression tests
 //! *sample* their schedules by spawning threads; this module
 //! *enumerates* them instead: an abstract model of exactly those steps,
 //! explored across every interleaving at small bounds on the shared
@@ -13,14 +13,15 @@
 //! ## The model
 //!
 //! One writer thread publishes epochs `1..=epochs`, each in one step —
-//! store the `(epoch, snapshot)` pair, refill admission tokens — as the
-//! ingest tick does under the swap's write lock. `bump_to(e)` runs as
-//! its own task per published epoch: one sweep step per shard under
-//! that shard's lock. N identical reader threads each run one query per
-//! shard: load the `(epoch, snapshot)` pair, probe the shard (hit ends
-//! the query), and on a miss take an admission token, enter the
-//! inflight gauge (rolling back over the cap), insert under the shard
-//! lock, and release the permit.
+//! store the `(epoch, snapshot)` pair, refill admission tokens. (The
+//! ingest tick refills before it publishes, outside the swap's write
+//! lock; tokens carry no epoch, so no invariant below can tell the two
+//! orders apart.) `bump_to(e)` runs as its own task per published
+//! epoch: one sweep step per shard under that shard's lock. N identical
+//! reader threads each run one query per shard: load the
+//! `(epoch, snapshot)` pair, probe the shard (hit ends the query), and
+//! on a miss take an admission token (none left: shed) and insert under
+//! the shard lock.
 //!
 //! Values are abstracted to the epoch that produced them, so every
 //! cached or loaded value carries its provenance and the checker can
@@ -31,19 +32,15 @@
 //! * **no cross-epoch hits** — a cache hit never returns a value
 //!   inserted under a different epoch (the PR-7 TOCTOU, now a theorem at
 //!   model scale);
-//! * **permit balance** — every admission permit granted is released
-//!   exactly once: no leak, no double-spend, inflight drains to zero;
-//! * **convergence** — at quiescence every shard sits at the final
-//!   epoch with no stale entry surviving.
+//! * **convergence** — at quiescence every thread has finished and every
+//!   shard sits at the final epoch with no stale entry surviving.
 //!
-//! ## Negative controls
+//! ## Negative control
 //!
-//! [`Variant`] seeds the historical (or plausible) bugs back into the
-//! model: dropping the shard-lock epoch compare on insert
-//! ([`Variant::NoShardEpochCheck`], the TOCTOU) and skipping the
-//! over-cap inflight rollback ([`Variant::NoInflightRollback`]). Each
-//! must produce a violation, and [`minimal_counterexample`] reconstructs
-//! the shortest schedule that exhibits it.
+//! [`Variant::NoShardEpochCheck`] seeds the TOCTOU back into the model
+//! by dropping the shard-lock epoch compare on insert. It must produce a
+//! violation, and [`minimal_counterexample`] reconstructs the shortest
+//! schedule that exhibits it.
 //!
 //! ## Conformance
 //!
@@ -53,7 +50,7 @@
 //! `EpochSwap`/`EpochCache`/`Admission` implement through their public
 //! entry points — asserting at every step that the implementation
 //! observes exactly what the model predicts (published epochs, loaded
-//! pairs, hit/miss, admission outcomes).
+//! pairs, hit/miss, token grants).
 
 use crate::mc::{self, ExploreStats, TransitionSystem, Violation};
 
@@ -63,11 +60,11 @@ pub const MAX_READERS: usize = 3;
 pub const MAX_SHARDS: usize = 3;
 /// Upper bound on published epochs.
 pub const MAX_EPOCHS: usize = 3;
-/// Sentinel for an unbounded token pool or inflight cap.
+/// Sentinel for an unbounded token pool.
 pub const UNBOUNDED: u8 = u8::MAX;
 
-/// Which semantics the model runs: the faithful protocol or one seeded
-/// bug per negative control.
+/// Which semantics the model runs: the faithful protocol or the seeded
+/// bug of the negative control.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
     /// The protocol as implemented.
@@ -75,13 +72,10 @@ pub enum Variant {
     /// Insert skips the under-shard-lock epoch compare (the PR-7
     /// TOCTOU): a stale insert can land after a bump's sweep.
     NoShardEpochCheck,
-    /// The over-cap admission path forgets the inflight rollback,
-    /// leaking a permit.
-    NoInflightRollback,
 }
 
-/// One checker configuration: thread counts, horizon, admission limits,
-/// and the model variant.
+/// One checker configuration: thread counts, horizon, token budget, and
+/// the model variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SvcConfig {
     /// Reader threads (1..=3). Readers are identical, so the kernel's
@@ -94,9 +88,7 @@ pub struct SvcConfig {
     /// Miss tokens refilled at each publish; [`UNBOUNDED`] disables the
     /// token gate.
     pub tokens: u8,
-    /// Inflight-miss cap; [`UNBOUNDED`] disables the gauge cap.
-    pub max_inflight: u8,
-    /// Faithful protocol or a seeded negative control.
+    /// Faithful protocol or the seeded negative control.
     pub variant: Variant,
 }
 
@@ -108,15 +100,13 @@ impl SvcConfig {
             shards,
             epochs,
             tokens: UNBOUNDED,
-            max_inflight: UNBOUNDED,
             variant: Variant::Correct,
         }
     }
 
-    /// Bounds the admission token pool and inflight cap.
-    pub fn with_admission(mut self, tokens: u8, max_inflight: u8) -> Self {
+    /// Bounds the admission token pool.
+    pub fn with_admission(mut self, tokens: u8) -> Self {
         self.tokens = tokens;
-        self.max_inflight = max_inflight;
         self
     }
 
@@ -145,14 +135,8 @@ enum Rpc {
     Probe,
     /// Take a miss token (CAS loop).
     AdmitToken,
-    /// Enter the inflight gauge and check the cap.
-    AdmitInflight,
-    /// Roll the over-cap fetch_add back.
-    Rollback,
     /// Insert under the shard lock.
     Insert,
-    /// Drop the permit: leave the inflight gauge.
-    Release,
     /// Every query finished.
     Done,
 }
@@ -180,12 +164,6 @@ pub struct SvcState {
     readers: [Reader; MAX_READERS],
     /// Admission miss tokens ([`UNBOUNDED`] = gate disabled).
     tokens: u8,
-    /// Admission inflight gauge.
-    inflight: u8,
-    /// Permits granted (inflight entries that kept their slot).
-    granted: u8,
-    /// Permits released.
-    released: u8,
 }
 
 /// One scheduling choice: which thread executes its next step.
@@ -240,7 +218,7 @@ impl Svc {
     }
 
     /// Terminal-state checks: quiescence must mean clean completion with
-    /// balanced permits and converged shards.
+    /// converged shards.
     fn check_terminal(&self, state: &SvcState) -> Result<(), String> {
         let c = &self.config;
         let writer_done = state.published as usize == c.epochs;
@@ -249,18 +227,6 @@ impl Svc {
         if !(writer_done && bumps_done && readers_done) {
             return Err(format!(
                 "deadlock: quiescent with unfinished threads (writer done: {writer_done}, bumps done: {bumps_done}, readers done: {readers_done})"
-            ));
-        }
-        if state.inflight != 0 {
-            return Err(format!(
-                "permit-leak: {} admission permit(s) never released at quiescence",
-                state.inflight
-            ));
-        }
-        if state.granted != state.released {
-            return Err(format!(
-                "permit-imbalance: {} permits granted but {} released",
-                state.granted, state.released
             ));
         }
         for k in 0..c.shards {
@@ -307,9 +273,6 @@ impl TransitionSystem for Svc {
             shards: [Shard { epoch: 0, entry: 0 }; MAX_SHARDS],
             readers,
             tokens: self.config.tokens,
-            inflight: 0,
-            granted: 0,
-            released: 0,
         }
     }
 
@@ -379,51 +342,20 @@ impl TransitionSystem for Svc {
                     }
                     Rpc::AdmitToken => {
                         if next.tokens == 0 {
-                            // Shed: the query degrades to uncached-path
-                            // behavior; no permit, no insert.
+                            // Shed: a typed 429, no model run, no insert.
                             self.finish_query(rd);
                         } else {
                             if next.tokens != UNBOUNDED {
                                 next.tokens -= 1;
                             }
-                            rd.pc = Rpc::AdmitInflight;
-                        }
-                    }
-                    Rpc::AdmitInflight => {
-                        next.inflight += 1;
-                        next.granted += 1;
-                        if c.max_inflight != UNBOUNDED && next.inflight > c.max_inflight {
-                            if c.variant == Variant::NoInflightRollback {
-                                // Seeded bug: shed without undoing the
-                                // fetch_add.
-                                self.finish_query(rd);
-                            } else {
-                                rd.pc = Rpc::Rollback;
-                            }
-                        } else {
                             rd.pc = Rpc::Insert;
                         }
-                    }
-                    Rpc::Rollback => {
-                        next.inflight -= 1;
-                        next.granted -= 1;
-                        self.finish_query(rd);
                     }
                     Rpc::Insert => {
                         let sh = &mut next.shards[rd.qi as usize];
                         if c.variant == Variant::NoShardEpochCheck || sh.epoch == rd.e {
                             sh.entry = rd.e;
                         }
-                        rd.pc = Rpc::Release;
-                    }
-                    Rpc::Release => {
-                        if next.inflight == 0 {
-                            return Err(format!(
-                                "double-release: reader {r} released a permit with none outstanding"
-                            ));
-                        }
-                        next.inflight -= 1;
-                        next.released += 1;
                         self.finish_query(rd);
                     }
                     Rpc::Done => unreachable!("Done readers are never enabled"),
@@ -458,13 +390,10 @@ impl TransitionSystem for Svc {
                             format!("reader {r}: takes a miss token")
                         }
                     }
-                    Rpc::AdmitInflight => format!("reader {r}: enters the inflight gauge"),
-                    Rpc::Rollback => format!("reader {r}: rolls back the over-cap admission"),
                     Rpc::Insert => format!(
                         "reader {r}: inserts into shard {} under epoch {}",
                         rd.qi, rd.e
                     ),
-                    Rpc::Release => format!("reader {r}: releases its miss permit"),
                     Rpc::Done => String::from("reader done"),
                 }
             }
@@ -525,9 +454,8 @@ pub fn schedules(config: SvcConfig, limit: usize) -> Vec<Vec<Action>> {
 /// Each method is one model step; the real
 /// `EpochSwap`/`EpochCache`/`Admission` implement it through their
 /// entry points (`publish`, `load`, `get`, `insert`, `sweep_shard`,
-/// `take_token`/`enter_inflight`/`exit_inflight`), and [`replay`]
-/// asserts after every step that the implementation observed exactly
-/// what the model predicts.
+/// `take_token`), and [`replay`] asserts after every step that the
+/// implementation observed exactly what the model predicts.
 pub trait ServingHarness {
     /// Publish the value `epoch` and refill miss tokens; returns the
     /// epoch the implementation assigned.
@@ -538,14 +466,8 @@ pub trait ServingHarness {
     fn probe(&mut self, shard: usize, epoch: u64) -> Option<u64>;
     /// Take a miss token; false = shed.
     fn take_token(&mut self) -> bool;
-    /// Enter the inflight gauge; false = over the cap.
-    fn enter_inflight(&mut self) -> bool;
-    /// Roll back an over-cap [`Self::enter_inflight`].
-    fn rollback_inflight(&mut self);
     /// Insert the epoch-tagged value into `shard` under its lock.
     fn insert(&mut self, shard: usize, epoch: u64);
-    /// Release the miss permit.
-    fn release_permit(&mut self);
     /// Sweep one shard forward to `epoch` under its lock.
     fn sweep_shard(&mut self, shard: usize, epoch: u64);
 }
@@ -553,7 +475,7 @@ pub trait ServingHarness {
 /// Replays `schedule` step-for-step against `harness`, walking the
 /// model alongside and asserting at every step that the implementation
 /// agrees with the model's prediction: published epochs, loaded pairs,
-/// hit/miss outcomes, hit values, and admission outcomes. Use
+/// hit/miss outcomes, hit values, and token grants. Use
 /// [`Variant::Correct`] configs — the point is to pin the
 /// *implementation* to the *proved* model.
 ///
@@ -623,19 +545,7 @@ pub fn replay<H: ServingHarness>(
                             ));
                         }
                     }
-                    Rpc::AdmitInflight => {
-                        let model_within = config.max_inflight == UNBOUNDED
-                            || state.inflight < config.max_inflight;
-                        let got = harness.enter_inflight();
-                        if got != model_within {
-                            return Err(format!(
-                                "conformance step {i} [{step}]: enter_inflight={got}, model predicts {model_within}"
-                            ));
-                        }
-                    }
-                    Rpc::Rollback => harness.rollback_inflight(),
                     Rpc::Insert => harness.insert(rd.qi as usize, u64::from(rd.e)),
-                    Rpc::Release => harness.release_permit(),
                     Rpc::Done => {
                         return Err(format!(
                             "conformance step {i}: schedule drives a finished reader {r}"
@@ -674,7 +584,7 @@ mod tests {
 
     #[test]
     fn admission_pressure_holds() {
-        let report = check(SvcConfig::new(2, 2, 2).with_admission(1, 1));
+        let report = check(SvcConfig::new(2, 2, 2).with_admission(1));
         assert!(report.holds(), "{:?}", report.stats.violation);
     }
 
@@ -686,15 +596,6 @@ mod tests {
         let v = minimal_counterexample(config).expect("BFS must find it too");
         assert!(v.kind.starts_with("cross-epoch-hit") || v.kind.starts_with("stale-entry"));
         assert!(!v.trace.is_empty());
-    }
-
-    #[test]
-    fn missing_rollback_is_refuted() {
-        let config = SvcConfig::new(2, 1, 1)
-            .with_admission(UNBOUNDED, 1)
-            .with_variant(Variant::NoInflightRollback);
-        let v = minimal_counterexample(config).expect("the leak must surface");
-        assert!(v.kind.starts_with("permit-leak"), "{}", v.kind);
     }
 
     #[test]
@@ -715,7 +616,6 @@ mod tests {
         published: u64,
         shards: Vec<(u64, u64)>,
         tokens: u64,
-        inflight: u64,
     }
 
     impl Shadow {
@@ -725,7 +625,6 @@ mod tests {
                 published: 0,
                 shards: vec![(0, 0); config.shards],
                 tokens: u64::from(config.tokens),
-                inflight: 0,
             }
         }
     }
@@ -752,21 +651,10 @@ mod tests {
             }
             true
         }
-        fn enter_inflight(&mut self) -> bool {
-            self.inflight += 1;
-            u64::from(self.config.max_inflight) == u64::from(UNBOUNDED)
-                || self.inflight <= u64::from(self.config.max_inflight)
-        }
-        fn rollback_inflight(&mut self) {
-            self.inflight -= 1;
-        }
         fn insert(&mut self, shard: usize, epoch: u64) {
             if self.shards[shard].0 == epoch {
                 self.shards[shard].1 = epoch;
             }
-        }
-        fn release_permit(&mut self) {
-            self.inflight -= 1;
         }
         fn sweep_shard(&mut self, shard: usize, epoch: u64) {
             if self.shards[shard].0 < epoch {
@@ -788,7 +676,7 @@ mod tests {
 
     #[test]
     fn replay_with_admission_pressure_conforms() {
-        let config = SvcConfig::new(2, 1, 2).with_admission(1, 1);
+        let config = SvcConfig::new(2, 1, 2).with_admission(1);
         for schedule in schedules(config, 200) {
             let mut shadow = Shadow::new(config);
             replay(config, &schedule, &mut shadow).expect("shadow must conform");

@@ -77,7 +77,6 @@ fn supervised_resilience() -> ResilienceConfig {
     ResilienceConfig {
         breaker_cooldown_secs: 30.0,
         admission: AdmissionConfig {
-            max_inflight_misses: u64::MAX,
             miss_tokens_per_tick: 40,
         },
         ..ResilienceConfig::default()

@@ -16,7 +16,7 @@ use crate::cache::{CacheConfig, CacheStats, EpochCache, QueryKey};
 use crate::ingest::SupervisedIngest;
 use crate::resilience::{
     widening_factor, Admission, IngestOutcome, IngestStats, ResilienceConfig, ServingCounters,
-    ServingState, TickMirror,
+    ServingState, TickMirror, HEALTHY_AGE_TICKS,
 };
 use crate::swap::EpochSwap;
 use prodpred_core::supervisor::BreakerState;
@@ -571,8 +571,7 @@ impl ServiceCore {
             response.cache_hit = true;
             return Ok(self.finalize(response, serving, age));
         }
-        let _permit = self
-            .admission
+        self.admission
             .try_admit_miss()
             .ok_or_else(|| ServiceError::Overloaded {
                 retry_after_secs: self.config.publish_interval_secs(),
@@ -591,7 +590,7 @@ impl ServiceCore {
         r.serving = serving;
         r.degraded = serving != ServingState::Healthy;
         r.snapshot_age_ticks = age;
-        let factor = widening_factor(age, self.config.resilience.healthy_age_ticks);
+        let factor = widening_factor(age, HEALTHY_AGE_TICKS);
         // tidy:allow(PP004): bit-exact by contract — widening_factor returns exactly 1.0 in the healthy band, keeping healthy answers bit-identical
         if factor != 1.0 {
             let half = 0.5 * (r.hi - r.lo) * factor;
@@ -1136,7 +1135,6 @@ mod tests {
             warmup: 300.0,
             resilience: ResilienceConfig {
                 admission: crate::resilience::AdmissionConfig {
-                    max_inflight_misses: u64::MAX,
                     miss_tokens_per_tick: 1,
                 },
                 ..ResilienceConfig::default()

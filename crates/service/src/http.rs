@@ -524,7 +524,6 @@ mod tests {
             warmup: 300.0,
             resilience: crate::resilience::ResilienceConfig {
                 admission: crate::resilience::AdmissionConfig {
-                    max_inflight_misses: u64::MAX,
                     miss_tokens_per_tick: 1,
                 },
                 ..crate::resilience::ResilienceConfig::default()

@@ -21,7 +21,11 @@ use crate::ingest::SupervisedIngest;
 use prodpred_core::supervisor::{BreakerState, RetryPolicy};
 use prodpred_simgrid::faults::FaultConfig;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+/// Snapshot age (ticks) still considered fresh: one missed publish is
+/// tolerated before answers are Degraded and widened.
+pub(crate) const HEALTHY_AGE_TICKS: u64 = 1;
 
 /// Per-platform serving state, derived purely from the age of the
 /// published snapshot (in ingest ticks) and the ingest circuit
@@ -60,13 +64,14 @@ impl ServingState {
 
     /// Derives the serving state from snapshot age (ticks since the
     /// served snapshot published) and whether the ingest breaker is in a
-    /// non-closed state. Pure; the thresholds come from `res`.
+    /// non-closed state. Pure; the healthy band is [`HEALTHY_AGE_TICKS`],
+    /// the other thresholds come from `res`.
     pub fn derive(age_ticks: u64, breaker_open: bool, res: &ResilienceConfig) -> Self {
         // Successive maxes keep the bands sane even if a caller supplies
         // non-monotone thresholds.
-        let degraded_after = res.degraded_age_ticks.max(res.healthy_age_ticks);
+        let degraded_after = res.degraded_age_ticks.max(HEALTHY_AGE_TICKS);
         let stale_after = res.stale_age_ticks.max(degraded_after);
-        let base = if age_ticks <= res.healthy_age_ticks {
+        let base = if age_ticks <= HEALTHY_AGE_TICKS {
             Self::Healthy
         } else if age_ticks <= degraded_after {
             Self::Degraded
@@ -88,8 +93,8 @@ impl ServingState {
 /// band)` — the NWS per-sensor staleness discipline lifted to the
 /// service level. Exactly `1.0` inside the healthy band (a healthy
 /// answer's bits are never touched), monotone non-decreasing in age.
-pub fn widening_factor(age_ticks: u64, healthy_age_ticks: u64) -> f64 {
-    let extra = age_ticks.saturating_sub(healthy_age_ticks);
+pub fn widening_factor(age_ticks: u64, healthy: u64) -> f64 {
+    let extra = age_ticks.saturating_sub(healthy);
     if extra == 0 {
         1.0
     } else {
@@ -99,14 +104,12 @@ pub fn widening_factor(age_ticks: u64, healthy_age_ticks: u64) -> f64 {
 
 /// Load-shedding budget for the query path. The miss budget is a
 /// *deadline* budget: misses run the structural model, and only
-/// `miss_tokens_per_tick` of those fit between two publish deadlines;
-/// the in-flight cap bounds concurrent model runs. Cache hits are never
-/// shed — they cost no model work, so admitting them preferentially is
-/// free.
+/// `miss_tokens_per_tick` of those fit between two publish deadlines.
+/// How many run at once is the daemon's worker pool's business. Cache
+/// hits are never shed — they cost no model work, so admitting them
+/// preferentially is free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdmissionConfig {
-    /// Concurrent cache-missing queries allowed to run the model.
-    pub max_inflight_misses: u64,
     /// Cache-missing queries admitted per ingest tick (the per-deadline
     /// model-work budget). Refilled at every tick, successful or not —
     /// the deadline passes regardless.
@@ -117,7 +120,6 @@ impl AdmissionConfig {
     /// No shedding at all (the default: PR 7 behavior).
     pub fn unbounded() -> Self {
         Self {
-            max_inflight_misses: u64::MAX,
             miss_tokens_per_tick: u64::MAX,
         }
     }
@@ -129,26 +131,22 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Runtime admission state: a token bucket refilled per ingest tick
-/// plus an in-flight gauge. Deterministic for a deterministic query
-/// order: the `k`-th miss between two ticks is admitted iff
-/// `k <= miss_tokens_per_tick` and at most `max_inflight_misses` are in
-/// flight.
+/// Runtime admission state: a token bucket refilled per ingest tick.
+/// Deterministic for a deterministic query order: the `k`-th miss
+/// between two ticks is admitted iff `k <= miss_tokens_per_tick`.
 #[derive(Debug)]
 pub struct Admission {
     config: AdmissionConfig,
     tokens: AtomicU64,
-    inflight: AtomicU64,
     shed: AtomicU64,
 }
 
 impl Admission {
-    /// A fresh gauge with one tick's worth of tokens.
+    /// A fresh bucket with one tick's worth of tokens.
     pub fn new(config: AdmissionConfig) -> Self {
         Self {
             config,
             tokens: AtomicU64::new(config.miss_tokens_per_tick),
-            inflight: AtomicU64::new(0),
             shed: AtomicU64::new(0),
         }
     }
@@ -160,28 +158,22 @@ impl Admission {
             .store(self.config.miss_tokens_per_tick, Ordering::Relaxed);
     }
 
-    /// Tries to admit one cache-missing query. `None` means shed (the
-    /// caller answers a typed 429); `Some` holds the in-flight slot
-    /// until dropped.
-    pub fn try_admit_miss(&self) -> Option<MissPermit<'_>> {
-        if !self.take_token() {
+    /// Tries to admit one cache-missing query: takes a token or counts
+    /// a shed. `None` means shed (the caller answers a typed 429); an
+    /// `Option` so the caller can `?` it.
+    pub fn try_admit_miss(&self) -> Option<()> {
+        let admitted = self.take_token();
+        if !admitted {
             self.shed.fetch_add(1, Ordering::Relaxed);
-            return None;
         }
-        if !self.enter_inflight() {
-            self.exit_inflight();
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        Some(MissPermit { admission: self })
+        admitted.then_some(())
     }
 
-    /// The token half of [`Self::try_admit_miss`]: takes one miss token
-    /// from the per-tick bucket (CAS loop), `false` when the bucket is
-    /// dry. Exposed as a conformance seam for the
+    /// [`Self::try_admit_miss`] without the shed counter: takes one miss
+    /// token from the per-tick bucket (CAS loop), `false` when the bucket
+    /// is dry. Exposed as a conformance seam for the
     /// `prodpred-analysis::svc` model; callers outside the replay
-    /// harness should use [`Self::try_admit_miss`], which also keeps the
-    /// shed counter.
+    /// harness should use [`Self::try_admit_miss`].
     pub fn take_token(&self) -> bool {
         let mut tokens = self.tokens.load(Ordering::Relaxed);
         loop {
@@ -204,53 +196,25 @@ impl Admission {
         }
     }
 
-    /// The gauge half of [`Self::try_admit_miss`]: enters the in-flight
-    /// gauge and reports whether the entry stayed within the cap. An
-    /// over-cap entry **must** be undone with [`Self::exit_inflight`] —
-    /// the fetch_add has already happened (that rollback ordering is
-    /// exactly what the `svc` model's `NoInflightRollback` negative
-    /// control checks).
-    pub fn enter_inflight(&self) -> bool {
-        let inflight = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        inflight <= self.config.max_inflight_misses
-    }
-
-    /// Leaves the in-flight gauge: a permit release or an over-cap
-    /// rollback.
-    pub fn exit_inflight(&self) {
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-
     /// Queries shed so far (429s).
     pub fn shed(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
 }
 
-/// RAII in-flight slot for one admitted cache miss.
-#[derive(Debug)]
-pub struct MissPermit<'a> {
-    admission: &'a Admission,
-}
-
-impl Drop for MissPermit<'_> {
-    fn drop(&mut self) {
-        self.admission.exit_inflight();
-    }
-}
-
 /// Lock-free mirrors of the supervised-ingest state for the query path:
-/// the tick clock, the breaker state, and the Retry-After hint. The
-/// ingest path refreshes them after every tick (under its own lock);
-/// queries read them without ever touching that lock. Every access is
-/// `Relaxed` — each word is an independent gauge and the query path only
-/// needs a recent-enough value, never an ordering between them.
+/// the tick clock, whether the breaker is open, and the Retry-After
+/// hint. The ingest path refreshes them after every tick (under its own
+/// lock); queries read them without ever touching that lock. Every
+/// access is `Relaxed` — each word is an independent gauge and the query
+/// path only needs a recent-enough value, never an ordering between
+/// them.
 #[derive(Debug)]
 pub struct TickMirror {
     /// Ingest ticks attempted so far (warmup included).
     ticks: AtomicU64,
-    /// Breaker state: 0 = Closed, 1 = Open, 2 = HalfOpen.
-    breaker: AtomicU8,
+    /// Whether the breaker is in any non-closed state.
+    breaker_open: AtomicBool,
     /// Retry-After hint in whole seconds.
     retry_hint: AtomicU64,
 }
@@ -261,7 +225,7 @@ impl TickMirror {
     pub fn new(initial_hint: u64) -> Self {
         Self {
             ticks: AtomicU64::new(0),
-            breaker: AtomicU8::new(0),
+            breaker_open: AtomicBool::new(false),
             retry_hint: AtomicU64::new(initial_hint),
         }
     }
@@ -276,21 +240,16 @@ impl TickMirror {
         self.ticks.load(Ordering::Relaxed)
     }
 
-    /// Publishes the breaker state for lock-free readers.
+    /// Publishes whether the breaker is open (or half-open) for
+    /// lock-free readers.
     pub fn set_breaker(&self, state: BreakerState) {
-        self.breaker.store(
-            match state {
-                BreakerState::Closed => 0,
-                BreakerState::Open => 1,
-                BreakerState::HalfOpen => 2,
-            },
-            Ordering::Relaxed,
-        );
+        self.breaker_open
+            .store(state != BreakerState::Closed, Ordering::Relaxed);
     }
 
     /// Whether the mirrored breaker is in any non-closed state.
     pub fn breaker_open(&self) -> bool {
-        self.breaker.load(Ordering::Relaxed) != 0
+        self.breaker_open.load(Ordering::Relaxed)
     }
 
     /// Publishes the Retry-After hint (whole seconds).
@@ -381,9 +340,8 @@ pub struct ResilienceConfig {
     /// open even though the failure streak has not reached
     /// `breaker_threshold` (a wedged epoch). `u64::MAX` disables it.
     pub watchdog_ticks: u64,
-    /// Snapshot age (ticks) still considered fresh.
-    pub healthy_age_ticks: u64,
-    /// Age beyond which answers are Degraded (widened, marked).
+    /// Age beyond which answers are Degraded (widened, marked); never
+    /// below the one-tick healthy band.
     pub degraded_age_ticks: u64,
     /// Age beyond which answers are Stale; older is Unavailable (503).
     pub stale_age_ticks: u64,
@@ -398,7 +356,6 @@ impl Default for ResilienceConfig {
             breaker_threshold: 6,
             breaker_cooldown_secs: 120.0,
             watchdog_ticks: 4,
-            healthy_age_ticks: 1,
             degraded_age_ticks: 8,
             stale_age_ticks: 40,
             admission: AdmissionConfig::unbounded(),
@@ -417,7 +374,6 @@ impl ResilienceConfig {
             breaker_threshold: u32::MAX,
             breaker_cooldown_secs: 0.0,
             watchdog_ticks: u64::MAX,
-            healthy_age_ticks: 1,
             degraded_age_ticks: 1,
             stale_age_ticks: 1,
             admission: AdmissionConfig::unbounded(),
@@ -657,7 +613,6 @@ mod tests {
     #[test]
     fn derive_walks_the_bands_and_breaker_escalates() {
         let res = ResilienceConfig {
-            healthy_age_ticks: 1,
             degraded_age_ticks: 3,
             stale_age_ticks: 5,
             ..ResilienceConfig::default()
@@ -693,7 +648,6 @@ mod tests {
     #[test]
     fn admission_sheds_past_the_token_budget_and_refills() {
         let adm = Admission::new(AdmissionConfig {
-            max_inflight_misses: u64::MAX,
             miss_tokens_per_tick: 2,
         });
         let a = adm.try_admit_miss();
@@ -706,16 +660,36 @@ mod tests {
     }
 
     #[test]
-    fn admission_caps_inflight_and_permits_release_slots() {
+    fn racing_misses_take_exactly_the_budget() {
+        const THREADS: u64 = 4;
+        const CALLS: u64 = 1_000;
         let adm = Admission::new(AdmissionConfig {
-            max_inflight_misses: 1,
-            miss_tokens_per_tick: u64::MAX,
+            miss_tokens_per_tick: 1_000,
         });
-        let held = adm.try_admit_miss().expect("first slot");
-        assert!(adm.try_admit_miss().is_none(), "second concurrent sheds");
-        drop(held);
-        assert!(adm.try_admit_miss().is_some(), "slot freed on drop");
-        assert_eq!(adm.shed(), 1);
+        // Every thread hammers the CAS loop at once (the barrier lines
+        // them up); the bucket must hand out each token exactly once,
+        // whatever the interleaving.
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let race = || -> u64 {
+            std::thread::scope(|s| {
+                let racers: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            (0..CALLS)
+                                .filter(|_| adm.try_admit_miss().is_some())
+                                .count() as u64
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).sum()
+            })
+        };
+        assert_eq!(race(), 1_000);
+        assert_eq!(adm.shed(), 3_000);
+        adm.refill();
+        assert_eq!(race(), 1_000, "refill restores exactly one budget");
+        assert_eq!(adm.shed(), 6_000);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! The model checker proves the invariants over *model* semantics; these
 //! tests close the loop by replaying explored schedules step-for-step
 //! against the real types through their entry points (`publish`/`load`,
-//! `get`/`insert`/`sweep_shard`, `take_token`/`enter_inflight`/
-//! `exit_inflight`), asserting the implementation observes exactly what
-//! the model predicts at every step. A proptest drives random walks
+//! `get`/`insert`/`sweep_shard`, `take_token`), asserting the
+//! implementation observes exactly what the model predicts at every
+//! step. A proptest drives random walks
 //! through the model's enabled transitions so the replayed schedules are
 //! not limited to the deterministic harvest.
 
@@ -20,7 +20,7 @@ use prodpred_service::swap::EpochSwap;
 /// The real serving stack wired up as a model harness: one
 /// `EpochSwap<u64>` (values are their epoch, matching the model's
 /// value-is-provenance abstraction), one `EpochCache<u64>` with one
-/// pre-located key per shard, and one `Admission` gauge.
+/// pre-located key per shard, and one `Admission` bucket.
 struct RealHarness {
     swap: EpochSwap<u64>,
     cache: EpochCache<u64>,
@@ -57,16 +57,11 @@ impl RealHarness {
             shards: config.shards,
         });
         let keys = keys_per_shard(&cache);
-        let to_u64 = |v: u8| {
-            if v == svc::UNBOUNDED {
-                u64::MAX
-            } else {
-                u64::from(v)
-            }
-        };
         let admission = Admission::new(AdmissionConfig {
-            max_inflight_misses: to_u64(config.max_inflight),
-            miss_tokens_per_tick: to_u64(config.tokens),
+            miss_tokens_per_tick: match config.tokens {
+                svc::UNBOUNDED => u64::MAX,
+                tokens => u64::from(tokens),
+            },
         });
         RealHarness {
             swap: EpochSwap::new(),
@@ -79,9 +74,9 @@ impl RealHarness {
 
 impl ServingHarness for RealHarness {
     fn publish(&mut self, epoch: u64) -> u64 {
-        let published = self.swap.publish(epoch);
+        // The ingest tick's order: refill, then publish.
         self.admission.refill();
-        published
+        self.swap.publish(epoch)
     }
 
     fn load(&mut self) -> Option<(u64, u64)> {
@@ -96,20 +91,8 @@ impl ServingHarness for RealHarness {
         self.admission.take_token()
     }
 
-    fn enter_inflight(&mut self) -> bool {
-        self.admission.enter_inflight()
-    }
-
-    fn rollback_inflight(&mut self) {
-        self.admission.exit_inflight();
-    }
-
     fn insert(&mut self, shard: usize, epoch: u64) {
         self.cache.insert(epoch, self.keys[shard], epoch);
-    }
-
-    fn release_permit(&mut self) {
-        self.admission.exit_inflight();
     }
 
     fn sweep_shard(&mut self, shard: usize, epoch: u64) {
@@ -136,7 +119,7 @@ fn explored_schedules_replay_on_the_real_stack() {
 
 #[test]
 fn admission_pressure_schedules_replay_on_the_real_stack() {
-    replay_all(SvcConfig::new(2, 1, 2).with_admission(1, 1), 300);
+    replay_all(SvcConfig::new(2, 1, 2).with_admission(1), 300);
 }
 
 #[test]
@@ -189,13 +172,13 @@ mod random_schedules {
             prop_assert!(svc::replay(config, &schedule, &mut harness).is_ok());
         }
 
-        // Same property under admission pressure, where the shed and
-        // rollback paths are reachable.
+        // Same property under admission pressure, where the shed path
+        // is reachable.
         #[test]
         fn pressured_walks_replay_without_divergence(
             choices in proptest::collection::vec(0usize..16, 1..160),
         ) {
-            let config = SvcConfig::new(2, 2, 2).with_admission(1, 1);
+            let config = SvcConfig::new(2, 2, 2).with_admission(1);
             let schedule = random_walk(config, &choices);
             let mut harness = RealHarness::new(config);
             prop_assert!(svc::replay(config, &schedule, &mut harness).is_ok());
