@@ -330,14 +330,14 @@ impl<'a, V: LoadView> SorPredictor<'a, V> {
             .ok()
     }
 
-    fn prediction_from(&self, inputs: SorModelInputs) -> Prediction {
-        let loads = inputs
+    fn prediction_from(&self, model: SorStructuralModel, comm: StochasticValue) -> Prediction {
+        let loads = model
+            .inputs()
             .procs
             .iter()
             .map(|p| p.load.value())
             .collect::<Vec<_>>();
-        let model = SorStructuralModel::new(inputs);
-        let breakdown = model.phase_breakdown();
+        let breakdown = model.breakdown_with(comm);
         Prediction {
             stochastic: model.total_from(&breakdown),
             point: model.predict_point(),
@@ -351,9 +351,9 @@ impl<'a, V: LoadView> SorPredictor<'a, V> {
     /// With [`LoadSource::RunHorizon`], the load values are scaled to the
     /// run's own duration by fixed point: the instantaneous model
     /// estimates the duration, then each of two passes re-reads every
-    /// machine's load averaged over the latest estimate. Only the last
-    /// pass is evaluated in full; the earlier ones are read for their
-    /// mean alone.
+    /// machine's load averaged over the latest estimate. The passes change
+    /// only the loads, so all three share one `Max_p Comm_p`; each
+    /// evaluates its own `Max_p Comp_p`, and only the last is returned.
     ///
     /// Returns `None` until the NWS has data for every machine in use —
     /// [`SorPredictor::try_predict`] reports *which* sensor is dry.
@@ -374,25 +374,27 @@ impl<'a, V: LoadView> SorPredictor<'a, V> {
         // Whatever the source, the instantaneous read comes first, so the
         // sensor a caller is told is dry does not depend on it.
         let instantaneous = self.build_inputs(n, strips, |i| self.instantaneous_load(i))?;
-        let inputs = match self.config.load_source {
-            LoadSource::Instantaneous => instantaneous,
+        let mut model = SorStructuralModel::new(match self.config.load_source {
+            LoadSource::Instantaneous | LoadSource::RunHorizon => instantaneous,
             LoadSource::ModalAverage => {
                 self.build_inputs(n, strips, |i| self.nws.cpu_modal_stochastic(i))?
             }
-            LoadSource::RunHorizon => {
-                let mut inputs = instantaneous;
-                // Two refinement passes are ample: duration enters only
-                // through the slowly varying averaging factor.
-                for _ in 0..2 {
-                    let horizon = SorStructuralModel::new(inputs).predict().mean().max(1.0);
-                    inputs = self.build_inputs(n, strips, |i| {
-                        self.nws.cpu_stochastic_for_horizon(i, horizon)
-                    })?;
-                }
-                inputs
+        });
+        let comm = model.comm_max();
+        if self.config.load_source == LoadSource::RunHorizon {
+            // Two refinement passes are ample: duration enters only
+            // through the slowly varying averaging factor.
+            for _ in 0..2 {
+                let horizon = model
+                    .total_from(&model.breakdown_with(comm))
+                    .mean()
+                    .max(1.0);
+                model = SorStructuralModel::new(self.build_inputs(n, strips, |i| {
+                    self.nws.cpu_stochastic_for_horizon(i, horizon)
+                })?);
             }
-        };
-        Ok(self.prediction_from(inputs))
+        }
+        Ok(self.prediction_from(model, comm))
     }
 }
 

@@ -123,11 +123,16 @@ pub fn chunk_lengths(total: usize, chunk: usize) -> Vec<usize> {
 /// bit-identical to `items.iter().enumerate().map(...)` at every thread
 /// count.
 ///
-/// When the resolved thread count is 1 (or there is at most one item),
+/// When there is at most one item, or the resolved thread count is 1,
 /// the map runs **inline on the caller thread** — no spawn, no scope, no
 /// channel — so single-core hosts (`PRODPRED_THREADS=1`) pay zero
 /// parallelism overhead. The inline path is the literal sequential map,
-/// so it is bit-identical to the threaded one by construction.
+/// so it is bit-identical to the threaded one by construction. A map of
+/// at most one item never resolves the thread count at all: with
+/// `threads = 0` that would read the environment and, on Linux, the
+/// cgroup files behind [`std::thread::available_parallelism`] (13–17 µs a
+/// call on a two-core Linux host), which a one-chunk Monte-Carlo `max`
+/// would pay on every call.
 ///
 /// # Panics
 ///
@@ -138,8 +143,12 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = resolve_threads(threads).min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 {
+    let threads = if items.len() <= 1 {
+        1
+    } else {
+        resolve_threads(threads).min(items.len())
+    };
+    if threads <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
@@ -232,9 +241,17 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(&empty, 8, |_, &x| x).is_empty());
-        assert_eq!(parallel_map(&[5u32], 8, |_, &x| x + 1), vec![6]);
+        // At most one item runs on the caller whatever the thread count,
+        // auto included.
+        let caller = std::thread::current().id();
+        let on_caller = |_: usize, &x: &u32| {
+            assert_eq!(std::thread::current().id(), caller, "ran off the caller");
+            x + 1
+        };
+        for threads in [0, 1, 8] {
+            assert!(parallel_map(&[], threads, on_caller).is_empty());
+            assert_eq!(parallel_map(&[5u32], threads, on_caller), vec![6]);
+        }
     }
 
     #[test]

@@ -175,6 +175,62 @@ impl Summary {
     }
 }
 
+/// The mean and second central moment of a [`Summary`], and nothing else:
+/// `push` and `merge` do exactly `Summary`'s operations on `n`, `mean`
+/// and `m2`, so `mean()` and `sd()` carry its bits without the third and
+/// fourth moments, minimum and maximum that the Monte-Carlo `max` never
+/// reads.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MeanVar {
+    n: u64,
+    mean: f64,
+    m2: f64,
+}
+
+impl MeanVar {
+    /// [`Summary::push`] on `n`, `mean` and `m2`.
+    pub(crate) fn push(&mut self, x: f64) {
+        debug_assert!(x.is_finite(), "summary observation must be finite");
+        let n1 = self.n as f64;
+        self.n += 1;
+        let delta = x - self.mean;
+        let delta_n = delta / self.n as f64;
+        self.mean += delta_n;
+        self.m2 += delta * delta_n * n1;
+    }
+
+    /// [`Summary::merge`] on `n`, `mean` and `m2`.
+    pub(crate) fn merge(&mut self, other: &MeanVar) {
+        if other.n == 0 {
+            return;
+        }
+        if self.n == 0 {
+            *self = *other;
+            return;
+        }
+        let (na, nb) = (self.n as f64, other.n as f64);
+        let n = na + nb;
+        let delta = other.mean - self.mean;
+        self.m2 = self.m2 + other.m2 + delta * delta * na * nb / n;
+        self.mean += delta * nb / n;
+        self.n += other.n;
+    }
+
+    /// [`Summary::mean`].
+    pub(crate) fn mean(&self) -> f64 {
+        self.mean
+    }
+
+    /// [`Summary::sd`].
+    pub(crate) fn sd(&self) -> f64 {
+        if self.n < 2 {
+            0.0
+        } else {
+            (self.m2 / (self.n as f64 - 1.0)).sqrt()
+        }
+    }
+}
+
 /// Median of a sample. Returns `None` for an empty slice.
 ///
 /// The median matters for long-tailed data, where the paper notes it sits
@@ -341,6 +397,59 @@ mod tests {
         let s = Summary::from_slice(&data);
         // Uniform distribution has excess kurtosis -1.2.
         assert!((s.kurtosis() + 1.2).abs() < 0.05);
+    }
+
+    /// Any finite `f64`: half the time from its whole bit range (every
+    /// exponent, subnormals, both zeros), half from a moderate range.
+    fn finite() -> impl proptest::prelude::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        (0u64..u64::MAX, -1e6f64..1e6, any::<bool>()).prop_map(|(bits, moderate, raw)| {
+            let x = f64::from_bits(bits);
+            if raw && x.is_finite() {
+                x
+            } else {
+                moderate
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn mean_var_carries_summary_bits(
+            data in proptest::collection::vec(finite(), 0..48),
+            cuts in proptest::collection::vec(0usize..49, 0..8),
+        ) {
+            // Chunks ending at the sorted cut points (repeats and ends make
+            // empty and single-element chunks), merged in order into an
+            // empty accumulator as the Monte-Carlo `max` merges its chunks.
+            let mut ends: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            ends.push(data.len());
+            ends.sort_unstable();
+            let (mut whole, mut reference) = (MeanVar::default(), Summary::new());
+            let mut start = 0;
+            for end in ends {
+                let (mut part, mut part_ref) = (MeanVar::default(), Summary::new());
+                for &x in &data[start..end] {
+                    part.push(x);
+                    part_ref.push(x);
+                }
+                proptest::prop_assert!(same(part.mean(), part_ref.mean()));
+                proptest::prop_assert!(same(part.sd(), part_ref.sd()));
+                whole.merge(&part);
+                reference.merge(&part_ref);
+                start = end;
+            }
+            proptest::prop_assert!(same(whole.mean(), reference.mean()));
+            proptest::prop_assert!(same(whole.sd(), reference.sd()));
+        }
+    }
+
+    /// Bit-equal, or both NaN: operands near `f64::MAX` overflow the
+    /// moments, and a NaN's payload is not part of the result.
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
     #[test]

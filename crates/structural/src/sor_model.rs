@@ -156,29 +156,47 @@ impl SorStructuralModel {
 
     /// Evaluates the four per-iteration phase maxima.
     pub fn phase_breakdown(&self) -> PhaseBreakdown {
+        self.breakdown_with(self.comm_max())
+    }
+
+    /// `Max_p Comm_p`, the communication maximum of either colour. It
+    /// reads only the network, `n`, the strip count and the strategy, so
+    /// models that differ only in their processors' loads share it.
+    pub fn comm_max(&self) -> StochasticValue {
         let inp = &self.inputs;
         let p = inp.procs.len();
         let ghost = Param::point(inp.n as f64);
-        let dep = inp.network.dependence;
+        let comms: Vec<StochasticValue> = (0..p)
+            .map(|i| phase_comm(&inp.network, Neighbours::of(i, p), ghost))
+            .collect();
+        max_of(&comms, inp.max_strategy)
+    }
 
-        let mut comps = Vec::with_capacity(p);
-        let mut comms = Vec::with_capacity(p);
-        for (i, proc) in inp.procs.iter().enumerate() {
-            let bm = BenchmarkModel {
-                bm_secs_per_elt: proc.bm_secs_per_elt,
-            };
-            comps.push(phase_comp(&bm, proc.elements, proc.load, dep));
-            comms.push(phase_comm(&inp.network, Neighbours::of(i, p), ghost));
-        }
-        let comp_max = max_of(&comps, inp.max_strategy);
-        let comm_max = max_of(&comms, inp.max_strategy);
+    /// The four phase maxima given the communication maximum `comm` —
+    /// [`comm_max`](Self::comm_max) of this model or of one with the same
+    /// network, `n`, strip count and strategy — evaluating only
+    /// `Max_p Comp_p`.
+    pub fn breakdown_with(&self, comm: StochasticValue) -> PhaseBreakdown {
+        let inp = &self.inputs;
+        let dep = inp.network.dependence;
+        let comps: Vec<StochasticValue> = inp
+            .procs
+            .iter()
+            .map(|proc| {
+                let bm = BenchmarkModel {
+                    bm_secs_per_elt: proc.bm_secs_per_elt,
+                };
+                phase_comp(&bm, proc.elements, proc.load, dep)
+            })
+            .collect();
+        let comp = max_of(&comps, inp.max_strategy);
         // Red and black phases are structurally identical under constant
         // parameters; the model keeps the four-term form of the paper.
         PhaseBreakdown {
-            red_comp: comp_max,
-            red_comm: comm_max,
-            black_comp: comp_max,
-            black_comm: comm_max,
+            red_comp: comp,
+            red_comm: comm,
+            black_comp: comp,
+            black_comm: comm,
         }
     }
 
