@@ -53,7 +53,9 @@ fn bench_max_strategies(c: &mut Criterion) {
         })
     });
     // The shape a `/predict?max=mc:2000:<seed>` asks for: one maximum
-    // over four strips.
+    // over four strips. With one seed every call after the first reads
+    // its variates from the thread's stream memo; a fresh seed per call
+    // draws them all, as a client that never repeats a seed would.
     group.bench_function("monte_carlo_2k_4", |bch| {
         bch.iter(|| {
             max_of(
@@ -61,6 +63,19 @@ fn bench_max_strategies(c: &mut Criterion) {
                 MaxStrategy::MonteCarlo {
                     samples: 2000,
                     seed: 1,
+                },
+            )
+        })
+    });
+    let mut seed = 0;
+    group.bench_function("monte_carlo_2k_4_fresh_seed", |bch| {
+        bch.iter(|| {
+            seed += 1;
+            max_of(
+                black_box(&values[..4]),
+                MaxStrategy::MonteCarlo {
+                    samples: 2000,
+                    seed,
                 },
             )
         })

@@ -4,9 +4,10 @@
 //! answer costs the output buffer and nothing else (no field-name
 //! `String`s, no per-number temporaries). A closed-form miss is pinned
 //! too, exactly, because its count is how many times the structural
-//! model ran. And a request refused for its iteration count allocates
-//! nothing in proportion to it. A counting global allocator tallies per
-//! thread, so the harness's own threads cannot disturb the counts.
+//! model ran, on a fresh thread and again on a warm one. And a request
+//! refused for its iteration count allocates nothing in proportion to
+//! it. A counting global allocator tallies per thread, so the harness's
+//! own threads cannot disturb the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -139,7 +140,11 @@ fn a_cache_hit_query_allocates_nothing() {
 /// communication maximum. A Monte-Carlo `max` over stochastic operands
 /// allocates three times more (its normals, its chunk lengths and their
 /// results) and nothing for a thread count its single chunk does not use,
-/// whatever `PRODPRED_THREADS` says.
+/// whatever `PRODPRED_THREADS` says. Each miss is counted twice on one
+/// fresh thread: the first Monte-Carlo miss also builds the thread's
+/// stream memo (its slot list and one slot's buffer, which every maximum
+/// of the query reads: they carry one seed), the second allocates nothing
+/// for it.
 #[test]
 fn a_closed_form_miss_evaluates_each_maximum_once() {
     let core = core();
@@ -148,12 +153,12 @@ fn a_closed_form_miss_evaluates_each_maximum_once() {
         seed: 7,
     };
     for (load_source, max_strategy, expected) in [
-        (LoadSource::Instantaneous, MaxStrategy::ByMean, 19),
-        (LoadSource::RunHorizon, MaxStrategy::ByMean, 23),
-        (LoadSource::ModalAverage, MaxStrategy::ByMean, 20),
-        (LoadSource::Instantaneous, mc, 25),
-        (LoadSource::RunHorizon, mc, 35),
-        (LoadSource::ModalAverage, mc, 26),
+        (LoadSource::Instantaneous, MaxStrategy::ByMean, (19, 19)),
+        (LoadSource::RunHorizon, MaxStrategy::ByMean, (23, 23)),
+        (LoadSource::ModalAverage, MaxStrategy::ByMean, (20, 20)),
+        (LoadSource::Instantaneous, mc, (27, 25)),
+        (LoadSource::RunHorizon, mc, (37, 35)),
+        (LoadSource::ModalAverage, mc, (28, 26)),
     ] {
         let request = PredictRequest {
             platform: 2,
@@ -166,10 +171,17 @@ fn a_closed_form_miss_evaluates_each_maximum_once() {
             },
             fault_intensity: None,
         };
-        let allocations = allocations_during(|| {
-            black_box(core.query_uncached(black_box(&request))).unwrap();
-        });
-        assert_eq!(allocations, expected, "{load_source:?} {max_strategy:?}");
+        let miss = || {
+            allocations_during(|| {
+                black_box(core.query_uncached(black_box(&request))).unwrap();
+            })
+        };
+        let (cold, warm) = std::thread::scope(|s| s.spawn(|| (miss(), miss())).join().unwrap());
+        assert_eq!(
+            (cold, warm),
+            expected,
+            "{load_source:?} {max_strategy:?}: (fresh thread, same thread again)"
+        );
     }
 }
 

@@ -103,8 +103,9 @@ impl Distribution for Normal {
 
     /// Marsaglia polar (Box–Muller variant) sampling. The trait is
     /// stateless, so the second variate of each [`polar_pair`] is dropped
-    /// here; a caller that draws in bulk and needs the throughput (the
-    /// Monte-Carlo `Max`) drives `polar_pair` itself and keeps both.
+    /// here and nothing is remembered between calls; the Monte-Carlo
+    /// `Max` drives `polar_pair` itself, keeps both variates, and keeps
+    /// each chunk's whole stream for the next maximum with that seed.
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
         if self.is_degenerate() {
             return self.mu;
@@ -117,7 +118,9 @@ impl Distribution for Normal {
 /// One accepted point of Marsaglia's polar method: `(u, v, f)` with
 /// `u * f` and `v * f` two independent standard-normal variates. The
 /// factor comes back unmultiplied because [`Normal::sample`] scales `u`
-/// by `sigma` before `f`, and its stream is pinned to the bit.
+/// by `sigma` before `f`, and its stream is pinned to the bit. The
+/// Monte-Carlo `Max` stores the products `u * f`, `v * f` in draw order,
+/// so a stream read back from its per-thread memo is the one drawn.
 pub(crate) fn polar_pair<R: RngCore + ?Sized>(rng: &mut R) -> (f64, f64, f64) {
     loop {
         let u = 2.0 * uniform01(rng) - 1.0;
