@@ -321,32 +321,38 @@ impl SensorFaults<'_> {
 /// scaled by each storm's factor inside its window, clamped to the
 /// availability bounds. Storms naming out-of-range machines are ignored.
 pub fn apply_storms(platform: &mut Platform, storms: &[LoadStorm]) {
+    check_storms(storms);
+    for (i, machine) in platform.machines.iter_mut().enumerate() {
+        if storms.iter().any(|s| s.machine == i) {
+            let (t0, dt) = (machine.load.t0(), machine.load.dt());
+            let values = machine.load.values().iter().enumerate();
+            let values = values.map(|(k, &v)| stormed(storms, i, t0 + k as f64 * dt, v));
+            machine.load = Trace::new(t0, dt, values.collect());
+        }
+    }
+}
+
+/// Panics unless every storm's factor lies in `(0, 1]`.
+pub(crate) fn check_storms(storms: &[LoadStorm]) {
     for storm in storms {
         assert!(
             storm.availability_factor > 0.0 && storm.availability_factor <= 1.0,
             "storm factor must be in (0, 1]"
         );
-        let Some(machine) = platform.machines.get_mut(storm.machine) else {
-            continue;
-        };
-        let trace = &machine.load;
-        let (t0, dt) = (trace.t0(), trace.dt());
-        let end = storm.start + storm.duration;
-        let values: Vec<f64> = trace
-            .values()
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let t = t0 + i as f64 * dt;
-                if t >= storm.start && t < end {
-                    (v * storm.availability_factor).clamp(MIN_AVAILABILITY, MAX_AVAILABILITY)
-                } else {
-                    v
-                }
-            })
-            .collect();
-        machine.load = Trace::new(t0, dt, values);
     }
+}
+
+/// Machine `machine`'s sample `v` at time `t` under `storms`: scaled by
+/// each storm whose window holds `t`, in order, and clamped to the
+/// availability bounds. A pointwise function of absolute time, so samples
+/// stormed piece by piece as a trace grows equal the trace stormed whole.
+pub(crate) fn stormed(storms: &[LoadStorm], machine: usize, t: f64, v: f64) -> f64 {
+    storms
+        .iter()
+        .filter(|s| s.machine == machine && t >= s.start && t < s.start + s.duration)
+        .fold(v, |v, s| {
+            (v * s.availability_factor).clamp(MIN_AVAILABILITY, MAX_AVAILABILITY)
+        })
 }
 
 /// The campaign's kill law: the probability a

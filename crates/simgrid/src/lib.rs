@@ -57,6 +57,6 @@ pub use grid::{GridClassSpec, GridPlatform};
 pub use machine::{Machine, MachineClass, MachineSpec};
 pub use memory::PagingModel;
 pub use network::{Ethernet, NetworkSpec};
-pub use platform::Platform;
+pub use platform::{GrowingPlatform, Platform};
 pub use store::{MachineSlot, TemplateSpec, TraceRef, TraceStore};
 pub use trace::Trace;

@@ -43,14 +43,30 @@ pub trait LoadGenerator {
     /// `t0`, deterministically from `seed`.
     ///
     /// [`Dedicated`], [`SingleModeAr1`] and [`MarkovModal`] are *prefix
-    /// stable*: they draw from the seeded stream strictly in step order,
-    /// so the first `k` samples do not depend on `steps` — a shorter
-    /// trace is a sample-for-sample prefix of a longer one, and because
-    /// [`Trace`]'s prefix sums are sequential too, every query that stays
-    /// inside the shorter horizon answers with the same bits. The preset
-    /// experiments size their platforms on this. [`SessionLoad`] does
-    /// **not** have the property; an implementor that lacks it must say so.
+    /// stable*: each is an endless sample stream (their `stream` method)
+    /// that draws from the seeded generator strictly in step order, and
+    /// `generate` takes its first `steps` samples — so a shorter trace is
+    /// a sample-for-sample prefix of a longer one, and because [`Trace`]'s
+    /// prefix sums are sequential too, every query that stays inside the
+    /// shorter horizon answers with the same bits. The preset platforms
+    /// grow with a series clock on this. [`SessionLoad`] does **not** have
+    /// the property; an implementor that lacks it must say so.
     fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace;
+}
+
+/// An endless, prefix-stable sample stream, boxed: what the preset
+/// platforms pull from as their clock advances. Every `stream` method's
+/// iterator is one; a pull of many samples is one dynamic call over a
+/// loop compiled for the generator.
+pub trait LoadStream: Send {
+    /// The next `k` samples, in order.
+    fn pull(&mut self, k: usize) -> Vec<f64>;
+}
+
+impl<I: Iterator<Item = f64> + Send> LoadStream for I {
+    fn pull(&mut self, k: usize) -> Vec<f64> {
+        self.take(k).collect()
+    }
 }
 
 /// A dedicated machine: constant availability (default 1.0).
@@ -66,9 +82,16 @@ impl Default for Dedicated {
     }
 }
 
+impl Dedicated {
+    /// The constant level, clamped, forever.
+    pub fn stream(&self) -> impl Iterator<Item = f64> + Send + 'static {
+        std::iter::repeat(clamp_avail(self.level))
+    }
+}
+
 impl LoadGenerator for Dedicated {
     fn generate(&self, _seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
-        Trace::constant(t0, dt, clamp_avail(self.level), steps)
+        Trace::new(t0, dt, self.stream().take(steps).collect())
     }
 }
 
@@ -98,22 +121,27 @@ impl SingleModeAr1 {
     }
 }
 
-impl LoadGenerator for SingleModeAr1 {
-    fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
+impl SingleModeAr1 {
+    /// The process as an endless stream from `seed`: a stationary first
+    /// draw, then one innovation per step.
+    pub fn stream(&self, seed: u64) -> impl Iterator<Item = f64> + Send + 'static {
         assert!((0.0..1.0).contains(&self.phi), "phi must be in [0,1)");
         assert!(self.sd >= 0.0);
+        let Self { mean, sd, phi } = *self;
         let mut rng = StdRng::seed_from_u64(seed);
-        let innovation = Normal::new(0.0, self.sd * (1.0 - self.phi * self.phi).sqrt());
-        let stationary = Normal::new(self.mean, self.sd);
-        let mut x = stationary.sample(&mut rng);
-        let values = (0..steps)
-            .map(|_| {
-                let out = clamp_avail(x);
-                x = self.mean + self.phi * (x - self.mean) + innovation.sample(&mut rng);
-                out
-            })
-            .collect();
-        Trace::new(t0, dt, values)
+        let innovation = Normal::new(0.0, sd * (1.0 - phi * phi).sqrt());
+        let mut x = Normal::new(mean, sd).sample(&mut rng);
+        std::iter::repeat_with(move || {
+            let out = clamp_avail(x);
+            x = mean + phi * (x - mean) + innovation.sample(&mut rng);
+            out
+        })
+    }
+}
+
+impl LoadGenerator for SingleModeAr1 {
+    fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
+        Trace::new(t0, dt, self.stream(seed).take(steps).collect())
     }
 }
 
@@ -204,34 +232,41 @@ impl MarkovModal {
     }
 }
 
-impl LoadGenerator for MarkovModal {
-    fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
+impl MarkovModal {
+    /// The process as an endless stream from `seed` at step `dt`: the
+    /// mode, the dwell left in it and the value are the stream's state.
+    pub fn stream(&self, seed: u64, dt: f64) -> impl Iterator<Item = f64> + Send + 'static {
         assert!(!self.modes.is_empty(), "MarkovModal needs modes");
         assert!(self.mean_dwell > 0.0, "dwell time must be positive");
+        let (modes, phi, rate) = (self.modes.clone(), self.phi, 1.0 / self.mean_dwell);
         let mut rng = StdRng::seed_from_u64(seed);
-        let weights: Vec<f64> = self.modes.iter().map(|m| m.weight).collect();
-        let innovations: Vec<Normal> = self
-            .modes
+        let weights: Vec<f64> = modes.iter().map(|m| m.weight).collect();
+        let innovations: Vec<Normal> = modes
             .iter()
-            .map(|m| Normal::new(0.0, m.sd * (1.0 - self.phi * self.phi).sqrt()))
+            .map(|m| Normal::new(0.0, m.sd * (1.0 - phi * phi).sqrt()))
             .collect();
         let mut mode = weighted_index(&mut rng, &weights);
-        let mut dwell_left = exponential(&mut rng, 1.0 / self.mean_dwell);
-        let mut x = self.modes[mode].mean;
-        let mut values = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let m = &self.modes[mode];
-            x = m.mean + self.phi * (x - m.mean) + innovations[mode].sample(&mut rng);
-            values.push(clamp_avail(x));
+        let mut dwell_left = exponential(&mut rng, rate);
+        let mut x = modes[mode].mean;
+        std::iter::repeat_with(move || {
+            let m = &modes[mode];
+            x = m.mean + phi * (x - m.mean) + innovations[mode].sample(&mut rng);
+            let out = clamp_avail(x);
             dwell_left -= dt;
             if dwell_left <= 0.0 {
                 mode = weighted_index(&mut rng, &weights);
-                dwell_left = exponential(&mut rng, 1.0 / self.mean_dwell);
+                dwell_left = exponential(&mut rng, rate);
                 // Re-center quickly on mode change (a burst).
-                x = self.modes[mode].mean;
+                x = modes[mode].mean;
             }
-        }
-        Trace::new(t0, dt, values)
+            out
+        })
+    }
+}
+
+impl LoadGenerator for MarkovModal {
+    fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
+        Trace::new(t0, dt, self.stream(seed, dt).take(steps).collect())
     }
 }
 
@@ -245,8 +280,7 @@ impl LoadGenerator for MarkovModal {
 /// queue is run to the horizon first and the per-sample noise is drawn
 /// from the same stream afterwards, so a longer trace differs from its
 /// first sample on. Generate it at the horizon it will be read at; the
-/// preset platforms, which are re-generated at growing horizons, must not
-/// use it.
+/// preset platforms, which grow as streams, must not use it.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SessionLoad {
     /// Competing-job arrival rate (jobs per second).

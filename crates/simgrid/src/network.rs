@@ -80,36 +80,41 @@ impl Default for EthernetContention {
 }
 
 impl EthernetContention {
-    /// Generates the available-fraction trace. Prefix stable like the
-    /// CPU generators (see [`crate::load::LoadGenerator::generate`]): the
-    /// seeded stream is consumed strictly in step order, so the first `k`
-    /// samples do not depend on `steps`.
-    pub fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
-        assert!(self.mean_dwell > 0.0 && steps > 0);
+    /// The available-fraction process as an endless stream from `seed` at
+    /// step `dt`: the busy flag and the dwell left are its state. Prefix
+    /// stable like the CPU generators (see
+    /// [`crate::load::LoadGenerator::generate`]).
+    pub fn stream(&self, seed: u64, dt: f64) -> impl Iterator<Item = f64> + Send + 'static {
+        assert!(self.mean_dwell > 0.0);
+        let (busy_weight, rate) = (self.busy_weight, 1.0 / self.mean_dwell);
         let mut rng = StdRng::seed_from_u64(seed);
         let quiet = Normal::new(self.peak_fraction - 0.01, self.cluster_sd);
         let tail = LongTailed::below(self.peak_fraction, self.busy_gap_mean, self.busy_gap_sd);
 
-        let mut busy = uniform01(&mut rng) < self.busy_weight;
-        let mut dwell_left = exponential(&mut rng, 1.0 / self.mean_dwell);
-        let values = (0..steps)
-            .map(|_| {
-                let v = if busy {
-                    tail.sample(&mut rng)
-                } else {
-                    quiet.sample(&mut rng)
-                };
-                dwell_left -= dt;
-                if dwell_left <= 0.0 {
-                    // Leave the current state with probability matching the
-                    // long-run busy weight.
-                    busy = uniform01(&mut rng) < self.busy_weight;
-                    dwell_left = exponential(&mut rng, 1.0 / self.mean_dwell);
-                }
-                v.clamp(0.02, 1.0)
-            })
-            .collect();
-        Trace::new(t0, dt, values)
+        let mut busy = uniform01(&mut rng) < busy_weight;
+        let mut dwell_left = exponential(&mut rng, rate);
+        std::iter::repeat_with(move || {
+            let v = if busy {
+                tail.sample(&mut rng)
+            } else {
+                quiet.sample(&mut rng)
+            };
+            dwell_left -= dt;
+            if dwell_left <= 0.0 {
+                // Leave the current state with probability matching the
+                // long-run busy weight.
+                busy = uniform01(&mut rng) < busy_weight;
+                dwell_left = exponential(&mut rng, rate);
+            }
+            v.clamp(0.02, 1.0)
+        })
+    }
+
+    /// Generates the available-fraction trace: the first `steps` samples
+    /// of [`EthernetContention::stream`].
+    pub fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
+        assert!(steps > 0);
+        Trace::new(t0, dt, self.stream(seed, dt).take(steps).collect())
     }
 }
 

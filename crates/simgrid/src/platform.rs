@@ -9,7 +9,8 @@
 //! Plus a dedicated configuration used to validate the structural model's
 //! "within 2%" claim (Section 2.2.1).
 
-use crate::load::{derive_seed, Dedicated, LoadGenerator, MarkovModal, SingleModeAr1};
+use crate::faults::{check_storms, stormed, LoadStorm};
+use crate::load::{derive_seed, Dedicated, LoadGenerator, LoadStream, MarkovModal, SingleModeAr1};
 use crate::machine::{Machine, MachineClass, MachineSpec};
 use crate::network::{Ethernet, EthernetContention, NetworkSpec};
 use crate::trace::Trace;
@@ -172,22 +173,63 @@ impl Platform {
     /// in the center load mode (0.48 ± 0.05, i.e. sd 0.025), the faster
     /// machines in the lightly-loaded top mode. Network quiet-dominated.
     ///
-    /// `horizon` only sets how much is generated: every generator used
-    /// here is prefix stable (see [`LoadGenerator::generate`]), so
-    /// `platform1(seed, h)` is a sample-for-sample prefix of
-    /// `platform1(seed, 2.0 * h)` and anything that reads only times
-    /// inside `h` gets the same bits from both. The same holds for
-    /// [`Platform::platform1_free`] and [`Platform::platform2`];
-    /// `core::experiment`'s presets rely on it to generate only the load a
-    /// series reads.
+    /// [`GrowingPlatform::platform1`] grown to `horizon`: `horizon` only
+    /// sets how much is generated, so `platform1(seed, h)` is a
+    /// sample-for-sample prefix of `platform1(seed, 2.0 * h)` and anything
+    /// that reads only times inside `h` gets the same bits from both. The
+    /// same holds for [`Platform::platform1_free`] and
+    /// [`Platform::platform2`].
     pub fn platform1(seed: u64, horizon: f64) -> Self {
-        let steps = (horizon / TRACE_DT).ceil() as usize;
-        let specs = vec![
-            MachineSpec::new("sparc2-a", MachineClass::Sparc2),
-            MachineSpec::new("sparc2-b", MachineClass::Sparc2),
-            MachineSpec::new("sparc5-a", MachineClass::Sparc5),
-            MachineSpec::new("sparc10-a", MachineClass::Sparc10),
-        ];
+        GrowingPlatform::platform1(seed, &[]).into_platform(horizon)
+    }
+
+    /// Platform 1 with free-running tri-modal load on every machine — used
+    /// to build the Figure-5 histogram and the long multi-mode traces.
+    /// Prefix stable in `horizon`, as [`Platform::platform1`].
+    pub fn platform1_free(seed: u64, horizon: f64, mean_dwell: f64) -> Self {
+        let tri = MarkovModal::platform1(mean_dwell);
+        let loads = (0..4)
+            .map(|i| Box::new(tri.stream(derive_seed(seed, i), TRACE_DT)) as Box<dyn LoadStream>)
+            .collect();
+        let network = EthernetContention::default().stream(derive_seed(seed, 100), TRACE_DT);
+        GrowingPlatform::new(platform1_specs(), loads, Box::new(network), &[])
+            .into_platform(horizon)
+    }
+
+    /// Platform 2: Sparc-5, Sparc-10, two UltraSparcs, 4-modal bursty load
+    /// on every machine, busier network. [`GrowingPlatform::platform2`]
+    /// grown to `horizon`; prefix stable in it, as [`Platform::platform1`].
+    pub fn platform2(seed: u64, horizon: f64) -> Self {
+        GrowingPlatform::platform2(seed, &[]).into_platform(horizon)
+    }
+}
+
+/// A preset platform that grows with a series clock: the [`Platform`] so
+/// far, the prefix-stable streams its load comes from, and the load storms
+/// laid on that load. [`GrowingPlatform::cover`] pulls just the steps that
+/// define every time up to the one asked for. The streams draw strictly in
+/// step order, [`Trace::extend`] continues the Kahan prefix sums, and a
+/// storm is a pointwise function of absolute time, so a platform grown in
+/// pieces is the platform generated in one go, sample for sample and prefix
+/// for prefix.
+///
+/// Growth needs no interior mutability: a reader takes `&Platform` per
+/// call and keeps no borrow, so the owner grows it between reads.
+pub struct GrowingPlatform {
+    platform: Platform,
+    loads: Vec<Box<dyn LoadStream>>,
+    network: Box<dyn LoadStream>,
+    storms: Vec<LoadStorm>,
+}
+
+impl GrowingPlatform {
+    /// Platform 1's load streams ([`Platform::platform1`]) under `storms`,
+    /// one step generated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a storm's factor lies outside `(0, 1]`.
+    pub fn platform1(seed: u64, storms: &[LoadStorm]) -> Self {
         let center = SingleModeAr1 {
             mean: 0.48,
             sd: 0.025,
@@ -198,38 +240,26 @@ impl Platform {
             sd: 0.015,
             phi: 0.9,
         };
-        let generators: Vec<&dyn LoadGenerator> = vec![&center, &center, &top, &top];
+        let loads = [center, center, top, top]
+            .iter()
+            .enumerate()
+            .map(|(i, g)| Box::new(g.stream(derive_seed(seed, i))) as Box<dyn LoadStream>)
+            .collect();
         let network = EthernetContention {
             busy_weight: 0.10,
             ..Default::default()
         }
-        .generate(derive_seed(seed, 100), 0.0, TRACE_DT, steps);
-        Self::from_generators(specs, &generators, network, seed, horizon)
+        .stream(derive_seed(seed, 100), TRACE_DT);
+        Self::new(platform1_specs(), loads, Box::new(network), storms)
     }
 
-    /// Platform 1 with free-running tri-modal load on every machine — used
-    /// to build the Figure-5 histogram and the long multi-mode traces.
-    /// Prefix stable in `horizon`, as [`Platform::platform1`].
-    pub fn platform1_free(seed: u64, horizon: f64, mean_dwell: f64) -> Self {
-        let steps = (horizon / TRACE_DT).ceil() as usize;
-        let specs = vec![
-            MachineSpec::new("sparc2-a", MachineClass::Sparc2),
-            MachineSpec::new("sparc2-b", MachineClass::Sparc2),
-            MachineSpec::new("sparc5-a", MachineClass::Sparc5),
-            MachineSpec::new("sparc10-a", MachineClass::Sparc10),
-        ];
-        let tri = MarkovModal::platform1(mean_dwell);
-        let generators: Vec<&dyn LoadGenerator> = vec![&tri, &tri, &tri, &tri];
-        let network =
-            EthernetContention::default().generate(derive_seed(seed, 100), 0.0, TRACE_DT, steps);
-        Self::from_generators(specs, &generators, network, seed, horizon)
-    }
-
-    /// Platform 2: Sparc-5, Sparc-10, two UltraSparcs, 4-modal bursty load
-    /// on every machine, busier network. Prefix stable in `horizon`, as
-    /// [`Platform::platform1`].
-    pub fn platform2(seed: u64, horizon: f64) -> Self {
-        let steps = (horizon / TRACE_DT).ceil() as usize;
+    /// Platform 2's load streams ([`Platform::platform2`]) under `storms`,
+    /// one step generated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a storm's factor lies outside `(0, 1]`.
+    pub fn platform2(seed: u64, storms: &[LoadStorm]) -> Self {
         let specs = vec![
             MachineSpec::new("sparc5-a", MachineClass::Sparc5),
             MachineSpec::new("sparc10-a", MachineClass::Sparc10),
@@ -237,15 +267,117 @@ impl Platform {
             MachineSpec::new("ultra-b", MachineClass::UltraSparc),
         ];
         let bursty = MarkovModal::platform2(25.0);
-        let generators: Vec<&dyn LoadGenerator> = vec![&bursty, &bursty, &bursty, &bursty];
+        let loads = (0..specs.len())
+            .map(|i| Box::new(bursty.stream(derive_seed(seed, i), TRACE_DT)) as Box<dyn LoadStream>)
+            .collect();
         let network = EthernetContention {
             busy_weight: 0.30,
             mean_dwell: 15.0,
             ..Default::default()
         }
-        .generate(derive_seed(seed, 100), 0.0, TRACE_DT, steps);
-        Self::from_generators(specs, &generators, network, seed, horizon)
+        .stream(derive_seed(seed, 100), TRACE_DT);
+        Self::new(specs, loads, Box::new(network), storms)
     }
+
+    fn new(
+        specs: Vec<MachineSpec>,
+        mut loads: Vec<Box<dyn LoadStream>>,
+        mut network: Box<dyn LoadStream>,
+        storms: &[LoadStorm],
+    ) -> Self {
+        check_storms(storms);
+        let machines = specs
+            .into_iter()
+            .zip(&mut loads)
+            .enumerate()
+            .map(|(i, (spec, stream))| {
+                Machine::new(
+                    spec,
+                    Trace::new(0.0, TRACE_DT, pull(stream, storms, i, 0, 1)),
+                )
+            })
+            .collect();
+        let avail = Trace::new(0.0, TRACE_DT, pull(&mut network, &[], 0, 0, 1));
+        Self {
+            platform: Platform {
+                machines,
+                network: Ethernet::new(NetworkSpec::default(), avail),
+                horizon: TRACE_DT,
+            },
+            loads,
+            network,
+            storms: storms.to_vec(),
+        }
+    }
+
+    /// The platform as generated so far; its `horizon` is the end of the
+    /// generated load.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
+    }
+
+    /// Generates load until the horizon lies strictly past `t`, so that
+    /// every read at or before `t` sees generated load, never a held last
+    /// value. Returns whether it had to generate any: `false` means the
+    /// platform already covered `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not finite.
+    pub fn cover(&mut self, t: f64) -> bool {
+        assert!(t.is_finite(), "cannot cover t = {t}");
+        self.grow_to((t / TRACE_DT).floor() as usize + 1)
+    }
+
+    /// The platform grown to `horizon`, with that horizon.
+    fn into_platform(mut self, horizon: f64) -> Platform {
+        assert!(horizon > 0.0);
+        self.grow_to((horizon / TRACE_DT).ceil() as usize);
+        self.platform.horizon = horizon;
+        self.platform
+    }
+
+    /// Extends every trace to `steps` samples; false if they had them.
+    fn grow_to(&mut self, steps: usize) -> bool {
+        let have = self.platform.network.avail.len();
+        if steps <= have {
+            return false;
+        }
+        let k = steps - have;
+        let machines = self.platform.machines.iter_mut().zip(&mut self.loads);
+        for (i, (machine, stream)) in machines.enumerate() {
+            machine.load.extend(&pull(stream, &self.storms, i, have, k));
+        }
+        let avail = &mut self.platform.network.avail;
+        avail.extend(&pull(&mut self.network, &[], 0, have, k));
+        self.platform.horizon = steps as f64 * TRACE_DT;
+        true
+    }
+}
+
+/// The next `k` samples of `stream`, steps `first..first + k` of the
+/// `TRACE_DT` grid from 0, with the storms on `machine` laid on them.
+fn pull(
+    stream: &mut Box<dyn LoadStream>,
+    storms: &[LoadStorm],
+    machine: usize,
+    first: usize,
+    k: usize,
+) -> Vec<f64> {
+    let mut values = stream.pull(k);
+    for (j, v) in values.iter_mut().enumerate() {
+        *v = stormed(storms, machine, (first + j) as f64 * TRACE_DT, *v);
+    }
+    values
+}
+
+fn platform1_specs() -> Vec<MachineSpec> {
+    vec![
+        MachineSpec::new("sparc2-a", MachineClass::Sparc2),
+        MachineSpec::new("sparc2-b", MachineClass::Sparc2),
+        MachineSpec::new("sparc5-a", MachineClass::Sparc5),
+        MachineSpec::new("sparc10-a", MachineClass::Sparc10),
+    ]
 }
 
 static DEDICATED: Dedicated = Dedicated { level: 1.0 };

@@ -37,32 +37,62 @@ pub struct Trace {
     t0: f64,
     dt: f64,
     values: Vec<f64>,
-    /// `prefix[k]` = integral of the trace over the first `k` whole steps
-    /// (Kahan-compensated, so 3600-step prefixes stay exact to ~1 ulp).
-    prefix: Vec<f64>,
+    /// `prefix.cum[k]` = integral of the trace over the first `k` whole
+    /// steps (Kahan-compensated, so 3600-step prefixes stay exact to ~1 ulp).
+    prefix: Prefix,
     /// Same, with each value clamped up to [`AVAIL_FLOOR`] — the work
     /// integration curve, strictly increasing and therefore searchable.
     /// Built only when some value lies below the floor: otherwise the
     /// clamp changes nothing and `prefix` is that curve, bit for bit.
-    prefix_floored: Option<Vec<f64>>,
+    prefix_floored: Option<Prefix>,
+}
+
+/// A Kahan-compensated cumulative integral of `values * dt`, each value
+/// clamped up to `floor` (`f64::NEG_INFINITY`: no clamp): `cum[k]` covers
+/// the first `k` whole steps. The running compensation is kept, so
+/// [`Prefix::push`] continues the one sequential fold — a prefix built in
+/// pieces is the prefix built in one go, bit for bit.
+#[derive(Debug, Clone)]
+struct Prefix {
+    cum: Vec<f64>,
+    comp: f64,
+    floor: f64,
+}
+
+impl Prefix {
+    fn new(dt: f64, values: &[f64], floor: f64) -> Self {
+        let mut cum = Vec::with_capacity(values.len() + 1);
+        cum.push(0.0);
+        let mut prefix = Self {
+            cum,
+            comp: 0.0,
+            floor,
+        };
+        prefix.push(dt, values);
+        prefix
+    }
+
+    fn push(&mut self, dt: f64, values: &[f64]) {
+        let (cum, floor) = (&mut self.cum, self.floor);
+        let mut sum = cum[cum.len() - 1];
+        let mut comp = self.comp;
+        cum.reserve(values.len());
+        for &v in values {
+            let y = v.max(floor) * dt - comp;
+            let t = sum + y;
+            comp = (t - sum) - y;
+            sum = t;
+            cum.push(sum);
+        }
+        self.comp = comp;
+    }
 }
 
 /// Builds the Kahan-compensated cumulative integral of `values * dt`,
 /// clamping each value up to `floor` (`f64::NEG_INFINITY`: no clamp).
 /// `out[k]` covers the first `k` whole steps; `out.len() == values.len() + 1`.
 pub(crate) fn cumulative_prefix(dt: f64, values: &[f64], floor: f64) -> Vec<f64> {
-    let mut out = Vec::with_capacity(values.len() + 1);
-    out.push(0.0);
-    let mut sum = 0.0;
-    let mut comp = 0.0;
-    for &v in values {
-        let y = v.max(floor) * dt - comp;
-        let t = sum + y;
-        comp = (t - sum) - y;
-        sum = t;
-        out.push(sum);
-    }
-    out
+    Prefix::new(dt, values, floor).cum
 }
 
 /// The step in which a cumulative curve crosses a target: `cum` holds the
@@ -214,17 +244,43 @@ impl Trace {
             values.iter().all(|v| v.is_finite()),
             "trace values must be finite"
         );
-        let prefix = cumulative_prefix(dt, &values, f64::NEG_INFINITY);
+        let prefix = Prefix::new(dt, &values, f64::NEG_INFINITY);
         let prefix_floored = values
             .iter()
             .any(|&v| v < AVAIL_FLOOR)
-            .then(|| cumulative_prefix(dt, &values, AVAIL_FLOOR));
+            .then(|| Prefix::new(dt, &values, AVAIL_FLOOR));
         Self {
             t0,
             dt,
             values,
             prefix,
             prefix_floored,
+        }
+    }
+
+    /// Appends `more` samples after the last, continuing both prefix
+    /// arrays from their carried compensation: the result is
+    /// `Trace::new` of all the values, bit for bit, for every query.
+    /// This is how a platform grows with a series clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any value of `more` is non-finite.
+    pub fn extend(&mut self, more: &[f64]) {
+        assert!(
+            more.iter().all(|v| v.is_finite()),
+            "trace values must be finite"
+        );
+        self.values.extend_from_slice(more);
+        self.prefix.push(self.dt, more);
+        match &mut self.prefix_floored {
+            Some(floored) => floored.push(self.dt, more),
+            // The first value below the floor: the floored curve, built
+            // now from every value, is the same sequential fold.
+            None if more.iter().any(|&v| v < AVAIL_FLOOR) => {
+                self.prefix_floored = Some(Prefix::new(self.dt, &self.values, AVAIL_FLOOR));
+            }
+            None => {}
         }
     }
 
@@ -275,6 +331,11 @@ impl Trace {
         false
     }
 
+    /// The work-integration curve: the floored prefix where one exists.
+    fn floored_cum(&self) -> &[f64] {
+        &self.prefix_floored.as_ref().unwrap_or(&self.prefix).cum
+    }
+
     /// The trace as a [`Curve`]: its own samples at scale 1.
     fn curve(&self) -> Curve<'_> {
         Curve {
@@ -296,7 +357,7 @@ impl Trace {
     ///
     /// Panics if `b < a`.
     pub fn mean_over(&self, a: f64, b: f64) -> f64 {
-        self.curve().mean_over(&self.prefix, a, b)
+        self.curve().mean_over(&self.prefix.cum, a, b)
     }
 
     /// Integral of the trace over `[a, b]`: the difference of two O(1)
@@ -306,7 +367,7 @@ impl Trace {
     ///
     /// Panics if `b < a`.
     pub fn integral(&self, a: f64, b: f64) -> f64 {
-        self.curve().integral(&self.prefix, a, b)
+        self.curve().integral(&self.prefix.cum, a, b)
     }
 
     /// How long work of `dedicated_work` seconds takes when started at
@@ -319,9 +380,8 @@ impl Trace {
     ///
     /// Panics if `dedicated_work < 0`.
     pub fn time_to_complete(&self, t0_work: f64, dedicated_work: f64) -> f64 {
-        let floored = self.prefix_floored.as_deref().unwrap_or(&self.prefix);
         self.curve()
-            .time_to_complete(floored, t0_work, dedicated_work)
+            .time_to_complete(self.floored_cum(), t0_work, dedicated_work)
     }
 
     /// Samples the trace every `interval` seconds over `[a, b)` — the NWS
@@ -538,9 +598,8 @@ mod tests {
     impl Trace {
         /// The whole-array oracle over this trace's floored prefix.
         fn time_to_complete_whole_array(&self, start: f64, work: f64) -> f64 {
-            let floored = self.prefix_floored.as_deref().unwrap_or(&self.prefix);
             self.curve()
-                .time_to_complete_whole_array(floored, start, work)
+                .time_to_complete_whole_array(self.floored_cum(), start, work)
         }
     }
 
@@ -575,14 +634,14 @@ mod tests {
     fn a_zero_availability_stretch_builds_and_uses_its_own_floored_curve() {
         let values = vec![0.5, 0.0, 0.0, 0.0, 1e-9, 0.25];
         let t = Trace::new(0.0, 2.0, values.clone());
-        let floored = t
+        let floored = &t
             .prefix_floored
-            .as_deref()
-            .expect("a value is below the floor");
-        assert_eq!(floored, &cumulative_prefix(2.0, &values, AVAIL_FLOOR)[..]);
+            .as_ref()
+            .expect("a value is below the floor")
+            .cum;
+        assert_eq!(floored, &cumulative_prefix(2.0, &values, AVAIL_FLOOR));
         assert_ne!(
-            floored,
-            &t.prefix[..],
+            floored, &t.prefix.cum,
             "the raw curve is flat where the floored one climbs"
         );
         // Work that has to cross the dead stretch: 1.0 from the first
