@@ -5,12 +5,13 @@
 //! a few dozen steps on, thousands of steps on or past the horizon), since
 //! the search gallops from where the work starts and `far` is its worst
 //! case: about twice the probes of a search over the whole array. Plus what it
-//! costs to generate the traces in the first place: a Platform-2 at the
-//! horizon the preset experiments start from and at the 60 000 s they
-//! used to generate, beside the whole experiment that now pays the former.
+//! costs to generate the traces in the first place: a Platform-2 at about
+//! the reach of a long preset series and at the 60 000 s the presets once
+//! generated, beside whole preset experiments, whose platforms grow with
+//! their clock.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use prodpred_core::platform2_experiment;
+use prodpred_core::{platform1_experiment, platform2_experiment};
 use prodpred_simgrid::{Platform, Trace};
 
 /// An hour of one-second availability samples with realistic structure:
@@ -68,9 +69,9 @@ fn bench_time_to_complete(c: &mut Criterion) {
             })
         });
     }
-    // By distance: the preset experiments' horizon and the one they used
-    // to generate, work that ends 0.3 s, 20 s and 5 000 s of dedicated
-    // time after it starts.
+    // By distance: about the reach of a long preset series and the horizon
+    // the presets once generated, work that ends 0.3 s, 20 s and 5 000 s
+    // of dedicated time after it starts.
     for steps in [2_048usize, 60_000] {
         let trace = hour_trace(steps);
         let starts: Vec<f64> = (0..256)
@@ -101,9 +102,14 @@ fn bench_platform_generation(c: &mut Criterion) {
             |b, &horizon| b.iter(|| black_box(Platform::platform2(black_box(42), horizon))),
         );
     }
-    group.bench_function("platform2_experiment/1600x10", |b| {
-        b.iter(|| black_box(platform2_experiment(black_box(42), 1600, 10)))
+    group.bench_function("platform1_experiment/3sizes", |b| {
+        b.iter(|| black_box(platform1_experiment(black_box(42), &[1000, 1600, 2000])))
     });
+    for n in [1000, 1600] {
+        group.bench_function(&format!("platform2_experiment/{n}x10"), |b| {
+            b.iter(|| black_box(platform2_experiment(black_box(42), n, 10)))
+        });
+    }
     group.finish();
 }
 
