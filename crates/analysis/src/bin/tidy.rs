@@ -12,8 +12,8 @@
 //! Output is byte-identical across repeated runs on an unchanged tree:
 //! the walk is sorted and the diagnostics are sorted.
 
-use prodpred_analysis::lints::{lint_source, Finding, CODES};
-use prodpred_analysis::walk::{default_root, workspace_files};
+use prodpred_analysis::lints::{lint_workspace, Finding, CODES};
+use prodpred_analysis::walk::default_root;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -51,15 +51,7 @@ fn run() -> Result<ExitCode, String> {
         println!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
     };
-    let mut findings: Vec<Finding> = Vec::new();
-    for rel in &workspace_files(&opts.root)? {
-        let path = opts.root.join(rel);
-        let src =
-            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        findings.extend(lint_source(rel, &src));
-    }
-    findings
-        .sort_by(|a, b| (&a.file, a.line, a.col, a.code).cmp(&(&b.file, b.line, b.col, b.code)));
+    let findings = lint_workspace(&opts.root)?;
 
     if opts.json {
         print_json(&findings);

@@ -4,10 +4,10 @@
 //! turns the determinism and fault-recovery invariants of PRs 1–4 from
 //! conventions into *checked* properties:
 //!
-//! * [`scan`] + [`lints`] — the `tidy` lint engine: a hand-rolled,
-//!   token-aware Rust source scanner (std-only, works offline, no rustc
-//!   plugin) implementing the repo-specific `PPnnn` lints with inline
-//!   justified suppressions. The tree is kept at zero findings: any
+//! * `scan` + [`lints`] (+ `surface`, PP011's cross-crate pass) — the
+//!   `tidy` lint engine: a hand-rolled, token-aware Rust source scanner
+//!   (std-only, works offline, no rustc plugin) implementing the
+//!   repo-specific `PPnnn` lints with inline justified suppressions. The tree is kept at zero findings: any
 //!   finding fails `cargo run -p prodpred-analysis --bin tidy -- --check`.
 //! * [`model`] — a bounded model checker that exhaustively enumerates
 //!   every interleaving of the SOR ghost-exchange mailbox protocol for
@@ -50,6 +50,7 @@ pub mod ckpt;
 pub mod lints;
 pub mod mc;
 pub mod model;
-pub mod scan;
+pub(crate) mod scan;
+mod surface;
 pub mod svc;
 pub mod walk;

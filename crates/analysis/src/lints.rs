@@ -16,8 +16,9 @@
 //! | PP008 | `std::net` socket usage outside the service crate's shell |
 //! | PP009 | wall-clock reads (`SystemTime::now`, `Instant::now`) in the service crate outside its shell |
 //! | PP010 | atomics (`Atomic*`, memory orderings) outside the audited concurrency modules |
+//! | PP011 | `pub` item no other crate names (see `surface.rs`); `allow(dead_code)`/`allow(unused…)` in library code |
 //!
-//! Matching runs over *masked* source (see [`crate::scan`]): strings,
+//! Matching runs over *masked* source (see `scan.rs`): strings,
 //! comments and doc examples can never trigger a lint. Findings are
 //! suppressed by an inline `// tidy:allow(PPnnn): reason` on the same
 //! line or on comment lines directly above; the reason text is
@@ -26,6 +27,9 @@
 use crate::scan::{
     analyze_regions, find_word, has_word, is_ident_char, mask_source, MaskedLine, Regions,
 };
+use crate::surface::{pp011, Scanned};
+use crate::walk::{read_only_files, workspace_files};
+use std::path::Path;
 
 /// One diagnostic produced by the lint engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +40,7 @@ pub struct Finding {
     pub line: usize,
     /// 1-based column (byte offset into the line).
     pub col: usize,
-    /// Stable lint code (`PP000` … `PP010`).
+    /// Stable lint code (`PP000` … `PP011`).
     pub code: &'static str,
     /// Human-readable description, stable across runs.
     pub message: String,
@@ -53,9 +57,9 @@ impl Finding {
 }
 
 /// All stable lint codes, in order.
-pub const CODES: [&str; 11] = [
+pub const CODES: [&str; 12] = [
     "PP000", "PP001", "PP002", "PP003", "PP004", "PP005", "PP006", "PP007", "PP008", "PP009",
-    "PP010",
+    "PP010", "PP011",
 ];
 
 /// Nondeterminism sources flagged by PP001.
@@ -120,6 +124,19 @@ const PP010_ATOMICS: [&str; 18] = [
     "AtomicPtr",
 ];
 
+/// Lint allows flagged by PP011's fence: each would silence the rustc
+/// `dead_code`/`unused` lints that finish what PP011's narrowing starts.
+const PP011_ALLOWS: [&str; 8] = [
+    "allow(dead_code",
+    "allow(unused)",
+    "allow(unused_imports",
+    "allow(unused_variables",
+    "allow(unused_mut",
+    "allow(unused_assignments",
+    "allow(unused_must_use",
+    "allow(unused_results",
+];
+
 /// Raw guard acquisitions flagged by PP005.
 const PP005_LOCKS: [&str; 6] = [
     ".lock().unwrap()",
@@ -182,7 +199,7 @@ fn service_shell(relpath: &str) -> bool {
     relpath == "crates/service/src/shell.rs" || relpath.starts_with("crates/service/src/bin/")
 }
 
-const FENCES: [TokenFence; 6] = [
+const FENCES: [TokenFence; 7] = [
     TokenFence {
         code: "PP001",
         tokens: &PP001_SOURCES,
@@ -265,18 +282,86 @@ const FENCES: [TokenFence; 6] = [
             format!("`{pat}` outside the audited atomics modules (service cache/resilience, crates/pool); route the state through them or justify with tidy:allow(PP010)")
         },
     },
+    // PP011's fence: once PP011 narrows an item no other crate names,
+    // rustc's `dead_code` lint (denied by CI's clippy job) reports it if
+    // nothing in its crate calls it either. An allow in library code
+    // would silently defeat that half.
+    TokenFence {
+        code: "PP011",
+        tokens: &PP011_ALLOWS,
+        applies: |_, scope, in_test| !in_test && !scope.bin,
+        message: |pat| {
+            format!("`{pat}` in library code silences the dead-code lint PP011 relies on; delete what it hides")
+        },
+    },
 ];
 
-/// Lints one source file, applying scoping rules and `tidy:allow`
+/// Lints the workspace under `root`: every per-file lint over the files
+/// `workspace_files` lists, then PP011 across them and the read-only
+/// trees, with `tidy:allow` suppressions applied. Returns the findings in
+/// (file, line, col, code) order. The `tidy` bin and the tier-1
+/// workspace test both call this, so they cannot drift apart.
+///
+/// # Errors
+///
+/// Returns the first I/O error hit while walking or reading the tree.
+pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
+    let linted = workspace_files(root)?;
+    let mut files = Vec::new();
+    for rel in linted.iter().chain(&read_only_files(root)?) {
+        let path = root.join(rel);
+        let src =
+            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let lines = mask_source(&src);
+        let regions = analyze_regions(&lines);
+        files.push(Scanned {
+            rel: rel.clone(),
+            lines,
+            regions,
+        });
+    }
+    let mut per_file: Vec<Vec<Finding>> = files[..linted.len()]
+        .iter()
+        .map(|f| file_findings(&f.rel, &f.lines, &f.regions))
+        .collect();
+    for (fi, finding) in pp011(&files) {
+        per_file[fi].push(finding);
+    }
+    let mut findings: Vec<Finding> = files
+        .iter()
+        .zip(per_file)
+        .flat_map(|(f, found)| suppressed(&f.rel, &f.lines, found))
+        .collect();
+    findings
+        .sort_by(|a, b| (&a.file, a.line, a.col, a.code).cmp(&(&b.file, b.line, b.col, b.code)));
+    Ok(findings)
+}
+
+/// Lints one source file with every per-file lint (all but PP011's
+/// cross-crate pass), applying scoping rules and `tidy:allow`
 /// suppressions. Returns the surviving findings in (line, col, code)
 /// order.
+// tidy:allow(PP011): the per-file engine the fixture goldens drive
 pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
     let lines = mask_source(src);
     let regions = analyze_regions(&lines);
+    let findings = file_findings(relpath, &lines, &regions);
+    suppressed(relpath, &lines, findings)
+}
+
+/// Applies `tidy:allow` suppressions and sorts by (line, col, code).
+fn suppressed(relpath: &str, lines: &[MaskedLine], mut findings: Vec<Finding>) -> Vec<Finding> {
+    apply_suppressions(relpath, lines, &mut findings);
+    findings.sort_by(|a, b| (a.line, a.col, a.code).cmp(&(b.line, b.col, b.code)));
+    findings
+}
+
+/// Every per-file finding of one masked file, before suppressions.
+fn file_findings(relpath: &str, lines: &[MaskedLine], regions: &Regions) -> Vec<Finding> {
     let scope = path_scope(relpath);
     let mut findings = Vec::new();
 
-    let hash_names = collect_hash_container_names(&lines);
+    let hash_names = collect_hash_container_names(lines);
 
     for (idx, line) in lines.iter().enumerate() {
         let in_test = scope.test_path || regions.in_test[idx];
@@ -309,11 +394,8 @@ pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
         }
     }
     if !scope.test_path && !scope.bin {
-        pp006(relpath, &lines, &regions, &mut findings);
+        pp006(relpath, lines, regions, &mut findings);
     }
-
-    apply_suppressions(relpath, &lines, &mut findings);
-    findings.sort_by(|a, b| (a.line, a.col, a.code).cmp(&(b.line, b.col, b.code)));
     findings
 }
 
@@ -684,8 +766,9 @@ fn docs_mention_errors(lines: &[MaskedLine], idx: usize) -> bool {
             }
             continue;
         }
-        if code_trim.starts_with("#[") || code_trim.starts_with("#!") {
-            continue; // attribute between docs and fn
+        let plain_comment = code_trim.is_empty() && !line.comment.trim().is_empty();
+        if code_trim.starts_with("#[") || code_trim.starts_with("#!") || plain_comment {
+            continue; // attribute or plain comment (a suppression) between docs and fn
         }
         return false;
     }

@@ -54,7 +54,7 @@ pub struct Violation {
 /// unlimited budget keeps their state counts bit-identical to the
 /// pre-kernel explorers.
 #[derive(Debug, Clone, Copy)]
-pub struct Budget {
+pub(crate) struct Budget {
     /// Deepest schedule expanded; deeper frontiers are pruned (and the
     /// run marked truncated) instead of explored.
     pub max_depth: usize,
@@ -103,6 +103,7 @@ impl ExploreStats {
 /// A model the kernel can explore: explicit state, enumerable
 /// transitions, and transition semantics that may themselves raise a
 /// safety violation.
+// tidy:allow(PP011): the kernel tests/svc_conformance.rs replays schedules through
 pub trait TransitionSystem {
     /// Fully explicit, hashable global state.
     type State: Clone + Eq + Hash;
@@ -171,7 +172,7 @@ fn trace_of<S: TransitionSystem>(sys: &S, stack: &[Frame<S>]) -> Vec<String> {
 /// Violations raised by [`TransitionSystem::apply`] are handled the same
 /// way.
 // tidy:allow(PP006): returns ExploreStats; the Result is the on_terminal closure's bound
-pub fn explore<S, F>(sys: &S, budget: &Budget, mut on_terminal: F) -> ExploreStats
+pub(crate) fn explore<S, F>(sys: &S, budget: &Budget, mut on_terminal: F) -> ExploreStats
 where
     S: TransitionSystem,
     F: FnMut(&S::State) -> Result<(), String>,
@@ -247,7 +248,11 @@ where
 /// is minimal, so a human can read why the seeded bug breaks the
 /// property.
 // tidy:allow(PP006): returns Option<Violation>; the Result is the on_terminal closure's bound
-pub fn shortest_violation<S, F>(sys: &S, budget: &Budget, mut on_terminal: F) -> Option<Violation>
+pub(crate) fn shortest_violation<S, F>(
+    sys: &S,
+    budget: &Budget,
+    mut on_terminal: F,
+) -> Option<Violation>
 where
     S: TransitionSystem,
     F: FnMut(&S::State) -> Result<(), String>,
@@ -329,7 +334,7 @@ where
 /// Exploration uses the same canonical-state dedup as [`explore`], so
 /// the schedules cover every distinct terminal reachable in the reduced
 /// graph rather than re-walking shared prefixes.
-pub fn collect_schedules<S>(sys: &S, limit: usize) -> Vec<Vec<S::Action>>
+pub(crate) fn collect_schedules<S>(sys: &S, limit: usize) -> Vec<Vec<S::Action>>
 where
     S: TransitionSystem,
 {

@@ -49,7 +49,7 @@ use prodpred_sor::{BlockLayout, Peer};
 /// Upper bound on ranks the fixed-size state encoding supports.
 pub const MAX_RANKS: usize = 4;
 /// Upper bound on half-iterations (sequence numbers fit in a u8).
-pub const MAX_HALVES: usize = 8;
+pub(crate) const MAX_HALVES: usize = 8;
 
 /// One checker configuration: topology, horizon, and fault model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +87,7 @@ enum Loc {
 
 /// How a worker's run ended (mirrors `parallel::WorkerEnd`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Status {
+pub(crate) enum Status {
     /// Still executing its script.
     Running,
     /// Completed every half-iteration.

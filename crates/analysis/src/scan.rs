@@ -20,7 +20,7 @@
 
 /// One source line after masking.
 #[derive(Debug, Clone)]
-pub struct MaskedLine {
+pub(crate) struct MaskedLine {
     /// The line's code with string/char contents and comments replaced by
     /// spaces. Columns are preserved, so byte offsets into `code` match
     /// the original source line.
@@ -45,7 +45,7 @@ enum Mode {
 /// Masks `src` into per-line code/comment channels. Never fails: on
 /// unterminated constructs the open mode simply runs to end of file,
 /// which is the useful behaviour for a linter.
-pub fn mask_source(src: &str) -> Vec<MaskedLine> {
+pub(crate) fn mask_source(src: &str) -> Vec<MaskedLine> {
     let chars: Vec<char> = src.chars().collect();
     let mut lines = Vec::new();
     let mut code = String::new();
@@ -175,7 +175,8 @@ pub fn mask_source(src: &str) -> Vec<MaskedLine> {
             }
             Mode::Str => {
                 let next = chars.get(i + 1).copied();
-                if c == '\\' && next.is_some() {
+                // An escaped line break still ends the line.
+                if c == '\\' && next.is_some_and(|n| n != '\n') {
                     code.push_str("  ");
                     i += 2;
                 } else if c == '"' {
@@ -275,13 +276,13 @@ fn is_char_literal(chars: &[char], i: usize) -> bool {
 }
 
 /// True for characters that can appear in a Rust identifier.
-pub fn is_ident_char(c: char) -> bool {
+pub(crate) fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
 /// Per-line region classification computed from the masked code.
 #[derive(Debug, Clone)]
-pub struct Regions {
+pub(crate) struct Regions {
     /// Line is inside a `#[cfg(test)]` module or function.
     pub in_test: Vec<bool>,
     /// Line is inside a trait implementation (`impl Trait for Type`).
@@ -301,7 +302,7 @@ enum RegionKind {
 /// `#[cfg(test)]` or `#[test]` attribute opens a test region, and an
 /// `impl … for …` header opens a trait-impl region. Regions nest; a line
 /// is "in test" when any enclosing region is.
-pub fn analyze_regions(lines: &[MaskedLine]) -> Regions {
+pub(crate) fn analyze_regions(lines: &[MaskedLine]) -> Regions {
     let mut in_test = vec![false; lines.len()];
     let mut in_trait_impl = vec![false; lines.len()];
     let mut stack: Vec<RegionKind> = Vec::new();
@@ -358,13 +359,13 @@ fn classify_header(pending: &str) -> RegionKind {
 }
 
 /// True when `word` occurs in `hay` at identifier boundaries.
-pub fn has_word(hay: &str, word: &str) -> bool {
+pub(crate) fn has_word(hay: &str, word: &str) -> bool {
     find_word(hay, word, 0).is_some()
 }
 
 /// Finds the next occurrence of `word` in `hay` at identifier boundaries,
 /// starting at byte offset `from`.
-pub fn find_word(hay: &str, word: &str, from: usize) -> Option<usize> {
+pub(crate) fn find_word(hay: &str, word: &str, from: usize) -> Option<usize> {
     let bytes = hay.as_bytes();
     let mut start = from;
     while let Some(pos) = hay[start..].find(word) {
@@ -407,6 +408,13 @@ mod tests {
         assert_eq!(lines[0].comment.trim(), ".unwrap() here");
         assert!(!lines[1].code.contains("expect"));
         assert!(lines[1].code.contains("c();"));
+    }
+
+    #[test]
+    fn an_escaped_line_break_in_a_string_keeps_the_line_count() {
+        let lines = mask_source("let s = \"a\\\n    b\";\nnext();");
+        assert_eq!(lines.len(), 3);
+        assert!(lines[2].code.contains("next()"));
     }
 
     #[test]

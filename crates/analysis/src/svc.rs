@@ -55,9 +55,9 @@
 use crate::mc::{self, ExploreStats, TransitionSystem, Violation};
 
 /// Upper bound on reader threads the fixed-size state encoding supports.
-pub const MAX_READERS: usize = 3;
+pub(crate) const MAX_READERS: usize = 3;
 /// Upper bound on cache shards (one query key per shard).
-pub const MAX_SHARDS: usize = 3;
+pub(crate) const MAX_SHARDS: usize = 3;
 /// Upper bound on published epochs.
 pub const MAX_EPOCHS: usize = 3;
 /// Sentinel for an unbounded token pool.
@@ -153,6 +153,7 @@ struct Reader {
 
 /// Global model state: fully explicit, hashable, fixed-size.
 #[derive(Clone, PartialEq, Eq, Hash)]
+// tidy:allow(PP011): the state type of the allowed Svc model
 pub struct SvcState {
     /// The `EpochSwap`'s published epoch (its value is that epoch's
     /// snapshot); 0 before the first publish.
@@ -179,6 +180,7 @@ pub enum Action {
 
 /// The serving-path transition system. Construct via [`Svc::new`], then
 /// explore with the [`mc`] kernel or the [`check`]/[`replay`] drivers.
+// tidy:allow(PP011): the model tests/svc_conformance.rs replays against the real cache
 pub struct Svc {
     config: SvcConfig,
 }

@@ -22,19 +22,28 @@ pub fn default_root() -> PathBuf {
 /// trees are scanned (`crates/`, `tests/`, `examples/`); vendored code
 /// and build output are skipped, as are the lint-test fixtures (which
 /// contain findings on purpose).
-///
-/// # Errors
-///
-/// Returns the first I/O error hit while reading a directory.
-pub fn workspace_files(root: &Path) -> Result<Vec<String>, String> {
+pub(crate) fn workspace_files(root: &Path) -> Result<Vec<String>, String> {
+    let mut files = files_under(root, &["crates", "tests", "examples"])?;
+    files.retain(|f| !f.starts_with("crates/analysis/tests/fixtures/"));
+    Ok(files)
+}
+
+/// The `.rs` files PP011 reads for uses but no lint ever checks: the
+/// standalone benchmark package, which must build unmodified against the
+/// workspace, so the names it imports count and its source is not ours to
+/// change.
+pub(crate) fn read_only_files(root: &Path) -> Result<Vec<String>, String> {
+    files_under(root, &["benchmark/src"])
+}
+
+fn files_under(root: &Path, tops: &[&str]) -> Result<Vec<String>, String> {
     let mut files = Vec::new();
-    for top in ["crates", "tests", "examples"] {
+    for top in tops {
         let dir = root.join(top);
         if dir.is_dir() {
             collect(root, &dir, &mut files)?;
         }
     }
-    files.retain(|f| !f.starts_with("crates/analysis/tests/fixtures/"));
     files.sort();
     Ok(files)
 }
@@ -87,5 +96,18 @@ mod tests {
         let mut sorted = files.clone();
         sorted.sort();
         assert_eq!(files, sorted, "walk order must be sorted");
+    }
+
+    #[test]
+    fn benchmark_sources_are_read_for_uses_and_never_linted() {
+        let root = default_root();
+        let read = read_only_files(&root).unwrap();
+        assert!(
+            read.iter().any(|f| f == "benchmark/src/main.rs"),
+            "{read:?}"
+        );
+        assert!(read.iter().all(|f| f.starts_with("benchmark/src/")));
+        let linted = workspace_files(&root).unwrap();
+        assert!(linted.iter().all(|f| !f.starts_with("benchmark/")));
     }
 }

@@ -4,7 +4,7 @@
 //! `UPDATE_FIXTURES=1 cargo test -p prodpred-analysis --test fixtures`
 //! and review the diff.
 
-use prodpred_analysis::lints::lint_source;
+use prodpred_analysis::lints::{lint_source, lint_workspace};
 use std::path::Path;
 use std::process::Command;
 
@@ -25,10 +25,13 @@ fn render_fixture(name: &str) -> String {
 }
 
 fn check(name: &str) {
-    let rendered = render_fixture(name);
+    check_rendered(name, &render_fixture(name));
+}
+
+fn check_rendered(name: &str, rendered: &str) {
     let expected_path = format!("{}/{name}.expected", fixture_dir());
     if std::env::var_os("UPDATE_FIXTURES").is_some() {
-        std::fs::write(&expected_path, &rendered).expect("write golden");
+        std::fs::write(&expected_path, rendered).expect("write golden");
         return;
     }
     let expected = std::fs::read_to_string(&expected_path).expect("golden exists");
@@ -73,6 +76,20 @@ fn pp006_errors_docs() {
 #[test]
 fn pp010_unfenced_atomics() {
     check("pp010");
+}
+
+/// PP011 is cross-crate, so its fixture is a small workspace: two library
+/// crates, a bin, an integration test, an example and a read-only
+/// benchmark package, each naming some of `alpha`'s items.
+#[test]
+fn pp011_public_items_no_other_crate_names() {
+    let root = Path::new(&fixture_dir()).join("pp011");
+    let rendered: String = lint_workspace(&root)
+        .expect("fixture workspace")
+        .iter()
+        .map(|f| f.render() + "\n")
+        .collect();
+    check_rendered("pp011", &rendered);
 }
 
 #[test]

@@ -21,7 +21,7 @@ pub const RANKS: usize = 4;
 pub const CHECKPOINT_EVERY: usize = 4;
 pub const CAMPAIGN_SEED: u64 = 4242;
 
-pub fn snappy() -> ExchangePolicy {
+pub(crate) fn snappy() -> ExchangePolicy {
     ExchangePolicy {
         timeout: std::time::Duration::from_millis(200),
         retries: 1,

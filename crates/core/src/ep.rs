@@ -24,7 +24,7 @@ pub struct EpJob {
 impl EpJob {
     /// Dedicated seconds per unit on machine `i` of `platform`, scaled by
     /// the machine's per-element benchmark relative to the Sparc-10.
-    pub fn unit_secs_on(&self, platform: &Platform, i: usize) -> f64 {
+    pub(crate) fn unit_secs_on(&self, platform: &Platform, i: usize) -> f64 {
         let reference = prodpred_simgrid::MachineClass::Sparc10.benchmark_secs_per_element();
         let ratio = platform.machines[i].spec.class.benchmark_secs_per_element() / reference;
         self.unit_dedicated_secs * ratio
@@ -32,7 +32,7 @@ impl EpJob {
 
     /// The stochastic per-unit time on machine `i` given a stochastic
     /// availability: `unit_secs / load`.
-    pub fn stochastic_unit_time(
+    pub(crate) fn stochastic_unit_time(
         &self,
         platform: &Platform,
         i: usize,
@@ -46,7 +46,7 @@ impl EpJob {
 /// The EP structural model: `ExTime = Max_p (units_p * unit_time_p)`,
 /// with stochastic unit times. No communication term — the units are
 /// independent.
-pub fn predict_ep(
+pub(crate) fn predict_ep(
     job: &EpJob,
     platform: &Platform,
     alloc: &[u64],
@@ -68,7 +68,7 @@ pub fn predict_ep(
 
 /// Result of one simulated EP execution.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EpRun {
+pub(crate) struct EpRun {
     /// Wall-clock completion (slowest machine).
     pub total_secs: f64,
     /// Per-machine finish times.
@@ -78,7 +78,12 @@ pub struct EpRun {
 /// Simulates a statically allocated EP execution: machine `i` grinds
 /// through `alloc[i]` units starting at `start_time`, with wall-clock time
 /// integrating against its availability trace.
-pub fn simulate_ep(job: &EpJob, platform: &Platform, alloc: &[u64], start_time: f64) -> EpRun {
+pub(crate) fn simulate_ep(
+    job: &EpJob,
+    platform: &Platform,
+    alloc: &[u64],
+    start_time: f64,
+) -> EpRun {
     assert_eq!(alloc.len(), platform.machines.len());
     let per_machine_secs: Vec<f64> = alloc
         .iter()

@@ -147,6 +147,7 @@ pub fn run_series(
 /// configured `staleness_aware`. Runs whose prediction cannot be issued
 /// at all (every in-use sensor history empty) are skipped and counted,
 /// not panicked on.
+// tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
 pub fn run_series_faulted(
     platform: &Platform,
     sizes: &[usize],
@@ -162,6 +163,7 @@ pub fn run_series_faulted(
 /// A fault-injected series run under a [`Supervisor`]: recovery
 /// accounting rides alongside the degradation accounting.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+// tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
 pub struct SupervisedSeries {
     /// The predicted-vs-actual records (abandoned runs excluded).
     pub series: ExperimentSeries,
@@ -180,6 +182,7 @@ pub struct SupervisedSeries {
 /// losing it. Per-machine diagnostic queries route through the
 /// supervisor's circuit breakers: a machine whose sensor keeps failing
 /// is short-circuited (counted as degraded) until its cooldown elapses.
+// tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
 pub fn run_series_supervised(
     platform: &Platform,
     sizes: &[usize],
@@ -375,7 +378,7 @@ fn run_series_inner(
 
 /// The machine classes of Platform 1, for building a matching dedicated
 /// platform.
-pub const PLATFORM1_CLASSES: [MachineClass; 4] = [
+pub(crate) const PLATFORM1_CLASSES: [MachineClass; 4] = [
     MachineClass::Sparc2,
     MachineClass::Sparc2,
     MachineClass::Sparc5,
@@ -491,6 +494,7 @@ fn faulted_config(seed: u64, faults: &FaultConfig) -> (FaultPlan, ExperimentConf
 /// [`platform1_experiment`], but sensors miss/delay/corrupt polls per
 /// `faults`, load storms perturb the ground truth, and predictions flow
 /// through the degradation-aware query chain.
+// tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
 pub fn platform1_experiment_with_faults(
     seed: u64,
     sizes: &[usize],
@@ -533,6 +537,7 @@ pub fn platform2_experiment_with_faults(
 /// setup of [`platform2_experiment_with_faults`] plus bounded prediction
 /// retries and a per-machine circuit breaker (3 consecutive sensor
 /// failures open it for two minutes of simulated time).
+// tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
 pub fn platform2_experiment_supervised(
     seed: u64,
     n: usize,
@@ -757,7 +762,7 @@ mod tests {
                 let horizon = platform.platform().horizon;
                 assert!(horizon > end_clock, "seed {seed}: {horizon} <= {end_clock}");
                 assert!(
-                    horizon <= reach + prodpred_simgrid::platform::TRACE_DT,
+                    horizon <= reach + platform.platform().network.avail.dt(),
                     "seed {seed}: generated to {horizon}, read to {end_clock}, reached {reach}"
                 );
             }

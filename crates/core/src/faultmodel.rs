@@ -52,21 +52,21 @@ use serde::{Deserialize, Serialize};
 
 /// Measured healthy checkpoint overhead from `BENCH_chaos.json`: one
 /// snapshot over 480 iterations cost ≈0.66% of the solve.
-pub const ANCHOR_OVERHEAD: f64 = 0.0066;
+pub(crate) const ANCHOR_OVERHEAD: f64 = 0.0066;
 /// Iterations of the overhead anchor measurement.
-pub const ANCHOR_ITERATIONS: f64 = 480.0;
+pub(crate) const ANCHOR_ITERATIONS: f64 = 480.0;
 /// Snapshots taken in the anchor measurement (cadence 240 → 1).
-pub const ANCHOR_CHECKPOINTS: f64 = 1.0;
+pub(crate) const ANCHOR_CHECKPOINTS: f64 = 1.0;
 
 /// Cost of writing one checkpoint, in iteration-times, from the anchor.
-pub fn checkpoint_cost_iterations() -> f64 {
+pub(crate) fn checkpoint_cost_iterations() -> f64 {
     ANCHOR_OVERHEAD * ANCHOR_ITERATIONS / ANCHOR_CHECKPOINTS
 }
 
 /// The kill-count distribution at fault `intensity`: healthy mass
 /// interpolates from 1 down to the campaign's 25%, the faulty tail
 /// scales linearly. `intensity` 1 is exactly the campaign distribution.
-pub fn kill_distribution(intensity: f64) -> [f64; 5] {
+pub(crate) fn kill_distribution(intensity: f64) -> [f64; 5] {
     let mut dist = [0.0; 5];
     dist[0] = 1.0 - (1.0 - CAMPAIGN_KILL_WEIGHTS[0]) * intensity;
     for (k, w) in CAMPAIGN_KILL_WEIGHTS.iter().enumerate().skip(1) {
@@ -207,7 +207,7 @@ fn expect_for_kill_count(
 
 /// Seconds a launch at `start` waits for NWS blackout windows to pass,
 /// chaining through overlapping or adjacent windows.
-pub fn blackout_delay(cfg: &FaultConfig, start: f64) -> f64 {
+pub(crate) fn blackout_delay(cfg: &FaultConfig, start: f64) -> f64 {
     let mut t = start;
     loop {
         let mut advanced = false;
@@ -286,7 +286,7 @@ pub fn spread_widening(cfg: &FaultConfig) -> f64 {
 
 /// Amortized checkpoint write overhead for a solve of `iterations`
 /// iterations under `policy`, as a fraction of the healthy runtime.
-pub fn checkpoint_overhead_fraction(policy: CheckpointPolicy, iterations: usize) -> f64 {
+pub(crate) fn checkpoint_overhead_fraction(policy: CheckpointPolicy, iterations: usize) -> f64 {
     if iterations == 0 {
         return 0.0;
     }

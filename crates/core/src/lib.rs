@@ -56,18 +56,21 @@ pub mod supervisor;
 pub mod sweep;
 
 pub use advisor::{deadline_report, service_range, DeadlineReport, PredictionQuality};
-pub use ep::{ep_policy_study, predict_ep, simulate_ep, EpJob, EpRun, EpStudyRow};
+pub use ep::{ep_policy_study, EpJob, EpStudyRow};
 pub use faultmodel::{
-    blackout_delay, checkpoint_overhead_fraction, kill_distribution, predict_campaign,
-    spread_widening, storm_stretched_secs, CampaignPrediction, FaultModel,
+    predict_campaign, spread_widening, storm_stretched_secs, CampaignPrediction, FaultModel,
 };
 pub use grid::{simulate_grid_sharded, GridSimConfig, GridSimResult, TenantSpec};
 
 pub use experiment::{
-    dedicated_check, platform1_experiment, platform1_experiment_with_faults, platform2_experiment,
-    platform2_experiment_supervised, platform2_experiment_with_faults, run_series,
-    run_series_faulted, run_series_supervised, DedicatedCheck, DegradationStats, ExperimentConfig,
-    ExperimentSeries, FaultedSeries, RunRecord, SupervisedSeries,
+    dedicated_check, platform1_experiment, platform2_experiment, platform2_experiment_with_faults,
+    run_series, DedicatedCheck, DegradationStats, ExperimentConfig, ExperimentSeries,
+    FaultedSeries, RunRecord,
+};
+// tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
+pub use experiment::{
+    platform1_experiment_with_faults, platform2_experiment_supervised, run_series_faulted,
+    run_series_supervised, SupervisedSeries,
 };
 pub use predictor::{
     predict_dedicated, LoadSource, LoadView, Prediction, PredictorConfig, PredictorError,
@@ -82,5 +85,5 @@ pub use supervisor::{
 };
 pub use sweep::{
     platform1_fault_sweep, platform1_seed_sweep, platform2_fault_sweep, platform2_seed_sweep,
-    sweep_accuracy, FaultStudyRow, SweepSummary,
+    FaultStudyRow, SweepSummary,
 };

@@ -37,7 +37,7 @@ pub enum AllocationPolicy {
 
 impl AllocationPolicy {
     /// The effective unit-work time this policy plans with.
-    pub fn effective_time(&self, unit: StochasticValue) -> f64 {
+    pub(crate) fn effective_time(&self, unit: StochasticValue) -> f64 {
         match *self {
             AllocationPolicy::ByMean => unit.mean(),
             AllocationPolicy::RiskAverse { lambda } => unit.mean() + lambda * unit.sd(),

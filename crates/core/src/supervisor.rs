@@ -126,11 +126,6 @@ impl CircuitBreaker {
         self.state
     }
 
-    /// Times this breaker has tripped open.
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
     /// Whether a request at simulated time `t` may go through. An open
     /// breaker transitions to half-open once `t` passes its cooldown.
     pub fn allows(&mut self, t: f64) -> bool {
@@ -241,14 +236,10 @@ impl Supervisor {
     /// Attaches one breaker per resource `0..resources`, each tripping
     /// after `threshold` consecutive failures and cooling down for
     /// `cooldown_secs`.
+    // tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
     pub fn with_breakers(mut self, resources: usize, threshold: u32, cooldown_secs: f64) -> Self {
         self.breakers = vec![CircuitBreaker::new(threshold, cooldown_secs); resources];
         self
-    }
-
-    /// The retry policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// Accumulated recovery statistics.
@@ -256,15 +247,10 @@ impl Supervisor {
         self.stats
     }
 
-    /// The breaker guarding `resource`, if one was configured.
-    pub fn breaker(&self, resource: usize) -> Option<&CircuitBreaker> {
-        self.breakers.get(resource)
-    }
-
     /// Whether a query against `resource` at simulated time `t` should
     /// be attempted. Resources without a configured breaker are always
     /// allowed; a short-circuit is counted in the stats.
-    pub fn query_allowed(&mut self, resource: usize, t: f64) -> bool {
+    pub(crate) fn query_allowed(&mut self, resource: usize, t: f64) -> bool {
         let Some(b) = self.breakers.get_mut(resource) else {
             return true;
         };
@@ -277,7 +263,7 @@ impl Supervisor {
 
     /// Feeds a query outcome for `resource` at simulated time `t` into
     /// its breaker (no-op if none is configured).
-    pub fn record_query_outcome(&mut self, resource: usize, t: f64, ok: bool) {
+    pub(crate) fn record_query_outcome(&mut self, resource: usize, t: f64, ok: bool) {
         if let Some(b) = self.breakers.get_mut(resource) {
             if ok {
                 b.record_success();
@@ -412,6 +398,20 @@ mod tests {
     use prodpred_simgrid::faults::WorkerDeath;
     use prodpred_sor::{partition_equal, solve_seq, BlockLayout};
     use std::time::Duration;
+
+    impl Supervisor {
+        /// The breaker guarding `resource`, if one was configured.
+        pub(crate) fn breaker(&self, resource: usize) -> Option<&CircuitBreaker> {
+            self.breakers.get(resource)
+        }
+    }
+
+    impl CircuitBreaker {
+        /// Times this breaker has tripped open.
+        pub(crate) fn trips(&self) -> u64 {
+            self.trips
+        }
+    }
 
     fn snappy() -> ExchangePolicy {
         ExchangePolicy {

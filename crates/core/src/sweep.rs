@@ -46,7 +46,7 @@ pub fn platform2_seed_sweep(
 
 /// Per-seed accuracy of a sweep, in sweep order. Series with no runs are
 /// skipped.
-pub fn sweep_accuracy(sweep: &[ExperimentSeries]) -> Vec<AccuracyReport> {
+pub(crate) fn sweep_accuracy(sweep: &[ExperimentSeries]) -> Vec<AccuracyReport> {
     sweep
         .iter()
         .filter_map(ExperimentSeries::accuracy)

@@ -427,6 +427,7 @@ impl AdaptiveForecaster {
     }
 
     /// An ensemble with explicit strategies.
+    // tidy:allow(PP011): oracle for crates/nws/tests/tournament.rs
     pub fn with_strategies(strategies: Vec<Box<dyn Forecaster + Send + Sync>>) -> Self {
         assert!(!strategies.is_empty(), "ensemble needs strategies");
         Self { strategies }

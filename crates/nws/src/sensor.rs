@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 /// A periodic sampler of one resource.
 #[derive(Debug, Clone)]
+// tidy:allow(PP011): fixture of tests/serialization.rs and crates/nws/tests/tournament.rs
 pub struct Sensor {
     /// Resource label, e.g. `"cpu:sparc2-a"`.
     pub name: String,
@@ -58,6 +59,7 @@ impl Sensor {
     /// Like [`Sensor::new`], forecasting with `ensemble`. The ensemble is
     /// not part of the wire form: a deserialised sensor forecasts with
     /// the standard one.
+    // tidy:allow(PP011): fixture of tests/serialization.rs and crates/nws/tests/tournament.rs
     pub fn with_ensemble(
         name: impl Into<String>,
         interval: f64,
@@ -83,6 +85,7 @@ impl Sensor {
     ///
     /// An `until` earlier than the next scheduled poll is a no-op (the
     /// schedule never runs backwards, and nothing is recorded).
+    // tidy:allow(PP011): oracle for crates/nws/tests/tournament.rs
     pub fn poll_until(&mut self, trace: &Trace, until: f64) {
         self.poll_until_with(trace, until, None);
     }
@@ -99,6 +102,7 @@ impl Sensor {
     ///
     /// Regardless of faults, any non-finite value is discarded and
     /// counted in [`Sensor::corrupt_polls`] instead of being pushed.
+    // tidy:allow(PP011): fixture of tests/serialization.rs and crates/nws/tests/tournament.rs
     pub fn poll_until_with(&mut self, trace: &Trace, until: f64, faults: Option<&SensorFaults>) {
         let retained = self.series.len();
         let (mut pushed, mut evicted) = (false, false);
@@ -173,6 +177,7 @@ impl Sensor {
     }
 
     /// Time of the next scheduled poll.
+    // tidy:allow(PP011): fixture of tests/serialization.rs and crates/nws/tests/tournament.rs
     pub fn next_poll(&self) -> f64 {
         self.next_poll
     }
@@ -191,7 +196,7 @@ impl Sensor {
     /// seconds. Infinite while the history is empty — with dropout or a
     /// blackout the freshest data can be arbitrarily old, and queries
     /// widen their spread accordingly.
-    pub fn age_at(&self, now: f64) -> f64 {
+    pub(crate) fn age_at(&self, now: f64) -> f64 {
         match self.series.last() {
             Some((t, _)) => (now - t).max(0.0),
             None => f64::INFINITY,

@@ -61,11 +61,6 @@ impl TimeSeries {
         self.values.is_empty()
     }
 
-    /// The retention bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The most recent measurement.
     pub fn last(&self) -> Option<(f64, f64)> {
         match (self.times.back(), self.values.back()) {
@@ -81,14 +76,14 @@ impl TimeSeries {
 
     /// Values oldest-first as the ring's two runs (the second is empty
     /// when the ring has not wrapped): a view, no copy.
-    pub fn value_slices(&self) -> (&[f64], &[f64]) {
+    pub(crate) fn value_slices(&self) -> (&[f64], &[f64]) {
         self.values.as_slices()
     }
 
     /// Values oldest-first as one slice, borrowed when the ring is
     /// contiguous — which a [`crate::Sensor`] restores after every poll
     /// batch — and copied only when it has wrapped.
-    pub fn contiguous_values(&self) -> Cow<'_, [f64]> {
+    pub(crate) fn contiguous_values(&self) -> Cow<'_, [f64]> {
         match self.value_slices() {
             (all, []) => Cow::Borrowed(all),
             _ => Cow::Owned(self.values()),
@@ -102,30 +97,28 @@ impl TimeSeries {
 
     /// The most recent `n` values, oldest-first (fewer if not available),
     /// as a view: no copy.
-    pub fn recent_values(&self, n: usize) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn recent_values(&self, n: usize) -> impl Iterator<Item = f64> + '_ {
         let start = self.values.len().saturating_sub(n);
         self.values.range(start..).copied()
     }
 
     /// The most recent `n` values, oldest-first (fewer if not available).
+    // tidy:allow(PP011): property-tested by crates/nws/tests/properties.rs
     pub fn recent(&self, n: usize) -> Vec<f64> {
         self.recent_values(n).collect()
-    }
-
-    /// Timestamps oldest-first.
-    pub fn times(&self) -> Vec<f64> {
-        self.times.iter().copied().collect()
-    }
-
-    /// Value at index `i` (0 = oldest).
-    pub fn value_at(&self, i: usize) -> f64 {
-        self.values[i]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TimeSeries {
+        /// Timestamps oldest-first.
+        pub(crate) fn times(&self) -> Vec<f64> {
+            self.times.iter().copied().collect()
+        }
+    }
 
     #[test]
     fn push_and_query() {

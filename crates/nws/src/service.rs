@@ -207,16 +207,6 @@ impl NwsService {
         }
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> NwsConfig {
-        self.config
-    }
-
     /// Number of monitored machines.
     pub fn n_machines(&self) -> usize {
         self.cpu.len()
@@ -362,19 +352,6 @@ impl NwsService {
         self.query_from(&self.bandwidth)
     }
 
-    /// Fault-aware available-bandwidth query in bytes/second.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`QueryError`] only when the series holds no measurement
-    /// history at all.
-    pub fn bandwidth_query(&self, platform: &Platform) -> Result<QuerySummary, QueryError> {
-        self.bandwidth_fraction_query().map(|mut q| {
-            q.value = q.value.scale(platform.network.spec.dedicated_bw);
-            q
-        })
-    }
-
     /// Scheduled polls machine `i`'s sensor missed (dropout/blackout),
     /// and measurements it discarded as corrupt.
     pub fn cpu_sensor_health(&self, i: usize) -> (u64, u64) {
@@ -398,22 +375,9 @@ impl NwsService {
         self.stochastic_from(&self.bandwidth)
     }
 
-    /// Stochastic available bandwidth in bytes/second.
-    pub fn bandwidth_stochastic(&self, platform: &Platform) -> Option<StochasticValue> {
-        self.bandwidth_fraction_stochastic()
-            .map(|f| f.scale(platform.network.spec.dedicated_bw))
-    }
-
-    /// Estimated autocorrelation time of machine `i`'s load, in seconds:
-    /// `tau = -interval / ln(rho1)` from the lag-1 autocorrelation of the
-    /// retained history. `None` until enough data (>= 8 samples) or when
-    /// the series is constant.
-    pub fn cpu_autocorrelation_time(&self, i: usize) -> Option<f64> {
-        let sensor = read_lock(&self.cpu[i]);
-        self.autocorrelation_time_of(&sensor.series().contiguous_values())
-    }
-
-    /// [`NwsService::cpu_autocorrelation_time`] of a history in hand.
+    /// Estimated autocorrelation time of a load history, in seconds:
+    /// `tau = -interval / ln(rho1)` from its lag-1 autocorrelation. `None`
+    /// below 8 samples or on a constant series.
     pub(crate) fn autocorrelation_time_of(&self, history: &[f64]) -> Option<f64> {
         if history.len() < 8 {
             return None;
@@ -462,12 +426,6 @@ impl NwsService {
         modal_of(&sensor.series().contiguous_values()).or_else(|| self.stochastic_of(&sensor))
     }
 
-    /// The resource label of machine `i`'s CPU sensor, e.g.
-    /// `"cpu:sparc2-a"`.
-    pub fn cpu_resource_name(&self, i: usize) -> String {
-        read_lock(&self.cpu[i]).name.clone()
-    }
-
     /// The latest raw CPU measurement for machine `i`.
     pub fn cpu_last(&self, i: usize) -> Option<(f64, f64)> {
         read_lock(&self.cpu[i]).series().last()
@@ -476,11 +434,6 @@ impl NwsService {
     /// The latest raw bandwidth measurement.
     pub fn bandwidth_last(&self) -> Option<(f64, f64)> {
         read_lock(&self.bandwidth).series().last()
-    }
-
-    /// A copy of machine `i`'s retained CPU history values.
-    pub fn cpu_history(&self, i: usize) -> Vec<f64> {
-        read_lock(&self.cpu[i]).series().values()
     }
 }
 
@@ -495,6 +448,46 @@ pub(crate) fn modal_of(history: &[f64]) -> Option<StochasticValue> {
 mod tests {
     use super::*;
     use prodpred_simgrid::Platform;
+
+    impl NwsService {
+        /// Fault-aware available-bandwidth query in bytes/second.
+        ///
+        /// # Errors
+        ///
+        /// Returns a [`QueryError`] only when the series holds no measurement
+        /// history at all.
+        pub(crate) fn bandwidth_query(
+            &self,
+            platform: &Platform,
+        ) -> Result<QuerySummary, QueryError> {
+            self.bandwidth_fraction_query().map(|mut q| {
+                q.value = q.value.scale(platform.network.spec.dedicated_bw);
+                q
+            })
+        }
+
+        /// Stochastic available bandwidth in bytes/second.
+        pub(crate) fn bandwidth_stochastic(&self, platform: &Platform) -> Option<StochasticValue> {
+            self.bandwidth_fraction_stochastic()
+                .map(|f| f.scale(platform.network.spec.dedicated_bw))
+        }
+    }
+
+    impl NwsService {
+        /// Estimated autocorrelation time of machine `i`'s load, in seconds:
+        /// `tau = -interval / ln(rho1)` from the lag-1 autocorrelation of the
+        /// retained history. `None` until enough data (>= 8 samples) or when
+        /// the series is constant.
+        pub(crate) fn cpu_autocorrelation_time(&self, i: usize) -> Option<f64> {
+            let sensor = read_lock(&self.cpu[i]);
+            self.autocorrelation_time_of(&sensor.series().contiguous_values())
+        }
+
+        /// A copy of machine `i`'s retained CPU history values.
+        pub(crate) fn cpu_history(&self, i: usize) -> Vec<f64> {
+            read_lock(&self.cpu[i]).series().values()
+        }
+    }
 
     #[test]
     fn attaches_one_sensor_per_machine() {

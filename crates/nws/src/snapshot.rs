@@ -34,8 +34,7 @@ pub struct HorizonBasis {
     pub mean: f64,
     /// Full-history variance.
     pub variance: f64,
-    /// Estimated autocorrelation time in seconds
-    /// ([`NwsService::cpu_autocorrelation_time`]); `None` below 8 samples
+    /// Estimated autocorrelation time in seconds; `None` below 8 samples
     /// or on a constant series.
     pub tau: Option<f64>,
 }

@@ -56,7 +56,7 @@ fn available() -> usize {
 
 /// Resolves a caller-supplied thread count: `0` means "auto"
 /// ([`num_threads`]), anything else is used as given.
-pub fn resolve_threads(threads: usize) -> usize {
+pub(crate) fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         num_threads()
     } else {

@@ -408,11 +408,6 @@ impl ServiceCore {
         core
     }
 
-    /// The configuration the core was built with.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     /// One ingest step: advances both platforms' sensors by
     /// `publish_interval` simulated seconds, publishes fresh snapshots,
     /// and invalidates both caches. Concurrent callers serialize; the
@@ -428,6 +423,7 @@ impl ServiceCore {
     /// tick did (index 0 = platform 1). The admission miss budget
     /// refills on every tick, publishing or not — the deadline passes
     /// regardless.
+    // tidy:allow(PP011): the tick report tests/service_core.rs pins
     pub fn ingest_tick_report(&self) -> [IngestOutcome; 2] {
         self.admission.refill();
         let a = self.platforms[0].try_tick(self.config.publish_interval, &self.config);
@@ -700,9 +696,6 @@ impl ServiceCore {
         }
     }
 }
-
-/// A convenience handle for sharing a core across threads.
-pub type SharedCore = Arc<ServiceCore>;
 
 #[cfg(test)]
 mod tests {

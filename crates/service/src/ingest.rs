@@ -16,7 +16,7 @@ use prodpred_core::supervisor::{BreakerState, CircuitBreaker, Supervisor};
 /// One platform's supervised ingest: clock, breaker, watchdog reference
 /// point and accounting.
 #[derive(Debug)]
-pub struct SupervisedIngest {
+pub(crate) struct SupervisedIngest {
     /// Runs the retry loop and keeps its counters (retries, backoff,
     /// recoveries, exhausted ticks).
     supervisor: Supervisor,
@@ -121,7 +121,7 @@ impl SupervisedIngest {
     }
 
     /// The ingest circuit breaker.
-    pub fn breaker(&self) -> &CircuitBreaker {
+    pub(crate) fn breaker(&self) -> &CircuitBreaker {
         &self.breaker
     }
 

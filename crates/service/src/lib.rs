@@ -47,7 +47,6 @@ pub mod swap;
 pub use cache::{CacheConfig, CacheStats, EpochCache, QueryKey};
 pub use core::{
     PredictRequest, PredictResponse, ServiceConfig, ServiceCore, ServiceError, ServiceStats,
-    SharedCore,
 };
 pub use http::{handle, HttpResponse};
 pub use replay::{percentile_us, request_for, request_path, ReplayReport};

@@ -54,7 +54,7 @@ impl Default for ServingState {
 
 impl ServingState {
     /// One level worse (saturating at [`ServingState::Unavailable`]).
-    pub fn escalate(self) -> Self {
+    pub(crate) fn escalate(self) -> Self {
         match self {
             Self::Healthy => Self::Degraded,
             Self::Degraded => Self::Stale,
@@ -93,7 +93,7 @@ impl ServingState {
 /// band)` — the NWS per-sensor staleness discipline lifted to the
 /// service level. Exactly `1.0` inside the healthy band (a healthy
 /// answer's bits are never touched), monotone non-decreasing in age.
-pub fn widening_factor(age_ticks: u64, healthy: u64) -> f64 {
+pub(crate) fn widening_factor(age_ticks: u64, healthy: u64) -> f64 {
     let extra = age_ticks.saturating_sub(healthy);
     if extra == 0 {
         1.0
@@ -118,7 +118,7 @@ pub struct AdmissionConfig {
 
 impl AdmissionConfig {
     /// No shedding at all (the default: PR 7 behavior).
-    pub fn unbounded() -> Self {
+    pub(crate) fn unbounded() -> Self {
         Self {
             miss_tokens_per_tick: u64::MAX,
         }
@@ -242,7 +242,7 @@ impl TickMirror {
 
     /// Publishes whether the breaker is open (or half-open) for
     /// lock-free readers.
-    pub fn set_breaker(&self, state: BreakerState) {
+    pub(crate) fn set_breaker(&self, state: BreakerState) {
         self.breaker_open
             .store(state != BreakerState::Closed, Ordering::Relaxed);
     }
@@ -253,12 +253,12 @@ impl TickMirror {
     }
 
     /// Publishes the Retry-After hint (whole seconds).
-    pub fn set_retry_hint(&self, secs: u64) {
+    pub(crate) fn set_retry_hint(&self, secs: u64) {
         self.retry_hint.store(secs, Ordering::Relaxed);
     }
 
     /// The current Retry-After hint (whole seconds).
-    pub fn retry_hint(&self) -> u64 {
+    pub(crate) fn retry_hint(&self) -> u64 {
         self.retry_hint.load(Ordering::Relaxed)
     }
 }
@@ -269,7 +269,7 @@ impl TickMirror {
 ///
 /// [`ServiceStats`]: crate::core::ServiceStats
 #[derive(Debug, Default)]
-pub struct ServingCounters {
+pub(crate) struct ServingCounters {
     queries: AtomicU64,
     rejected: AtomicU64,
     unavailable: AtomicU64,
@@ -284,7 +284,7 @@ impl ServingCounters {
 
     /// One query answered 200; `degraded` when it was served in a
     /// non-Healthy state.
-    pub fn record_served(&self, degraded: bool) {
+    pub(crate) fn record_served(&self, degraded: bool) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         if degraded {
             self.degraded_served.fetch_add(1, Ordering::Relaxed);
@@ -292,12 +292,12 @@ impl ServingCounters {
     }
 
     /// One query rejected (any typed error).
-    pub fn record_rejected(&self) {
+    pub(crate) fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One query refused 503 (Unavailable).
-    pub fn record_unavailable(&self) {
+    pub(crate) fn record_unavailable(&self) {
         self.unavailable.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -10,7 +10,6 @@
 //!   deterministically from a seed — used by tests and default figures so
 //!   results replay exactly.
 
-use crate::rng::uniform01;
 use prodpred_stochastic::dist::Distribution;
 use prodpred_stochastic::Normal;
 use rand::rngs::StdRng;
@@ -42,7 +41,7 @@ pub fn run_sort_benchmark(n: usize, reps: usize, seed: u64) -> Vec<f64> {
 
 /// Deterministically simulated dedicated-machine sort runtimes:
 /// `base_secs` with normal jitter of relative sd `jitter_rel`.
-pub fn simulated_sort_runtimes(
+pub(crate) fn simulated_sort_runtimes(
     base_secs: f64,
     jitter_rel: f64,
     reps: usize,
@@ -62,23 +61,24 @@ pub fn figure1_runtimes(reps: usize, seed: u64) -> Vec<f64> {
     simulated_sort_runtimes(11.0, 0.136, reps, seed)
 }
 
-/// A deterministic pseudo-work kernel for calibration tests: performs a
-/// fixed number of floating-point operations and returns a checksum so the
-/// optimizer cannot elide the work.
-pub fn spin_flops(ops: u64, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut acc = uniform01(&mut rng);
-    for i in 0..ops {
-        acc = acc.mul_add(0.999_999_9, 1.0e-7 * ((i & 0xFF) as f64));
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::uniform01;
     use prodpred_stochastic::fit::normality_report;
     use prodpred_stochastic::Summary;
+
+    /// A deterministic pseudo-work kernel for calibration tests: performs a
+    /// fixed number of floating-point operations and returns a checksum so the
+    /// optimizer cannot elide the work.
+    pub(crate) fn spin_flops(ops: u64, seed: u64) -> f64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut acc = uniform01(&mut rng);
+        for i in 0..ops {
+            acc = acc.mul_add(0.999_999_9, 1.0e-7 * ((i & 0xFF) as f64));
+        }
+        acc
+    }
 
     #[test]
     fn real_sort_benchmark_returns_positive_times() {

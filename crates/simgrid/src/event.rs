@@ -62,12 +62,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// The current simulation time (the timestamp of the last popped
-    /// event, or zero).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
     /// Schedules `payload` at absolute time `time`.
     ///
     /// # Panics
@@ -90,23 +84,12 @@ impl<T> EventQueue<T> {
         self.seq += 1;
     }
 
-    /// Schedules `payload` at `now + delay`.
-    pub fn schedule_in(&mut self, delay: f64, payload: T) {
-        assert!(delay >= 0.0, "delay must be non-negative");
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, T)> {
         self.heap.pop().map(|e| {
             self.now = e.time;
             (e.time, e.payload)
         })
-    }
-
-    /// Peeks at the next event time without advancing the clock.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
@@ -123,6 +106,27 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> EventQueue<T> {
+        /// The current simulation time (the timestamp of the last popped
+        /// event, or zero).
+        pub(crate) fn now(&self) -> f64 {
+            self.now
+        }
+    }
+
+    impl<T> EventQueue<T> {
+        /// Schedules `payload` at `now + delay`.
+        pub(crate) fn schedule_in(&mut self, delay: f64, payload: T) {
+            assert!(delay >= 0.0, "delay must be non-negative");
+            self.schedule(self.now + delay, payload);
+        }
+
+        /// Peeks at the next event time without advancing the clock.
+        pub(crate) fn peek_time(&self) -> Option<f64> {
+            self.heap.peek().map(|e| e.time)
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -216,7 +216,7 @@ impl GridPlatform {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn class_of(&self, i: usize) -> MachineClass {
+    pub(crate) fn class_of(&self, i: usize) -> MachineClass {
         self.classes
             .iter()
             .find(|r| i >= r.machine_lo && i < r.machine_hi)
@@ -250,7 +250,7 @@ impl GridPlatform {
     /// Total bytes of trace state: store columns + built prefixes +
     /// per-machine slots. Excludes the (single, machine-count-independent)
     /// network trace.
-    pub fn trace_bytes(&self) -> usize {
+    pub(crate) fn trace_bytes(&self) -> usize {
         self.store.bytes() + self.slots.len() * std::mem::size_of::<MachineSlot>()
     }
 

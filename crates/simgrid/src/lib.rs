@@ -58,5 +58,5 @@ pub use machine::{Machine, MachineClass, MachineSpec};
 pub use memory::PagingModel;
 pub use network::{Ethernet, NetworkSpec};
 pub use platform::{GrowingPlatform, Platform};
-pub use store::{MachineSlot, TemplateSpec, TraceRef, TraceStore};
+pub use store::{MachineSlot, TraceRef, TraceStore};
 pub use trace::Trace;

@@ -17,20 +17,22 @@
 //! reproducible.
 
 use crate::event::EventQueue;
-use crate::rng::{exponential, uniform01, weighted_index};
+use crate::rng::{exponential, weighted_index};
 use crate::trace::Trace;
 use prodpred_stochastic::dist::Distribution;
 use prodpred_stochastic::Normal;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Lowest availability a trace will report — a production machine always
 /// makes *some* progress.
+// tidy:allow(PP011): the bounds and stream fixtures of crates/simgrid/tests/properties.rs
 pub const MIN_AVAILABILITY: f64 = 0.01;
 
 /// Highest availability — daemons and interrupts keep a real workstation
 /// just below 1.0 (the paper's top mode sits at 0.94).
+// tidy:allow(PP011): the bounds and stream fixtures of crates/simgrid/tests/properties.rs
 pub const MAX_AVAILABILITY: f64 = 1.0;
 
 fn clamp_avail(x: f64) -> f64 {
@@ -58,6 +60,7 @@ pub trait LoadGenerator {
 /// platforms pull from as their clock advances. Every `stream` method's
 /// iterator is one; a pull of many samples is one dynamic call over a
 /// loop compiled for the generator.
+// tidy:allow(PP011): the bounds and stream fixtures of crates/simgrid/tests/properties.rs
 pub trait LoadStream: Send {
     /// The next `k` samples, in order.
     fn pull(&mut self, k: usize) -> Vec<f64>;
@@ -71,6 +74,7 @@ impl<I: Iterator<Item = f64> + Send> LoadStream for I {
 
 /// A dedicated machine: constant availability (default 1.0).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+// tidy:allow(PP011): the bounds and stream fixtures of crates/simgrid/tests/properties.rs
 pub struct Dedicated {
     /// The constant availability level.
     pub level: f64,
@@ -375,9 +379,6 @@ impl LoadGenerator for SessionLoad {
     }
 }
 
-/// A boxed generator, letting platforms mix regimes per machine.
-pub type BoxedLoad = Box<dyn LoadGenerator + Send + Sync>;
-
 /// Convenience: generate with a derived per-machine seed so each machine in
 /// a platform gets an independent but reproducible stream.
 pub fn derive_seed(experiment_seed: u64, machine_index: usize) -> u64 {
@@ -397,13 +398,13 @@ pub fn derive_seed(experiment_seed: u64, machine_index: usize) -> u64 {
 /// autocorrelation *across* boundaries (each chunk opens in a fresh
 /// stationary state) but buys order-independence: chunks can be generated
 /// in any order, on any worker, and the assembled trace is bit-identical.
-/// This is the discipline behind [`crate::Platform::from_generators_streamed`]
-/// and the columnar [`crate::store::TraceStore`] templates.
+/// This is the discipline behind the columnar [`crate::store::TraceStore`]
+/// templates.
 ///
 /// # Panics
 ///
 /// Panics if `chunk_steps == 0` or the chunk lies beyond `steps`.
-pub fn generate_chunk(
+pub(crate) fn generate_chunk(
     generator: &dyn LoadGenerator,
     stream_seed: u64,
     t0: f64,
@@ -422,64 +423,53 @@ pub fn generate_chunk(
         .into_values()
 }
 
-/// Assembles a full chunked trace sequentially — the reference the
-/// parallel streamed builders are pinned against. Bit-identical to any
-/// chunk generation order because each chunk is pure (see
-/// [`generate_chunk`]).
-///
-/// # Panics
-///
-/// Panics if `steps == 0` or `chunk_steps == 0`.
-pub fn generate_chunked(
-    generator: &dyn LoadGenerator,
-    stream_seed: u64,
-    t0: f64,
-    dt: f64,
-    steps: usize,
-    chunk_steps: usize,
-) -> Trace {
-    assert!(steps > 0, "trace needs at least one step");
-    let mut values = Vec::with_capacity(steps);
-    for chunk_index in 0..steps.div_ceil(chunk_steps) {
-        values.extend_from_slice(&generate_chunk(
-            generator,
-            stream_seed,
-            t0,
-            dt,
-            steps,
-            chunk_steps,
-            chunk_index,
-        ));
-    }
-    Trace::new(t0, dt, values)
-}
-
-/// Draws a single availability value from the stationary distribution of a
-/// generator by generating a tiny trace — used for spot checks.
-pub fn spot_sample(generator: &dyn LoadGenerator, seed: u64) -> f64 {
-    generator.generate(seed, 0.0, 1.0, 1).values()[0]
-}
-
-/// Fraction of steps within `tol` of any of the given mode means — a
-/// diagnostic the tests use to confirm modal structure.
-pub fn modal_occupancy(trace: &Trace, means: &[f64], tol: f64) -> f64 {
-    let hits = trace
-        .values()
-        .iter()
-        .filter(|&&v| means.iter().any(|&m| (v - m).abs() <= tol))
-        .count();
-    hits as f64 / trace.len() as f64
-}
-
-#[allow(unused)]
-fn _assert_traits(rng: &mut dyn RngCore) {
-    let _ = uniform01(rng);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use prodpred_stochastic::Summary;
+
+    /// Assembles a full chunked trace sequentially — the reference the
+    /// parallel streamed builders are pinned against. Bit-identical to any
+    /// chunk generation order because each chunk is pure (see
+    /// [`generate_chunk`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps == 0` or `chunk_steps == 0`.
+    pub(crate) fn generate_chunked(
+        generator: &dyn LoadGenerator,
+        stream_seed: u64,
+        t0: f64,
+        dt: f64,
+        steps: usize,
+        chunk_steps: usize,
+    ) -> Trace {
+        assert!(steps > 0, "trace needs at least one step");
+        let mut values = Vec::with_capacity(steps);
+        for chunk_index in 0..steps.div_ceil(chunk_steps) {
+            values.extend_from_slice(&generate_chunk(
+                generator,
+                stream_seed,
+                t0,
+                dt,
+                steps,
+                chunk_steps,
+                chunk_index,
+            ));
+        }
+        Trace::new(t0, dt, values)
+    }
+
+    /// Fraction of steps within `tol` of any of the given mode means — a
+    /// diagnostic the tests use to confirm modal structure.
+    pub(crate) fn modal_occupancy(trace: &Trace, means: &[f64], tol: f64) -> f64 {
+        let hits = trace
+            .values()
+            .iter()
+            .filter(|&&v| means.iter().any(|&m| (v - m).abs() <= tol))
+            .count();
+        hits as f64 / trace.len() as f64
+    }
 
     #[test]
     fn dedicated_is_constant() {
@@ -514,7 +504,7 @@ mod tests {
         for w in v.windows(2) {
             num += (w[0] - s.mean()) * (w[1] - s.mean());
         }
-        let rho = num / ((v.len() - 1) as f64 * s.population_variance());
+        let rho = num / (v.len() as f64 * s.variance());
         assert!((rho - 0.9).abs() < 0.05, "autocorrelation {rho}");
     }
 
@@ -641,11 +631,5 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, derive_seed(1, 0));
-    }
-
-    #[test]
-    fn spot_sample_in_range() {
-        let v = spot_sample(&SingleModeAr1::platform1_center(), 11);
-        assert!((MIN_AVAILABILITY..=MAX_AVAILABILITY).contains(&v));
     }
 }

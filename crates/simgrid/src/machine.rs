@@ -39,23 +39,10 @@ impl MachineClass {
         }
     }
 
-    /// Floating-point operations needed per SOR element update
-    /// (`Op(p, Elt)`): 4 neighbour adds, multiply by `omega/4`, one
-    /// subtract and one add for the relaxation — ~7 flops plus indexing.
-    pub fn ops_per_element(self) -> f64 {
-        10.0
-    }
-
-    /// Seconds per operation (`CPU_p`), consistent with the benchmark:
-    /// `BM = Op * CPU`.
-    pub fn secs_per_op(self) -> f64 {
-        self.benchmark_secs_per_element() / self.ops_per_element()
-    }
-
     /// Physical memory in megabytes — bounds the largest in-core problem
     /// (Figure 9 is restricted to "problem sizes which fit within main
     /// memory").
-    pub fn memory_mb(self) -> f64 {
+    pub(crate) fn memory_mb(self) -> f64 {
         match self {
             MachineClass::Sparc2 => 64.0,
             MachineClass::Sparc5 => 96.0,
@@ -94,7 +81,7 @@ impl MachineSpec {
     }
 
     /// Dedicated time to process `elements` grid elements, in seconds.
-    pub fn dedicated_compute_secs(&self, elements: f64) -> f64 {
+    pub(crate) fn dedicated_compute_secs(&self, elements: f64) -> f64 {
         assert!(elements >= 0.0);
         elements * self.class.benchmark_secs_per_element()
     }
@@ -125,28 +112,40 @@ impl Machine {
         Self { spec, load }
     }
 
-    /// CPU availability at time `t`.
-    pub fn availability(&self, t: f64) -> f64 {
-        self.load.at(t)
-    }
-
     /// Wall-clock seconds to compute `elements` grid elements starting at
     /// time `t`, integrating work against the availability trace.
     pub fn compute_secs(&self, elements: f64, t: f64) -> f64 {
         let work = self.spec.dedicated_compute_secs(elements);
         self.load.time_to_complete(t, work)
     }
-
-    /// Mean availability over a window — what a coarse benchmark would
-    /// report ("a mean capacity measure over a 24-hour period").
-    pub fn mean_availability(&self, a: f64, b: f64) -> f64 {
-        self.load.mean_over(a, b)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MachineClass {
+        /// Floating-point operations needed per SOR element update
+        /// (`Op(p, Elt)`): 4 neighbour adds, multiply by `omega/4`, one
+        /// subtract and one add for the relaxation — ~7 flops plus indexing.
+        pub(crate) fn ops_per_element(self) -> f64 {
+            10.0
+        }
+
+        /// Seconds per operation (`CPU_p`), consistent with the benchmark:
+        /// `BM = Op * CPU`.
+        pub fn secs_per_op(self) -> f64 {
+            self.benchmark_secs_per_element() / self.ops_per_element()
+        }
+    }
+
+    impl Machine {
+        /// Mean availability over a window — what a coarse benchmark would
+        /// report ("a mean capacity measure over a 24-hour period").
+        pub(crate) fn mean_availability(&self, a: f64, b: f64) -> f64 {
+            self.load.mean_over(a, b)
+        }
+    }
 
     #[test]
     fn class_ordering_by_speed() {

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 pub const BYTES_PER_ELEMENT: f64 = 8.0;
 
 /// Working-set overhead factor: ghost rows, solver state, the OS.
-pub const WORKING_SET_FACTOR: f64 = 2.0;
+pub(crate) const WORKING_SET_FACTOR: f64 = 2.0;
 
 /// Paging model parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -38,20 +38,15 @@ impl Default for PagingModel {
 
 impl PagingModel {
     /// Bytes of memory the strip of `elements` grid elements needs.
-    pub fn working_set_bytes(&self, elements: f64) -> f64 {
+    pub(crate) fn working_set_bytes(&self, elements: f64) -> f64 {
         elements * BYTES_PER_ELEMENT * WORKING_SET_FACTOR
     }
 
     /// Overcommit ratio for a strip on a machine: working set over usable
     /// memory. `<= 1` means in-core.
-    pub fn overcommit(&self, spec: &MachineSpec, elements: f64) -> f64 {
+    pub(crate) fn overcommit(&self, spec: &MachineSpec, elements: f64) -> f64 {
         let usable = spec.class.memory_mb() * 1024.0 * 1024.0 * self.usable_fraction;
         self.working_set_bytes(elements) / usable
-    }
-
-    /// Whether the strip fits in core.
-    pub fn fits_in_core(&self, spec: &MachineSpec, elements: f64) -> bool {
-        self.overcommit(spec, elements) <= 1.0
     }
 
     /// The compute-time inflation factor from paging (1.0 when in-core).
@@ -78,6 +73,13 @@ impl PagingModel {
 mod tests {
     use super::*;
     use crate::machine::{MachineClass, MachineSpec};
+
+    impl PagingModel {
+        /// Whether the strip fits in core.
+        pub(crate) fn fits_in_core(&self, spec: &MachineSpec, elements: f64) -> bool {
+            self.overcommit(spec, elements) <= 1.0
+        }
+    }
 
     fn sparc2() -> MachineSpec {
         MachineSpec::new("s2", MachineClass::Sparc2)

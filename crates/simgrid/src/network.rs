@@ -36,14 +36,6 @@ impl Default for NetworkSpec {
     }
 }
 
-impl NetworkSpec {
-    /// Dedicated transfer time for a message of `bytes`.
-    pub fn dedicated_transfer_secs(&self, bytes: f64) -> f64 {
-        assert!(bytes >= 0.0);
-        self.latency + bytes / self.dedicated_bw
-    }
-}
-
 /// Generator for the available-bandwidth-fraction trace.
 ///
 /// Defaults reproduce the paper's Figure 3: on a 10 Mbit network the
@@ -142,11 +134,6 @@ impl Ethernet {
         }
     }
 
-    /// Available bandwidth (bytes/s) at time `t`.
-    pub fn bandwidth_at(&self, t: f64) -> f64 {
-        self.spec.dedicated_bw * self.avail.at(t)
-    }
-
     /// Wall-clock seconds to transfer `bytes` starting at `t`, integrating
     /// against the availability trace, plus latency.
     pub fn transfer_secs(&self, bytes: f64, t: f64) -> f64 {
@@ -158,22 +145,32 @@ impl Ethernet {
         let work = bytes / self.spec.dedicated_bw; // dedicated seconds
         self.spec.latency + self.avail.time_to_complete(t + self.spec.latency, work)
     }
-
-    /// Measured point-to-point bandwidth samples in Mbit/s at the NWS
-    /// cadence — the data behind the paper's Figure 3 histogram.
-    pub fn bandwidth_samples_mbit(&self, a: f64, b: f64, interval: f64) -> Vec<f64> {
-        self.avail
-            .sample_every(a, b, interval)
-            .into_iter()
-            .map(|(_, frac)| frac * self.spec.dedicated_bw * 8.0 / 1.0e6)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use prodpred_stochastic::Summary;
+
+    impl Ethernet {
+        /// Measured point-to-point bandwidth samples in Mbit/s at the NWS
+        /// cadence — the data behind the paper's Figure 3 histogram.
+        pub(crate) fn bandwidth_samples_mbit(&self, a: f64, b: f64, interval: f64) -> Vec<f64> {
+            self.avail
+                .sample_every(a, b, interval)
+                .into_iter()
+                .map(|(_, frac)| frac * self.spec.dedicated_bw * 8.0 / 1.0e6)
+                .collect()
+        }
+    }
+
+    impl NetworkSpec {
+        /// Dedicated transfer time for a message of `bytes`.
+        pub(crate) fn dedicated_transfer_secs(&self, bytes: f64) -> f64 {
+            assert!(bytes >= 0.0);
+            self.latency + bytes / self.dedicated_bw
+        }
+    }
 
     #[test]
     fn dedicated_transfer_time() {

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 /// Resolution of generated load traces, seconds. Finer than the NWS's
 /// 5-second sensor cadence so sensors observe genuine variation.
-pub const TRACE_DT: f64 = 1.0;
+pub(crate) const TRACE_DT: f64 = 1.0;
 
 /// A complete production environment: machines plus the shared segment.
 ///
@@ -62,7 +62,7 @@ impl Platform {
     }
 
     /// Builds a platform from specs and per-machine load generators.
-    pub fn from_generators(
+    pub(crate) fn from_generators(
         specs: Vec<MachineSpec>,
         generators: &[&dyn LoadGenerator],
         network_avail: Trace,
@@ -79,70 +79,6 @@ impl Platform {
             .map(|(i, (spec, g))| {
                 let load = g.generate(derive_seed(seed, i), 0.0, TRACE_DT, steps);
                 Machine::new(spec, load)
-            })
-            .collect();
-        Self {
-            machines,
-            network: Ethernet::new(NetworkSpec::default(), network_avail),
-            horizon,
-        }
-    }
-
-    /// Builds a platform by generating every machine's load trace in
-    /// fixed-size chunks fanned over the work pool: each chunk is a pure
-    /// function of `(machine, chunk index, seed)` (see
-    /// [`crate::load::generate_chunk`]), so generation order — and the
-    /// thread count — is irrelevant to the result. Machine `i`'s chunk
-    /// stream is seeded exactly like [`Platform::from_generators`] seeds
-    /// its whole-trace generation (`derive_seed(seed, i)`), but the chunk
-    /// discipline restarts the process at chunk boundaries, so the two
-    /// constructors produce *different* (both valid) trace realizations.
-    ///
-    /// For grids where even one trace per machine is too much memory, use
-    /// [`crate::store::TraceStore::generate_streamed`] instead — this
-    /// constructor still materializes a full [`Trace`] per machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `specs` and `generators` differ in length, or
-    /// `horizon <= 0`, or `chunk_steps == 0`.
-    pub fn from_generators_streamed(
-        specs: Vec<MachineSpec>,
-        generators: &[&(dyn LoadGenerator + Sync)],
-        network_avail: Trace,
-        seed: u64,
-        horizon: f64,
-        chunk_steps: usize,
-        threads: usize,
-    ) -> Self {
-        assert_eq!(specs.len(), generators.len());
-        assert!(horizon > 0.0);
-        assert!(chunk_steps > 0, "chunk_steps must be positive");
-        let steps = (horizon / TRACE_DT).ceil() as usize;
-        let n_chunks = steps.div_ceil(chunk_steps);
-        let tasks: Vec<(usize, usize)> = (0..specs.len())
-            .flat_map(|m| (0..n_chunks).map(move |k| (m, k)))
-            .collect();
-        let blocks = prodpred_pool::parallel_map(&tasks, threads, |_, &(m, k)| {
-            crate::load::generate_chunk(
-                generators[m],
-                derive_seed(seed, m),
-                0.0,
-                TRACE_DT,
-                steps,
-                chunk_steps,
-                k,
-            )
-        });
-        let machines = specs
-            .into_iter()
-            .enumerate()
-            .map(|(m, spec)| {
-                let mut values = Vec::with_capacity(steps);
-                for k in 0..n_chunks {
-                    values.extend_from_slice(&blocks[m * n_chunks + k]);
-                }
-                Machine::new(spec, Trace::new(0.0, TRACE_DT, values))
             })
             .collect();
         Self {
@@ -177,23 +113,9 @@ impl Platform {
     /// sets how much is generated, so `platform1(seed, h)` is a
     /// sample-for-sample prefix of `platform1(seed, 2.0 * h)` and anything
     /// that reads only times inside `h` gets the same bits from both. The
-    /// same holds for [`Platform::platform1_free`] and
-    /// [`Platform::platform2`].
+    /// same holds for [`Platform::platform2`].
     pub fn platform1(seed: u64, horizon: f64) -> Self {
         GrowingPlatform::platform1(seed, &[]).into_platform(horizon)
-    }
-
-    /// Platform 1 with free-running tri-modal load on every machine — used
-    /// to build the Figure-5 histogram and the long multi-mode traces.
-    /// Prefix stable in `horizon`, as [`Platform::platform1`].
-    pub fn platform1_free(seed: u64, horizon: f64, mean_dwell: f64) -> Self {
-        let tri = MarkovModal::platform1(mean_dwell);
-        let loads = (0..4)
-            .map(|i| Box::new(tri.stream(derive_seed(seed, i), TRACE_DT)) as Box<dyn LoadStream>)
-            .collect();
-        let network = EthernetContention::default().stream(derive_seed(seed, 100), TRACE_DT);
-        GrowingPlatform::new(platform1_specs(), loads, Box::new(network), &[])
-            .into_platform(horizon)
     }
 
     /// Platform 2: Sparc-5, Sparc-10, two UltraSparcs, 4-modal bursty load
@@ -440,37 +362,6 @@ mod tests {
     fn machines_get_independent_loads() {
         let p = Platform::platform2(4, 600.0);
         assert_ne!(p.machines[2].load, p.machines[3].load);
-    }
-
-    #[test]
-    fn streamed_platform_is_thread_count_invariant() {
-        let bursty = MarkovModal::platform2(25.0);
-        let build = |threads: usize| {
-            Platform::from_generators_streamed(
-                vec![
-                    MachineSpec::new("u-a", MachineClass::UltraSparc),
-                    MachineSpec::new("u-b", MachineClass::UltraSparc),
-                    MachineSpec::new("s5", MachineClass::Sparc5),
-                ],
-                &[&bursty, &bursty, &bursty],
-                Trace::constant(0.0, TRACE_DT, 0.9, 700),
-                21,
-                700.0,
-                128,
-                threads,
-            )
-        };
-        let one = build(1);
-        for threads in [2usize, 4, 8] {
-            let many = build(threads);
-            for (a, b) in one.machines.iter().zip(&many.machines) {
-                assert_eq!(a.load, b.load, "{} at {threads} threads", a.spec.name);
-            }
-        }
-        // Chunk assembly matches direct chunked generation per machine.
-        let direct =
-            crate::load::generate_chunked(&bursty, derive_seed(21, 1), 0.0, TRACE_DT, 700, 128);
-        assert_eq!(one.machines[1].load, direct);
     }
 
     #[test]

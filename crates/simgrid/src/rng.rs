@@ -10,19 +10,13 @@ pub fn uniform01(rng: &mut dyn RngCore) -> f64 {
     (rng.next_u64() >> 11) as f64 * SCALE
 }
 
-/// A uniform draw in `[lo, hi)`.
-pub fn uniform(rng: &mut dyn RngCore, lo: f64, hi: f64) -> f64 {
-    assert!(hi >= lo, "uniform range inverted: [{lo}, {hi})");
-    lo + (hi - lo) * uniform01(rng)
-}
-
 /// An exponential draw with the given rate (mean `1/rate`), for Poisson
 /// arrivals and session lifetimes.
 ///
 /// # Panics
 ///
 /// Panics unless `rate > 0`.
-pub fn exponential(rng: &mut dyn RngCore, rate: f64) -> f64 {
+pub(crate) fn exponential(rng: &mut dyn RngCore, rate: f64) -> f64 {
     assert!(rate > 0.0, "exponential rate must be positive");
     let u = loop {
         let u = uniform01(rng);
@@ -38,7 +32,7 @@ pub fn exponential(rng: &mut dyn RngCore, rate: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `weights` is empty or sums to zero.
-pub fn weighted_index(rng: &mut dyn RngCore, weights: &[f64]) -> usize {
+pub(crate) fn weighted_index(rng: &mut dyn RngCore, weights: &[f64]) -> usize {
     assert!(!weights.is_empty(), "weighted_index needs weights");
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "weights must sum to a positive value");
@@ -57,6 +51,12 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A uniform draw in `[lo, hi)`.
+    fn uniform(rng: &mut dyn RngCore, lo: f64, hi: f64) -> f64 {
+        assert!(hi >= lo, "uniform range inverted: [{lo}, {hi})");
+        lo + (hi - lo) * uniform01(rng)
+    }
 
     #[test]
     fn uniform_respects_bounds() {

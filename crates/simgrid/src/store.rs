@@ -29,11 +29,11 @@ use crate::trace::{cumulative_prefix, Curve, Trace, AVAIL_FLOOR};
 use std::sync::OnceLock;
 
 /// Smallest per-machine value scale a slot may carry.
-pub const SCALE_LO: f64 = 0.85;
+pub(crate) const SCALE_LO: f64 = 0.85;
 
 /// Largest per-machine value scale (1.0 keeps availability ≤ the
 /// template's ceiling).
-pub const SCALE_HI: f64 = 1.0;
+pub(crate) const SCALE_HI: f64 = 1.0;
 
 /// One template column: a padded value block plus its lazily-built
 /// Kahan-compensated prefix integral.
@@ -95,7 +95,7 @@ impl MachineSlot {
 }
 
 /// A template generator and how many independent columns it contributes.
-pub struct TemplateSpec<'a> {
+pub(crate) struct TemplateSpec<'a> {
     /// The load process shared by every column of this group.
     pub generator: &'a (dyn LoadGenerator + Sync),
     /// Number of independent template columns to generate.
@@ -113,9 +113,6 @@ pub struct TraceStore {
     /// Extra leading samples available for phase shifts.
     pad: usize,
     columns: Vec<Column>,
-    /// Smallest sample across all columns; construction asserts
-    /// `min_value * SCALE_LO > AVAIL_FLOOR`.
-    min_value: f64,
 }
 
 impl TraceStore {
@@ -126,7 +123,7 @@ impl TraceStore {
     /// Panics if `dt <= 0`, `steps == 0`, `columns` is empty, any column
     /// has the wrong padded length or a non-finite value, or any value
     /// scaled by [`SCALE_LO`] does not clear the work-integration floor.
-    pub fn from_columns(
+    pub(crate) fn from_columns(
         t0: f64,
         dt: f64,
         steps: usize,
@@ -162,7 +159,6 @@ impl TraceStore {
             steps,
             pad,
             columns,
-            min_value,
         }
     }
 
@@ -180,7 +176,7 @@ impl TraceStore {
     // Every parameter is independently meaningful grid geometry; bundling
     // them into a one-use params struct would just rename the call site.
     #[allow(clippy::too_many_arguments)]
-    pub fn generate_streamed(
+    pub(crate) fn generate_streamed(
         seed: u64,
         t0: f64,
         dt: f64,
@@ -235,29 +231,9 @@ impl TraceStore {
         self.t0
     }
 
-    /// Step width in seconds.
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// Visible steps per machine view.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
-    /// Phase-shift pad in steps.
-    pub fn pad(&self) -> usize {
-        self.pad
-    }
-
     /// Number of template columns.
     pub fn columns(&self) -> usize {
         self.columns.len()
-    }
-
-    /// Smallest sample across all columns.
-    pub fn min_value(&self) -> f64 {
-        self.min_value
     }
 
     /// The view for `slot`.
@@ -292,12 +268,12 @@ impl TraceStore {
     }
 
     /// Bytes held by the template value blocks.
-    pub fn value_bytes(&self) -> usize {
+    pub(crate) fn value_bytes(&self) -> usize {
         self.columns.len() * (self.steps + self.pad) * std::mem::size_of::<f64>()
     }
 
     /// Bytes held by prefix arrays built so far.
-    pub fn prefix_bytes_built(&self) -> usize {
+    pub(crate) fn prefix_bytes_built(&self) -> usize {
         self.columns
             .iter()
             .filter(|c| c.prefix.get().is_some())
@@ -329,11 +305,6 @@ pub struct TraceRef<'a> {
 }
 
 impl<'a> TraceRef<'a> {
-    /// The slot this view reads through.
-    pub fn slot(&self) -> MachineSlot {
-        self.slot
-    }
-
     /// Start time of the visible window.
     pub fn t0(&self) -> f64 {
         self.curve.t0
@@ -355,6 +326,7 @@ impl<'a> TraceRef<'a> {
     }
 
     /// End of the visible horizon.
+    // tidy:allow(PP011): oracle for crates/core/tests/grid_scale.rs
     pub fn t_end(&self) -> f64 {
         self.t0() + self.dt() * self.len() as f64
     }
@@ -378,6 +350,7 @@ impl<'a> TraceRef<'a> {
     }
 
     /// [`Trace::mean_over`] over the view: panics if `b < a`.
+    // tidy:allow(PP011): oracle for crates/core/tests/grid_scale.rs
     pub fn mean_over(&self, a: f64, b: f64) -> f64 {
         self.curve.mean_over(self.prefix(), a, b)
     }
@@ -394,25 +367,11 @@ impl<'a> TraceRef<'a> {
         self.curve.sample_every(a, b, interval)
     }
 
-    /// The minimum visible sample value.
-    pub fn min(&self) -> f64 {
-        self.curve.min()
-    }
-
-    /// The maximum visible sample value.
-    pub fn max(&self) -> f64 {
-        self.curve.max()
-    }
-
-    /// Mean of the visible samples.
-    pub fn mean(&self) -> f64 {
-        self.curve.mean()
-    }
-
     /// Materializes the view as a standalone [`Trace`] — what the tests
     /// hand the walking oracles (`tests/support/walking_oracles.rs`), and
-    /// where [`Trace::slice`] and [`Trace::downsample`] apply. An O(steps)
+    /// where [`Trace::slice`] applies. An O(steps)
     /// copy on purpose; the simulation hot path stays on the shared columns.
+    // tidy:allow(PP011): oracle for crates/core/tests/grid_scale.rs
     pub fn materialize(&self) -> Trace {
         let c = self.curve;
         Trace::new(c.t0, c.dt, c.samples.iter().map(|&v| c.scale * v).collect())
@@ -426,6 +385,35 @@ mod tests {
     use crate::trace::search_cases;
     use crate::trace::walking_oracles::{integral_walk, time_to_complete_walk};
     use proptest::prelude::*;
+
+    impl TraceRef<'_> {
+        /// The minimum visible sample value.
+        pub(crate) fn min(&self) -> f64 {
+            self.curve.min()
+        }
+
+        /// The maximum visible sample value.
+        pub(crate) fn max(&self) -> f64 {
+            self.curve.max()
+        }
+
+        /// Mean of the visible samples.
+        pub(crate) fn mean(&self) -> f64 {
+            self.curve.mean()
+        }
+    }
+
+    impl TraceStore {
+        /// Visible steps per machine view.
+        pub(crate) fn steps(&self) -> usize {
+            self.steps
+        }
+
+        /// Phase-shift pad in steps.
+        pub(crate) fn pad(&self) -> usize {
+            self.pad
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]

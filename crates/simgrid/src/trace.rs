@@ -306,6 +306,7 @@ impl Trace {
     }
 
     /// End of the generated horizon.
+    // tidy:allow(PP011): oracle for the trace property tests and the NWS pipeline tests
     pub fn t_end(&self) -> f64 {
         self.t0 + self.dt * self.values.len() as f64
     }
@@ -317,7 +318,7 @@ impl Trace {
 
     /// Consumes the trace, returning its samples without copying (how the
     /// chunked generators hand blocks to the columnar store).
-    pub fn into_values(self) -> Vec<f64> {
+    pub(crate) fn into_values(self) -> Vec<f64> {
         self.values
     }
 
@@ -356,6 +357,7 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if `b < a`.
+    // tidy:allow(PP011): oracle for the trace property tests and the NWS pipeline tests
     pub fn mean_over(&self, a: f64, b: f64) -> f64 {
         self.curve().mean_over(&self.prefix.cum, a, b)
     }
@@ -409,26 +411,6 @@ impl Trace {
             self.dt,
             self.values[k0..k1].to_vec(),
         )
-    }
-
-    /// Resamples to a coarser resolution: each output step of `factor`
-    /// input steps holds their mean — how an archival tool thins a long
-    /// trace without biasing work integration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor == 0`.
-    pub fn downsample(&self, factor: usize) -> Trace {
-        assert!(factor > 0, "downsample factor must be positive");
-        if factor == 1 {
-            return self.clone();
-        }
-        let values: Vec<f64> = self
-            .values
-            .chunks(factor)
-            .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-            .collect();
-        Trace::new(self.t0, self.dt * factor as f64, values)
     }
 
     /// The minimum sample value.
@@ -594,6 +576,28 @@ mod tests {
     use proptest::prelude::*;
 
     use walking_oracles::{integral_walk, time_to_complete_walk};
+
+    impl Trace {
+        /// Resamples to a coarser resolution: each output step of `factor`
+        /// input steps holds their mean — how an archival tool thins a long
+        /// trace without biasing work integration.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `factor == 0`.
+        pub(crate) fn downsample(&self, factor: usize) -> Trace {
+            assert!(factor > 0, "downsample factor must be positive");
+            if factor == 1 {
+                return self.clone();
+            }
+            let values: Vec<f64> = self
+                .values
+                .chunks(factor)
+                .map(|c| c.iter().sum::<f64>() / c.len() as f64)
+                .collect();
+            Trace::new(self.t0, self.dt * factor as f64, values)
+        }
+    }
 
     impl Trace {
         /// The whole-array oracle over this trace's floored prefix.

@@ -136,7 +136,6 @@ proptest! {
         let (h, h2) = (k as f64, (k + extra) as f64);
         let pairs = [
             (Platform::platform1(seed, h), Platform::platform1(seed, h2)),
-            (Platform::platform1_free(seed, h, 120.0), Platform::platform1_free(seed, h2, 120.0)),
             (Platform::platform2(seed, h), Platform::platform2(seed, h2)),
         ];
         for (short, long) in &pairs {

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// Format version stamped into every [`Checkpoint`]. Bumped whenever the
 /// snapshot layout changes; [`Checkpoint::restore`] refuses versions it
 /// does not understand.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub(crate) const CHECKPOINT_VERSION: u32 = 1;
 
 /// Typed failure of a checkpoint restore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +138,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Snapshots `grid` as the state after `iteration` completed
     /// iterations.
-    pub fn capture(grid: &Grid, iteration: usize) -> Self {
+    pub(crate) fn capture(grid: &Grid, iteration: usize) -> Self {
         Self {
             version: CHECKPOINT_VERSION,
             iteration,
@@ -146,19 +146,9 @@ impl Checkpoint {
         }
     }
 
-    /// The format version this checkpoint was written with.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// Completed red+black iterations at the snapshot.
     pub fn iteration(&self) -> usize {
         self.iteration
-    }
-
-    /// The snapshotted grid.
-    pub fn grid(&self) -> &Grid {
-        &self.grid
     }
 
     /// Copies the snapshotted state into `grid` after validating the
@@ -168,7 +158,7 @@ impl Checkpoint {
     ///
     /// Returns a [`CheckpointError`] on a format-version or grid-dimension
     /// mismatch; `grid` is untouched on error.
-    pub fn restore(&self, grid: &mut Grid) -> Result<(), CheckpointError> {
+    pub(crate) fn restore(&self, grid: &mut Grid) -> Result<(), CheckpointError> {
         if self.version != CHECKPOINT_VERSION {
             return Err(CheckpointError::VersionMismatch {
                 found: self.version,
@@ -333,6 +323,18 @@ mod tests {
     use crate::exchange::ExchangePolicy;
     use crate::seq::solve_seq;
     use std::time::Duration;
+
+    impl Checkpoint {
+        /// The format version this checkpoint was written with.
+        pub(crate) fn version(&self) -> u32 {
+            self.version
+        }
+
+        /// The snapshotted grid.
+        pub(crate) fn grid(&self) -> &Grid {
+            &self.grid
+        }
+    }
 
     fn solved_seq(n: usize, iters: usize) -> Grid {
         let mut g = Grid::laplace_problem(n);

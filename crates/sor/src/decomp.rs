@@ -107,7 +107,7 @@ pub fn partition_equal(n_interior: usize, p: usize) -> Vec<Strip> {
 
 /// Sanity check used by tests and the simulator: strips cover exactly the
 /// interior rows, in order, with no overlap.
-pub fn strips_are_valid(strips: &[Strip], n_interior: usize) -> bool {
+pub(crate) fn strips_are_valid(strips: &[Strip], n_interior: usize) -> bool {
     let mut expected = 1usize;
     for (i, s) in strips.iter().enumerate() {
         if s.proc != i || s.rows.start != expected {
@@ -138,6 +138,7 @@ impl Block {
     }
 
     /// Columns owned.
+    // tidy:allow(PP011): the layout surface tests/block_decomposition.rs sweeps
     pub fn n_cols(&self) -> usize {
         self.cols.len()
     }
@@ -165,6 +166,7 @@ pub enum Peer {
 
 impl Peer {
     /// Every direction, in exchange order.
+    // tidy:allow(PP011): the layout surface tests/block_decomposition.rs sweeps
     pub const ALL: [Peer; 4] = [Peer::Up, Peer::Down, Peer::Left, Peer::Right];
 
     /// The direction the neighbour sees this processor in.

@@ -55,12 +55,12 @@ struct State<T> {
 }
 
 /// The sending half of a capacity-one rendezvous channel.
-pub struct MailSender<T> {
+pub(crate) struct MailSender<T> {
     shared: Arc<Shared<T>>,
 }
 
 /// The receiving half of a capacity-one rendezvous channel.
-pub struct MailReceiver<T> {
+pub(crate) struct MailReceiver<T> {
     shared: Arc<Shared<T>>,
 }
 
@@ -76,7 +76,7 @@ pub enum RecvTimeoutError {
 /// Error returned by [`MailSender::send_timeout`], carrying the
 /// undelivered value back to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendTimeoutError<T> {
+pub(crate) enum SendTimeoutError<T> {
     /// The receiver dropped its endpoint.
     Disconnected(T),
     /// The previous value was not consumed within the deadline.
@@ -85,7 +85,7 @@ pub enum SendTimeoutError<T> {
 
 /// A typed failure of one recycled-link exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExchangeError {
+pub(crate) enum ExchangeError {
     /// The neighbour hung up: its endpoints were dropped, either because
     /// it exited early or because it panicked.
     Disconnected,
@@ -124,7 +124,7 @@ impl ExchangePolicy {
     /// The near-infinite policy backing the infallible solver entry
     /// points: a wedged neighbour is waited out for an hour per attempt
     /// while a *dead* neighbour still surfaces immediately.
-    pub fn patient() -> Self {
+    pub(crate) fn patient() -> Self {
         Self {
             timeout: Duration::from_secs(3600),
             retries: 0,
@@ -134,7 +134,7 @@ impl ExchangePolicy {
     /// Total wait budget of one exchange operation:
     /// `timeout × (retries + 1)`. Every `try_*` exchange arms this once
     /// on entry; all of its internal waits draw down the same budget.
-    pub fn total_budget(&self) -> Duration {
+    pub(crate) fn total_budget(&self) -> Duration {
         self.timeout.saturating_mul(self.retries + 1)
     }
 
@@ -150,7 +150,7 @@ impl ExchangePolicy {
 }
 
 /// Creates a connected capacity-one mailbox pair.
-pub fn mailbox<T>() -> (MailSender<T>, MailReceiver<T>) {
+pub(crate) fn mailbox<T>() -> (MailSender<T>, MailReceiver<T>) {
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             slot: None,
@@ -175,7 +175,11 @@ impl<T> MailSender<T> {
     /// Returns [`SendTimeoutError::Timeout`] when `timeout` elapses and
     /// [`SendTimeoutError::Disconnected`] when the peer hung up; the value
     /// rides back inside either variant.
-    pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
+    pub(crate) fn send_timeout(
+        &self,
+        value: T,
+        timeout: Duration,
+    ) -> Result<(), SendTimeoutError<T>> {
         let deadline = Instant::now() + timeout; // tidy:allow(PP001): runtime timeout bookkeeping, not simulated time
         let mut state = lock(&self.shared.state);
         while state.slot.is_some() && !state.closed {
@@ -251,7 +255,7 @@ impl<T> Drop for MailReceiver<T> {
 
 /// One direction of a neighbour link with buffer recycling: a data
 /// mailbox out and a buffer-return mailbox back.
-pub struct RecycledSender {
+pub(crate) struct RecycledSender {
     data: MailSender<Vec<f64>>,
     returns: MailReceiver<Vec<f64>>,
     /// The buffer currently owned by this side (None while in flight).
@@ -260,14 +264,14 @@ pub struct RecycledSender {
 
 /// The matching inbound endpoint: a data mailbox in and a buffer-return
 /// mailbox out.
-pub struct RecycledReceiver {
+pub(crate) struct RecycledReceiver {
     data: MailReceiver<Vec<f64>>,
     returns: MailSender<Vec<f64>>,
 }
 
 /// Creates a recycling link carrying `len`-element rows. The sender's
 /// single buffer is allocated up front; nothing allocates after that.
-pub fn recycled_link(len: usize) -> (RecycledSender, RecycledReceiver) {
+pub(crate) fn recycled_link(len: usize) -> (RecycledSender, RecycledReceiver) {
     let (data_tx, data_rx) = mailbox();
     let (ret_tx, ret_rx) = mailbox();
     (
@@ -300,7 +304,7 @@ impl RecycledSender {
     ///
     /// Returns [`ExchangeError::Disconnected`] for a dead neighbour and
     /// [`ExchangeError::Timeout`] once the policy's total budget is spent.
-    pub fn try_send_with(
+    pub(crate) fn try_send_with(
         &mut self,
         policy: &ExchangePolicy,
         fill: impl FnOnce(&mut [f64]),
@@ -348,7 +352,7 @@ impl RecycledReceiver {
     ///
     /// Returns [`ExchangeError::Disconnected`] for a dead neighbour and
     /// [`ExchangeError::Timeout`] once the policy's total budget is spent.
-    pub fn try_recv_with(
+    pub(crate) fn try_recv_with(
         &self,
         policy: &ExchangePolicy,
         consume: impl FnOnce(&[f64]),

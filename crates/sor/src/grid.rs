@@ -25,14 +25,6 @@ impl Color {
             Color::Black => 1,
         }
     }
-
-    /// The opposite colour.
-    pub fn other(self) -> Color {
-        match self {
-            Color::Red => Color::Black,
-            Color::Black => Color::Red,
-        }
-    }
 }
 
 /// An `n x n` grid in row-major order. Rows `0` and `n-1` and columns `0`
@@ -102,16 +94,6 @@ impl Grid {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
-    /// Copies `values` into row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != n`.
-    pub fn set_row(&mut self, i: usize, values: &[f64]) {
-        assert_eq!(values.len(), self.n, "row length mismatch");
-        self.data[i * self.n..(i + 1) * self.n].copy_from_slice(values);
-    }
-
     /// Raw data, row-major.
     pub fn data(&self) -> &[f64] {
         &self.data
@@ -119,7 +101,7 @@ impl Grid {
 
     /// Mutable raw data, row-major — used by the slice-based relaxation
     /// kernel in [`crate::kernel`].
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -127,11 +109,6 @@ impl Grid {
     #[inline]
     pub fn is_boundary(&self, i: usize, j: usize) -> bool {
         i == 0 || j == 0 || i == self.n - 1 || j == self.n - 1
-    }
-
-    /// Number of interior cells.
-    pub fn interior_cells(&self) -> usize {
-        (self.n - 2) * (self.n - 2)
     }
 
     /// The residual `max |laplacian|` over interior cells — zero at the
@@ -214,6 +191,33 @@ mod tests {
     use super::*;
     use crate::kernel::tests::cells;
     use proptest::prelude::*;
+
+    impl Color {
+        /// The opposite colour.
+        pub(crate) fn other(self) -> Color {
+            match self {
+                Color::Red => Color::Black,
+                Color::Black => Color::Red,
+            }
+        }
+    }
+
+    impl Grid {
+        /// Copies `values` into row `i`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `values.len() != n`.
+        pub(crate) fn set_row(&mut self, i: usize, values: &[f64]) {
+            assert_eq!(values.len(), self.n, "row length mismatch");
+            self.data[i * self.n..(i + 1) * self.n].copy_from_slice(values);
+        }
+
+        /// Number of interior cells.
+        pub(crate) fn interior_cells(&self) -> usize {
+            (self.n - 2) * (self.n - 2)
+        }
+    }
 
     #[test]
     fn construction_and_access() {

@@ -33,7 +33,13 @@
 // Its own function on purpose: inlined into `relax_rows` the block loop
 // below compiles to scalar code again (DESIGN §6).
 #[inline(never)]
-pub fn relax_row(above: &[f64], current: &mut [f64], below: &[f64], omega: f64, start: usize) {
+pub(crate) fn relax_row(
+    above: &[f64],
+    current: &mut [f64],
+    below: &[f64],
+    omega: f64,
+    start: usize,
+) {
     let n = current.len();
     assert_eq!(above.len(), n, "row length mismatch");
     assert_eq!(below.len(), n, "row length mismatch");
@@ -86,7 +92,7 @@ pub fn relax_row(above: &[f64], current: &mut [f64], below: &[f64], omega: f64, 
 /// Local column `lj` maps to global column `col1_global + lj - 1`, so the
 /// first matching local column is 1 or 2.
 #[inline]
-pub fn color_start(color_parity: usize, gi: usize, col1_global: usize) -> usize {
+pub(crate) fn color_start(color_parity: usize, gi: usize, col1_global: usize) -> usize {
     1 + ((gi + col1_global + color_parity) % 2)
 }
 
@@ -101,7 +107,7 @@ pub fn color_start(color_parity: usize, gi: usize, col1_global: usize) -> usize 
 ///
 /// Panics unless `1 <= row_lo` and `row_hi * n < data.len()` (each
 /// relaxed row needs a row above and below).
-pub fn relax_rows(
+pub(crate) fn relax_rows(
     data: &mut [f64],
     n: usize,
     color_parity: usize,

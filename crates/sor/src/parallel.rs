@@ -442,6 +442,7 @@ pub fn try_solve_decomposed(
 /// # Errors
 ///
 /// The [`SolveError`]s of [`try_solve_decomposed`].
+// tidy:allow(PP011): the fallible solves tests/failure_injection.rs kills workers in
 pub fn try_solve_parallel_strips(
     grid: &mut Grid,
     params: SorParams,
@@ -461,6 +462,7 @@ pub fn try_solve_parallel_strips(
 /// # Errors
 ///
 /// The [`SolveError`]s of [`try_solve_decomposed`].
+// tidy:allow(PP011): the fallible solves tests/failure_injection.rs kills workers in
 pub fn try_solve_parallel_blocks(
     grid: &mut Grid,
     params: SorParams,

@@ -78,12 +78,6 @@ impl AccuracyReport {
             mean_mean_error: sum_mean / n as f64,
         })
     }
-
-    /// The paper's headline comparison: the stochastic range error should be
-    /// substantially smaller than the point (mean) error.
-    pub fn stochastic_beats_point(&self) -> bool {
-        self.max_range_error < self.max_mean_error
-    }
 }
 
 /// Calibration curve: empirical coverage as the prediction intervals are
@@ -111,6 +105,14 @@ pub fn calibration_curve(obs: &[Observation], factors: &[f64]) -> Vec<(f64, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AccuracyReport {
+        /// The paper's headline comparison: the stochastic range error should be
+        /// substantially smaller than the point (mean) error.
+        pub(crate) fn stochastic_beats_point(&self) -> bool {
+            self.max_range_error < self.max_mean_error
+        }
+    }
 
     fn obs(mean: f64, half: f64, actual: f64) -> Observation {
         Observation {

@@ -51,16 +51,6 @@ impl Empirical {
         &self.sorted
     }
 
-    /// Streaming summary of the sample.
-    pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// Sample median.
-    pub fn median(&self) -> f64 {
-        quantile_sorted(&self.sorted, 0.5)
-    }
-
     /// Fraction of observations inside the closed interval `[lo, hi]`.
     pub fn fraction_within(&self, lo: f64, hi: f64) -> f64 {
         let a = self.sorted.partition_point(|&x| x < lo);
@@ -137,7 +127,7 @@ pub fn ks_statistic(sample: &Empirical, reference: &dyn Distribution) -> f64 {
 /// where the paper's long-tailed data misbehaves (§2.1.1). CDF values are
 /// clamped away from 0/1 so a reference with bounded support cannot
 /// produce infinities.
-pub fn anderson_darling(sample: &Empirical, reference: &dyn Distribution) -> f64 {
+pub(crate) fn anderson_darling(sample: &Empirical, reference: &dyn Distribution) -> f64 {
     let xs = sample.sorted();
     let n = xs.len();
     let nf = n as f64;
@@ -155,7 +145,7 @@ pub fn anderson_darling(sample: &Empirical, reference: &dyn Distribution) -> f64
 /// "case 3" adjustment `A*² = A²(1 + 0.75/n + 2.25/n²)`). Returns the
 /// adjusted statistic and whether normality is rejected at the 5% level
 /// (critical value 0.752). `None` for fewer than 8 observations.
-pub fn ad_normality(data: &[f64]) -> Option<(f64, bool)> {
+pub(crate) fn ad_normality(data: &[f64]) -> Option<(f64, bool)> {
     if data.len() < 8 {
         return None;
     }
@@ -197,6 +187,13 @@ mod tests {
     use crate::dist::Normal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Empirical {
+        /// Sample median.
+        pub(crate) fn median(&self) -> f64 {
+            quantile_sorted(&self.sorted, 0.5)
+        }
+    }
 
     #[test]
     fn ecdf_steps() {

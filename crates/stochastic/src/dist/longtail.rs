@@ -57,11 +57,6 @@ impl LogNormal {
     pub fn sigma(&self) -> f64 {
         self.sigma
     }
-
-    /// The distribution median `exp(mu)`.
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
-    }
 }
 
 impl Distribution for LogNormal {
@@ -144,34 +139,6 @@ impl LongTailed {
         )
     }
 
-    /// Convenience: a latency-style distribution clustered just above
-    /// `floor`.
-    pub fn above(floor: f64, typical_gap: f64, gap_sd: f64) -> Self {
-        Self::new(
-            floor,
-            LogNormal::from_mean_sd(typical_gap, gap_sd),
-            TailDirection::Above,
-        )
-    }
-
-    /// The threshold value.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Tail direction.
-    pub fn direction(&self) -> TailDirection {
-        self.direction
-    }
-
-    /// The distribution median.
-    pub fn median(&self) -> f64 {
-        match self.direction {
-            TailDirection::Below => self.threshold - self.tail.median(),
-            TailDirection::Above => self.threshold + self.tail.median(),
-        }
-    }
-
     fn gap_of(&self, x: f64) -> f64 {
         match self.direction {
             TailDirection::Below => self.threshold - x,
@@ -225,6 +192,33 @@ mod tests {
     use crate::stats::Summary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl LogNormal {
+        /// The distribution median `exp(mu)`.
+        pub(crate) fn median(&self) -> f64 {
+            self.mu.exp()
+        }
+    }
+
+    impl LongTailed {
+        /// Convenience: a latency-style distribution clustered just above
+        /// `floor`.
+        pub(crate) fn above(floor: f64, typical_gap: f64, gap_sd: f64) -> Self {
+            Self::new(
+                floor,
+                LogNormal::from_mean_sd(typical_gap, gap_sd),
+                TailDirection::Above,
+            )
+        }
+
+        /// The distribution median.
+        pub(crate) fn median(&self) -> f64 {
+            match self.direction {
+                TailDirection::Below => self.threshold - self.tail.median(),
+                TailDirection::Above => self.threshold + self.tail.median(),
+            }
+        }
+    }
 
     #[test]
     fn lognormal_moment_matching_round_trips() {

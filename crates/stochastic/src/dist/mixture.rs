@@ -23,7 +23,7 @@ pub struct MixtureComponent {
 
 /// A finite mixture of normal modes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Mixture {
+pub(crate) struct Mixture {
     components: Vec<MixtureComponent>,
 }
 
@@ -48,7 +48,7 @@ impl Mixture {
     }
 
     /// Convenience constructor from `(weight, mean, sd)` triples.
-    pub fn from_triples(triples: &[(f64, f64, f64)]) -> Self {
+    pub(crate) fn from_triples(triples: &[(f64, f64, f64)]) -> Self {
         Self::new(
             triples
                 .iter()
@@ -66,7 +66,7 @@ impl Mixture {
     }
 
     /// Number of modes.
-    pub fn n_modes(&self) -> usize {
+    pub(crate) fn n_modes(&self) -> usize {
         self.components.len()
     }
 
@@ -78,7 +78,7 @@ impl Mixture {
     /// Note this is the paper's *approximation*; it is narrower than the
     /// true mixture spread when the modes are far apart (between-mode
     /// variance is not counted). Compare [`moment_summary`](Self::moment_summary).
-    pub fn paper_average(&self) -> StochasticValue {
+    pub(crate) fn paper_average(&self) -> StochasticValue {
         let mean: f64 = self
             .components
             .iter()
@@ -94,12 +94,12 @@ impl Mixture {
 
     /// The exact moment summary of the mixture: mean and ±2σ computed from
     /// the law of total variance (includes between-mode spread).
-    pub fn moment_summary(&self) -> StochasticValue {
+    pub(crate) fn moment_summary(&self) -> StochasticValue {
         StochasticValue::from_mean_sd(self.mean(), self.variance().sqrt())
     }
 
     /// The dominant mode (largest weight).
-    pub fn dominant(&self) -> &MixtureComponent {
+    pub(crate) fn dominant(&self) -> &MixtureComponent {
         self.components
             .iter()
             .max_by(|a, b| a.weight.total_cmp(&b.weight))
@@ -108,7 +108,7 @@ impl Mixture {
 
     /// The index of the mode whose mean is nearest to `x` — used to decide
     /// which mode a running application currently sits in.
-    pub fn nearest_mode(&self, x: f64) -> usize {
+    pub(crate) fn nearest_mode(&self, x: f64) -> usize {
         let mut best = 0;
         let mut best_d = f64::INFINITY;
         for (i, c) in self.components.iter().enumerate() {

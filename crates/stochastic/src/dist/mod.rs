@@ -13,16 +13,21 @@
 
 mod empirical;
 mod longtail;
+#[cfg(test)]
 mod mixture;
 mod normal;
+#[cfg(test)]
 mod truncated;
 
-pub use empirical::{ad_normality, anderson_darling, ks_p_value, ks_statistic, Empirical};
+pub(crate) use empirical::ad_normality;
+pub use empirical::{ks_p_value, ks_statistic, Empirical};
 pub use longtail::{LogNormal, LongTailed, TailDirection};
-pub use mixture::{Mixture, MixtureComponent};
+#[cfg(test)]
+pub(crate) use mixture::{Mixture, MixtureComponent};
 pub(crate) use normal::polar_pair;
 pub use normal::Normal;
-pub use truncated::TruncatedNormal;
+#[cfg(test)]
+pub(crate) use truncated::TruncatedNormal;
 
 use rand::RngCore;
 

@@ -31,11 +31,6 @@ impl Normal {
         Self { mu, sigma }
     }
 
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Self::new(0.0, 1.0)
-    }
-
     /// Mean parameter.
     pub fn mu(&self) -> f64 {
         self.mu
@@ -47,23 +42,8 @@ impl Normal {
     }
 
     /// Whether this is the degenerate point distribution.
-    pub fn is_degenerate(&self) -> bool {
+    pub(crate) fn is_degenerate(&self) -> bool {
         self.sigma == 0.0 // tidy:allow(PP004): degenerate distribution has exactly zero sigma
-    }
-
-    /// The linear transform `a*X + b`, exact for normals.
-    pub fn affine(&self, a: f64, b: f64) -> Normal {
-        Normal::new(a * self.mu + b, a.abs() * self.sigma)
-    }
-
-    /// Sum of independent normals: `N(mu1+mu2, s1^2+s2^2)` — the closure
-    /// property (Larsen & Marx ch. 7.3) that Table 2's unrelated-addition
-    /// rule relies on.
-    pub fn convolve(&self, other: &Normal) -> Normal {
-        Normal::new(
-            self.mu + other.mu,
-            (self.sigma * self.sigma + other.sigma * other.sigma).sqrt(),
-        )
     }
 }
 
@@ -145,6 +125,30 @@ mod tests {
     use crate::stats::Summary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Normal {
+        /// The standard normal `N(0, 1)`.
+        pub(crate) fn standard() -> Self {
+            Self::new(0.0, 1.0)
+        }
+    }
+
+    impl Normal {
+        /// The linear transform `a*X + b`, exact for normals.
+        pub(crate) fn affine(&self, a: f64, b: f64) -> Normal {
+            Normal::new(a * self.mu + b, a.abs() * self.sigma)
+        }
+
+        /// Sum of independent normals: `N(mu1+mu2, s1^2+s2^2)` — the closure
+        /// property (Larsen & Marx ch. 7.3) that Table 2's unrelated-addition
+        /// rule relies on.
+        pub(crate) fn convolve(&self, other: &Normal) -> Normal {
+            Normal::new(
+                self.mu + other.mu,
+                (self.sigma * self.sigma + other.sigma * other.sigma).sqrt(),
+            )
+        }
+    }
 
     #[test]
     fn pdf_peak_at_mean() {

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// A normal restricted to `[lo, hi]` and renormalized.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TruncatedNormal {
+pub(crate) struct TruncatedNormal {
     parent: Normal,
     lo: f64,
     hi: f64,
@@ -54,23 +54,8 @@ impl TruncatedNormal {
         Self::new(mu, sigma, 1e-9, 1.0)
     }
 
-    /// The untruncated parent.
-    pub fn parent(&self) -> Normal {
-        self.parent
-    }
-
-    /// Lower truncation bound.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper truncation bound.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
     /// Mass the parent places inside the interval.
-    pub fn retained_mass(&self) -> f64 {
+    pub(crate) fn retained_mass(&self) -> f64 {
         self.cdf_hi - self.cdf_lo
     }
 

@@ -7,7 +7,7 @@ use crate::stats::{quantile, Summary};
 
 /// A Gaussian KDE over a fixed sample.
 #[derive(Debug, Clone)]
-pub struct Kde {
+pub(crate) struct Kde {
     data: Vec<f64>,
     bandwidth: f64,
 }
@@ -42,7 +42,7 @@ impl Kde {
     /// # Panics
     ///
     /// Panics if `data` is empty or `bandwidth <= 0`.
-    pub fn with_bandwidth(data: &[f64], bandwidth: f64) -> Self {
+    pub(crate) fn with_bandwidth(data: &[f64], bandwidth: f64) -> Self {
         assert!(!data.is_empty(), "KDE needs data");
         assert!(bandwidth > 0.0, "KDE bandwidth must be positive");
         Self {
@@ -51,13 +51,8 @@ impl Kde {
         }
     }
 
-    /// The bandwidth in use.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
-    }
-
     /// Density estimate at `x`.
-    pub fn density(&self, x: f64) -> f64 {
+    pub(crate) fn density(&self, x: f64) -> f64 {
         let h = self.bandwidth;
         let sum: f64 = self
             .data
@@ -82,7 +77,7 @@ impl Kde {
 
     /// Local maxima of the gridded density — candidate modes. Peaks below
     /// `min_height` times the global maximum are ignored as noise.
-    pub fn peaks(&self, lo: f64, hi: f64, n: usize, min_height: f64) -> Vec<f64> {
+    pub(crate) fn peaks(&self, lo: f64, hi: f64, n: usize, min_height: f64) -> Vec<f64> {
         let g = self.grid(lo, hi, n);
         let max_d = g.iter().map(|&(_, d)| d).fold(0.0, f64::max);
         let mut out = Vec::new();
@@ -97,7 +92,7 @@ impl Kde {
 
     /// The minimum-density point between `a` and `b` — the valley used to
     /// split modal data.
-    pub fn valley(&self, a: f64, b: f64, n: usize) -> f64 {
+    pub(crate) fn valley(&self, a: f64, b: f64, n: usize) -> f64 {
         assert!(b > a && n >= 2);
         let g = self.grid(a, b, n);
         g.iter()
@@ -112,6 +107,13 @@ mod tests {
     use crate::dist::{Distribution, Mixture, Normal};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Kde {
+        /// The bandwidth in use.
+        pub fn bandwidth(&self) -> f64 {
+            self.bandwidth
+        }
+    }
 
     #[test]
     fn density_integrates_to_one() {

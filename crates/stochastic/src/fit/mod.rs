@@ -1,20 +1,18 @@
 //! Fitting distributions to measured data (paper Section 2.1).
 //!
 //! The paper's pipeline is: collect a trace (runtimes, bandwidth, load),
-//! decide what family describes it (normal, long-tailed, modal), fit that
-//! family, and summarize it as a stochastic value. This module implements
-//! each step, including the normality diagnostics that decide whether "in
-//! many cases assuming that the distribution is normal is satisfactory".
+//! decide what family describes it, fit that family, and summarize it as
+//! a stochastic value. This module holds the normal fit, the normality
+//! diagnostics that decide whether "in many cases assuming that the
+//! distribution is normal is satisfactory", and mode detection.
 
 mod kde;
 mod modes;
 
-pub use kde::Kde;
 pub use modes::{detect_modes, ModalModel, Mode};
 
-use crate::dist::{ks_p_value, ks_statistic, Empirical, LogNormal, Normal};
+use crate::dist::{ks_p_value, ks_statistic, Empirical, Normal};
 use crate::stats::Summary;
-use crate::value::StochasticValue;
 
 /// Fits a normal by the method of moments (sample mean and sd).
 /// Returns `None` for fewer than two observations.
@@ -24,61 +22,6 @@ pub fn fit_normal(data: &[f64]) -> Option<Normal> {
     }
     let s = Summary::from_slice(data);
     Some(Normal::new(s.mean(), s.sd()))
-}
-
-/// Fits a lognormal by moment matching on the log scale.
-/// Returns `None` if fewer than two observations or any are non-positive.
-pub fn fit_lognormal(data: &[f64]) -> Option<LogNormal> {
-    if data.len() < 2 || data.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let logs: Vec<f64> = data.iter().map(|x| x.ln()).collect();
-    let s = Summary::from_slice(&logs);
-    // tidy:allow(PP004): degenerate-sample guard; sd is exactly 0 for constant data
-    if s.sd() == 0.0 {
-        return None;
-    }
-    Some(LogNormal::new(s.mean(), s.sd()))
-}
-
-/// Fits a thresholded long-tailed distribution (Section 2.1.1's family).
-///
-/// The tail direction follows the sample skew: left-skewed data (shared
-/// bandwidth) gets a tail *below* a threshold just above the max;
-/// right-skewed data (latency, loaded runtimes) gets a tail *above* a
-/// threshold just below the min. Returns `None` when the data is too small
-/// or degenerate.
-pub fn fit_longtailed(data: &[f64]) -> Option<crate::dist::LongTailed> {
-    use crate::dist::{LongTailed, TailDirection};
-    if data.len() < 8 {
-        return None;
-    }
-    let s = Summary::from_slice(data);
-    // tidy:allow(PP004): degenerate-sample guard; sd is exactly 0 for constant data
-    if s.sd() == 0.0 {
-        return None;
-    }
-    let pad = 0.02 * (s.max() - s.min());
-    let (threshold, direction) = if s.skewness() <= 0.0 {
-        (s.max() + pad, TailDirection::Below)
-    } else {
-        (s.min() - pad, TailDirection::Above)
-    };
-    let gaps: Vec<f64> = data
-        .iter()
-        .map(|&x| match direction {
-            TailDirection::Below => threshold - x,
-            TailDirection::Above => x - threshold,
-        })
-        .collect();
-    let tail = fit_lognormal(&gaps)?;
-    Some(LongTailed::new(threshold, tail, direction))
-}
-
-/// Summarizes data as a stochastic value via a fitted normal
-/// (mean ± 2 sd) — the paper's default representation.
-pub fn to_stochastic(data: &[f64]) -> Option<StochasticValue> {
-    fit_normal(data).map(|n| StochasticValue::from_mean_sd(n.mu(), n.sigma()))
 }
 
 /// Diagnostics for the "is normal good enough?" decision of Section 2.1.
@@ -135,47 +78,19 @@ pub fn normality_report(data: &[f64]) -> Option<NormalityReport> {
     })
 }
 
-/// Which family best summarizes a trace, chosen by KS distance among the
-/// candidates the paper discusses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FamilyChoice {
-    /// Plain normal.
-    Normal,
-    /// Long-tailed (lognormal fit was closer).
-    LongTailed,
-    /// Multi-modal (mode detection found more than one mode).
-    Modal,
-}
-
-/// Classifies a trace into the paper's three regimes.
-pub fn classify(data: &[f64]) -> Option<FamilyChoice> {
-    if data.len() < 16 {
-        return None;
-    }
-    let modal = detect_modes(data, Default::default());
-    if let Some(m) = &modal {
-        if m.modes().len() > 1 {
-            return Some(FamilyChoice::Modal);
-        }
-    }
-    let emp = Empirical::new(data);
-    let n_fit = fit_normal(data)?;
-    let d_normal = ks_statistic(&emp, &n_fit);
-    if let Some(lt_fit) = fit_longtailed(data) {
-        let d_lt = ks_statistic(&emp, &lt_fit);
-        if d_lt + 0.01 < d_normal {
-            return Some(FamilyChoice::LongTailed);
-        }
-    }
-    Some(FamilyChoice::Normal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::Distribution;
+    use crate::dist::{Distribution, LogNormal};
+    use crate::value::StochasticValue;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Summarizes data as a stochastic value via a fitted normal
+    /// (mean ± 2 sd) — the paper's default representation.
+    pub(crate) fn to_stochastic(data: &[f64]) -> Option<StochasticValue> {
+        fit_normal(data).map(|n| StochasticValue::from_mean_sd(n.mu(), n.sigma()))
+    }
 
     #[test]
     fn fit_normal_recovers_parameters() {
@@ -186,17 +101,6 @@ mod tests {
         assert!((fit.mu() - 9.8).abs() < 0.05);
         assert!((fit.sigma() - 1.4).abs() < 0.05);
         assert!(fit_normal(&[1.0]).is_none());
-    }
-
-    #[test]
-    fn fit_lognormal_recovers_parameters() {
-        let truth = LogNormal::new(1.2, 0.4);
-        let mut rng = StdRng::seed_from_u64(2);
-        let data = truth.sample_n(&mut rng, 20_000);
-        let fit = fit_lognormal(&data).unwrap();
-        assert!((fit.mu() - 1.2).abs() < 0.02);
-        assert!((fit.sigma() - 0.4).abs() < 0.02);
-        assert!(fit_lognormal(&[1.0, -2.0, 3.0]).is_none());
     }
 
     #[test]
@@ -222,23 +126,6 @@ mod tests {
         let rep = normality_report(&data).unwrap();
         assert!(!rep.is_adequate(), "{rep:?}");
         assert!(rep.skewness > 1.0);
-    }
-
-    #[test]
-    fn classify_three_regimes() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let normal_data = Normal::new(10.0, 1.0).sample_n(&mut rng, 3000);
-        assert_eq!(classify(&normal_data), Some(FamilyChoice::Normal));
-
-        let lt = crate::dist::LongTailed::below(6.2, 0.95, 0.9);
-        let lt_data = lt.sample_n(&mut rng, 3000);
-        // Long-tailed data must not classify as plain normal.
-        let c = classify(&lt_data).unwrap();
-        assert_ne!(c, FamilyChoice::Normal, "classified {c:?}");
-
-        let mix = crate::dist::Mixture::from_triples(&[(0.5, 0.2, 0.02), (0.5, 0.9, 0.02)]);
-        let mix_data = mix.sample_n(&mut rng, 3000);
-        assert_eq!(classify(&mix_data), Some(FamilyChoice::Modal));
     }
 
     #[test]

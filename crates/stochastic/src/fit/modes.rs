@@ -7,7 +7,7 @@
 //! paper averages over.
 
 use super::kde::Kde;
-use crate::dist::{Mixture, MixtureComponent, Normal};
+use crate::dist::Normal;
 use crate::stats::Summary;
 use crate::value::StochasticValue;
 use serde::{Deserialize, Serialize};
@@ -66,23 +66,6 @@ impl ModalModel {
         &self.modes
     }
 
-    /// Valleys separating the modes.
-    pub fn boundaries(&self) -> &[f64] {
-        &self.boundaries
-    }
-
-    /// Index of the mode containing `x` (by the valley boundaries).
-    pub fn mode_of(&self, x: f64) -> usize {
-        self.boundaries.partition_point(|&b| b < x)
-    }
-
-    /// The single-mode stochastic value for the mode containing `x` — what
-    /// Platform 1's predictor uses when "load values remain within a single
-    /// mode for the duration of the application execution time".
-    pub fn stochastic_for(&self, x: f64) -> StochasticValue {
-        self.modes[self.mode_of(x)].stochastic()
-    }
-
     /// The paper's multi-modal average `sum_i P_i (M_i ± SD_i)`.
     pub fn weighted_average(&self) -> StochasticValue {
         let mean: f64 = self.modes.iter().map(|m| m.weight * m.normal.mu()).sum();
@@ -92,19 +75,6 @@ impl ModalModel {
             .map(|m| m.weight * 2.0 * m.normal.sigma())
             .sum();
         StochasticValue::new(mean, half)
-    }
-
-    /// The equivalent mixture distribution.
-    pub fn to_mixture(&self) -> Mixture {
-        Mixture::new(
-            self.modes
-                .iter()
-                .map(|m| MixtureComponent {
-                    weight: m.weight,
-                    normal: m.normal,
-                })
-                .collect(),
-        )
     }
 }
 
@@ -199,9 +169,36 @@ fn fit_modes(data: &[f64], boundaries: &[f64]) -> ModalModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Distribution, Mixture};
+    use crate::dist::{Distribution, Mixture, MixtureComponent};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl ModalModel {
+        /// Index of the mode containing `x` (by the valley boundaries).
+        pub(crate) fn mode_of(&self, x: f64) -> usize {
+            self.boundaries.partition_point(|&b| b < x)
+        }
+
+        /// The single-mode stochastic value for the mode containing `x` — what
+        /// Platform 1's predictor uses when "load values remain within a single
+        /// mode for the duration of the application execution time".
+        pub(crate) fn stochastic_for(&self, x: f64) -> StochasticValue {
+            self.modes[self.mode_of(x)].stochastic()
+        }
+
+        /// The equivalent mixture distribution.
+        pub(crate) fn to_mixture(&self) -> Mixture {
+            Mixture::new(
+                self.modes
+                    .iter()
+                    .map(|m| MixtureComponent {
+                        weight: m.weight,
+                        normal: m.normal,
+                    })
+                    .collect(),
+            )
+        }
+    }
 
     fn figure5_trace(n: usize, seed: u64) -> Vec<f64> {
         let mix =

@@ -12,8 +12,6 @@ pub struct Histogram {
     hi: f64,
     counts: Vec<u64>,
     total: u64,
-    below: u64,
-    above: u64,
 }
 
 impl Histogram {
@@ -30,8 +28,6 @@ impl Histogram {
             hi,
             counts: vec![0; bins],
             total: 0,
-            below: 0,
-            above: 0,
         }
     }
 
@@ -51,16 +47,12 @@ impl Histogram {
         Some(h)
     }
 
-    /// Adds one observation. Out-of-range observations are tallied
-    /// separately and do not panic — production traces contain outliers.
+    /// Adds one observation. Out-of-range observations count towards the
+    /// total but no bin, and do not panic — production traces contain
+    /// outliers.
     pub fn push(&mut self, x: f64) {
         self.total += 1;
-        if x < self.lo {
-            self.below += 1;
-            return;
-        }
-        if x > self.hi {
-            self.above += 1;
+        if x < self.lo || x > self.hi {
             return;
         }
         let w = (self.hi - self.lo) / self.counts.len() as f64;
@@ -93,11 +85,6 @@ impl Histogram {
         self.lo + (i as f64 + 0.5) * self.bin_width()
     }
 
-    /// Raw count in bin `i`.
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
     /// All raw counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -106,16 +93,6 @@ impl Histogram {
     /// Total observations pushed (including out-of-range ones).
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Observations below the range.
-    pub fn below_range(&self) -> u64 {
-        self.below
-    }
-
-    /// Observations above the range.
-    pub fn above_range(&self) -> u64 {
-        self.above
     }
 
     /// Fraction of all observations landing in bin `i` (a probability mass).
@@ -127,34 +104,10 @@ impl Histogram {
         }
     }
 
-    /// Density estimate for bin `i`: mass divided by bin width, comparable
-    /// to a PDF (the overlay the paper draws in Figures 1 and 3).
-    pub fn density(&self, i: usize) -> f64 {
-        self.mass(i) / self.bin_width()
-    }
-
     /// Percentage-of-values view (`mass * 100`), matching the paper's y-axes
     /// ("Percentage of values equal to X").
     pub fn percent(&self, i: usize) -> f64 {
         self.mass(i) * 100.0
-    }
-
-    /// The empirical CDF evaluated at the right edge of each bin, in
-    /// percent, matching Figures 2 and 4 ("Percentage of values ≤ X").
-    pub fn cdf_percent(&self) -> Vec<(f64, f64)> {
-        let mut acc = self.below;
-        let mut out = Vec::with_capacity(self.counts.len());
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            let edge = self.lo + (i as f64 + 1.0) * self.bin_width();
-            let pct = if self.total == 0 {
-                0.0
-            } else {
-                100.0 * acc as f64 / self.total as f64
-            };
-            out.push((edge, pct));
-        }
-        out
     }
 
     /// Renders an ASCII bar chart, one row per bin, widest bar `width` chars.
@@ -180,6 +133,13 @@ impl Histogram {
 mod tests {
     use super::*;
 
+    impl Histogram {
+        /// Raw count in bin `i`.
+        pub(crate) fn count(&self, i: usize) -> u64 {
+            self.counts[i]
+        }
+    }
+
     #[test]
     fn bins_and_edges() {
         let mut h = Histogram::new(0.0, 10.0, 5);
@@ -203,8 +163,7 @@ mod tests {
         h.push(1.5);
         h.push(0.5);
         assert_eq!(h.total(), 3);
-        assert_eq!(h.below_range(), 1);
-        assert_eq!(h.above_range(), 1);
+        assert_eq!(h.counts(), [0, 1]);
         // Mass accounts for the outliers in the denominator.
         assert!((h.mass(0) + h.mass(1) - 1.0 / 3.0).abs() < 1e-12);
     }
@@ -214,7 +173,7 @@ mod tests {
         let data = [3.0, 7.0, 5.0, 4.0];
         let h = Histogram::from_data(&data, 4).unwrap();
         assert_eq!(h.total(), 4);
-        assert_eq!(h.below_range() + h.above_range(), 0);
+        assert_eq!(h.counts().iter().sum::<u64>(), 4);
         assert!(Histogram::from_data(&[], 4).is_none());
         assert!(Histogram::from_data(&[2.0, 2.0], 4).is_none());
     }
@@ -223,13 +182,17 @@ mod tests {
     fn cdf_reaches_100_percent() {
         let mut h = Histogram::new(0.0, 1.0, 10);
         h.extend((0..100).map(|i| i as f64 / 100.0));
-        let cdf = h.cdf_percent();
+        let cdf: Vec<f64> = (0..h.bins())
+            .scan(0.0, |acc, i| {
+                *acc += h.percent(i);
+                Some(*acc)
+            })
+            .collect();
         assert_eq!(cdf.len(), 10);
-        let (_, last) = cdf[9];
-        assert!((last - 100.0).abs() < 1e-9);
+        assert!((cdf[9] - 100.0).abs() < 1e-9);
         // Monotone non-decreasing.
         for w in cdf.windows(2) {
-            assert!(w[1].1 >= w[0].1);
+            assert!(w[1] >= w[0]);
         }
     }
 
@@ -237,7 +200,7 @@ mod tests {
     fn density_integrates_to_one_without_outliers() {
         let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).fract()).collect();
         let h = Histogram::from_data(&data, 20).unwrap();
-        let integral: f64 = (0..h.bins()).map(|i| h.density(i) * h.bin_width()).sum();
+        let integral: f64 = (0..h.bins()).map(|i| h.mass(i)).sum();
         assert!((integral - 1.0).abs() < 1e-9);
     }
 

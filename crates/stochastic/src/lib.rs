@@ -43,26 +43,15 @@ pub mod dist;
 pub mod fit;
 pub mod histogram;
 pub mod ops;
-pub mod special;
+pub(crate) mod special;
 pub mod stats;
 mod value;
 
 pub use coverage::{calibration_curve, AccuracyReport, Observation};
-pub use dist::{
-    Distribution, Empirical, LogNormal, LongTailed, Mixture, Normal, TailDirection, TruncatedNormal,
-};
+pub use dist::{Distribution, Empirical, LogNormal, LongTailed, Normal, TailDirection};
 pub use histogram::Histogram;
-pub use ops::{max_of, min_of, sum_related, sum_unrelated, Dependence, MaxStrategy};
+pub use ops::{max_of, min_of, Dependence, MaxStrategy};
+// tidy:allow(PP011): Table 2's n-ary sums, pinned by tests/properties.rs
+pub use ops::{sum_related, sum_unrelated};
 pub use stats::Summary;
 pub use value::StochasticValue;
-
-/// Commonly used items in one import.
-pub mod prelude {
-    pub use crate::coverage::{AccuracyReport, Observation};
-    pub use crate::dist::{Distribution, Empirical, Mixture, Normal};
-    pub use crate::fit::{detect_modes, fit_normal, to_stochastic};
-    pub use crate::histogram::Histogram;
-    pub use crate::ops::{max_of, min_of, sum_related, sum_unrelated, Dependence, MaxStrategy};
-    pub use crate::stats::Summary;
-    pub use crate::value::StochasticValue;
-}

@@ -8,7 +8,7 @@ use crate::value::StochasticValue;
 ///
 /// This is the conservative estimate — it assumes the errors move together
 /// so the interval must not be "over-smoothed".
-pub fn add_related(a: &StochasticValue, b: &StochasticValue) -> StochasticValue {
+pub(crate) fn add_related(a: &StochasticValue, b: &StochasticValue) -> StochasticValue {
     StochasticValue::new(a.mean() + b.mean(), a.half_width() + b.half_width())
 }
 
@@ -18,30 +18,10 @@ pub fn add_related(a: &StochasticValue, b: &StochasticValue) -> StochasticValue 
 /// For independent normals this is *exact*: normals are closed under
 /// addition with variances adding, and the two-sigma half-widths therefore
 /// combine in quadrature.
-pub fn add_unrelated(a: &StochasticValue, b: &StochasticValue) -> StochasticValue {
+pub(crate) fn add_unrelated(a: &StochasticValue, b: &StochasticValue) -> StochasticValue {
     let ha = a.half_width();
     let hb = b.half_width();
     StochasticValue::new(a.mean() + b.mean(), ha.hypot(hb))
-}
-
-/// Correlation-parameterized addition, generalizing the paper's two
-/// regimes: for correlation `rho` the variance law gives
-/// `a^2 + b^2 + 2 rho a b` for the squared half-width. `rho = 0` is the
-/// unrelated rule; `rho = 1` is the related rule; negative `rho` models
-/// anticorrelated quantities (one resource's gain is another's loss) and
-/// *narrows* the sum.
-///
-/// # Panics
-///
-/// Panics unless `rho` lies in `[-1, 1]`.
-pub fn add_correlated(a: &StochasticValue, b: &StochasticValue, rho: f64) -> StochasticValue {
-    assert!(
-        (-1.0..=1.0).contains(&rho),
-        "correlation must lie in [-1, 1], got {rho}"
-    );
-    let (ha, hb) = (a.half_width(), b.half_width());
-    let var = (ha * ha + hb * hb + 2.0 * rho * ha * hb).max(0.0);
-    StochasticValue::new(a.mean() + b.mean(), var.sqrt())
 }
 
 #[cfg(test)]
@@ -51,6 +31,30 @@ mod tests {
     use crate::stats::Summary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Correlation-parameterized addition, generalizing the paper's two
+    /// regimes: for correlation `rho` the variance law gives
+    /// `a^2 + b^2 + 2 rho a b` for the squared half-width. `rho = 0` is the
+    /// unrelated rule; `rho = 1` is the related rule; negative `rho` models
+    /// anticorrelated quantities (one resource's gain is another's loss) and
+    /// *narrows* the sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rho` lies in `[-1, 1]`.
+    pub(crate) fn add_correlated(
+        a: &StochasticValue,
+        b: &StochasticValue,
+        rho: f64,
+    ) -> StochasticValue {
+        assert!(
+            (-1.0..=1.0).contains(&rho),
+            "correlation must lie in [-1, 1], got {rho}"
+        );
+        let (ha, hb) = (a.half_width(), b.half_width());
+        let var = (ha * ha + hb * hb + 2.0 * rho * ha * hb).max(0.0);
+        StochasticValue::new(a.mean() + b.mean(), var.sqrt())
+    }
 
     #[test]
     fn related_adds_half_widths() {

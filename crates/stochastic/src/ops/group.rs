@@ -97,7 +97,7 @@ pub fn min_of(values: &[StochasticValue], strategy: MaxStrategy) -> StochasticVa
 /// E[max^2] = (m1^2+s1^2) Phi(alpha) + (m2^2+s2^2) Phi(-alpha)
 ///            + (m1+m2) theta phi(alpha)
 /// ```
-pub fn clark_max(a: &StochasticValue, b: &StochasticValue) -> StochasticValue {
+pub(crate) fn clark_max(a: &StochasticValue, b: &StochasticValue) -> StochasticValue {
     let (m1, s1) = (a.mean(), a.sd());
     let (m2, s2) = (b.mean(), b.sd());
     let theta2 = s1 * s1 + s2 * s2;

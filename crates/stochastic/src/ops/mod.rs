@@ -32,7 +32,6 @@ mod add;
 mod group;
 mod mul;
 
-pub use add::add_correlated;
 pub use group::{max_of, min_of, MaxStrategy};
 
 use crate::value::StochasticValue;
@@ -57,25 +56,18 @@ impl StochasticValue {
     }
 
     /// Related addition: `sum X_i ± sum |a_i|` (Table 2, row 2).
-    pub fn add_related(&self, other: &StochasticValue) -> StochasticValue {
+    pub(crate) fn add_related(&self, other: &StochasticValue) -> StochasticValue {
         add::add_related(self, other)
     }
 
     /// Unrelated addition: `sum X_i ± sqrt(sum a_i^2)` (Table 2, row 3).
-    pub fn add_unrelated(&self, other: &StochasticValue) -> StochasticValue {
+    pub(crate) fn add_unrelated(&self, other: &StochasticValue) -> StochasticValue {
         add::add_unrelated(self, other)
-    }
-
-    /// Correlation-parameterized addition: `rho = 0` is unrelated,
-    /// `rho = 1` related, negative `rho` anticorrelated (see
-    /// [`add_correlated`]).
-    pub fn add_with_correlation(&self, other: &StochasticValue, rho: f64) -> StochasticValue {
-        add::add_correlated(self, other, rho)
     }
 
     /// `(X ± a) - (Y ± b)`: "subtraction ... would have the same form as
     /// addition, only with a negative value for one of the X_i".
-    pub fn sub(&self, other: &StochasticValue, dep: Dependence) -> StochasticValue {
+    pub(crate) fn sub(&self, other: &StochasticValue, dep: Dependence) -> StochasticValue {
         self.add(&other.neg(), dep)
     }
 
@@ -87,25 +79,19 @@ impl StochasticValue {
         }
     }
 
-    /// Related multiplication:
-    /// `X_i X_j ± (a_i |X_j| + a_j |X_i| + a_i a_j)` (Table 2, row 2).
-    pub fn mul_related(&self, other: &StochasticValue) -> StochasticValue {
-        mul::mul_related(self, other)
-    }
-
     /// Unrelated multiplication:
     /// `X_i X_j ± |X_i X_j| sqrt((a_i/X_i)^2 + (a_j/X_j)^2)` (Table 2, row 3),
     /// with the paper's zero rule: a zero mean on either side makes the
     /// product the zero point value.
-    pub fn mul_unrelated(&self, other: &StochasticValue) -> StochasticValue {
+    pub(crate) fn mul_unrelated(&self, other: &StochasticValue) -> StochasticValue {
         mul::mul_unrelated(self, other)
     }
 
     /// Division as multiplication by the reciprocal (paper footnote 5).
     ///
     /// Uses the first-order reciprocal [`recip`](Self::recip) rather than
-    /// the footnote's literal `Y^-1 ± b^-1`, which explodes as `b -> 0`;
-    /// see `recip_literal` and DESIGN.md.
+    /// the footnote's literal `Y^-1 ± b^-1`, which explodes as `b -> 0`
+    /// (DESIGN.md).
     pub fn div(&self, other: &StochasticValue, dep: Dependence) -> StochasticValue {
         self.mul(&other.recip(), dep)
     }
@@ -117,22 +103,13 @@ impl StochasticValue {
     /// # Panics
     ///
     /// Panics if the mean is zero.
-    pub fn recip(&self) -> StochasticValue {
+    pub(crate) fn recip(&self) -> StochasticValue {
         mul::recip(self)
-    }
-
-    /// The footnote-5 literal reciprocal `Y^-1 ± b^-1`. Provided for
-    /// completeness; degenerates to the point reciprocal when `b == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mean is zero.
-    pub fn recip_literal(&self) -> StochasticValue {
-        mul::recip_literal(self)
     }
 }
 
 /// Related sum over any number of values: `sum X_i ± sum |a_i|`.
+// tidy:allow(PP011): Table 2's n-ary sums, pinned by tests/properties.rs
 pub fn sum_related<'a>(values: impl IntoIterator<Item = &'a StochasticValue>) -> StochasticValue {
     values
         .into_iter()
@@ -140,6 +117,7 @@ pub fn sum_related<'a>(values: impl IntoIterator<Item = &'a StochasticValue>) ->
 }
 
 /// Unrelated sum over any number of values: `sum X_i ± sqrt(sum a_i^2)`.
+// tidy:allow(PP011): Table 2's n-ary sums, pinned by tests/properties.rs
 pub fn sum_unrelated<'a>(values: impl IntoIterator<Item = &'a StochasticValue>) -> StochasticValue {
     let mut mean = 0.0;
     let mut ss = 0.0;
@@ -217,6 +195,14 @@ impl std::ops::Neg for StochasticValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StochasticValue {
+        /// Related multiplication:
+        /// `X_i X_j ± (a_i |X_j| + a_j |X_i| + a_i a_j)` (Table 2, row 2).
+        pub(crate) fn mul_related(&self, other: &StochasticValue) -> StochasticValue {
+            mul::mul_related(self, other)
+        }
+    }
 
     #[test]
     fn operator_overloads_use_unrelated_rules() {

@@ -9,7 +9,7 @@ use crate::value::StochasticValue;
 /// product when both factors are positive, "similar to standard statistical
 /// error propagation" but keeping the second-order `a_i a_j` term — again a
 /// conservative estimate.
-pub fn mul_related(a: &StochasticValue, b: &StochasticValue) -> StochasticValue {
+pub(crate) fn mul_related(a: &StochasticValue, b: &StochasticValue) -> StochasticValue {
     let (xi, ai) = (a.mean(), a.half_width());
     let (xj, aj) = (b.mean(), b.half_width());
     StochasticValue::new(xi * xj, ai * xj.abs() + aj * xi.abs() + ai * aj)
@@ -22,7 +22,7 @@ pub fn mul_related(a: &StochasticValue, b: &StochasticValue) -> StochasticValue 
 ///
 /// The paper's zero rule applies: "In the case that either X_i or X_j is
 /// equal to zero, we define their product to be zero."
-pub fn mul_unrelated(a: &StochasticValue, b: &StochasticValue) -> StochasticValue {
+pub(crate) fn mul_unrelated(a: &StochasticValue, b: &StochasticValue) -> StochasticValue {
     let (xi, ai) = (a.mean(), a.half_width());
     let (xj, aj) = (b.mean(), b.half_width());
     // tidy:allow(PP004): multiplying by an exact point zero yields an exact zero
@@ -39,28 +39,13 @@ pub fn mul_unrelated(a: &StochasticValue, b: &StochasticValue) -> StochasticValu
 ///
 /// Panics if the mean is zero (the reciprocal of a distribution straddling
 /// zero has no finite moments).
-pub fn recip(v: &StochasticValue) -> StochasticValue {
+pub(crate) fn recip(v: &StochasticValue) -> StochasticValue {
     assert!(
         v.mean() != 0.0, // tidy:allow(PP004): exact zero-mean guard before taking a reciprocal
         "reciprocal of a stochastic value with zero mean"
     );
     let m = v.mean();
     StochasticValue::new(1.0 / m, v.half_width() / (m * m))
-}
-
-/// Footnote-5 literal reciprocal `Y^-1 ± b^-1`.
-///
-/// Degenerates to the exact point reciprocal when `b == 0`. Kept for
-/// fidelity to the text; see DESIGN.md for why [`recip`] is the default.
-pub fn recip_literal(v: &StochasticValue) -> StochasticValue {
-    assert!(
-        v.mean() != 0.0, // tidy:allow(PP004): exact zero-mean guard before taking a reciprocal
-        "reciprocal of a stochastic value with zero mean"
-    );
-    if v.is_point() {
-        return StochasticValue::point(1.0 / v.mean());
-    }
-    StochasticValue::new(1.0 / v.mean(), 1.0 / v.half_width())
 }
 
 #[cfg(test)]
@@ -70,6 +55,21 @@ mod tests {
     use crate::stats::Summary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Footnote-5 literal reciprocal `Y^-1 ± b^-1`.
+    ///
+    /// Degenerates to the exact point reciprocal when `b == 0`. Kept for
+    /// fidelity to the text; see DESIGN.md for why [`recip`] is the default.
+    pub(crate) fn recip_literal(v: &StochasticValue) -> StochasticValue {
+        assert!(
+            v.mean() != 0.0, // tidy:allow(PP004): exact zero-mean guard before taking a reciprocal
+            "reciprocal of a stochastic value with zero mean"
+        );
+        if v.is_point() {
+            return StochasticValue::point(1.0 / v.mean());
+        }
+        StochasticValue::new(1.0 / v.mean(), 1.0 / v.half_width())
+    }
 
     #[test]
     fn related_product_formula() {

@@ -8,7 +8,7 @@
 
 /// Natural log of the gamma function (Lanczos approximation, `g = 5`,
 /// accurate to ~1e-15 for positive arguments).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires a positive argument, got {x}");
     const COF: [f64; 6] = [
         76.180_091_729_471_46,
@@ -33,7 +33,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// Series representation for `x < a + 1`, continued fraction otherwise
 /// (Numerical Recipes `gammp`), in double precision.
-pub fn gammp(a: f64, x: f64) -> f64 {
+pub(crate) fn gammp(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gammp domain error: a={a}, x={x}");
     // tidy:allow(PP004): exact endpoint identity of the incomplete gamma
     if x == 0.0 {
@@ -47,7 +47,7 @@ pub fn gammp(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized upper incomplete gamma `Q(a, x) = 1 - P(a, x)`.
-pub fn gammq(a: f64, x: f64) -> f64 {
+pub(crate) fn gammq(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gammq domain error: a={a}, x={x}");
     // tidy:allow(PP004): exact endpoint identity of the incomplete gamma
     if x == 0.0 {
@@ -110,22 +110,9 @@ fn gcf(a: f64, x: f64) -> f64 {
     (-x + a * x.ln() - gln).exp() * h
 }
 
-/// The error function `erf(x) = 2/sqrt(pi) * Int_0^x exp(-t^2) dt`,
-/// computed as `sign(x) * P(1/2, x^2)`. Exactly odd, `erf(0) == 0`.
-pub fn erf(x: f64) -> f64 {
-    // tidy:allow(PP004): erf(0) is exactly 0 by symmetry
-    if x == 0.0 {
-        0.0
-    } else if x < 0.0 {
-        -gammp(0.5, x * x)
-    } else {
-        gammp(0.5, x * x)
-    }
-}
-
 /// The complementary error function `erfc(x) = 1 - erf(x)`, computed
 /// without cancellation in the upper tail (`Q(1/2, x^2)` for `x > 0`).
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     // tidy:allow(PP004): erfc(0) is exactly 1 by symmetry
     if x == 0.0 {
         1.0
@@ -137,12 +124,12 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// Standard normal cumulative distribution function `Phi(x)`.
-pub fn std_normal_cdf(x: f64) -> f64 {
+pub(crate) fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
 /// Standard normal probability density function `phi(x)`.
-pub fn std_normal_pdf(x: f64) -> f64 {
+pub(crate) fn std_normal_pdf(x: f64) -> f64 {
     const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
     INV_SQRT_2PI * (-0.5 * x * x).exp()
 }
@@ -156,7 +143,7 @@ pub fn std_normal_pdf(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `p` is not in the open interval `(0, 1)`.
-pub fn std_normal_quantile(p: f64) -> f64 {
+pub(crate) fn std_normal_quantile(p: f64) -> f64 {
     assert!(
         p > 0.0 && p < 1.0,
         "quantile probability must lie in (0,1), got {p}"
@@ -218,6 +205,19 @@ pub fn std_normal_quantile(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The error function `erf(x) = 2/sqrt(pi) * Int_0^x exp(-t^2) dt`,
+    /// computed as `sign(x) * P(1/2, x^2)`. Exactly odd, `erf(0) == 0`.
+    pub(crate) fn erf(x: f64) -> f64 {
+        // tidy:allow(PP004): erf(0) is exactly 0 by symmetry
+        if x == 0.0 {
+            0.0
+        } else if x < 0.0 {
+            -gammp(0.5, x * x)
+        } else {
+            gammp(0.5, x * x)
+        }
+    }
 
     #[test]
     fn ln_gamma_known_values() {

@@ -121,7 +121,7 @@ impl Summary {
     }
 
     /// Population variance (`n` denominator). Zero when `n == 0`.
-    pub fn population_variance(&self) -> f64 {
+    pub(crate) fn population_variance(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -162,16 +162,6 @@ impl Summary {
     /// Largest observation (`-inf` when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Coefficient of variation `sd / |mean|`; `None` for zero mean.
-    pub fn cv(&self) -> Option<f64> {
-        // tidy:allow(PP004): exact zero mean makes the ratio undefined
-        if self.mean == 0.0 {
-            None
-        } else {
-            Some(self.sd() / self.mean.abs())
-        }
     }
 }
 
@@ -293,42 +283,54 @@ pub fn autocorrelation(data: &[f64], lag: usize) -> Option<f64> {
     Some(num / (data.len() as f64 * var))
 }
 
-/// Integrated autocorrelation time in *samples*:
-/// `tau = 1 + 2 sum_{k>=1} r_k`, summed until the first non-positive
-/// autocorrelation (the standard initial-positive-sequence truncation).
-/// Returns `None` for short or constant series. A white-noise series gives
-/// ~1; a process with dwell `D` sampled at interval `h` gives ~`D/h`-scale
-/// values.
-pub fn integrated_autocorr_time(data: &[f64]) -> Option<f64> {
-    if data.len() < 8 {
-        return None;
-    }
-    let mut tau = 1.0;
-    for k in 1..data.len() / 2 {
-        match autocorrelation(data, k) {
-            Some(r) if r > 0.0 => tau += 2.0 * r,
-            _ => break,
-        }
-    }
-    Some(tau)
-}
-
-/// Fraction of `actuals` that fall inside the corresponding prediction
-/// interval. `pairs` yields `(lo, hi, actual)`.
-pub fn interval_coverage(pairs: &[(f64, f64, f64)]) -> f64 {
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let inside = pairs
-        .iter()
-        .filter(|(lo, hi, v)| v >= lo && v <= hi)
-        .count();
-    inside as f64 / pairs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Summary {
+        /// Coefficient of variation `sd / |mean|`; `None` for zero mean.
+        pub(crate) fn cv(&self) -> Option<f64> {
+            // tidy:allow(PP004): exact zero mean makes the ratio undefined
+            if self.mean == 0.0 {
+                None
+            } else {
+                Some(self.sd() / self.mean.abs())
+            }
+        }
+    }
+
+    /// Integrated autocorrelation time in *samples*:
+    /// `tau = 1 + 2 sum_{k>=1} r_k`, summed until the first non-positive
+    /// autocorrelation (the standard initial-positive-sequence truncation).
+    /// Returns `None` for short or constant series. A white-noise series gives
+    /// ~1; a process with dwell `D` sampled at interval `h` gives ~`D/h`-scale
+    /// values.
+    pub(crate) fn integrated_autocorr_time(data: &[f64]) -> Option<f64> {
+        if data.len() < 8 {
+            return None;
+        }
+        let mut tau = 1.0;
+        for k in 1..data.len() / 2 {
+            match autocorrelation(data, k) {
+                Some(r) if r > 0.0 => tau += 2.0 * r,
+                _ => break,
+            }
+        }
+        Some(tau)
+    }
+
+    /// Fraction of `actuals` that fall inside the corresponding prediction
+    /// interval. `pairs` yields `(lo, hi, actual)`.
+    pub(crate) fn interval_coverage(pairs: &[(f64, f64, f64)]) -> f64 {
+        if pairs.is_empty() {
+            return 0.0;
+        }
+        let inside = pairs
+            .iter()
+            .filter(|(lo, hi, v)| v >= lo && v <= hi)
+            .count();
+        inside as f64 / pairs.len() as f64
+    }
 
     #[test]
     fn summary_basic_moments() {

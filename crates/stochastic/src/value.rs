@@ -8,7 +8,6 @@
 //! value in which the probability of X is 1" (paper, footnote 1).
 
 use crate::dist::Normal;
-use crate::special::std_normal_cdf;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -119,11 +118,6 @@ impl StochasticValue {
         self.mean + self.half_width
     }
 
-    /// The interval `(lo, hi)` as a tuple.
-    pub fn range(&self) -> (f64, f64) {
-        (self.lo(), self.hi())
-    }
-
     /// The half-width as a percentage of the mean, when the mean is nonzero.
     pub fn percent(&self) -> Option<f64> {
         // tidy:allow(PP004): exact zero mean makes the ratio undefined
@@ -147,7 +141,7 @@ impl StochasticValue {
     /// The paper's footnote-6 error metric: "the error between a value *v*
     /// not in the range of a stochastic value `X ± a` is the minimum distance
     /// between *v* and `(X - a, X + a)`". Zero when `v` is inside the range.
-    pub fn distance_outside(&self, v: f64) -> f64 {
+    pub(crate) fn distance_outside(&self, v: f64) -> f64 {
         if v < self.lo() {
             self.lo() - v
         } else if v > self.hi() {
@@ -181,16 +175,6 @@ impl StochasticValue {
         Normal::new(self.mean, self.sd())
     }
 
-    /// The probability, under the normal assumption, that the quantity lies
-    /// inside `[lo, hi]`. For a genuine normal this is ~0.9545.
-    pub fn nominal_coverage(&self) -> f64 {
-        if self.is_point() {
-            1.0
-        } else {
-            std_normal_cdf(2.0) - std_normal_cdf(-2.0)
-        }
-    }
-
     /// Scales the value by a point constant: `c * (X ± a) = cX ± |c|a`.
     pub fn scale(&self, c: f64) -> Self {
         Self::new(c * self.mean, c.abs() * self.half_width)
@@ -203,7 +187,7 @@ impl StochasticValue {
     }
 
     /// Negation `-(X ± a) = -X ± a`.
-    pub fn neg(&self) -> Self {
+    pub(crate) fn neg(&self) -> Self {
         Self::new(-self.mean, self.half_width)
     }
 
@@ -241,6 +225,19 @@ impl fmt::Display for StochasticValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::special::std_normal_cdf;
+
+    impl StochasticValue {
+        /// The probability, under the normal assumption, that the quantity lies
+        /// inside `[lo, hi]`. For a genuine normal this is ~0.9545.
+        pub(crate) fn nominal_coverage(&self) -> f64 {
+            if self.is_point() {
+                1.0
+            } else {
+                std_normal_cdf(2.0) - std_normal_cdf(-2.0)
+            }
+        }
+    }
 
     #[test]
     fn construction_and_accessors() {

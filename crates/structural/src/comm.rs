@@ -39,7 +39,7 @@ pub struct PtToPtModel {
 impl PtToPtModel {
     /// Transfer-time component for a message of `num_elt` elements:
     /// `latency + num_elt * size / (bw_avail * ded_bw)`.
-    pub fn pt_to_pt(&self, num_elt: Param) -> StochasticValue {
+    pub(crate) fn pt_to_pt(&self, num_elt: Param) -> StochasticValue {
         let bytes = num_elt.value().scale(self.size_elt);
         let eff_bw = self
             .bw_avail
@@ -52,7 +52,7 @@ impl PtToPtModel {
 /// The position of a processor in the strip chain determines its
 /// neighbour count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Neighbours {
+pub(crate) struct Neighbours {
     /// Has a strip above (processor `p - 1`).
     pub up: bool,
     /// Has a strip below (processor `p + 1`).
@@ -68,11 +68,6 @@ impl Neighbours {
             down: p + 1 < n_procs,
         }
     }
-
-    /// Number of neighbours (0, 1, or 2).
-    pub fn count(&self) -> usize {
-        usize::from(self.up) + usize::from(self.down)
-    }
 }
 
 /// Per-processor, per-phase communication component:
@@ -81,7 +76,7 @@ impl Neighbours {
 ///
 /// `ghost_elems` is the elements per ghost-row message (`N` for an
 /// `N x N` grid).
-pub fn phase_comm(
+pub(crate) fn phase_comm(
     model: &PtToPtModel,
     neighbours: Neighbours,
     ghost_elems: Param,
@@ -114,6 +109,7 @@ pub fn phase_comm(
 /// point transfers for an arbitrary set of messages (element counts).
 /// Covers non-strip layouts — a 2D block exchanges row segments with
 /// vertical neighbours and column segments with horizontal ones.
+// tidy:allow(PP011): the message-count model tests/block_decomposition.rs checks
 pub fn phase_comm_messages(model: &PtToPtModel, message_elements: &[f64]) -> StochasticValue {
     if message_elements.is_empty() {
         return StochasticValue::point(0.0);
@@ -128,6 +124,13 @@ pub fn phase_comm_messages(model: &PtToPtModel, message_elements: &[f64]) -> Sto
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Neighbours {
+        /// Number of neighbours (0, 1, or 2).
+        pub fn count(&self) -> usize {
+            usize::from(self.up) + usize::from(self.down)
+        }
+    }
 
     fn model() -> PtToPtModel {
         PtToPtModel {

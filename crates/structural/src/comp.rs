@@ -18,28 +18,9 @@ use crate::param::Param;
 use prodpred_stochastic::{Dependence, StochasticValue};
 use serde::{Deserialize, Serialize};
 
-/// Operation-counting computation model (`Comp_p1`).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct OpCountModel {
-    /// `Op(p, Elt)`: operations per element.
-    pub ops_per_elt: Param,
-    /// `CPU_p`: seconds per operation.
-    pub secs_per_op: Param,
-}
-
-impl OpCountModel {
-    /// Dedicated computation time for `num_elt` elements.
-    pub fn dedicated(&self, num_elt: Param, dep: Dependence) -> StochasticValue {
-        num_elt
-            .value()
-            .mul(&self.ops_per_elt.value(), dep)
-            .mul(&self.secs_per_op.value(), dep)
-    }
-}
-
 /// Benchmark computation model (`Comp_p2`).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct BenchmarkModel {
+pub(crate) struct BenchmarkModel {
     /// `BM(Elt_p)`: benchmarked seconds per element on processor `p`.
     pub bm_secs_per_elt: Param,
 }
@@ -61,7 +42,7 @@ impl BenchmarkModel {
 
 /// One phase's computation component for processor `p`: half the strip's
 /// elements have each colour, so `RedComp_p = (elements/2) * BM / load`.
-pub fn phase_comp(
+pub(crate) fn phase_comp(
     bm: &BenchmarkModel,
     strip_elements: f64,
     load: Param,
@@ -73,6 +54,24 @@ pub fn phase_comp(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Operation-counting computation model (`Comp_p1`).
+    struct OpCountModel {
+        /// `Op(p, Elt)`: operations per element.
+        pub ops_per_elt: Param,
+        /// `CPU_p`: seconds per operation.
+        pub secs_per_op: Param,
+    }
+
+    impl OpCountModel {
+        /// Dedicated computation time for `num_elt` elements.
+        pub fn dedicated(&self, num_elt: Param, dep: Dependence) -> StochasticValue {
+            num_elt
+                .value()
+                .mul(&self.ops_per_elt.value(), dep)
+                .mul(&self.secs_per_op.value(), dep)
+        }
+    }
 
     #[test]
     fn benchmark_dedicated_scales() {

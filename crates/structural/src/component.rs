@@ -79,40 +79,42 @@ impl Component {
             }
         }
     }
-
-    /// Evaluates with every stochastic parameter collapsed to its mean —
-    /// the conventional point-valued prediction baseline.
-    pub fn evaluate_point(&self) -> f64 {
-        self.collapse().evaluate().mean()
-    }
-
-    /// A copy of the tree with all parameters collapsed to point values.
-    pub fn collapse(&self) -> Component {
-        match self {
-            Component::Param(p) => Component::Param(p.to_point()),
-            Component::Sum(parts, dep) => {
-                Component::Sum(parts.iter().map(Component::collapse).collect(), *dep)
-            }
-            Component::Product(parts, dep) => {
-                Component::Product(parts.iter().map(Component::collapse).collect(), *dep)
-            }
-            Component::Quotient(n, d, dep) => {
-                Component::Quotient(Box::new(n.collapse()), Box::new(d.collapse()), *dep)
-            }
-            Component::Scale(c, inner) => Component::Scale(*c, Box::new(inner.collapse())),
-            Component::Max(parts, s) => {
-                Component::Max(parts.iter().map(Component::collapse).collect(), *s)
-            }
-            Component::Min(parts, s) => {
-                Component::Min(parts.iter().map(Component::collapse).collect(), *s)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Component {
+        /// Evaluates with every stochastic parameter collapsed to its mean —
+        /// the conventional point-valued prediction baseline.
+        pub(crate) fn evaluate_point(&self) -> f64 {
+            self.collapse().evaluate().mean()
+        }
+
+        /// A copy of the tree with all parameters collapsed to point values.
+        pub(crate) fn collapse(&self) -> Component {
+            match self {
+                Component::Param(p) => Component::Param(p.to_point()),
+                Component::Sum(parts, dep) => {
+                    Component::Sum(parts.iter().map(Component::collapse).collect(), *dep)
+                }
+                Component::Product(parts, dep) => {
+                    Component::Product(parts.iter().map(Component::collapse).collect(), *dep)
+                }
+                Component::Quotient(n, d, dep) => {
+                    Component::Quotient(Box::new(n.collapse()), Box::new(d.collapse()), *dep)
+                }
+                Component::Scale(c, inner) => Component::Scale(*c, Box::new(inner.collapse())),
+                Component::Max(parts, s) => {
+                    Component::Max(parts.iter().map(Component::collapse).collect(), *s)
+                }
+                Component::Min(parts, s) => {
+                    Component::Min(parts.iter().map(Component::collapse).collect(), *s)
+                }
+            }
+        }
+    }
 
     #[test]
     fn leaf_evaluation() {

@@ -28,12 +28,13 @@ pub mod param;
 pub mod sor_model;
 pub mod validate;
 
-pub use comm::{phase_comm, phase_comm_messages, Neighbours, PtToPtModel};
-pub use comp::{phase_comp, BenchmarkModel, OpCountModel};
+pub use comm::PtToPtModel;
+// tidy:allow(PP011): the message-count model tests/block_decomposition.rs checks
+pub use comm::phase_comm_messages;
 pub use component::Component;
 pub use degrade::{degrade, degrade_point, DegradationTerms};
-pub use param::{Param, ParamSource};
-pub use sor_model::{
-    skew_bound, PhaseBreakdown, ProcessorInputs, SorModelInputs, SorStructuralModel,
-};
-pub use validate::{monte_carlo, monte_carlo_par, McResult, MC_CHUNK};
+pub use param::Param;
+pub use sor_model::{PhaseBreakdown, ProcessorInputs, SorModelInputs, SorStructuralModel};
+pub use validate::{monte_carlo, monte_carlo_par, McResult};
+// tidy:allow(PP011): the chunk size tests/parallel_determinism.rs sweeps
+pub use validate::MC_CHUNK;

@@ -10,7 +10,7 @@ use std::fmt;
 
 /// When a parameter's value is determined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ParamSource {
+pub(crate) enum ParamSource {
     /// Known statically (compile time): element sizes, operation counts,
     /// dedicated bandwidth.
     Static,
@@ -43,30 +43,15 @@ impl Param {
         }
     }
 
-    /// A parameter with an explicit source.
-    pub fn with_source(v: StochasticValue, source: ParamSource) -> Self {
-        Self { value: v, source }
-    }
-
     /// The underlying stochastic value (a point value is "a stochastic
     /// value in which the probability of X is 1" — footnote 1).
     pub fn value(&self) -> StochasticValue {
         self.value
     }
 
-    /// Where the value comes from.
-    pub fn source(&self) -> ParamSource {
-        self.source
-    }
-
-    /// Whether this is a point value.
-    pub fn is_point(&self) -> bool {
-        self.value.is_point()
-    }
-
     /// Collapses the parameter to its mean — what a conventional
     /// point-valued model would use.
-    pub fn to_point(&self) -> Param {
+    pub(crate) fn to_point(self) -> Param {
         Self {
             value: StochasticValue::point(self.value.mean()),
             source: self.source,
@@ -96,19 +81,33 @@ impl fmt::Display for Param {
 mod tests {
     use super::*;
 
+    impl Param {
+        /// Whether this is a point value.
+        pub(crate) fn is_point(&self) -> bool {
+            self.value.is_point()
+        }
+    }
+
+    impl Param {
+        /// A parameter with an explicit source.
+        pub(crate) fn with_source(v: StochasticValue, source: ParamSource) -> Self {
+            Self { value: v, source }
+        }
+    }
+
     #[test]
     fn point_param() {
         let p = Param::point(8.0);
         assert!(p.is_point());
         assert_eq!(p.value().mean(), 8.0);
-        assert_eq!(p.source(), ParamSource::Static);
+        assert_eq!(p.source, ParamSource::Static);
     }
 
     #[test]
     fn stochastic_param() {
         let p = Param::stochastic(StochasticValue::new(0.48, 0.05));
         assert!(!p.is_point());
-        assert_eq!(p.source(), ParamSource::Runtime);
+        assert_eq!(p.source, ParamSource::Runtime);
     }
 
     #[test]
@@ -117,7 +116,7 @@ mod tests {
         let q = p.to_point();
         assert!(q.is_point());
         assert_eq!(q.value().mean(), 5.0);
-        assert_eq!(q.source(), ParamSource::Runtime);
+        assert_eq!(q.source, ParamSource::Runtime);
     }
 
     #[test]

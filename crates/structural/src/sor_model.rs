@@ -29,28 +29,6 @@ pub struct ProcessorInputs {
     pub load: Param,
 }
 
-impl ProcessorInputs {
-    /// Builds processor inputs from the operation-counting computation
-    /// model instead of a benchmark — "We could have used an operation
-    /// count model just as easily" (paper §2.2.1). The per-element time is
-    /// `Op(p, Elt) * CPU_p`; stochastic operation counts or op times
-    /// (e.g. benchmarked with jitter) propagate into the prediction.
-    pub fn from_op_count(
-        elements: f64,
-        ops_per_elt: Param,
-        secs_per_op: Param,
-        load: Param,
-        dep: Dependence,
-    ) -> Self {
-        let bm = ops_per_elt.value().mul(&secs_per_op.value(), dep);
-        Self {
-            elements,
-            bm_secs_per_elt: Param::with_source(bm, crate::param::ParamSource::Static),
-            load,
-        }
-    }
-}
-
 /// The SOR structural model's inputs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SorModelInputs {
@@ -84,7 +62,7 @@ pub struct PhaseBreakdown {
 
 impl PhaseBreakdown {
     /// One iteration's time: the sum of the four phase maxima.
-    pub fn iteration_time(&self, dep: Dependence) -> StochasticValue {
+    pub(crate) fn iteration_time(&self, dep: Dependence) -> StochasticValue {
         self.red_comp
             .add(&self.red_comm, dep)
             .add(&self.black_comp, dep)
@@ -155,7 +133,7 @@ impl SorStructuralModel {
     }
 
     /// Evaluates the four per-iteration phase maxima.
-    pub fn phase_breakdown(&self) -> PhaseBreakdown {
+    pub(crate) fn phase_breakdown(&self) -> PhaseBreakdown {
         self.breakdown_with(self.comm_max())
     }
 
@@ -224,66 +202,6 @@ impl SorStructuralModel {
         }
     }
 
-    /// The model as an explicit [`Component`](crate::component::Component)
-    /// expression tree — the paper's "structural models are composed of
-    /// component models" form, useful for inspection and for Monte-Carlo
-    /// validation via [`crate::validate::monte_carlo`].
-    ///
-    /// Evaluating the tree reproduces [`predict`](Self::predict) exactly:
-    /// under the related rule the `NumIts`-fold sum is a `Scale` node;
-    /// under the unrelated rule it is a literal sum of `NumIts` copies
-    /// (whose widths combine in quadrature).
-    pub fn to_component(&self) -> crate::component::Component {
-        use crate::component::Component;
-        let inp = &self.inputs;
-        let p = inp.procs.len();
-        let dep = inp.network.dependence;
-        let ghost = Param::point(inp.n as f64);
-
-        let comp_terms: Vec<Component> = inp
-            .procs
-            .iter()
-            .map(|proc| {
-                Component::Quotient(
-                    Box::new(Component::Product(
-                        vec![
-                            Component::point(proc.elements / 2.0),
-                            Component::Param(proc.bm_secs_per_elt),
-                        ],
-                        dep,
-                    )),
-                    Box::new(Component::Param(proc.load)),
-                    dep,
-                )
-            })
-            .collect();
-        let comm_terms: Vec<Component> = (0..p)
-            .map(|i| {
-                Component::Param(Param::stochastic(phase_comm(
-                    &inp.network,
-                    Neighbours::of(i, p),
-                    ghost,
-                )))
-            })
-            .collect();
-
-        let iteration = Component::Sum(
-            vec![
-                Component::Max(comp_terms.clone(), inp.max_strategy),
-                Component::Max(comm_terms.clone(), inp.max_strategy),
-                Component::Max(comp_terms, inp.max_strategy),
-                Component::Max(comm_terms, inp.max_strategy),
-            ],
-            inp.phase_dependence,
-        );
-        match inp.phase_dependence {
-            Dependence::Related => Component::Scale(inp.iterations as f64, Box::new(iteration)),
-            Dependence::Unrelated => {
-                Component::Sum(vec![iteration; inp.iterations], Dependence::Unrelated)
-            }
-        }
-    }
-
     /// The conventional point prediction: every parameter collapsed to its
     /// mean.
     pub fn predict_point(&self) -> f64 {
@@ -298,18 +216,102 @@ impl SorStructuralModel {
     }
 }
 
-/// Skew bound (paper Figure 7): "accumulating communication delays can
-/// create a kind of 'skew' which can delay execution of each iteration by
-/// the amount of at most P iterations". The worst-case extra delay is the
-/// per-iteration time times the processor count.
-pub fn skew_bound(per_iteration: StochasticValue, processors: usize) -> StochasticValue {
-    assert!(processors > 0);
-    per_iteration.scale(processors as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Skew bound (paper Figure 7): "accumulating communication delays can
+    /// create a kind of 'skew' which can delay execution of each iteration by
+    /// the amount of at most P iterations". The worst-case extra delay is the
+    /// per-iteration time times the processor count.
+    pub(crate) fn skew_bound(per_iteration: StochasticValue, processors: usize) -> StochasticValue {
+        assert!(processors > 0);
+        per_iteration.scale(processors as f64)
+    }
+
+    impl SorStructuralModel {
+        /// The model as an explicit [`Component`](crate::component::Component)
+        /// expression tree — the paper's "structural models are composed of
+        /// component models" form, useful for inspection and for Monte-Carlo
+        /// validation via [`crate::validate::monte_carlo`].
+        ///
+        /// Evaluating the tree reproduces [`predict`](Self::predict) exactly:
+        /// under the related rule the `NumIts`-fold sum is a `Scale` node;
+        /// under the unrelated rule it is a literal sum of `NumIts` copies
+        /// (whose widths combine in quadrature).
+        pub(crate) fn to_component(&self) -> crate::component::Component {
+            use crate::component::Component;
+            let inp = &self.inputs;
+            let p = inp.procs.len();
+            let dep = inp.network.dependence;
+            let ghost = Param::point(inp.n as f64);
+
+            let comp_terms: Vec<Component> = inp
+                .procs
+                .iter()
+                .map(|proc| {
+                    Component::Quotient(
+                        Box::new(Component::Product(
+                            vec![
+                                Component::point(proc.elements / 2.0),
+                                Component::Param(proc.bm_secs_per_elt),
+                            ],
+                            dep,
+                        )),
+                        Box::new(Component::Param(proc.load)),
+                        dep,
+                    )
+                })
+                .collect();
+            let comm_terms: Vec<Component> = (0..p)
+                .map(|i| {
+                    Component::Param(Param::stochastic(phase_comm(
+                        &inp.network,
+                        Neighbours::of(i, p),
+                        ghost,
+                    )))
+                })
+                .collect();
+
+            let iteration = Component::Sum(
+                vec![
+                    Component::Max(comp_terms.clone(), inp.max_strategy),
+                    Component::Max(comm_terms.clone(), inp.max_strategy),
+                    Component::Max(comp_terms, inp.max_strategy),
+                    Component::Max(comm_terms, inp.max_strategy),
+                ],
+                inp.phase_dependence,
+            );
+            match inp.phase_dependence {
+                Dependence::Related => Component::Scale(inp.iterations as f64, Box::new(iteration)),
+                Dependence::Unrelated => {
+                    Component::Sum(vec![iteration; inp.iterations], Dependence::Unrelated)
+                }
+            }
+        }
+    }
+
+    impl ProcessorInputs {
+        /// Builds processor inputs from the operation-counting computation
+        /// model instead of a benchmark — "We could have used an operation
+        /// count model just as easily" (paper §2.2.1). The per-element time is
+        /// `Op(p, Elt) * CPU_p`; stochastic operation counts or op times
+        /// (e.g. benchmarked with jitter) propagate into the prediction.
+        pub(crate) fn from_op_count(
+            elements: f64,
+            ops_per_elt: Param,
+            secs_per_op: Param,
+            load: Param,
+            dep: Dependence,
+        ) -> Self {
+            let bm = ops_per_elt.value().mul(&secs_per_op.value(), dep);
+            Self {
+                elements,
+                bm_secs_per_elt: Param::with_source(bm, crate::param::ParamSource::Static),
+                load,
+            }
+        }
+    }
 
     fn dedicated_inputs(n: usize, iterations: usize, p: usize) -> SorModelInputs {
         let elements = ((n - 2) * (n - 2)) as f64 / p as f64;

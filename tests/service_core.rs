@@ -561,8 +561,9 @@ fn admission_shed_counts_are_pinned() {
 
     let mut fault = FaultConfig::none(SEED);
     fault.blackouts = vec![(340.0, 385.0), (450.0, 500.0)];
-    let mut admission = AdmissionConfig::unbounded();
-    admission.miss_tokens_per_tick = 3;
+    let admission = AdmissionConfig {
+        miss_tokens_per_tick: 3,
+    };
     let core = ServiceCore::new(ServiceConfig {
         fault: Some(fault),
         resilience: ResilienceConfig {
