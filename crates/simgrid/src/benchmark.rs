@@ -64,21 +64,8 @@ pub fn figure1_runtimes(reps: usize, seed: u64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::uniform01;
     use prodpred_stochastic::fit::normality_report;
     use prodpred_stochastic::Summary;
-
-    /// A deterministic pseudo-work kernel for calibration tests: performs a
-    /// fixed number of floating-point operations and returns a checksum so the
-    /// optimizer cannot elide the work.
-    pub(crate) fn spin_flops(ops: u64, seed: u64) -> f64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut acc = uniform01(&mut rng);
-        for i in 0..ops {
-            acc = acc.mul_add(0.999_999_9, 1.0e-7 * ((i & 0xFF) as f64));
-        }
-        acc
-    }
 
     #[test]
     fn real_sort_benchmark_returns_positive_times() {
@@ -101,14 +88,6 @@ mod tests {
     fn simulated_runtimes_deterministic() {
         assert_eq!(figure1_runtimes(100, 3), figure1_runtimes(100, 3));
         assert_ne!(figure1_runtimes(100, 3), figure1_runtimes(100, 4));
-    }
-
-    #[test]
-    fn spin_flops_returns_finite_checksum() {
-        let v = spin_flops(100_000, 1);
-        assert!(v.is_finite());
-        // Deterministic.
-        assert_eq!(v, spin_flops(100_000, 1));
     }
 
     #[test]

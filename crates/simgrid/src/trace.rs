@@ -306,7 +306,7 @@ impl Trace {
     }
 
     /// End of the generated horizon.
-    // tidy:allow(PP011): oracle for the trace property tests and the NWS pipeline tests
+    // tidy:allow(PP011): the horizon Trace::extend grows; crates/simgrid/tests/properties.rs and tests/failure_injection.rs read it
     pub fn t_end(&self) -> f64 {
         self.t0 + self.dt * self.values.len() as f64
     }
@@ -357,7 +357,7 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if `b < a`.
-    // tidy:allow(PP011): oracle for the trace property tests and the NWS pipeline tests
+    // tidy:allow(PP011): oracle for Trace::extend and NwsService's forecasts, in crates/simgrid/tests/properties.rs and tests/nws_pipeline.rs
     pub fn mean_over(&self, a: f64, b: f64) -> f64 {
         self.curve().mean_over(&self.prefix.cum, a, b)
     }
@@ -576,28 +576,6 @@ mod tests {
     use proptest::prelude::*;
 
     use walking_oracles::{integral_walk, time_to_complete_walk};
-
-    impl Trace {
-        /// Resamples to a coarser resolution: each output step of `factor`
-        /// input steps holds their mean — how an archival tool thins a long
-        /// trace without biasing work integration.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `factor == 0`.
-        pub(crate) fn downsample(&self, factor: usize) -> Trace {
-            assert!(factor > 0, "downsample factor must be positive");
-            if factor == 1 {
-                return self.clone();
-            }
-            let values: Vec<f64> = self
-                .values
-                .chunks(factor)
-                .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-                .collect();
-            Trace::new(self.t0, self.dt * factor as f64, values)
-        }
-    }
 
     impl Trace {
         /// The whole-array oracle over this trace's floored prefix.
@@ -878,27 +856,8 @@ mod tests {
         assert_eq!(tail.values(), &[5.0]);
     }
 
-    #[test]
-    fn downsample_preserves_mean_and_integral() {
-        let t = Trace::new(0.0, 1.0, vec![1.0, 3.0, 5.0, 7.0, 2.0, 4.0]);
-        let d = t.downsample(2);
-        assert_eq!(d.dt(), 2.0);
-        assert_eq!(d.values(), &[2.0, 6.0, 3.0]);
-        assert!((d.mean() - t.mean()).abs() < 1e-12);
-        assert!((d.integral(0.0, 6.0) - t.integral(0.0, 6.0)).abs() < 1e-9);
-        // Ragged tail chunk still averages correctly.
-        let d3 = t.downsample(4);
-        assert_eq!(d3.values(), &[4.0, 3.0]);
-    }
-
-    #[test]
-    fn downsample_factor_one_is_identity() {
-        let t = ramp();
-        assert_eq!(t.downsample(1), t);
-    }
-
     // --- boundary cases for the view-routing helpers ---
-    // `slice`, `downsample`, and `sample_every` back the `TraceRef`
+    // `slice` and `sample_every` back the `TraceRef`
     // materialization path, so their edges are load-bearing.
 
     #[test]
@@ -947,33 +906,6 @@ mod tests {
         let s = t.slice(1.2, 1.8);
         assert_eq!(s.t0(), 1.0);
         assert_eq!(s.values(), &[2.0]);
-    }
-
-    #[test]
-    fn downsample_factor_exceeding_len_collapses_to_mean() {
-        let t = Trace::new(0.0, 1.0, vec![1.0, 3.0, 5.0]);
-        let d = t.downsample(10);
-        assert_eq!(d.len(), 1);
-        assert!((d.values()[0] - 3.0).abs() < 1e-12);
-        assert_eq!(d.dt(), 10.0);
-    }
-
-    #[test]
-    fn downsample_non_divisible_factor_preserves_integral() {
-        // 7 samples at factor 3: chunks of 3, 3, 1 — the ragged tail must
-        // average over its own length, and the *integral over the covered
-        // span* is only preserved chunk-by-chunk where chunks are full.
-        let t = Trace::new(0.0, 1.0, vec![2.0, 4.0, 6.0, 1.0, 1.0, 1.0, 9.0]);
-        let d = t.downsample(3);
-        assert_eq!(d.values(), &[4.0, 1.0, 9.0]);
-        // Full chunks preserve their own integral exactly.
-        assert!((d.integral(0.0, 6.0) - t.integral(0.0, 6.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn downsample_rejects_zero_factor() {
-        ramp().downsample(0);
     }
 
     #[test]

@@ -104,7 +104,8 @@ impl Kde {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Distribution, Mixture, Normal};
+    use crate::dist::{Distribution, Normal};
+    use crate::fit::{modal_samples, FIGURE5_MODES};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -139,10 +140,7 @@ mod tests {
     #[test]
     fn trimodal_load_gives_three_peaks() {
         // Figure 5's regime.
-        let mix =
-            Mixture::from_triples(&[(0.35, 0.94, 0.02), (0.40, 0.49, 0.04), (0.25, 0.33, 0.02)]);
-        let mut rng = StdRng::seed_from_u64(3);
-        let data = mix.sample_n(&mut rng, 6000);
+        let data = modal_samples(&FIGURE5_MODES, 3, 6000);
         let kde = Kde::new(&data);
         let peaks = kde.peaks(0.0, 1.2, 600, 0.1);
         assert_eq!(peaks.len(), 3, "peaks {peaks:?}");
@@ -153,9 +151,7 @@ mod tests {
 
     #[test]
     fn valley_lies_between_modes() {
-        let mix = Mixture::from_triples(&[(0.5, 0.2, 0.03), (0.5, 0.8, 0.03)]);
-        let mut rng = StdRng::seed_from_u64(4);
-        let data = mix.sample_n(&mut rng, 4000);
+        let data = modal_samples(&[(0.5, 0.2, 0.03), (0.5, 0.8, 0.03)], 4, 4000);
         let kde = Kde::new(&data);
         let v = kde.valley(0.2, 0.8, 300);
         assert!(v > 0.3 && v < 0.7, "valley {v}");

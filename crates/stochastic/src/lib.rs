@@ -13,8 +13,7 @@
 //! * group operations ([`ops::max_of`], [`ops::min_of`]) with the paper's
 //!   selection policies plus Clark's approximation and Monte Carlo,
 //! * distribution families in [`dist`] — normal, lognormal/long-tailed,
-//!   normal mixtures for modal data, and empirical distributions with KS
-//!   goodness-of-fit,
+//!   and empirical distributions with KS goodness-of-fit,
 //! * fitting and regime classification in [`fit`] — normal fits, KDE, and
 //!   the mode detector that reproduces the paper's Figure-5 analysis,
 //! * accuracy metrics in [`coverage`] — interval coverage and the paper's
@@ -51,7 +50,5 @@ pub use coverage::{calibration_curve, AccuracyReport, Observation};
 pub use dist::{Distribution, Empirical, LogNormal, LongTailed, Normal, TailDirection};
 pub use histogram::Histogram;
 pub use ops::{max_of, min_of, Dependence, MaxStrategy};
-// tidy:allow(PP011): Table 2's n-ary sums, pinned by tests/properties.rs
-pub use ops::{sum_related, sum_unrelated};
 pub use stats::Summary;
 pub use value::StochasticValue;

@@ -32,30 +32,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Correlation-parameterized addition, generalizing the paper's two
-    /// regimes: for correlation `rho` the variance law gives
-    /// `a^2 + b^2 + 2 rho a b` for the squared half-width. `rho = 0` is the
-    /// unrelated rule; `rho = 1` is the related rule; negative `rho` models
-    /// anticorrelated quantities (one resource's gain is another's loss) and
-    /// *narrows* the sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rho` lies in `[-1, 1]`.
-    pub(crate) fn add_correlated(
-        a: &StochasticValue,
-        b: &StochasticValue,
-        rho: f64,
-    ) -> StochasticValue {
-        assert!(
-            (-1.0..=1.0).contains(&rho),
-            "correlation must lie in [-1, 1], got {rho}"
-        );
-        let (ha, hb) = (a.half_width(), b.half_width());
-        let var = (ha * ha + hb * hb + 2.0 * rho * ha * hb).max(0.0);
-        StochasticValue::new(a.mean() + b.mean(), var.sqrt())
-    }
-
     #[test]
     fn related_adds_half_widths() {
         let a = StochasticValue::new(8.0, 2.0);
@@ -119,64 +95,6 @@ mod tests {
         assert!((2.0 * s.sd() - predicted.half_width()).abs() < 0.02);
         let frac = inside as f64 / n as f64;
         assert!((frac - 0.9545).abs() < 0.01, "coverage {frac}");
-    }
-
-    #[test]
-    fn correlated_addition_interpolates_the_regimes() {
-        let a = StochasticValue::new(8.0, 3.0);
-        let b = StochasticValue::new(3.0, 4.0);
-        let rho0 = add_correlated(&a, &b, 0.0);
-        let rho1 = add_correlated(&a, &b, 1.0);
-        assert_eq!(rho0.half_width(), add_unrelated(&a, &b).half_width());
-        assert!((rho1.half_width() - add_related(&a, &b).half_width()).abs() < 1e-12);
-        // Monotone in rho.
-        let mut prev = 0.0;
-        for i in 0..=20 {
-            let rho = -1.0 + 0.1 * i as f64;
-            let w = add_correlated(&a, &b, rho).half_width();
-            assert!(w >= prev - 1e-12, "width not monotone at rho {rho}");
-            prev = w;
-        }
-        // Perfect anticorrelation: widths cancel to |a - b|.
-        let anti = add_correlated(&a, &b, -1.0);
-        assert!((anti.half_width() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn correlated_addition_matches_sampled_correlated_normals() {
-        // Build correlated pairs: Y = rho X + sqrt(1-rho^2) Z.
-        let rho = 0.6;
-        let (sx, sy) = (1.5, 1.0);
-        let x = Normal::new(0.0, 1.0);
-        let z = Normal::new(0.0, 1.0);
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut s = Summary::new();
-        for _ in 0..60_000 {
-            let xv = x.sample(&mut rng);
-            let yv = rho * xv + (1.0f64 - rho * rho).sqrt() * z.sample(&mut rng);
-            s.push(sx * xv + sy * yv);
-        }
-        let predicted = add_correlated(
-            &StochasticValue::from_mean_sd(0.0, sx),
-            &StochasticValue::from_mean_sd(0.0, sy),
-            rho,
-        );
-        assert!(
-            (2.0 * s.sd() - predicted.half_width()).abs() < 0.03,
-            "sampled {} vs rule {}",
-            2.0 * s.sd(),
-            predicted.half_width()
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn correlated_rejects_out_of_range_rho() {
-        add_correlated(
-            &StochasticValue::new(0.0, 1.0),
-            &StochasticValue::new(0.0, 1.0),
-            1.5,
-        );
     }
 
     #[test]

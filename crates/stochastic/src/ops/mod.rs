@@ -55,11 +55,6 @@ impl StochasticValue {
         }
     }
 
-    /// Related addition: `sum X_i ± sum |a_i|` (Table 2, row 2).
-    pub(crate) fn add_related(&self, other: &StochasticValue) -> StochasticValue {
-        add::add_related(self, other)
-    }
-
     /// Unrelated addition: `sum X_i ± sqrt(sum a_i^2)` (Table 2, row 3).
     pub(crate) fn add_unrelated(&self, other: &StochasticValue) -> StochasticValue {
         add::add_unrelated(self, other)
@@ -106,26 +101,6 @@ impl StochasticValue {
     pub(crate) fn recip(&self) -> StochasticValue {
         mul::recip(self)
     }
-}
-
-/// Related sum over any number of values: `sum X_i ± sum |a_i|`.
-// tidy:allow(PP011): Table 2's n-ary sums, pinned by tests/properties.rs
-pub fn sum_related<'a>(values: impl IntoIterator<Item = &'a StochasticValue>) -> StochasticValue {
-    values
-        .into_iter()
-        .fold(StochasticValue::point(0.0), |acc, v| acc.add_related(v))
-}
-
-/// Unrelated sum over any number of values: `sum X_i ± sqrt(sum a_i^2)`.
-// tidy:allow(PP011): Table 2's n-ary sums, pinned by tests/properties.rs
-pub fn sum_unrelated<'a>(values: impl IntoIterator<Item = &'a StochasticValue>) -> StochasticValue {
-    let mut mean = 0.0;
-    let mut ss = 0.0;
-    for v in values {
-        mean += v.mean();
-        ss += v.half_width() * v.half_width();
-    }
-    StochasticValue::new(mean, ss.sqrt())
 }
 
 impl std::ops::Add for StochasticValue {
@@ -196,14 +171,6 @@ impl std::ops::Neg for StochasticValue {
 mod tests {
     use super::*;
 
-    impl StochasticValue {
-        /// Related multiplication:
-        /// `X_i X_j ± (a_i |X_j| + a_j |X_i| + a_i a_j)` (Table 2, row 2).
-        pub(crate) fn mul_related(&self, other: &StochasticValue) -> StochasticValue {
-            mul::mul_related(self, other)
-        }
-    }
-
     #[test]
     fn operator_overloads_use_unrelated_rules() {
         let a = StochasticValue::new(10.0, 3.0);
@@ -229,25 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn sums_over_iterators() {
-        let vals = [
-            StochasticValue::new(1.0, 1.0),
-            StochasticValue::new(2.0, 2.0),
-            StochasticValue::new(3.0, 2.0),
-        ];
-        let rel = sum_related(&vals);
-        assert_eq!(rel.mean(), 6.0);
-        assert_eq!(rel.half_width(), 5.0);
-        let unrel = sum_unrelated(&vals);
-        assert_eq!(unrel.mean(), 6.0);
-        assert!((unrel.half_width() - 3.0).abs() < 1e-12); // sqrt(1+4+4)
-    }
-
-    #[test]
     fn related_at_least_as_wide_as_unrelated() {
         let a = StochasticValue::new(5.0, 2.0);
         let b = StochasticValue::new(7.0, 3.0);
-        assert!(a.add_related(&b).half_width() >= a.add_unrelated(&b).half_width());
-        assert!(a.mul_related(&b).half_width() >= a.mul_unrelated(&b).half_width());
+        let rel = Dependence::Related;
+        assert!(a.add(&b, rel).half_width() >= a.add_unrelated(&b).half_width());
+        assert!(a.mul(&b, rel).half_width() >= a.mul_unrelated(&b).half_width());
     }
 }

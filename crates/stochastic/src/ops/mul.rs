@@ -56,21 +56,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Footnote-5 literal reciprocal `Y^-1 ± b^-1`.
-    ///
-    /// Degenerates to the exact point reciprocal when `b == 0`. Kept for
-    /// fidelity to the text; see DESIGN.md for why [`recip`] is the default.
-    pub(crate) fn recip_literal(v: &StochasticValue) -> StochasticValue {
-        assert!(
-            v.mean() != 0.0, // tidy:allow(PP004): exact zero-mean guard before taking a reciprocal
-            "reciprocal of a stochastic value with zero mean"
-        );
-        if v.is_point() {
-            return StochasticValue::point(1.0 / v.mean());
-        }
-        StochasticValue::new(1.0 / v.mean(), 1.0 / v.half_width())
-    }
-
     #[test]
     fn related_product_formula() {
         let a = StochasticValue::new(4.0, 0.5);
@@ -132,18 +117,6 @@ mod tests {
         assert!((r.half_width() - 0.05).abs() < 1e-12);
         // Relative width preserved: 0.8/4 = 0.05/0.25 = 20%.
         assert!((r.percent().unwrap() - v.percent().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn recip_literal_footnote() {
-        let v = StochasticValue::new(4.0, 0.5);
-        let r = recip_literal(&v);
-        assert_eq!(r.mean(), 0.25);
-        assert_eq!(r.half_width(), 2.0);
-        // Point value degenerates cleanly.
-        let p = recip_literal(&StochasticValue::point(4.0));
-        assert!(p.is_point());
-        assert_eq!(p.mean(), 0.25);
     }
 
     #[test]

@@ -208,6 +208,8 @@ mod tests {
 
     /// The error function `erf(x) = 2/sqrt(pi) * Int_0^x exp(-t^2) dt`,
     /// computed as `sign(x) * P(1/2, x^2)`. Exactly odd, `erf(0) == 0`.
+    /// The oracle for [`erfc`] (and so `std_normal_cdf`): its known values
+    /// pin the `gammp(0.5, x^2)` branch `erfc` takes below zero.
     pub(crate) fn erf(x: f64) -> f64 {
         // tidy:allow(PP004): erf(0) is exactly 0 by symmetry
         if x == 0.0 {

@@ -287,51 +287,6 @@ pub fn autocorrelation(data: &[f64], lag: usize) -> Option<f64> {
 mod tests {
     use super::*;
 
-    impl Summary {
-        /// Coefficient of variation `sd / |mean|`; `None` for zero mean.
-        pub(crate) fn cv(&self) -> Option<f64> {
-            // tidy:allow(PP004): exact zero mean makes the ratio undefined
-            if self.mean == 0.0 {
-                None
-            } else {
-                Some(self.sd() / self.mean.abs())
-            }
-        }
-    }
-
-    /// Integrated autocorrelation time in *samples*:
-    /// `tau = 1 + 2 sum_{k>=1} r_k`, summed until the first non-positive
-    /// autocorrelation (the standard initial-positive-sequence truncation).
-    /// Returns `None` for short or constant series. A white-noise series gives
-    /// ~1; a process with dwell `D` sampled at interval `h` gives ~`D/h`-scale
-    /// values.
-    pub(crate) fn integrated_autocorr_time(data: &[f64]) -> Option<f64> {
-        if data.len() < 8 {
-            return None;
-        }
-        let mut tau = 1.0;
-        for k in 1..data.len() / 2 {
-            match autocorrelation(data, k) {
-                Some(r) if r > 0.0 => tau += 2.0 * r,
-                _ => break,
-            }
-        }
-        Some(tau)
-    }
-
-    /// Fraction of `actuals` that fall inside the corresponding prediction
-    /// interval. `pairs` yields `(lo, hi, actual)`.
-    pub(crate) fn interval_coverage(pairs: &[(f64, f64, f64)]) -> f64 {
-        if pairs.is_empty() {
-            return 0.0;
-        }
-        let inside = pairs
-            .iter()
-            .filter(|(lo, hi, v)| v >= lo && v <= hi)
-            .count();
-        inside as f64 / pairs.len() as f64
-    }
-
     #[test]
     fn summary_basic_moments() {
         let s = Summary::from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
@@ -467,18 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn coverage_counts_inclusive_bounds() {
-        let pairs = [
-            (0.0, 1.0, 0.5),
-            (0.0, 1.0, 1.0),
-            (0.0, 1.0, 0.0),
-            (0.0, 1.0, 1.5),
-        ];
-        assert!((interval_coverage(&pairs) - 0.75).abs() < 1e-12);
-        assert_eq!(interval_coverage(&[]), 0.0);
-    }
-
-    #[test]
     fn autocorrelation_of_white_noise_is_small() {
         let mut state = 99u64;
         let data: Vec<f64> = (0..4000)
@@ -491,8 +434,6 @@ mod tests {
             .collect();
         let r1 = autocorrelation(&data, 1).unwrap();
         assert!(r1.abs() < 0.05, "r1 {r1}");
-        let tau = integrated_autocorr_time(&data).unwrap();
-        assert!(tau < 1.5, "tau {tau}");
     }
 
     #[test]
@@ -514,23 +455,11 @@ mod tests {
         assert!((r1 - phi).abs() < 0.03, "r1 {r1}");
         let r3 = autocorrelation(&data, 3).unwrap();
         assert!((r3 - phi.powi(3)).abs() < 0.05, "r3 {r3}");
-        // tau = (1+phi)/(1-phi) = 9 for AR(1).
-        let tau = integrated_autocorr_time(&data).unwrap();
-        assert!((tau - 9.0).abs() < 2.0, "tau {tau}");
     }
 
     #[test]
     fn autocorrelation_degenerate_inputs() {
         assert!(autocorrelation(&[1.0, 2.0], 5).is_none());
         assert!(autocorrelation(&[3.0; 50], 1).is_none());
-        assert!(integrated_autocorr_time(&[1.0; 4]).is_none());
-    }
-
-    #[test]
-    fn cv_none_for_zero_mean() {
-        let s = Summary::from_slice(&[-1.0, 1.0]);
-        assert!(s.cv().is_none());
-        let t = Summary::from_slice(&[2.0, 4.0]);
-        assert!(t.cv().is_some());
     }
 }

@@ -2,8 +2,8 @@
 //! distribution machinery.
 
 use prodpred_stochastic::{
-    max_of, min_of, sum_related, sum_unrelated, Dependence, Distribution, Histogram, MaxStrategy,
-    Normal, StochasticValue, Summary,
+    max_of, min_of, Dependence, Distribution, Histogram, MaxStrategy, Normal, StochasticValue,
+    Summary,
 };
 use proptest::prelude::*;
 
@@ -83,13 +83,17 @@ proptest! {
 
     #[test]
     fn sums_match_pairwise_folds(vals in proptest::collection::vec(sv(), 1..8)) {
-        let rel = sum_related(&vals);
+        let sum = |dep| {
+            vals.iter()
+                .fold(StochasticValue::point(0.0), |acc, v| acc.add(v, dep))
+        };
+        let rel = sum(Dependence::Related);
         let manual_mean: f64 = vals.iter().map(|v| v.mean()).sum();
         let manual_width: f64 = vals.iter().map(|v| v.half_width()).sum();
         prop_assert!((rel.mean() - manual_mean).abs() < 1e-6);
         prop_assert!((rel.half_width() - manual_width).abs() < 1e-6);
 
-        let unrel = sum_unrelated(&vals);
+        let unrel = sum(Dependence::Unrelated);
         let manual_ss: f64 = vals.iter().map(|v| v.half_width().powi(2)).sum();
         prop_assert!((unrel.half_width() - manual_ss.sqrt()).abs() < 1e-6);
     }

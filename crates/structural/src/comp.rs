@@ -55,24 +55,6 @@ pub(crate) fn phase_comp(
 mod tests {
     use super::*;
 
-    /// Operation-counting computation model (`Comp_p1`).
-    struct OpCountModel {
-        /// `Op(p, Elt)`: operations per element.
-        pub ops_per_elt: Param,
-        /// `CPU_p`: seconds per operation.
-        pub secs_per_op: Param,
-    }
-
-    impl OpCountModel {
-        /// Dedicated computation time for `num_elt` elements.
-        pub fn dedicated(&self, num_elt: Param, dep: Dependence) -> StochasticValue {
-            num_elt
-                .value()
-                .mul(&self.ops_per_elt.value(), dep)
-                .mul(&self.secs_per_op.value(), dep)
-        }
-    }
-
     #[test]
     fn benchmark_dedicated_scales() {
         let bm = BenchmarkModel {
@@ -95,22 +77,6 @@ mod tests {
         // Relative width preserved through the reciprocal: 0.05/0.48.
         let rel = v.half_width() / v.mean();
         assert!((rel - 0.05 / 0.48).abs() < 1e-9);
-    }
-
-    #[test]
-    fn op_count_agrees_with_benchmark_when_consistent() {
-        // BM = Op * CPU: the two models must agree on dedicated time.
-        let op = OpCountModel {
-            ops_per_elt: Param::point(10.0),
-            secs_per_op: Param::point(2.0e-7),
-        };
-        let bm = BenchmarkModel {
-            bm_secs_per_elt: Param::point(2.0e-6),
-        };
-        let n = Param::point(5.0e5);
-        let a = op.dedicated(n, Dependence::Unrelated);
-        let b = bm.dedicated(n, Dependence::Unrelated);
-        assert!((a.mean() - b.mean()).abs() < 1e-9);
     }
 
     #[test]

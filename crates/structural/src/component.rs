@@ -85,37 +85,6 @@ impl Component {
 mod tests {
     use super::*;
 
-    impl Component {
-        /// Evaluates with every stochastic parameter collapsed to its mean —
-        /// the conventional point-valued prediction baseline.
-        pub(crate) fn evaluate_point(&self) -> f64 {
-            self.collapse().evaluate().mean()
-        }
-
-        /// A copy of the tree with all parameters collapsed to point values.
-        pub(crate) fn collapse(&self) -> Component {
-            match self {
-                Component::Param(p) => Component::Param(p.to_point()),
-                Component::Sum(parts, dep) => {
-                    Component::Sum(parts.iter().map(Component::collapse).collect(), *dep)
-                }
-                Component::Product(parts, dep) => {
-                    Component::Product(parts.iter().map(Component::collapse).collect(), *dep)
-                }
-                Component::Quotient(n, d, dep) => {
-                    Component::Quotient(Box::new(n.collapse()), Box::new(d.collapse()), *dep)
-                }
-                Component::Scale(c, inner) => Component::Scale(*c, Box::new(inner.collapse())),
-                Component::Max(parts, s) => {
-                    Component::Max(parts.iter().map(Component::collapse).collect(), *s)
-                }
-                Component::Min(parts, s) => {
-                    Component::Min(parts.iter().map(Component::collapse).collect(), *s)
-                }
-            }
-        }
-    }
-
     #[test]
     fn leaf_evaluation() {
         let c = Component::point(4.0);
@@ -167,20 +136,6 @@ mod tests {
         let v = model.evaluate();
         assert_eq!(v.mean(), 13.0);
         assert_eq!(v.half_width(), 2.0);
-    }
-
-    #[test]
-    fn collapse_gives_point_baseline() {
-        let c = Component::Product(
-            vec![
-                Component::stochastic(StochasticValue::new(3.0, 1.0)),
-                Component::stochastic(StochasticValue::new(4.0, 1.0)),
-            ],
-            Dependence::Unrelated,
-        );
-        assert!(!c.evaluate().is_point());
-        assert_eq!(c.evaluate_point(), 12.0);
-        assert!(c.collapse().evaluate().is_point());
     }
 
     #[test]

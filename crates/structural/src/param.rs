@@ -88,13 +88,6 @@ mod tests {
         }
     }
 
-    impl Param {
-        /// A parameter with an explicit source.
-        pub(crate) fn with_source(v: StochasticValue, source: ParamSource) -> Self {
-            Self { value: v, source }
-        }
-    }
-
     #[test]
     fn point_param() {
         let p = Param::point(8.0);

@@ -232,10 +232,8 @@ mod tests {
     impl SorStructuralModel {
         /// The model as an explicit [`Component`](crate::component::Component)
         /// expression tree — the paper's "structural models are composed of
-        /// component models" form, useful for inspection and for Monte-Carlo
-        /// validation via [`crate::validate::monte_carlo`].
-        ///
-        /// Evaluating the tree reproduces [`predict`](Self::predict) exactly:
+        /// component models" form. The oracle for [`predict`](Self::predict):
+        /// evaluating the tree reproduces it exactly:
         /// under the related rule the `NumIts`-fold sum is a `Scale` node;
         /// under the unrelated rule it is a literal sum of `NumIts` copies
         /// (whose widths combine in quadrature).
@@ -287,28 +285,6 @@ mod tests {
                 Dependence::Unrelated => {
                     Component::Sum(vec![iteration; inp.iterations], Dependence::Unrelated)
                 }
-            }
-        }
-    }
-
-    impl ProcessorInputs {
-        /// Builds processor inputs from the operation-counting computation
-        /// model instead of a benchmark — "We could have used an operation
-        /// count model just as easily" (paper §2.2.1). The per-element time is
-        /// `Op(p, Elt) * CPU_p`; stochastic operation counts or op times
-        /// (e.g. benchmarked with jitter) propagate into the prediction.
-        pub(crate) fn from_op_count(
-            elements: f64,
-            ops_per_elt: Param,
-            secs_per_op: Param,
-            load: Param,
-            dep: Dependence,
-        ) -> Self {
-            let bm = ops_per_elt.value().mul(&secs_per_op.value(), dep);
-            Self {
-                elements,
-                bm_secs_per_elt: Param::with_source(bm, crate::param::ParamSource::Static),
-                load,
             }
         }
     }
@@ -417,46 +393,6 @@ mod tests {
         let it = bd.iteration_time(Dependence::Related);
         let total = m.predict();
         assert!((it.mean() * 5.0 - total.mean()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn op_count_inputs_match_benchmark_inputs_when_consistent() {
-        // BM = Op * CPU: the two parameterizations must predict the same.
-        let bench = SorStructuralModel::new(dedicated_inputs(800, 10, 4));
-        let mut inp = dedicated_inputs(800, 10, 4);
-        for p in &mut inp.procs {
-            *p = ProcessorInputs::from_op_count(
-                p.elements,
-                Param::point(10.0),
-                Param::point(0.09e-6),
-                p.load,
-                Dependence::Unrelated,
-            );
-        }
-        let opcount = SorStructuralModel::new(inp);
-        assert!(
-            (bench.predict().mean() - opcount.predict().mean()).abs()
-                < 1e-9 * bench.predict().mean()
-        );
-    }
-
-    #[test]
-    fn stochastic_op_count_widens_prediction() {
-        // A ±10% operation count (data-dependent stencils) makes even the
-        // dedicated prediction stochastic.
-        let mut inp = dedicated_inputs(800, 10, 4);
-        for p in &mut inp.procs {
-            *p = ProcessorInputs::from_op_count(
-                p.elements,
-                Param::stochastic(StochasticValue::from_percent(10.0, 10.0)),
-                Param::point(0.09e-6),
-                Param::point(1.0),
-                Dependence::Unrelated,
-            );
-        }
-        let v = SorStructuralModel::new(inp).predict();
-        assert!(!v.is_point());
-        assert!(v.percent().unwrap() > 5.0, "{v}");
     }
 
     #[test]
