@@ -432,59 +432,20 @@ pub fn try_solve_decomposed(
     Ok(())
 }
 
-/// [`try_solve_decomposed`] over the given strips.
+/// Solves in parallel over the given strips, updating `grid` in place.
+///
+/// Runs [`try_solve_decomposed`] under [`SolveOptions::reliable`]: a
+/// wedged neighbour is waited out near-indefinitely, so on a healthy run
+/// this behaves exactly like a blocking driver.
 ///
 /// # Panics
 ///
 /// Panics if any strip is empty (decompose with `n >> p`), if strips do
-/// not tile the interior, or on invalid `omega`.
-///
-/// # Errors
-///
-/// The [`SolveError`]s of [`try_solve_decomposed`].
-// tidy:allow(PP011): the fallible solves tests/failure_injection.rs kills workers in
-pub fn try_solve_parallel_strips(
-    grid: &mut Grid,
-    params: SorParams,
-    strips: &[Strip],
-    options: &SolveOptions,
-) -> Result<(), SolveError> {
-    let decomposition = Decomposition::strips(grid.n(), strips);
-    try_solve_decomposed(grid, params, &decomposition, options)
-}
-
-/// [`try_solve_decomposed`] over equal blocks on `layout`.
-///
-/// # Panics
-///
-/// Panics on invalid `omega` or a layout finer than the interior.
-///
-/// # Errors
-///
-/// The [`SolveError`]s of [`try_solve_decomposed`].
-// tidy:allow(PP011): the fallible solves tests/failure_injection.rs kills workers in
-pub fn try_solve_parallel_blocks(
-    grid: &mut Grid,
-    params: SorParams,
-    layout: BlockLayout,
-    options: &SolveOptions,
-) -> Result<(), SolveError> {
-    let decomposition = Decomposition::blocks(grid.n(), layout);
-    try_solve_decomposed(grid, params, &decomposition, options)
-}
-
-/// Solves in parallel over the given strips, updating `grid` in place.
-///
-/// Runs the fallible core under [`SolveOptions::reliable`]: a wedged
-/// neighbour is waited out near-indefinitely, so on a healthy run this
-/// behaves exactly like a blocking driver.
-///
-/// # Panics
-///
-/// Panics as [`try_solve_parallel_strips`] does, or if a worker dies —
-/// use that function to handle death as a typed error.
+/// not tile the interior, on invalid `omega`, or if a worker dies — use
+/// [`try_solve_decomposed`] to handle death as a typed error.
 pub fn solve_parallel_strips(grid: &mut Grid, params: SorParams, strips: &[Strip]) {
-    try_solve_parallel_strips(grid, params, strips, &SolveOptions::reliable())
+    let decomposition = Decomposition::strips(grid.n(), strips);
+    try_solve_decomposed(grid, params, &decomposition, &SolveOptions::reliable())
         .unwrap_or_else(|e| panic!("parallel solve failed: {e}"));
 }
 
@@ -495,15 +456,17 @@ pub fn solve_parallel(grid: &mut Grid, params: SorParams, p: usize) {
     solve_parallel_strips(grid, params, &strips);
 }
 
-/// Solves in parallel over a 2D block decomposition, updating `grid` in
-/// place, under [`SolveOptions::reliable`].
+/// Solves in parallel over equal blocks on `layout`, updating `grid` in
+/// place: [`try_solve_decomposed`] under [`SolveOptions::reliable`].
 ///
 /// # Panics
 ///
-/// Panics as [`try_solve_parallel_blocks`] does, or if a worker dies —
-/// use that function to handle death as a typed error.
+/// Panics on invalid `omega`, a layout finer than the interior, or if a
+/// worker dies — use [`try_solve_decomposed`] to handle death as a typed
+/// error.
 pub fn solve_parallel_blocks(grid: &mut Grid, params: SorParams, layout: BlockLayout) {
-    try_solve_parallel_blocks(grid, params, layout, &SolveOptions::reliable())
+    let decomposition = Decomposition::blocks(grid.n(), layout);
+    try_solve_decomposed(grid, params, &decomposition, &SolveOptions::reliable())
         .unwrap_or_else(|e| panic!("parallel block solve failed: {e}"));
 }
 
@@ -654,10 +617,10 @@ mod tests {
         let reference = solved_seq(n, iters);
         let mut g = Grid::laplace_problem(n);
         let strips = partition_equal(n - 2, 4);
-        try_solve_parallel_strips(
+        try_solve_decomposed(
             &mut g,
             SorParams::for_grid(n, iters),
-            &strips,
+            &Decomposition::strips(n, &strips),
             &SolveOptions::default(),
         )
         .unwrap();
@@ -672,10 +635,10 @@ mod tests {
             let initial = Grid::laplace_problem(n);
             let mut g = initial.clone();
             let strips = partition_equal(n - 2, 4);
-            let err = try_solve_parallel_strips(
+            let err = try_solve_decomposed(
                 &mut g,
                 SorParams::for_grid(n, 10),
-                &strips,
+                &Decomposition::strips(n, &strips),
                 &kill_options(rank, half),
             )
             .unwrap_err();
@@ -692,10 +655,10 @@ mod tests {
         let mut g = Grid::laplace_problem(n);
         let strips = partition_equal(n - 2, 3);
         // Half-iterations run 0..2*iters; 2*iters is past the end.
-        try_solve_parallel_strips(
+        try_solve_decomposed(
             &mut g,
             SorParams::for_grid(n, iters),
-            &strips,
+            &Decomposition::strips(n, &strips),
             &kill_options(1, 2 * iters),
         )
         .unwrap();
@@ -707,10 +670,10 @@ mod tests {
         let n = 17;
         let mut g = Grid::laplace_problem(n);
         let strips = partition_equal(n - 2, 3);
-        try_solve_parallel_strips(
+        try_solve_decomposed(
             &mut g,
             SorParams::for_grid(n, 5),
-            &strips,
+            &Decomposition::strips(n, &strips),
             &kill_options(99, 0),
         )
         .unwrap();
@@ -722,10 +685,10 @@ mod tests {
         let initial = Grid::laplace_problem(n);
         let mut g = initial.clone();
         let strips = partition_equal(n - 2, 1);
-        let err = try_solve_parallel_strips(
+        let err = try_solve_decomposed(
             &mut g,
             SorParams::for_grid(n, 5),
-            &strips,
+            &Decomposition::strips(n, &strips),
             &kill_options(0, 3),
         )
         .unwrap_err();
@@ -769,5 +732,40 @@ mod tests {
             ]),
             Err(SolveError::WorkerDied { rank: 1 })
         );
+    }
+
+    #[test]
+    fn killed_block_worker_returns_typed_error() {
+        // Corner, edge, and interior blocks of a 3x3 layout.
+        for (rank, half) in [(0, 0), (4, 3), (8, 7), (5, 2)] {
+            let n = 26;
+            let initial = Grid::laplace_problem(n);
+            let mut g = initial.clone();
+            let err = try_solve_decomposed(
+                &mut g,
+                SorParams::for_grid(n, 10),
+                &Decomposition::blocks(n, BlockLayout::new(3, 3)),
+                &kill_options(rank, half),
+            )
+            .unwrap_err();
+            assert_eq!(err, SolveError::WorkerDied { rank }, "kill rank {rank}");
+            assert_eq!(g.max_diff(&initial), 0.0, "grid must stay untouched");
+        }
+    }
+
+    #[test]
+    fn fallible_block_solve_without_faults_matches_sequential() {
+        let n = 22;
+        let iters = 12;
+        let want = solved_seq(n, iters);
+        let mut g = Grid::laplace_problem(n);
+        try_solve_decomposed(
+            &mut g,
+            SorParams::for_grid(n, iters),
+            &Decomposition::blocks(n, BlockLayout::new(2, 3)),
+            &SolveOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(g.max_diff(&want), 0.0);
     }
 }

@@ -83,7 +83,7 @@ fn iterate(grid: &mut Grid, omega: f64) -> f64 {
 ///
 /// Panics on invalid `omega`, non-positive `tol`, or zero
 /// `max_iterations`.
-// tidy:allow(PP011): pinned bit for bit by crates/sor/tests/golden_solver_bits.rs
+// tidy:allow(PP011): oracle for solve_seq's sweep, pinned by crates/sor/tests/golden_solver_bits.rs
 pub fn solve_until(grid: &mut Grid, omega: f64, tol: f64, max_iterations: usize) -> (usize, f64) {
     assert!(omega > 0.0 && omega < 2.0, "omega must lie in (0,2)");
     assert!(tol > 0.0, "tolerance must be positive");

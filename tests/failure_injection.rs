@@ -11,8 +11,8 @@ use prodpred_simgrid::faults::{FaultConfig, WorkerDeath};
 use prodpred_simgrid::load::MIN_AVAILABILITY;
 use prodpred_simgrid::{Machine, MachineClass, MachineSpec, Platform, Trace};
 use prodpred_sor::{
-    partition_equal, simulate, try_solve_parallel_blocks, try_solve_parallel_strips, BlockLayout,
-    DistSorConfig, ExchangePolicy, Grid, SolveError, SolveOptions, SorParams,
+    partition_equal, simulate, try_solve_decomposed, BlockLayout, Decomposition, DistSorConfig,
+    ExchangePolicy, Grid, SolveError, SolveOptions, SorParams,
 };
 use std::time::{Duration, Instant};
 
@@ -127,8 +127,13 @@ fn killed_strip_worker_surfaces_within_the_configured_timeout() {
     };
     let strips = partition_equal(n - 2, 4);
     let started = Instant::now();
-    let err = try_solve_parallel_strips(&mut g, SorParams::for_grid(n, iters), &strips, &options)
-        .expect_err("a killed worker must not produce a clean solve");
+    let err = try_solve_decomposed(
+        &mut g,
+        SorParams::for_grid(n, iters),
+        &Decomposition::strips(n, &strips),
+        &options,
+    )
+    .expect_err("a killed worker must not produce a clean solve");
     let elapsed = started.elapsed();
     assert_eq!(err, SolveError::WorkerDied { rank: 2 });
     // Death propagates by mailbox disconnection, not by timing out every
@@ -157,8 +162,13 @@ fn killed_block_worker_surfaces_within_the_configured_timeout() {
         }),
     };
     let started = Instant::now();
-    let err = try_solve_parallel_blocks(&mut g, SorParams::for_grid(n, iters), layout, &options)
-        .expect_err("a killed worker must not produce a clean solve");
+    let err = try_solve_decomposed(
+        &mut g,
+        SorParams::for_grid(n, iters),
+        &Decomposition::blocks(n, layout),
+        &options,
+    )
+    .expect_err("a killed worker must not produce a clean solve");
     assert_eq!(err, SolveError::WorkerDied { rank: 4 });
     assert!(started.elapsed() < Duration::from_secs(5));
     assert_eq!(g.max_diff(&reference), 0.0);
@@ -172,10 +182,10 @@ fn fault_free_options_still_solve_exactly() {
     prodpred_sor::solve_seq(&mut reference, SorParams::for_grid(n, iters));
     let mut g = Grid::laplace_problem(n);
     let strips = partition_equal(n - 2, 3);
-    try_solve_parallel_strips(
+    try_solve_decomposed(
         &mut g,
         SorParams::for_grid(n, iters),
-        &strips,
+        &Decomposition::strips(n, &strips),
         &SolveOptions::reliable(),
     )
     .expect("healthy workers solve");
