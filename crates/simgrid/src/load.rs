@@ -27,12 +27,12 @@ use serde::{Deserialize, Serialize};
 
 /// Lowest availability a trace will report — a production machine always
 /// makes *some* progress.
-// tidy:allow(PP011): the bounds and stream fixtures of crates/simgrid/tests/properties.rs
+// tidy:allow(PP011): the clamp of every generator and faults::stormed; crates/simgrid/tests/properties.rs checks it
 pub const MIN_AVAILABILITY: f64 = 0.01;
 
 /// Highest availability — daemons and interrupts keep a real workstation
 /// just below 1.0 (the paper's top mode sits at 0.94).
-// tidy:allow(PP011): the bounds and stream fixtures of crates/simgrid/tests/properties.rs
+// tidy:allow(PP011): the clamp of every generator and faults::stormed; crates/simgrid/tests/properties.rs checks it
 pub const MAX_AVAILABILITY: f64 = 1.0;
 
 fn clamp_avail(x: f64) -> f64 {
@@ -44,15 +44,13 @@ pub trait LoadGenerator {
     /// Generates a trace of `steps` samples at resolution `dt` starting at
     /// `t0`, deterministically from `seed`.
     ///
-    /// [`Dedicated`], [`SingleModeAr1`] and [`MarkovModal`] are *prefix
-    /// stable*: each is an endless sample stream (their `stream` method)
-    /// that draws from the seeded generator strictly in step order, and
-    /// `generate` takes its first `steps` samples — so a shorter trace is
-    /// a sample-for-sample prefix of a longer one, and because [`Trace`]'s
-    /// prefix sums are sequential too, every query that stays inside the
-    /// shorter horizon answers with the same bits. The preset platforms
-    /// grow with a series clock on this. [`SessionLoad`] does **not** have
-    /// the property; an implementor that lacks it must say so.
+    /// Every implementor is *prefix stable*: each is an endless sample
+    /// stream (its `stream` method) that draws from the seeded generator
+    /// strictly in step order, and `generate` takes its first `steps`
+    /// samples — so a shorter trace is a sample-for-sample prefix of a
+    /// longer one, and because [`Trace`]'s prefix sums are sequential too,
+    /// every query that stays inside the shorter horizon answers with the
+    /// same bits. The preset platforms grow with a series clock on this.
     fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace;
 }
 
@@ -60,7 +58,7 @@ pub trait LoadGenerator {
 /// platforms pull from as their clock advances. Every `stream` method's
 /// iterator is one; a pull of many samples is one dynamic call over a
 /// loop compiled for the generator.
-// tidy:allow(PP011): the bounds and stream fixtures of crates/simgrid/tests/properties.rs
+// tidy:allow(PP011): what GrowingPlatform pulls; crates/simgrid/tests/properties.rs splits one
 pub trait LoadStream: Send {
     /// The next `k` samples, in order.
     fn pull(&mut self, k: usize) -> Vec<f64>;
@@ -72,9 +70,10 @@ impl<I: Iterator<Item = f64> + Send> LoadStream for I {
     }
 }
 
-/// A dedicated machine: constant availability (default 1.0).
+/// A dedicated machine: constant availability (default 1.0). The oracle
+/// for [`crate::Platform::dedicated`], whose machines carry its trace.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-// tidy:allow(PP011): the bounds and stream fixtures of crates/simgrid/tests/properties.rs
+// tidy:allow(PP011): oracle for Platform::dedicated, and a generator of crates/simgrid/tests/properties.rs
 pub struct Dedicated {
     /// The constant availability level.
     pub level: f64,
@@ -280,11 +279,11 @@ impl LoadGenerator for MarkovModal {
 /// gives our application `idle_avail / (1 + k)` of the CPU when `k` jobs
 /// compete — which is exactly why production load histograms are modal.
 ///
-/// **Not prefix stable** (see [`LoadGenerator::generate`]): the event
-/// queue is run to the horizon first and the per-sample noise is drawn
-/// from the same stream afterwards, so a longer trace differs from its
-/// first sample on. Generate it at the horizon it will be read at; the
-/// preset platforms, which grow as streams, must not use it.
+/// **Not prefix stable**, so not a [`LoadGenerator`]: the event queue is
+/// run to the horizon first and the per-sample noise is drawn from the
+/// same stream afterwards, so a longer trace differs from its first
+/// sample on. Generate it at the horizon it will be read at; the preset
+/// platforms, which grow as streams, cannot use it.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SessionLoad {
     /// Competing-job arrival rate (jobs per second).
@@ -315,8 +314,10 @@ enum SessionEvent {
     Departure,
 }
 
-impl LoadGenerator for SessionLoad {
-    fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
+impl SessionLoad {
+    /// A trace of `steps` samples at resolution `dt` starting at `t0`,
+    /// deterministically from `seed`.
+    pub fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
         assert!(self.arrival_rate > 0.0 && self.mean_duration > 0.0);
         let mut rng = StdRng::seed_from_u64(seed);
         let horizon = dt * steps as f64;
@@ -428,10 +429,10 @@ mod tests {
     use super::*;
     use prodpred_stochastic::Summary;
 
-    /// Assembles a full chunked trace sequentially — the reference the
-    /// parallel streamed builders are pinned against. Bit-identical to any
-    /// chunk generation order because each chunk is pure (see
-    /// [`generate_chunk`]).
+    /// Assembles a full chunked trace sequentially: the oracle for
+    /// [`crate::store::TraceStore`], whose parallel build calls
+    /// [`generate_chunk`] per column chunk in any order. Bit-identical to
+    /// any chunk generation order because each chunk is pure.
     ///
     /// # Panics
     ///
@@ -460,8 +461,9 @@ mod tests {
         Trace::new(t0, dt, values)
     }
 
-    /// Fraction of steps within `tol` of any of the given mode means — a
-    /// diagnostic the tests use to confirm modal structure.
+    /// Fraction of steps within `tol` of any of the given mode means: the
+    /// oracle for the modal structure of [`MarkovModal::stream`] and
+    /// [`SessionLoad`]'s generator.
     pub(crate) fn modal_occupancy(trace: &Trace, means: &[f64], tol: f64) -> f64 {
         let hits = trace
             .values()

@@ -10,7 +10,7 @@
 //! "within 2%" claim (Section 2.2.1).
 
 use crate::faults::{check_storms, stormed, LoadStorm};
-use crate::load::{derive_seed, Dedicated, LoadGenerator, LoadStream, MarkovModal, SingleModeAr1};
+use crate::load::{derive_seed, LoadStream, MarkovModal, SingleModeAr1};
 use crate::machine::{Machine, MachineClass, MachineSpec};
 use crate::network::{Ethernet, EthernetContention, NetworkSpec};
 use crate::trace::Trace;
@@ -61,48 +61,22 @@ impl Platform {
         self.machines.iter().map(|m| m.spec.name.as_str()).collect()
     }
 
-    /// Builds a platform from specs and per-machine load generators.
-    pub(crate) fn from_generators(
-        specs: Vec<MachineSpec>,
-        generators: &[&dyn LoadGenerator],
-        network_avail: Trace,
-        seed: u64,
-        horizon: f64,
-    ) -> Self {
-        assert_eq!(specs.len(), generators.len());
+    /// A dedicated platform: every machine fully available, quiet network.
+    pub fn dedicated(classes: &[MachineClass], horizon: f64) -> Self {
         assert!(horizon > 0.0);
         let steps = (horizon / TRACE_DT).ceil() as usize;
-        let machines = specs
+        let machines = numbered_specs(classes)
             .into_iter()
-            .zip(generators.iter())
-            .enumerate()
-            .map(|(i, (spec, g))| {
-                let load = g.generate(derive_seed(seed, i), 0.0, TRACE_DT, steps);
-                Machine::new(spec, load)
-            })
+            .map(|spec| Machine::new(spec, Trace::constant(0.0, TRACE_DT, 1.0, steps)))
             .collect();
         Self {
             machines,
-            network: Ethernet::new(NetworkSpec::default(), network_avail),
+            network: Ethernet::new(
+                NetworkSpec::default(),
+                Trace::constant(0.0, TRACE_DT, 0.58, steps),
+            ),
             horizon,
         }
-    }
-
-    /// A dedicated platform: every machine fully available, quiet network.
-    pub fn dedicated(classes: &[MachineClass], horizon: f64) -> Self {
-        let steps = (horizon / TRACE_DT).ceil() as usize;
-        let specs = numbered_specs(classes);
-        let generators: Vec<&dyn LoadGenerator> = classes
-            .iter()
-            .map(|_| &DEDICATED as &dyn LoadGenerator)
-            .collect();
-        Self::from_generators(
-            specs,
-            &generators,
-            Trace::constant(0.0, TRACE_DT, 0.58, steps),
-            0,
-            horizon,
-        )
     }
 
     /// Platform 1 in its representative single-mode state: the Sparc-2s sit
@@ -302,8 +276,6 @@ fn platform1_specs() -> Vec<MachineSpec> {
     ]
 }
 
-static DEDICATED: Dedicated = Dedicated { level: 1.0 };
-
 fn numbered_specs(classes: &[MachineClass]) -> Vec<MachineSpec> {
     classes
         .iter()
@@ -315,6 +287,7 @@ fn numbered_specs(classes: &[MachineClass]) -> Vec<MachineSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load::{Dedicated, LoadGenerator};
     use prodpred_stochastic::Summary;
 
     #[test]
@@ -355,6 +328,26 @@ mod tests {
         let p = Platform::dedicated(&[MachineClass::Sparc2, MachineClass::UltraSparc], 100.0);
         for m in &p.machines {
             assert_eq!(m.load.min(), 1.0);
+        }
+    }
+
+    #[test]
+    fn dedicated_platform_is_the_dedicated_generator() {
+        let classes = [
+            MachineClass::Sparc2,
+            MachineClass::Sparc5,
+            MachineClass::UltraSparc,
+        ];
+        for horizon in [1.0, 99.5, 600.0] {
+            let p = Platform::dedicated(&classes, horizon);
+            let steps = (horizon / TRACE_DT).ceil() as usize;
+            for (i, m) in p.machines.iter().enumerate() {
+                let generated =
+                    Dedicated::default().generate(derive_seed(0, i), 0.0, TRACE_DT, steps);
+                assert_eq!(m.load, generated, "machine {i}, horizon {horizon}");
+            }
+            assert_eq!(p.network.avail, Trace::constant(0.0, TRACE_DT, 0.58, steps));
+            assert_eq!(p.horizon, horizon);
         }
     }
 

@@ -326,7 +326,7 @@ impl<'a> TraceRef<'a> {
     }
 
     /// End of the visible horizon.
-    // tidy:allow(PP011): oracle for crates/core/tests/grid_scale.rs
+    // tidy:allow(PP011): oracle for TraceStore's views, in crates/core/tests/grid_scale.rs
     pub fn t_end(&self) -> f64 {
         self.t0() + self.dt() * self.len() as f64
     }
@@ -350,7 +350,7 @@ impl<'a> TraceRef<'a> {
     }
 
     /// [`Trace::mean_over`] over the view: panics if `b < a`.
-    // tidy:allow(PP011): oracle for crates/core/tests/grid_scale.rs
+    // tidy:allow(PP011): oracle for TraceStore's views, in crates/core/tests/grid_scale.rs
     pub fn mean_over(&self, a: f64, b: f64) -> f64 {
         self.curve.mean_over(self.prefix(), a, b)
     }
@@ -371,7 +371,7 @@ impl<'a> TraceRef<'a> {
     /// hand the walking oracles (`tests/support/walking_oracles.rs`), and
     /// where [`Trace::slice`] applies. An O(steps)
     /// copy on purpose; the simulation hot path stays on the shared columns.
-    // tidy:allow(PP011): oracle for crates/core/tests/grid_scale.rs
+    // tidy:allow(PP011): oracle for TraceStore's views, in crates/core/tests/grid_scale.rs
     pub fn materialize(&self) -> Trace {
         let c = self.curve;
         Trace::new(c.t0, c.dt, c.samples.iter().map(|&v| c.scale * v).collect())

@@ -260,10 +260,10 @@ proptest! {
             Box::new(Dedicated::default()),
             Box::new(SingleModeAr1 { mean: 0.5, sd: 0.1, phi: 0.8 }),
             Box::new(MarkovModal::platform2(20.0)),
-            Box::new(SessionLoad::default()),
         ];
-        for g in &gens {
-            let t = g.generate(seed, 0.0, 1.0, steps);
+        let mut traces: Vec<Trace> = gens.iter().map(|g| g.generate(seed, 0.0, 1.0, steps)).collect();
+        traces.push(SessionLoad::default().generate(seed, 0.0, 1.0, steps));
+        for t in traces {
             prop_assert_eq!(t.len(), steps);
             prop_assert!(t.min() >= MIN_AVAILABILITY);
             prop_assert!(t.max() <= MAX_AVAILABILITY);
