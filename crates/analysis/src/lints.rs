@@ -341,7 +341,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
 /// cross-crate pass), applying scoping rules and `tidy:allow`
 /// suppressions. Returns the surviving findings in (line, col, code)
 /// order.
-// tidy:allow(PP011): the per-file engine the fixture goldens drive
+// tidy:allow(PP011): lint_workspace's per-file pass, which the fixture goldens drive alone
 pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
     let lines = mask_source(src);
     let regions = analyze_regions(&lines);

@@ -103,7 +103,7 @@ impl ExploreStats {
 /// A model the kernel can explore: explicit state, enumerable
 /// transitions, and transition semantics that may themselves raise a
 /// safety violation.
-// tidy:allow(PP011): the kernel tests/svc_conformance.rs replays schedules through
+// tidy:allow(PP011): the kernel tests/svc_conformance.rs replays EpochCache schedules through
 pub trait TransitionSystem {
     /// Fully explicit, hashable global state.
     type State: Clone + Eq + Hash;

@@ -153,7 +153,7 @@ struct Reader {
 
 /// Global model state: fully explicit, hashable, fixed-size.
 #[derive(Clone, PartialEq, Eq, Hash)]
-// tidy:allow(PP011): the state type of the allowed Svc model
+// tidy:allow(PP011): the state of Svc, the model of EpochCache's serving path
 pub struct SvcState {
     /// The `EpochSwap`'s published epoch (its value is that epoch's
     /// snapshot); 0 before the first publish.
@@ -180,7 +180,7 @@ pub enum Action {
 
 /// The serving-path transition system. Construct via [`Svc::new`], then
 /// explore with the [`mc`] kernel or the [`check`]/[`replay`] drivers.
-// tidy:allow(PP011): the model tests/svc_conformance.rs replays against the real cache
+// tidy:allow(PP011): oracle for EpochCache and EpochSwap, replayed by tests/svc_conformance.rs
 pub struct Svc {
     config: SvcConfig,
 }

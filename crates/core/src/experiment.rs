@@ -147,7 +147,7 @@ pub fn run_series(
 /// configured `staleness_aware`. Runs whose prediction cannot be issued
 /// at all (every in-use sensor history empty) are skipped and counted,
 /// not panicked on.
-// tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
+// tidy:allow(PP011): oracle for the growing faulted presets, in tests/horizon_oracle.rs
 pub fn run_series_faulted(
     platform: &Platform,
     sizes: &[usize],
@@ -163,7 +163,7 @@ pub fn run_series_faulted(
 /// A fault-injected series run under a [`Supervisor`]: recovery
 /// accounting rides alongside the degradation accounting.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
+// tidy:allow(PP011): what platform2_experiment_supervised returns; tests/horizon_oracle.rs compares it
 pub struct SupervisedSeries {
     /// The predicted-vs-actual records (abandoned runs excluded).
     pub series: ExperimentSeries,
@@ -182,7 +182,7 @@ pub struct SupervisedSeries {
 /// losing it. Per-machine diagnostic queries route through the
 /// supervisor's circuit breakers: a machine whose sensor keeps failing
 /// is short-circuited (counted as degraded) until its cooldown elapses.
-// tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
+// tidy:allow(PP011): oracle for platform2_experiment_supervised's growing series, in tests/horizon_oracle.rs
 pub fn run_series_supervised(
     platform: &Platform,
     sizes: &[usize],
@@ -494,7 +494,7 @@ fn faulted_config(seed: u64, faults: &FaultConfig) -> (FaultPlan, ExperimentConf
 /// [`platform1_experiment`], but sensors miss/delay/corrupt polls per
 /// `faults`, load storms perturb the ground truth, and predictions flow
 /// through the degradation-aware query chain.
-// tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
+// tidy:allow(PP011): the faulted preset sweep runs; tests/horizon_oracle.rs checks it against its oracle
 pub fn platform1_experiment_with_faults(
     seed: u64,
     sizes: &[usize],
@@ -537,7 +537,7 @@ pub fn platform2_experiment_with_faults(
 /// setup of [`platform2_experiment_with_faults`] plus bounded prediction
 /// retries and a per-machine circuit breaker (3 consecutive sensor
 /// failures open it for two minutes of simulated time).
-// tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
+// tidy:allow(PP011): the supervised preset; tests/horizon_oracle.rs, chaos_recovery.rs and determinism.rs check it
 pub fn platform2_experiment_supervised(
     seed: u64,
     n: usize,

@@ -236,7 +236,7 @@ impl Supervisor {
     /// Attaches one breaker per resource `0..resources`, each tripping
     /// after `threshold` consecutive failures and cooling down for
     /// `cooldown_secs`.
-    // tidy:allow(PP011): the surface tests/horizon_oracle.rs replays as its oracle
+    // tidy:allow(PP011): how platform2_experiment_supervised arms its breakers; tests/horizon_oracle.rs arms its oracle so
     pub fn with_breakers(mut self, resources: usize, threshold: u32, cooldown_secs: f64) -> Self {
         self.breakers = vec![CircuitBreaker::new(threshold, cooldown_secs); resources];
         self

@@ -427,7 +427,7 @@ impl AdaptiveForecaster {
     }
 
     /// An ensemble with explicit strategies.
-    // tidy:allow(PP011): oracle for crates/nws/tests/tournament.rs
+    // tidy:allow(PP011): the ensembles crates/nws/tests/tournament.rs checks Sensor's forecast stepper with
     pub fn with_strategies(strategies: Vec<Box<dyn Forecaster + Send + Sync>>) -> Self {
         assert!(!strategies.is_empty(), "ensemble needs strategies");
         Self { strategies }

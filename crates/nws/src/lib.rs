@@ -37,7 +37,7 @@ pub mod service;
 pub mod snapshot;
 
 pub use forecast::{AdaptiveForecaster, Forecast, Forecaster, Scoreboard};
-// tidy:allow(PP011): fixture of tests/serialization.rs and crates/nws/tests/tournament.rs
+// tidy:allow(PP011): the sensor NwsService polls; tests/serialization.rs and crates/nws/tests/tournament.rs drive one alone
 pub use sensor::Sensor;
 pub use series::TimeSeries;
 pub use service::{NwsConfig, NwsService, QueryError, QueryMode, QuerySummary, SpreadPolicy};

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 /// A periodic sampler of one resource.
 #[derive(Debug, Clone)]
-// tidy:allow(PP011): fixture of tests/serialization.rs and crates/nws/tests/tournament.rs
+// tidy:allow(PP011): the sensor NwsService polls; tests/serialization.rs and crates/nws/tests/tournament.rs drive one alone
 pub struct Sensor {
     /// Resource label, e.g. `"cpu:sparc2-a"`.
     pub name: String,
@@ -59,7 +59,7 @@ impl Sensor {
     /// Like [`Sensor::new`], forecasting with `ensemble`. The ensemble is
     /// not part of the wire form: a deserialised sensor forecasts with
     /// the standard one.
-    // tidy:allow(PP011): fixture of tests/serialization.rs and crates/nws/tests/tournament.rs
+    // tidy:allow(PP011): how NwsService builds its sensors; crates/nws/tests/tournament.rs builds one so
     pub fn with_ensemble(
         name: impl Into<String>,
         interval: f64,
@@ -85,7 +85,7 @@ impl Sensor {
     ///
     /// An `until` earlier than the next scheduled poll is a no-op (the
     /// schedule never runs backwards, and nothing is recorded).
-    // tidy:allow(PP011): oracle for crates/nws/tests/tournament.rs
+    // tidy:allow(PP011): NwsService::advance_to's poll without faults, in tests/serialization.rs and crates/nws/tests/tournament.rs
     pub fn poll_until(&mut self, trace: &Trace, until: f64) {
         self.poll_until_with(trace, until, None);
     }
@@ -102,7 +102,7 @@ impl Sensor {
     ///
     /// Regardless of faults, any non-finite value is discarded and
     /// counted in [`Sensor::corrupt_polls`] instead of being pushed.
-    // tidy:allow(PP011): fixture of tests/serialization.rs and crates/nws/tests/tournament.rs
+    // tidy:allow(PP011): how NwsService::advance_to polls; crates/nws/tests/tournament.rs polls so
     pub fn poll_until_with(&mut self, trace: &Trace, until: f64, faults: Option<&SensorFaults>) {
         let retained = self.series.len();
         let (mut pushed, mut evicted) = (false, false);
@@ -177,7 +177,7 @@ impl Sensor {
     }
 
     /// Time of the next scheduled poll.
-    // tidy:allow(PP011): fixture of tests/serialization.rs and crates/nws/tests/tournament.rs
+    // tidy:allow(PP011): oracle for Sensor's wire form, whose poll schedule tests/serialization.rs round-trips
     pub fn next_poll(&self) -> f64 {
         self.next_poll
     }

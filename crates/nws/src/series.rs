@@ -103,7 +103,7 @@ impl TimeSeries {
     }
 
     /// The most recent `n` values, oldest-first (fewer if not available).
-    // tidy:allow(PP011): property-tested by crates/nws/tests/properties.rs
+    // tidy:allow(PP011): oracle for recent_values, which NwsService reads, in crates/nws/tests/properties.rs
     pub fn recent(&self, n: usize) -> Vec<f64> {
         self.recent_values(n).collect()
     }

@@ -423,7 +423,7 @@ impl ServiceCore {
     /// tick did (index 0 = platform 1). The admission miss budget
     /// refills on every tick, publishing or not — the deadline passes
     /// regardless.
-    // tidy:allow(PP011): the tick report tests/service_core.rs pins
+    // tidy:allow(PP011): ServiceCore::ingest_tick with its outcomes, which tests/service_core.rs pins
     pub fn ingest_tick_report(&self) -> [IngestOutcome; 2] {
         self.admission.refill();
         let a = self.platforms[0].try_tick(self.config.publish_interval, &self.config);

@@ -109,7 +109,7 @@ pub(crate) fn phase_comm(
 /// point transfers for an arbitrary set of messages (element counts).
 /// Covers non-strip layouts — a 2D block exchanges row segments with
 /// vertical neighbours and column segments with horizontal ones.
-// tidy:allow(PP011): the message-count model tests/block_decomposition.rs checks
+// tidy:allow(PP011): oracle for sor::simulate_blocks, in tests/block_decomposition.rs
 pub fn phase_comm_messages(model: &PtToPtModel, message_elements: &[f64]) -> StochasticValue {
     if message_elements.is_empty() {
         return StochasticValue::point(0.0);

@@ -29,12 +29,12 @@ pub mod sor_model;
 pub mod validate;
 
 pub use comm::PtToPtModel;
-// tidy:allow(PP011): the message-count model tests/block_decomposition.rs checks
+// tidy:allow(PP011): oracle for sor::simulate_blocks, in tests/block_decomposition.rs
 pub use comm::phase_comm_messages;
 pub use component::Component;
 pub use degrade::{degrade, degrade_point, DegradationTerms};
 pub use param::Param;
 pub use sor_model::{PhaseBreakdown, ProcessorInputs, SorModelInputs, SorStructuralModel};
 pub use validate::{monte_carlo, monte_carlo_par, McResult};
-// tidy:allow(PP011): the chunk size tests/parallel_determinism.rs sweeps
+// tidy:allow(PP011): monte_carlo_par's chunk size; tests/parallel_determinism.rs crosses its boundaries
 pub use validate::MC_CHUNK;

@@ -28,7 +28,7 @@ pub struct McResult {
 /// Sample count per Monte-Carlo chunk. Fixed — never derived from the
 /// thread count — so the chunk structure, the per-chunk RNG streams, and
 /// the floating-point merge order are a function of `n` alone.
-// tidy:allow(PP011): the chunk size tests/parallel_determinism.rs sweeps
+// tidy:allow(PP011): monte_carlo_par's chunk size; tests/parallel_determinism.rs crosses its boundaries
 pub const MC_CHUNK: usize = 4096;
 
 /// Evaluates `component` by sampling `n` times with the given seed and
