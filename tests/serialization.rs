@@ -585,6 +585,109 @@ fn non_finite_floats_are_an_error_at_any_depth() {
     }
 }
 
+/// Asserts that `serde_json` spells `x` and `-x` as the tree writer
+/// does: `Display`, plus `.0` when that has no fraction.
+fn assert_spelled_as_display(x: f64) {
+    for x in [x, -x] {
+        assert_eq!(
+            serde_json::to_string(&x).ok(),
+            oracle::to_string(&Value::F64(x), None),
+            "bits {:#018x}",
+            x.to_bits()
+        );
+    }
+}
+
+/// `x` and the `ulps` finite floats on either side of it.
+fn ulps_around(x: f64, ulps: u64) -> impl Iterator<Item = f64> {
+    let bits = x.to_bits();
+    (bits.saturating_sub(ulps)..=bits + ulps)
+        .map(f64::from_bits)
+        .filter(|y| y.is_finite())
+}
+
+/// `2^k` for every finite power of two, subnormals included.
+fn power_of_two(k: i32) -> f64 {
+    if k < -1022 {
+        f64::from_bits(1 << (k + 1074))
+    } else {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    }
+}
+
+#[test]
+fn floats_are_spelled_as_display_spells_them() {
+    // One value in every class a shortest-digit writer is likeliest to
+    // hand back to `Display`: zero, subnormals, 2^53 and beyond, values
+    // below 2^-16, and 2^50 + 0.25, which lies exactly halfway between
+    // its two one-decimal candidates ...624.2 and ...624.3.
+    let fallbacks = [
+        0.0,
+        5e-324,
+        2.225073858507201e-308,
+        9007199254740992.0,
+        9007199254740994.0,
+        1e21,
+        f64::MAX,
+        1e-5,
+        1.52587890625e-5,
+        1e-300,
+        (1u64 << 50) as f64 + 0.25,
+    ];
+    let service_like = [
+        0.1,
+        0.25,
+        1.0,
+        12.5,
+        37.894_613_257_1,
+        1_234.567_8,
+        86_400.0,
+    ];
+    for x in fallbacks.into_iter().chain(service_like) {
+        assert_spelled_as_display(x);
+    }
+    for k in -1074..=1023 {
+        ulps_around(power_of_two(k), 4).for_each(assert_spelled_as_display);
+    }
+    for k in -30..=30 {
+        let power_of_ten: f64 = format!("1e{k}").parse().unwrap();
+        ulps_around(power_of_ten, 50).for_each(assert_spelled_as_display);
+    }
+    let two_to_53 = (1u64 << 53) as f64;
+    (0..=20_000)
+        .chain((1u64 << 53) - 20_000..=1 << 53)
+        .map(|n| n as f64)
+        .for_each(assert_spelled_as_display);
+    ulps_around(two_to_53, 8).for_each(assert_spelled_as_display);
+    for k in 0..=100_000 {
+        assert_spelled_as_display(k as f64 / 1e3);
+        assert_spelled_as_display(k as f64 / 1e6);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    #[test]
+    fn floats_of_any_bits_are_spelled_as_display_spells_them(
+        bits in 0..u64::MAX,
+        mantissa in 0..1u64 << 52,
+        biased_exponent in 1_000u64..1_080,
+    ) {
+        // Arbitrary bits land mostly at huge or tiny exponents; the
+        // second float takes their sign but lies between 2^-23 and 2^57.
+        let near = f64::from_bits(bits & 1 << 63 | biased_exponent << 52 | mantissa);
+        for x in [f64::from_bits(bits), near] {
+            if x.is_finite() {
+                prop_assert_eq!(
+                    serde_json::to_string(&x).ok(),
+                    oracle::to_string(&Value::F64(x), None)
+                );
+            }
+        }
+    }
+}
+
 /// Asserts the compact and the pretty form of `value`; the expected
 /// strings were printed by the tree writer at the commit before the
 /// streaming one.
