@@ -10,7 +10,6 @@
 use crate::core::{PredictRequest, ServiceCore, ServiceError};
 use prodpred_core::{LoadSource, PredictorConfig};
 use prodpred_stochastic::MaxStrategy;
-use std::fmt::Write as _;
 
 /// A rendered-to-be HTTP response: status line plus JSON body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,33 +68,56 @@ impl HttpResponse {
     /// allocation.
     pub fn render(&self) -> String {
         let mut wire = String::with_capacity(WIRE_HEAD_MAX + self.reason.len() + self.body.len());
-        write!(
-            wire,
-            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-            self.status,
-            self.reason,
-            self.body.len()
-        )
-        .expect("infallible"); // tidy:allow(PP003): `fmt::Write` for `String` never returns an error
-        if let Some(secs) = self.retry_after {
-            write!(wire, "Retry-After: {secs}\r\n").expect("infallible"); // tidy:allow(PP003): as above
+        // Every answer the hit path gives has this status line.
+        if (self.status, self.reason) == (200, "OK") {
+            wire.push_str("HTTP/1.1 200 OK");
+        } else {
+            wire.push_str("HTTP/1.1 ");
+            push_decimal(&mut wire, u64::from(self.status));
+            wire.push(' ');
+            wire.push_str(self.reason);
         }
-        wire.push_str("Connection: close\r\n\r\n");
+        wire.push_str("\r\nContent-Type: application/json\r\nContent-Length: ");
+        push_decimal(&mut wire, self.body.len() as u64);
+        if let Some(secs) = self.retry_after {
+            wire.push_str("\r\nRetry-After: ");
+            push_decimal(&mut wire, secs);
+        }
+        wire.push_str("\r\nConnection: close\r\n\r\n");
         wire.push_str(&self.body);
         wire
     }
 }
 
-/// Splits a request target into `(path, query pairs)`.
+/// Appends `v` in decimal.
+fn push_decimal(out: &mut String, mut v: u64) {
+    // u64::MAX has twenty digits.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(buf[at..].iter().map(|&digit| char::from(digit)));
+}
+
+/// Splits a request target into `(path, query pairs)`. The pairs `Vec`
+/// is sized once, for one pair more than the query has `&`s.
 fn split_target(target: &str) -> (&str, Vec<(&str, &str)>) {
     match target.split_once('?') {
         None => (target, Vec::new()),
         Some((path, query)) => {
-            let pairs = query
-                .split('&')
-                .filter(|p| !p.is_empty())
-                .map(|p| p.split_once('=').unwrap_or((p, "")))
-                .collect();
+            let mut pairs = Vec::with_capacity(query.bytes().filter(|&b| b == b'&').count() + 1);
+            pairs.extend(
+                query
+                    .split('&')
+                    .filter(|p| !p.is_empty())
+                    .map(|p| p.split_once('=').unwrap_or((p, ""))),
+            );
             (path, pairs)
         }
     }
