@@ -6,10 +6,10 @@
 //! no wall clock, no I/O. The ingest side advances the simulated
 //! sensors one `publish_interval` per [`ServiceCore::ingest_tick`],
 //! freezes an immutable [`ForecastSnapshot`], publishes it through the
-//! epoch swap, and bumps the prediction cache. The query side loads the
-//! latest snapshot without locking against the writer, consults the
-//! cache, and only on a miss runs the structural-model algebra against
-//! the frozen snapshot. Tier-1 tests drive all of it end to end with
+//! epoch swap, and bumps the prediction cache. The query side probes the
+//! cache under the swap's read guard, which the writer waits for only
+//! once a publish, and only on a miss takes the frozen snapshot out of
+//! it to run the structural-model algebra. Tier-1 tests drive all of it end to end with
 //! zero real I/O; the `std::net` shell in [`crate::shell`] is a veneer.
 
 use crate::cache::{CacheConfig, CacheStats, EpochCache, QueryKey};
@@ -365,18 +365,6 @@ impl PlatformState {
     }
 }
 
-/// What a validated request is answered from and under: its platform,
-/// the latest epoch and its snapshot, the serving state that snapshot is
-/// in, and its age in ticks. A tuple, taken apart at once — read through
-/// a reference to a struct, the same five cost a cache hit ~10 ns.
-type Loaded<'a> = (
-    &'a PlatformState,
-    u64,
-    Arc<PublishedSnapshot>,
-    ServingState,
-    u64,
-);
-
 /// The daemon's heart: both testbeds plus the counters, behind a pure
 /// tick/query API.
 pub struct ServiceCore {
@@ -438,10 +426,10 @@ impl ServiceCore {
     /// [`ServiceError::UnknownPlatform`] for platforms other than 1/2.
     pub fn serving(&self, id: u8) -> Result<ServingState, ServiceError> {
         let state = self.platform_state(id)?;
-        Ok(match state.published.load() {
+        Ok(state.published.with(|pair| match pair {
             None => ServingState::Unavailable,
             Some((_, published)) => state.serving(published.tick, &self.config.resilience).0,
-        })
+        }))
     }
 
     fn platform_state(&self, id: u8) -> Result<&PlatformState, ServiceError> {
@@ -498,9 +486,9 @@ impl ServiceCore {
 
     /// Answers one query against the latest published snapshot.
     ///
-    /// The fast path is an epoch-swap load — which can meet the ingest
-    /// writer for one pointer swap per publish — plus one sharded cache
-    /// probe. Misses
+    /// The fast path is one sharded cache probe under the epoch swap's
+    /// read guard — which can meet the ingest writer for one pointer swap
+    /// per publish. Misses
     /// run the structural model against the frozen snapshot — whose
     /// arithmetic is bit-identical to the live service at capture time —
     /// and populate the cache for the rest of the epoch.
@@ -531,28 +519,35 @@ impl ServiceCore {
     }
 
     /// What the cached and the uncached route share before computing
-    /// anything: platform lookup, validation, the latest snapshot and the
-    /// serving state it is in — refused when [`ServingState::Unavailable`].
+    /// anything: platform lookup, validation, then — under the swap's
+    /// read guard, so keep it short — the latest snapshot and the serving
+    /// state it is in, refused when [`ServingState::Unavailable`], handed
+    /// to `f` with its platform, epoch and age in ticks.
     #[inline]
-    fn load(&self, req: &PredictRequest) -> Result<Loaded<'_>, ServiceError> {
+    fn with_loaded<'a, R>(
+        &'a self,
+        req: &PredictRequest,
+        f: impl FnOnce(&'a PlatformState, u64, &Arc<PublishedSnapshot>, ServingState, u64) -> R,
+    ) -> Result<R, ServiceError> {
         let state = self.platform_state(req.platform)?;
         Self::validate(req)?;
-        let (epoch, published) = state.published.load().ok_or(ServiceError::NotReady {
-            platform: req.platform,
-        })?;
-        let (serving, age) = state.serving(published.tick, &self.config.resilience);
-        if serving == ServingState::Unavailable {
-            return Err(ServiceError::Unavailable {
+        state.published.with(|pair| {
+            let (epoch, published) = pair.ok_or(ServiceError::NotReady {
                 platform: req.platform,
-                age_ticks: age,
-                retry_after_secs: state.mirror.retry_hint(),
-            });
-        }
-        Ok((state, epoch, published, serving, age))
+            })?;
+            let (serving, age) = state.serving(published.tick, &self.config.resilience);
+            if serving == ServingState::Unavailable {
+                return Err(ServiceError::Unavailable {
+                    platform: req.platform,
+                    age_ticks: age,
+                    retry_after_secs: state.mirror.retry_hint(),
+                });
+            }
+            Ok(f(state, epoch, published, serving, age))
+        })
     }
 
     fn query_inner(&self, req: &PredictRequest) -> Result<PredictResponse, ServiceError> {
-        let (state, epoch, published, serving, age) = self.load(req)?;
         let key = QueryKey::new(
             req.platform,
             req.n,
@@ -560,13 +555,26 @@ impl ServiceCore {
             &req.config,
             req.fault_intensity,
         );
+        // The probe runs under the swap's read guard and a hit copies its
+        // answer out under the shard lock: no reference count moves. A
+        // miss takes the snapshot with it, so the writer never waits for
+        // the model.
+        let (state, epoch, probe, serving, age) =
+            self.with_loaded(req, |state, epoch, published, serving, age| {
+                let hit = state.cache.get_with(epoch, &key, |cached| {
+                    let mut response = PredictResponse::clone(cached);
+                    response.cache_hit = true;
+                    response
+                });
+                let probe = hit.ok_or_else(|| Arc::clone(published));
+                (state, epoch, probe, serving, age)
+            })?;
         // Cache hits are admitted unconditionally: they cost no model
         // work, so shedding them would only lose availability.
-        if let Some(cached) = state.cache.get(epoch, &key) {
-            let mut response = (*cached).clone();
-            response.cache_hit = true;
-            return Ok(self.finalize(response, serving, age));
-        }
+        let published = match probe {
+            Ok(hit) => return Ok(self.finalize(hit, serving, age)),
+            Err(published) => published,
+        };
         self.admission
             .try_admit_miss()
             .ok_or_else(|| ServiceError::Overloaded {
@@ -651,7 +659,10 @@ impl ServiceCore {
     /// Same as [`ServiceCore::query`], minus
     /// [`ServiceError::Overloaded`].
     pub fn query_uncached(&self, req: &PredictRequest) -> Result<PredictResponse, ServiceError> {
-        let (state, epoch, published, serving, age) = self.load(req)?;
+        let (state, epoch, published, serving, age) =
+            self.with_loaded(req, |state, epoch, published, serving, age| {
+                (state, epoch, Arc::clone(published), serving, age)
+            })?;
         let response = Self::answer(&state.platform, &published.snapshot, req, epoch)?;
         Ok(self.finalize(response, serving, age))
     }
