@@ -7,6 +7,7 @@
 use prodpred_service::{
     handle, request_for, request_path, CacheConfig, PredictResponse, ServiceConfig, ServiceCore,
 };
+use prodpred_stochastic::MaxStrategy;
 use std::sync::Arc;
 
 const SEED: u64 = 17;
@@ -208,7 +209,7 @@ fn faulted_reader_storm_is_bit_identical_to_uncached() {
         .map(|i| bits(&reference_core.query_uncached(&faulted(i)).unwrap()))
         .collect();
 
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4, 8] {
         let core = Arc::new(ServiceCore::new(small_config()));
         let mut answers = vec![None; REQUESTS as usize];
         std::thread::scope(|scope| {
@@ -241,6 +242,7 @@ fn faulted_reader_storm_is_bit_identical_to_uncached() {
         );
         let s = core.stats();
         assert!(s.cache.hits > 0, "faulted storm never hit the cache");
+        assert_eq!(s.cache.hits + s.cache.misses, REQUESTS);
     }
 }
 
@@ -291,7 +293,32 @@ fn readers_survive_a_concurrent_ingest_writer() {
         }
     });
     assert_eq!(core.epoch(), first_epoch + 40);
-    assert_eq!(core.stats().rejected, 0);
+    let stats = core.stats();
+    assert_eq!(stats.rejected, 0);
+    assert_eq!(stats.cache.hits + stats.cache.misses, 4 * 200);
+}
+
+/// A miss holds nothing the writer needs: an ingest tick runs to its end
+/// while the costliest miss a request may ask for (a million-sample
+/// Monte-Carlo `max`) is still computing.
+#[test]
+fn a_miss_in_flight_does_not_hold_up_ingest() {
+    let core = ServiceCore::new(small_config());
+    let mut req = request_for(SEED, 0);
+    req.config.max_strategy = MaxStrategy::MonteCarlo {
+        samples: 1_000_000,
+        seed: SEED,
+    };
+    std::thread::scope(|scope| {
+        let miss = scope.spawn(|| core.query(&req));
+        while core.stats().cache.misses == 0 {
+            std::thread::yield_now();
+        }
+        let epoch = core.ingest_tick();
+        assert!(!miss.is_finished(), "the tick waited for the miss");
+        let answer = miss.join().unwrap().unwrap();
+        assert_eq!((answer.epoch, answer.cache_hit), (epoch - 1, false));
+    });
 }
 
 #[test]
