@@ -27,6 +27,13 @@
 //! cached or loaded value carries its provenance and the checker can
 //! compare it against the epoch the reader is serving.
 //!
+//! `ServiceCore::query` loads and probes under one hold of the swap's
+//! read guard (`EpochSwap::with`), so no publish can fall between its
+//! load and its probe. That only removes interleavings the model
+//! explores with `Load` and `Probe` as separate steps: every schedule
+//! of the implementation is still a schedule of the model, and the
+//! invariants proved over the model still cover it.
+//!
 //! ## Checked invariants
 //!
 //! * **no cross-epoch hits** — a cache hit never returns a value
