@@ -5,7 +5,7 @@
 //!
 //! | code  | meaning |
 //! |-------|---------|
-//! | PP000 | `tidy:allow` without a justification (or malformed) |
+//! | PP000 | `tidy:allow` without a justification (or malformed); a PP011 allow whose reason cites a `.rs` path that is missing or never names the item |
 //! | PP001 | nondeterminism source (`Instant::now`, `thread_rng`, …) in a simulation/prediction path |
 //! | PP002 | iteration over a `HashMap`/`HashSet`, whose order can leak into results |
 //! | PP003 | `unwrap`/`expect` in non-test library code |
@@ -298,7 +298,8 @@ const FENCES: [TokenFence; 7] = [
 
 /// Lints the workspace under `root`: every per-file lint over the files
 /// `workspace_files` lists, then PP011 across them and the read-only
-/// trees, with `tidy:allow` suppressions applied. Returns the findings in
+/// trees (with its stale-allow check), with `tidy:allow` suppressions
+/// applied. Returns the findings in
 /// (file, line, col, code) order. The `tidy` bin and the tier-1
 /// workspace test both call this, so they cannot drift apart.
 ///
@@ -324,7 +325,8 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
         .iter()
         .map(|f| file_findings(&f.rel, &f.lines, &f.regions))
         .collect();
-    for (fi, finding) in pp011(&files) {
+    for (fi, name, finding) in pp011(&files) {
+        per_file[fi].extend(stale_allows(&files, fi, finding.line, &name));
         per_file[fi].push(finding);
     }
     let mut findings: Vec<Finding> = files
@@ -341,7 +343,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
 /// cross-crate pass), applying scoping rules and `tidy:allow`
 /// suppressions. Returns the surviving findings in (line, col, code)
 /// order.
-// tidy:allow(PP011): lint_workspace's per-file pass, which the fixture goldens drive alone
+// tidy:allow(PP011): lint_workspace's per-file pass, which crates/analysis/tests/fixtures.rs drives alone
 pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
     let lines = mask_source(src);
     let regions = analyze_regions(&lines);
@@ -779,9 +781,16 @@ fn docs_mention_errors(lines: &[MaskedLine], idx: usize) -> bool {
 #[derive(Debug, Clone)]
 struct Allow {
     code: String,
-    justified: bool,
+    /// The text after the colon; empty when there is none.
+    reason: String,
     line: usize,
     col: usize,
+}
+
+impl Allow {
+    fn justified(&self) -> bool {
+        !self.reason.is_empty()
+    }
 }
 
 /// True for a concrete lint code: `PP` followed by three ASCII digits.
@@ -795,7 +804,7 @@ fn parse_allows(comment: &str, line: usize) -> Vec<Allow> {
     let mut from = 0;
     while let Some(pos) = comment[from..].find("tidy:allow").map(|p| p + from) {
         let rest = &comment[pos + "tidy:allow".len()..];
-        let (code, justified) = match rest.strip_prefix('(') {
+        let (code, reason) = match rest.strip_prefix('(') {
             Some(inner) => match inner.find(')') {
                 Some(close) => {
                     let code = inner[..close].trim().to_string();
@@ -807,15 +816,15 @@ fn parse_allows(comment: &str, line: usize) -> Vec<Allow> {
                     }
                     let tail = inner[close + 1..].trim_start();
                     let reason = tail.strip_prefix(':').map(str::trim).unwrap_or("");
-                    (code, !reason.is_empty())
+                    (code, reason.to_string())
                 }
-                None => (String::new(), false),
+                None => (String::new(), String::new()),
             },
-            None => (String::new(), false),
+            None => (String::new(), String::new()),
         };
         allows.push(Allow {
             code,
-            justified,
+            reason,
             line,
             col: pos + 1,
         });
@@ -824,50 +833,86 @@ fn parse_allows(comment: &str, line: usize) -> Vec<Allow> {
     allows
 }
 
+/// The allows on one line. Doc comments talk *about* the tool (grammar
+/// tables, usage docs); suppressions must be written in regular comments.
+fn line_allows(lines: &[MaskedLine], idx: usize) -> Vec<Allow> {
+    if lines[idx].is_doc {
+        Vec::new()
+    } else {
+        parse_allows(&lines[idx].comment, idx + 1)
+    }
+}
+
+/// The allows attached to 1-based line `lineno`: its own trailing comment
+/// plus any comment-only lines directly above.
+fn attached_allows(lines: &[MaskedLine], lineno: usize) -> Vec<Allow> {
+    let idx = lineno - 1;
+    let mut out = line_allows(lines, idx);
+    for j in (0..idx).rev() {
+        let l = &lines[j];
+        if !l.code.trim().is_empty() || l.comment.trim().is_empty() {
+            break;
+        }
+        out.extend(line_allows(lines, j));
+    }
+    out
+}
+
+/// PP000 for each justified PP011 allow on `name`'s declaration (1-based
+/// `line` of `files[fi]`) whose reason cites a `.rs` path that is no
+/// scanned file, or one whose masked code never names `name`: such an
+/// allow holds the item `pub` for a test that does not need it.
+fn stale_allows(files: &[Scanned], fi: usize, line: usize, name: &str) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for allow in attached_allows(&files[fi].lines, line) {
+        if allow.code != "PP011" || !allow.justified() {
+            continue;
+        }
+        for path in cited_paths(&allow.reason) {
+            let problem = match files.iter().find(|f| f.rel == path) {
+                None => "which does not exist".to_string(),
+                Some(f) if !f.lines.iter().any(|l| has_word(&l.code, name)) => {
+                    format!("whose code never names `{name}`")
+                }
+                Some(_) => continue,
+            };
+            findings.push(Finding {
+                file: files[fi].rel.clone(),
+                line: allow.line,
+                col: allow.col,
+                code: "PP000",
+                message: format!(
+                    "stale PP011 allow: its reason cites `{path}`, {problem}; cite the test that names the item, or narrow it"
+                ),
+            });
+        }
+    }
+    findings
+}
+
+/// The `.rs` paths a reason cites, as written.
+fn cited_paths(reason: &str) -> impl Iterator<Item = &str> {
+    reason
+        .split_whitespace()
+        .map(|w| {
+            w.trim_matches(|c: char| !(is_ident_char(c) || c == '/' || c == '.'))
+                .trim_end_matches('.')
+        })
+        .filter(|w| w.ends_with(".rs"))
+}
+
 /// Applies `tidy:allow` suppressions in place and appends PP000 findings
 /// for unjustified or malformed allows.
 fn apply_suppressions(file: &str, lines: &[MaskedLine], findings: &mut Vec<Finding>) {
-    // Allows attached to each line: its own trailing comment plus any
-    // comment-only lines directly above.
-    // Doc comments talk *about* the tool (grammar tables, usage docs);
-    // suppressions must be written in regular comments.
-    let per_line: Vec<Vec<Allow>> = lines
-        .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            if l.is_doc {
-                Vec::new()
-            } else {
-                parse_allows(&l.comment, i + 1)
-            }
-        })
-        .collect();
-
-    let effective = |lineno: usize| -> Vec<&Allow> {
-        let idx = lineno - 1;
-        let mut out: Vec<&Allow> = per_line[idx].iter().collect();
-        let mut j = idx;
-        while j > 0 {
-            j -= 1;
-            let l = &lines[j];
-            if l.code.trim().is_empty() && !l.comment.trim().is_empty() {
-                out.extend(per_line[j].iter());
-            } else {
-                break;
-            }
-        }
-        out
-    };
-
     findings.retain(|f| {
-        !effective(f.line)
+        !attached_allows(lines, f.line)
             .iter()
-            .any(|a| a.justified && a.code == f.code)
+            .any(|a| a.justified() && a.code == f.code)
     });
 
-    for allows in &per_line {
-        for a in allows {
-            if !a.justified {
+    for idx in 0..lines.len() {
+        for a in line_allows(lines, idx) {
+            if !a.justified() {
                 findings.push(Finding {
                     file: file.to_string(),
                     line: a.line,

@@ -10,7 +10,7 @@
 //!
 //! The kernel provides:
 //!
-//! * **exhaustive DFS with state dedup** ([`explore`]) — every distinct
+//! * **exhaustive DFS with state dedup** (`explore`) — every distinct
 //!   state expanded exactly once, every transition from every state
 //!   executed exactly once, deterministic order;
 //! * **canonicalization** ([`TransitionSystem::canonical`]) — models
@@ -19,16 +19,16 @@
 //!   symmetric interleavings and (together with the dedup itself, which
 //!   prunes stuttering transitions that reproduce a visited state) keeps
 //!   larger configurations tractable;
-//! * **depth/state budgets** ([`Budget`]) — bounded exploration that
+//! * **depth/state budgets** (`Budget`) — bounded exploration that
 //!   reports truncation instead of running away;
 //! * **counterexample traces** — every violation, whether raised inside
 //!   a transition or by the terminal-state check, carries the exact
 //!   schedule from the initial state ([`Violation`]);
-//! * **minimal counterexamples** ([`shortest_violation`]) — a
+//! * **minimal counterexamples** (`shortest_violation`) — a
 //!   breadth-first variant that returns the shortest schedule reaching
 //!   any violation, used by the negative-control suites where a human
 //!   reads the trace;
-//! * **schedule harvesting** ([`collect_schedules`]) — concrete
+//! * **schedule harvesting** (`collect_schedules`) — concrete
 //!   initial-to-terminal schedules out of the explored graph, which the
 //!   conformance layer replays against the real implementation.
 //!

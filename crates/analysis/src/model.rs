@@ -20,7 +20,7 @@
 //!   the boundary row of its own half-iteration, in order, and no
 //!   terminal state leaves an undelivered row in a mailbox;
 //! * **typed worker death** — under an injected
-//!   [`WorkerDeath`](prodpred_simgrid::faults::WorkerDeath) (the model's
+//!   [`WorkerDeath`] (the model's
 //!   [`FaultSchedule`](prodpred_simgrid::faults::FaultSchedule) kills),
 //!   every surviving worker reaches the `Disconnected` path (what the
 //!   solver surfaces as `SolveError::WorkerDied`) in **every**

@@ -78,8 +78,9 @@ struct Decl {
 }
 
 /// Runs PP011 over every scanned file; returns unsuppressed findings
-/// (the caller applies `tidy:allow`), keyed by index into `files`.
-pub(crate) fn pp011(files: &[Scanned]) -> Vec<(usize, Finding)> {
+/// (the caller applies `tidy:allow`), each with the index into `files` and
+/// the flagged item's name.
+pub(crate) fn pp011(files: &[Scanned]) -> Vec<(usize, String, Finding)> {
     let mut lib_tokens: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     let mut user_tokens: BTreeSet<&str> = BTreeSet::new();
     let mut decls = Vec::new();
@@ -141,7 +142,7 @@ pub(crate) fn pp011(files: &[Scanned]) -> Vec<(usize, Finding)> {
                     d.name
                 ),
             };
-            (d.file, finding)
+            (d.file, d.name.clone(), finding)
         })
         .collect()
 }
@@ -354,10 +355,7 @@ mod tests {
     }
 
     fn flagged(files: &[Scanned]) -> Vec<String> {
-        let mut names: Vec<String> = pp011(files)
-            .into_iter()
-            .map(|(_, f)| f.message.split('`').nth(3).unwrap_or("").to_string())
-            .collect();
+        let mut names: Vec<String> = pp011(files).into_iter().map(|(_, n, _)| n).collect();
         names.sort();
         names
     }

@@ -8,7 +8,7 @@
 //! *sample* their schedules by spawning threads; this module
 //! *enumerates* them instead: an abstract model of exactly those steps,
 //! explored across every interleaving at small bounds on the shared
-//! [`mc`](crate::mc) kernel.
+//! [`mc`] kernel.
 //!
 //! ## The model
 //!
@@ -160,7 +160,7 @@ struct Reader {
 
 /// Global model state: fully explicit, hashable, fixed-size.
 #[derive(Clone, PartialEq, Eq, Hash)]
-// tidy:allow(PP011): the state of Svc, the model of EpochCache's serving path
+// tidy:allow(PP011): the State of Svc's TransitionSystem impl, which the svc_conformance floor test replays
 pub struct SvcState {
     /// The `EpochSwap`'s published epoch (its value is that epoch's
     /// snapshot); 0 before the first publish.

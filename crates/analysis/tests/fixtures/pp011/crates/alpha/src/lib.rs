@@ -1,5 +1,6 @@
 //! PP011 fixture: the declaring crate. Flagged: `only_inside`,
-//! `only_in_tests`, `Reexported` (re-export and item), `in_comment_only`.
+//! `only_in_tests`, `Reexported` (re-export and item), `in_comment_only`;
+//! the allows on `named_in_a_string` and `cited_test_gone` are stale.
 
 mod inner;
 
@@ -56,6 +57,24 @@ pub fn in_comment_only() -> u32 {
 // tidy:allow(PP011): fixture of a justified exception
 pub fn allowed() -> u32 {
     7
+}
+
+/// Kept public for the integration test that calls it.
+// tidy:allow(PP011): oracle for by_beta, in crates/alpha/tests/it.rs
+pub fn held_by_test() -> u32 {
+    8
+}
+
+/// Stale: the cited test names it only in a string and a comment.
+// tidy:allow(PP011): oracle for by_beta, in crates/alpha/tests/it.rs
+pub fn named_in_a_string() -> u32 {
+    9
+}
+
+/// Stale: the cited test is gone.
+// tidy:allow(PP011): oracle for by_beta, in crates/alpha/tests/gone.rs
+pub fn cited_test_gone() -> u32 {
+    10
 }
 
 #[allow(dead_code)]

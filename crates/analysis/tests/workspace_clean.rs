@@ -9,7 +9,7 @@ use std::path::PathBuf;
 /// The PP011 allow lines in first-party code. Each keeps a library
 /// item `pub` that an integration test names, and says which product code
 /// it is an oracle for. Lower this when one goes; never raise it.
-const PP011_ALLOWS: usize = 39;
+const PP011_ALLOWS: usize = 22;
 
 fn scan_workspace() -> Vec<String> {
     lint_workspace(&default_root())

@@ -3,6 +3,7 @@
 //! computing the distribution for the quality of its results").
 
 use prodpred_core::report::{f, render_table};
+use prodpred_simgrid::load::LoadGenerator;
 use prodpred_simgrid::network::EthernetContention;
 use prodpred_stochastic::fit::normality_report;
 use prodpred_stochastic::Summary;

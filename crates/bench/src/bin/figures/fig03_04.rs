@@ -4,6 +4,7 @@
 //! of the values, rather than the 95% typically assumed."
 
 use prodpred_bench::{print_cdf_comparison, print_histogram_with_normal};
+use prodpred_simgrid::load::LoadGenerator;
 use prodpred_simgrid::network::EthernetContention;
 use prodpred_stochastic::fit::normality_report;
 use prodpred_stochastic::{StochasticValue, Summary};

@@ -176,7 +176,7 @@ pub struct SupervisedSeries {
 /// Like [`run_series_faulted`], but prediction failures are *supervised*
 /// instead of immediately skipped: a run whose prediction cannot be
 /// issued (e.g. every sensor inside a blackout) is retried under the
-/// supervisor's [`RetryPolicy`](crate::supervisor::RetryPolicy), with
+/// supervisor's [`RetryPolicy`], with
 /// each deterministic backoff advancing the simulated clock — so an
 /// outage shorter than the backoff budget delays the run instead of
 /// losing it. Per-machine diagnostic queries route through the
@@ -537,7 +537,7 @@ pub fn platform2_experiment_with_faults(
 /// setup of [`platform2_experiment_with_faults`] plus bounded prediction
 /// retries and a per-machine circuit breaker (3 consecutive sensor
 /// failures open it for two minutes of simulated time).
-// tidy:allow(PP011): the supervised preset; tests/horizon_oracle.rs, chaos_recovery.rs and determinism.rs check it
+// tidy:allow(PP011): the supervised preset; tests/horizon_oracle.rs, tests/chaos_recovery.rs and tests/determinism.rs check it
 pub fn platform2_experiment_supervised(
     seed: u64,
     n: usize,

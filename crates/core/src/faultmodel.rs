@@ -22,13 +22,13 @@
 //!    work, and the completion rate. Validated against `BENCH_chaos.json`
 //!    by the `faultpred_study` bench.
 //! 2. **Checkpoint write overhead**
-//!    ([`checkpoint_overhead_fraction`]): amortized per iteration,
+//!    (`checkpoint_overhead_fraction`): amortized per iteration,
 //!    anchored to the measured healthy overhead in `BENCH_chaos.json`
 //!    (≈0.66% over 480 iterations at cadence 240, i.e. ≈3.2
 //!    iteration-times per snapshot — both the snapshot copy and the
 //!    iteration sweep are `O(n²)`, so the cost in iteration-times is
 //!    size-independent).
-//! 3. **Environment windows** ([`blackout_delay`],
+//! 3. **Environment windows** (`blackout_delay`,
 //!    [`storm_stretched_secs`]): a launch inside an NWS blackout waits
 //!    out the (chained) windows; a load storm on one machine stretches
 //!    the run by piecewise integration of the platform's capacity,
@@ -39,7 +39,7 @@
 //!    stochastic interval widens by the usual `1/√(kept fraction)`.
 //!
 //! [`FaultModel::terms`] folds all four into the
-//! [`DegradationTerms`](prodpred_structural::DegradationTerms) the
+//! [`DegradationTerms`] the
 //! structural crate applies on top of a healthy prediction. Zero
 //! intensity returns the exact identity terms, keeping the healthy
 //! service path bit-identical.

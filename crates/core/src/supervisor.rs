@@ -399,20 +399,6 @@ mod tests {
     use prodpred_sor::{partition_equal, solve_seq, BlockLayout};
     use std::time::Duration;
 
-    impl Supervisor {
-        /// The breaker guarding `resource`, if one was configured.
-        pub(crate) fn breaker(&self, resource: usize) -> Option<&CircuitBreaker> {
-            self.breakers.get(resource)
-        }
-    }
-
-    impl CircuitBreaker {
-        /// Times this breaker has tripped open.
-        pub(crate) fn trips(&self) -> u64 {
-            self.trips
-        }
-    }
-
     fn snappy() -> ExchangePolicy {
         ExchangePolicy {
             timeout: Duration::from_millis(200),
@@ -548,7 +534,7 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.record_failure(2.0), "third consecutive failure trips");
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
+        assert_eq!(b.trips, 1);
         // Short-circuited during the cooldown.
         assert!(!b.allows(50.0));
         // Cooldown over: half-open probe allowed.
@@ -556,7 +542,7 @@ mod tests {
         assert_eq!(b.state(), BreakerState::HalfOpen);
         // A failed probe re-opens immediately, without a fresh streak.
         assert!(b.record_failure(102.0));
-        assert_eq!(b.trips(), 2);
+        assert_eq!(b.trips, 2);
         assert!(!b.allows(150.0));
         // A successful probe closes and resets the streak.
         assert!(b.allows(250.0));
@@ -571,7 +557,7 @@ mod tests {
         assert!(!b.record_failure(0.0), "one failure is below threshold");
         b.trip(10.0);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
+        assert_eq!(b.trips, 1);
         assert_eq!(b.open_until(), 70.0);
         assert!(!b.allows(69.0));
         // Cooldown over: half-open probe, success closes as usual.
@@ -637,7 +623,7 @@ mod tests {
         // Cooldown over: probe goes through and a success closes it.
         assert!(sup.query_allowed(0, 150.0));
         sup.record_query_outcome(0, 150.0, true);
-        assert_eq!(sup.breaker(0).unwrap().state(), BreakerState::Closed);
+        assert_eq!(sup.breakers[0].state(), BreakerState::Closed);
     }
 
     #[test]

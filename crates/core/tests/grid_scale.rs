@@ -1,17 +1,35 @@
 //! Tier-1 pins for the 1000×-scale grid path: sharded simulation must be
 //! bit-identical at 1/2/4/8 pool threads, and the columnar store's
-//! [`prodpred_simgrid::store::TraceRef`] views must agree with the
-//! step-walking oracles over the materialized trace to ≤ 1e-9.
+//! [`TraceRef`] views must agree with the step-walking oracles over the
+//! trace their samples make to ≤ 1e-9.
 //! `golden_grid_bits.txt` pins the path's bits themselves: one simulation
 //! digest and a table of view queries.
 
 use prodpred_core::{simulate_grid_sharded, GridSimConfig, TenantSpec};
-use prodpred_simgrid::store::MachineSlot;
+use prodpred_simgrid::store::{MachineSlot, TraceRef};
 use prodpred_simgrid::{GridPlatform, Trace};
 
 #[path = "../../simgrid/tests/support/walking_oracles.rs"]
 mod walking_oracles;
 use walking_oracles::{integral_walk, time_to_complete_walk};
+
+/// The view's samples, read through `at` at each step's midpoint, as a
+/// standalone trace: what the walking oracles take.
+fn materialize(view: &TraceRef) -> Trace {
+    let values = (0..view.len())
+        .map(|k| view.at(view.t0() + (k as f64 + 0.5) * view.dt()))
+        .collect();
+    Trace::new(view.t0(), view.dt(), values)
+}
+
+/// `TraceRef`'s mean over `[a, b]`: the integral over the width, or the
+/// value at `a` on an empty window.
+fn mean_over(view: &TraceRef, a: f64, b: f64) -> f64 {
+    if b == a {
+        return view.at(a);
+    }
+    view.integral(a, b) / (b - a)
+}
 
 fn grid() -> GridPlatform {
     GridPlatform::production(96, 4242, 900.0, 1)
@@ -70,7 +88,7 @@ fn grid_generation_bit_identical_across_thread_counts() {
     }
     // Spot-check full trace content, not just slots.
     for i in [0usize, 31, 95] {
-        assert_eq!(one.trace(i).materialize(), eight.trace(i).materialize());
+        assert_eq!(materialize(&one.trace(i)), materialize(&eight.trace(i)));
     }
 }
 
@@ -79,8 +97,9 @@ fn trace_ref_agrees_with_reference_oracles() {
     let g = grid();
     for i in [0usize, 17, 50, 95] {
         let view = g.trace(i);
-        let full = view.materialize();
-        let (lo, hi) = (view.t0() - 10.0, view.t_end() + 10.0);
+        let full = materialize(&view);
+        let t_end = view.t0() + view.dt() * view.len() as f64;
+        let (lo, hi) = (view.t0() - 10.0, t_end + 10.0);
         let points: Vec<f64> = (0..=40).map(|k| lo + (hi - lo) * k as f64 / 40.0).collect();
         for (pi, &a) in points.iter().enumerate() {
             for &b in &points[pi..] {
@@ -116,10 +135,11 @@ const GOLDEN: &str = include_str!("golden_grid_bits.txt");
 
 /// The grid path's bits on `GridPlatform::production(200, 42, 900.0, 1)`:
 /// the digest of a small sharded simulation, then one line per (machine,
-/// start, work) with the bits of `TraceRef::{at, integral, mean_over,
-/// time_to_complete}` — starts before `t0`, on step boundaries, inside
-/// the last step and beyond the horizon; work that ends before the trace
-/// starts, in its own step, steps away and past the end.
+/// start, work) with the bits of `TraceRef::{at, integral}`, of the mean
+/// over the window and of `TraceRef::time_to_complete` — starts before
+/// `t0`, on step boundaries, inside the last step and beyond the horizon;
+/// work that ends before the trace starts, in its own step, steps away and
+/// past the end.
 fn grid_bits() -> String {
     use std::fmt::Write;
     let g = GridPlatform::production(200, 42, 900.0, 1);
@@ -145,7 +165,7 @@ fn grid_bits() -> String {
                     "m{machine} start={start} work={work}: {:016x} {:016x} {:016x} {:016x}",
                     view.at(start).to_bits(),
                     view.integral(start, start + work).to_bits(),
-                    view.mean_over(start, start + work).to_bits(),
+                    mean_over(&view, start, start + work).to_bits(),
                     view.time_to_complete(start, work).to_bits(),
                 )
                 .unwrap();

@@ -426,13 +426,6 @@ impl AdaptiveForecaster {
         }
     }
 
-    /// An ensemble with explicit strategies.
-    // tidy:allow(PP011): the ensembles crates/nws/tests/tournament.rs checks Sensor's forecast stepper with
-    pub fn with_strategies(strategies: Vec<Box<dyn Forecaster + Send + Sync>>) -> Self {
-        assert!(!strategies.is_empty(), "ensemble needs strategies");
-        Self { strategies }
-    }
-
     /// The strategies in ensemble order.
     pub fn strategies(&self) -> &[Box<dyn Forecaster + Send + Sync>] {
         &self.strategies
@@ -502,6 +495,16 @@ impl AdaptiveForecaster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AdaptiveForecaster {
+        /// An ensemble with explicit strategies: the custom ensembles the
+        /// tournament tests in `sensor.rs` hold [`AdaptiveForecaster::observe`]
+        /// and [`AdaptiveForecaster::replay`], through a `Sensor`, to the
+        /// walking oracle with.
+        pub(crate) fn with_strategies(strategies: Vec<Box<dyn Forecaster + Send + Sync>>) -> Self {
+            Self { strategies }
+        }
+    }
 
     fn series_of(values: &[f64]) -> TimeSeries {
         let mut s = TimeSeries::new(1024);

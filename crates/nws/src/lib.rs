@@ -37,7 +37,7 @@ pub mod service;
 pub mod snapshot;
 
 pub use forecast::{AdaptiveForecaster, Forecast, Forecaster, Scoreboard};
-// tidy:allow(PP011): the sensor NwsService polls; tests/serialization.rs and crates/nws/tests/tournament.rs drive one alone
+// tidy:allow(PP011): the sensor NwsService polls; tests/serialization.rs drives one alone
 pub use sensor::Sensor;
 pub use series::TimeSeries;
 pub use service::{NwsConfig, NwsService, QueryError, QueryMode, QuerySummary, SpreadPolicy};

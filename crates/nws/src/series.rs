@@ -101,20 +101,20 @@ impl TimeSeries {
         let start = self.values.len().saturating_sub(n);
         self.values.range(start..).copied()
     }
-
-    /// The most recent `n` values, oldest-first (fewer if not available).
-    // tidy:allow(PP011): oracle for recent_values, which NwsService reads, in crates/nws/tests/properties.rs
-    pub fn recent(&self, n: usize) -> Vec<f64> {
-        self.recent_values(n).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn recent(s: &TimeSeries, n: usize) -> Vec<f64> {
+        s.recent_values(n).collect()
+    }
 
     impl TimeSeries {
-        /// Timestamps oldest-first.
+        /// Timestamps oldest-first: the poll schedule these tests and the
+        /// sensor's hold `Sensor::poll_until_with` to.
         pub(crate) fn times(&self) -> Vec<f64> {
             self.times.iter().copied().collect()
         }
@@ -148,8 +148,8 @@ mod tests {
         for i in 0..6 {
             s.push(i as f64, i as f64);
         }
-        assert_eq!(s.recent(3), vec![3.0, 4.0, 5.0]);
-        assert_eq!(s.recent(100).len(), 6);
+        assert_eq!(recent(&s, 3), vec![3.0, 4.0, 5.0]);
+        assert_eq!(recent(&s, 100).len(), 6);
     }
 
     #[test]
@@ -163,8 +163,7 @@ mod tests {
         assert_eq!([head, tail].concat(), s.values());
         assert!(matches!(s.contiguous_values(), Cow::Owned(_)));
         assert_eq!(*s.contiguous_values(), s.values());
-        assert_eq!(s.recent_values(3).collect::<Vec<_>>(), s.recent(3));
-        assert_eq!(s.recent(3), vec![4.0, 5.0, 6.0]);
+        assert_eq!(recent(&s, 3), vec![4.0, 5.0, 6.0]);
         assert_eq!(s.make_contiguous(), [3.0, 4.0, 5.0, 6.0]);
         assert!(matches!(s.contiguous_values(), Cow::Borrowed(_)));
         assert_eq!(s.times(), vec![3.0, 4.0, 5.0, 6.0]);
@@ -190,5 +189,17 @@ mod tests {
     #[should_panic]
     fn rejects_zero_capacity() {
         TimeSeries::new(0);
+    }
+
+    proptest! {
+        #[test]
+        fn recent_is_suffix(h in proptest::collection::vec(0.0f64..1.0, 2..120), k in 1usize..40) {
+            let mut s = TimeSeries::new(h.len());
+            for (i, &v) in h.iter().enumerate() {
+                s.push(i as f64, v);
+            }
+            let expect: Vec<f64> = h[h.len().saturating_sub(k)..].to_vec();
+            prop_assert_eq!(recent(&s, k), expect);
+        }
     }
 }

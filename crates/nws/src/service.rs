@@ -215,7 +215,7 @@ impl NwsService {
     /// Advances every sensor to time `t`, polling the platform's traces on
     /// the configured cadence. With an attached fault plan, each poll may
     /// be dropped, delayed, spiked, or corrupted (see
-    /// [`crate::sensor::Sensor::poll_until_with`]).
+    /// `Sensor::poll_until_with`).
     pub fn advance_to(&self, platform: &Platform, t: f64) {
         for (i, (sensor, machine)) in self.cpu.iter().zip(&platform.machines).enumerate() {
             let view = self.faults.as_ref().map(|p| p.sensor(i as u64));
@@ -450,7 +450,10 @@ mod tests {
     use prodpred_simgrid::Platform;
 
     impl NwsService {
-        /// Fault-aware available-bandwidth query in bytes/second.
+        /// Fault-aware available-bandwidth query in bytes/second: the
+        /// `BWAvail * DedBW` the structural model forms from
+        /// [`NwsService::bandwidth_fraction_query`], the oracle these tests
+        /// hold that fraction's scale to.
         ///
         /// # Errors
         ///
@@ -466,7 +469,8 @@ mod tests {
             })
         }
 
-        /// Stochastic available bandwidth in bytes/second.
+        /// Stochastic available bandwidth in bytes/second: the same oracle
+        /// for [`NwsService::bandwidth_fraction_stochastic`].
         pub(crate) fn bandwidth_stochastic(&self, platform: &Platform) -> Option<StochasticValue> {
             self.bandwidth_fraction_stochastic()
                 .map(|f| f.scale(platform.network.spec.dedicated_bw))
@@ -474,16 +478,9 @@ mod tests {
     }
 
     impl NwsService {
-        /// Estimated autocorrelation time of machine `i`'s load, in seconds:
-        /// `tau = -interval / ln(rho1)` from the lag-1 autocorrelation of the
-        /// retained history. `None` until enough data (>= 8 samples) or when
-        /// the series is constant.
-        pub(crate) fn cpu_autocorrelation_time(&self, i: usize) -> Option<f64> {
-            let sensor = read_lock(&self.cpu[i]);
-            self.autocorrelation_time_of(&sensor.series().contiguous_values())
-        }
-
-        /// A copy of machine `i`'s retained CPU history values.
+        /// A copy of machine `i`'s retained CPU history values: the ground
+        /// truth these tests hold the service's forecasts and horizon means
+        /// to.
         pub(crate) fn cpu_history(&self, i: usize) -> Vec<f64> {
             read_lock(&self.cpu[i]).series().values()
         }
@@ -523,7 +520,7 @@ mod tests {
         let sv = nws.cpu_stochastic(0).unwrap();
         // The availability over the next minute should sit inside (or very
         // near) the reported range in the single-mode regime.
-        let future = p.machines[0].load.mean_over(600.0, 660.0);
+        let future = p.machines[0].load.integral(600.0, 660.0) / 60.0;
         assert!(
             sv.widen(1.5).contains(future),
             "future {future} vs predicted {sv}"
@@ -591,7 +588,7 @@ mod tests {
         let p2 = Platform::platform2(7, 20_000.0);
         let nws = NwsService::attach(&p2, NwsConfig::default());
         nws.advance_to(&p2, 15_000.0);
-        let tau = nws.cpu_autocorrelation_time(0).unwrap();
+        let tau = nws.autocorrelation_time_of(&nws.cpu_history(0)).unwrap();
         assert!(tau > 5.0 && tau < 200.0, "tau {tau}");
     }
 
@@ -637,7 +634,7 @@ mod tests {
             nws.advance_to(&p2, t);
             let d = 60.0;
             let sv = nws.cpu_stochastic_for_horizon(0, d).unwrap();
-            let realized = p2.machines[0].load.mean_over(t, t + d);
+            let realized = p2.machines[0].load.integral(t, t + d) / d;
             total += 1;
             if sv.contains(realized) {
                 hits += 1;

@@ -124,15 +124,4 @@ proptest! {
         prop_assert_eq!(*vals.last().unwrap() as usize, n - 1);
         prop_assert_eq!(vals[0] as usize, n - s.len());
     }
-
-    #[test]
-    fn recent_is_suffix(h in history(), k in 1usize..40) {
-        let mut s = TimeSeries::new(h.len());
-        for (i, &v) in h.iter().enumerate() {
-            s.push(i as f64, v);
-        }
-        let recent = s.recent(k);
-        let expect: Vec<f64> = h[h.len().saturating_sub(k)..].to_vec();
-        prop_assert_eq!(recent, expect);
-    }
 }

@@ -64,7 +64,7 @@ impl ServingState {
 
     /// Derives the serving state from snapshot age (ticks since the
     /// served snapshot published) and whether the ingest breaker is in a
-    /// non-closed state. Pure; the healthy band is [`HEALTHY_AGE_TICKS`],
+    /// non-closed state. Pure; the healthy band is `HEALTHY_AGE_TICKS`,
     /// the other thresholds come from `res`.
     pub fn derive(age_ticks: u64, breaker_open: bool, res: &ResilienceConfig) -> Self {
         // Successive maxes keep the bands sane even if a caller supplies
@@ -470,7 +470,7 @@ pub struct AvailabilityPrediction {
 }
 
 /// Predicts a chaos campaign's availability without running the
-/// service. It drives the same [`SupervisedIngest`] machine as
+/// service. It drives the same `SupervisedIngest` machine as
 /// `ServiceCore::ingest_tick`, so retry, breaker and watchdog cannot
 /// drift; only the poll is a model — "fresh data arrived" is replaced by
 /// its deterministic dominant term, *some sensor poll falls outside

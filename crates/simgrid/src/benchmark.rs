@@ -6,7 +6,7 @@
 //!
 //! * [`run_sort_benchmark`] actually sorts, timing real wall-clock runs on
 //!   the host — used by the figure harness when live data is wanted;
-//! * [`simulated_sort_runtimes`] reproduces the same statistical shape
+//! * `simulated_sort_runtimes` reproduces the same statistical shape
 //!   deterministically from a seed — used by tests and default figures so
 //!   results replay exactly.
 

@@ -58,7 +58,7 @@ pub struct GridPlatform {
 impl GridPlatform {
     /// Generates a grid: template columns are produced chunk-by-chunk over
     /// the work pool (bit-identical at any thread count — see
-    /// [`TraceStore::generate_streamed`]), slots are derived purely from
+    /// `TraceStore::generate_streamed`), slots are derived purely from
     /// `(seed, machine index)`, and the network contention trace is seeded
     /// like the [`crate::Platform`] presets.
     ///

@@ -39,26 +39,33 @@ fn clamp_avail(x: f64) -> f64 {
     x.clamp(MIN_AVAILABILITY, MAX_AVAILABILITY)
 }
 
-/// A generator of CPU-availability traces.
+/// A generator of availability traces.
+///
+/// Every implementor is *prefix stable*: its [`LoadGenerator::stream`] is
+/// an endless sample stream that draws from the seeded generator strictly
+/// in step order, and [`LoadGenerator::generate`] takes its first `steps`
+/// samples — so a shorter trace is a sample-for-sample prefix of a longer
+/// one, and because [`Trace`]'s prefix sums are sequential too, every query
+/// that stays inside the shorter horizon answers with the same bits. The
+/// preset platforms grow with a series clock on this.
 pub trait LoadGenerator {
-    /// Generates a trace of `steps` samples at resolution `dt` starting at
-    /// `t0`, deterministically from `seed`.
+    /// The process as an endless stream from `seed` at step `dt`.
+    fn stream(&self, seed: u64, dt: f64) -> Box<dyn LoadStream>;
+
+    /// A trace of the first `steps` samples of [`LoadGenerator::stream`],
+    /// at resolution `dt` starting at `t0`.
     ///
-    /// Every implementor is *prefix stable*: each is an endless sample
-    /// stream (its `stream` method) that draws from the seeded generator
-    /// strictly in step order, and `generate` takes its first `steps`
-    /// samples — so a shorter trace is a sample-for-sample prefix of a
-    /// longer one, and because [`Trace`]'s prefix sums are sequential too,
-    /// every query that stays inside the shorter horizon answers with the
-    /// same bits. The preset platforms grow with a series clock on this.
-    fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace;
+    /// # Panics
+    ///
+    /// Panics if `steps == 0`.
+    fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
+        Trace::new(t0, dt, self.stream(seed, dt).pull(steps))
+    }
 }
 
 /// An endless, prefix-stable sample stream, boxed: what the preset
-/// platforms pull from as their clock advances. Every `stream` method's
-/// iterator is one; a pull of many samples is one dynamic call over a
-/// loop compiled for the generator.
-// tidy:allow(PP011): what GrowingPlatform pulls; crates/simgrid/tests/properties.rs splits one
+/// platforms pull from as their clock advances. A pull of many samples is
+/// one dynamic call over a loop compiled for the generator.
 pub trait LoadStream: Send {
     /// The next `k` samples, in order.
     fn pull(&mut self, k: usize) -> Vec<f64>;
@@ -85,16 +92,10 @@ impl Default for Dedicated {
     }
 }
 
-impl Dedicated {
-    /// The constant level, clamped, forever.
-    pub fn stream(&self) -> impl Iterator<Item = f64> + Send + 'static {
-        std::iter::repeat(clamp_avail(self.level))
-    }
-}
-
 impl LoadGenerator for Dedicated {
-    fn generate(&self, _seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
-        Trace::new(t0, dt, self.stream().take(steps).collect())
+    /// The constant level, clamped, forever.
+    fn stream(&self, _seed: u64, _dt: f64) -> Box<dyn LoadStream> {
+        Box::new(std::iter::repeat(clamp_avail(self.level)))
     }
 }
 
@@ -124,27 +125,20 @@ impl SingleModeAr1 {
     }
 }
 
-impl SingleModeAr1 {
-    /// The process as an endless stream from `seed`: a stationary first
-    /// draw, then one innovation per step.
-    pub fn stream(&self, seed: u64) -> impl Iterator<Item = f64> + Send + 'static {
+impl LoadGenerator for SingleModeAr1 {
+    /// A stationary first draw, then one innovation per step.
+    fn stream(&self, seed: u64, _dt: f64) -> Box<dyn LoadStream> {
         assert!((0.0..1.0).contains(&self.phi), "phi must be in [0,1)");
         assert!(self.sd >= 0.0);
         let Self { mean, sd, phi } = *self;
         let mut rng = StdRng::seed_from_u64(seed);
         let innovation = Normal::new(0.0, sd * (1.0 - phi * phi).sqrt());
         let mut x = Normal::new(mean, sd).sample(&mut rng);
-        std::iter::repeat_with(move || {
+        Box::new(std::iter::repeat_with(move || {
             let out = clamp_avail(x);
             x = mean + phi * (x - mean) + innovation.sample(&mut rng);
             out
-        })
-    }
-}
-
-impl LoadGenerator for SingleModeAr1 {
-    fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
-        Trace::new(t0, dt, self.stream(seed).take(steps).collect())
+        }))
     }
 }
 
@@ -235,10 +229,9 @@ impl MarkovModal {
     }
 }
 
-impl MarkovModal {
-    /// The process as an endless stream from `seed` at step `dt`: the
-    /// mode, the dwell left in it and the value are the stream's state.
-    pub fn stream(&self, seed: u64, dt: f64) -> impl Iterator<Item = f64> + Send + 'static {
+impl LoadGenerator for MarkovModal {
+    /// The mode, the dwell left in it and the value are the stream's state.
+    fn stream(&self, seed: u64, dt: f64) -> Box<dyn LoadStream> {
         assert!(!self.modes.is_empty(), "MarkovModal needs modes");
         assert!(self.mean_dwell > 0.0, "dwell time must be positive");
         let (modes, phi, rate) = (self.modes.clone(), self.phi, 1.0 / self.mean_dwell);
@@ -251,7 +244,7 @@ impl MarkovModal {
         let mut mode = weighted_index(&mut rng, &weights);
         let mut dwell_left = exponential(&mut rng, rate);
         let mut x = modes[mode].mean;
-        std::iter::repeat_with(move || {
+        Box::new(std::iter::repeat_with(move || {
             let m = &modes[mode];
             x = m.mean + phi * (x - m.mean) + innovations[mode].sample(&mut rng);
             let out = clamp_avail(x);
@@ -263,13 +256,7 @@ impl MarkovModal {
                 x = modes[mode].mean;
             }
             out
-        })
-    }
-}
-
-impl LoadGenerator for MarkovModal {
-    fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
-        Trace::new(t0, dt, self.stream(seed, dt).take(steps).collect())
+        }))
     }
 }
 

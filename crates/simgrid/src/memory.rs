@@ -74,13 +74,6 @@ mod tests {
     use super::*;
     use crate::machine::{MachineClass, MachineSpec};
 
-    impl PagingModel {
-        /// Whether the strip fits in core.
-        pub(crate) fn fits_in_core(&self, spec: &MachineSpec, elements: f64) -> bool {
-            self.overcommit(spec, elements) <= 1.0
-        }
-    }
-
     fn sparc2() -> MachineSpec {
         MachineSpec::new("s2", MachineClass::Sparc2)
     }
@@ -89,7 +82,7 @@ mod tests {
     fn small_problems_fit() {
         let m = PagingModel::default();
         // 1000x1000 over 4 procs: 250k elements -> 4 MB working set.
-        assert!(m.fits_in_core(&sparc2(), 250_000.0));
+        assert!(m.overcommit(&sparc2(), 250_000.0) <= 1.0);
         assert_eq!(m.slowdown(&sparc2(), 250_000.0), 1.0);
     }
 
@@ -98,8 +91,8 @@ mod tests {
         let m = PagingModel::default();
         // Sparc-2: 64 MB, usable 32 MB, 16 B/elt -> 2M elements in core.
         let boundary = 2_097_152.0;
-        assert!(m.fits_in_core(&sparc2(), boundary));
-        assert!(!m.fits_in_core(&sparc2(), boundary * 1.01));
+        assert!(m.overcommit(&sparc2(), boundary) <= 1.0);
+        assert!(m.overcommit(&sparc2(), boundary * 1.01) > 1.0);
         let slow = m.slowdown(&sparc2(), boundary * 1.5);
         assert!((slow - 16.0).abs() < 0.1, "slowdown {slow}");
     }
@@ -121,10 +114,10 @@ mod tests {
         for p in [1usize, 2, 4] {
             let n = m.max_in_core_n(&sparc2(), p);
             let elements = (n * n) as f64 / p as f64;
-            assert!(m.fits_in_core(&sparc2(), elements), "n={n} p={p}");
+            assert!(m.overcommit(&sparc2(), elements) <= 1.0, "n={n} p={p}");
             let n1 = n + 16;
             let e1 = (n1 * n1) as f64 / p as f64;
-            assert!(!m.fits_in_core(&sparc2(), e1), "n1={n1} p={p}");
+            assert!(m.overcommit(&sparc2(), e1) > 1.0, "n1={n1} p={p}");
         }
     }
 

@@ -9,6 +9,7 @@
 //! (quiet/busy) Markov process: quiet samples cluster normally, busy
 //! samples come from a thresholded lognormal tail.
 
+use crate::load::{LoadGenerator, LoadStream};
 use crate::rng::{exponential, uniform01};
 use crate::trace::Trace;
 use prodpred_stochastic::dist::Distribution;
@@ -71,12 +72,10 @@ impl Default for EthernetContention {
     }
 }
 
-impl EthernetContention {
-    /// The available-fraction process as an endless stream from `seed` at
-    /// step `dt`: the busy flag and the dwell left are its state. Prefix
-    /// stable like the CPU generators (see
-    /// [`crate::load::LoadGenerator::generate`]).
-    pub fn stream(&self, seed: u64, dt: f64) -> impl Iterator<Item = f64> + Send + 'static {
+impl LoadGenerator for EthernetContention {
+    /// The available fraction: the busy flag and the dwell left are the
+    /// stream's state.
+    fn stream(&self, seed: u64, dt: f64) -> Box<dyn LoadStream> {
         assert!(self.mean_dwell > 0.0);
         let (busy_weight, rate) = (self.busy_weight, 1.0 / self.mean_dwell);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -85,7 +84,7 @@ impl EthernetContention {
 
         let mut busy = uniform01(&mut rng) < busy_weight;
         let mut dwell_left = exponential(&mut rng, rate);
-        std::iter::repeat_with(move || {
+        Box::new(std::iter::repeat_with(move || {
             let v = if busy {
                 tail.sample(&mut rng)
             } else {
@@ -99,14 +98,7 @@ impl EthernetContention {
                 dwell_left = exponential(&mut rng, rate);
             }
             v.clamp(0.02, 1.0)
-        })
-    }
-
-    /// Generates the available-fraction trace: the first `steps` samples
-    /// of [`EthernetContention::stream`].
-    pub fn generate(&self, seed: u64, t0: f64, dt: f64, steps: usize) -> Trace {
-        assert!(steps > 0);
-        Trace::new(t0, dt, self.stream(seed, dt).take(steps).collect())
+        }))
     }
 }
 
@@ -152,31 +144,11 @@ mod tests {
     use super::*;
     use prodpred_stochastic::Summary;
 
-    impl Ethernet {
-        /// Measured point-to-point bandwidth samples in Mbit/s at the NWS
-        /// cadence — the data behind the paper's Figure 3 histogram.
-        pub(crate) fn bandwidth_samples_mbit(&self, a: f64, b: f64, interval: f64) -> Vec<f64> {
-            self.avail
-                .sample_every(a, b, interval)
-                .into_iter()
-                .map(|(_, frac)| frac * self.spec.dedicated_bw * 8.0 / 1.0e6)
-                .collect()
-        }
-    }
-
-    impl NetworkSpec {
-        /// Dedicated transfer time for a message of `bytes`.
-        pub(crate) fn dedicated_transfer_secs(&self, bytes: f64) -> f64 {
-            assert!(bytes >= 0.0);
-            self.latency + bytes / self.dedicated_bw
-        }
-    }
-
     #[test]
     fn dedicated_transfer_time() {
-        let spec = NetworkSpec::default();
+        let dedicated = Ethernet::new(NetworkSpec::default(), Trace::constant(0.0, 1.0, 1.0, 10));
         // 1.25e6 bytes at 1.25e6 B/s = 1 s + 1 ms latency.
-        assert!((spec.dedicated_transfer_secs(1.25e6) - 1.001).abs() < 1e-9);
+        assert!((dedicated.transfer_secs(1.25e6, 0.0) - 1.001).abs() < 1e-9);
     }
 
     #[test]
@@ -232,7 +204,12 @@ mod tests {
     #[test]
     fn bandwidth_samples_unit_conversion() {
         let e = Ethernet::new(NetworkSpec::default(), Trace::constant(0.0, 1.0, 0.5, 100));
-        let samples = e.bandwidth_samples_mbit(0.0, 50.0, 5.0);
+        let samples: Vec<f64> = e
+            .avail
+            .sample_every(0.0, 50.0, 5.0)
+            .into_iter()
+            .map(|(_, frac)| frac * e.spec.dedicated_bw * 8.0 / 1.0e6)
+            .collect();
         assert_eq!(samples.len(), 10);
         // 0.5 * 1.25e6 B/s * 8 / 1e6 = 5 Mbit/s.
         assert!(samples.iter().all(|&s| (s - 5.0).abs() < 1e-9));

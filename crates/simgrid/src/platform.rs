@@ -10,7 +10,7 @@
 //! "within 2%" claim (Section 2.2.1).
 
 use crate::faults::{check_storms, stormed, LoadStorm};
-use crate::load::{derive_seed, LoadStream, MarkovModal, SingleModeAr1};
+use crate::load::{derive_seed, LoadGenerator, LoadStream, MarkovModal, SingleModeAr1};
 use crate::machine::{Machine, MachineClass, MachineSpec};
 use crate::network::{Ethernet, EthernetContention, NetworkSpec};
 use crate::trace::Trace;
@@ -29,7 +29,7 @@ pub(crate) const TRACE_DT: f64 = 1.0;
 /// let p = Platform::platform1(42, 3600.0);
 /// assert_eq!(p.len(), 4);
 /// // The slowest machine sits in the 0.48 load mode...
-/// let load = p.machines[0].load.mean_over(0.0, 3600.0);
+/// let load = p.machines[0].load.integral(0.0, 3600.0) / 3600.0;
 /// assert!((load - 0.48).abs() < 0.05);
 /// // ...so its compute runs ~2x slower than dedicated.
 /// let t = p.machines[0].compute_secs(1.0e6, 100.0);
@@ -139,14 +139,14 @@ impl GrowingPlatform {
         let loads = [center, center, top, top]
             .iter()
             .enumerate()
-            .map(|(i, g)| Box::new(g.stream(derive_seed(seed, i))) as Box<dyn LoadStream>)
+            .map(|(i, g)| g.stream(derive_seed(seed, i), TRACE_DT))
             .collect();
         let network = EthernetContention {
             busy_weight: 0.10,
             ..Default::default()
         }
         .stream(derive_seed(seed, 100), TRACE_DT);
-        Self::new(platform1_specs(), loads, Box::new(network), storms)
+        Self::new(platform1_specs(), loads, network, storms)
     }
 
     /// Platform 2's load streams ([`Platform::platform2`]) under `storms`,
@@ -164,7 +164,7 @@ impl GrowingPlatform {
         ];
         let bursty = MarkovModal::platform2(25.0);
         let loads = (0..specs.len())
-            .map(|i| Box::new(bursty.stream(derive_seed(seed, i), TRACE_DT)) as Box<dyn LoadStream>)
+            .map(|i| bursty.stream(derive_seed(seed, i), TRACE_DT))
             .collect();
         let network = EthernetContention {
             busy_weight: 0.30,
@@ -172,7 +172,7 @@ impl GrowingPlatform {
             ..Default::default()
         }
         .stream(derive_seed(seed, 100), TRACE_DT);
-        Self::new(specs, loads, Box::new(network), storms)
+        Self::new(specs, loads, network, storms)
     }
 
     fn new(

@@ -10,7 +10,7 @@
 //!   traces sharing one time grid (`t0`, `dt`, `steps` plus a `pad` of
 //!   extra leading samples for phase shifts), generated chunk-by-chunk as
 //!   a pure function of `(seed, column, chunk)` so generation is streamed,
-//!   parallel, and order-independent (see [`crate::load::generate_chunk`]).
+//!   parallel, and order-independent (see `load::generate_chunk`).
 //! * Each machine is a [`MachineSlot`]: a template column index, a
 //!   whole-step **phase shift** into the column's pad, and a **value
 //!   scale** — 16 bytes, derived deterministically from
@@ -25,7 +25,7 @@
 
 use crate::faults::{mix, unit};
 use crate::load::LoadGenerator;
-use crate::trace::{cumulative_prefix, Curve, Trace, AVAIL_FLOOR};
+use crate::trace::{cumulative_prefix, Curve, AVAIL_FLOOR};
 use std::sync::OnceLock;
 
 /// Smallest per-machine value scale a slot may carry.
@@ -62,7 +62,7 @@ pub struct MachineSlot {
     pub column: u32,
     /// Whole-step phase shift into the column's pad, in `0..=pad`.
     pub shift: u32,
-    /// Value scale in `[`[`SCALE_LO`]`, `[`SCALE_HI`]`]`.
+    /// Value scale in `[SCALE_LO, SCALE_HI]`.
     pub scale: f64,
 }
 
@@ -287,7 +287,7 @@ impl TraceStore {
         self.value_bytes() + self.prefix_bytes_built()
     }
 
-    /// What one machine would cost as a standalone [`Trace`] (samples plus
+    /// What one machine would cost as a standalone [`Trace`](crate::Trace) (samples plus
     /// prefix integral, 16 bytes per step): `grid_scale`'s naive baseline.
     pub fn naive_bytes_per_machine(&self) -> usize {
         self.steps * 2 * std::mem::size_of::<f64>()
@@ -295,8 +295,8 @@ impl TraceStore {
 }
 
 /// A machine's trace view into a [`TraceStore`] — the thin replacement
-/// for a per-machine [`Trace`] with the same queries: the slot's window
-/// of its column at the slot's scale, as a [`Curve`].
+/// for a per-machine [`Trace`](crate::Trace) with the same queries: the slot's window
+/// of its column at the slot's scale, as a `Curve`.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceRef<'a> {
     curve: Curve<'a>,
@@ -325,12 +325,6 @@ impl<'a> TraceRef<'a> {
         false
     }
 
-    /// End of the visible horizon.
-    // tidy:allow(PP011): oracle for TraceStore's views, in crates/core/tests/grid_scale.rs
-    pub fn t_end(&self) -> f64 {
-        self.t0() + self.dt() * self.len() as f64
-    }
-
     /// The view's window of the column's shared prefix, built on the
     /// first integrating query against the column — the work-integration
     /// curve too, because no sample reaches the floor.
@@ -344,37 +338,21 @@ impl<'a> TraceRef<'a> {
         self.curve.at(t)
     }
 
-    /// [`Trace::integral`] over the view: O(1), panics if `b < a`.
+    /// [`Trace::integral`](crate::Trace::integral) over the view: O(1), panics if `b < a`.
     pub fn integral(&self, a: f64, b: f64) -> f64 {
         self.curve.integral(self.prefix(), a, b)
     }
 
-    /// [`Trace::mean_over`] over the view: panics if `b < a`.
-    // tidy:allow(PP011): oracle for TraceStore's views, in crates/core/tests/grid_scale.rs
-    pub fn mean_over(&self, a: f64, b: f64) -> f64 {
-        self.curve.mean_over(self.prefix(), a, b)
-    }
-
-    /// [`Trace::time_to_complete`] over the view, served from the shared
+    /// [`Trace::time_to_complete`](crate::Trace::time_to_complete) over the view, served from the shared
     /// column prefix: panics if `dedicated_work < 0`.
     pub fn time_to_complete(&self, t0_work: f64, dedicated_work: f64) -> f64 {
         self.curve
             .time_to_complete(self.prefix(), t0_work, dedicated_work)
     }
 
-    /// [`Trace::sample_every`] over the view (the NWS sensor cadence).
+    /// [`Trace::sample_every`](crate::Trace::sample_every) over the view (the NWS sensor cadence).
     pub fn sample_every(&self, a: f64, b: f64, interval: f64) -> Vec<(f64, f64)> {
         self.curve.sample_every(a, b, interval)
-    }
-
-    /// Materializes the view as a standalone [`Trace`] — what the tests
-    /// hand the walking oracles (`tests/support/walking_oracles.rs`), and
-    /// where [`Trace::slice`] applies. An O(steps)
-    /// copy on purpose; the simulation hot path stays on the shared columns.
-    // tidy:allow(PP011): oracle for TraceStore's views, in crates/core/tests/grid_scale.rs
-    pub fn materialize(&self) -> Trace {
-        let c = self.curve;
-        Trace::new(c.t0, c.dt, c.samples.iter().map(|&v| c.scale * v).collect())
     }
 }
 
@@ -382,36 +360,17 @@ impl<'a> TraceRef<'a> {
 mod tests {
     use super::*;
     use crate::load::{MarkovModal, SingleModeAr1};
-    use crate::trace::search_cases;
     use crate::trace::walking_oracles::{integral_walk, time_to_complete_walk};
+    use crate::trace::{search_cases, Trace};
     use proptest::prelude::*;
 
     impl TraceRef<'_> {
-        /// The minimum visible sample value.
-        pub(crate) fn min(&self) -> f64 {
-            self.curve.min()
-        }
-
-        /// The maximum visible sample value.
-        pub(crate) fn max(&self) -> f64 {
-            self.curve.max()
-        }
-
-        /// Mean of the visible samples.
-        pub(crate) fn mean(&self) -> f64 {
-            self.curve.mean()
-        }
-    }
-
-    impl TraceStore {
-        /// Visible steps per machine view.
-        pub(crate) fn steps(&self) -> usize {
-            self.steps
-        }
-
-        /// Phase-shift pad in steps.
-        pub(crate) fn pad(&self) -> usize {
-            self.pad
+        /// Materializes the view as a standalone [`Trace`]: the oracle of
+        /// every view query, which these tests and `grid.rs`'s compare the
+        /// view against and hand the walking oracles.
+        pub(crate) fn materialize(&self) -> Trace {
+            let c = self.curve;
+            Trace::new(c.t0, c.dt, c.samples.iter().map(|&v| c.scale * v).collect())
         }
     }
 
@@ -470,9 +429,9 @@ mod tests {
                 trace.time_to_complete(a, work).to_bits(),
                 "start {}, work {}", a, work
             );
-            prop_assert_eq!(view.min().to_bits(), trace.min().to_bits());
-            prop_assert_eq!(view.max().to_bits(), trace.max().to_bits());
-            prop_assert_eq!(view.mean().to_bits(), trace.mean().to_bits());
+            prop_assert_eq!(view.curve.min().to_bits(), trace.min().to_bits());
+            prop_assert_eq!(view.curve.max().to_bits(), trace.max().to_bits());
+            prop_assert_eq!(view.curve.mean().to_bits(), trace.mean().to_bits());
         }
     }
 
@@ -541,18 +500,20 @@ mod tests {
     fn view_matches_materialized_trace_pointwise() {
         let store = small_store();
         for i in [0usize, 17, 91] {
-            let slot = MachineSlot::derive(11, i, 0, store.columns() as u32, store.pad() as u32);
+            let slot = MachineSlot::derive(11, i, 0, store.columns() as u32, store.pad as u32);
             let view = store.trace(slot);
             let full = view.materialize();
             for k in 0..=120 {
                 let t = -20.0 + k as f64 * 6.1;
                 assert_eq!(view.at(t), full.at(t), "machine {i} at t={t}");
             }
-            assert_eq!(view.len(), full.len());
-            assert_eq!(view.t_end(), full.t_end());
-            assert!((view.mean() - full.mean()).abs() < 1e-12);
-            assert!((view.min() - full.min()).abs() < 1e-15);
-            assert!((view.max() - full.max()).abs() < 1e-15);
+            assert_eq!(
+                (view.t0(), view.dt(), view.len()),
+                (full.t0(), full.dt(), full.len())
+            );
+            assert!((view.curve.mean() - full.mean()).abs() < 1e-12);
+            assert!((view.curve.min() - full.min()).abs() < 1e-15);
+            assert!((view.curve.max() - full.max()).abs() < 1e-15);
         }
     }
 
@@ -560,10 +521,11 @@ mod tests {
     fn view_integral_matches_reference_oracle() {
         let store = small_store();
         for i in [0usize, 5, 42] {
-            let slot = MachineSlot::derive(23, i, 0, store.columns() as u32, store.pad() as u32);
+            let slot = MachineSlot::derive(23, i, 0, store.columns() as u32, store.pad as u32);
             let view = store.trace(slot);
             let full = view.materialize();
-            let (lo, hi) = (view.t0() - 15.0, view.t_end() + 15.0);
+            let t_end = view.t0() + view.dt() * view.len() as f64;
+            let (lo, hi) = (view.t0() - 15.0, t_end + 15.0);
             let points: Vec<f64> = (0..=60).map(|k| lo + (hi - lo) * k as f64 / 60.0).collect();
             for (pi, &a) in points.iter().enumerate() {
                 for &b in &points[pi..] {
@@ -582,17 +544,11 @@ mod tests {
     fn view_completion_matches_reference_oracle() {
         let store = small_store();
         for i in [0usize, 3, 77] {
-            let slot = MachineSlot::derive(31, i, 0, store.columns() as u32, store.pad() as u32);
+            let slot = MachineSlot::derive(31, i, 0, store.columns() as u32, store.pad as u32);
             let view = store.trace(slot);
             let full = view.materialize();
-            let starts = [
-                -9.5,
-                0.0,
-                0.35,
-                113.0,
-                view.t_end() - 1.0,
-                view.t_end() + 40.0,
-            ];
+            let t_end = view.t0() + view.dt() * view.len() as f64;
+            let starts = [-9.5, 0.0, 0.35, 113.0, t_end - 1.0, t_end + 40.0];
             let works = [1e-9, 0.01, 0.5, 3.0, 17.0, 180.0, 1500.0];
             for &s in &starts {
                 for &w in &works {
@@ -610,7 +566,7 @@ mod tests {
     #[test]
     fn completion_and_integral_are_inverses_on_views() {
         let store = small_store();
-        let slot = MachineSlot::derive(5, 9, 0, store.columns() as u32, store.pad() as u32);
+        let slot = MachineSlot::derive(5, 9, 0, store.columns() as u32, store.pad as u32);
         let view = store.trace(slot);
         for &(s, w) in &[(3.0, 4.0), (0.0, 55.0), (200.0, 130.0)] {
             let d = view.time_to_complete(s, w);
@@ -623,9 +579,9 @@ mod tests {
     fn prefixes_build_lazily_per_column() {
         let store = small_store();
         assert_eq!(store.prefix_bytes_built(), 0, "no query yet");
-        let slot = MachineSlot::derive(2, 4, 0, 1, store.pad() as u32); // column 0
+        let slot = MachineSlot::derive(2, 4, 0, 1, store.pad as u32); // column 0
         store.trace(slot).integral(0.0, 100.0);
-        let one = (store.steps() + store.pad() + 1) * 8;
+        let one = (store.steps + store.pad + 1) * 8;
         assert_eq!(store.prefix_bytes_built(), one, "one column built");
         assert_eq!(store.bytes(), store.value_bytes() + one);
     }
@@ -633,7 +589,7 @@ mod tests {
     #[test]
     fn sample_every_matches_materialized() {
         let store = small_store();
-        let slot = MachineSlot::derive(9, 1, 0, store.columns() as u32, store.pad() as u32);
+        let slot = MachineSlot::derive(9, 1, 0, store.columns() as u32, store.pad as u32);
         let view = store.trace(slot);
         let full = view.materialize();
         assert_eq!(

@@ -173,13 +173,6 @@ impl Curve<'_> {
         self.scale * (upto(b) - upto(a))
     }
 
-    pub(crate) fn mean_over(&self, cum: &[f64], a: f64, b: f64) -> f64 {
-        if b == a {
-            return self.at(a);
-        }
-        self.integral(cum, a, b) / (b - a)
-    }
-
     /// Finds the step where the cumulative work curve G crosses
     /// `G(start) + work` ([`crossing_step`], galloping forward from the
     /// step the work starts in), then interpolates inside it with one
@@ -305,12 +298,6 @@ impl Trace {
         self.dt
     }
 
-    /// End of the generated horizon.
-    // tidy:allow(PP011): the horizon Trace::extend grows; crates/simgrid/tests/properties.rs and tests/failure_injection.rs read it
-    pub fn t_end(&self) -> f64 {
-        self.t0 + self.dt * self.values.len() as f64
-    }
-
     /// Raw samples.
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -350,16 +337,6 @@ impl Trace {
     /// The value at time `t` (clamped to the horizon).
     pub fn at(&self, t: f64) -> f64 {
         self.curve().at(t)
-    }
-
-    /// Mean value over `[a, b]`, integrating the step function exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b < a`.
-    // tidy:allow(PP011): oracle for Trace::extend and NwsService's forecasts, in crates/simgrid/tests/properties.rs and tests/nws_pipeline.rs
-    pub fn mean_over(&self, a: f64, b: f64) -> f64 {
-        self.curve().mean_over(&self.prefix.cum, a, b)
     }
 
     /// Integral of the trace over `[a, b]`: the difference of two O(1)
@@ -667,8 +644,8 @@ mod tests {
     #[test]
     fn mean_over_weights_segments() {
         let t = ramp();
-        assert!((t.mean_over(0.0, 2.0) - 0.75).abs() < 1e-9);
-        assert_eq!(t.mean_over(1.5, 1.5), 0.5);
+        assert!((t.integral(0.0, 2.0) / 2.0 - 0.75).abs() < 1e-9);
+        assert_eq!(t.at(1.5), 0.5);
     }
 
     #[test]
@@ -725,7 +702,8 @@ mod tests {
     #[test]
     fn prefix_integral_matches_reference_walk() {
         let t = gnarly();
-        let (lo, hi) = (t.t0() - 10.0, t.t_end() + 10.0);
+        let t_end = t.t0() + t.dt() * t.len() as f64;
+        let (lo, hi) = (t.t0() - 10.0, t_end + 10.0);
         let span = hi - lo;
         // A dense lattice of endpoints, including many off-step points.
         let points: Vec<f64> = (0..=400).map(|i| lo + span * i as f64 / 400.0).collect();
@@ -762,13 +740,14 @@ mod tests {
     #[test]
     fn binary_search_completion_matches_reference_walk() {
         let t = gnarly();
+        let t_end = t.t0() + t.dt() * t.len() as f64;
         let starts = [
             t.t0() - 7.3,
             t.t0(),
             t.t0() + 0.35,
             t.t0() + 11.0,
-            t.t_end() - 1.0,
-            t.t_end() + 5.0,
+            t_end - 1.0,
+            t_end + 5.0,
         ];
         let works = [1e-9, 0.01, 0.5, 3.0, 17.0, 60.0, 500.0];
         for &s in &starts {

@@ -324,18 +324,6 @@ mod tests {
     use crate::seq::solve_seq;
     use std::time::Duration;
 
-    impl Checkpoint {
-        /// The format version this checkpoint was written with.
-        pub(crate) fn version(&self) -> u32 {
-            self.version
-        }
-
-        /// The snapshotted grid.
-        pub(crate) fn grid(&self) -> &Grid {
-            &self.grid
-        }
-    }
-
     fn solved_seq(n: usize, iters: usize) -> Grid {
         let mut g = Grid::laplace_problem(n);
         solve_seq(&mut g, SorParams::for_grid(n, iters));
@@ -448,7 +436,7 @@ mod tests {
         let checkpoint = store.latest().expect("checkpoints were taken").clone();
         assert_eq!(checkpoint.iteration(), 10);
         // The failing segment left the grid at the checkpoint boundary.
-        assert_eq!(g.max_diff(checkpoint.grid()), 0.0);
+        assert_eq!(g.max_diff(&checkpoint.grid), 0.0);
 
         // The worker is restarted (transient death): resume without the
         // kill — it already fired — and finish.
@@ -573,7 +561,7 @@ mod tests {
         // full 12-iteration solve from it.
         let json = serde_json::to_string(store.latest().unwrap()).unwrap();
         let restored: Checkpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored.version(), CHECKPOINT_VERSION);
+        assert_eq!(restored.version, CHECKPOINT_VERSION);
         assert_eq!(restored.iteration(), 4);
 
         let mut resumed = Grid::laplace_problem(n);

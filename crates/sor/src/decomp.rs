@@ -138,8 +138,7 @@ impl Block {
     }
 
     /// Columns owned.
-    // tidy:allow(PP011): the block layout simulate_blocks and the workers read; tests/block_decomposition.rs sweeps it
-    pub fn n_cols(&self) -> usize {
+    pub(crate) fn n_cols(&self) -> usize {
         self.cols.len()
     }
 
@@ -166,8 +165,7 @@ pub enum Peer {
 
 impl Peer {
     /// Every direction, in exchange order.
-    // tidy:allow(PP011): the block layout simulate_blocks and the workers read; tests/block_decomposition.rs sweeps it
-    pub const ALL: [Peer; 4] = [Peer::Up, Peer::Down, Peer::Left, Peer::Right];
+    pub(crate) const ALL: [Peer; 4] = [Peer::Up, Peer::Down, Peer::Left, Peer::Right];
 
     /// The direction the neighbour sees this processor in.
     pub fn opposite(self) -> Peer {

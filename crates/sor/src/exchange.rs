@@ -4,7 +4,7 @@
 //! every half-iteration. A general-purpose channel allocates per send (a
 //! queue node, plus the payload `Vec` the old code built fresh each
 //! phase). This module replaces both with a capacity-one rendezvous
-//! [`Mailbox`] and an owned-buffer recycling protocol:
+//! mailbox and an owned-buffer recycling protocol:
 //!
 //! 1. the sender fills an owned `Vec<f64>` and moves it into the mailbox,
 //! 2. the receiver copies it into its halo and *returns the same buffer*
@@ -25,9 +25,9 @@
 //! Fault tolerance: there is one exchange path and it is fallible. Every
 //! wait is bounded by an [`ExchangePolicy`] (per-attempt timeout plus
 //! bounded retries), a dead neighbour surfaces as
-//! [`ExchangeError::Disconnected`] and a wedged one as
-//! [`ExchangeError::Timeout`] instead of blocking forever; callers that
-//! want to wait a neighbour out pass [`ExchangePolicy::patient`].
+//! `ExchangeError::Disconnected` and a wedged one as
+//! `ExchangeError::Timeout` instead of blocking forever; callers that
+//! want to wait a neighbour out pass `ExchangePolicy::patient`.
 //! All locking recovers from a peer's panic (no poisoned-lock panics);
 //! dropping either endpoint wakes and disconnects the other side.
 
@@ -64,7 +64,7 @@ pub(crate) struct MailReceiver<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// Error returned by [`MailReceiver::recv_timeout`].
+/// Error returned by `MailReceiver::recv_timeout`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvTimeoutError {
     /// The sender dropped its endpoint (worker exited or panicked).
@@ -96,7 +96,7 @@ pub(crate) enum ExchangeError {
 
 /// Timeout-and-retry policy for one fallible exchange. Each individual
 /// wait is bounded by `timeout`, and the exchange *as a whole* is bounded
-/// by [`ExchangePolicy::total_budget`] — `timeout × (retries + 1)` —
+/// by `ExchangePolicy::total_budget` — `timeout × (retries + 1)` —
 /// armed once on entry and shared across every phase (buffer reclaim and
 /// delivery alike), so no sequence of near-miss attempts can stretch one
 /// exchange past its documented deadline. A disconnected neighbour is

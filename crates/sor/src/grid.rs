@@ -192,38 +192,10 @@ mod tests {
     use crate::kernel::tests::cells;
     use proptest::prelude::*;
 
-    impl Color {
-        /// The opposite colour.
-        pub(crate) fn other(self) -> Color {
-            match self {
-                Color::Red => Color::Black,
-                Color::Black => Color::Red,
-            }
-        }
-    }
-
-    impl Grid {
-        /// Copies `values` into row `i`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `values.len() != n`.
-        pub(crate) fn set_row(&mut self, i: usize, values: &[f64]) {
-            assert_eq!(values.len(), self.n, "row length mismatch");
-            self.data[i * self.n..(i + 1) * self.n].copy_from_slice(values);
-        }
-
-        /// Number of interior cells.
-        pub(crate) fn interior_cells(&self) -> usize {
-            (self.n - 2) * (self.n - 2)
-        }
-    }
-
     #[test]
     fn construction_and_access() {
         let mut g = Grid::new(4);
         assert_eq!(g.n(), 4);
-        assert_eq!(g.interior_cells(), 4);
         g.set(1, 2, 3.5);
         assert_eq!(g.get(1, 2), 3.5);
         assert_eq!(g.row(1), &[0.0, 0.0, 3.5, 0.0]);
@@ -289,7 +261,7 @@ mod tests {
     fn set_row_and_diff() {
         let mut a = Grid::new(3);
         let b = Grid::new(3);
-        a.set_row(1, &[0.0, 2.0, 0.0]);
+        a.set(1, 1, 2.0);
         assert_eq!(a.max_diff(&b), 2.0);
     }
 
@@ -297,7 +269,6 @@ mod tests {
     fn color_parity() {
         assert_eq!(Color::Red.parity(), 0);
         assert_eq!(Color::Black.parity(), 1);
-        assert_eq!(Color::Red.other(), Color::Black);
     }
 
     #[test]

@@ -64,5 +64,3 @@ pub use parallel::{
     SolveOptions,
 };
 pub use seq::{solve_seq, sweep_iteration, SorParams};
-// tidy:allow(PP011): oracle for solve_seq's sweep, pinned by crates/sor/tests/golden_solver_bits.rs
-pub use seq::solve_until;

@@ -23,7 +23,7 @@
 //! [`WorkerDeath`] — surfaces as [`SolveError::WorkerDied`] from the
 //! driver instead of a permanent block or a secondary panic. The
 //! infallible entry points keep their original signatures by running the
-//! same core under [`ExchangePolicy::patient`].
+//! same core under `ExchangePolicy::patient`.
 
 use crate::decomp::{partition_equal, Block, BlockLayout, Decomposition, Peer, Strip};
 use crate::exchange::{

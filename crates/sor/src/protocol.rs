@@ -10,7 +10,7 @@
 //! half-iteration a worker first ships its boundary edges to every
 //! neighbour, then drains every neighbour's boundary edge into its halo.
 //! Sends precede receives unconditionally; within each group the order is
-//! [`Peer::ALL`] — up, down, left, right. Any reordering here changes the
+//! `Peer::ALL` — up, down, left, right. Any reordering here changes the
 //! blocking structure the deadlock-freedom argument (and the model
 //! checker's proof) rests on, which is exactly why the order lives in one
 //! place. A chain of strips is the `P x 1` layout, where only up and down
@@ -32,7 +32,7 @@ pub enum ExchangeOp {
 
 /// The exchange script worker `rank` of `layout` runs every
 /// half-iteration, in execution order: a send toward each neighbour, then
-/// a receive from each, both in [`Peer::ALL`] order, with the ops toward
+/// a receive from each, both in `Peer::ALL` order, with the ops toward
 /// neighbours the layout does not give this rank (grid edges) omitted.
 ///
 /// `rank` must be `< layout.len()`. A single-worker decomposition

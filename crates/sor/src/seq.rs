@@ -29,7 +29,7 @@ impl SorParams {
 ///
 /// The update is the classic five-point SOR step for Laplace's equation:
 /// `u += omega/4 * (sum of 4 neighbours - 4u)`, performed row-by-row by
-/// the shared slice kernel [`crate::kernel::relax_rows`].
+/// the shared slice kernel `kernel::relax_rows`.
 pub fn sweep_color_rows(grid: &mut Grid, color: Color, omega: f64, row_lo: usize, row_hi: usize) {
     let n = grid.n();
     debug_assert!(row_lo >= 1 && row_hi < n);
@@ -74,30 +74,6 @@ fn iterate(grid: &mut Grid, omega: f64) -> f64 {
     grid.max_residual()
 }
 
-/// Runs red-black iterations until the residual drops below `tol` or
-/// `max_iterations` is reached — the convergence-driven mode a production
-/// solver exposes alongside the paper's fixed-count mode. Returns the
-/// number of iterations performed and the final residual.
-///
-/// # Panics
-///
-/// Panics on invalid `omega`, non-positive `tol`, or zero
-/// `max_iterations`.
-// tidy:allow(PP011): oracle for solve_seq's sweep, pinned by crates/sor/tests/golden_solver_bits.rs
-pub fn solve_until(grid: &mut Grid, omega: f64, tol: f64, max_iterations: usize) -> (usize, f64) {
-    assert!(omega > 0.0 && omega < 2.0, "omega must lie in (0,2)");
-    assert!(tol > 0.0, "tolerance must be positive");
-    assert!(max_iterations > 0, "need at least one iteration");
-    let mut residual = f64::INFINITY;
-    for it in 1..=max_iterations {
-        residual = iterate(grid, omega);
-        if residual < tol {
-            return (it, residual);
-        }
-    }
-    (max_iterations, residual)
-}
-
 /// Runs `params.iterations` red-black iterations sequentially.
 /// Returns the residual after each iteration.
 pub fn solve_seq(grid: &mut Grid, params: SorParams) -> Vec<f64> {
@@ -114,6 +90,21 @@ pub fn solve_seq(grid: &mut Grid, params: SorParams) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `solve_seq`'s red+black iteration until the residual drops
+    /// below `tol` or `max_iterations` is reached, and returns the
+    /// iterations performed and the final residual: the convergence
+    /// oracle of `solve_seq`'s sweep, which runs a fixed count.
+    fn solve_until(grid: &mut Grid, omega: f64, tol: f64, max_iterations: usize) -> (usize, f64) {
+        let mut residual = f64::INFINITY;
+        for it in 1..=max_iterations {
+            residual = iterate(grid, omega);
+            if residual < tol {
+                return (it, residual);
+            }
+        }
+        (max_iterations, residual)
+    }
 
     #[test]
     fn fused_iteration_matches_two_pass_bitwise() {

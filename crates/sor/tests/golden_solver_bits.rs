@@ -1,14 +1,14 @@
 //! Golden bits of the real solvers, taken before the relaxation kernel and
 //! `Grid::max_residual` were rewritten in block form. `golden_bits.rs` pins
 //! the simulator; this pins what the kernel computes: every residual
-//! `solve_seq` returns, a digest of the grid it leaves, where `solve_until`
-//! stops, and the threaded solvers' grids — on row lengths either side of
+//! `solve_seq` returns, a digest of the grid it leaves, where a
+//! convergence-driven solve stops, and the threaded solvers' grids — on row lengths either side of
 //! each boundary of a 16-cell block (a row of 17 / 18 cells is the first
 //! with a whole block from start column 1 / 2, 33 / 34 the first with two).
 
 use prodpred_sor::{
-    partition_equal, solve_parallel_blocks, solve_parallel_strips, solve_seq, solve_until,
-    BlockLayout, Grid, SorParams,
+    partition_equal, solve_parallel_blocks, solve_parallel_strips, solve_seq, BlockLayout, Grid,
+    SorParams,
 };
 use std::fmt::Write;
 
@@ -54,7 +54,18 @@ fn solver_bits() -> String {
                 write!(out, " {:016x}", r.to_bits()).unwrap();
             }
 
-            let (iterations, residual) = solve_until(&mut start_grid(n), omega, 1e-6, 40);
+            // Where a solve to 1e-6, capped at 40 iterations, stops: the
+            // first of `solve_seq`'s 40 residuals below the tolerance, or
+            // the last.
+            let until = solve_seq(
+                &mut start_grid(n),
+                SorParams {
+                    omega,
+                    iterations: 40,
+                },
+            );
+            let stop = until.iter().position(|&r| r < 1e-6).unwrap_or(39);
+            let (iterations, residual) = (stop + 1, until[stop]);
 
             // Three strips and 2 x 2 blocks, or as many as the interior has
             // rows for.

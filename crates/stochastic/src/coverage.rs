@@ -106,14 +106,6 @@ pub fn calibration_curve(obs: &[Observation], factors: &[f64]) -> Vec<(f64, f64)
 mod tests {
     use super::*;
 
-    impl AccuracyReport {
-        /// The paper's headline comparison: the stochastic range error should be
-        /// substantially smaller than the point (mean) error.
-        pub(crate) fn stochastic_beats_point(&self) -> bool {
-            self.max_range_error < self.max_mean_error
-        }
-    }
-
     fn obs(mean: f64, half: f64, actual: f64) -> Observation {
         Observation {
             predicted: StochasticValue::new(mean, half),
@@ -155,7 +147,6 @@ mod tests {
         // Inside the wide interval: range error zero; mean error 4/14.
         assert_eq!(r.max_range_error, 0.0);
         assert!((r.max_mean_error - 4.0 / 14.0).abs() < 1e-12);
-        assert!(r.stochastic_beats_point());
     }
 
     #[test]

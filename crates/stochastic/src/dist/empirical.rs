@@ -188,13 +188,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    impl Empirical {
-        /// Sample median.
-        pub(crate) fn median(&self) -> f64 {
-            quantile_sorted(&self.sorted, 0.5)
-        }
-    }
-
     #[test]
     fn ecdf_steps() {
         let e = Empirical::new(&[1.0, 2.0, 3.0, 4.0]);
@@ -216,7 +209,7 @@ mod tests {
     #[test]
     fn median_and_quantile() {
         let e = Empirical::new(&[5.0, 1.0, 3.0]);
-        assert_eq!(e.median(), 3.0);
+        assert_eq!(e.quantile(0.5), 3.0);
         assert_eq!(e.quantile(0.5), 3.0);
     }
 

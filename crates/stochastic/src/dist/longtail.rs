@@ -193,33 +193,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    impl LogNormal {
-        /// The distribution median `exp(mu)`.
-        pub(crate) fn median(&self) -> f64 {
-            self.mu.exp()
-        }
-    }
-
-    impl LongTailed {
-        /// Convenience: a latency-style distribution clustered just above
-        /// `floor`.
-        pub(crate) fn above(floor: f64, typical_gap: f64, gap_sd: f64) -> Self {
-            Self::new(
-                floor,
-                LogNormal::from_mean_sd(typical_gap, gap_sd),
-                TailDirection::Above,
-            )
-        }
-
-        /// The distribution median.
-        pub(crate) fn median(&self) -> f64 {
-            match self.direction {
-                TailDirection::Below => self.threshold - self.tail.median(),
-                TailDirection::Above => self.threshold + self.tail.median(),
-            }
-        }
-    }
-
     #[test]
     fn lognormal_moment_matching_round_trips() {
         let ln = LogNormal::from_mean_sd(5.0, 2.0);
@@ -231,7 +204,7 @@ mod tests {
     fn lognormal_median_below_mean() {
         // Right-skew: median < mean.
         let ln = LogNormal::from_mean_sd(5.0, 3.0);
-        assert!(ln.median() < ln.mean());
+        assert!(ln.quantile(0.5) < ln.mean());
     }
 
     #[test]
@@ -269,7 +242,7 @@ mod tests {
         }
         assert!(s.skewness() < -0.3, "bandwidth tail must skew left");
         // Median sits above the mean for a left tail.
-        assert!(bw.median() > bw.mean());
+        assert!(bw.quantile(0.5) > bw.mean());
     }
 
     #[test]
@@ -287,7 +260,8 @@ mod tests {
 
     #[test]
     fn above_direction_mirrors_below() {
-        let lat = LongTailed::above(1.0, 0.5, 0.4);
+        // A latency-style distribution clustered just above its floor.
+        let lat = LongTailed::new(1.0, LogNormal::from_mean_sd(0.5, 0.4), TailDirection::Above);
         assert!(lat.mean() > 1.0);
         let mut rng = StdRng::seed_from_u64(8);
         for _ in 0..1000 {

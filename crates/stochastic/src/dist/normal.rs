@@ -82,7 +82,7 @@ impl Distribution for Normal {
     }
 
     /// Marsaglia polar (Box–Muller variant) sampling. The trait is
-    /// stateless, so the second variate of each [`polar_pair`] is dropped
+    /// stateless, so the second variate of each `polar_pair` is dropped
     /// here and nothing is remembered between calls; the Monte-Carlo
     /// `Max` drives `polar_pair` itself, keeps both variates, and keeps
     /// each chunk's whole stream for the next maximum with that seed.
@@ -125,13 +125,6 @@ mod tests {
     use crate::stats::Summary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    impl Normal {
-        /// The standard normal `N(0, 1)`.
-        pub(crate) fn standard() -> Self {
-            Self::new(0.0, 1.0)
-        }
-    }
 
     #[test]
     fn pdf_peak_at_mean() {
@@ -224,7 +217,7 @@ mod tests {
             assert!((s.sd() - 1.0).abs() < 0.05, "sd {}", s.sd());
             assert!(s.skewness().abs() < 0.05, "skew {}", s.skewness());
             assert!(s.kurtosis().abs() < 0.1, "kurtosis {}", s.kurtosis());
-            let d = ks_statistic(&Empirical::new(&half), &Normal::standard());
+            let d = ks_statistic(&Empirical::new(&half), &Normal::new(0.0, 1.0));
             assert!(ks_p_value(d, pairs) > 0.01, "KS distance {d}");
         }
         let lag1 = crate::stats::autocorrelation(&stream, 1).unwrap();

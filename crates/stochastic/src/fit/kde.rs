@@ -109,13 +109,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    impl Kde {
-        /// The bandwidth in use.
-        pub fn bandwidth(&self) -> f64 {
-            self.bandwidth
-        }
-    }
-
     #[test]
     fn density_integrates_to_one() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -160,7 +153,7 @@ mod tests {
     #[test]
     fn explicit_bandwidth_respected() {
         let kde = Kde::with_bandwidth(&[1.0, 2.0], 0.5);
-        assert_eq!(kde.bandwidth(), 0.5);
+        assert_eq!(kde.bandwidth, 0.5);
     }
 
     #[test]

@@ -114,15 +114,8 @@ pub(crate) fn modal_samples(modes: &[(f64, f64, f64)], seed: u64, n: usize) -> V
 mod tests {
     use super::*;
     use crate::dist::{Distribution, LogNormal};
-    use crate::value::StochasticValue;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// Summarizes data as a stochastic value via a fitted normal
-    /// (mean ± 2 sd) — the paper's default representation.
-    pub(crate) fn to_stochastic(data: &[f64]) -> Option<StochasticValue> {
-        fit_normal(data).map(|n| StochasticValue::from_mean_sd(n.mu(), n.sigma()))
-    }
 
     #[test]
     fn fit_normal_recovers_parameters() {
@@ -185,13 +178,5 @@ mod tests {
                 });
             assert_eq!(fnv, digest, "seed {seed}, n {n}: {fnv:#018x}");
         }
-    }
-
-    #[test]
-    fn to_stochastic_is_mean_two_sd() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let v = to_stochastic(&data).unwrap();
-        assert!((v.mean() - 5.0).abs() < 1e-12);
-        assert!((v.half_width() - 2.0 * 2.138_089_935).abs() < 1e-5);
     }
 }

@@ -133,13 +133,6 @@ impl Histogram {
 mod tests {
     use super::*;
 
-    impl Histogram {
-        /// Raw count in bin `i`.
-        pub(crate) fn count(&self, i: usize) -> u64 {
-            self.counts[i]
-        }
-    }
-
     #[test]
     fn bins_and_edges() {
         let mut h = Histogram::new(0.0, 10.0, 5);
@@ -151,9 +144,9 @@ mod tests {
         h.push(1.99);
         h.push(2.0);
         h.push(10.0); // boundary lands in last bin
-        assert_eq!(h.count(0), 2);
-        assert_eq!(h.count(1), 1);
-        assert_eq!(h.count(4), 1);
+        assert_eq!(h.counts[0], 2);
+        assert_eq!(h.counts[1], 1);
+        assert_eq!(h.counts[4], 1);
     }
 
     #[test]

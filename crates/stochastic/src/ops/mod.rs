@@ -84,7 +84,7 @@ impl StochasticValue {
 
     /// Division as multiplication by the reciprocal (paper footnote 5).
     ///
-    /// Uses the first-order reciprocal [`recip`](Self::recip) rather than
+    /// Uses the first-order reciprocal `recip` rather than
     /// the footnote's literal `Y^-1 ± b^-1`, which explodes as `b -> 0`
     /// (DESIGN.md).
     pub fn div(&self, other: &StochasticValue, dep: Dependence) -> StochasticValue {

@@ -151,7 +151,7 @@ impl StochasticValue {
         }
     }
 
-    /// Relative version of [`distance_outside`](Self::distance_outside):
+    /// Relative version of `distance_outside`:
     /// distance divided by the actual value, as used for the paper's
     /// "maximum error of approximately 14%" style of statement.
     pub fn relative_error_outside(&self, v: f64) -> f64 {
@@ -225,19 +225,7 @@ impl fmt::Display for StochasticValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::special::std_normal_cdf;
-
-    impl StochasticValue {
-        /// The probability, under the normal assumption, that the quantity lies
-        /// inside `[lo, hi]`. For a genuine normal this is ~0.9545.
-        pub(crate) fn nominal_coverage(&self) -> f64 {
-            if self.is_point() {
-                1.0
-            } else {
-                std_normal_cdf(2.0) - std_normal_cdf(-2.0)
-            }
-        }
-    }
+    use crate::dist::Distribution;
 
     #[test]
     fn construction_and_accessors() {
@@ -272,7 +260,6 @@ mod tests {
         assert!(p.is_point());
         assert_eq!(p.lo(), 7.0);
         assert_eq!(p.hi(), 7.0);
-        assert_eq!(p.nominal_coverage(), 1.0);
         assert!(p.contains(7.0));
         assert!(!p.contains(7.0001));
     }
@@ -325,8 +312,11 @@ mod tests {
 
     #[test]
     fn nominal_coverage_is_two_sigma() {
+        // Under the normal the value stands for, `[lo, hi]` holds ~0.9545.
         let v = StochasticValue::new(0.0, 2.0);
-        assert!((v.nominal_coverage() - 0.954_499_7).abs() < 1e-5);
+        let normal = v.to_normal();
+        let coverage = normal.cdf(v.hi()) - normal.cdf(v.lo());
+        assert!((coverage - 0.954_499_7).abs() < 1e-5);
     }
 
     #[test]

@@ -105,32 +105,9 @@ pub(crate) fn phase_comm(
         .expect("non-empty") // tidy:allow(PP003): terms always contains the latency term
 }
 
-/// Generic per-phase communication component: the sum of the point-to-
-/// point transfers for an arbitrary set of messages (element counts).
-/// Covers non-strip layouts — a 2D block exchanges row segments with
-/// vertical neighbours and column segments with horizontal ones.
-// tidy:allow(PP011): oracle for sor::simulate_blocks, in tests/block_decomposition.rs
-pub fn phase_comm_messages(model: &PtToPtModel, message_elements: &[f64]) -> StochasticValue {
-    if message_elements.is_empty() {
-        return StochasticValue::point(0.0);
-    }
-    message_elements
-        .iter()
-        .map(|&e| model.pt_to_pt(Param::point(e)))
-        .reduce(|a, b| a.add(&b, model.dependence))
-        .expect("non-empty") // tidy:allow(PP003): callers pass at least one element count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl Neighbours {
-        /// Number of neighbours (0, 1, or 2).
-        pub fn count(&self) -> usize {
-            usize::from(self.up) + usize::from(self.down)
-        }
-    }
 
     fn model() -> PtToPtModel {
         PtToPtModel {
@@ -200,7 +177,13 @@ mod tests {
                 down: false
             }
         );
-        assert_eq!(Neighbours::of(1, 4).count(), 2);
+        assert_eq!(
+            Neighbours::of(1, 4),
+            Neighbours {
+                up: true,
+                down: true
+            }
+        );
     }
 
     #[test]
@@ -226,11 +209,12 @@ mod tests {
         let m = model();
         let ghost = Param::point(1000.0);
         let strip = phase_comm(&m, Neighbours::of(1, 4), ghost);
-        let list = phase_comm_messages(&m, &[1000.0; 4]);
+        let list = (0..4)
+            .map(|_| m.pt_to_pt(ghost))
+            .reduce(|a, b| a.add(&b, m.dependence))
+            .unwrap();
         assert!((strip.mean() - list.mean()).abs() < 1e-12);
         assert!((strip.half_width() - list.half_width()).abs() < 1e-12);
-        // Empty message list is free.
-        assert!(phase_comm_messages(&m, &[]).is_point());
     }
 
     #[test]

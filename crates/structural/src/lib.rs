@@ -11,9 +11,8 @@
 //! * [`comm`] — the `PtToPt` / `SendLR` / `ReceLR` communication models,
 //! * [`comp`] — operation-count and benchmark computation models, with the
 //!   production `Comp / load` form,
-//! * [`sor_model`] — the full Red-Black SOR `ExTime` model and the
-//!   Figure-7 skew bound,
-//! * [`degrade`] — the fault-degradation terms applied on top of a
+//! * [`sor_model`] — the full Red-Black SOR `ExTime` model,
+//! * [`mod@degrade`] — the fault-degradation terms applied on top of a
 //!   healthy prediction (slowdown, delay, spread widening).
 
 #![warn(missing_docs)]
@@ -29,8 +28,6 @@ pub mod sor_model;
 pub mod validate;
 
 pub use comm::PtToPtModel;
-// tidy:allow(PP011): oracle for sor::simulate_blocks, in tests/block_decomposition.rs
-pub use comm::phase_comm_messages;
 pub use component::Component;
 pub use degrade::{degrade, degrade_point, DegradationTerms};
 pub use param::Param;

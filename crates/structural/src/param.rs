@@ -81,17 +81,10 @@ impl fmt::Display for Param {
 mod tests {
     use super::*;
 
-    impl Param {
-        /// Whether this is a point value.
-        pub(crate) fn is_point(&self) -> bool {
-            self.value.is_point()
-        }
-    }
-
     #[test]
     fn point_param() {
         let p = Param::point(8.0);
-        assert!(p.is_point());
+        assert!(p.value.is_point());
         assert_eq!(p.value().mean(), 8.0);
         assert_eq!(p.source, ParamSource::Static);
     }
@@ -99,7 +92,7 @@ mod tests {
     #[test]
     fn stochastic_param() {
         let p = Param::stochastic(StochasticValue::new(0.48, 0.05));
-        assert!(!p.is_point());
+        assert!(!p.value.is_point());
         assert_eq!(p.source, ParamSource::Runtime);
     }
 
@@ -107,7 +100,7 @@ mod tests {
     fn to_point_collapses_width() {
         let p = Param::stochastic(StochasticValue::new(5.0, 2.0));
         let q = p.to_point();
-        assert!(q.is_point());
+        assert!(q.value.is_point());
         assert_eq!(q.value().mean(), 5.0);
         assert_eq!(q.source, ParamSource::Runtime);
     }
@@ -115,8 +108,8 @@ mod tests {
     #[test]
     fn conversions() {
         let a: Param = 3.0.into();
-        assert!(a.is_point());
+        assert!(a.value.is_point());
         let b: Param = StochasticValue::new(1.0, 0.5).into();
-        assert!(!b.is_point());
+        assert!(!b.value.is_point());
     }
 }

@@ -185,7 +185,7 @@ impl SorStructuralModel {
     }
 
     /// The execution time that `breakdown` — this model's
-    /// [`phase_breakdown`](Self::phase_breakdown) — adds up to, for a
+    /// `phase_breakdown` — adds up to, for a
     /// caller that wants the maxima and the total without evaluating the
     /// maxima twice.
     pub fn total_from(&self, breakdown: &PhaseBreakdown) -> StochasticValue {
@@ -219,15 +219,6 @@ impl SorStructuralModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Skew bound (paper Figure 7): "accumulating communication delays can
-    /// create a kind of 'skew' which can delay execution of each iteration by
-    /// the amount of at most P iterations". The worst-case extra delay is the
-    /// per-iteration time times the processor count.
-    pub(crate) fn skew_bound(per_iteration: StochasticValue, processors: usize) -> StochasticValue {
-        assert!(processors > 0);
-        per_iteration.scale(processors as f64)
-    }
 
     impl SorStructuralModel {
         /// The model as an explicit [`Component`](crate::component::Component)
@@ -421,14 +412,6 @@ mod tests {
                 tree.half_width()
             );
         }
-    }
-
-    #[test]
-    fn skew_bound_scales_with_processors() {
-        let per_iter = StochasticValue::new(0.3, 0.05);
-        let b = skew_bound(per_iter, 4);
-        assert!((b.mean() - 1.2).abs() < 1e-12);
-        assert!((b.half_width() - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run -p prodpred-examples --bin service_range_qos`
 
+use prodpred_simgrid::load::LoadGenerator;
 use prodpred_simgrid::network::EthernetContention;
 use prodpred_stochastic::{Distribution, StochasticValue};
 

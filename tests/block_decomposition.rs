@@ -1,14 +1,37 @@
 //! Integration of the 2D block-decomposition extension: real solver
 //! equivalence, simulator consistency, and a structural-model check built
-//! from the generic message-list communication component.
+//! from a message-list communication component.
 
 use prodpred_simgrid::{MachineClass, Platform};
 use prodpred_sor::{
     partition_blocks, partition_equal, simulate, simulate_blocks, solve_parallel_blocks,
     solve_parallel_strips, solve_seq, BlockLayout, DistSorConfig, Grid, Peer, SorParams,
 };
-use prodpred_stochastic::{max_of, Dependence, MaxStrategy};
-use prodpred_structural::{phase_comm_messages, Param, PtToPtModel};
+use prodpred_stochastic::{max_of, Dependence, MaxStrategy, StochasticValue};
+use prodpred_structural::{Param, PtToPtModel};
+
+/// One block's per-phase communication: the sum, under the model's
+/// dependence, of one `PtToPt` transfer (`latency + elements * size /
+/// (bw_avail * ded_bw)`) per message. The block analogue of the strip
+/// model's `SendLR + ReceLR`, and the oracle `simulate_blocks`' exchange
+/// is held to below.
+fn phase_comm_messages(model: &PtToPtModel, message_elements: &[f64]) -> StochasticValue {
+    let eff_bw = model
+        .bw_avail
+        .value()
+        .mul(&model.ded_bw.value(), model.dependence);
+    message_elements
+        .iter()
+        .map(|&e| {
+            Param::point(e)
+                .value()
+                .scale(model.size_elt)
+                .div(&eff_bw, model.dependence)
+                .shift(model.latency)
+        })
+        .reduce(|a, b| a.add(&b, model.dependence))
+        .unwrap_or(StochasticValue::point(0.0))
+}
 
 #[test]
 fn all_three_solvers_agree_bitwise() {
@@ -50,20 +73,20 @@ fn block_structural_model_tracks_simulator_when_dedicated() {
 
     let comp_terms: Vec<_> = blocks
         .iter()
-        .map(|b| prodpred_stochastic::StochasticValue::point(b.elements() as f64 / 2.0 * bm))
+        .map(|b| StochasticValue::point(b.elements() as f64 / 2.0 * bm))
         .collect();
     let comm_terms: Vec<_> = blocks
         .iter()
         .map(|b| {
-            let [u, d, l, r] = Peer::ALL.map(|peer| layout.neighbour(b.proc, peer));
             let mut msgs = Vec::new();
-            for (link, elems) in [
-                (u, b.n_cols() as f64),
-                (d, b.n_cols() as f64),
-                (l, b.n_rows() as f64),
-                (r, b.n_rows() as f64),
+            for (peer, elems) in [
+                (Peer::Up, b.cols.len()),
+                (Peer::Down, b.cols.len()),
+                (Peer::Left, b.n_rows()),
+                (Peer::Right, b.n_rows()),
             ] {
-                if link.is_some() {
+                let elems = elems as f64;
+                if layout.neighbour(b.proc, peer).is_some() {
                     msgs.push(elems); // send
                     msgs.push(elems); // receive
                 }

@@ -17,7 +17,7 @@ use prodpred_sor::{
 use std::time::{Duration, Instant};
 
 fn platform_with_machine1(load: Trace) -> Platform {
-    let horizon = load.t_end();
+    let horizon = load.t0() + load.dt() * load.len() as f64;
     let mut machines: Vec<Machine> = (0..4)
         .map(|i| {
             Machine::new(

@@ -56,7 +56,7 @@ fn single_mode_prediction_brackets_future_load() {
     // Machine 0 sits in the 0.48 mode; its near-future mean load must sit
     // inside a modestly widened predicted range.
     let sv = nws.cpu_stochastic(0).unwrap();
-    let future = platform.machines[0].load.mean_over(2000.0, 2120.0);
+    let future = platform.machines[0].load.integral(2000.0, 2120.0) / 120.0;
     assert!(
         sv.widen(3.0).contains(future),
         "predicted {sv}, future {future}"

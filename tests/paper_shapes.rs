@@ -86,6 +86,7 @@ fn platform2_calibration_is_monotone_and_saturating() {
 
 #[test]
 fn long_tailed_bandwidth_undercovers_nominal() {
+    use prodpred_simgrid::load::LoadGenerator;
     use prodpred_simgrid::network::EthernetContention;
     use prodpred_stochastic::fit::normality_report;
     let trace = EthernetContention::default().generate(5, 0.0, 5.0, 30_000);
