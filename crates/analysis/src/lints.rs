@@ -629,10 +629,10 @@ fn is_float_literal(tok: &str) -> bool {
 ///
 /// Flags `.values().to_vec()` literally, plus `.clone()`/`.to_vec()`
 /// whose receiver chain ends in a trace-sized buffer name
-/// ([`PP007_BUFFERS`]). The grid-scale memory budget (O(1) amortized
-/// bytes/machine) dies by a thousand such copies; route queries through
-/// `TraceRef`/`TraceStore` views instead, or justify an intentional copy
-/// with `tidy:allow(PP007): reason`.
+/// ([`PP007_BUFFERS`]). A platform's traces are generated once and read
+/// by every query: borrow the trace instead — its `values()` slice, or the
+/// `at` / `integral` queries over its prefix sums — or justify an
+/// intentional copy with `tidy:allow(PP007): reason`.
 fn pp007(file: &str, idx: usize, code_line: &str, findings: &mut Vec<Finding>) {
     let mut from = 0;
     while let Some(at) = find_word(code_line, ".values().to_vec()", from) {
@@ -642,7 +642,7 @@ fn pp007(file: &str, idx: usize, code_line: &str, findings: &mut Vec<Finding>) {
             idx,
             at,
             "PP007",
-            "`.values().to_vec()` copies a full value buffer in a hot path; iterate the slice or use a TraceRef view".to_string(),
+            "`.values().to_vec()` copies a full value buffer in a hot path; iterate the slice or query the trace".to_string(),
         );
         from = at + ".values().to_vec()".len();
     }
@@ -662,7 +662,7 @@ fn pp007(file: &str, idx: usize, code_line: &str, findings: &mut Vec<Finding>) {
                     idx,
                     at,
                     "PP007",
-                    format!("`{last}{pat}` copies a trace-sized buffer in a hot path; borrow it or route through TraceStore views"),
+                    format!("`{last}{pat}` copies a trace-sized buffer in a hot path; borrow it and read its slice or its `at` / `integral` queries"),
                 );
             }
         }

@@ -1,4 +1,4 @@
-//! The four committed `BENCH_*.json` records and the bounds each is
+//! The three committed `BENCH_*.json` records and the bounds each is
 //! committed under. A study binary gates the record it is about to write
 //! at full scale; `tests/committed_records.rs` applies the same gate to
 //! the committed copy, so a regenerated record that misses a bound fails
@@ -212,44 +212,6 @@ impl Record for prodpred_service::ChaosReport {
                 "the miss budget sheds under the cold-cache burst",
             ),
             (sup.degraded > 0, "the campaign serves degraded answers"),
-        ]
-    }
-}
-
-/// `grid_scale`: the 1000× grid.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct ScaleRecord {
-    pub machines: usize,
-    pub tenants: usize,
-    pub shards: usize,
-    pub horizon_s: f64,
-    pub gen_wall_s: f64,
-    pub sim_wall_s: f64,
-    pub events: u64,
-    pub events_per_s: f64,
-    pub bytes_per_machine: f64,
-    pub naive_bytes_per_machine: usize,
-    pub memory_ratio: f64,
-    pub deterministic_1_vs_8: bool,
-    pub makespan_s: f64,
-    pub peak_concurrency: usize,
-}
-
-impl Record for ScaleRecord {
-    const FILE: &'static str = "BENCH_scale.json";
-
-    fn full_scale(&self) -> bool {
-        self.machines >= 10_000
-    }
-
-    fn bounds(&self) -> Vec<(bool, &'static str)> {
-        vec![
-            (self.tenants >= 100, "100+ tenants"),
-            (self.deterministic_1_vs_8, "independent of pool width"),
-            (
-                self.bytes_per_machine * 20.0 <= self.naive_bytes_per_machine as f64,
-                "bytes/machine at most 1/20th of the naive per-machine trace",
-            ),
         ]
     }
 }

@@ -1,8 +1,8 @@
-//! The four committed `BENCH_*.json` records, read back into the structs
+//! The three committed `BENCH_*.json` records, read back into the structs
 //! their study binaries write and held to the bounds they are committed
 //! under. Regenerating a record that misses a bound fails here.
 
-use prodpred_bench::records::{ChaosReport, FaultPredReport, Record, ScaleRecord};
+use prodpred_bench::records::{ChaosReport, FaultPredReport, Record};
 
 /// Parses the committed copy of `R`, checks the struct accounts for every
 /// byte of it, and applies the record's gate.
@@ -34,9 +34,4 @@ fn committed_faultpred_record_meets_its_gate() {
 #[test]
 fn committed_servicechaos_record_meets_its_gate() {
     check::<prodpred_service::ChaosReport>();
-}
-
-#[test]
-fn committed_scale_record_meets_its_gate() {
-    check::<ScaleRecord>();
 }

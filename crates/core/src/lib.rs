@@ -48,7 +48,6 @@ pub mod advisor;
 pub mod ep;
 pub mod experiment;
 pub mod faultmodel;
-pub mod grid;
 pub mod predictor;
 pub mod report;
 pub mod scheduler;
@@ -60,7 +59,6 @@ pub use ep::{ep_policy_study, EpJob, EpStudyRow};
 pub use faultmodel::{
     predict_campaign, spread_widening, storm_stretched_secs, CampaignPrediction, FaultModel,
 };
-pub use grid::{simulate_grid_sharded, GridSimConfig, GridSimResult, TenantSpec};
 
 pub use experiment::{
     dedicated_check, platform1_experiment, platform2_experiment, platform2_experiment_with_faults,

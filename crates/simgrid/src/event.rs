@@ -40,21 +40,15 @@ impl<T> PartialOrd for Scheduled<T> {
 
 /// A time-ordered event queue with deterministic FIFO tie-breaking.
 #[derive(Debug, Clone)]
-pub struct EventQueue<T> {
+pub(crate) struct EventQueue<T> {
     heap: BinaryHeap<Scheduled<T>>,
     seq: u64,
     now: f64,
 }
 
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> EventQueue<T> {
     /// An empty queue with the clock at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
             seq: 0,
@@ -68,7 +62,7 @@ impl<T> EventQueue<T> {
     ///
     /// Panics if `time` is NaN or earlier than the current clock
     /// (scheduling into the past breaks causality).
-    pub fn schedule(&mut self, time: f64, payload: T) {
+    pub(crate) fn schedule(&mut self, time: f64, payload: T) {
         assert!(!time.is_nan(), "event time must not be NaN");
         assert!(
             time >= self.now,
@@ -85,7 +79,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(f64, T)> {
+    pub(crate) fn pop(&mut self) -> Option<(f64, T)> {
         self.heap.pop().map(|e| {
             self.now = e.time;
             (e.time, e.payload)
@@ -96,6 +90,37 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn queue_pops_sorted(times in proptest::collection::vec(0.0f64..1e6, 1..100)) {
+            let mut q = EventQueue::new();
+            for (i, &t) in times.iter().enumerate() {
+                q.schedule(t, i);
+            }
+            let mut prev = f64::NEG_INFINITY;
+            let mut count = 0;
+            while let Some((t, _)) = q.pop() {
+                prop_assert!(t >= prev);
+                prev = t;
+                count += 1;
+            }
+            prop_assert_eq!(count, times.len());
+        }
+
+        #[test]
+        fn queue_fifo_for_equal_times(n in 1usize..50) {
+            let mut q = EventQueue::new();
+            for i in 0..n {
+                q.schedule(1.0, i);
+            }
+            for expect in 0..n {
+                let (_, got) = q.pop().unwrap();
+                prop_assert_eq!(got, expect);
+            }
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -20,12 +20,8 @@
 //!   long-tailed under contention (Figure 3),
 //! * [`trace`] — step-function resource traces with work integration
 //!   (elapsed time to complete a given amount of dedicated work),
-//! * [`store`] — columnar structure-of-arrays trace storage for grids of
-//!   tens of thousands of machines: shared class template columns, tiny
-//!   per-machine slots, and [`store::TraceRef`] views with the same
-//!   query contracts as a full trace,
-//! * [`event`] — a small deterministic discrete-event engine driving the
-//!   session workload generator,
+//! * `event` — a small deterministic discrete-event engine driving the
+//!   session workload generator (crate-private),
 //! * [`platform`] — the two experimental platforms from Section 3 plus a
 //!   dedicated configuration,
 //! * [`benchmark`] — the in-core sort benchmark behind Figures 1–2, both
@@ -39,24 +35,19 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod benchmark;
-pub mod event;
+pub(crate) mod event;
 pub mod faults;
-pub mod grid;
 pub mod load;
 pub mod machine;
 pub mod memory;
 pub mod network;
 pub mod platform;
 pub mod rng;
-pub mod store;
 pub mod trace;
 
-pub use event::EventQueue;
 pub use faults::{FaultConfig, FaultPlan, LoadStorm, PollOutcome, SensorFaults, WorkerDeath};
-pub use grid::{GridClassSpec, GridPlatform};
 pub use machine::{Machine, MachineClass, MachineSpec};
 pub use memory::PagingModel;
 pub use network::{Ethernet, NetworkSpec};
 pub use platform::{GrowingPlatform, Platform};
-pub use store::{MachineSlot, TraceRef, TraceStore};
 pub use trace::Trace;

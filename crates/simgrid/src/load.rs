@@ -378,75 +378,10 @@ pub fn derive_seed(experiment_seed: u64, machine_index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Generates the values of chunk `chunk_index` of a chunked trace stream.
-///
-/// The chunk is a **pure function** of `(stream_seed, chunk_index)`: the
-/// generator restarts from a fresh stationary draw at every chunk
-/// boundary, seeded by [`prodpred_pool::derive_seed`]. That sacrifices
-/// autocorrelation *across* boundaries (each chunk opens in a fresh
-/// stationary state) but buys order-independence: chunks can be generated
-/// in any order, on any worker, and the assembled trace is bit-identical.
-/// This is the discipline behind the columnar [`crate::store::TraceStore`]
-/// templates.
-///
-/// # Panics
-///
-/// Panics if `chunk_steps == 0` or the chunk lies beyond `steps`.
-pub(crate) fn generate_chunk(
-    generator: &dyn LoadGenerator,
-    stream_seed: u64,
-    t0: f64,
-    dt: f64,
-    steps: usize,
-    chunk_steps: usize,
-    chunk_index: usize,
-) -> Vec<f64> {
-    assert!(chunk_steps > 0, "chunk_steps must be positive");
-    let start = chunk_index * chunk_steps;
-    assert!(start < steps, "chunk {chunk_index} beyond {steps} steps");
-    let len = chunk_steps.min(steps - start);
-    let seed = prodpred_pool::derive_seed(stream_seed, chunk_index as u64);
-    generator
-        .generate(seed, t0 + start as f64 * dt, dt, len)
-        .into_values()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use prodpred_stochastic::Summary;
-
-    /// Assembles a full chunked trace sequentially: the oracle for
-    /// [`crate::store::TraceStore`], whose parallel build calls
-    /// [`generate_chunk`] per column chunk in any order. Bit-identical to
-    /// any chunk generation order because each chunk is pure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps == 0` or `chunk_steps == 0`.
-    pub(crate) fn generate_chunked(
-        generator: &dyn LoadGenerator,
-        stream_seed: u64,
-        t0: f64,
-        dt: f64,
-        steps: usize,
-        chunk_steps: usize,
-    ) -> Trace {
-        assert!(steps > 0, "trace needs at least one step");
-        let mut values = Vec::with_capacity(steps);
-        for chunk_index in 0..steps.div_ceil(chunk_steps) {
-            values.extend_from_slice(&generate_chunk(
-                generator,
-                stream_seed,
-                t0,
-                dt,
-                steps,
-                chunk_steps,
-                chunk_index,
-            ));
-        }
-        Trace::new(t0, dt, values)
-    }
 
     /// Fraction of steps within `tol` of any of the given mode means: the
     /// oracle for the modal structure of [`MarkovModal::stream`] and
@@ -577,39 +512,6 @@ mod tests {
         let t = g.generate(9, 0.0, 2.0, 10_000);
         assert!(t.min() >= MIN_AVAILABILITY);
         assert!(t.max() <= MAX_AVAILABILITY);
-    }
-
-    #[test]
-    fn chunked_generation_is_pure_per_chunk() {
-        let g = MarkovModal::platform2(25.0);
-        let full = generate_chunked(&g, 99, 0.0, 1.0, 1000, 256);
-        assert_eq!(full.len(), 1000);
-        // Each chunk regenerated in isolation matches its slice of the
-        // assembled trace — chunk order cannot matter.
-        for (idx, range) in [(0usize, 0..256), (2, 512..768), (3, 768..1000)] {
-            let chunk = generate_chunk(&g, 99, 0.0, 1.0, 1000, 256, idx);
-            assert_eq!(&full.values()[range], chunk.as_slice(), "chunk {idx}");
-        }
-        // And the whole thing replays from the seed.
-        assert_eq!(full, generate_chunked(&g, 99, 0.0, 1.0, 1000, 256));
-        assert_ne!(full, generate_chunked(&g, 100, 0.0, 1.0, 1000, 256));
-    }
-
-    #[test]
-    fn chunked_generation_stays_in_availability_bounds() {
-        let g = SingleModeAr1::platform1_center();
-        let t = generate_chunked(&g, 5, 0.0, 1.0, 5000, 600);
-        assert!(t.min() >= MIN_AVAILABILITY);
-        assert!(t.max() <= MAX_AVAILABILITY);
-        let s = Summary::from_slice(t.values());
-        assert!((s.mean() - 0.48).abs() < 0.02, "mean {}", s.mean());
-    }
-
-    #[test]
-    #[should_panic]
-    fn chunk_beyond_horizon_rejected() {
-        let g = Dedicated::default();
-        generate_chunk(&g, 1, 0.0, 1.0, 100, 50, 2);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Property-based tests for the environment simulator: trace integration
-//! identities, event-queue ordering, and load-generator invariants.
+//! identities and load-generator invariants.
 
 use prodpred_simgrid::load::{
     Dedicated, LoadGenerator, MarkovModal, SessionLoad, SingleModeAr1, MAX_AVAILABILITY,
     MIN_AVAILABILITY,
 };
 use prodpred_simgrid::network::EthernetContention;
-use prodpred_simgrid::{EventQueue, Platform, Trace};
+use prodpred_simgrid::{Platform, Trace};
 use proptest::prelude::*;
 
 #[path = "support/walking_oracles.rs"]
@@ -213,36 +213,6 @@ proptest! {
         let fast = trace.time_to_complete(t0, work);
         let slow = time_to_complete_walk(&trace, t0, work);
         prop_assert!((fast - slow).abs() <= 1e-9 * (1.0 + slow.abs()), "start {t0}, work {work}: {fast} vs {slow}");
-    }
-
-    // ---- event queue ----
-
-    #[test]
-    fn queue_pops_sorted(times in proptest::collection::vec(0.0f64..1e6, 1..100)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, i);
-        }
-        let mut prev = f64::NEG_INFINITY;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= prev);
-            prev = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
-    }
-
-    #[test]
-    fn queue_fifo_for_equal_times(n in 1usize..50) {
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.schedule(1.0, i);
-        }
-        for expect in 0..n {
-            let (_, got) = q.pop().unwrap();
-            prop_assert_eq!(got, expect);
-        }
     }
 
     // ---- load generators ----

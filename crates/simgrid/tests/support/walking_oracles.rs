@@ -3,8 +3,8 @@
 //! algebra of `simgrid::trace` they are the oracles for (≤ 1e-9).
 //!
 //! Not a test target: `#[path]`-included by the unit tests of
-//! `simgrid::{trace, store}`, by `tests/properties.rs` and by
-//! `crates/core/tests/grid_scale.rs`, each of which has `Trace` in scope.
+//! `simgrid::trace` and by `tests/properties.rs`, each of which has
+//! `Trace` in scope.
 
 use super::Trace;
 

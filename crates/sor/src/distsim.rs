@@ -12,12 +12,14 @@
 //! synchronization whose accumulated delays produce the "skew" of the
 //! paper's Figure 7 (bounded by `P` iterations).
 //!
-//! The phase loop knows nothing of strips or blocks: a decomposition
-//! reaches it as a list of [`Part`]s — elements owned, plus an ordered
-//! neighbour list with the bytes of one message. The two conventions live
-//! in the two constructors: [`Part::strips`] ships whole grid rows (`N`
-//! elements, as the paper's model does), [`Part::blocks`] interior edges
-//! (`N - 2` for a `P x 1` layout — 0.2 % smaller at `N = 1000`).
+//! [`simulate`] and [`simulate_blocks`] share one phase loop over the
+//! platform, which knows nothing of strips or blocks: a decomposition
+//! reaches it as a list of crate-private `Part`s — elements owned, plus an
+//! ordered neighbour list with the bytes of one message. The two
+//! conventions live in the two constructors: `Part::strips` ships whole
+//! grid rows (`N` elements, as the paper's model does), `Part::blocks`
+//! interior edges (`N - 2` for a `P x 1` layout — 0.2 % smaller at
+//! `N = 1000`).
 //!
 //! Self-contention among the application's own transfers is not modelled
 //! separately: the bandwidth-availability trace already carries the
@@ -74,12 +76,12 @@ pub struct DistSorResult {
 
 /// One processor's share of a decomposition, as the simulator sees it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Part {
+pub(crate) struct Part {
     /// Grid elements owned (`NumElt_p` in the paper's component models).
-    pub elements: usize,
+    pub(crate) elements: usize,
     /// The processors this one exchanges ghosts with, in exchange order,
     /// each with the bytes of one message in either direction.
-    pub neighbours: Vec<(usize, f64)>,
+    pub(crate) neighbours: Vec<(usize, f64)>,
 }
 
 impl Part {
@@ -106,7 +108,7 @@ impl Part {
 
     /// Strips of an `n x n` grid: a chain whose every ghost message is a
     /// whole grid row, boundary columns included (`n` elements).
-    pub fn strips(strips: &[Strip], n: usize) -> Vec<Part> {
+    pub(crate) fn strips(strips: &[Strip], n: usize) -> Vec<Part> {
         let chain = BlockLayout::new(strips.len(), 1);
         Self::list(chain, |i| strips[i].elements(n), |_, _| n)
     }
@@ -119,7 +121,7 @@ impl Part {
     ///
     /// Panics if `blocks` is not one block per processor of `layout`, in
     /// rank order.
-    pub fn blocks(blocks: &[Block], layout: BlockLayout) -> Vec<Part> {
+    pub(crate) fn blocks(blocks: &[Block], layout: BlockLayout) -> Vec<Part> {
         assert!(
             blocks.len() == layout.len()
                 && blocks
@@ -136,25 +138,20 @@ impl Part {
     }
 }
 
-/// Simulates one distributed SOR run against an abstract platform: the
-/// one phase loop behind [`simulate`] and [`simulate_blocks`], also driven
-/// at grid scale by `prodpred-core`'s sharded tenant simulation with
-/// [`prodpred_simgrid::grid::GridPlatform`] trace views.
-///
-/// `compute(proc, part, clock)` returns the wall-clock seconds for `proc`
-/// to finish one colour phase of `part` starting at `clock`;
-/// `transfer(bytes, t)` the seconds to move one ghost message starting at
-/// `t`.
+/// The one phase loop behind [`simulate`] and [`simulate_blocks`]: machine
+/// `i` runs part `i`, computing against its CPU-availability trace (with
+/// the paging model applied if `cfg` carries one) and exchanging ghosts
+/// over the platform's shared ethernet.
 ///
 /// # Panics
 ///
-/// Panics if any part is empty or `cfg.iterations == 0`.
-pub fn simulate_with(
-    parts: &[Part],
-    cfg: DistSorConfig,
-    mut compute: impl FnMut(usize, &Part, f64) -> f64,
-    mut transfer: impl FnMut(f64, f64) -> f64,
-) -> DistSorResult {
+/// Panics if there are more parts than machines, if any part is empty, or
+/// if `cfg.iterations == 0`.
+fn simulate_on(platform: &Platform, parts: &[Part], cfg: DistSorConfig) -> DistSorResult {
+    assert!(
+        parts.len() <= platform.machines.len(),
+        "more processors than machines"
+    );
     assert!(cfg.iterations > 0, "need at least one iteration");
     assert!(
         parts.iter().all(|part| part.elements > 0),
@@ -170,7 +167,14 @@ pub fn simulate_with(
         for _color in 0..2 {
             // Compute phase: half the part's elements have this colour.
             for (i, part) in parts.iter().enumerate() {
-                ready[i] = clocks[i] + compute(i, part, clocks[i]);
+                let machine = &platform.machines[i];
+                let mut elems = part.elements as f64 / 2.0;
+                if let Some(paging) = &cfg.paging {
+                    // Paging inflates the per-element cost; expressing it
+                    // as extra elements keeps the load-trace integration.
+                    elems *= paging.slowdown(&machine.spec, part.elements as f64);
+                }
+                ready[i] = clocks[i] + machine.compute_secs(elems, clocks[i]);
             }
             // Communication phase. A ghost exchange with a neighbour is a
             // rendezvous: it cannot begin until both parties finish
@@ -186,8 +190,8 @@ pub fn simulate_with(
                     t = t.max(ready[q]);
                 }
                 for &(_, bytes) in &part.neighbours {
-                    t += transfer(bytes, t);
-                    t += transfer(bytes, t);
+                    t += platform.network.transfer_secs(bytes, t);
+                    t += platform.network.transfer_secs(bytes, t);
                 }
                 clocks[i] = t;
             }
@@ -205,30 +209,6 @@ pub fn simulate_with(
         iteration_secs,
         skew_secs: finish_max - finish_min,
     }
-}
-
-/// [`simulate_with`] on a [`Platform`]: machine `i` runs part `i`, with
-/// the paging model applied if `cfg` carries one.
-fn simulate_on(platform: &Platform, parts: &[Part], cfg: DistSorConfig) -> DistSorResult {
-    assert!(
-        parts.len() <= platform.machines.len(),
-        "more processors than machines"
-    );
-    simulate_with(
-        parts,
-        cfg,
-        |i, part, clock| {
-            let machine = &platform.machines[i];
-            let mut elems = part.elements as f64 / 2.0;
-            if let Some(paging) = &cfg.paging {
-                // Paging inflates the per-element cost; expressing it
-                // as extra elements keeps the load-trace integration.
-                elems *= paging.slowdown(&machine.spec, part.elements as f64);
-            }
-            machine.compute_secs(elems, clock)
-        },
-        |bytes, t| platform.network.transfer_secs(bytes, t),
-    )
 }
 
 /// Simulates one distributed SOR run over strips.
@@ -405,34 +385,6 @@ mod tests {
         let early = simulate(&p, &strips, cfg(1000, 10)).total_secs;
         let late = simulate(&p, &strips, DistSorConfig::new(1000, 10, 6000.0)).total_secs;
         assert!(late < early * 0.5, "late {late} vs early {early}");
-    }
-
-    #[test]
-    fn simulate_with_closures_is_bit_identical_to_simulate() {
-        // The generic core must reproduce the wrapped path exactly —
-        // grid-scale tenant simulation relies on this equivalence.
-        let p = Platform::platform2(13, 50_000.0);
-        let strips = partition_equal(798, 4);
-        let mut c = cfg(800, 12);
-        c.paging = Some(prodpred_simgrid::PagingModel::default());
-        let wrapped = simulate(&p, &strips, c);
-        let direct = simulate_with(
-            &Part::strips(&strips, c.n),
-            c,
-            |i, part, clock| {
-                let machine = &p.machines[i];
-                let mut elems = part.elements as f64 / 2.0;
-                if let Some(paging) = &c.paging {
-                    elems *= paging.slowdown(&machine.spec, part.elements as f64);
-                }
-                machine.compute_secs(elems, clock)
-            },
-            |bytes, t| p.network.transfer_secs(bytes, t),
-        );
-        assert_eq!(wrapped.total_secs.to_bits(), direct.total_secs.to_bits());
-        assert_eq!(wrapped.per_proc_finish, direct.per_proc_finish);
-        assert_eq!(wrapped.iteration_secs, direct.iteration_secs);
-        assert_eq!(wrapped.skew_secs.to_bits(), direct.skew_secs.to_bits());
     }
 
     #[test]

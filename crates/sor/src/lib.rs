@@ -24,7 +24,7 @@
 //! processor grid — so one worker, one set of neighbour links and one
 //! worker loop run both, executing the exchange order [`protocol`] holds
 //! as data (the order `prodpred-analysis` model-checks); and one simulator
-//! phase loop runs both, fed a [`distsim::Part`] list.
+//! phase loop runs both, fed a list of `distsim::Part`s.
 //!
 //! Plus the [`grid`] data structure, the shared slice-based relaxation
 //! [`kernel`] every solver runs, the zero-allocation ghost [`exchange`]
@@ -56,7 +56,7 @@ pub use decomp::{
     partition_blocks, partition_equal, partition_rows, Block, BlockLayout, Decomposition, Peer,
     Strip,
 };
-pub use distsim::{simulate, simulate_blocks, simulate_with, DistSorConfig, DistSorResult, Part};
+pub use distsim::{simulate, simulate_blocks, DistSorConfig, DistSorResult};
 pub use exchange::ExchangePolicy;
 pub use grid::{optimal_omega, Color, Grid};
 pub use parallel::{

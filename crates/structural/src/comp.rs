@@ -35,7 +35,12 @@ impl BenchmarkModel {
     /// availability ("For CPU load we used measurements supplied by the
     /// Network Weather Service that indicated the percentage of CPU
     /// available to execute the application").
-    pub fn production(&self, num_elt: Param, load: Param, dep: Dependence) -> StochasticValue {
+    pub(crate) fn production(
+        &self,
+        num_elt: Param,
+        load: Param,
+        dep: Dependence,
+    ) -> StochasticValue {
         self.dedicated(num_elt, dep).div(&load.value(), dep)
     }
 }
