@@ -5,7 +5,7 @@
 //!
 //! | code  | meaning |
 //! |-------|---------|
-//! | PP000 | `tidy:allow` without a justification (or malformed); a PP011 allow whose reason cites a `.rs` path that is missing or never names the item |
+//! | PP000 | `tidy:allow` without a justification (or malformed); a justified one that suppresses no finding (unfulfilled, as rustc's `#[expect]`); a PP011 allow whose reason cites a `.rs` path that is missing or never names the item |
 //! | PP001 | nondeterminism source (`Instant::now`, `thread_rng`, …) in a simulation/prediction path |
 //! | PP002 | iteration over a `HashMap`/`HashSet`, whose order can leak into results |
 //! | PP003 | `unwrap`/`expect` in non-test library code |
@@ -22,7 +22,8 @@
 //! comments and doc examples can never trigger a lint. Findings are
 //! suppressed by an inline `// tidy:allow(PPnnn): reason` on the same
 //! line or on comment lines directly above; the reason text is
-//! mandatory — an unjustified allow is itself a PP000 finding.
+//! mandatory — an unjustified allow is itself a PP000 finding, and so is
+//! one that suppresses nothing.
 
 use crate::scan::{
     analyze_regions, find_word, has_word, is_ident_char, mask_source, MaskedLine, Regions,
@@ -266,8 +267,8 @@ const FENCES: [TokenFence; 7] = [
     // the pool's primitives predate it and are covered by their own
     // stress suite. An `Atomic*` cell or memory ordering anywhere else
     // has no model backing its orderings — move the state behind one of
-    // the audited modules' abstractions, or justify the escape with
-    // `tidy:allow(PP010): reason`. Covers every scope (tests and binaries
+    // the audited modules' abstractions, or justify the escape with a
+    // PP010 allow and its reason. Covers every scope (tests and binaries
     // included): an unaudited atomic in a test harness can hide the same
     // ordering bugs.
     TokenFence {
@@ -337,18 +338,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.code).cmp(&(&b.file, b.line, b.col, b.code)));
     Ok(findings)
-}
-
-/// Lints one source file with every per-file lint (all but PP011's
-/// cross-crate pass), applying scoping rules and `tidy:allow`
-/// suppressions. Returns the surviving findings in (line, col, code)
-/// order.
-// tidy:allow(PP011): lint_workspace's per-file pass, which crates/analysis/tests/fixtures.rs drives alone
-pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
-    let lines = mask_source(src);
-    let regions = analyze_regions(&lines);
-    let findings = file_findings(relpath, &lines, &regions);
-    suppressed(relpath, &lines, findings)
 }
 
 /// Applies `tidy:allow` suppressions and sorts by (line, col, code).
@@ -902,25 +891,41 @@ fn cited_paths(reason: &str) -> impl Iterator<Item = &str> {
 }
 
 /// Applies `tidy:allow` suppressions in place and appends PP000 findings
-/// for unjustified or malformed allows.
+/// for unjustified or malformed allows, and, as rustc's `#[expect]`
+/// does, for justified ones that suppress nothing.
 fn apply_suppressions(file: &str, lines: &[MaskedLine], findings: &mut Vec<Finding>) {
+    let mut fulfilled = Vec::new();
     findings.retain(|f| {
-        !attached_allows(lines, f.line)
-            .iter()
-            .any(|a| a.justified() && a.code == f.code)
+        let before = fulfilled.len();
+        fulfilled.extend(
+            attached_allows(lines, f.line)
+                .iter()
+                .filter(|a| a.justified() && a.code == f.code)
+                .map(|a| (a.line, a.col)),
+        );
+        fulfilled.len() == before
     });
 
     for idx in 0..lines.len() {
         for a in line_allows(lines, idx) {
-            if !a.justified() {
-                findings.push(Finding {
-                    file: file.to_string(),
-                    line: a.line,
-                    col: a.col,
-                    code: "PP000",
-                    message: "unjustified tidy:allow; write `tidy:allow(PPnnn): reason` with a non-empty reason".to_string(),
-                });
-            }
+            let message = if !a.justified() {
+                "unjustified tidy:allow; write `tidy:allow(PPnnn): reason` with a non-empty reason"
+                    .to_string()
+            } else if !fulfilled.contains(&(a.line, a.col)) {
+                format!(
+                    "unfulfilled tidy:allow({}): no {} finding here to suppress; delete it",
+                    a.code, a.code
+                )
+            } else {
+                continue;
+            };
+            findings.push(Finding {
+                file: file.to_string(),
+                line: a.line,
+                col: a.col,
+                code: "PP000",
+                message,
+            });
         }
     }
 }
@@ -928,6 +933,17 @@ fn apply_suppressions(file: &str, lines: &[MaskedLine], findings: &mut Vec<Findi
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lints one source file with every per-file lint (all but PP011's
+    /// cross-crate pass), applying scoping rules and `tidy:allow`
+    /// suppressions: [`lint_workspace`]'s per-file pass, alone. Returns
+    /// the surviving findings in (line, col, code) order.
+    fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
+        let lines = mask_source(src);
+        let regions = analyze_regions(&lines);
+        let findings = file_findings(relpath, &lines, &regions);
+        suppressed(relpath, &lines, findings)
+    }
 
     fn codes(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.code).collect()
@@ -974,6 +990,32 @@ mod tests {
         let bad = "fn f(v: Option<u32>) -> u32 {\n    // tidy:allow(PP003)\n    v.unwrap()\n}\n";
         let f = lint_source("crates/x/src/a.rs", bad);
         assert_eq!(codes(&f), ["PP000", "PP003"]);
+    }
+
+    #[test]
+    fn an_allow_that_suppresses_nothing_is_a_finding() {
+        let idle = "fn f(v: Option<u32>) -> u32 {\n    // tidy:allow(PP003): v is Some by construction\n    v.unwrap_or(3)\n}\n";
+        let f = lint_source("crates/x/src/a.rs", idle);
+        assert_eq!(codes(&f), ["PP000"]);
+        assert_eq!(f[0].line, 2);
+        assert!(
+            f[0].message.starts_with("unfulfilled tidy:allow(PP003)"),
+            "{}",
+            f[0].message
+        );
+        // PP003 is off in test code, so an allow there suppresses nothing.
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn t(v: Option<u32>) -> u32 {\n        v.unwrap() // tidy:allow(PP003): re-raises\n    }\n}\n";
+        let f = lint_source("crates/x/src/a.rs", in_test);
+        assert_eq!(codes(&f), ["PP000"]);
+        assert_eq!(f[0].line, 4);
+        // An allow for a code that never fires, or one attached to no
+        // code line at all, is dead the same way.
+        let stray =
+            "// tidy:allow(PP999): no such lint\nfn f() {}\n// tidy:allow(PP001): trailing\n";
+        assert_eq!(
+            codes(&lint_source("crates/x/src/a.rs", stray)),
+            ["PP000"; 2]
+        );
     }
 
     #[test]

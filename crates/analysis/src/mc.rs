@@ -171,7 +171,6 @@ fn trace_of<S: TransitionSystem>(sys: &S, stack: &[Frame<S>]) -> Vec<String> {
 /// the schedule that reached the terminal and stops the exploration.
 /// Violations raised by [`TransitionSystem::apply`] are handled the same
 /// way.
-// tidy:allow(PP006): returns ExploreStats; the Result is the on_terminal closure's bound
 pub(crate) fn explore<S, F>(sys: &S, budget: &Budget, mut on_terminal: F) -> ExploreStats
 where
     S: TransitionSystem,
@@ -247,7 +246,6 @@ where
 /// [`explore`]. Used by the negative-control suites: the returned trace
 /// is minimal, so a human can read why the seeded bug breaks the
 /// property.
-// tidy:allow(PP006): returns Option<Violation>; the Result is the on_terminal closure's bound
 pub(crate) fn shortest_violation<S, F>(
     sys: &S,
     budget: &Budget,

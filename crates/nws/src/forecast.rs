@@ -483,7 +483,7 @@ impl AdaptiveForecaster {
     /// exists, `None` on an empty series.
     ///
     /// This replays the series through the same running tournament a
-    /// [`crate::Sensor`] keeps; a sensor answers the same question in
+    /// sensor keeps; a sensor answers the same question in
     /// O(strategies) from its scoreboard.
     pub fn forecast(&self, series: &TimeSeries) -> Option<Forecast> {
         let mut board = Scoreboard::default();

@@ -9,7 +9,7 @@
 //!
 //! Components:
 //!
-//! * [`sensor::Sensor`] — periodic samplers of simulated resource traces,
+//! * `Sensor` — periodic samplers of simulated resource traces,
 //!   each keeping the forecaster tournament's running scores so a load
 //!   query costs O(strategies), not a walk over the history,
 //! * [`series::TimeSeries`] — bounded per-resource measurement history,
@@ -31,14 +31,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod forecast;
-pub mod sensor;
+mod sensor;
 pub mod series;
 pub mod service;
 pub mod snapshot;
 
 pub use forecast::{AdaptiveForecaster, Forecast, Forecaster, Scoreboard};
-// tidy:allow(PP011): the sensor NwsService polls; tests/serialization.rs drives one alone
-pub use sensor::Sensor;
 pub use series::TimeSeries;
 pub use service::{NwsConfig, NwsService, QueryError, QueryMode, QuerySummary, SpreadPolicy};
 pub use snapshot::{ForecastSnapshot, HorizonBasis, MachineSnapshot};

@@ -26,8 +26,7 @@ use std::sync::Arc;
 
 /// A periodic sampler of one resource.
 #[derive(Debug, Clone)]
-// tidy:allow(PP011): the sensor NwsService polls; tests/serialization.rs drives one alone
-pub struct Sensor {
+pub(crate) struct Sensor {
     /// Resource label, e.g. `"cpu:sparc2-a"`.
     pub name: String,
     interval: f64,
@@ -48,17 +47,17 @@ pub struct Sensor {
 }
 
 impl Sensor {
-    /// Creates a sensor polling every `interval` seconds, retaining up to
-    /// `capacity` measurements, starting at time `start`, forecasting
-    /// with the standard ensemble.
-    pub fn new(name: impl Into<String>, interval: f64, capacity: usize, start: f64) -> Self {
+    /// [`Sensor::with_ensemble`] with the standard ensemble.
+    #[cfg(test)]
+    pub(crate) fn new(name: impl Into<String>, interval: f64, capacity: usize, start: f64) -> Self {
         let ensemble = Arc::new(AdaptiveForecaster::standard());
         Self::with_ensemble(name, interval, capacity, start, ensemble)
     }
 
-    /// Like [`Sensor::new`], forecasting with `ensemble`. The ensemble is
-    /// not part of the wire form: a deserialised sensor forecasts with
-    /// the standard one.
+    /// Creates a sensor polling every `interval` seconds, retaining up to
+    /// `capacity` measurements, starting at time `start`, forecasting
+    /// with `ensemble`. The ensemble is not part of the wire form: a
+    /// deserialised sensor forecasts with the standard one.
     pub(crate) fn with_ensemble(
         name: impl Into<String>,
         interval: f64,
@@ -80,17 +79,17 @@ impl Sensor {
         }
     }
 
-    /// Polls `trace` at every due cadence point up to and including `until`.
-    ///
-    /// An `until` earlier than the next scheduled poll is a no-op (the
-    /// schedule never runs backwards, and nothing is recorded).
-    // tidy:allow(PP011): NwsService::advance_to's poll without faults, in tests/serialization.rs
-    pub fn poll_until(&mut self, trace: &Trace, until: f64) {
+    /// [`Sensor::poll_until_with`] without faults.
+    #[cfg(test)]
+    pub(crate) fn poll_until(&mut self, trace: &Trace, until: f64) {
         self.poll_until_with(trace, until, None);
     }
 
-    /// Polls like [`Sensor::poll_until`], with each scheduled poll routed
-    /// through `faults` when present:
+    /// Polls `trace` at every due cadence point up to and including `until`.
+    ///
+    /// An `until` earlier than the next scheduled poll is a no-op (the
+    /// schedule never runs backwards, and nothing is recorded). Each
+    /// scheduled poll is routed through `faults` when present:
     ///
     /// * `Drop` — the poll is missed; the schedule still advances,
     /// * `Stale { intervals }` — the value measured `intervals` cadences
@@ -252,6 +251,7 @@ mod tests {
         RunningMean, SlidingMedian,
     };
     use prodpred_simgrid::faults::{FaultConfig, FaultPlan};
+    use prodpred_simgrid::Platform;
     use proptest::prelude::*;
     // tidy:allow(PP010): call counter — a monotone test-only tally, no cross-thread protocol
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -622,5 +622,74 @@ mod tests {
         sensor.poll_until(&trace, 70.0);
         assert_eq!(sensor.series().len(), 64);
         assert_eq!(count() - before, 64 * n);
+    }
+
+    #[test]
+    fn sensor_round_trip_mid_stream_carries_on_bit_identically() {
+        // The wire form holds the sampling state, not the tournament's
+        // running scores: the parsed sensor rebuilds them, and from then on
+        // answers exactly what a sensor that was never serialised answers —
+        // before the ring fills, while it fills, and once it evicts.
+        let platform = Platform::platform2(11, 4000.0);
+        let trace = &platform.machines[0].load;
+        for (capacity, cut) in [(4096, 600.0), (64, 200.0), (64, 1500.0), (8, 0.0)] {
+            let mut live = Sensor::new("cpu:x", 5.0, capacity, 0.0);
+            live.poll_until(trace, cut);
+            let json = serde_json::to_string(&live).unwrap();
+            assert!(!json.contains("scores"), "{json}");
+            let mut back: Sensor = serde_json::from_str(&json).unwrap();
+            assert_eq!(json, serde_json::to_string(&back).unwrap());
+            for step in 0..60 {
+                let bits = |s: &Sensor| {
+                    s.forecast()
+                        .map(|f| (f.value.to_bits(), f.rmse.to_bits(), f.winner))
+                };
+                assert_eq!(
+                    bits(&back),
+                    bits(&live),
+                    "capacity {capacity}, cut at {cut}, step {step}"
+                );
+                let until = cut + 35.0 * step as f64;
+                live.poll_until(trace, until);
+                back.poll_until(trace, until);
+            }
+            assert_eq!(back.series().values(), live.series().values());
+        }
+    }
+
+    #[test]
+    fn golden_wire_form() {
+        let mut sensor = Sensor::new("cpu:\"x\"\n", 5.0, 4, 0.0);
+        sensor.poll_until(&Trace::from_fn(0.0, 1.0, 100, |t| 0.125 * t), 30.0);
+        assert_eq!(
+            serde_json::to_string(&sensor).unwrap(),
+            r#"{"name":"cpu:\"x\"\n","interval":5.0,"next_poll":35.0,"series":{"capacity":4,"times":[15.0,20.0,25.0,30.0],"values":[1.875,2.5,3.125,3.75]},"poll_index":7,"missed_polls":0,"corrupt_polls":0}"#
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&sensor).unwrap(),
+            r#"{
+  "name": "cpu:\"x\"\n",
+  "interval": 5.0,
+  "next_poll": 35.0,
+  "series": {
+    "capacity": 4,
+    "times": [
+      15.0,
+      20.0,
+      25.0,
+      30.0
+    ],
+    "values": [
+      1.875,
+      2.5,
+      3.125,
+      3.75
+    ]
+  },
+  "poll_index": 7,
+  "missed_polls": 0,
+  "corrupt_polls": 0
+}"#
+        );
     }
 }

@@ -81,7 +81,7 @@ impl TimeSeries {
     }
 
     /// Values oldest-first as one slice, borrowed when the ring is
-    /// contiguous — which a [`crate::Sensor`] restores after every poll
+    /// contiguous — which a [`crate::sensor::Sensor`] restores after every poll
     /// batch — and copied only when it has wrapped.
     pub(crate) fn contiguous_values(&self) -> Cow<'_, [f64]> {
         match self.value_slices() {

@@ -246,16 +246,15 @@ impl<V> EpochCache<V> {
     }
 
     /// The shard `key` routes to — deterministic (the key's
-    /// fingerprint), exposed so the model-checking conformance harness
-    /// can pick one key per shard.
-    // tidy:allow(PP011): lets tests/svc_conformance.rs check EpochCache shard by shard
-    pub fn shard_index(&self, key: &QueryKey) -> usize {
+    /// fingerprint).
+    #[cfg(test)]
+    fn shard_index(&self, key: &QueryKey) -> usize {
         self.route(key.fingerprint())
     }
 
     /// How many shards this cache was built with.
-    // tidy:allow(PP011): lets tests/svc_conformance.rs check EpochCache shard by shard
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    fn shard_count(&self) -> usize {
         self.shards.len()
     }
 

@@ -399,20 +399,12 @@ impl ServiceCore {
     /// One ingest step: advances both platforms' sensors by
     /// `publish_interval` simulated seconds, publishes fresh snapshots,
     /// and invalidates both caches. Concurrent callers serialize; the
-    /// query path is never blocked. Returns the latest shared epoch
-    /// (unchanged for a platform whose tick failed — the previous
-    /// snapshot stays published and ages instead).
-    pub fn ingest_tick(&self) -> u64 {
-        self.ingest_tick_report();
-        self.epoch()
-    }
-
-    /// Like [`ServiceCore::ingest_tick`], reporting what each platform's
-    /// tick did (index 0 = platform 1). The admission miss budget
-    /// refills on every tick, publishing or not — the deadline passes
-    /// regardless.
-    // tidy:allow(PP011): ServiceCore::ingest_tick with its outcomes, which tests/service_core.rs pins
-    pub fn ingest_tick_report(&self) -> [IngestOutcome; 2] {
+    /// query path is never blocked. Returns what each platform's tick
+    /// did (index 0 = platform 1); a platform whose tick failed keeps its
+    /// previous snapshot published, which ages instead. The latest shared
+    /// epoch is [`ServiceCore::epoch`]. The admission miss budget refills
+    /// on every tick, publishing or not — the deadline passes regardless.
+    pub fn ingest_tick(&self) -> [IngestOutcome; 2] {
         self.admission.refill();
         let a = self.platforms[0].try_tick(self.config.publish_interval, &self.config);
         let b = self.platforms[1].try_tick(self.config.publish_interval, &self.config);
@@ -783,7 +775,8 @@ mod tests {
         let core = small_core();
         core.query(&req(1, 600)).unwrap();
         assert_eq!(core.stats().cache.entries, 1);
-        assert_eq!(core.ingest_tick(), 2);
+        core.ingest_tick();
+        assert_eq!(core.epoch(), 2);
         assert_eq!(core.stats().cache.entries, 0);
         let r = core.query(&req(1, 600)).unwrap();
         assert_eq!((r.epoch, r.cache_hit), (2, false));
@@ -1013,7 +1006,7 @@ mod tests {
         // The default retry budget backs the clock across the whole
         // 120 s window inside the first tick: every tick publishes.
         for tick in 0..10 {
-            let report = core.ingest_tick_report();
+            let report = core.ingest_tick();
             assert!(
                 report.iter().all(IngestOutcome::published),
                 "tick {tick}: {report:?}"
@@ -1045,7 +1038,7 @@ mod tests {
         let core = ServiceCore::new(blackout_config(aging_resilience()));
         let healthy = core.query(&req(1, 800)).unwrap();
         for _ in 0..3 {
-            let report = core.ingest_tick_report();
+            let report = core.ingest_tick();
             assert!(report.iter().all(|o| !o.published()), "{report:?}");
         }
         assert_eq!(core.serving(1).unwrap(), ServingState::Degraded);
@@ -1124,7 +1117,7 @@ mod tests {
         assert_eq!(stats.watchdog_trips, 2, "one per platform: {stats:?}");
         assert_eq!(stats.breaker_trips, 2);
         // With the breaker open, the next ticks short-circuit (no poll).
-        let report = core.ingest_tick_report();
+        let report = core.ingest_tick();
         assert_eq!(report, [IngestOutcome::ShortCircuited; 2]);
         assert!(core.stats().ingest.breaker_short_circuits >= 2);
         // An open breaker escalates the serving state one level.

@@ -27,13 +27,11 @@ use serde::{Deserialize, Serialize};
 
 /// Lowest availability a trace will report — a production machine always
 /// makes *some* progress.
-// tidy:allow(PP011): the clamp of every generator and faults::stormed; crates/simgrid/tests/properties.rs checks it
-pub const MIN_AVAILABILITY: f64 = 0.01;
+pub(crate) const MIN_AVAILABILITY: f64 = 0.01;
 
 /// Highest availability — daemons and interrupts keep a real workstation
 /// just below 1.0 (the paper's top mode sits at 0.94).
-// tidy:allow(PP011): the clamp of every generator and faults::stormed; crates/simgrid/tests/properties.rs checks it
-pub const MAX_AVAILABILITY: f64 = 1.0;
+pub(crate) const MAX_AVAILABILITY: f64 = 1.0;
 
 fn clamp_avail(x: f64) -> f64 {
     x.clamp(MIN_AVAILABILITY, MAX_AVAILABILITY)
@@ -79,19 +77,21 @@ impl<I: Iterator<Item = f64> + Send> LoadStream for I {
 
 /// A dedicated machine: constant availability (default 1.0). The oracle
 /// for [`crate::Platform::dedicated`], whose machines carry its trace.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-// tidy:allow(PP011): oracle for Platform::dedicated, and a generator of crates/simgrid/tests/properties.rs
-pub struct Dedicated {
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Dedicated {
     /// The constant availability level.
-    pub level: f64,
+    pub(crate) level: f64,
 }
 
+#[cfg(test)]
 impl Default for Dedicated {
     fn default() -> Self {
         Self { level: 1.0 }
     }
 }
 
+#[cfg(test)]
 impl LoadGenerator for Dedicated {
     /// The constant level, clamped, forever.
     fn stream(&self, _seed: u64, _dt: f64) -> Box<dyn LoadStream> {

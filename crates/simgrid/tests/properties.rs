@@ -1,10 +1,7 @@
 //! Property-based tests for the environment simulator: trace integration
 //! identities and load-generator invariants.
 
-use prodpred_simgrid::load::{
-    Dedicated, LoadGenerator, MarkovModal, SessionLoad, SingleModeAr1, MAX_AVAILABILITY,
-    MIN_AVAILABILITY,
-};
+use prodpred_simgrid::load::{LoadGenerator, MarkovModal, SessionLoad, SingleModeAr1};
 use prodpred_simgrid::network::EthernetContention;
 use prodpred_simgrid::{Platform, Trace};
 use proptest::prelude::*;
@@ -12,6 +9,10 @@ use proptest::prelude::*;
 #[path = "support/walking_oracles.rs"]
 mod walking_oracles;
 use walking_oracles::{integral_walk, time_to_complete_walk};
+
+/// The availability range every generator clamps its samples to.
+const MIN_AVAILABILITY: f64 = 0.01;
+const MAX_AVAILABILITY: f64 = 1.0;
 
 fn trace_strategy() -> impl Strategy<Value = Trace> {
     (
@@ -65,7 +66,6 @@ proptest! {
     fn generators_are_prefix_stable(seed in 0u64..1_000_000, k in 1usize..400, extra in 0usize..400, fa in 0.0f64..1.0, fb in 0.0f64..1.0) {
         let m = k + extra;
         let gens: Vec<Box<dyn LoadGenerator>> = vec![
-            Box::new(Dedicated::default()),
             Box::new(SingleModeAr1::platform1_center()),
             Box::new(MarkovModal::platform2(25.0)),
             Box::new(EthernetContention::default()),
@@ -220,7 +220,6 @@ proptest! {
     #[test]
     fn generators_stay_in_bounds(seed in 0u64..1000, steps in 1usize..300) {
         let gens: Vec<Box<dyn LoadGenerator>> = vec![
-            Box::new(Dedicated::default()),
             Box::new(SingleModeAr1 { mean: 0.5, sd: 0.1, phi: 0.8 }),
             Box::new(MarkovModal::platform2(20.0)),
         ];

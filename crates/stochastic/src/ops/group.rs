@@ -496,7 +496,7 @@ mod tests {
             let row = *row;
             std::thread::spawn(move || check(&row, "on a fresh thread"))
                 .join()
-                .unwrap(); // tidy:allow(PP003): re-raises the row's failed assertion
+                .unwrap();
         }
     }
 
@@ -621,7 +621,7 @@ mod tests {
             assert_eq!(memo_lengths(), [MEMO_CAP; MEMO_SLOTS]);
         })
         .join()
-        .unwrap(); // tidy:allow(PP003): re-raises the thread's failed assertion
+        .unwrap();
     }
 
     #[test]

@@ -33,5 +33,3 @@ pub use degrade::{degrade, degrade_point, DegradationTerms};
 pub use param::Param;
 pub use sor_model::{PhaseBreakdown, ProcessorInputs, SorModelInputs, SorStructuralModel};
 pub use validate::{monte_carlo, monte_carlo_par, McResult};
-// tidy:allow(PP011): monte_carlo_par's chunk size; tests/parallel_determinism.rs crosses its boundaries
-pub use validate::MC_CHUNK;

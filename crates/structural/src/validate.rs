@@ -28,8 +28,7 @@ pub struct McResult {
 /// Sample count per Monte-Carlo chunk. Fixed — never derived from the
 /// thread count — so the chunk structure, the per-chunk RNG streams, and
 /// the floating-point merge order are a function of `n` alone.
-// tidy:allow(PP011): monte_carlo_par's chunk size; tests/parallel_determinism.rs crosses its boundaries
-pub const MC_CHUNK: usize = 4096;
+pub(crate) const MC_CHUNK: usize = 4096;
 
 /// Evaluates `component` by sampling `n` times with the given seed and
 /// compares against its closed-form evaluation.
@@ -47,7 +46,7 @@ pub fn monte_carlo(component: &Component, n: usize, seed: u64) -> McResult {
 }
 
 /// Parallel Monte-Carlo evaluation: the samples are split into fixed
-/// [`MC_CHUNK`]-size chunks, chunk `i` draws from its own RNG stream
+/// `MC_CHUNK`-size chunks, chunk `i` draws from its own RNG stream
 /// seeded by `derive_seed(seed, i)`, and the per-chunk moment
 /// accumulators are combined **in chunk order** with Chan's parallel
 /// mean/variance merge ([`Summary::merge`]).
@@ -280,6 +279,49 @@ mod tests {
             assert_eq!(
                 par.closed_form_coverage.to_bits(),
                 reference.closed_form_coverage.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_monte_carlo_is_bit_identical_to_sequential_reference() {
+        let tree = Component::Sum(
+            vec![
+                Component::Product(vec![sv(12.0, 0.6), sv(5.0, 1.0)], Dependence::Unrelated),
+                Component::Quotient(
+                    Box::new(Component::point(1.0)),
+                    Box::new(sv(0.48, 0.05)),
+                    Dependence::Unrelated,
+                ),
+                sv(3.0, 0.4),
+            ],
+            Dependence::Unrelated,
+        );
+        // Span several chunks plus a ragged tail.
+        let n = 2 * MC_CHUNK + 771;
+        // One thread maps the chunks inline on the caller: the sequential run.
+        let reference = monte_carlo_par(&tree, n, 13, 1);
+        for threads in [2, 4, 8] {
+            let par = monte_carlo_par(&tree, n, 13, threads);
+            assert_eq!(
+                par.summary.mean().to_bits(),
+                reference.summary.mean().to_bits(),
+                "mean, threads={threads}"
+            );
+            assert_eq!(
+                par.summary.half_width().to_bits(),
+                reference.summary.half_width().to_bits(),
+                "half-width, threads={threads}"
+            );
+            assert_eq!(
+                par.skewness.to_bits(),
+                reference.skewness.to_bits(),
+                "skewness, threads={threads}"
+            );
+            assert_eq!(
+                par.closed_form_coverage.to_bits(),
+                reference.closed_form_coverage.to_bits(),
+                "coverage, threads={threads}"
             );
         }
     }

@@ -59,7 +59,8 @@ fn main() {
     // One ingest tick: sensors advance 5 simulated seconds, a new
     // immutable snapshot is published via the epoch swap (readers never
     // block), and the whole cache is invalidated.
-    let epoch = core.ingest_tick();
+    core.ingest_tick();
+    let epoch = core.epoch();
     let fresh = core.query(&req).expect("post-tick query");
     println!(
         "after tick -> epoch {epoch}: same query recomputes (cache_hit={}) as {:.2}s",

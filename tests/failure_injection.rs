@@ -8,13 +8,16 @@ use prodpred_core::{
 };
 use prodpred_nws::{NwsConfig, NwsService};
 use prodpred_simgrid::faults::{FaultConfig, WorkerDeath};
-use prodpred_simgrid::load::MIN_AVAILABILITY;
 use prodpred_simgrid::{Machine, MachineClass, MachineSpec, Platform, Trace};
 use prodpred_sor::{
     partition_equal, simulate, try_solve_decomposed, BlockLayout, Decomposition, DistSorConfig,
     ExchangePolicy, Grid, SolveError, SolveOptions, SorParams,
 };
 use std::time::{Duration, Instant};
+
+/// The lowest availability a generated trace reports: a production
+/// machine always makes some progress.
+const MIN_AVAILABILITY: f64 = 0.01;
 
 fn platform_with_machine1(load: Trace) -> Platform {
     let horizon = load.t0() + load.dt() * load.len() as f64;

@@ -10,7 +10,7 @@
 
 use prodpred_core::{platform2_experiment, ExperimentSeries};
 use prodpred_nws::snapshot::ForecastSnapshot;
-use prodpred_nws::{NwsConfig, NwsService, QuerySummary, Sensor};
+use prodpred_nws::{NwsConfig, NwsService, QuerySummary};
 use prodpred_simgrid::{Platform, Trace};
 use prodpred_stochastic::StochasticValue;
 use proptest::prelude::*;
@@ -62,39 +62,6 @@ fn query_summary_round_trip() {
     let back: QuerySummary = serde_json::from_str(&json).unwrap();
     assert_eq!(summary, back);
     assert_eq!(summary.value.mean().to_bits(), back.value.mean().to_bits());
-}
-
-#[test]
-fn sensor_round_trip_mid_stream_carries_on_bit_identically() {
-    // The wire form holds the sampling state, not the tournament's
-    // running scores: the parsed sensor rebuilds them, and from then on
-    // answers exactly what a sensor that was never serialised answers —
-    // before the ring fills, while it fills, and once it evicts.
-    let platform = Platform::platform2(11, 4000.0);
-    let trace = &platform.machines[0].load;
-    for (capacity, cut) in [(4096, 600.0), (64, 200.0), (64, 1500.0), (8, 0.0)] {
-        let mut live = Sensor::new("cpu:x", 5.0, capacity, 0.0);
-        live.poll_until(trace, cut);
-        let json = serde_json::to_string(&live).unwrap();
-        assert!(!json.contains("scores"), "{json}");
-        let mut back: Sensor = serde_json::from_str(&json).unwrap();
-        assert_eq!(json, serde_json::to_string(&back).unwrap());
-        for step in 0..60 {
-            let bits = |s: &Sensor| {
-                s.forecast()
-                    .map(|f| (f.value.to_bits(), f.rmse.to_bits(), f.winner))
-            };
-            assert_eq!(
-                bits(&back),
-                bits(&live),
-                "capacity {capacity}, cut at {cut}, step {step}"
-            );
-            let until = cut + 35.0 * step as f64;
-            live.poll_until(trace, until);
-            back.poll_until(trace, until);
-        }
-        assert_eq!(back.series().values(), live.series().values());
-    }
 }
 
 #[test]
@@ -850,35 +817,6 @@ fn golden_enum_variants() {
 
 #[test]
 fn golden_hand_written_impls() {
-    let mut sensor = Sensor::new("cpu:\"x\"\n", 5.0, 4, 0.0);
-    sensor.poll_until(&Trace::from_fn(0.0, 1.0, 100, |t| 0.125 * t), 30.0);
-    assert_golden(
-        &sensor,
-        r#"{"name":"cpu:\"x\"\n","interval":5.0,"next_poll":35.0,"series":{"capacity":4,"times":[15.0,20.0,25.0,30.0],"values":[1.875,2.5,3.125,3.75]},"poll_index":7,"missed_polls":0,"corrupt_polls":0}"#,
-        r#"{
-  "name": "cpu:\"x\"\n",
-  "interval": 5.0,
-  "next_poll": 35.0,
-  "series": {
-    "capacity": 4,
-    "times": [
-      15.0,
-      20.0,
-      25.0,
-      30.0
-    ],
-    "values": [
-      1.875,
-      2.5,
-      3.125,
-      3.75
-    ]
-  },
-  "poll_index": 7,
-  "missed_polls": 0,
-  "corrupt_polls": 0
-}"#,
-    );
     assert_golden(
         &Trace::new(3.0, 0.5, vec![0.1, 0.9, -0.0, 1e21]),
         r#"{"t0":3.0,"dt":0.5,"values":[0.1,0.9,-0.0,1000000000000000000000.0]}"#,

@@ -42,7 +42,8 @@ fn epoch_bump_invalidates_every_stale_entry() {
     let populated = core.stats();
     assert!(populated.cache.entries > 10, "cache never populated");
 
-    let epoch = core.ingest_tick();
+    core.ingest_tick();
+    let epoch = core.epoch();
     let after = core.stats();
     assert_eq!(after.cache.entries, 0, "stale entries survived the bump");
     assert_eq!(
@@ -314,7 +315,8 @@ fn a_miss_in_flight_does_not_hold_up_ingest() {
         while core.stats().cache.misses == 0 {
             std::thread::yield_now();
         }
-        let epoch = core.ingest_tick();
+        core.ingest_tick();
+        let epoch = core.epoch();
         assert!(!miss.is_finished(), "the tick waited for the miss");
         let answer = miss.join().unwrap().unwrap();
         assert_eq!((answer.epoch, answer.cache_hit), (epoch - 1, false));
@@ -486,7 +488,7 @@ fn availability_prediction_matches_a_supervised_core_tick_for_tick() {
 /// short-circuited cooldown, half-open probes that fail and one that
 /// succeeds, dropout for partial publishes, and a horizon the last ticks
 /// clamp against. `golden/supervised_ingest.txt` holds the `Debug` string
-/// of every `ingest_tick_report()`, what a query saw after it, and the
+/// of every `ingest_tick()`, what a query saw after it, and the
 /// final `IngestStats`, taken before the recurrence was written once.
 #[test]
 fn supervised_ingest_is_pinned_tick_for_tick() {
@@ -526,7 +528,7 @@ fn supervised_ingest_is_pinned_tick_for_tick() {
     let mut actual = String::new();
     let mut reports = Vec::new();
     for tick in 1..=60 {
-        let report = core.ingest_tick_report();
+        let report = core.ingest_tick();
         // What a client of platform 1 sees after the tick: the clock the
         // served snapshot froze at and its age, or the typed refusal
         // with its Retry-After hint.

@@ -28,15 +28,30 @@ struct RealHarness {
     admission: Admission,
 }
 
+/// The shard `key` routes to in a cache of `shards` shards, read off
+/// the public API: the one whose sweep drops the key's entry.
+fn shard_of(shards: usize, key: &QueryKey) -> usize {
+    let cache = EpochCache::new(CacheConfig {
+        capacity: 64,
+        shards,
+    });
+    cache.insert(0, *key, 0u64);
+    (0..shards)
+        .find(|&shard| {
+            cache.sweep_shard(shard, 1);
+            cache.get(0, key).is_none()
+        })
+        .expect("the key lives in one shard")
+}
+
 /// Finds one query key per shard by scanning the deterministic
 /// fingerprint routing.
-fn keys_per_shard(cache: &EpochCache<u64>) -> Vec<QueryKey> {
-    let shards = cache.shard_count();
+fn keys_per_shard(shards: usize) -> Vec<QueryKey> {
     let mut keys: Vec<Option<QueryKey>> = vec![None; shards];
     let mut found = 0;
     for n in 0.. {
         let key = QueryKey::new(1, n, 4, &PredictorConfig::default(), None);
-        let shard = cache.shard_index(&key);
+        let shard = shard_of(shards, &key);
         if keys[shard].is_none() {
             keys[shard] = Some(key);
             found += 1;
@@ -56,7 +71,7 @@ impl RealHarness {
             capacity: 64,
             shards: config.shards,
         });
-        let keys = keys_per_shard(&cache);
+        let keys = keys_per_shard(config.shards);
         let admission = Admission::new(AdmissionConfig {
             miss_tokens_per_tick: match config.tokens {
                 svc::UNBOUNDED => u64::MAX,
