@@ -151,7 +151,7 @@ const PP005_LOCKS: [&str; 6] = [
 /// What the file's path says about how strictly to lint it.
 #[derive(Debug, Clone, Copy)]
 struct PathScope {
-    /// Integration tests, benches, examples: panicking and timing are fine.
+    /// Integration tests and examples: panicking and timing are fine.
     test_path: bool,
     /// Binary targets: CLI entry points may unwrap and measure wall time.
     bin: bool,
@@ -165,7 +165,6 @@ struct PathScope {
 fn path_scope(relpath: &str) -> PathScope {
     let test_path = relpath.starts_with("tests/")
         || relpath.contains("/tests/")
-        || relpath.contains("/benches/")
         || relpath.starts_with("examples/")
         || relpath.contains("/examples/");
     let bin = relpath.contains("/src/bin/") || relpath.ends_with("src/main.rs");

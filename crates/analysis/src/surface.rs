@@ -5,9 +5,9 @@
 //! and `#[cfg(test)]` regions) and flags each one whose name appears as
 //! an identifier in no other crate's non-test code. The users are the
 //! other library crates, every bin (the declaring package's own bins
-//! too: a bin is a separate crate), `crates/*/benches`, `examples/` and
-//! the read-only `benchmark/src`. Integration tests, `#[cfg(test)]`
-//! modules, comments, strings and doctests are not users.
+//! too: a bin is a separate crate), `examples/` and the read-only
+//! `benchmark/src`. Integration tests, `#[cfg(test)]` modules, comments,
+//! strings and doctests are not users.
 //!
 //! A name in the signature or `pub` field of another *used* `pub` item of
 //! the same crate is a use too, so a type reachable only through an API
@@ -37,8 +37,8 @@ enum Role<'a> {
     /// Part of the named library crate: declares items and uses those of
     /// the other library crates.
     Lib(&'a str),
-    /// A crate of its own that declares nothing PP011 counts: a bin, a
-    /// bench, an example, the benchmark package.
+    /// A crate of its own that declares nothing PP011 counts: a bin, an
+    /// example, the benchmark package.
     User,
     /// Test code: neither declares nor uses.
     Test,

@@ -15,10 +15,7 @@ fn run_with(spread: SpreadPolicy, seed: u64, runs: usize) -> (AccuracyReport, f6
     let platform = Platform::platform2(seed, 60_000.0);
     let nws = NwsService::attach(
         &platform,
-        NwsConfig {
-            spread,
-            ..Default::default()
-        },
+        NwsConfig { spread },
     );
     let n = 1600;
     let strips = decompose(&platform, n, DecompositionPolicy::DedicatedSpeed, None);

@@ -21,7 +21,7 @@ pub fn run() {
         println!("== Figure 5: load on a production workstation ({name}) ==");
         let hist = Histogram::from_data(trace.values(), 25).unwrap();
         println!("{}", hist.render_ascii(48));
-        let model = detect_modes(trace.values(), Default::default()).expect("modal data");
+        let model = detect_modes(trace.values()).expect("modal data");
         let rows: Vec<Vec<String>> = model
             .modes()
             .iter()

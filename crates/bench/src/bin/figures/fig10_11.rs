@@ -14,7 +14,7 @@ pub fn run() {
     let hist = Histogram::from_data(trace.values(), 25).unwrap();
     println!("{}", hist.render_ascii(48));
 
-    if let Some(model) = detect_modes(trace.values(), Default::default()) {
+    if let Some(model) = detect_modes(trace.values()) {
         let rows: Vec<Vec<String>> = model
             .modes()
             .iter()

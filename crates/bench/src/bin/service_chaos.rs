@@ -50,8 +50,8 @@ const SEED: u64 = 42;
 const WARMUP: f64 = 600.0;
 const HORIZON: f64 = 20_000.0;
 const PUBLISH_INTERVAL: f64 = 5.0;
-/// `NwsConfig::default().interval` — the sensor poll cadence the
-/// availability DP mirrors.
+/// The NWS sensors' poll cadence (`INTERVAL` in `nws::service`) — the
+/// cadence the availability DP mirrors.
 const POLL_INTERVAL: f64 = 5.0;
 
 /// The campaign's fault schedule: a steady drizzle of per-poll faults

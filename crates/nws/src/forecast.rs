@@ -336,7 +336,7 @@ struct Lane {
 /// forecast, so the winner is read off without revisiting the history.
 ///
 /// A scoreboard belongs to the ensemble and the history it was fed from;
-/// [`AdaptiveForecaster::observe`] extends it by one sample and
+/// `AdaptiveForecaster::observe` extends it by one sample and
 /// [`AdaptiveForecaster::replay`] rebuilds it when the history restarts
 /// (a ring eviction drops the oldest sample, which moves every strategy's
 /// starting point).
@@ -441,7 +441,7 @@ impl AdaptiveForecaster {
     /// every strategy's standing forecast is scored against the sample in
     /// ensemble order, then refreshed through [`Forecaster::step`]. Each
     /// strategy is evaluated exactly once.
-    pub fn observe(&self, board: &mut Scoreboard, history: &[f64]) {
+    pub(crate) fn observe(&self, board: &mut Scoreboard, history: &[f64]) {
         let Some(&x) = history.last() else {
             return;
         };

@@ -59,7 +59,7 @@ pub struct QuerySummary {
     pub age_secs: f64,
     /// Measurements retained for this resource.
     pub samples: usize,
-    /// True when fewer than `variance_window` samples back the spread
+    /// True when fewer than `VARIANCE_WINDOW` (24) samples back the spread
     /// estimate — the window statistics are computed over whatever
     /// exists, which is normal at startup but a degradation signal once
     /// the service has been running longer than the window.
@@ -116,15 +116,17 @@ pub enum SpreadPolicy {
     Combined,
 }
 
+/// Sensor cadence in seconds (the paper's NWS reported every 5 s).
+const INTERVAL: f64 = 5.0;
+/// Measurements retained per resource.
+const CAPACITY: usize = 4096;
+/// Window (in samples) used for the variance estimate: two minutes of
+/// 5-second samples.
+const VARIANCE_WINDOW: usize = 24;
+
 /// Service configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct NwsConfig {
-    /// Sensor cadence in seconds (the paper's NWS reported every 5 s).
-    pub interval: f64,
-    /// Measurements retained per resource.
-    pub capacity: usize,
-    /// Window (in samples) used for the variance estimate.
-    pub variance_window: usize,
     /// Spread derivation.
     pub spread: SpreadPolicy,
 }
@@ -132,9 +134,6 @@ pub struct NwsConfig {
 impl Default for NwsConfig {
     fn default() -> Self {
         Self {
-            interval: 5.0,
-            capacity: 4096,
-            variance_window: 24, // two minutes of 5-second samples
             spread: SpreadPolicy::ForecastRmse,
         }
     }
@@ -186,8 +185,8 @@ impl NwsService {
         let sensor = |name: String| {
             RwLock::new(Sensor::with_ensemble(
                 name,
-                config.interval,
-                config.capacity,
+                INTERVAL,
+                CAPACITY,
                 0.0,
                 Arc::clone(&ensemble),
             ))
@@ -245,11 +244,11 @@ impl NwsService {
         }
     }
 
-    /// Moments of the last `variance_window` samples (spread 0.0 below
+    /// Moments of the last `VARIANCE_WINDOW` samples (spread 0.0 below
     /// two), accumulated over a view of the ring.
     fn window_summary(&self, series: &TimeSeries) -> Summary {
         let mut s = Summary::new();
-        for x in series.recent_values(self.config.variance_window) {
+        for x in series.recent_values(VARIANCE_WINDOW) {
             s.push(x);
         }
         s
@@ -303,7 +302,7 @@ impl NwsService {
             )
         };
         let value = base.widen((1.0 + stale_intervals).sqrt());
-        let partial_window = samples < self.config.variance_window;
+        let partial_window = samples < VARIANCE_WINDOW;
         Ok(QuerySummary {
             value,
             mode,
@@ -362,7 +361,7 @@ impl NwsService {
     /// Stochastic CPU availability for machine `i` at the current horizon.
     /// `None` until the first measurement arrives.
     ///
-    /// Degrades *silently*: with fewer than `variance_window` samples the
+    /// Degrades *silently*: with fewer than `VARIANCE_WINDOW` samples the
     /// spread is computed over whatever window exists (and reads 0.0
     /// below two samples) with no indication in the return value. Use
     /// [`NwsService::cpu_query`] when that distinction matters.
@@ -385,9 +384,9 @@ impl NwsService {
         let rho = prodpred_stochastic::stats::autocorrelation(history, 1)?.clamp(-0.999, 0.999);
         if rho <= 0.0 {
             // Effectively uncorrelated at the sensor cadence.
-            return Some(self.config.interval * 0.1);
+            return Some(INTERVAL * 0.1);
         }
-        Some(-self.config.interval / rho.ln())
+        Some(-INTERVAL / rho.ln())
     }
 
     /// The stochastic value of machine `i`'s load *averaged over a run of
@@ -440,8 +439,7 @@ impl NwsService {
 /// The occupancy-weighted modal value of a history, when it is long
 /// enough for mode detection.
 pub(crate) fn modal_of(history: &[f64]) -> Option<StochasticValue> {
-    prodpred_stochastic::fit::detect_modes(history, Default::default())
-        .map(|model| model.weighted_average())
+    prodpred_stochastic::fit::detect_modes(history).map(|model| model.weighted_average())
 }
 
 #[cfg(test)]
@@ -565,7 +563,6 @@ mod tests {
             &p2,
             NwsConfig {
                 spread: SpreadPolicy::WindowVariance,
-                ..Default::default()
             },
         );
         wv.advance_to(&p2, 35_000.0);
@@ -599,7 +596,6 @@ mod tests {
             &p2,
             NwsConfig {
                 spread: SpreadPolicy::WindowVariance,
-                ..Default::default()
             },
         );
         nws.advance_to(&p2, 20_000.0);
@@ -686,7 +682,7 @@ mod tests {
     fn partial_window_is_surfaced_not_silent() {
         let p = Platform::platform1(9, 600.0);
         let nws = NwsService::attach(&p, NwsConfig::default());
-        // 10 samples: enough to forecast, fewer than variance_window (24).
+        // 10 samples: enough to forecast, fewer than VARIANCE_WINDOW (24).
         nws.advance_to(&p, 45.0);
         let q = nws.cpu_query(0).unwrap();
         assert_eq!(q.samples, 10);

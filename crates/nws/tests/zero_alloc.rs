@@ -58,38 +58,34 @@ fn allocations_during(f: impl FnOnce()) -> usize {
 
 #[test]
 fn load_queries_allocate_nothing_once_four_samples_exist() {
-    let platform = Platform::platform1(7, 3600.0);
+    // A sensor's ring holds 4 096 samples, five seconds apart: full at
+    // t = 20 475 s. The last advance runs past that, so the ring wraps
+    // and each sensor replays its scores once.
+    let platform = Platform::platform1(7, 21_000.0);
     for spread in [
         SpreadPolicy::ForecastRmse,
         SpreadPolicy::WindowVariance,
         SpreadPolicy::Combined,
     ] {
-        // Capacity 16 wraps the ring inside the run; 4096 never does.
-        for capacity in [16, 4096] {
-            let config = NwsConfig {
-                spread,
-                capacity,
-                ..NwsConfig::default()
-            };
-            let nws = NwsService::attach(&platform, config);
-            // t = 15 s is the fourth 5-second sample.
-            for t in [15.0, 75.0, 600.0, 3000.0] {
-                nws.advance_to(&platform, t);
-                assert_eq!(nws.cpu_query(0).unwrap().mode, QueryMode::Forecast);
-                let allocations = allocations_during(|| {
-                    for i in 0..nws.n_machines() {
-                        black_box(nws.cpu_query(i).unwrap());
-                        black_box(nws.cpu_stochastic(i).unwrap());
-                    }
-                    black_box(nws.bandwidth_fraction_query().unwrap());
-                    black_box(nws.bandwidth_fraction_stochastic().unwrap());
-                });
-                assert_eq!(
-                    allocations, 0,
-                    "{spread:?}, capacity {capacity}, t = {t}: a load query allocated"
-                );
-            }
+        let nws = NwsService::attach(&platform, NwsConfig { spread });
+        // t = 15 s is the fourth 5-second sample.
+        for t in [15.0, 75.0, 600.0, 3000.0, 20_500.0] {
+            nws.advance_to(&platform, t);
+            assert_eq!(nws.cpu_query(0).unwrap().mode, QueryMode::Forecast);
+            let allocations = allocations_during(|| {
+                for i in 0..nws.n_machines() {
+                    black_box(nws.cpu_query(i).unwrap());
+                    black_box(nws.cpu_stochastic(i).unwrap());
+                }
+                black_box(nws.bandwidth_fraction_query().unwrap());
+                black_box(nws.bandwidth_fraction_stochastic().unwrap());
+            });
+            assert_eq!(
+                allocations, 0,
+                "{spread:?}, t = {t}: a load query allocated"
+            );
         }
+        assert_eq!(nws.cpu_query(0).unwrap().samples, 4096, "{spread:?}");
     }
 }
 
@@ -103,15 +99,11 @@ fn observing_a_sample_allocates_nothing_once_every_window_is_full() {
     let warm = 24;
     let mut board = Scoreboard::default();
     ensemble.replay(&mut board, &history[..warm]);
+    // A replay on the same board restarts every strategy in the buffers
+    // it already has, then observes the history one sample at a time.
     let allocations = allocations_during(|| {
-        for end in warm + 1..=history.len() {
-            ensemble.observe(&mut board, &history[..end]);
-        }
+        ensemble.replay(&mut board, &history);
         black_box(board.best());
     });
-    assert_eq!(allocations, 0, "observe allocated on a warm scoreboard");
-    // A replay on the same board restarts every strategy in the buffers
-    // it already has.
-    let allocations = allocations_during(|| ensemble.replay(&mut board, &history[..200]));
-    assert_eq!(allocations, 0, "replay allocated on a used scoreboard");
+    assert_eq!(allocations, 0, "observing allocated on a warm scoreboard");
 }

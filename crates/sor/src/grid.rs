@@ -19,7 +19,7 @@ pub enum Color {
 
 impl Color {
     /// The parity of the colour.
-    pub fn parity(self) -> usize {
+    pub(crate) fn parity(self) -> usize {
         match self {
             Color::Red => 0,
             Color::Black => 1,
@@ -113,7 +113,11 @@ impl Grid {
 
     /// The residual `max |laplacian|` over interior cells — zero at the
     /// exact solution of Laplace's equation.
-    pub fn max_residual(&self) -> f64 {
+    // Its own function on purpose, as it was while `pub`: with one caller
+    // left it would be inlined into `solve_seq`, and CI checks this
+    // symbol's body for packed arithmetic (DESIGN §6).
+    #[inline(never)]
+    pub(crate) fn max_residual(&self) -> f64 {
         // One running maximum is one serial dependency chain over every
         // cell. LANES independent ones, each a compare-and-select (a packed
         // max; `f64::max` compiles to a slower NaN-propagating sequence),
@@ -181,7 +185,7 @@ impl Grid {
 
 /// The theoretically optimal SOR relaxation factor for an `n x n` Laplace
 /// problem: `2 / (1 + sin(pi / (n - 1)))`.
-pub fn optimal_omega(n: usize) -> f64 {
+pub(crate) fn optimal_omega(n: usize) -> f64 {
     assert!(n >= 3);
     2.0 / (1.0 + (std::f64::consts::PI / (n as f64 - 1.0)).sin())
 }

@@ -58,9 +58,8 @@ pub use decomp::{
 };
 pub use distsim::{simulate, simulate_blocks, DistSorConfig, DistSorResult};
 pub use exchange::ExchangePolicy;
-pub use grid::{optimal_omega, Color, Grid};
+pub use grid::{Color, Grid};
 pub use parallel::{
-    solve_parallel, solve_parallel_blocks, solve_parallel_strips, try_solve_decomposed, SolveError,
-    SolveOptions,
+    solve_parallel_blocks, solve_parallel_strips, try_solve_decomposed, SolveError, SolveOptions,
 };
 pub use seq::{solve_seq, sweep_iteration, SorParams};

@@ -25,7 +25,7 @@
 //! infallible entry points keep their original signatures by running the
 //! same core under `ExchangePolicy::patient`.
 
-use crate::decomp::{partition_equal, Block, BlockLayout, Decomposition, Peer, Strip};
+use crate::decomp::{Block, BlockLayout, Decomposition, Peer, Strip};
 use crate::exchange::{
     recycled_link, ExchangeError, ExchangePolicy, RecycledReceiver, RecycledSender,
 };
@@ -449,13 +449,6 @@ pub fn solve_parallel_strips(grid: &mut Grid, params: SorParams, strips: &[Strip
         .unwrap_or_else(|e| panic!("parallel solve failed: {e}"));
 }
 
-/// Solves with an equal strip decomposition over `p` workers.
-pub fn solve_parallel(grid: &mut Grid, params: SorParams, p: usize) {
-    assert!(p > 0, "need at least one worker");
-    let strips = partition_equal(grid.n() - 2, p);
-    solve_parallel_strips(grid, params, &strips);
-}
-
 /// Solves in parallel over equal blocks on `layout`, updating `grid` in
 /// place: [`try_solve_decomposed`] under [`SolveOptions::reliable`].
 ///
@@ -473,7 +466,7 @@ pub fn solve_parallel_blocks(grid: &mut Grid, params: SorParams, layout: BlockLa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::partition_rows;
+    use crate::decomp::{partition_equal, partition_rows};
     use crate::seq::solve_seq;
 
     fn solved_seq(n: usize, iters: usize) -> Grid {
@@ -489,7 +482,11 @@ mod tests {
             let iters = 30;
             let reference = solved_seq(n, iters);
             let mut g = Grid::laplace_problem(n);
-            solve_parallel(&mut g, SorParams::for_grid(n, iters), p);
+            solve_parallel_strips(
+                &mut g,
+                SorParams::for_grid(n, iters),
+                &partition_equal(n - 2, p),
+            );
             assert_eq!(
                 g.max_diff(&reference),
                 0.0,
@@ -514,7 +511,11 @@ mod tests {
         let n = 17;
         let reference = solved_seq(n, 10);
         let mut g = Grid::laplace_problem(n);
-        solve_parallel(&mut g, SorParams::for_grid(n, 10), 1);
+        solve_parallel_strips(
+            &mut g,
+            SorParams::for_grid(n, 10),
+            &partition_equal(n - 2, 1),
+        );
         assert_eq!(g.max_diff(&reference), 0.0);
     }
 
@@ -522,7 +523,11 @@ mod tests {
     fn converges_in_parallel() {
         let n = 33;
         let mut g = Grid::laplace_problem(n);
-        solve_parallel(&mut g, SorParams::for_grid(n, 400), 4);
+        solve_parallel_strips(
+            &mut g,
+            SorParams::for_grid(n, 400),
+            &partition_equal(n - 2, 4),
+        );
         assert!(g.max_residual() < 1e-9, "residual {}", g.max_residual());
     }
 
@@ -533,7 +538,11 @@ mod tests {
         let iters = 15;
         let reference = solved_seq(n, iters);
         let mut g = Grid::laplace_problem(n);
-        solve_parallel(&mut g, SorParams::for_grid(n, iters), 8);
+        solve_parallel_strips(
+            &mut g,
+            SorParams::for_grid(n, iters),
+            &partition_equal(n - 2, 8),
+        );
         assert_eq!(g.max_diff(&reference), 0.0);
     }
 
@@ -542,7 +551,7 @@ mod tests {
     fn rejects_empty_strip() {
         // 2 interior rows across 3 workers -> an empty strip.
         let mut g = Grid::laplace_problem(4);
-        solve_parallel(&mut g, SorParams::for_grid(4, 1), 3);
+        solve_parallel_strips(&mut g, SorParams::for_grid(4, 1), &partition_equal(2, 3));
     }
 
     #[test]

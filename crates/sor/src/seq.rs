@@ -48,7 +48,8 @@ pub fn sweep_color_rows(grid: &mut Grid, color: Color, omega: f64, row_lo: usize
 /// sweep is FP-bound: on 1026² the benchmark reads 776.8 Mcell/s fused
 /// against 762.6 two-pass with the scalar kernel and 1 227 against 1 131
 /// with the packed one, under 3 % of a `solve_seq` iteration. Out of cache
-/// it pays (the `sor-kernel-2048` criterion group: 5.4 ms against 6.6).
+/// it paid on 2048² (5.4 ms against 6.6, a retired micro-benchmark's last
+/// number, kept in EXPERIMENTS.md); the benchmark has no out-of-cache size.
 /// The threaded worker, which exchanges ghosts between the colours, cannot
 /// use it, and no solver calls it: it is here to be measured beside the
 /// two-pass sweep.

@@ -177,8 +177,9 @@ mod tests {
 
     #[test]
     fn sample_stream_is_pinned() {
-        // `monte_carlo_par`, the modal fixtures, every simgrid digest and every
-        // `horizon_oracle` string hang off this stream: it must not move.
+        // `structural::monte_carlo`, the modal fixtures, every simgrid digest
+        // and every `horizon_oracle` string hang off this stream: it must not
+        // move.
         let n = Normal::new(10.0, 2.5);
         let mut rng = StdRng::seed_from_u64(42);
         let draws: Vec<u64> = (0..8).map(|_| n.sample(&mut rng).to_bits()).collect();

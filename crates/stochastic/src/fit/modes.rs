@@ -30,27 +30,13 @@ impl Mode {
     }
 }
 
-/// Tuning for [`detect_modes`].
-#[derive(Debug, Clone, Copy)]
-pub struct ModeDetectConfig {
-    /// Grid resolution for the KDE peak scan.
-    pub grid: usize,
-    /// Peaks below this fraction of the tallest peak are discarded.
-    pub min_peak_height: f64,
-    /// Modes holding fewer than this fraction of observations are merged
-    /// into their nearest neighbour.
-    pub min_weight: f64,
-}
-
-impl Default for ModeDetectConfig {
-    fn default() -> Self {
-        Self {
-            grid: 512,
-            min_peak_height: 0.10,
-            min_weight: 0.02,
-        }
-    }
-}
+/// Grid resolution for the KDE peak scan.
+const GRID: usize = 512;
+/// Peaks below this fraction of the tallest peak are discarded.
+const MIN_PEAK_HEIGHT: f64 = 0.10;
+/// Modes holding fewer than this fraction of observations are merged into
+/// their nearest neighbour.
+const MIN_WEIGHT: f64 = 0.02;
 
 /// The result of mode detection: boundaries, per-mode fits, weights.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -80,7 +66,7 @@ impl ModalModel {
 
 /// Detects the modes of a trace. Returns `None` for fewer than 32
 /// observations or degenerate (constant) data.
-pub fn detect_modes(data: &[f64], cfg: ModeDetectConfig) -> Option<ModalModel> {
+pub fn detect_modes(data: &[f64]) -> Option<ModalModel> {
     if data.len() < 32 {
         return None;
     }
@@ -91,7 +77,7 @@ pub fn detect_modes(data: &[f64], cfg: ModeDetectConfig) -> Option<ModalModel> {
     let kde = Kde::new(data);
     let pad = 0.05 * (s.max() - s.min());
     let (lo, hi) = (s.min() - pad, s.max() + pad);
-    let peaks = kde.peaks(lo, hi, cfg.grid, cfg.min_peak_height);
+    let peaks = kde.peaks(lo, hi, GRID, MIN_PEAK_HEIGHT);
     if peaks.is_empty() {
         // Flat-ish density; treat as a single mode.
         return Some(single_mode(data));
@@ -100,14 +86,14 @@ pub fn detect_modes(data: &[f64], cfg: ModeDetectConfig) -> Option<ModalModel> {
     // Valleys between consecutive peaks.
     let mut boundaries: Vec<f64> = peaks
         .windows(2)
-        .map(|w| kde.valley(w[0], w[1], cfg.grid / 2))
+        .map(|w| kde.valley(w[0], w[1], GRID / 2))
         .collect();
 
     // Assign observations to modes and fit each.
     let mut model = fit_modes(data, &boundaries);
 
-    // Merge ultra-light modes into neighbours until all meet min_weight.
-    while let Some(idx) = model.modes.iter().position(|m| m.weight < cfg.min_weight) {
+    // Merge ultra-light modes into neighbours until all meet MIN_WEIGHT.
+    while let Some(idx) = model.modes.iter().position(|m| m.weight < MIN_WEIGHT) {
         if model.modes.len() == 1 {
             break;
         }
@@ -186,7 +172,7 @@ mod tests {
     #[test]
     fn detects_figure5_three_modes() {
         let data = figure5_trace(8000, 1);
-        let model = detect_modes(&data, Default::default()).unwrap();
+        let model = detect_modes(&data).unwrap();
         assert_eq!(model.modes().len(), 3, "{model:?}");
         let means: Vec<f64> = model.modes().iter().map(|m| m.normal.mu()).collect();
         assert!((means[0] - 0.33).abs() < 0.05);
@@ -202,7 +188,7 @@ mod tests {
     #[test]
     fn mode_of_respects_boundaries() {
         let data = figure5_trace(8000, 2);
-        let model = detect_modes(&data, Default::default()).unwrap();
+        let model = detect_modes(&data).unwrap();
         assert_eq!(mode_of(&model, 0.30), 0);
         assert_eq!(mode_of(&model, 0.50), 1);
         assert_eq!(mode_of(&model, 0.95), 2);
@@ -214,7 +200,7 @@ mod tests {
         // 0.48. Two standard deviations ... gave us a stochastic load value
         // of 0.48 ± 0.05."
         let data = figure5_trace(8000, 3);
-        let model = detect_modes(&data, Default::default()).unwrap();
+        let model = detect_modes(&data).unwrap();
         let sv = model.modes()[mode_of(&model, 0.48)].stochastic();
         assert!((sv.mean() - 0.49).abs() < 0.05, "{sv}");
         assert!(sv.half_width() < 0.12, "{sv}");
@@ -224,7 +210,7 @@ mod tests {
     fn unimodal_data_gives_single_mode() {
         let mut rng = StdRng::seed_from_u64(4);
         let data = crate::dist::Normal::new(0.5, 0.05).sample_n(&mut rng, 2000);
-        let model = detect_modes(&data, Default::default()).unwrap();
+        let model = detect_modes(&data).unwrap();
         assert_eq!(model.modes().len(), 1);
         assert!((model.modes()[0].normal.mu() - 0.5).abs() < 0.01);
         assert_eq!(model.modes()[0].weight, 1.0);
@@ -233,7 +219,7 @@ mod tests {
     #[test]
     fn weighted_average_formula() {
         let data = figure5_trace(8000, 5);
-        let model = detect_modes(&data, Default::default()).unwrap();
+        let model = detect_modes(&data).unwrap();
         let avg = model.weighted_average();
         let manual_mean: f64 = model.modes().iter().map(|m| m.weight * m.normal.mu()).sum();
         assert!((avg.mean() - manual_mean).abs() < 1e-12);
@@ -242,7 +228,7 @@ mod tests {
     #[test]
     fn mode_weights_and_counts_cover_the_data() {
         let data = figure5_trace(8000, 6);
-        let model = detect_modes(&data, Default::default()).unwrap();
+        let model = detect_modes(&data).unwrap();
         let total: f64 = model.modes().iter().map(|m| m.weight).sum();
         assert!((total - 1.0).abs() < 1e-9);
         let count: usize = model.modes().iter().map(|m| m.count).sum();
@@ -251,7 +237,7 @@ mod tests {
 
     #[test]
     fn too_little_or_degenerate_data() {
-        assert!(detect_modes(&[1.0; 10], Default::default()).is_none());
-        assert!(detect_modes(&[2.0; 100], Default::default()).is_none());
+        assert!(detect_modes(&[1.0; 10]).is_none());
+        assert!(detect_modes(&[2.0; 100]).is_none());
     }
 }

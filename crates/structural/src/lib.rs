@@ -32,4 +32,4 @@ pub use component::Component;
 pub use degrade::{degrade, degrade_point, DegradationTerms};
 pub use param::Param;
 pub use sor_model::{PhaseBreakdown, ProcessorInputs, SorModelInputs, SorStructuralModel};
-pub use validate::{monte_carlo, monte_carlo_par, McResult};
+pub use validate::{monte_carlo, McResult};

@@ -25,11 +25,6 @@ pub struct McResult {
     pub closed_form_coverage: f64,
 }
 
-/// Sample count per Monte-Carlo chunk. Fixed — never derived from the
-/// thread count — so the chunk structure, the per-chunk RNG streams, and
-/// the floating-point merge order are a function of `n` alone.
-pub(crate) const MC_CHUNK: usize = 4096;
-
 /// Evaluates `component` by sampling `n` times with the given seed and
 /// compares against its closed-form evaluation.
 ///
@@ -41,67 +36,16 @@ pub(crate) const MC_CHUNK: usize = 4096;
 /// library panic-free on degenerate requests.
 pub fn monte_carlo(component: &Component, n: usize, seed: u64) -> McResult {
     let n = n.max(2);
-    // One chunk, one stream: merging into an empty accumulator copies it.
-    merge_mc_partials(&[mc_chunk(component, &component.evaluate(), n, seed)], n)
-}
-
-/// Parallel Monte-Carlo evaluation: the samples are split into fixed
-/// `MC_CHUNK`-size chunks, chunk `i` draws from its own RNG stream
-/// seeded by `derive_seed(seed, i)`, and the per-chunk moment
-/// accumulators are combined **in chunk order** with Chan's parallel
-/// mean/variance merge ([`Summary::merge`]).
-///
-/// Because neither the chunk structure nor the merge order depends on
-/// the worker count, the result is bit-identical at every `threads`
-/// value (0 = auto / `PRODPRED_THREADS`); `threads = 1` maps the chunks
-/// inline on the calling thread and is the oracle the tier-1 tests hold
-/// 2, 4 and 8 threads to. The sample *stream* differs from the
-/// single-stream [`monte_carlo`] — same distribution, different draws.
-///
-/// `n` saturates to 2, as in [`monte_carlo`].
-pub fn monte_carlo_par(component: &Component, n: usize, seed: u64, threads: usize) -> McResult {
-    let n = n.max(2);
-    let chunks = prodpred_pool::chunk_lengths(n, MC_CHUNK);
     let closed = component.evaluate();
-    let partials = prodpred_pool::parallel_map(&chunks, threads, |i, &len| {
-        mc_chunk(
-            component,
-            &closed,
-            len,
-            prodpred_pool::derive_seed(seed, i as u64),
-        )
-    });
-    merge_mc_partials(&partials, n)
-}
-
-/// Samples one chunk: `len` draws from a fresh stream, accumulated into
-/// a local [`Summary`] plus the closed-form interval hit count.
-fn mc_chunk(
-    component: &Component,
-    closed: &StochasticValue,
-    len: usize,
-    seed: u64,
-) -> (Summary, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut s = Summary::new();
     let mut inside = 0usize;
-    for _ in 0..len {
+    for _ in 0..n {
         let x = sample_once(component, &mut rng);
         s.push(x);
         if closed.contains(x) {
             inside += 1;
         }
-    }
-    (s, inside)
-}
-
-/// Ordered reduction of per-chunk partials into one [`McResult`].
-fn merge_mc_partials(partials: &[(Summary, usize)], n: usize) -> McResult {
-    let mut s = Summary::new();
-    let mut inside = 0usize;
-    for (part, hits) in partials {
-        s.merge(part);
-        inside += hits;
     }
     McResult {
         summary: StochasticValue::from_mean_sd(s.mean(), s.sd()),
@@ -240,104 +184,10 @@ mod tests {
             let r = monte_carlo(&c, n, 7);
             assert!(r.summary.mean().is_finite(), "n={n}");
             assert!(r.closed_form_coverage.is_finite());
-            let p = monte_carlo_par(&c, n, 7, 2);
-            assert!(p.summary.mean().is_finite(), "par n={n}");
         }
         // n=0 and n=1 both clamp to the two-sample result.
         let r0 = monte_carlo(&c, 0, 7);
         let r2 = monte_carlo(&c, 2, 7);
         assert_eq!(r0.summary.mean().to_bits(), r2.summary.mean().to_bits());
-    }
-
-    #[test]
-    fn parallel_bitwise_matches_reference_across_thread_counts() {
-        // The reference is the same driver on one thread, which
-        // `parallel_map` runs inline on the caller.
-        // A tree with every node kind, spanning several chunks.
-        let c = Component::Sum(
-            vec![
-                Component::Product(vec![sv(12.0, 0.6), sv(5.0, 1.0)], Dependence::Unrelated),
-                Component::Max(vec![sv(10.0, 2.0), sv(10.0, 2.0)], MaxStrategy::Clark),
-                Component::Scale(2.0, Box::new(sv(3.0, 0.4))),
-            ],
-            Dependence::Unrelated,
-        );
-        let n = 3 * MC_CHUNK + 101;
-        let reference = monte_carlo_par(&c, n, 11, 1);
-        for threads in [2usize, 4, 8] {
-            let par = monte_carlo_par(&c, n, 11, threads);
-            assert_eq!(
-                par.summary.mean().to_bits(),
-                reference.summary.mean().to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                par.summary.half_width().to_bits(),
-                reference.summary.half_width().to_bits()
-            );
-            assert_eq!(par.skewness.to_bits(), reference.skewness.to_bits());
-            assert_eq!(
-                par.closed_form_coverage.to_bits(),
-                reference.closed_form_coverage.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_monte_carlo_is_bit_identical_to_sequential_reference() {
-        let tree = Component::Sum(
-            vec![
-                Component::Product(vec![sv(12.0, 0.6), sv(5.0, 1.0)], Dependence::Unrelated),
-                Component::Quotient(
-                    Box::new(Component::point(1.0)),
-                    Box::new(sv(0.48, 0.05)),
-                    Dependence::Unrelated,
-                ),
-                sv(3.0, 0.4),
-            ],
-            Dependence::Unrelated,
-        );
-        // Span several chunks plus a ragged tail.
-        let n = 2 * MC_CHUNK + 771;
-        // One thread maps the chunks inline on the caller: the sequential run.
-        let reference = monte_carlo_par(&tree, n, 13, 1);
-        for threads in [2, 4, 8] {
-            let par = monte_carlo_par(&tree, n, 13, threads);
-            assert_eq!(
-                par.summary.mean().to_bits(),
-                reference.summary.mean().to_bits(),
-                "mean, threads={threads}"
-            );
-            assert_eq!(
-                par.summary.half_width().to_bits(),
-                reference.summary.half_width().to_bits(),
-                "half-width, threads={threads}"
-            );
-            assert_eq!(
-                par.skewness.to_bits(),
-                reference.skewness.to_bits(),
-                "skewness, threads={threads}"
-            );
-            assert_eq!(
-                par.closed_form_coverage.to_bits(),
-                reference.closed_form_coverage.to_bits(),
-                "coverage, threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_estimates_the_same_distribution_as_single_stream() {
-        // Different streams, same law: the chunked estimator must agree
-        // with the single-stream path to Monte-Carlo accuracy.
-        let c = Component::Sum(
-            vec![sv(12.0, 0.6), sv(5.0, 1.0), sv(3.0, 0.4)],
-            Dependence::Unrelated,
-        );
-        let serial = monte_carlo(&c, 100_000, 1);
-        let par = monte_carlo_par(&c, 100_000, 1, 0);
-        assert!((serial.summary.mean() - par.summary.mean()).abs() < 0.02);
-        assert!((serial.summary.half_width() - par.summary.half_width()).abs() < 0.02);
-        assert!((serial.closed_form_coverage - par.closed_form_coverage).abs() < 0.01);
     }
 }

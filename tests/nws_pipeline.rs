@@ -32,13 +32,7 @@ fn spread_policies_order_by_conservatism() {
     ]
     .into_iter()
     .map(|spread| {
-        let nws = NwsService::attach(
-            &platform,
-            NwsConfig {
-                spread,
-                ..Default::default()
-            },
-        );
+        let nws = NwsService::attach(&platform, NwsConfig { spread });
         nws.advance_to(&platform, 3000.0);
         nws.cpu_stochastic(0).unwrap().half_width()
     })

@@ -2,8 +2,7 @@
 //! real multithreaded, and the performance model's element accounting.
 
 use prodpred_sor::{
-    optimal_omega, partition_equal, partition_rows, solve_parallel_strips, solve_seq, Grid,
-    SorParams,
+    partition_equal, partition_rows, solve_parallel_strips, solve_seq, Grid, SorParams,
 };
 
 #[test]
@@ -36,16 +35,14 @@ fn heterogeneous_weighted_strips_preserve_numerics() {
 #[test]
 fn converged_solution_satisfies_discrete_laplace() {
     let n = 33;
+    let params = SorParams::for_grid(n, 600);
+    let mut seq = Grid::laplace_problem(n);
+    let residuals = solve_seq(&mut seq, params);
     let mut g = Grid::laplace_problem(n);
-    solve_parallel_strips(
-        &mut g,
-        SorParams {
-            omega: optimal_omega(n),
-            iterations: 600,
-        },
-        &partition_equal(n - 2, 4),
-    );
-    assert!(g.max_residual() < 1e-10);
+    solve_parallel_strips(&mut g, params, &partition_equal(n - 2, 4));
+    // Bit for bit the sequential grid, so its last residual is this one's.
+    assert_eq!(g.max_diff(&seq), 0.0);
+    assert!(residuals[params.iterations - 1] < 1e-10);
     // Boundary intact.
     assert_eq!(g.get(0, n / 2), 1.0);
     assert_eq!(g.get(n - 1, n / 2), 0.0);
