@@ -194,3 +194,80 @@ pub fn serve(core: Arc<ServiceCore>, config: &ShellConfig) -> std::io::Result<Sh
 // Worker threads exit via channel disconnect rather than the shutdown
 // flag: the accept thread owns the sender and drops it when told to
 // stop, so no request accepted before shutdown is ever dropped.
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::{PredictResponse, ServiceConfig};
+    use std::time::Instant;
+
+    /// One blocking GET over a fresh connection, read to the server's
+    /// close: `(status, head, body)`.
+    fn get(addr: SocketAddr, target: &str) -> (u16, String, String) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(stream, "GET {target} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        let (head, body) = response.split_once("\r\n\r\n").unwrap();
+        let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+        (status, head.to_string(), body.to_string())
+    }
+
+    /// The value of header `name` in a response head.
+    fn header<'a>(head: &'a str, name: &str) -> Option<&'a str> {
+        head.lines()
+            .filter_map(|line| line.split_once(": "))
+            .find(|(key, _)| key.eq_ignore_ascii_case(name))
+            .map(|(_, value)| value)
+    }
+
+    #[test]
+    fn serves_over_loopback_and_shuts_down_within_a_tick() {
+        let core = Arc::new(ServiceCore::new(ServiceConfig {
+            seed: 7,
+            horizon: 2000.0,
+            warmup: 300.0,
+            ..ServiceConfig::default()
+        }));
+        let config = ShellConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 2,
+            tick_millis: 50,
+        };
+        let mut handle = serve(core, &config).unwrap();
+        let addr = handle.addr();
+        assert!(addr.ip().is_loopback() && addr.port() != 0, "{addr}");
+
+        let (status, head, body) = get(addr, "/predict?platform=2&n=1600&procs=4");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(
+            header(&head, "Content-Length").map(str::parse::<usize>),
+            Some(Ok(body.len())),
+            "{head}"
+        );
+        let answer: PredictResponse = serde_json::from_str(&body).unwrap();
+        assert_eq!((answer.platform, answer.n, answer.procs), (2, 1600, 4));
+        assert!(
+            answer.lo <= answer.mean && answer.mean <= answer.hi,
+            "{} <= {} <= {}",
+            answer.lo,
+            answer.mean,
+            answer.hi
+        );
+
+        let (status, _, body) = get(addr, "/nope");
+        assert_eq!(status, 404, "{body}");
+
+        // The ingest thread sleeps one tick between checks of the latch
+        // and the workers poll their channel every 100 ms, so every join
+        // returns within a tick and a second.
+        let started = Instant::now();
+        handle.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(config.tick_millis + 1000),
+            "shutdown took {took:?}"
+        );
+        assert!(handle.threads.is_empty(), "every thread joined");
+    }
+}
