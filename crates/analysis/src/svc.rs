@@ -52,10 +52,10 @@
 //! ## Conformance
 //!
 //! The model would prove nothing if it drifted from the implementation,
-//! so [`replay`] walks any explored schedule step-for-step against a
-//! [`ServingHarness`] — the trait the real
+//! so this module's unit tests (`src/tests/svc_conformance.rs`) walk
+//! explored schedules step-for-step against a harness that the real
 //! `EpochSwap`/`EpochCache`/`Admission` implement through their public
-//! entry points — asserting at every step that the implementation
+//! entry points, asserting at every step that the implementation
 //! observes exactly what the model predicts (published epochs, loaded
 //! pairs, hit/miss, token grants).
 
@@ -160,8 +160,7 @@ struct Reader {
 
 /// Global model state: fully explicit, hashable, fixed-size.
 #[derive(Clone, PartialEq, Eq, Hash)]
-// tidy:allow(PP011): the State of Svc's TransitionSystem impl, which the svc_conformance floor test replays
-pub struct SvcState {
+pub(crate) struct SvcState {
     /// The `EpochSwap`'s published epoch (its value is that epoch's
     /// snapshot); 0 before the first publish.
     published: u8,
@@ -176,7 +175,7 @@ pub struct SvcState {
 
 /// One scheduling choice: which thread executes its next step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
+pub(crate) enum Action {
     /// The writer publishes the next epoch.
     Writer,
     /// The bump task of this epoch sweeps its next shard.
@@ -186,9 +185,8 @@ pub enum Action {
 }
 
 /// The serving-path transition system. Construct via [`Svc::new`], then
-/// explore with the [`mc`] kernel or the [`check`]/[`replay`] drivers.
-// tidy:allow(PP011): oracle for EpochCache and EpochSwap, replayed by tests/svc_conformance.rs
-pub struct Svc {
+/// explore with the [`mc`] kernel or the [`check`] driver.
+pub(crate) struct Svc {
     config: SvcConfig,
 }
 
@@ -199,7 +197,7 @@ impl Svc {
     ///
     /// Panics if a bound is outside its documented range — a
     /// configuration error, not a model failure.
-    pub fn new(config: SvcConfig) -> Self {
+    pub(crate) fn new(config: SvcConfig) -> Self {
         assert!(
             (1..=MAX_READERS).contains(&config.readers),
             "readers must be 1..={MAX_READERS}"
@@ -452,126 +450,15 @@ pub fn minimal_counterexample(config: SvcConfig) -> Option<Violation> {
     mc::shortest_violation(&sys, &mc::Budget::default(), |s| sys.check_terminal(s))
 }
 
-/// Harvests up to `limit` explored initial-to-terminal schedules for
-/// conformance replay.
-pub fn schedules(config: SvcConfig, limit: usize) -> Vec<Vec<Action>> {
-    mc::collect_schedules(&Svc::new(config), limit)
-}
-
-/// The trait-level instrumentation hook the conformance layer drives.
-///
-/// Each method is one model step; the real
-/// `EpochSwap`/`EpochCache`/`Admission` implement it through their
-/// entry points (`publish`, `load`, `get`, `insert`, `sweep_shard`,
-/// `take_token`), and [`replay`] asserts after every step that the
-/// implementation observed exactly what the model predicts.
-pub trait ServingHarness {
-    /// Publish the value `epoch` and refill miss tokens; returns the
-    /// epoch the implementation assigned.
-    fn publish(&mut self, epoch: u64) -> u64;
-    /// Load the published `(epoch, value)` pair.
-    fn load(&mut self) -> Option<(u64, u64)>;
-    /// Probe `shard` at `epoch`; `Some(value)` on a hit.
-    fn probe(&mut self, shard: usize, epoch: u64) -> Option<u64>;
-    /// Take a miss token; false = shed.
-    fn take_token(&mut self) -> bool;
-    /// Insert the epoch-tagged value into `shard` under its lock.
-    fn insert(&mut self, shard: usize, epoch: u64);
-    /// Sweep one shard forward to `epoch` under its lock.
-    fn sweep_shard(&mut self, shard: usize, epoch: u64);
-}
-
-/// Replays `schedule` step-for-step against `harness`, walking the
-/// model alongside and asserting at every step that the implementation
-/// agrees with the model's prediction: published epochs, loaded pairs,
-/// hit/miss outcomes, hit values, and token grants. Use
-/// [`Variant::Correct`] configs — the point is to pin the
-/// *implementation* to the *proved* model.
-///
-/// # Errors
-///
-/// Returns the first disagreement (or model-level violation) rendered
-/// as a human-readable message.
-pub fn replay<H: ServingHarness>(
-    config: SvcConfig,
-    schedule: &[Action],
-    harness: &mut H,
-) -> Result<(), String> {
-    let sys = Svc::new(config);
-    let mut state = sys.initial();
-    for (i, &action) in schedule.iter().enumerate() {
-        let step = sys.describe(&state, action);
-        match action {
-            Action::Writer => {
-                let epoch = u64::from(state.published) + 1;
-                let got = harness.publish(epoch);
-                if got != epoch {
-                    return Err(format!(
-                        "conformance step {i} [{step}]: published epoch {got}, model predicts {epoch}"
-                    ));
-                }
-            }
-            Action::Bumper(e) => {
-                harness.sweep_shard(state.bump[e as usize - 1] as usize, u64::from(e));
-            }
-            Action::Reader(r) => {
-                let rd = state.readers[r as usize];
-                match rd.pc {
-                    Rpc::Load => {
-                        let e = u64::from(state.published);
-                        let got = harness.load();
-                        if got != Some((e, e)) {
-                            return Err(format!(
-                                "conformance step {i} [{step}]: loaded {got:?}, model predicts ({e}, {e})"
-                            ));
-                        }
-                    }
-                    Rpc::Probe => {
-                        let sh = state.shards[rd.qi as usize];
-                        let model_hit = sh.epoch == rd.e && sh.entry != 0;
-                        let got = harness.probe(rd.qi as usize, u64::from(rd.e));
-                        if got.is_some() != model_hit {
-                            return Err(format!(
-                                "conformance step {i} [{step}]: hit={}, model predicts {model_hit}",
-                                got.is_some()
-                            ));
-                        }
-                        if let Some(v) = got {
-                            if v != u64::from(sh.entry) {
-                                return Err(format!(
-                                    "conformance step {i} [{step}]: hit value from epoch {v}, model predicts {}",
-                                    sh.entry
-                                ));
-                            }
-                        }
-                    }
-                    Rpc::AdmitToken => {
-                        let model_grants = state.tokens != 0;
-                        let got = harness.take_token();
-                        if got != model_grants {
-                            return Err(format!(
-                                "conformance step {i} [{step}]: take_token={got}, model predicts {model_grants}"
-                            ));
-                        }
-                    }
-                    Rpc::Insert => harness.insert(rd.qi as usize, u64::from(rd.e)),
-                    Rpc::Done => {
-                        return Err(format!(
-                            "conformance step {i}: schedule drives a finished reader {r}"
-                        ))
-                    }
-                }
-            }
-        }
-        state = sys
-            .apply(&state, action)
-            .map_err(|v| format!("conformance step {i} [{step}]: model violation: {v}"))?;
-    }
-    Ok(())
-}
+/// The conformance harness: the real serving stack replayed against the
+/// model.
+#[cfg(test)]
+#[path = "tests/svc_conformance.rs"]
+mod conformance;
 
 #[cfg(test)]
 mod tests {
+    use super::conformance::{replay, schedules, ServingHarness};
     use super::*;
 
     #[test]
@@ -618,8 +505,7 @@ mod tests {
 
     /// A faithful shadow implementation of the harness: replays the
     /// model semantics with plain fields, pinning the replay driver's
-    /// predictions (the real-types harness lives in the workspace test
-    /// suite, which depends on `prodpred-service`).
+    /// predictions (the real-types harness is the `conformance` module's).
     struct Shadow {
         config: SvcConfig,
         published: u64,

@@ -5,7 +5,6 @@
 
 use crate::predictor::{predict_dedicated, Prediction, PredictorConfig, SorPredictor};
 use crate::scheduler::{decompose, DecompositionPolicy};
-use crate::supervisor::{RecoveryStats, RetryPolicy, Supervisor};
 use prodpred_nws::{NwsConfig, NwsService};
 use prodpred_simgrid::faults::{FaultConfig, FaultPlan, LoadStorm};
 use prodpred_simgrid::{GrowingPlatform, MachineClass, Platform};
@@ -128,78 +127,15 @@ pub struct FaultedSeries {
 /// sensor poll and work integral reads the trace's held last value, not
 /// generated load (`load_samples` stops at the horizon). The preset
 /// constructors ([`platform1_experiment`] and its siblings) are the
-/// callers that never get there: their platform grows with the clock. The
-/// same holds for [`run_series_faulted`] and [`run_series_supervised`].
+/// callers that never get there: their platform grows with the clock.
 pub fn run_series(
     platform: &Platform,
     sizes: &[usize],
     cfg: &ExperimentConfig,
     watched_machine: usize,
 ) -> ExperimentSeries {
-    let mut none = unsupervised(platform);
     let mut fixed = platform;
-    run_series_inner(&mut fixed, sizes, cfg, watched_machine, None, &mut none).series
-}
-
-/// Like [`run_series`], but every sensor poll is routed through `plan`
-/// (the platform is expected to already carry the plan's load storms —
-/// see [`FaultPlan::apply_storms`]) and the predictor should normally be
-/// configured `staleness_aware`. Runs whose prediction cannot be issued
-/// at all (every in-use sensor history empty) are skipped and counted,
-/// not panicked on.
-// tidy:allow(PP011): oracle for the growing faulted presets, in tests/horizon_oracle.rs
-pub fn run_series_faulted(
-    platform: &Platform,
-    sizes: &[usize],
-    cfg: &ExperimentConfig,
-    watched_machine: usize,
-    plan: FaultPlan,
-) -> FaultedSeries {
-    let mut none = unsupervised(platform);
-    let run = run_series_supervised(platform, sizes, cfg, watched_machine, plan, &mut none);
-    without_recovery(run)
-}
-
-/// A fault-injected series run under a [`Supervisor`]: recovery
-/// accounting rides alongside the degradation accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-// tidy:allow(PP011): what platform2_experiment_supervised returns; tests/horizon_oracle.rs compares it
-pub struct SupervisedSeries {
-    /// The predicted-vs-actual records (abandoned runs excluded).
-    pub series: ExperimentSeries,
-    /// How degraded the measurement substrate and query service were.
-    pub stats: DegradationStats,
-    /// What the supervisor did about it.
-    pub recovery: RecoveryStats,
-}
-
-/// Like [`run_series_faulted`], but prediction failures are *supervised*
-/// instead of immediately skipped: a run whose prediction cannot be
-/// issued (e.g. every sensor inside a blackout) is retried under the
-/// supervisor's [`RetryPolicy`], with
-/// each deterministic backoff advancing the simulated clock — so an
-/// outage shorter than the backoff budget delays the run instead of
-/// losing it. Per-machine diagnostic queries route through the
-/// supervisor's circuit breakers: a machine whose sensor keeps failing
-/// is short-circuited (counted as degraded) until its cooldown elapses.
-// tidy:allow(PP011): oracle for platform2_experiment_supervised's growing series, in tests/horizon_oracle.rs
-pub fn run_series_supervised(
-    platform: &Platform,
-    sizes: &[usize],
-    cfg: &ExperimentConfig,
-    watched_machine: usize,
-    plan: FaultPlan,
-    supervisor: &mut Supervisor,
-) -> SupervisedSeries {
-    let mut fixed = platform;
-    run_series_inner(
-        &mut fixed,
-        sizes,
-        cfg,
-        watched_machine,
-        Some(plan),
-        supervisor,
-    )
+    run_series_inner(&mut fixed, sizes, cfg, watched_machine, None).series
 }
 
 /// The platform a series reads, and how it keeps ahead of the series
@@ -233,24 +169,13 @@ impl SeriesPlatform for GrowingPlatform {
     }
 }
 
-/// The supervisor of the series that have none, whatever their platform:
-/// without breakers every query is allowed, and without retries
-/// `retry_timed` is one attempt.
-fn unsupervised(_: &Platform) -> Supervisor {
-    Supervisor::new(RetryPolicy::none())
-}
-
-/// A series run under [`unsupervised`] has no recovery to account for.
-fn without_recovery(series: SupervisedSeries) -> FaultedSeries {
-    FaultedSeries {
-        series: series.series,
-        stats: series.stats,
-    }
-}
-
-/// The one series runner. A healthy series is the faulted one with no
-/// plan: no diagnostic queries, and a prediction that cannot be issued is
-/// a bug, not an outage.
+/// The one series runner. A faulted series routes every sensor poll
+/// through its plan (the platform is expected to already carry the plan's
+/// load storms — see [`FaultPlan::apply_storms`]), counts a diagnostic
+/// query per in-use machine, and skips and counts a run whose prediction
+/// cannot be issued at all (every in-use sensor history empty). A healthy
+/// series is the faulted one with no plan: no diagnostic queries, and a
+/// prediction that cannot be issued is a bug, not an outage.
 ///
 /// A growing platform is covered before every read: up to the clock before
 /// each sensor advance, up to the prediction's own `mean + 2σ` before each
@@ -264,8 +189,7 @@ fn run_series_inner(
     cfg: &ExperimentConfig,
     watched_machine: usize,
     plan: Option<FaultPlan>,
-    supervisor: &mut Supervisor,
-) -> SupervisedSeries {
+) -> FaultedSeries {
     assert!(!sizes.is_empty(), "need at least one run");
     assert!(watched_machine < ground.platform().machines.len());
     let faulted = plan.is_some();
@@ -288,15 +212,7 @@ fn run_series_inner(
         if faulted {
             for i in 0..strips.len() {
                 stats.queries += 1;
-                if !supervisor.query_allowed(i, t) {
-                    // Open breaker: the sensor is known-bad, answer straight
-                    // from the degraded path without poking it again.
-                    stats.degraded_queries += 1;
-                    continue;
-                }
-                let query = nws.cpu_query(i);
-                supervisor.record_query_outcome(i, t, query.is_ok());
-                match query {
+                match nws.cpu_query(i) {
                     Ok(q) => {
                         if q.degraded {
                             stats.degraded_queries += 1;
@@ -308,22 +224,13 @@ fn run_series_inner(
                 }
             }
         }
-        let predicted = supervisor.retry_timed(&mut t, |attempt, now| {
-            if attempt > 0 {
-                // Backoff moved the clock: let the sensors poll up to
-                // `now` before asking again.
-                ground.cover(now);
-                nws.advance_to(ground.platform(), now);
-            }
-            SorPredictor::try_new(ground.platform(), &nws, predictor_cfg)
-                .and_then(|p| p.try_predict(n, &strips))
-        });
+        let predicted = SorPredictor::try_new(ground.platform(), &nws, predictor_cfg)
+            .and_then(|p| p.try_predict(n, &strips));
         let prediction = match predicted {
             Ok(p) => p,
             Err(_) if faulted => {
-                // Nothing to predict from, and the retry budget (if any)
-                // ran out inside the outage. Skip the run rather than
-                // panic; the study counts it.
+                // Nothing to predict from: skip the run rather than panic;
+                // the study counts it.
                 stats.skipped_runs += 1;
                 t += cfg.gap_secs;
                 continue;
@@ -365,14 +272,13 @@ fn run_series_inner(
         platform.machines[watched_machine]
             .load
             .sample_every(0.0, t.min(platform.horizon), 5.0);
-    SupervisedSeries {
+    FaultedSeries {
         series: ExperimentSeries {
             records,
             load_samples,
             watched_machine,
         },
         stats,
-        recovery: supervisor.stats(),
     }
 }
 
@@ -430,8 +336,7 @@ pub fn dedicated_check(sizes: &[usize], iterations: usize) -> Vec<DedicatedCheck
 }
 
 /// Runs a preset series on a platform that grows with its clock
-/// (`grow(cfg.seed, storms)`, under the plan's load storms if any), with
-/// the supervisor `supervise` builds.
+/// (`grow(cfg.seed, storms)`, under the plan's load storms if any).
 ///
 /// The result is the series of an unbounded platform, bit for bit: the
 /// grown platform is the platform generated in one go (see
@@ -444,14 +349,12 @@ fn on_growing_platform(
     sizes: &[usize],
     cfg: &ExperimentConfig,
     plan: Option<&FaultPlan>,
-    supervise: impl Fn(&Platform) -> Supervisor,
-) -> SupervisedSeries {
+) -> FaultedSeries {
     let storms = plan.map_or(&[][..], |plan| &plan.config().storms);
     let mut platform = grow(cfg.seed, storms);
-    let mut supervisor = supervise(platform.platform());
     // Watch machine 0. On Platform 1 that is a Sparc-2: "the load of the
     // (consistently) slowest machine".
-    run_series_inner(&mut platform, sizes, cfg, 0, plan.cloned(), &mut supervisor)
+    run_series_inner(&mut platform, sizes, cfg, 0, plan.cloned())
 }
 
 /// The Platform-1 experiment (Figures 8–9): single-mode load, a sweep of
@@ -461,7 +364,7 @@ pub fn platform1_experiment(seed: u64, sizes: &[usize]) -> ExperimentSeries {
         seed,
         ..Default::default()
     };
-    on_growing_platform(GrowingPlatform::platform1, sizes, &cfg, None, unsupervised).series
+    on_growing_platform(GrowingPlatform::platform1, sizes, &cfg, None).series
 }
 
 /// The Platform-2 experiment (Figures 12–17): bursty 4-modal load,
@@ -474,7 +377,7 @@ pub fn platform2_experiment(seed: u64, n: usize, runs: usize) -> ExperimentSerie
         ..Default::default()
     };
     let sizes = vec![n; runs];
-    on_growing_platform(GrowingPlatform::platform2, &sizes, &cfg, None, unsupervised).series
+    on_growing_platform(GrowingPlatform::platform2, &sizes, &cfg, None).series
 }
 
 /// Shared setup of the fault-injected experiments: a plan whose load
@@ -494,25 +397,19 @@ fn faulted_config(seed: u64, faults: &FaultConfig) -> (FaultPlan, ExperimentConf
 /// [`platform1_experiment`], but sensors miss/delay/corrupt polls per
 /// `faults`, load storms perturb the ground truth, and predictions flow
 /// through the degradation-aware query chain.
-// tidy:allow(PP011): the faulted preset sweep runs; tests/horizon_oracle.rs checks it against its oracle
-pub fn platform1_experiment_with_faults(
+pub(crate) fn platform1_experiment_with_faults(
     seed: u64,
     sizes: &[usize],
     faults: &FaultConfig,
 ) -> FaultedSeries {
     let (plan, cfg) = faulted_config(seed, faults);
-    let run = on_growing_platform(
-        GrowingPlatform::platform1,
-        sizes,
-        &cfg,
-        Some(&plan),
-        unsupervised,
-    );
-    without_recovery(run)
+    on_growing_platform(GrowingPlatform::platform1, sizes, &cfg, Some(&plan))
 }
 
-/// The Platform-2 experiment under fault injection; see
-/// [`platform1_experiment_with_faults`].
+/// The Platform-2 experiment under fault injection: the repeated runs of
+/// [`platform2_experiment`], but sensors miss/delay/corrupt polls per
+/// `faults`, load storms perturb the ground truth, and predictions flow
+/// through the degradation-aware query chain.
 pub fn platform2_experiment_with_faults(
     seed: u64,
     n: usize,
@@ -523,40 +420,13 @@ pub fn platform2_experiment_with_faults(
     let (plan, mut cfg) = faulted_config(seed, faults);
     cfg.gap_secs = 20.0;
     let sizes = vec![n; runs];
-    let run = on_growing_platform(
-        GrowingPlatform::platform2,
-        &sizes,
-        &cfg,
-        Some(&plan),
-        unsupervised,
-    );
-    without_recovery(run)
+    on_growing_platform(GrowingPlatform::platform2, &sizes, &cfg, Some(&plan))
 }
 
-/// The Platform-2 fault-injected experiment run under a supervisor: the
-/// setup of [`platform2_experiment_with_faults`] plus bounded prediction
-/// retries and a per-machine circuit breaker (3 consecutive sensor
-/// failures open it for two minutes of simulated time).
-// tidy:allow(PP011): the supervised preset; tests/horizon_oracle.rs, tests/chaos_recovery.rs and tests/determinism.rs check it
-pub fn platform2_experiment_supervised(
-    seed: u64,
-    n: usize,
-    runs: usize,
-    faults: &FaultConfig,
-    retry: RetryPolicy,
-) -> SupervisedSeries {
-    assert!(runs > 0);
-    let (plan, mut cfg) = faulted_config(seed, faults);
-    cfg.gap_secs = 20.0;
-    let sizes = vec![n; runs];
-    on_growing_platform(
-        GrowingPlatform::platform2,
-        &sizes,
-        &cfg,
-        Some(&plan),
-        |platform| Supervisor::new(retry).with_breakers(platform.machines.len(), 3, 120.0),
-    )
-}
+/// The fixed-horizon oracle of the growing presets, and their digest pin.
+#[cfg(test)]
+#[path = "tests/horizon_oracle.rs"]
+mod horizon_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -652,85 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn supervised_series_retries_through_a_blackout() {
-        // Blackout [0, 500] swallows the warmup: at t=300 every sensor
-        // history is empty, so the unsupervised harness loses the run.
-        let mut faults = FaultConfig::none(41);
-        faults.blackouts.push((0.0, 500.0));
-        let unsupervised = platform2_experiment_with_faults(41, 1000, 3, &faults);
-        assert!(
-            unsupervised.stats.skipped_runs >= 1,
-            "blackout should cost the unsupervised harness at least one run"
-        );
-
-        // A retry budget whose backoffs outlast the blackout recovers it:
-        // 60 + 120 + 240 s (zero jitter) pushes the clock past t=500.
-        let retry = RetryPolicy {
-            max_retries: 3,
-            base_backoff_secs: 60.0,
-            backoff_factor: 2.0,
-            max_backoff_secs: 600.0,
-            jitter_fraction: 0.0,
-            seed: 41,
-        };
-        let supervised = platform2_experiment_supervised(41, 1000, 3, &faults, retry);
-        assert_eq!(
-            supervised.stats.skipped_runs, 0,
-            "retries must save the run"
-        );
-        assert_eq!(supervised.series.records.len(), 3);
-        assert!(supervised.recovery.retries >= 1);
-        assert_eq!(supervised.recovery.recovered, 1);
-        assert_eq!(supervised.recovery.abandoned, 0);
-        assert!(supervised.recovery.backoff_secs >= 60.0);
-        // The first run waited out the blackout.
-        assert!(supervised.series.records[0].start > 500.0);
-    }
-
-    #[test]
-    fn supervised_series_is_deterministic() {
-        let faults = FaultConfig::with_intensity(43, 0.8);
-        let retry = RetryPolicy {
-            jitter_fraction: 0.25,
-            seed: 43,
-            ..Default::default()
-        };
-        let a = platform2_experiment_supervised(43, 1000, 4, &faults, retry);
-        let b = platform2_experiment_supervised(43, 1000, 4, &faults, retry);
-        assert_eq!(a.recovery, b.recovery);
-        assert_eq!(a.stats.degraded_queries, b.stats.degraded_queries);
-        assert_eq!(a.series.records.len(), b.series.records.len());
-        for (ra, rb) in a.series.records.iter().zip(&b.series.records) {
-            assert_eq!(ra.start.to_bits(), rb.start.to_bits());
-            assert_eq!(ra.actual_secs.to_bits(), rb.actual_secs.to_bits());
-            assert_eq!(
-                ra.prediction.stochastic.mean().to_bits(),
-                rb.prediction.stochastic.mean().to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn supervised_matches_faulted_when_nothing_fails() {
-        // With no faults and a healthy substrate the supervisor is pure
-        // bookkeeping: the series must be bit-identical to the faulted
-        // harness, with zero recovery activity.
-        let faults = FaultConfig::none(31);
-        let plain = platform2_experiment_with_faults(31, 1000, 4, &faults);
-        let supervised =
-            platform2_experiment_supervised(31, 1000, 4, &faults, RetryPolicy::default());
-        assert_eq!(supervised.recovery, RecoveryStats::default());
-        assert_eq!(supervised.series.records.len(), plain.series.records.len());
-        for (a, b) in supervised.series.records.iter().zip(&plain.series.records) {
-            assert_eq!(a.actual_secs.to_bits(), b.actual_secs.to_bits());
-            assert_eq!(
-                a.prediction.stochastic.mean().to_bits(),
-                b.prediction.stochastic.mean().to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn a_preset_series_generates_only_what_it_reads() {
         // The platform's horizon ends one step past the furthest time the
         // runner covered: the final clock, or a run's start plus its
@@ -749,9 +540,7 @@ mod tests {
                     ..Default::default()
                 };
                 let mut platform = grow(seed, &[]);
-                let mut none = Supervisor::new(RetryPolicy::none());
-                let series =
-                    run_series_inner(&mut platform, &sizes, &cfg, 0, None, &mut none).series;
+                let series = run_series_inner(&mut platform, &sizes, &cfg, 0, None).series;
                 let last = series.records.last().unwrap();
                 let end_clock = last.start + (last.actual_secs + gap_secs);
                 let reach = series

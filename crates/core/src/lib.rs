@@ -65,11 +65,6 @@ pub use experiment::{
     run_series, DedicatedCheck, DegradationStats, ExperimentConfig, ExperimentSeries,
     FaultedSeries, RunRecord,
 };
-// tidy:allow(PP011): the surface of tests/horizon_oracle.rs: the growing presets and their fixed-horizon oracles
-pub use experiment::{
-    platform1_experiment_with_faults, platform2_experiment_supervised, run_series_faulted,
-    run_series_supervised, SupervisedSeries,
-};
 pub use predictor::{
     predict_dedicated, LoadSource, LoadView, Prediction, PredictorConfig, PredictorError,
     SorPredictor,

@@ -9,12 +9,11 @@
 //!   `(seed, attempt)`, so two supervisors with the same seed back off
 //!   identically on any thread count.
 //! * [`CircuitBreaker`] — per-resource failure isolation: after
-//!   `threshold` consecutive query failures the breaker opens and the
-//!   predictor is routed straight to its staleness-aware fallback
-//!   without touching the failing sensor until a cooldown elapses
-//!   (half-open probe, then closed on success).
-//! * [`Supervisor`] — composes the two and accumulates
-//!   [`RecoveryStats`]; [`solve_supervised`] applies the same policy to
+//!   `threshold` consecutive failures the breaker opens and short-circuits
+//!   requests until a cooldown elapses (half-open probe, then closed on
+//!   success). The service's supervised ingest tick runs one per platform.
+//! * [`Supervisor`] — runs the retry policy over the simulated clock and
+//!   accumulates [`RecoveryStats`]; [`solve_supervised`] applies it to
 //!   a killed parallel SOR solve, resuming each retry from the last
 //!   [`Checkpoint`](prodpred_sor::Checkpoint) instead of iteration 0.
 //!
@@ -193,10 +192,6 @@ pub struct RecoveryStats {
     pub resumed_iterations_saved: u64,
     /// Checkpoints recorded by supervised solves.
     pub checkpoints_taken: u64,
-    /// Circuit-breaker trips (closed/half-open → open transitions).
-    pub breaker_trips: u64,
-    /// Requests short-circuited by an open breaker.
-    pub breaker_short_circuits: u64,
 }
 
 impl RecoveryStats {
@@ -208,69 +203,29 @@ impl RecoveryStats {
         self.abandoned += other.abandoned;
         self.resumed_iterations_saved += other.resumed_iterations_saved;
         self.checkpoints_taken += other.checkpoints_taken;
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_short_circuits += other.breaker_short_circuits;
     }
 }
 
 /// Supervises retryable operations: applies a [`RetryPolicy`] over the
-/// simulated clock, short-circuits per-resource failures through
-/// [`CircuitBreaker`]s, and accumulates [`RecoveryStats`].
+/// simulated clock and accumulates [`RecoveryStats`].
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     policy: RetryPolicy,
-    breakers: Vec<CircuitBreaker>,
     stats: RecoveryStats,
 }
 
 impl Supervisor {
-    /// A supervisor with no circuit breakers (every request allowed).
+    /// A supervisor with an empty account.
     pub fn new(policy: RetryPolicy) -> Self {
         Self {
             policy,
-            breakers: Vec::new(),
             stats: RecoveryStats::default(),
         }
-    }
-
-    /// Attaches one breaker per resource `0..resources`, each tripping
-    /// after `threshold` consecutive failures and cooling down for
-    /// `cooldown_secs`.
-    // tidy:allow(PP011): how platform2_experiment_supervised arms its breakers; tests/horizon_oracle.rs arms its oracle so
-    pub fn with_breakers(mut self, resources: usize, threshold: u32, cooldown_secs: f64) -> Self {
-        self.breakers = vec![CircuitBreaker::new(threshold, cooldown_secs); resources];
-        self
     }
 
     /// Accumulated recovery statistics.
     pub fn stats(&self) -> RecoveryStats {
         self.stats
-    }
-
-    /// Whether a query against `resource` at simulated time `t` should
-    /// be attempted. Resources without a configured breaker are always
-    /// allowed; a short-circuit is counted in the stats.
-    pub(crate) fn query_allowed(&mut self, resource: usize, t: f64) -> bool {
-        let Some(b) = self.breakers.get_mut(resource) else {
-            return true;
-        };
-        if b.allows(t) {
-            return true;
-        }
-        self.stats.breaker_short_circuits += 1;
-        false
-    }
-
-    /// Feeds a query outcome for `resource` at simulated time `t` into
-    /// its breaker (no-op if none is configured).
-    pub(crate) fn record_query_outcome(&mut self, resource: usize, t: f64, ok: bool) {
-        if let Some(b) = self.breakers.get_mut(resource) {
-            if ok {
-                b.record_success();
-            } else if b.record_failure(t) {
-                self.stats.breaker_trips += 1;
-            }
-        }
     }
 
     /// Runs `op` under the retry policy, advancing `clock` by each
@@ -607,23 +562,6 @@ mod tests {
         assert_eq!(out, Err("still down"));
         assert_eq!(sup.stats().abandoned, 1);
         assert_eq!(sup.stats().retries, 5);
-    }
-
-    #[test]
-    fn supervisor_short_circuits_through_open_breakers() {
-        let mut sup = Supervisor::new(RetryPolicy::default()).with_breakers(2, 2, 100.0);
-        assert!(sup.query_allowed(0, 0.0));
-        sup.record_query_outcome(0, 0.0, false);
-        sup.record_query_outcome(0, 1.0, false);
-        assert_eq!(sup.stats().breaker_trips, 1);
-        assert!(!sup.query_allowed(0, 2.0), "resource 0 is open");
-        assert!(sup.query_allowed(1, 2.0), "resource 1 untouched");
-        assert!(sup.query_allowed(2, 2.0), "no breaker configured");
-        assert_eq!(sup.stats().breaker_short_circuits, 1);
-        // Cooldown over: probe goes through and a success closes it.
-        assert!(sup.query_allowed(0, 150.0));
-        sup.record_query_outcome(0, 150.0, true);
-        assert_eq!(sup.breakers[0].state(), BreakerState::Closed);
     }
 
     #[test]

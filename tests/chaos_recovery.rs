@@ -5,9 +5,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use prodpred_core::{platform2_experiment_supervised, solve_supervised, RetryPolicy};
+use prodpred_core::{solve_supervised, RetryPolicy};
 use prodpred_pool::parallel_map;
-use prodpred_simgrid::faults::{mix, FaultConfig, FaultSchedule, WorkerDeath};
+use prodpred_simgrid::faults::{mix, FaultSchedule, WorkerDeath};
 use prodpred_sor::{
     partition_equal, solve_seq, BlockLayout, CheckpointPolicy, Decomposition, ExchangePolicy, Grid,
     SolveError, SorParams,
@@ -180,33 +180,6 @@ fn mini_campaign_is_deterministic_across_pool_widths_with_zero_panics() {
         run(4),
         "campaign digest must not depend on pool width"
     );
-}
-
-#[test]
-fn supervised_experiment_rides_through_a_blackout() {
-    // A blackout swallowing the NWS warmup: at the first run every
-    // sensor history is still empty, so the unsupervised harness would
-    // skip the run, while the supervisor's backoff walks the clock past
-    // the outage and completes the series.
-    let mut faults = FaultConfig::none(23);
-    faults.blackouts.push((0.0, 500.0));
-    let retry = RetryPolicy {
-        max_retries: 4,
-        base_backoff_secs: 60.0,
-        jitter_fraction: 0.0,
-        ..RetryPolicy::default()
-    };
-    let out = platform2_experiment_supervised(23, 600, 4, &faults, retry);
-    assert_eq!(out.stats.skipped_runs, 0, "every run must complete");
-    assert_eq!(out.series.records.len(), 4);
-    assert!(
-        out.recovery.retries > 0,
-        "the blackout must force at least one retry"
-    );
-    for r in &out.series.records {
-        assert!(r.actual_secs.is_finite() && r.actual_secs > 0.0);
-        assert!(r.prediction.stochastic.mean().is_finite());
-    }
 }
 
 /// What the supervisor did about each schedule of a seeded campaign, over

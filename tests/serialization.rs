@@ -258,8 +258,6 @@ fn recovery_stats_round_trip() {
         abandoned: 1,
         resumed_iterations_saved: 1948,
         checkpoints_taken: 652,
-        breaker_trips: 3,
-        breaker_short_circuits: 11,
     };
     let json = serde_json::to_string(&stats).unwrap();
     let back: RecoveryStats = serde_json::from_str(&json).unwrap();
