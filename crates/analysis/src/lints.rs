@@ -5,7 +5,7 @@
 //!
 //! | code  | meaning |
 //! |-------|---------|
-//! | PP000 | `tidy:allow` without a justification (or malformed); a justified one that suppresses no finding (unfulfilled, as rustc's `#[expect]`); a PP011 allow whose reason cites a `.rs` path that is missing or never names the item |
+//! | PP000 | `tidy:allow` without a justification (or malformed); a justified one that suppresses no finding (unfulfilled, as rustc's `#[expect]`); any allow of PP011, which takes none |
 //! | PP001 | nondeterminism source (`Instant::now`, `thread_rng`, …) in a simulation/prediction path |
 //! | PP002 | iteration over a `HashMap`/`HashSet`, whose order can leak into results |
 //! | PP003 | `unwrap`/`expect` in non-test library code |
@@ -23,7 +23,8 @@
 //! suppressed by an inline `// tidy:allow(PPnnn): reason` on the same
 //! line or on comment lines directly above; the reason text is
 //! mandatory — an unjustified allow is itself a PP000 finding, and so is
-//! one that suppresses nothing.
+//! one that suppresses nothing. PP011 takes no allow: a test that needs an
+//! item moves into the item's crate instead.
 
 use crate::scan::{
     analyze_regions, find_word, has_word, is_ident_char, mask_source, MaskedLine, Regions,
@@ -298,8 +299,7 @@ const FENCES: [TokenFence; 7] = [
 
 /// Lints the workspace under `root`: every per-file lint over the files
 /// `workspace_files` lists, then PP011 across them and the read-only
-/// trees (with its stale-allow check), with `tidy:allow` suppressions
-/// applied. Returns the findings in
+/// trees, with `tidy:allow` suppressions applied. Returns the findings in
 /// (file, line, col, code) order. The `tidy` bin and the tier-1
 /// workspace test both call this, so they cannot drift apart.
 ///
@@ -325,8 +325,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
         .iter()
         .map(|f| file_findings(&f.rel, &f.lines, &f.regions))
         .collect();
-    for (fi, name, finding) in pp011(&files) {
-        per_file[fi].extend(stale_allows(&files, fi, finding.line, &name));
+    for (fi, finding) in pp011(&files) {
         per_file[fi].push(finding);
     }
     let mut findings: Vec<Finding> = files
@@ -846,52 +845,10 @@ fn attached_allows(lines: &[MaskedLine], lineno: usize) -> Vec<Allow> {
     out
 }
 
-/// PP000 for each justified PP011 allow on `name`'s declaration (1-based
-/// `line` of `files[fi]`) whose reason cites a `.rs` path that is no
-/// scanned file, or one whose masked code never names `name`: such an
-/// allow holds the item `pub` for a test that does not need it.
-fn stale_allows(files: &[Scanned], fi: usize, line: usize, name: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for allow in attached_allows(&files[fi].lines, line) {
-        if allow.code != "PP011" || !allow.justified() {
-            continue;
-        }
-        for path in cited_paths(&allow.reason) {
-            let problem = match files.iter().find(|f| f.rel == path) {
-                None => "which does not exist".to_string(),
-                Some(f) if !f.lines.iter().any(|l| has_word(&l.code, name)) => {
-                    format!("whose code never names `{name}`")
-                }
-                Some(_) => continue,
-            };
-            findings.push(Finding {
-                file: files[fi].rel.clone(),
-                line: allow.line,
-                col: allow.col,
-                code: "PP000",
-                message: format!(
-                    "stale PP011 allow: its reason cites `{path}`, {problem}; cite the test that names the item, or narrow it"
-                ),
-            });
-        }
-    }
-    findings
-}
-
-/// The `.rs` paths a reason cites, as written.
-fn cited_paths(reason: &str) -> impl Iterator<Item = &str> {
-    reason
-        .split_whitespace()
-        .map(|w| {
-            w.trim_matches(|c: char| !(is_ident_char(c) || c == '/' || c == '.'))
-                .trim_end_matches('.')
-        })
-        .filter(|w| w.ends_with(".rs"))
-}
-
 /// Applies `tidy:allow` suppressions in place and appends PP000 findings
-/// for unjustified or malformed allows, and, as rustc's `#[expect]`
-/// does, for justified ones that suppress nothing.
+/// for unjustified or malformed allows, for any allow of PP011 (which
+/// suppresses nothing), and, as rustc's `#[expect]` does, for justified
+/// ones that suppress nothing.
 fn apply_suppressions(file: &str, lines: &[MaskedLine], findings: &mut Vec<Finding>) {
     let mut fulfilled = Vec::new();
     findings.retain(|f| {
@@ -899,7 +856,7 @@ fn apply_suppressions(file: &str, lines: &[MaskedLine], findings: &mut Vec<Findi
         fulfilled.extend(
             attached_allows(lines, f.line)
                 .iter()
-                .filter(|a| a.justified() && a.code == f.code)
+                .filter(|a| a.justified() && a.code == f.code && a.code != "PP011")
                 .map(|a| (a.line, a.col)),
         );
         fulfilled.len() == before
@@ -907,7 +864,9 @@ fn apply_suppressions(file: &str, lines: &[MaskedLine], findings: &mut Vec<Findi
 
     for idx in 0..lines.len() {
         for a in line_allows(lines, idx) {
-            let message = if !a.justified() {
+            let message = if a.code == "PP011" {
+                "PP011 takes no allow; move the test that needs the item into its crate".to_string()
+            } else if !a.justified() {
                 "unjustified tidy:allow; write `tidy:allow(PPnnn): reason` with a non-empty reason"
                     .to_string()
             } else if !fulfilled.contains(&(a.line, a.col)) {
@@ -1014,6 +973,24 @@ mod tests {
         assert_eq!(
             codes(&lint_source("crates/x/src/a.rs", stray)),
             ["PP000"; 2]
+        );
+    }
+
+    #[test]
+    fn pp011_takes_no_allow() {
+        // The fence half of PP011 is per-file: the allow neither hides
+        // its finding nor passes as merely unfulfilled. (Split so that a
+        // grep for PP011 allows finds none here.)
+        let src = concat!(
+            "// tidy:allow",
+            "(PP011): a test needs it\n#[allow(dead_code)]\nfn hidden() {}\n"
+        );
+        let f = lint_source("crates/x/src/a.rs", src);
+        assert_eq!(codes(&f), ["PP000", "PP011"]);
+        assert!(
+            f[0].message.starts_with("PP011 takes no allow"),
+            "{}",
+            f[0].message
         );
     }
 

@@ -77,10 +77,9 @@ struct Decl {
     sig: Vec<String>,
 }
 
-/// Runs PP011 over every scanned file; returns unsuppressed findings
-/// (the caller applies `tidy:allow`), each with the index into `files` and
-/// the flagged item's name.
-pub(crate) fn pp011(files: &[Scanned]) -> Vec<(usize, String, Finding)> {
+/// Runs PP011 over every scanned file; returns its findings, each with
+/// the index into `files`. No `tidy:allow` suppresses one.
+pub(crate) fn pp011(files: &[Scanned]) -> Vec<(usize, Finding)> {
     let mut lib_tokens: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     let mut user_tokens: BTreeSet<&str> = BTreeSet::new();
     let mut decls = Vec::new();
@@ -142,7 +141,7 @@ pub(crate) fn pp011(files: &[Scanned]) -> Vec<(usize, String, Finding)> {
                     d.name
                 ),
             };
-            (d.file, d.name.clone(), finding)
+            (d.file, finding)
         })
         .collect()
 }
@@ -355,7 +354,11 @@ mod tests {
     }
 
     fn flagged(files: &[Scanned]) -> Vec<String> {
-        let mut names: Vec<String> = pp011(files).into_iter().map(|(_, n, _)| n).collect();
+        // The item's name is the message's second code span.
+        let mut names: Vec<String> = pp011(files)
+            .into_iter()
+            .map(|(_, f)| f.message.split('`').nth(3).unwrap_or_default().to_string())
+            .collect();
         names.sort();
         names
     }

@@ -53,25 +53,25 @@ pub fn in_comment_only() -> u32 {
     6
 }
 
-/// Kept public on purpose.
+/// A justified allow does not keep it public: PP011 takes none.
 // tidy:allow(PP011): fixture of a justified exception
 pub fn allowed() -> u32 {
     7
 }
 
-/// Kept public for the integration test that calls it.
+/// Nor does one for the integration test that calls it.
 // tidy:allow(PP011): oracle for by_beta, in crates/alpha/tests/it.rs
 pub fn held_by_test() -> u32 {
     8
 }
 
-/// Stale: the cited test names it only in a string and a comment.
+/// The cited test names it only in a string and a comment.
 // tidy:allow(PP011): oracle for by_beta, in crates/alpha/tests/it.rs
 pub fn named_in_a_string() -> u32 {
     9
 }
 
-/// Stale: the cited test is gone.
+/// The cited test is gone.
 // tidy:allow(PP011): oracle for by_beta, in crates/alpha/tests/gone.rs
 pub fn cited_test_gone() -> u32 {
     10
