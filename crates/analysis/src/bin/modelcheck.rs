@@ -7,8 +7,6 @@
 //! modelcheck                         full suite at 2 ranks x 2 half-iterations
 //! modelcheck --ranks 3 --halves 4    bigger configuration
 //! modelcheck --layout 2x2            exchange suite on a 2 x 2 grid of blocks
-//! modelcheck --kill R:H              one seeded kill variant only
-//! modelcheck --timeouts              healthy run with timeout transitions only
 //! modelcheck --ckpt                  checkpoint/resume recovery suite only
 //! modelcheck --svc                   serving-path (EpochSwap/EpochCache/Admission) suite
 //! modelcheck --svc --readers 3       bigger serving-path configuration
@@ -32,9 +30,10 @@
 //!    abstracts a solve segment to a barrier, so it has no topology and
 //!    runs with the chain suites only, not under `--layout`.
 //!
-//! The `--svc` suite explores the serving-path model at the chosen
-//! `--readers`/`--shards`/`--epochs` bounds (correct protocol, correct
-//! protocol under admission pressure, and a three-epoch horizon), then
+//! The `--svc` suite explores the serving-path model with `--readers`
+//! readers over two shards and two epochs (correct protocol, correct
+//! protocol under admission pressure), then over one shard and the
+//! model's three-epoch horizon, then
 //! runs the negative control: the model variant that drops the
 //! shard-lock epoch compare must produce a violation, printed with its
 //! minimal (BFS) counterexample trace.
@@ -57,19 +56,14 @@ struct Options {
     /// `--layout RxC`: a processor grid instead of the `ranks`-long chain.
     grid: Option<BlockLayout>,
     halves: usize,
-    kill: Option<WorkerDeath>,
-    timeouts_only: bool,
     ckpt_only: bool,
     svc_only: bool,
     readers: usize,
-    shards: usize,
-    epochs: usize,
     expect_states: Option<u64>,
 }
 
-const USAGE: &str =
-    "usage: modelcheck [--ranks N | --layout RxC] [--halves M] [--kill R:H] [--timeouts] [--ckpt] \
-                     [--svc] [--readers N] [--shards N] [--epochs N] [--expect-states N]";
+const USAGE: &str = "usage: modelcheck [--ranks N | --layout RxC] [--halves M] [--ckpt] \
+                     [--svc] [--readers N] [--expect-states N]";
 
 /// `Ok(None)` is a request for the usage text.
 fn parse_args() -> Result<Option<Options>, String> {
@@ -77,13 +71,9 @@ fn parse_args() -> Result<Option<Options>, String> {
         ranks: 2,
         grid: None,
         halves: 2,
-        kill: None,
-        timeouts_only: false,
         ckpt_only: false,
         svc_only: false,
         readers: 2,
-        shards: 2,
-        epochs: 2,
         expect_states: None,
     };
     let mut args = std::env::args().skip(1);
@@ -109,20 +99,9 @@ fn parse_args() -> Result<Option<Options>, String> {
                 opts.grid = Some(BlockLayout::new(dims.0, dims.1));
             }
             "--halves" => opts.halves = int(&mut args, "--halves")?,
-            "--kill" => {
-                let spec = args.next().ok_or("--kill needs RANK:HALF")?;
-                let (r, h) = spec.split_once(':').ok_or("--kill needs RANK:HALF")?;
-                opts.kill = Some(WorkerDeath {
-                    rank: r.parse().map_err(|_| "bad kill rank")?,
-                    at_half_iteration: h.parse().map_err(|_| "bad kill half")?,
-                });
-            }
-            "--timeouts" => opts.timeouts_only = true,
             "--ckpt" => opts.ckpt_only = true,
             "--svc" => opts.svc_only = true,
             "--readers" => opts.readers = int(&mut args, "--readers")?,
-            "--shards" => opts.shards = int(&mut args, "--shards")?,
-            "--epochs" => opts.epochs = int(&mut args, "--epochs")?,
             "--expect-states" => opts.expect_states = Some(int(&mut args, "--expect-states")?),
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -352,17 +331,14 @@ fn run_negative(config: SvcConfig, expected: &[&str], failures: &mut u32) -> u64
     states
 }
 
-/// The serving-path suite: the correct protocol at the requested bounds
-/// (plain, under admission pressure, and at a three-epoch horizon),
-/// then the negative control at fixed small bounds so the minimal trace
-/// stays short enough to read.
-fn svc_suite(readers: usize, shards: usize, epochs: usize, failures: &mut u32) -> u64 {
+/// The serving-path suite: the correct protocol with `readers` readers
+/// (two shards and two epochs, plain and under admission pressure; one
+/// shard at a three-epoch horizon), then the negative control at fixed
+/// small bounds so the minimal trace stays short enough to read.
+fn svc_suite(readers: usize, failures: &mut u32) -> u64 {
     let mut total = 0u64;
-    total += run_one_svc(SvcConfig::new(readers, shards, epochs), failures);
-    total += run_one_svc(
-        SvcConfig::new(readers, shards, epochs).with_admission(1),
-        failures,
-    );
+    total += run_one_svc(SvcConfig::new(readers, 2, 2), failures);
+    total += run_one_svc(SvcConfig::new(readers, 2, 2).with_admission(1), failures);
     // 3 epochs: readers load across the longest horizon the model holds.
     total += run_one_svc(SvcConfig::new(readers, 1, svc::MAX_EPOCHS), failures);
     // NoShardEpochCheck can surface either as the TOCTOU hit itself or as
@@ -419,32 +395,13 @@ fn main() -> ExitCode {
         },
     );
     if opts.svc_only {
-        total_states += svc_suite(opts.readers, opts.shards, opts.epochs, &mut failures);
+        total_states += svc_suite(opts.readers, &mut failures);
         suite = "the svc suite";
         proved = "serving-path snapshot, cache-epoch, and admission";
     } else if opts.ckpt_only {
         total_states += ckpt_suite(opts.ranks, opts.halves, &mut failures);
         suite = "the ckpt suite";
         proved = "checkpoint/resume convergence and consumed-death";
-    } else if let Some(kill) = opts.kill {
-        let report = run_one(
-            ModelConfig {
-                kill: Some(kill),
-                timeouts: opts.timeouts_only,
-                ..base
-            },
-            &mut failures,
-        );
-        total_states += report.stats.states;
-    } else if opts.timeouts_only {
-        let report = run_one(
-            ModelConfig {
-                timeouts: true,
-                ..base
-            },
-            &mut failures,
-        );
-        total_states += report.stats.states;
     } else {
         // The full suite.
         total_states += run_one(base, &mut failures).stats.states;

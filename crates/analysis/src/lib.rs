@@ -26,14 +26,15 @@
 //!   checkers above are built on: generic transition systems, canonical
 //!   state dedup with symmetry reduction, DFS with depth/state budgets,
 //!   counterexample trace reconstruction, minimal (BFS) counterexamples
-//!   for the negative-control suites, and schedule harvesting for
-//!   conformance replay.
+//!   for the negative-control suites, and (in tests) schedule harvesting
+//!   for conformance replay.
 //! * [`svc`] — the serving-path proof: an abstract model of the
 //!   `prodpred-service` shared state (`EpochSwap` publishes and loads,
 //!   `EpochCache` shard probes/inserts and `bump_to`'s per-shard sweeps,
 //!   admission token grants and sheds), explored across every interleaving
-//!   at small bounds, plus the conformance harness that replays
-//!   explored schedules against the real implementation. Run it via
+//!   at small bounds; its unit tests replay explored schedules against
+//!   the real implementation (`prodpred-service` is a dev-dependency).
+//!   Run it via
 //!   `cargo run -p prodpred-analysis --bin modelcheck -- --svc`.
 //!
 //! The two halves meet in the middle: the lints keep nondeterminism and

@@ -33,21 +33,9 @@ use crate::seq::SorParams;
 use prodpred_simgrid::faults::WorkerDeath;
 use serde::{Deserialize, Serialize};
 
-/// Format version stamped into every [`Checkpoint`]. Bumped whenever the
-/// snapshot layout changes; [`Checkpoint::restore`] refuses versions it
-/// does not understand.
-pub(crate) const CHECKPOINT_VERSION: u32 = 1;
-
 /// Typed failure of a checkpoint restore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The checkpoint was written by an incompatible format version.
-    VersionMismatch {
-        /// Version found in the checkpoint.
-        found: u32,
-        /// Version this build understands.
-        expected: u32,
-    },
     /// The checkpoint's grid dimension does not match the target grid.
     SizeMismatch {
         /// Dimension recorded in the checkpoint.
@@ -68,12 +56,6 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::VersionMismatch { found, expected } => {
-                write!(
-                    f,
-                    "checkpoint version {found} (this build reads {expected})"
-                )
-            }
             Self::SizeMismatch { found, expected } => {
                 write!(
                     f,
@@ -125,12 +107,10 @@ impl CheckpointPolicy {
     }
 }
 
-/// A versioned, self-contained snapshot of a solve: the grid plus the
-/// number of completed red+black iterations. Serde-serializable, so it
-/// can also be persisted out of process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A self-contained, in-memory snapshot of a solve: the grid plus the
+/// number of completed red+black iterations.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    version: u32,
     iteration: usize,
     grid: Grid,
 }
@@ -140,7 +120,6 @@ impl Checkpoint {
     /// iterations.
     pub(crate) fn capture(grid: &Grid, iteration: usize) -> Self {
         Self {
-            version: CHECKPOINT_VERSION,
             iteration,
             grid: grid.clone(),
         }
@@ -152,19 +131,13 @@ impl Checkpoint {
     }
 
     /// Copies the snapshotted state into `grid` after validating the
-    /// format version and grid dimension.
+    /// grid dimension.
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckpointError`] on a format-version or grid-dimension
-    /// mismatch; `grid` is untouched on error.
+    /// Returns a [`CheckpointError`] on a grid-dimension mismatch; `grid`
+    /// is untouched on error.
     pub(crate) fn restore(&self, grid: &mut Grid) -> Result<(), CheckpointError> {
-        if self.version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: self.version,
-                expected: CHECKPOINT_VERSION,
-            });
-        }
         if self.grid.n() != grid.n() {
             return Err(CheckpointError::SizeMismatch {
                 found: self.grid.n(),
@@ -536,51 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_serde_round_trip_resumes_exactly() {
-        let n = 19;
-        let iters = 12;
-        let params = SorParams::for_grid(n, iters);
-        let strips = Decomposition::strips(n, &partition_equal(n - 2, 2));
-        let reference = solved_seq(n, iters);
-
-        let mut g = Grid::laplace_problem(n);
-        let mut store = CheckpointStore::new();
-        try_solve_checkpointed(
-            &mut g,
-            SorParams {
-                omega: params.omega,
-                iterations: 8,
-            },
-            &strips,
-            &SolveOptions::reliable(),
-            CheckpointPolicy::every(4),
-            &mut store,
-        )
-        .unwrap();
-        // Persist the iteration-4 checkpoint through JSON and resume the
-        // full 12-iteration solve from it.
-        let json = serde_json::to_string(store.latest().unwrap()).unwrap();
-        let restored: Checkpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored.version, CHECKPOINT_VERSION);
-        assert_eq!(restored.iteration(), 4);
-
-        let mut resumed = Grid::laplace_problem(n);
-        let mut store2 = CheckpointStore::new();
-        resume_from(
-            &restored,
-            &mut resumed,
-            params,
-            &strips,
-            &SolveOptions::reliable(),
-            CheckpointPolicy::every(4),
-            &mut store2,
-        )
-        .unwrap();
-        assert_eq!(resumed.max_diff(&reference), 0.0);
-    }
-
-    #[test]
-    fn restore_rejects_wrong_version_and_size() {
+    fn restore_rejects_wrong_size() {
         let g = Grid::laplace_problem(9);
         let cp = Checkpoint::capture(&g, 3);
 
@@ -590,20 +519,6 @@ mod tests {
             Err(CheckpointError::SizeMismatch {
                 found: 9,
                 expected: 11,
-            })
-        );
-
-        // Forge a future-version checkpoint through serde.
-        let json = serde_json::to_string(&cp).unwrap();
-        let forged = json.replacen("\"version\":1", "\"version\":99", 1);
-        assert_ne!(json, forged, "expected the version field in the JSON");
-        let future: Checkpoint = serde_json::from_str(&forged).unwrap();
-        let mut target = Grid::laplace_problem(9);
-        assert_eq!(
-            future.restore(&mut target),
-            Err(CheckpointError::VersionMismatch {
-                found: 99,
-                expected: CHECKPOINT_VERSION,
             })
         );
     }

@@ -55,7 +55,7 @@ pub enum SolveError {
         rank: usize,
     },
     /// A resume was handed an unusable [`crate::checkpoint::Checkpoint`]
-    /// (wrong version, wrong grid size, or past the solve's end).
+    /// (wrong grid size, or past the solve's end).
     Checkpoint(crate::checkpoint::CheckpointError),
 }
 
