@@ -44,6 +44,12 @@ pub mod resilience;
 pub mod shell;
 pub mod swap;
 
+/// Every interleaving of the serving path, explored on the real
+/// `EpochSwap`, `EpochCache` and `Admission`.
+#[cfg(test)]
+#[path = "tests/explore.rs"]
+mod explore;
+
 pub use cache::{CacheConfig, CacheStats, EpochCache, QueryKey};
 pub use core::{
     PredictRequest, PredictResponse, ServiceConfig, ServiceCore, ServiceError, ServiceStats,
