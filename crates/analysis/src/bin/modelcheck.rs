@@ -1,15 +1,14 @@
 //! `modelcheck` — exhaustive exploration of the SOR ghost-exchange
-//! protocol (see `prodpred_analysis::model`), the checkpoint/resume
-//! recovery protocol (`prodpred_analysis::ckpt`), and the serving path
-//! (`prodpred_analysis::svc`).
+//! protocol (see `prodpred_analysis::model`) and the checkpoint/resume
+//! recovery protocol (`prodpred_analysis::ckpt`). The serving path is
+//! explored on its real types by `prodpred-service`'s tests
+//! (`cargo test -p prodpred-service --lib explore`).
 //!
 //! ```text
 //! modelcheck                         full suite at 2 ranks x 2 half-iterations
 //! modelcheck --ranks 3 --halves 4    bigger configuration
 //! modelcheck --layout 2x2            exchange suite on a 2 x 2 grid of blocks
 //! modelcheck --ckpt                  checkpoint/resume recovery suite only
-//! modelcheck --svc                   serving-path (EpochSwap/EpochCache/Admission) suite
-//! modelcheck --svc --readers 3       bigger serving-path configuration
 //! modelcheck --expect-states N       fail unless the suite explored exactly N states
 //! ```
 //!
@@ -30,14 +29,6 @@
 //!    abstracts a solve segment to a barrier, so it has no topology and
 //!    runs with the chain suites only, not under `--layout`.
 //!
-//! The `--svc` suite explores the serving-path model with `--readers`
-//! readers over two shards and two epochs (correct protocol, correct
-//! protocol under admission pressure), then over one shard and the
-//! model's three-epoch horizon, then
-//! runs the negative control: the model variant that drops the
-//! shard-lock epoch compare must produce a violation, printed with its
-//! minimal (BFS) counterexample trace.
-//!
 //! Exit code 0 means every property held over the full state space; the
 //! explored-state counts are printed per configuration. `--expect-states`
 //! turns silent model drift into a CI failure: the state count of a
@@ -46,7 +37,6 @@
 use prodpred_analysis::ckpt::{check_ckpt, CkptConfig, CkptReport, MAX_KILLS};
 use prodpred_analysis::mc::ExploreStats;
 use prodpred_analysis::model::{check, ModelConfig, Report};
-use prodpred_analysis::svc::{self, SvcConfig, SvcReport, Variant};
 use prodpred_simgrid::faults::WorkerDeath;
 use prodpred_sor::BlockLayout;
 use std::process::ExitCode;
@@ -57,13 +47,11 @@ struct Options {
     grid: Option<BlockLayout>,
     halves: usize,
     ckpt_only: bool,
-    svc_only: bool,
-    readers: usize,
     expect_states: Option<u64>,
 }
 
-const USAGE: &str = "usage: modelcheck [--ranks N | --layout RxC] [--halves M] [--ckpt] \
-                     [--svc] [--readers N] [--expect-states N]";
+const USAGE: &str =
+    "usage: modelcheck [--ranks N | --layout RxC] [--halves M] [--ckpt] [--expect-states N]";
 
 /// `Ok(None)` is a request for the usage text.
 fn parse_args() -> Result<Option<Options>, String> {
@@ -72,8 +60,6 @@ fn parse_args() -> Result<Option<Options>, String> {
         grid: None,
         halves: 2,
         ckpt_only: false,
-        svc_only: false,
-        readers: 2,
         expect_states: None,
     };
     let mut args = std::env::args().skip(1);
@@ -100,8 +86,6 @@ fn parse_args() -> Result<Option<Options>, String> {
             }
             "--halves" => opts.halves = int(&mut args, "--halves")?,
             "--ckpt" => opts.ckpt_only = true,
-            "--svc" => opts.svc_only = true,
-            "--readers" => opts.readers = int(&mut args, "--readers")?,
             "--expect-states" => opts.expect_states = Some(int(&mut args, "--expect-states")?),
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -263,94 +247,6 @@ fn ckpt_suite(ranks: usize, iterations: usize, failures: &mut u32) -> u64 {
     total_states
 }
 
-fn describe_svc(report: &SvcReport) -> String {
-    let c = report.config;
-    let admission = if c.tokens == svc::UNBOUNDED {
-        "unbounded admission".to_string()
-    } else {
-        format!("{} token(s)", c.tokens)
-    };
-    format!(
-        "svc {} readers x {} shards x {} epochs, {admission}: {} states, {} transitions, {} terminals, depth {}",
-        c.readers,
-        c.shards,
-        c.epochs,
-        report.stats.states,
-        report.stats.transitions,
-        report.stats.terminals,
-        report.stats.max_depth
-    )
-}
-
-fn run_one_svc(config: SvcConfig, failures: &mut u32) -> u64 {
-    let report = svc::check(config);
-    report_one(
-        report.holds(),
-        describe_svc(&report),
-        &report.stats,
-        failures,
-    );
-    report.stats.states
-}
-
-/// The negative control: the seeded model bug must be *found* — the run
-/// succeeds only when the exploration reports a violation of one of the
-/// expected kinds, and the minimal (BFS) counterexample is printed so
-/// the trace stays human-checkable.
-fn run_negative(config: SvcConfig, expected: &[&str], failures: &mut u32) -> u64 {
-    let report = svc::check(config);
-    let states = report.stats.states;
-    match svc::minimal_counterexample(config) {
-        Some(v) if !report.holds() && expected.iter().any(|p| v.kind.starts_with(p)) => {
-            println!(
-                "ok    negative control {:?}: refuted by `{}` in {} step(s) ({} states)",
-                config.variant,
-                v.kind,
-                v.trace.len(),
-                states
-            );
-            for (i, step) in v.trace.iter().enumerate() {
-                println!("      {i:>3}. {step}");
-            }
-        }
-        Some(v) => {
-            *failures += 1;
-            println!(
-                "FAIL  negative control {:?}: expected one of {expected:?}, found `{}`",
-                config.variant, v.kind
-            );
-        }
-        None => {
-            *failures += 1;
-            println!(
-                "FAIL  negative control {:?}: expected one of {expected:?}, no violation found",
-                config.variant
-            );
-        }
-    }
-    states
-}
-
-/// The serving-path suite: the correct protocol with `readers` readers
-/// (two shards and two epochs, plain and under admission pressure; one
-/// shard at a three-epoch horizon), then the negative control at fixed
-/// small bounds so the minimal trace stays short enough to read.
-fn svc_suite(readers: usize, failures: &mut u32) -> u64 {
-    let mut total = 0u64;
-    total += run_one_svc(SvcConfig::new(readers, 2, 2), failures);
-    total += run_one_svc(SvcConfig::new(readers, 2, 2).with_admission(1), failures);
-    // 3 epochs: readers load across the longest horizon the model holds.
-    total += run_one_svc(SvcConfig::new(readers, 1, svc::MAX_EPOCHS), failures);
-    // NoShardEpochCheck can surface either as the TOCTOU hit itself or as
-    // the stale entry it leaves behind.
-    total += run_negative(
-        SvcConfig::new(2, 2, 2).with_variant(Variant::NoShardEpochCheck),
-        &["cross-epoch-hit", "stale-entry"],
-        failures,
-    );
-    total
-}
-
 /// Applies the `--expect-states` drift gate to a finished suite.
 fn gate_states(expect: Option<u64>, total: u64, failures: &mut u32) {
     if let Some(expected) = expect {
@@ -394,11 +290,7 @@ fn main() -> ExitCode {
             "deadlock-freedom, delivery, and typed-death"
         },
     );
-    if opts.svc_only {
-        total_states += svc_suite(opts.readers, &mut failures);
-        suite = "the svc suite";
-        proved = "serving-path snapshot, cache-epoch, and admission";
-    } else if opts.ckpt_only {
+    if opts.ckpt_only {
         total_states += ckpt_suite(opts.ranks, opts.halves, &mut failures);
         suite = "the ckpt suite";
         proved = "checkpoint/resume convergence and consumed-death";

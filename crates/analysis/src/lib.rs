@@ -25,23 +25,19 @@
 //! * [`mc`] — the shared bounded explicit-state exploration kernel the
 //!   checkers above are built on: generic transition systems, canonical
 //!   state dedup with symmetry reduction, DFS with depth/state budgets,
-//!   counterexample trace reconstruction, minimal (BFS) counterexamples
-//!   for the negative-control suites, and (in tests) schedule harvesting
-//!   for conformance replay.
-//! * [`svc`] — the serving-path proof: an abstract model of the
-//!   `prodpred-service` shared state (`EpochSwap` publishes and loads,
-//!   `EpochCache` shard probes/inserts and `bump_to`'s per-shard sweeps,
-//!   admission token grants and sheds), explored across every interleaving
-//!   at small bounds; its unit tests replay explored schedules against
-//!   the real implementation (`prodpred-service` is a dev-dependency).
-//!   Run it via
-//!   `cargo run -p prodpred-analysis --bin modelcheck -- --svc`.
+//!   counterexample trace reconstruction, and minimal (BFS)
+//!   counterexamples for the negative-control suites. `prodpred-service`
+//!   runs it (a dev-dependency) over the real `EpochSwap`, `EpochCache`
+//!   and `Admission`: its test-only explorer enumerates every
+//!   interleaving of the serving path's critical sections
+//!   (`cargo test -p prodpred-service --lib explore`).
 //!
 //! The two halves meet in the middle: the lints keep nondeterminism and
 //! unchecked panics out of the sources (PP010 fences atomics into the
-//! audited modules the [`svc`] model abstracts), and the model checkers
-//! prove the protocols whose correctness arguments cannot be read off a
-//! single thread's source. See DESIGN.md §9 and §14.
+//! audited modules the serving-path explorer and the pool's stress suite
+//! cover), and the model checkers prove the protocols whose correctness
+//! arguments cannot be read off a single thread's source. See DESIGN.md
+//! §9 and §14.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,5 +49,4 @@ pub mod mc;
 pub mod model;
 pub(crate) mod scan;
 mod surface;
-pub mod svc;
 pub mod walk;
