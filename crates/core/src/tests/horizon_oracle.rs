@@ -12,7 +12,7 @@ use super::{
     FaultedSeries, RunRecord,
 };
 use prodpred_pool::parallel_map;
-use prodpred_simgrid::faults::{FaultConfig, FaultPlan};
+use prodpred_simgrid::faults::{apply_storms, FaultConfig, FaultPlan};
 use prodpred_simgrid::Platform;
 
 const SIZES: [usize; 3] = [1000, 1600, 2000];
@@ -71,7 +71,7 @@ fn run_series_faulted(
 
 fn stormed(platform: &Platform, plan: &FaultPlan) -> Platform {
     let mut platform = platform.clone();
-    plan.apply_storms(&mut platform);
+    apply_storms(&mut platform, &plan.config().storms);
     platform
 }
 

@@ -269,11 +269,6 @@ impl FaultPlan {
             resource_seed: mix(self.config.seed ^ mix(resource.wrapping_add(1))),
         }
     }
-
-    /// Applies the plan's load storms to a platform's ground truth.
-    pub fn apply_storms(&self, platform: &mut Platform) {
-        apply_storms(platform, &self.config.storms);
-    }
 }
 
 impl SensorFaults<'_> {

@@ -221,8 +221,22 @@ impl GrowingPlatform {
     ///
     /// Panics if `t` is not finite.
     pub fn cover(&mut self, t: f64) -> bool {
+        self.cover_within(t, f64::INFINITY)
+    }
+
+    /// [`GrowingPlatform::cover`], but never past the `ceil(horizon /
+    /// TRACE_DT)` steps [`Platform::platform1`] generates for `horizon`
+    /// (an infinite horizon caps nothing). A read past the cap sees the
+    /// held last value, exactly as on that fixed platform, so a reader
+    /// whose clock clamps at `horizon` gets the fixed platform's bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not finite.
+    pub fn cover_within(&mut self, t: f64, horizon: f64) -> bool {
         assert!(t.is_finite(), "cannot cover t = {t}");
-        self.grow_to((t / TRACE_DT).floor() as usize + 1)
+        let cap = (horizon / TRACE_DT).ceil() as usize;
+        self.grow_to(((t / TRACE_DT).floor() as usize + 1).min(cap))
     }
 
     /// The platform grown to `horizon`, with that horizon.
@@ -365,5 +379,23 @@ mod tests {
         assert_eq!(a.network.avail, b.network.avail);
         let c = Platform::platform2(10, 300.0);
         assert_ne!(a.machines[0].load, c.machines[0].load);
+    }
+
+    #[test]
+    fn covering_within_a_horizon_stops_at_the_fixed_platform() {
+        for horizon in [300.0, 300.5] {
+            let fixed = Platform::platform2(5, horizon);
+            let mut grown = GrowingPlatform::platform2(5, &[]);
+            for t in [0.0, 4.0, 150.0, 299.0, 299.5, 300.0, 300.5, 900.0] {
+                grown.cover_within(t, horizon);
+                let steps = grown.platform().network.avail.len();
+                assert_eq!(steps, (t as usize + 1).min(fixed.network.avail.len()));
+            }
+            let grown = grown.platform();
+            for (g, f) in grown.machines.iter().zip(&fixed.machines) {
+                assert_eq!(g.load, f.load, "horizon {horizon}");
+            }
+            assert_eq!(grown.network.avail, fixed.network.avail);
+        }
     }
 }
