@@ -1,9 +1,10 @@
 //! Bounded, exhaustive model checking of the checkpoint/resume
 //! recovery protocol.
 //!
-//! [`model`](crate::model) proves the *intra-solve* story: within one
-//! parallel solve, an injected death surfaces as a typed `WorkerDied`
-//! in every interleaving. This module proves the *inter-solve* story
+//! `prodpred-sor`'s ghost-exchange explorer proves the *intra-solve*
+//! story on the real mailboxes: within one parallel solve, an injected
+//! death surfaces as a typed `WorkerDied` in every interleaving. This
+//! module proves the *inter-solve* story
 //! layered on top of it by `prodpred_sor::checkpoint` and the
 //! supervisor: segments bounded by checkpoint barriers, a grid
 //! snapshot at every completed boundary short of the end, and on death
@@ -18,7 +19,7 @@
 //! driver thread between solves — records the checkpoint and releases
 //! the next segment. A scheduled kill fires exactly when its rank is
 //! about to execute its absolute half-iteration; survivors observe the
-//! death in any order (the cascade the intra-solve checker already
+//! death in any order (the cascade the intra-solve explorer already
 //! proved), and a restart transition rolls every rank back to the
 //! checkpoint, consuming the kill. Attempt `k` of the run faces kill
 //! `k` of the schedule, mirroring the chaos campaign.
@@ -393,7 +394,7 @@ pub fn check_ckpt(config: CkptConfig) -> CkptReport {
     let (expected, expected_fired) = straight_line(&config);
     let mut completed_terminals = 0u64;
     let mut abandoned_terminals = 0u64;
-    let stats = mc::explore(&model, &mc::Budget::default(), |state: &State| {
+    let stats = mc::explore(&model, |state: &State| {
         if let Some(kind) = check_terminal(&model, state, expected, expected_fired) {
             return Err(kind);
         }

@@ -9,33 +9,27 @@
 //!   (std-only, works offline, no rustc plugin) implementing the
 //!   repo-specific `PPnnn` lints with inline justified suppressions. The tree is kept at zero findings: any
 //!   finding fails `cargo run -p prodpred-analysis --bin tidy -- --check`.
-//! * [`model`] — a bounded model checker that exhaustively enumerates
-//!   every interleaving of the SOR ghost-exchange mailbox protocol for
-//!   small configurations, proving deadlock freedom, exact message
-//!   delivery, and typed worker-death surfacing under injected kills
-//!   and `ExchangePolicy` timeouts. Run it via `cargo run -p
-//!   prodpred-analysis --bin modelcheck`.
-//! * [`ckpt`] — the same treatment for the checkpoint/resume recovery
-//!   protocol layered above the solves: segment barriers, snapshots at
-//!   boundaries, the absolute→segment kill translation, and rollback,
-//!   proving that a consumed death never re-fires and that every
-//!   interleaving of a killed-then-resumed run converges to the
-//!   unfaulted delivery state (or a typed abandonment). Part of the
-//!   default `modelcheck` suite.
-//! * [`mc`] — the shared bounded explicit-state exploration kernel the
-//!   checkers above are built on: generic transition systems, canonical
-//!   state dedup with symmetry reduction, DFS with depth/state budgets,
-//!   counterexample trace reconstruction, and minimal (BFS)
-//!   counterexamples for the negative-control suites. `prodpred-service`
-//!   runs it (a dev-dependency) over the real `EpochSwap`, `EpochCache`
-//!   and `Admission`: its test-only explorer enumerates every
-//!   interleaving of the serving path's critical sections
-//!   (`cargo test -p prodpred-service --lib explore`).
+//! * [`ckpt`] — a bounded model checker for the checkpoint/resume
+//!   recovery protocol layered above the solves: segment barriers,
+//!   snapshots at boundaries, the absolute→segment kill translation, and
+//!   rollback, proving that a consumed death never re-fires and that
+//!   every interleaving of a killed-then-resumed run converges to the
+//!   unfaulted delivery state (or a typed abandonment). Run it via
+//!   `cargo run -p prodpred-analysis --bin modelcheck`.
+//! * [`mc`] — the explicit-state exploration kernel: generic transition
+//!   systems, canonical state dedup with symmetry reduction, and one
+//!   breadth-first search whose first counterexample is minimal. Beside
+//!   `ckpt`, two test-only explorers run it (a dev-dependency) over real
+//!   code, one critical section per step: `prodpred-sor`'s over the
+//!   ghost exchange's mailboxes (`cargo test -p prodpred-sor --lib
+//!   explore`) and `prodpred-service`'s over the serving path's
+//!   `EpochSwap`, `EpochCache` and `Admission` (`cargo test -p
+//!   prodpred-service --lib explore`).
 //!
 //! The two halves meet in the middle: the lints keep nondeterminism and
 //! unchecked panics out of the sources (PP010 fences atomics into the
 //! audited modules the serving-path explorer and the pool's stress suite
-//! cover), and the model checkers prove the protocols whose correctness
+//! cover), and the explorers prove the protocols whose correctness
 //! arguments cannot be read off a single thread's source. See DESIGN.md
 //! §9 and §14.
 
@@ -46,7 +40,6 @@
 pub mod ckpt;
 pub mod lints;
 pub mod mc;
-pub mod model;
 pub(crate) mod scan;
 mod surface;
 pub mod walk;

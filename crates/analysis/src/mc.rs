@@ -1,38 +1,29 @@
-//! A reusable bounded explicit-state model-checking kernel.
+//! A reusable explicit-state model-checking kernel.
 //!
-//! [`model`](crate::model) (PR 5) and [`ckpt`](crate::ckpt) (PR 8) each
-//! grew a bespoke depth-first explorer: the same visited-set dedup, the
-//! same DFS stack discipline, the same counterexample-trace
-//! reconstruction, copy-pasted twice. This module factors that skeleton
-//! into one kernel so new models are *just* a `TransitionSystem`: state,
-//! enabled transitions, transition semantics, and a pretty-printer.
-//! `prodpred-service`'s serving-path explorer is one, whose transitions
-//! run the real `EpochSwap`, `EpochCache` and `Admission`.
+//! A model is *just* a `TransitionSystem`: state, enabled transitions,
+//! transition semantics, and a pretty-printer. [`ckpt`](crate::ckpt) is
+//! one; so are the test-only explorers that run real code:
+//! `prodpred-sor`'s over the ghost exchange's `RecycledSender` /
+//! `RecycledReceiver`, and `prodpred-service`'s over the serving path's
+//! `EpochSwap`, `EpochCache` and `Admission`.
 //!
 //! The kernel provides:
 //!
-//! * **exhaustive DFS with state dedup** (`explore`) — every distinct
-//!   state expanded exactly once, every transition from every state
-//!   executed exactly once, deterministic order;
+//! * **one exhaustive breadth-first search with state dedup**
+//!   (`explore`) — every distinct state expanded exactly once, every
+//!   transition from every state executed exactly once, deterministic
+//!   order;
 //! * **canonicalization** (`TransitionSystem::canonical`) — models
 //!   with symmetric components (e.g. identical reader threads) map each
 //!   state to a canonical representative before dedup, collapsing
 //!   symmetric interleavings and (together with the dedup itself, which
 //!   prunes stuttering transitions that reproduce a visited state) keeps
 //!   larger configurations tractable;
-//! * **depth/state budgets** (`Budget`) — bounded exploration that
-//!   reports truncation instead of running away;
-//! * **counterexample traces** — every violation, whether raised inside
-//!   a transition or by the terminal-state check, carries the exact
-//!   schedule from the initial state ([`Violation`]);
-//! * **minimal counterexamples** (`shortest_violation`) — a
-//!   breadth-first variant that returns the shortest schedule reaching
-//!   any violation, used by the negative-control suites where a human
-//!   reads the trace.
-//!
-//! The shared [`Violation`] here is the struct that used to be
-//! copy-pasted between `model::Report` and the ckpt checker; both now
-//! re-use it, as does the serving-path explorer.
+//! * **minimal counterexamples** — every violation, whether raised inside
+//!   a transition or by the terminal-state check, carries the schedule
+//!   from the initial state ([`Violation`]), and the search is
+//!   breadth-first, so the first violation it finds has the shortest
+//!   schedule of any.
 
 use std::collections::{HashSet, VecDeque};
 use std::hash::Hash;
@@ -47,32 +38,7 @@ pub struct Violation {
     pub trace: Vec<String>,
 }
 
-/// Exploration budgets. The defaults are unlimited: the existing
-/// protocol models are small enough to exhaust outright, and an
-/// unlimited budget keeps their state counts bit-identical to the
-/// pre-kernel explorers.
-#[derive(Debug, Clone, Copy)]
-pub struct Budget {
-    /// Deepest schedule expanded; deeper frontiers are pruned (and the
-    /// run marked truncated) instead of explored.
-    pub max_depth: usize,
-    /// Most distinct states admitted; once reached, new successors are
-    /// pruned (and the run marked truncated).
-    pub max_states: u64,
-}
-
-impl Default for Budget {
-    fn default() -> Self {
-        Self {
-            max_depth: usize::MAX,
-            max_states: u64::MAX,
-        }
-    }
-}
-
-/// What one exhaustive exploration did and found. Embedded by each
-/// checker's report type — this is the shared half that was previously
-/// duplicated field-for-field.
+/// What one exhaustive exploration did and found.
 #[derive(Debug, Clone, Default)]
 pub struct ExploreStats {
     /// Distinct (canonical) states visited.
@@ -81,14 +47,11 @@ pub struct ExploreStats {
     pub transitions: u64,
     /// Distinct terminal (quiescent) states.
     pub terminals: u64,
-    /// Deepest schedule explored.
+    /// Longest shortest schedule to any state.
     pub max_depth: usize,
-    /// First property violation found, if any. `None` = proof (within
-    /// this bound) that the property set holds.
+    /// The violation with the shortest schedule, if any. `None` = proof
+    /// that the property set holds.
     pub violation: Option<Violation>,
-    /// True when a budget pruned part of the space: the absence of a
-    /// violation is then *not* a proof.
-    pub truncated: bool,
 }
 
 impl ExploreStats {
@@ -132,187 +95,124 @@ pub trait TransitionSystem {
     }
 }
 
-/// One DFS stack frame: the state, its enabled actions, and the index
-/// of the next action to try.
-type Frame<S> = (
-    <S as TransitionSystem>::State,
-    Vec<<S as TransitionSystem>::Action>,
-    usize,
-);
-
-/// One BFS node: the state, its parent's index, the action that
-/// produced it, and its depth.
-type BfsNode<S> = (
+/// A discovered state: itself, its parent's index, and the action that
+/// produced it (`None` for the initial state).
+type Node<S> = (
     <S as TransitionSystem>::State,
     usize,
     Option<<S as TransitionSystem>::Action>,
-    usize,
 );
 
-/// The schedule leading to the DFS stack's current top, rendered.
-fn trace_of<S: TransitionSystem>(sys: &S, stack: &[Frame<S>]) -> Vec<String> {
-    stack
-        .iter()
-        .filter(|(_, steps, i)| *i > 0 && !steps.is_empty())
-        .map(|(s, steps, i)| sys.describe(s, steps[i - 1]))
-        .collect()
+/// A breadth-first search in progress.
+struct Search<'a, S: TransitionSystem, F> {
+    sys: &'a S,
+    on_terminal: F,
+    stats: ExploreStats,
+    /// Canonical forms of every discovered state.
+    visited: HashSet<S::State>,
+    nodes: Vec<Node<S>>,
+    /// Discovered states not yet expanded: node index, enabled actions,
+    /// depth.
+    frontier: VecDeque<(usize, Vec<S::Action>, usize)>,
 }
 
-/// Exhaustively explores every interleaving of `sys` within `budget`,
-/// depth-first with canonical-state dedup. Deterministic: identical
-/// systems produce identical stats.
+impl<S, F> Search<'_, S, F>
+where
+    S: TransitionSystem,
+    F: FnMut(&S::State) -> Result<(), String>,
+{
+    /// Expands the frontier in discovery order until it is empty or a
+    /// check fails.
+    fn run(&mut self) -> Result<(), Violation> {
+        self.discover(self.sys.initial(), 0, None, 0)?;
+        while let Some((at, steps, depth)) = self.frontier.pop_front() {
+            for action in steps {
+                self.stats.transitions += 1;
+                let next = self
+                    .sys
+                    .apply(&self.nodes[at].0, action)
+                    .map_err(|kind| self.violation(kind, at, Some(action)))?;
+                self.discover(next, at, Some(action), depth + 1)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Admits `state` unless a canonical-equal state was discovered
+    /// before: counts it, then checks it if it is terminal or queues it
+    /// for expansion.
+    fn discover(
+        &mut self,
+        state: S::State,
+        parent: usize,
+        action: Option<S::Action>,
+        depth: usize,
+    ) -> Result<(), Violation> {
+        if !self.visited.insert(self.sys.canonical(&state)) {
+            return Ok(());
+        }
+        self.stats.states += 1;
+        self.stats.max_depth = self.stats.max_depth.max(depth);
+        let steps = self.sys.enabled(&state);
+        self.nodes.push((state, parent, action));
+        let at = self.nodes.len() - 1;
+        if steps.is_empty() {
+            (self.on_terminal)(&self.nodes[at].0).map_err(|kind| self.violation(kind, at, None))?;
+            self.stats.terminals += 1;
+        } else {
+            self.frontier.push_back((at, steps, depth));
+        }
+        Ok(())
+    }
+
+    /// The violation `kind` reached through node `at`, and then by `last`
+    /// when an action taken from it raised the violation.
+    fn violation(&self, kind: String, at: usize, last: Option<S::Action>) -> Violation {
+        let node = |i: usize| &self.nodes[i];
+        let mut trace: Vec<String> = last
+            .map(|action| self.sys.describe(&node(at).0, action))
+            .into_iter()
+            .collect();
+        let mut i = at;
+        while let (_, parent, Some(action)) = node(i) {
+            trace.push(self.sys.describe(&node(*parent).0, *action));
+            i = *parent;
+        }
+        trace.reverse();
+        Violation { kind, trace }
+    }
+}
+
+/// Exhaustively explores every interleaving of `sys`, breadth-first with
+/// canonical-state dedup. Deterministic: identical systems produce
+/// identical stats.
 ///
 /// `on_terminal` runs once per distinct terminal state and performs the
 /// model's terminal-state property checks (and any model-specific
 /// terminal accounting); returning `Err` records a [`Violation`] with
 /// the schedule that reached the terminal and stops the exploration.
 /// Violations raised by [`TransitionSystem::apply`] are handled the same
-/// way.
-pub fn explore<S, F>(sys: &S, budget: &Budget, mut on_terminal: F) -> ExploreStats
+/// way. States are expanded in order of their shortest schedule, so the
+/// first violation found has the shortest schedule of any: a
+/// counterexample a human can read.
+pub fn explore<S, F>(sys: &S, on_terminal: F) -> ExploreStats
 where
     S: TransitionSystem,
     F: FnMut(&S::State) -> Result<(), String>,
 {
-    let initial = sys.initial();
-    let mut visited: HashSet<S::State> = HashSet::new();
-    visited.insert(sys.canonical(&initial));
-    let first_steps = sys.enabled(&initial);
-    // DFS stack: (state, enabled steps, next step index).
-    let mut stack: Vec<Frame<S>> = vec![(initial, first_steps, 0)];
-
-    let mut stats = ExploreStats {
-        states: 1,
-        ..ExploreStats::default()
+    let mut search = Search {
+        sys,
+        on_terminal,
+        stats: ExploreStats::default(),
+        visited: HashSet::new(),
+        nodes: Vec::new(),
+        frontier: VecDeque::new(),
     };
-
-    while let Some((state, steps, next_idx)) = stack.last().cloned() {
-        stats.max_depth = stats.max_depth.max(stack.len() - 1);
-        if steps.is_empty() {
-            match on_terminal(&state) {
-                Ok(()) => stats.terminals += 1,
-                Err(kind) => {
-                    stats.violation = Some(Violation {
-                        kind,
-                        trace: trace_of(sys, &stack),
-                    });
-                    return stats;
-                }
-            }
-            stack.pop();
-            continue;
-        }
-        if next_idx >= steps.len() {
-            stack.pop();
-            continue;
-        }
-        if stack.len() > budget.max_depth {
-            stats.truncated = true;
-            stack.pop();
-            continue;
-        }
-        if let Some(top) = stack.last_mut() {
-            top.2 += 1;
-        }
-        let action = steps[next_idx];
-        stats.transitions += 1;
-        match sys.apply(&state, action) {
-            Ok(successor) => {
-                if stats.states >= budget.max_states {
-                    stats.truncated = true;
-                } else if visited.insert(sys.canonical(&successor)) {
-                    stats.states += 1;
-                    let succ_steps = sys.enabled(&successor);
-                    stack.push((successor, succ_steps, 0));
-                }
-            }
-            Err(kind) => {
-                stats.violation = Some(Violation {
-                    kind,
-                    trace: trace_of(sys, &stack),
-                });
-                return stats;
-            }
-        }
+    let violation = search.run().err();
+    ExploreStats {
+        violation,
+        ..search.stats
     }
-    stats
-}
-
-/// Finds the violation with the shortest schedule, breadth-first, or
-/// `None` when no violation is reachable within `budget.max_states`
-/// explored states. `on_terminal` plays the same role as in
-/// [`explore`]. Used by the negative-control suites: the returned trace
-/// is minimal, so a human can read why the seeded bug breaks the
-/// property.
-pub fn shortest_violation<S, F>(sys: &S, budget: &Budget, mut on_terminal: F) -> Option<Violation>
-where
-    S: TransitionSystem,
-    F: FnMut(&S::State) -> Result<(), String>,
-{
-    // BFS nodes: (state, parent index, action that produced it, depth).
-    let initial = sys.initial();
-    let mut nodes: Vec<BfsNode<S>> = vec![(initial.clone(), 0, None, 0)];
-    let mut seen: HashSet<S::State> = HashSet::new();
-    seen.insert(sys.canonical(&initial));
-    let mut queue: VecDeque<usize> = VecDeque::from([0]);
-
-    let trace_to = |nodes: &[BfsNode<S>], idx: usize| {
-        let mut rev = Vec::new();
-        let mut at = idx;
-        while let Some(action) = nodes[at].2 {
-            let parent = nodes[at].1;
-            rev.push(sys.describe(&nodes[parent].0, action));
-            at = parent;
-        }
-        rev.reverse();
-        rev
-    };
-
-    // An apply-time violation discovered while expanding depth `d` has
-    // trace length `d + 1`; a terminal violation at a later depth-`d`
-    // node has length `d` and must win. Hold the pending candidate until
-    // every node of a shallower depth has been checked.
-    let mut pending: Option<(usize, Violation)> = None;
-
-    while let Some(idx) = queue.pop_front() {
-        let depth = nodes[idx].3;
-        if let Some((len, _)) = &pending {
-            if *len <= depth {
-                return pending.map(|(_, v)| v);
-            }
-        }
-        let state = nodes[idx].0.clone();
-        let steps = sys.enabled(&state);
-        if steps.is_empty() {
-            if let Err(kind) = on_terminal(&state) {
-                return Some(Violation {
-                    kind,
-                    trace: trace_to(&nodes, idx),
-                });
-            }
-            continue;
-        }
-        for &action in &steps {
-            match sys.apply(&state, action) {
-                Ok(successor) => {
-                    if nodes.len() as u64 >= budget.max_states {
-                        continue;
-                    }
-                    if seen.insert(sys.canonical(&successor)) {
-                        nodes.push((successor, idx, Some(action), depth + 1));
-                        queue.push_back(nodes.len() - 1);
-                    }
-                }
-                Err(kind) => {
-                    if pending.is_none() {
-                        let mut trace = trace_to(&nodes, idx);
-                        trace.push(sys.describe(&state, action));
-                        pending = Some((depth + 1, Violation { kind, trace }));
-                    }
-                }
-            }
-        }
-    }
-    pending.map(|(_, v)| v)
 }
 
 #[cfg(test)]
@@ -382,13 +282,12 @@ mod tests {
 
     #[test]
     fn explore_counts_the_full_grid() {
-        let stats = explore(&grid(2), &Budget::default(), |_| Ok(()));
+        let stats = explore(&grid(2), |_| Ok(()));
         // (horizon+1)^2 grid cells, one terminal corner, 2*h*(h+1) edges.
         assert_eq!(stats.states, 9);
         assert_eq!(stats.transitions, 12);
         assert_eq!(stats.terminals, 1);
         assert_eq!(stats.max_depth, 4);
-        assert!(!stats.truncated);
         assert!(stats.holds());
     }
 
@@ -398,7 +297,7 @@ mod tests {
             symmetric: true,
             ..grid(2)
         };
-        let stats = explore(&sys, &Budget::default(), |_| Ok(()));
+        let stats = explore(&sys, |_| Ok(()));
         // 6 canonical cells: the upper triangle of the 3x3 grid.
         assert_eq!(stats.states, 6);
         assert!(stats.holds());
@@ -410,17 +309,19 @@ mod tests {
             poison_cell: Some((1, 1)),
             ..grid(2)
         };
-        let stats = explore(&sys, &Budget::default(), |_| Ok(()));
+        let stats = explore(&sys, |_| Ok(()));
         let v = stats.violation.expect("poisoned cell must be found");
         assert_eq!(v.kind, "poisoned cell (1, 1)");
         // The trace ends with the step into the poisoned cell.
-        assert!(!v.trace.is_empty());
-        assert!(v.trace.last().unwrap().contains("steps from"));
+        assert_eq!(
+            v.trace,
+            ["counter 0 steps from (0, 0)", "counter 1 steps from (1, 0)"]
+        );
     }
 
     #[test]
     fn terminal_violation_carries_the_schedule() {
-        let stats = explore(&grid(2), &Budget::default(), |state: &(u8, u8)| {
+        let stats = explore(&grid(2), |state: &(u8, u8)| {
             Err(format!("terminal ({}, {}) rejected", state.0, state.1))
         });
         let v = stats.violation.expect("terminal check must fire");
@@ -429,35 +330,12 @@ mod tests {
     }
 
     #[test]
-    fn depth_budget_truncates_and_reports_it() {
-        let budget = Budget {
-            max_depth: 2,
-            ..Budget::default()
-        };
-        let stats = explore(&grid(3), &budget, |_| Ok(()));
-        assert!(stats.truncated);
-        assert!(stats.max_depth <= 2);
-        assert_eq!(stats.terminals, 0, "the only terminal sits past depth 2");
-    }
-
-    #[test]
-    fn state_budget_truncates_and_reports_it() {
-        let budget = Budget {
-            max_states: 4,
-            ..Budget::default()
-        };
-        let stats = explore(&grid(3), &budget, |_| Ok(()));
-        assert!(stats.truncated);
-        assert_eq!(stats.states, 4);
-    }
-
-    #[test]
     fn shortest_violation_is_minimal() {
         let sys = Grid {
             poison_cell: Some((2, 1)),
             ..grid(3)
         };
-        let v = shortest_violation(&sys, &Budget::default(), |_| Ok(())).expect("reachable");
+        let v = explore(&sys, |_| Ok(())).violation.expect("reachable");
         // Minimal path to (2, 1) takes exactly 3 steps; DFS would detour.
         assert_eq!(v.trace.len(), 3);
         assert_eq!(v.kind, "poisoned cell (2, 1)");
@@ -465,31 +343,27 @@ mod tests {
 
     #[test]
     fn shortest_terminal_violation_beats_a_deeper_apply_violation() {
-        // Poison (3, 0) at depth 3; reject terminals at depth >= 2. The
-        // first rejected "terminal"... there is only one true terminal,
-        // so poison wins only if no terminal violation is shallower.
+        // Depth-1 apply violation vs depth-2 terminal: apply wins.
         let sys = Grid {
             poison_cell: Some((1, 0)),
             ..grid(1)
         };
-        let v = shortest_violation(&sys, &Budget::default(), |_| {
-            Err("terminal rejected".to_string())
-        })
-        .expect("something must fire");
-        // Depth-1 apply violation vs depth-2 terminal: apply wins.
+        let v = explore(&sys, |_| Err("terminal rejected".to_string()))
+            .violation
+            .expect("something must fire");
         assert_eq!(v.kind, "poisoned cell (1, 0)");
         assert_eq!(v.trace.len(), 1);
     }
 
     #[test]
     fn no_violation_returns_none() {
-        assert!(shortest_violation(&grid(2), &Budget::default(), |_| Ok(())).is_none());
+        assert!(explore(&grid(2), |_| Ok(())).violation.is_none());
     }
 
     #[test]
     fn exploration_is_deterministic() {
-        let a = explore(&grid(3), &Budget::default(), |_| Ok(()));
-        let b = explore(&grid(3), &Budget::default(), |_| Ok(()));
+        let a = explore(&grid(3), |_| Ok(()));
+        let b = explore(&grid(3), |_| Ok(()));
         assert_eq!(a.states, b.states);
         assert_eq!(a.transitions, b.transitions);
         assert_eq!(a.terminals, b.terminals);

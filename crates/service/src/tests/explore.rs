@@ -1,8 +1,7 @@
 //! Every interleaving of the serving path, run on the real
 //! `EpochSwap<u64>`, `EpochCache<u64>` and `Admission` with the
-//! `prodpred-analysis` kernel (`mc::explore` depth-first,
-//! `mc::shortest_violation` breadth-first). DESIGN.md §14 has the whole
-//! argument.
+//! `prodpred-analysis` kernel's breadth-first `mc::explore`. DESIGN.md
+//! §14 has the whole argument.
 //!
 //! The writer refills the miss tokens and publishes epochs `1..=E`; one
 //! bump task per published epoch sweeps the shards in order; each reader
@@ -23,7 +22,7 @@
 use crate::cache::{CacheConfig, EpochCache, QueryKey};
 use crate::resilience::{Admission, AdmissionConfig};
 use crate::swap::EpochSwap;
-use prodpred_analysis::mc::{self, Budget, ExploreStats, TransitionSystem, Violation};
+use prodpred_analysis::mc::{self, ExploreStats, TransitionSystem};
 use prodpred_core::PredictorConfig;
 use std::hash::{Hash, Hasher};
 
@@ -472,25 +471,14 @@ impl TransitionSystem for Explorer {
     }
 }
 
-/// Explores every interleaving of `config` depth-first.
+/// Explores every interleaving of `config`.
 fn check(config: Config) -> ExploreStats {
     let explorer = Explorer::new(config);
-    mc::explore(&explorer, &Budget::default(), |s| {
-        explorer.check_terminal(s)
-    })
-}
-
-/// The shortest schedule that breaks a check under `config`, breadth-first.
-fn minimal_counterexample(config: Config) -> Option<Violation> {
-    let explorer = Explorer::new(config);
-    mc::shortest_violation(&explorer, &Budget::default(), |s| {
-        explorer.check_terminal(s)
-    })
+    mc::explore(&explorer, |s| explorer.check_terminal(s))
 }
 
 /// Explores `config`, a correct configuration, and checks its `(states,
-/// transitions, terminals)`, with no counterexample depth-first or
-/// breadth-first.
+/// transitions, terminals)` with no counterexample.
 fn pin(config: Config, counts: (u64, u64, u64)) {
     let stats = check(config);
     println!(
@@ -498,12 +486,7 @@ fn pin(config: Config, counts: (u64, u64, u64)) {
         stats.states, stats.transitions, stats.terminals, stats.max_depth
     );
     assert!(stats.holds(), "{:?}", stats.violation);
-    assert!(!stats.truncated);
     assert_eq!((stats.states, stats.transitions, stats.terminals), counts);
-    assert!(
-        minimal_counterexample(config).is_none(),
-        "{config:?}: BFS found a violation the DFS missed"
-    );
 }
 
 // Readers × shards × epochs, unbounded or one token.
@@ -530,12 +513,11 @@ fn three_reader_counts_are_pinned() {
     pin(Config::new(3, 1, 3), (3_424, 14_008, 2));
 }
 
-/// `seed` must be refuted depth-first, and breadth-first by a violation
-/// of `kinds` in `len` steps.
+/// `seed` must be refuted by a violation of `kinds` whose minimal trace
+/// has `len` steps.
 fn refute(config: Config, kinds: &[&str], len: usize) {
-    let stats = check(config);
-    assert!(!stats.holds(), "{:?} must be refuted", config.seed);
-    let v = minimal_counterexample(config).expect("BFS finds it too");
+    let v = check(config).violation;
+    let v = v.unwrap_or_else(|| panic!("{:?} must be refuted", config.seed));
     println!(
         "explore {config:?}: refuted by `{}` in {} steps",
         v.kind,

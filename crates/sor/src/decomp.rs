@@ -152,7 +152,7 @@ impl Block {
 /// per-neighbour list in this crate uses (the exchange script, the
 /// simulator's message list): up, down, left, right.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Peer {
+pub(crate) enum Peer {
     /// The processor one block row above (`rank - pc`).
     Up,
     /// The processor one block row below (`rank + pc`).
@@ -168,7 +168,7 @@ impl Peer {
     pub(crate) const ALL: [Peer; 4] = [Peer::Up, Peer::Down, Peer::Left, Peer::Right];
 
     /// The direction the neighbour sees this processor in.
-    pub fn opposite(self) -> Peer {
+    pub(crate) fn opposite(self) -> Peer {
         match self {
             Peer::Up => Peer::Down,
             Peer::Down => Peer::Up,
@@ -225,7 +225,7 @@ impl BlockLayout {
 
     /// The processor (row-major rank) next to `rank` toward `peer`, `None`
     /// at the edge of the processor grid.
-    pub fn neighbour(&self, rank: usize, peer: Peer) -> Option<usize> {
+    pub(crate) fn neighbour(&self, rank: usize, peer: Peer) -> Option<usize> {
         assert!(rank < self.len(), "rank {rank} outside {self:?}");
         let (br, bc) = (rank / self.pc, rank % self.pc);
         match peer {

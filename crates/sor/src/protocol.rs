@@ -1,18 +1,18 @@
 //! The ghost-exchange protocol as data: the exact per-half-iteration
 //! sequence of mailbox operations every worker performs, extracted from
-//! the solver so that (a) [`crate::parallel`]'s worker loop *executes*
-//! this script rather than open-coding it, and (b) the bounded model
-//! checker in `prodpred-analysis` can *exhaustively verify* the very same
-//! ordering for deadlock freedom, lost messages, and double delivery —
-//! covering every interleaving the chaos campaign only samples.
+//! the solver so that [`crate::parallel`]'s worker loop *executes* this
+//! script rather than open-coding it, and its test-only explorer runs
+//! the very same script on the real mailboxes, *exhaustively verifying*
+//! deadlock freedom, lost messages, and double delivery — covering every
+//! interleaving the chaos campaign only samples.
 //!
 //! The protocol is the classic "push then pull" phase structure: each
 //! half-iteration a worker first ships its boundary edges to every
 //! neighbour, then drains every neighbour's boundary edge into its halo.
 //! Sends precede receives unconditionally; within each group the order is
 //! `Peer::ALL` — up, down, left, right. Any reordering here changes the
-//! blocking structure the deadlock-freedom argument (and the model
-//! checker's proof) rests on, which is exactly why the order lives in one
+//! blocking structure the deadlock-freedom argument (and the explorer's
+//! proof) rests on, which is exactly why the order lives in one
 //! place. A chain of strips is the `P x 1` layout, where only up and down
 //! exist.
 
@@ -20,7 +20,7 @@ use crate::decomp::{BlockLayout, Peer};
 
 /// One mailbox operation of the ghost-exchange phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExchangeOp {
+pub(crate) enum ExchangeOp {
     /// Ship this worker's boundary edge toward `Peer` (top row goes Up,
     /// left column goes Left, ...) through the recycled link: reclaim the
     /// in-flight buffer, fill it, deposit it in the data mailbox.
@@ -37,7 +37,7 @@ pub enum ExchangeOp {
 ///
 /// `rank` must be `< layout.len()`. A single-worker decomposition
 /// exchanges nothing and gets an empty script.
-pub fn half_iteration_script(rank: usize, layout: BlockLayout) -> Vec<ExchangeOp> {
+pub(crate) fn half_iteration_script(rank: usize, layout: BlockLayout) -> Vec<ExchangeOp> {
     let peers = Peer::ALL
         .into_iter()
         .filter(|&peer| layout.neighbour(rank, peer).is_some());

@@ -5,7 +5,7 @@
 use prodpred_simgrid::{MachineClass, Platform};
 use prodpred_sor::{
     partition_blocks, partition_equal, simulate, simulate_blocks, solve_parallel_blocks,
-    solve_parallel_strips, solve_seq, BlockLayout, DistSorConfig, Grid, Peer, SorParams,
+    solve_parallel_strips, solve_seq, BlockLayout, DistSorConfig, Grid, SorParams,
 };
 use prodpred_stochastic::{max_of, Dependence, MaxStrategy, StochasticValue};
 use prodpred_structural::{Param, PtToPtModel};
@@ -79,14 +79,16 @@ fn block_structural_model_tracks_simulator_when_dedicated() {
         .iter()
         .map(|b| {
             let mut msgs = Vec::new();
-            for (peer, elems) in [
-                (Peer::Up, b.cols.len()),
-                (Peer::Down, b.cols.len()),
-                (Peer::Left, b.n_rows()),
-                (Peer::Right, b.n_rows()),
+            let (br, bc) = b.coords;
+            // Up, down, left, right: the neighbours the layout gives.
+            for (present, elems) in [
+                (br > 0, b.cols.len()),
+                (br + 1 < layout.pr, b.cols.len()),
+                (bc > 0, b.n_rows()),
+                (bc + 1 < layout.pc, b.n_rows()),
             ] {
                 let elems = elems as f64;
-                if layout.neighbour(b.proc, peer).is_some() {
+                if present {
                     msgs.push(elems); // send
                     msgs.push(elems); // receive
                 }
