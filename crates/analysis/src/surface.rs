@@ -6,8 +6,9 @@
 //! an identifier in no other crate's non-test code. The users are the
 //! other library crates, every bin (the declaring package's own bins
 //! too: a bin is a separate crate), `examples/` and the read-only
-//! `benchmark/src`. Integration tests, `#[cfg(test)]` modules, comments,
-//! strings and doctests are not users.
+//! `benchmark/src`. Integration tests, `#[cfg(test)]` modules and the
+//! `src/tests/` files they are loaded from, comments, strings and
+//! doctests are not users.
 //!
 //! A name in the signature or `pub` field of another *used* `pub` item of
 //! the same crate is a use too, so a type reachable only through an API
@@ -40,7 +41,7 @@ enum Role<'a> {
     /// A crate of its own that declares nothing PP011 counts: a bin, an
     /// example, the benchmark package.
     User,
-    /// Test code: neither declares nor uses.
+    /// Test code (`tests/`, `src/tests/`): neither declares nor uses.
     Test,
 }
 
@@ -49,7 +50,7 @@ fn role(rel: &str) -> Role<'_> {
         let Some((name, path)) = rest.split_once('/') else {
             return Role::Test;
         };
-        if path.starts_with("tests/") {
+        if path.starts_with("tests/") || path.starts_with("src/tests/") {
             Role::Test
         } else if path.starts_with("src/bin/") || path == "src/main.rs" {
             Role::User
@@ -412,6 +413,38 @@ mod tests {
             scanned("crates/b/src/lib.rs", "pub fn use_it() { a::by_b(); } // a::alone\n"),
         ];
         assert_eq!(flagged(&files), ["alone", "by_own_test", "use_it"]);
+    }
+
+    #[test]
+    fn a_src_tests_module_is_test_code() {
+        // A `#[cfg(test)] #[path = "tests/…"]` module is compiled only for
+        // its crate's tests: it neither uses another crate's items nor
+        // declares any of its own.
+        let files = [
+            scanned(
+                "crates/a/src/lib.rs",
+                "pub fn by_explorer() {}
+pub fn by_b() {}
+",
+            ),
+            scanned(
+                "crates/b/src/tests/explore.rs",
+                "pub fn helper() {}
+fn t() { a::by_explorer(); }
+",
+            ),
+            scanned(
+                "crates/b/src/lib.rs",
+                "pub fn use_it() { a::by_b(); }
+",
+            ),
+            scanned(
+                "examples/e.rs",
+                "fn main() { b::use_it(); }
+",
+            ),
+        ];
+        assert_eq!(flagged(&files), ["by_explorer"]);
     }
 
     #[test]

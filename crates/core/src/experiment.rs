@@ -171,8 +171,7 @@ impl SeriesPlatform for GrowingPlatform {
 
 /// The one series runner. A faulted series routes every sensor poll
 /// through its plan (the platform is expected to already carry the plan's
-/// load storms: grown under them, as [`GrowingPlatform::platform1`] is, or
-/// laid on with [`prodpred_simgrid::faults::apply_storms`]), counts a
+/// load storms, grown under them as [`GrowingPlatform::platform1`] is), counts a
 /// diagnostic query per in-use machine, and skips and counts a run whose
 /// prediction cannot be issued at all (every in-use sensor history
 /// empty). A healthy series is the faulted one with no plan: no diagnostic

@@ -12,8 +12,8 @@ use super::{
     FaultedSeries, RunRecord,
 };
 use prodpred_pool::parallel_map;
-use prodpred_simgrid::faults::{apply_storms, FaultConfig, FaultPlan};
-use prodpred_simgrid::Platform;
+use prodpred_simgrid::faults::{FaultConfig, FaultPlan};
+use prodpred_simgrid::{GrowingPlatform, Platform};
 
 const SIZES: [usize; 3] = [1000, 1600, 2000];
 const RUN_COUNTS: [usize; 2] = [10, 25];
@@ -69,10 +69,12 @@ fn run_series_faulted(
     run_series_inner(&mut fixed, sizes, cfg, watched_machine, Some(plan))
 }
 
-fn stormed(platform: &Platform, plan: &FaultPlan) -> Platform {
-    let mut platform = platform.clone();
-    apply_storms(&mut platform, &plan.config().storms);
-    platform
+/// The fixed-horizon platform under a plan's storms: `growing`, built
+/// with them, grown to `horizon` as `Platform::platform1` and `platform2`
+/// grow the unstormed one.
+fn stormed(mut growing: GrowingPlatform, horizon: f64) -> GrowingPlatform {
+    growing.cover_within(horizon, horizon);
+    growing
 }
 
 /// How many of `records` measured an actual above the prediction's own
@@ -112,7 +114,11 @@ fn check_seed(seed: u64) -> Compared {
     assert_same_json!(
         preset,
         run_series_faulted(
-            &stormed(&p1, &plan),
+            stormed(
+                GrowingPlatform::platform1(seed, &faults.storms),
+                P1_FIXED_HORIZON
+            )
+            .platform(),
             &SIZES,
             &config(seed, 30.0, true),
             0,
@@ -124,7 +130,10 @@ fn check_seed(seed: u64) -> Compared {
     drop(p1);
 
     let p2 = Platform::platform2(seed, P2_FIXED_HORIZON);
-    let stormed_p2 = stormed(&p2, &plan);
+    let stormed_p2 = stormed(
+        GrowingPlatform::platform2(seed, &faults.storms),
+        P2_FIXED_HORIZON,
+    );
     for n in SIZES {
         for runs in RUN_COUNTS {
             let sizes = vec![n; runs];
@@ -140,7 +149,7 @@ fn check_seed(seed: u64) -> Compared {
             assert_same_json!(
                 preset,
                 run_series_faulted(
-                    &stormed_p2,
+                    stormed_p2.platform(),
                     &sizes,
                     &config(seed, 20.0, true),
                     0,

@@ -23,8 +23,6 @@
 //!   sweeps stay bit-identical at any pool thread count.
 
 use crate::load::{MAX_AVAILABILITY, MIN_AVAILABILITY};
-use crate::platform::Platform;
-use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
 
 /// A window of elevated competing load on one machine: availability is
@@ -315,14 +313,17 @@ impl SensorFaults<'_> {
 /// Applies load storms to a platform's machine traces: availability is
 /// scaled by each storm's factor inside its window, clamped to the
 /// availability bounds. Storms naming out-of-range machines are ignored.
-pub fn apply_storms(platform: &mut Platform, storms: &[LoadStorm]) {
+/// The oracle of [`GrowingPlatform`](crate::GrowingPlatform)'s storms,
+/// which lays them on as the load is generated.
+#[cfg(test)]
+pub(crate) fn apply_storms(platform: &mut crate::Platform, storms: &[LoadStorm]) {
     check_storms(storms);
     for (i, machine) in platform.machines.iter_mut().enumerate() {
         if storms.iter().any(|s| s.machine == i) {
             let (t0, dt) = (machine.load.t0(), machine.load.dt());
             let values = machine.load.values().iter().enumerate();
             let values = values.map(|(k, &v)| stormed(storms, i, t0 + k as f64 * dt, v));
-            machine.load = Trace::new(t0, dt, values.collect());
+            machine.load = crate::Trace::new(t0, dt, values.collect());
         }
     }
 }
@@ -460,6 +461,7 @@ pub fn unit(h: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::machine::MachineClass;
+    use crate::platform::Platform;
 
     fn count_outcomes(cfg: &FaultConfig, resource: u64, polls: u64) -> [usize; 5] {
         let plan = FaultPlan::new(cfg.clone());

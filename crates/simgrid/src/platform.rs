@@ -301,6 +301,7 @@ fn numbered_specs(classes: &[MachineClass]) -> Vec<MachineSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::apply_storms;
     use crate::load::{Dedicated, LoadGenerator};
     use prodpred_stochastic::Summary;
 
@@ -379,6 +380,60 @@ mod tests {
         assert_eq!(a.network.avail, b.network.avail);
         let c = Platform::platform2(10, 300.0);
         assert_ne!(a.machines[0].load, c.machines[0].load);
+    }
+
+    /// Every sample's bits, then the bits of the integral from the start
+    /// to each step, which read the prefix sums.
+    fn bits(trace: &Trace) -> Vec<u64> {
+        let steps = (0..=trace.len()).map(|k| trace.integral(trace.t0(), k as f64));
+        trace
+            .values()
+            .iter()
+            .copied()
+            .chain(steps)
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn stormed_growth_is_the_fixed_platform_stormed() {
+        let storm = |machine, start, duration, availability_factor| LoadStorm {
+            machine,
+            start,
+            duration,
+            availability_factor,
+        };
+        // Overlapping storms on machine 0, one running past the horizon,
+        // and one on a machine the platforms do not have.
+        let storms = [
+            storm(0, 40.0, 300.0, 0.5),
+            storm(0, 200.0, 100.0, 0.3),
+            storm(3, 900.0, 500.0, 0.05),
+            storm(7, 0.0, 1e4, 0.5),
+        ];
+        let horizon = 1_000.5;
+        for seed in [3, 11] {
+            for (grown, mut fixed) in [
+                (
+                    GrowingPlatform::platform1(seed, &storms),
+                    Platform::platform1(seed, horizon),
+                ),
+                (
+                    GrowingPlatform::platform2(seed, &storms),
+                    Platform::platform2(seed, horizon),
+                ),
+            ] {
+                let unstormed = bits(&fixed.machines[0].load);
+                apply_storms(&mut fixed, &storms);
+                assert_ne!(bits(&fixed.machines[0].load), unstormed);
+                let grown = grown.into_platform(horizon);
+                assert_eq!(grown.horizon.to_bits(), fixed.horizon.to_bits());
+                for (g, f) in grown.machines.iter().zip(&fixed.machines) {
+                    assert_eq!(bits(&g.load), bits(&f.load), "seed {seed}");
+                }
+                assert_eq!(bits(&grown.network.avail), bits(&fixed.network.avail));
+            }
+        }
     }
 
     #[test]
