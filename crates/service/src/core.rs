@@ -87,8 +87,10 @@ impl ServiceConfig {
 
 /// Most red+black iterations a request may ask about (the paper's runs
 /// take tens, the replay and benchmark generators a few hundred at most).
-/// A `fault_intensity` answer allocates and loops in proportion to the
-/// count, so an unbounded one could stall, exhaust or panic the daemon.
+/// No answer costs in proportion to the count — the fault model bills
+/// one term per checkpoint segment — so the cap bounds the question, not
+/// the work: a count far past any run the service models (`10^9`,
+/// `usize::MAX`) is a malformed request, refused before it is answered.
 const MAX_ITERATIONS: usize = 10_000;
 
 /// One query against the service: which testbed, what problem, which
@@ -920,8 +922,8 @@ mod tests {
         assert!(matches!(core.query(&r), Err(ServiceError::BadRequest(_))));
         assert_eq!(core.stats().rejected, 4);
 
-        // Iteration counts that would overflow, exhaust memory in, or
-        // merely stall the fault model's retry expectation never reach it.
+        // Iteration counts past the cap are refused before any model
+        // sees them.
         for iterations in [usize::MAX, 1_000_000_000, 20_000] {
             let mut r = req(1, 600);
             r.procs = 2;

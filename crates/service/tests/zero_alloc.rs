@@ -4,10 +4,11 @@
 //! answer costs the output buffer and nothing else (no field-name
 //! `String`s, no per-number temporaries). A closed-form miss is pinned
 //! too, exactly, because its count is how many times the structural
-//! model ran, on a fresh thread and again on a warm one. And a request
+//! model ran, on a fresh thread and again on a warm one. A request
 //! refused for its iteration count allocates nothing in proportion to
-//! it. A counting global allocator tallies per thread, so the harness's
-//! own threads cannot disturb the counts.
+//! it, and a fault-aware miss allocates the same at any count it
+//! accepts. A counting global allocator tallies per thread, so the
+//! harness's own threads cannot disturb the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -185,10 +186,9 @@ fn a_closed_form_miss_evaluates_each_maximum_once() {
     }
 }
 
-/// A request's `iters` sizes two vectors in the fault model's retry
-/// expectation, so it is refused at validation: `usize::MAX` used to
-/// overflow the allocation and panic the daemon, `10^9` asked for 16 GB.
-/// Whatever the count, the refusal costs its error text and nothing more.
+/// An `iters` past the service's cap is refused at validation, before
+/// any model sees it: whatever the count, the refusal costs its error
+/// text and nothing more.
 #[test]
 fn a_hostile_iteration_count_is_refused_before_anything_is_sized_by_it() {
     let core = core();
@@ -205,4 +205,29 @@ fn a_hostile_iteration_count_is_refused_before_anything_is_sized_by_it() {
         );
     }
     assert_eq!(core.stats().rejected, 3);
+}
+
+/// A fault-aware miss costs the same heap at 50 iterations as at 10 000:
+/// the fault model holds one probability per checkpoint segment, and the
+/// service's cadence cuts any count from 25 up into five or six.
+#[test]
+fn a_fault_aware_miss_allocates_the_same_at_any_iteration_count() {
+    let core = core();
+    let miss = |iterations| {
+        let mut request = PredictRequest {
+            fault_intensity: Some(0.5),
+            ..request_for(11, 0)
+        };
+        request.config.iterations = iterations;
+        let bytes = BYTES.with(Cell::get);
+        let allocations = allocations_during(|| {
+            black_box(core.query_uncached(black_box(&request))).unwrap();
+        });
+        (allocations, BYTES.with(Cell::get) - bytes)
+    };
+    // The first miss on this thread may set up what every later one reuses.
+    miss(50);
+    let short = miss(50);
+    assert!(short.0 > 0, "{short:?}: not a miss");
+    assert_eq!(miss(10_000), short, "(allocations, bytes) at 10 000 vs 50");
 }
