@@ -9,22 +9,15 @@
 //!   (std-only, works offline, no rustc plugin) implementing the
 //!   repo-specific `PPnnn` lints with inline justified suppressions. The tree is kept at zero findings: any
 //!   finding fails `cargo run -p prodpred-analysis --bin tidy -- --check`.
-//! * [`ckpt`] — a bounded model checker for the checkpoint/resume
-//!   recovery protocol layered above the solves: segment barriers,
-//!   snapshots at boundaries, the absolute→segment kill translation, and
-//!   rollback, proving that a consumed death never re-fires and that
-//!   every interleaving of a killed-then-resumed run converges to the
-//!   unfaulted delivery state (or a typed abandonment). Run it via
-//!   `cargo run -p prodpred-analysis --bin modelcheck`.
 //! * [`mc`] — the explicit-state exploration kernel: generic transition
 //!   systems, canonical state dedup with symmetry reduction, and one
-//!   breadth-first search whose first counterexample is minimal. Beside
-//!   `ckpt`, two test-only explorers run it (a dev-dependency) over real
-//!   code, one critical section per step: `prodpred-sor`'s over the
-//!   ghost exchange's mailboxes (`cargo test -p prodpred-sor --lib
-//!   explore`) and `prodpred-service`'s over the serving path's
-//!   `EpochSwap`, `EpochCache` and `Admission` (`cargo test -p
-//!   prodpred-service --lib explore`).
+//!   breadth-first search whose first counterexample is minimal. Two
+//!   test-only explorers run it (a dev-dependency) over real code, one
+//!   critical section per step: `prodpred-sor`'s over the ghost
+//!   exchange's mailboxes (`cargo test -p prodpred-sor --lib explore`)
+//!   and `prodpred-service`'s over the serving path's `EpochSwap`,
+//!   `EpochCache` and `Admission` (`cargo test -p prodpred-service --lib
+//!   explore`).
 //!
 //! The two halves meet in the middle: the lints keep nondeterminism and
 //! unchecked panics out of the sources (PP010 fences atomics into the
@@ -37,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod ckpt;
 pub mod lints;
 pub mod mc;
 pub(crate) mod scan;

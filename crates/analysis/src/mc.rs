@@ -1,11 +1,11 @@
 //! A reusable explicit-state model-checking kernel.
 //!
 //! A model is *just* a `TransitionSystem`: state, enabled transitions,
-//! transition semantics, and a pretty-printer. [`ckpt`](crate::ckpt) is
-//! one; so are the test-only explorers that run real code:
-//! `prodpred-sor`'s over the ghost exchange's `RecycledSender` /
-//! `RecycledReceiver`, and `prodpred-service`'s over the serving path's
-//! `EpochSwap`, `EpochCache` and `Admission`.
+//! transition semantics, and a pretty-printer. Its two users are
+//! test-only explorers that run real code: `prodpred-sor`'s over the
+//! ghost exchange's `RecycledSender` / `RecycledReceiver`, and
+//! `prodpred-service`'s over the serving path's `EpochSwap`,
+//! `EpochCache` and `Admission`.
 //!
 //! The kernel provides:
 //!

@@ -80,3 +80,9 @@ pub use sweep::{
     platform1_fault_sweep, platform1_seed_sweep, platform2_fault_sweep, platform2_seed_sweep,
     FaultStudyRow, SweepSummary,
 };
+
+/// The checkpoint/resume properties, each checked on the real supervised
+/// solve.
+#[cfg(test)]
+#[path = "tests/ckpt.rs"]
+mod ckpt;

@@ -105,12 +105,6 @@ impl Grid {
         &mut self.data
     }
 
-    /// Whether `(i, j)` is a boundary cell.
-    #[inline]
-    pub fn is_boundary(&self, i: usize, j: usize) -> bool {
-        i == 0 || j == 0 || i == self.n - 1 || j == self.n - 1
-    }
-
     /// The residual `max |laplacian|` over interior cells — zero at the
     /// exact solution of Laplace's equation.
     // Its own function on purpose, as it was while `pub`: with one caller
@@ -203,16 +197,6 @@ mod tests {
         g.set(1, 2, 3.5);
         assert_eq!(g.get(1, 2), 3.5);
         assert_eq!(g.row(1), &[0.0, 0.0, 3.5, 0.0]);
-    }
-
-    #[test]
-    fn boundary_classification() {
-        let g = Grid::new(4);
-        assert!(g.is_boundary(0, 2));
-        assert!(g.is_boundary(3, 1));
-        assert!(g.is_boundary(2, 0));
-        assert!(!g.is_boundary(1, 1));
-        assert!(!g.is_boundary(2, 2));
     }
 
     #[test]
