@@ -97,7 +97,8 @@ fn run_campaign(
 /// cadence of one mid-solve checkpoint (`every = iterations / 2`), where
 /// a lost solve forfeits at most half its work. Timings are taken as
 /// interleaved plain/checkpointed pairs and reduced by median ratio, so
-/// background-load drift hits both sides of each pair equally.
+/// background-load drift hits both sides of each pair equally; which side
+/// runs first alternates, so neither always runs second in its pair.
 fn healthy_checkpoint_overhead() -> (f64, f64, f64) {
     let n = 513;
     let iters = 480;
@@ -132,13 +133,19 @@ fn healthy_checkpoint_overhead() -> (f64, f64, f64) {
     let mut base_times = Vec::with_capacity(pairs);
     let mut ck_times = Vec::with_capacity(pairs);
     let mut ratios = Vec::with_capacity(pairs);
+    let time = |solve: &dyn Fn(usize), i| {
+        let t = Instant::now();
+        solve(i);
+        t.elapsed().as_secs_f64()
+    };
     for i in 0..pairs {
-        let t = Instant::now();
-        plain(i);
-        let base = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        checkpointed(i);
-        let ck = t.elapsed().as_secs_f64();
+        let (base, ck) = if i % 2 == 0 {
+            let base = time(&plain, i);
+            (base, time(&checkpointed, i))
+        } else {
+            let ck = time(&checkpointed, i);
+            (time(&plain, i), ck)
+        };
         base_times.push(base);
         ck_times.push(ck);
         ratios.push(ck / base - 1.0);
