@@ -106,47 +106,22 @@ impl Grid {
     }
 
     /// The residual `max |laplacian|` over interior cells — zero at the
-    /// exact solution of Laplace's equation.
-    // Its own function on purpose, as it was while `pub`: with one caller
-    // left it would be inlined into `solve_seq`, and CI checks this
-    // symbol's body for packed arithmetic (DESIGN §6).
-    #[inline(never)]
+    /// exact solution of Laplace's equation — walked cell by cell in one
+    /// running maximum: the oracle of the residual `solve_seq` takes
+    /// inside its kernel.
+    #[cfg(test)]
     pub(crate) fn max_residual(&self) -> f64 {
-        // One running maximum is one serial dependency chain over every
-        // cell. LANES independent ones, each a compare-and-select (a packed
-        // max; `f64::max` compiles to a slower NaN-propagating sequence),
-        // are folded at the end: the maximum of non-NaN values is exact in
-        // any order, and a NaN `x` fails `x > acc` and is skipped exactly as
-        // `acc.max(x)` skips it. `acc` starts at 0.0 and only ever takes an
-        // `abs()`, so it is never NaN and never -0.0.
-        const LANES: usize = 8;
-        let keep_max = |acc: &mut f64, x: f64| *acc = if x > *acc { x } else { *acc };
-        let lap = |a: f64, b: f64, l: f64, r: f64, c: f64| (a + b + l + r - 4.0 * c).abs();
         let n = self.n;
-        let mut lanes = [0.0f64; LANES];
+        let mut r: f64 = 0.0;
         for i in 1..n - 1 {
-            // The five operand streams of row i's interior, equally long.
-            let (above, below, row) = (self.row(i - 1), self.row(i + 1), self.row(i));
-            let (above, below) = (&above[1..n - 1], &below[1..n - 1]);
-            let (left, centre, right) = (&row[..n - 2], &row[1..n - 1], &row[2..]);
-            let blocks = above
-                .chunks_exact(LANES)
-                .zip(below.chunks_exact(LANES))
-                .zip(left.chunks_exact(LANES))
-                .zip(right.chunks_exact(LANES))
-                .zip(centre.chunks_exact(LANES));
-            for ((((a, b), l), r), c) in blocks {
-                for k in 0..LANES {
-                    keep_max(&mut lanes[k], lap(a[k], b[k], l[k], r[k], c[k]));
-                }
+            for j in 1..n - 1 {
+                let lap = self.get(i - 1, j)
+                    + self.get(i + 1, j)
+                    + self.get(i, j - 1)
+                    + self.get(i, j + 1)
+                    - 4.0 * self.get(i, j);
+                r = r.max(lap.abs());
             }
-            for (lane, j) in lanes.iter_mut().zip((n - 2) / LANES * LANES..n - 2) {
-                keep_max(lane, lap(above[j], below[j], left[j], right[j], centre[j]));
-            }
-        }
-        let mut r = 0.0;
-        for lane in lanes {
-            keep_max(&mut r, lane);
         }
         r
     }
@@ -188,6 +163,7 @@ pub(crate) fn optimal_omega(n: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::kernel::tests::cells;
+    use crate::kernel::{color_start, keep_max, relax_row, residual};
     use proptest::prelude::*;
 
     #[test]
@@ -223,25 +199,39 @@ mod tests {
     }
 
     proptest! {
+        /// The residual the solver takes inside its kernel, here in the
+        /// residual-only mode over both colours of every row, against the
+        /// walked definition on grids with ±0, subnormals, ±1e300, ±inf
+        /// and NaN in them.
         #[test]
         fn max_residual_matches_walking_definition(
             n in 3usize..70,
             vals in cells(69 * 69),
         ) {
-            let g = Grid { n, data: vals[..n * n].to_vec() };
-            // The definition, cell by cell in one running maximum.
-            let mut r: f64 = 0.0;
-            for i in 1..n - 1 {
-                for j in 1..n - 1 {
-                    let lap = g.get(i - 1, j)
-                        + g.get(i + 1, j)
-                        + g.get(i, j - 1)
-                        + g.get(i, j + 1)
-                        - 4.0 * g.get(i, j);
-                    r = r.max(lap.abs());
+            let mut g = Grid { n, data: vals[..n * n].to_vec() };
+            let walked = g.max_residual();
+            let before = g.clone();
+            let mut r = 0.0;
+            for parity in 0..2 {
+                for i in 1..n - 1 {
+                    let (head, rest) = g.data.split_at_mut(i * n);
+                    let (current, tail) = rest.split_at_mut(n);
+                    let start = color_start(parity, i, 1);
+                    let row = relax_row::<{ residual::ONLY }>(
+                        &head[(i - 1) * n..],
+                        current,
+                        &tail[..n],
+                        1.0,
+                        start,
+                    );
+                    keep_max(&mut r, row);
                 }
             }
-            prop_assert_eq!(g.max_residual().to_bits(), r.to_bits());
+            prop_assert_eq!(r.to_bits(), walked.to_bits());
+            prop_assert_eq!(
+                g.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                before.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
         }
     }
 

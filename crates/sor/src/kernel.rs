@@ -15,8 +15,37 @@
 //! cells of one colour do not read each other, so their order is free),
 //! so results are bit-for-bit unchanged — the property tests below check
 //! this against a naive indexed implementation on random grids.
+//!
+//! The sequential solver also takes its residual here, as a by-product of
+//! the updates: the kernel's residual mode is a const parameter (see
+//! `residual`), and the threaded worker runs the instance that takes
+//! none.
 
-/// Relaxes one colour on a single row of a five-point stencil.
+/// What [`relax_row`] folds into the residual it returns: a mode is a
+/// const parameter, so each is its own monomorphised copy of one body.
+///
+/// The residual of a cell is `|((a + b) + l) + r - 4c|` over its four
+/// neighbours and itself, the association of the kernel's own update. The
+/// cells of one colour read only the other colour, so a red cell's
+/// residual after an iteration is the `sum - 4u` that the next iteration's
+/// red update computes anyway, and a black cell's is `sum - 4u'` with its
+/// updated value `u'`, while its red neighbours are final (DESIGN §6).
+/// CI's `kernel-codegen` job finds each instance by these values, which
+/// v0 symbol mangling writes into its name.
+pub(crate) mod residual {
+    /// Update only; the returned residual is 0.
+    pub(crate) const NONE: u8 = 0;
+    /// Update, and fold the residual the cells had before it.
+    pub(crate) const BEFORE: u8 = 1;
+    /// Update, and fold the residual the cells have after it.
+    pub(crate) const AFTER: u8 = 2;
+    /// Fold the residual the cells have, and leave them as they are.
+    pub(crate) const ONLY: u8 = 3;
+}
+
+/// Relaxes one colour on a single row of a five-point stencil, and returns
+/// the maximum residual over the row's cells of that colour that `MODE`
+/// asks for (see [`residual`]).
 ///
 /// `above`, `current`, and `below` are full rows of equal length `n`
 /// (including the two boundary columns). Cells `start, start + 2, ...`
@@ -26,6 +55,9 @@
 /// `start` encodes the colour for this row: `1` if column 1 has the
 /// requested colour, `2` otherwise (see [`color_start`]).
 ///
+/// The maximum skips a NaN residual, as `f64::max` does, and is `0.0`
+/// when every residual is NaN or the row has no cell of the colour.
+///
 /// # Panics
 ///
 /// Panics if the rows differ in length or `start == 0` (column 0 is
@@ -33,24 +65,36 @@
 // Its own function on purpose: inlined into `relax_rows` the block loop
 // below compiles to scalar code again (DESIGN §6).
 #[inline(never)]
-pub(crate) fn relax_row(
+pub(crate) fn relax_row<const MODE: u8>(
     above: &[f64],
     current: &mut [f64],
     below: &[f64],
     omega: f64,
     start: usize,
-) {
+) -> f64 {
     let n = current.len();
     assert_eq!(above.len(), n, "row length mismatch");
     assert_eq!(below.len(), n, "row length mismatch");
     assert!(start >= 1, "column 0 is boundary");
     if start + 1 >= n {
-        return;
+        return 0.0;
     }
     // omega * 0.25 is exact (multiplication by a power of two), so hoisting
     // it keeps the per-cell arithmetic bit-identical to the historical
     // `u + omega * 0.25 * (...)` form.
     let scale = omega * 0.25;
+    // The residual of one cell: `sum - 4u` is the update's own difference
+    // before it (BEFORE, ONLY) and the same sum against the new value after
+    // it (AFTER).
+    let cell = |sum: f64, u: f64| {
+        let new = u + scale * (sum - 4.0 * u);
+        let r = match MODE {
+            residual::BEFORE | residual::ONLY => (sum - 4.0 * u).abs(),
+            residual::AFTER => (sum - 4.0 * new).abs(),
+            _ => 0.0,
+        };
+        (new, r)
+    };
     // Cells of one colour are independent (their in-row neighbours are the
     // other colour, untouched by this sweep), so BLOCK of them are updated
     // at a time: a window of 2 * BLOCK + 1 cells of `current` holds each
@@ -60,6 +104,9 @@ pub(crate) fn relax_row(
     // arithmetic; each lane evaluates the scalar expression with the same
     // association, so no bit changes.
     const BLOCK: usize = 8;
+    // A running maximum of the residual per lane (see `keep_max`), folded
+    // at the end; in mode NONE it stays 0.0 and compiles away.
+    let mut lanes = [0.0f64; BLOCK];
     let mut j = start;
     while let (Some(window), Some(up), Some(down)) = (
         current[j - 1..].first_chunk_mut::<{ 2 * BLOCK + 1 }>(),
@@ -67,22 +114,45 @@ pub(crate) fn relax_row(
         below[j..].first_chunk::<{ 2 * BLOCK }>(),
     ) {
         let mut new = [0.0; BLOCK];
-        for (k, out) in new.iter_mut().enumerate() {
-            let u = window[2 * k + 1];
-            *out =
-                u + scale * (up[2 * k] + down[2 * k] + window[2 * k] + window[2 * k + 2] - 4.0 * u);
+        for (k, (out, lane)) in new.iter_mut().zip(&mut lanes).enumerate() {
+            let sum = up[2 * k] + down[2 * k] + window[2 * k] + window[2 * k + 2];
+            let (v, r) = cell(sum, window[2 * k + 1]);
+            *out = v;
+            keep_max(lane, r);
         }
-        for (k, v) in new.into_iter().enumerate() {
-            window[2 * k + 1] = v;
+        if MODE != residual::ONLY {
+            for (k, v) in new.into_iter().enumerate() {
+                window[2 * k + 1] = v;
+            }
         }
         j += 2 * BLOCK;
     }
+    let mut max = 0.0;
     while j + 1 < n {
-        let u = current[j];
         let sum = above[j] + below[j] + current[j - 1] + current[j + 1];
-        current[j] = u + scale * (sum - 4.0 * u);
+        let (v, r) = cell(sum, current[j]);
+        if MODE != residual::ONLY {
+            current[j] = v;
+        }
+        keep_max(&mut max, r);
         j += 2;
     }
+    for lane in lanes {
+        keep_max(&mut max, lane);
+    }
+    max
+}
+
+/// Raises `acc` to `x` if `x` is larger: a compare-and-select, which
+/// compiles to a packed max where `f64::max` compiles to a slower
+/// NaN-propagating sequence. A NaN `x` fails `x > acc` and is skipped
+/// exactly as `acc.max(x)` skips it, and the maximum of non-NaN values is
+/// exact in any order, so running maxima may be kept apart and folded
+/// later. An `acc` that starts at 0.0 and only ever takes an `abs()` is
+/// never NaN and never -0.0.
+#[inline]
+pub(crate) fn keep_max(acc: &mut f64, x: f64) {
+    *acc = if x > *acc { x } else { *acc };
 }
 
 /// First interior column of `color_parity` on global row `gi`, given the
@@ -122,7 +192,7 @@ pub(crate) fn relax_rows(
         let start = color_start(color_parity, global_row0 + i, 1);
         let (head, rest) = data.split_at_mut(i * n);
         let (current, tail) = rest.split_at_mut(n);
-        relax_row(&head[(i - 1) * n..], current, &tail[..n], omega, start);
+        relax_row::<{ residual::NONE }>(&head[(i - 1) * n..], current, &tail[..n], omega, start);
     }
 }
 
@@ -182,7 +252,7 @@ pub(crate) mod tests {
     /// may commute an addition, which selects the other operand's NaN
     /// payload, so two NaNs count as equal; anything else must match to
     /// the bit.
-    fn bits_modulo_nan(x: f64) -> u64 {
+    pub(crate) fn bits_modulo_nan(x: f64) -> u64 {
         if x.is_nan() {
             f64::NAN.to_bits()
         } else {
@@ -224,7 +294,7 @@ pub(crate) mod tests {
             let mut current = vals[3..6].to_vec();
             let below = vals[6..9].to_vec();
             let mut reference = current.clone();
-            relax_row(&above, &mut current, &below, omega, start);
+            relax_row::<{ residual::NONE }>(&above, &mut current, &below, omega, start);
             // Inline naive update on the 1x3 row.
             let n = 3;
             let mut j = start;
@@ -260,7 +330,7 @@ pub(crate) mod tests {
         let below = vec![9.0; 8];
         let mut current: Vec<f64> = (0..8).map(|x| x as f64).collect();
         for start in [1, 2] {
-            relax_row(&above, &mut current, &below, 1.5, start);
+            relax_row::<{ residual::NONE }>(&above, &mut current, &below, 1.5, start);
             assert_eq!(current[0], 0.0);
             assert_eq!(current[7], 7.0);
         }
@@ -272,6 +342,6 @@ pub(crate) mod tests {
         let above = vec![0.0; 4];
         let below = vec![0.0; 5];
         let mut current = vec![0.0; 5];
-        relax_row(&above, &mut current, &below, 1.0, 1);
+        relax_row::<{ residual::NONE }>(&above, &mut current, &below, 1.0, 1);
     }
 }

@@ -400,7 +400,7 @@ pub fn try_solve_decomposed(
         {
             return Err(SolveError::WorkerDied { rank: 0 });
         }
-        crate::seq::solve_seq(grid, params);
+        crate::seq::relax_seq(grid, params);
         return Ok(());
     }
 

@@ -1,5 +1,11 @@
 //! The sequential Red-Black SOR solver — the reference implementation the
 //! parallel solver is validated against.
+//!
+//! A call streams over the grid once per `DEPTH` iterations: each colour
+//! of each iteration is a stage trailing the one before it by a row, and
+//! the residual comes out of the kernel as a by-product of the updates
+//! (see `stream`). The result is bit for bit that of full sweeps one after
+//! another and the walked residual, which the tests below hold it to.
 
 use crate::grid::{optimal_omega, Color, Grid};
 use serde::{Deserialize, Serialize};
@@ -36,43 +42,17 @@ pub fn sweep_color_rows(grid: &mut Grid, color: Color, omega: f64, row_lo: usize
     crate::kernel::relax_rows(grid.data_mut(), n, color.parity(), omega, row_lo, row_hi, 0);
 }
 
-/// One full red+black iteration over the whole interior, with the two
-/// colour sweeps fused into a single streaming pass: red on row `i`,
-/// then black on row `i - 1`, which by then has every red neighbour it
-/// needs (rows `i - 2 ..= i`).
+/// One full red+black iteration over the whole interior, in a single
+/// streaming pass: red on row `i`, then black on row `i - 1`, which by
+/// then has every red neighbour it needs (rows `i - 2 ..= i`).
 ///
 /// Bit-for-bit identical to a full red sweep followed by a full black
 /// sweep — red cells still read only pre-iteration black values, black
-/// cells only post-red values. The fusion halves memory traffic per
-/// iteration, which buys little while the grid stays in cache and the
-/// sweep is FP-bound: on 1026² the benchmark reads 776.8 Mcell/s fused
-/// against 762.6 two-pass with the scalar kernel and 1 227 against 1 131
-/// with the packed one, under 3 % of a `solve_seq` iteration. Out of cache
-/// it paid on 2048² (5.4 ms against 6.6, a retired micro-benchmark's last
-/// number, kept in EXPERIMENTS.md); the benchmark has no out-of-cache size.
-/// The threaded worker, which exchanges ghosts between the colours, cannot
-/// use it, and no solver calls it: it is here to be measured beside the
-/// two-pass sweep.
+/// cells only post-red values. It is the one-iteration, untracked case of
+/// the pass `solve_seq` makes; the threaded worker, which exchanges ghosts
+/// between the colours, cannot use it.
 pub fn sweep_iteration(grid: &mut Grid, omega: f64) {
-    let n = grid.n();
-    let red = Color::Red.parity();
-    let black = Color::Black.parity();
-    let data = grid.data_mut();
-    crate::kernel::relax_rows(data, n, red, omega, 1, 2, 0);
-    for i in 2..n - 1 {
-        crate::kernel::relax_rows(data, n, red, omega, i, i + 1, 0);
-        crate::kernel::relax_rows(data, n, black, omega, i - 1, i, 0);
-    }
-    crate::kernel::relax_rows(data, n, black, omega, n - 2, n - 1, 0);
-}
-
-/// One red+black iteration over the whole interior — a full red sweep, a
-/// full black sweep — and the residual it leaves.
-fn iterate(grid: &mut Grid, omega: f64) -> f64 {
-    let n = grid.n();
-    sweep_color_rows(grid, Color::Red, omega, 1, n - 1);
-    sweep_color_rows(grid, Color::Black, omega, 1, n - 1);
-    grid.max_residual()
+    stream(grid, omega, 1, None);
 }
 
 /// Runs `params.iterations` red-black iterations sequentially.
@@ -83,14 +63,182 @@ pub fn solve_seq(grid: &mut Grid, params: SorParams) -> Vec<f64> {
         "omega must lie in (0,2): {}",
         params.omega
     );
-    (0..params.iterations)
-        .map(|_| iterate(grid, params.omega))
-        .collect()
+    let mut residuals = vec![0.0; params.iterations];
+    stream(grid, params.omega, params.iterations, Some(&mut residuals));
+    residuals
+}
+
+/// [`solve_seq`] without the residuals, for a caller that has checked
+/// `omega` and would throw them away: the same grid, bit for bit.
+pub(crate) fn relax_seq(grid: &mut Grid, params: SorParams) {
+    stream(grid, params.omega, params.iterations, None);
+}
+
+/// Iterations one streaming pass carries; a deeper call runs in passes of
+/// this many. A pass keeps `2 * DEPTH + 3` rows live, 287 KB of a 1026
+/// grid and 574 KB of a 2050 one, inside one core's 2 MiB L2. Measured
+/// against 5 and 8 (40-iteration calls on 1026², 20 on 2050²), 16 was as
+/// fast or faster on both.
+const DEPTH: usize = 16;
+
+/// One stage of a streaming pass: one colour of one iteration, the
+/// residual mode its kernel runs in, and the iteration whose residual the
+/// kernel's maximum belongs to.
+#[derive(Clone, Copy)]
+struct Stage {
+    parity: usize,
+    mode: u8,
+    slot: usize,
+}
+
+/// Runs `iterations` red+black iterations over the whole interior, and
+/// with `residuals` (one slot an iteration) the residual after each.
+///
+/// Each pass over the grid relaxes up to [`DEPTH`] iterations: its stages
+/// (red₀, black₀, red₁, …) trail each other by a row, so the grid is read
+/// and written once a pass, while the rows between the first stage and the
+/// last stay in cache. The residual comes out
+/// of the kernel (see `kernel::residual`): iteration `k`'s is the maximum
+/// of its black stage, taken after each update, and of iteration `k + 1`'s
+/// red stage, taken before it. After the call's last black stage a
+/// residual-only red stage supplies the last iteration's red half. Red
+/// stages carry their residual across passes, so only the last pass pays
+/// that trailing stage.
+fn stream(grid: &mut Grid, omega: f64, iterations: usize, mut residuals: Option<&mut [f64]>) {
+    use crate::kernel::residual::{AFTER, BEFORE, NONE, ONLY};
+    let tracked = residuals.is_some();
+    let (red, black) = (Color::Red.parity(), Color::Black.parity());
+    let mut stages = [Stage {
+        parity: red,
+        mode: NONE,
+        slot: 0,
+    }; 2 * DEPTH + 1];
+    let mut first = 0;
+    while first < iterations {
+        let last = (first + DEPTH).min(iterations);
+        let mut count = 0;
+        for it in first..last {
+            stages[count] = Stage {
+                parity: red,
+                mode: if tracked && it > 0 { BEFORE } else { NONE },
+                slot: it.saturating_sub(1),
+            };
+            stages[count + 1] = Stage {
+                parity: black,
+                mode: if tracked { AFTER } else { NONE },
+                slot: it,
+            };
+            count += 2;
+        }
+        if tracked && last == iterations {
+            stages[count] = Stage {
+                parity: red,
+                mode: ONLY,
+                slot: last - 1,
+            };
+            count += 1;
+        }
+        pass(grid, omega, &stages[..count], residuals.as_deref_mut());
+        first = last;
+    }
+}
+
+/// One streaming pass: at row step `i`, stage `s` relaxes row `i - s`,
+/// stages in order. When a red stage relaxes row `r`, the black stage
+/// before it has finished row `r + 1` and the one after it only row
+/// `r - 2`, so every black cell it reads (rows `r - 1 ..= r + 1`) holds
+/// the previous iteration's value; a black stage likewise reads red rows
+/// that its iteration's red stage has finished and the next has not
+/// reached. A stage in mode NONE returns 0, which folds into any slot as
+/// nothing.
+fn pass(grid: &mut Grid, omega: f64, stages: &[Stage], mut residuals: Option<&mut [f64]>) {
+    use crate::kernel::residual::{AFTER, BEFORE, NONE, ONLY};
+    use crate::kernel::{color_start, keep_max, relax_row};
+    let n = grid.n();
+    let data = grid.data_mut();
+    for i in 1..n - 2 + stages.len() {
+        let live = i.saturating_sub(n - 2)..i.min(stages.len());
+        for (s, stage) in stages.iter().enumerate().take(live.end).skip(live.start) {
+            let row = i - s;
+            let start = color_start(stage.parity, row, 1);
+            let (head, rest) = data.split_at_mut(row * n);
+            let (current, tail) = rest.split_at_mut(n);
+            let (above, below) = (&head[(row - 1) * n..], &tail[..n]);
+            let r = match stage.mode {
+                NONE => relax_row::<NONE>(above, current, below, omega, start),
+                BEFORE => relax_row::<BEFORE>(above, current, below, omega, start),
+                AFTER => relax_row::<AFTER>(above, current, below, omega, start),
+                _ => relax_row::<ONLY>(above, current, below, omega, start),
+            };
+            if let Some(res) = residuals.as_deref_mut() {
+                keep_max(&mut res[stage.slot], r);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::tests::{bits_modulo_nan, cells};
+    use proptest::prelude::*;
+
+    /// The stream against its definition on the grid `vals` gives row by
+    /// row: a red sweep, a black sweep and the walked residual, iteration
+    /// by iteration, to the bit (NaN payloads aside), tracked or not.
+    fn stream_matches_two_pass(
+        n: usize,
+        vals: &[f64],
+        omega: f64,
+        iterations: usize,
+    ) -> Result<(), TestCaseError> {
+        let params = SorParams { omega, iterations };
+        let mut streamed = Grid::from_fn(n, |i, j| vals[i * n + j]);
+        let mut untracked = streamed.clone();
+        let mut two_pass = streamed.clone();
+        let residuals = solve_seq(&mut streamed, params);
+        relax_seq(&mut untracked, params);
+        let walked: Vec<f64> = (0..iterations)
+            .map(|_| {
+                sweep_color_rows(&mut two_pass, Color::Red, omega, 1, n - 1);
+                sweep_color_rows(&mut two_pass, Color::Black, omega, 1, n - 1);
+                two_pass.max_residual()
+            })
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|&x| bits_modulo_nan(x)).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&residuals), bits(&walked));
+        prop_assert_eq!(bits(streamed.data()), bits(two_pass.data()));
+        prop_assert_eq!(bits(untracked.data()), bits(two_pass.data()));
+        Ok(())
+    }
+
+    proptest! {
+        /// Grids as small as one interior row have more stages than rows,
+        /// and up to `3 * DEPTH + 1` iterations cross passes; the cells
+        /// include ±0, subnormals, ±1e300, ±inf and NaN.
+        #[test]
+        fn stream_matches_two_pass_sweeps_and_max_residual(
+            n in 3usize..41,
+            vals in cells(40 * 40),
+            omega in 0.1f64..1.95,
+            iterations in 0usize..3 * DEPTH + 2,
+        ) {
+            stream_matches_two_pass(n, &vals, omega, iterations)?;
+        }
+
+        /// The same on finite grids, which a NaN or an infinity does not
+        /// swamp within the first pass, so later passes compare ordinary
+        /// residuals too.
+        #[test]
+        fn stream_matches_two_pass_on_finite_grids(
+            n in 3usize..41,
+            vals in proptest::collection::vec(-10.0f64..10.0, 40 * 40),
+            omega in 0.1f64..1.95,
+            iterations in 0usize..3 * DEPTH + 2,
+        ) {
+            stream_matches_two_pass(n, &vals, omega, iterations)?;
+        }
+    }
 
     /// Runs `solve_seq`'s red+black iteration until the residual drops
     /// below `tol` or `max_iterations` is reached, and returns the
@@ -99,7 +247,13 @@ mod tests {
     fn solve_until(grid: &mut Grid, omega: f64, tol: f64, max_iterations: usize) -> (usize, f64) {
         let mut residual = f64::INFINITY;
         for it in 1..=max_iterations {
-            residual = iterate(grid, omega);
+            residual = solve_seq(
+                grid,
+                SorParams {
+                    omega,
+                    iterations: 1,
+                },
+            )[0];
             if residual < tol {
                 return (it, residual);
             }
