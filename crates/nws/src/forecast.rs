@@ -50,26 +50,63 @@ pub struct LaneState {
 /// Slides `sorted` one sample forward and returns it: on entry it holds
 /// the last `window` values of the history before its newest sample,
 /// ascending by `total_cmp`; on return the last `window` values including
-/// it (`None` for an empty history). The value that left the window is
-/// taken out and the one that arrived put in, each found by binary
-/// search. `total_cmp` orders distinct bit patterns strictly, so this is
-/// the sequence — bit for bit — that copying the window and sorting it
-/// gives.
+/// it (`None` for an empty history). Both places are ranked by count, not
+/// by search: one pass counts the window's values that sort below the
+/// value that leaves and below the one that arrives, with no branch on the
+/// data, and one `copy_within` shifts the values between the two places —
+/// one way or the other, chosen without a branch either. `total_cmp`
+/// orders distinct bit patterns strictly, so this is the sequence — bit
+/// for bit — that copying the window and sorting it gives.
 fn slide_sorted<'a>(sorted: &'a mut Vec<f64>, window: usize, history: &[f64]) -> Option<&'a [f64]> {
     let window = window.max(1);
     let (&arrived, earlier) = history.split_last()?;
     if earlier.is_empty() {
         sorted.clear();
-    } else if earlier.len() >= window {
-        let left = earlier[earlier.len() - window];
-        if let Ok(at) = sorted.binary_search_by(|p| p.total_cmp(&left)) {
-            sorted.remove(at);
-        }
     }
-    debug_assert_eq!(sorted.len(), earlier.len().min(window - 1));
-    let at = sorted.partition_point(|p| p.total_cmp(&arrived).is_lt());
-    sorted.insert(at, arrived);
+    debug_assert_eq!(sorted.len(), earlier.len().min(window));
+    let full = earlier.len() >= window;
+    let left = if full {
+        earlier[earlier.len() - window]
+    } else {
+        arrived
+    };
+    let (left_key, arrived_key) = (total_key(left), total_key(arrived));
+    let (below_left, below_arrived) = ranks_below(sorted, left_key, arrived_key);
+    if full {
+        // `left` sits at `below_left`; `arrived` goes where it ranks once
+        // `left` is out. The values between move one place toward
+        // `below_left`: down when `arrived` lands above it, up otherwise.
+        debug_assert_eq!(sorted[below_left].to_bits(), left.to_bits());
+        let at = below_arrived - usize::from(left_key < arrived_key);
+        let down = usize::from(at >= below_left);
+        let (lo, hi) = (at.min(below_left), at.max(below_left));
+        sorted.copy_within(lo + down..hi + down, lo + 1 - down);
+        sorted[at] = arrived;
+    } else {
+        sorted.insert(below_arrived, arrived);
+    }
     Some(sorted)
+}
+
+/// An integer that orders as `f64::total_cmp` orders `x`: the bits, with
+/// the magnitude bits flipped for negative values.
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// How many of `sorted`'s values rank below each of two keys, counted in
+/// one pass that adds a comparison's outcome instead of branching on it:
+/// on load data a comparison is a coin flip, which a binary search pays
+/// for in mispredictions at every step.
+fn ranks_below(sorted: &[f64], a: i64, b: i64) -> (usize, usize) {
+    sorted.iter().fold((0, 0), |(below_a, below_b), &p| {
+        let key = total_key(p);
+        (
+            below_a + usize::from(key < a),
+            below_b + usize::from(key < b),
+        )
+    })
 }
 
 /// Predicts the last observed value (martingale / persistence).
@@ -512,6 +549,40 @@ mod tests {
             s.push(i as f64 * 5.0, v);
         }
         s
+    }
+
+    #[test]
+    fn total_key_orders_as_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            0.25,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_0001),
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_key(a).cmp(&total_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} ({:#x}) vs {b:?} ({:#x})",
+                    a.to_bits(),
+                    b.to_bits()
+                );
+            }
+        }
     }
 
     #[test]

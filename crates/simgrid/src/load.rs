@@ -19,7 +19,6 @@
 use crate::event::EventQueue;
 use crate::rng::{exponential, weighted_index};
 use crate::trace::Trace;
-use prodpred_stochastic::dist::Distribution;
 use prodpred_stochastic::Normal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -133,10 +132,10 @@ impl LoadGenerator for SingleModeAr1 {
         let Self { mean, sd, phi } = *self;
         let mut rng = StdRng::seed_from_u64(seed);
         let innovation = Normal::new(0.0, sd * (1.0 - phi * phi).sqrt());
-        let mut x = Normal::new(mean, sd).sample(&mut rng);
+        let mut x = Normal::new(mean, sd).draw(&mut rng);
         Box::new(std::iter::repeat_with(move || {
             let out = clamp_avail(x);
-            x = mean + phi * (x - mean) + innovation.sample(&mut rng);
+            x = mean + phi * (x - mean) + innovation.draw(&mut rng);
             out
         }))
     }
@@ -246,7 +245,7 @@ impl LoadGenerator for MarkovModal {
         let mut x = modes[mode].mean;
         Box::new(std::iter::repeat_with(move || {
             let m = &modes[mode];
-            x = m.mean + phi * (x - m.mean) + innovations[mode].sample(&mut rng);
+            x = m.mean + phi * (x - m.mean) + innovations[mode].draw(&mut rng);
             let out = clamp_avail(x);
             dwell_left -= dt;
             if dwell_left <= 0.0 {
@@ -360,7 +359,7 @@ impl SessionLoad {
                 cp_idx += 1;
             }
             let k = change_points[cp_idx].1 as f64;
-            let avail = self.idle_avail / (1.0 + k) + noise.sample(&mut rng);
+            let avail = self.idle_avail / (1.0 + k) + noise.draw(&mut rng);
             values.push(clamp_avail(avail));
         }
         Trace::new(t0, dt, values)

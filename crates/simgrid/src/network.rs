@@ -12,7 +12,6 @@
 use crate::load::{LoadGenerator, LoadStream};
 use crate::rng::{exponential, uniform01};
 use crate::trace::Trace;
-use prodpred_stochastic::dist::Distribution;
 use prodpred_stochastic::{LongTailed, Normal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,9 +85,9 @@ impl LoadGenerator for EthernetContention {
         let mut dwell_left = exponential(&mut rng, rate);
         Box::new(std::iter::repeat_with(move || {
             let v = if busy {
-                tail.sample(&mut rng)
+                tail.draw(&mut rng)
             } else {
-                quiet.sample(&mut rng)
+                quiet.draw(&mut rng)
             };
             dwell_left -= dt;
             if dwell_left <= 0.0 {
@@ -126,15 +125,16 @@ impl Ethernet {
         }
     }
 
-    /// Wall-clock seconds to transfer `bytes` starting at `t`, integrating
-    /// against the availability trace, plus latency.
-    pub fn transfer_secs(&self, bytes: f64, t: f64) -> f64 {
-        assert!(bytes >= 0.0);
-        // tidy:allow(PP004): exact zero-byte shortcut, no tolerance wanted
-        if bytes == 0.0 {
+    /// Wall-clock seconds to transfer a message of `work` dedicated
+    /// seconds — its bytes over `spec.dedicated_bw` — starting at `t`,
+    /// integrating against the availability trace, plus latency; zero for
+    /// an empty message. The message is given by its work, not its bytes,
+    /// so a caller that sends one size many times divides once.
+    pub fn transfer_work_secs(&self, work: f64, t: f64) -> f64 {
+        // tidy:allow(PP004): exact zero-work shortcut, no tolerance wanted
+        if work == 0.0 {
             return 0.0;
         }
-        let work = bytes / self.spec.dedicated_bw; // dedicated seconds
         self.spec.latency + self.avail.time_to_complete(t + self.spec.latency, work)
     }
 }
@@ -148,7 +148,8 @@ mod tests {
     fn dedicated_transfer_time() {
         let dedicated = Ethernet::new(NetworkSpec::default(), Trace::constant(0.0, 1.0, 1.0, 10));
         // 1.25e6 bytes at 1.25e6 B/s = 1 s + 1 ms latency.
-        assert!((dedicated.transfer_secs(1.25e6, 0.0) - 1.001).abs() < 1e-9);
+        let work = 1.25e6 / dedicated.spec.dedicated_bw;
+        assert!((dedicated.transfer_work_secs(work, 0.0) - 1.001).abs() < 1e-9);
     }
 
     #[test]
@@ -156,15 +157,16 @@ mod tests {
         let spec = NetworkSpec::default();
         let quiet = Ethernet::new(spec, Trace::constant(0.0, 1.0, 0.58, 100));
         let busy = Ethernet::new(spec, Trace::constant(0.0, 1.0, 0.29, 100));
-        let t_q = quiet.transfer_secs(1.0e6, 0.0);
-        let t_b = busy.transfer_secs(1.0e6, 0.0);
+        let work = 1.0e6 / spec.dedicated_bw;
+        let t_q = quiet.transfer_work_secs(work, 0.0);
+        let t_b = busy.transfer_work_secs(work, 0.0);
         assert!(((t_b - spec.latency) / (t_q - spec.latency) - 2.0).abs() < 1e-6);
     }
 
     #[test]
     fn zero_bytes_is_free() {
         let e = Ethernet::dedicated(NetworkSpec::default(), 10.0);
-        assert_eq!(e.transfer_secs(0.0, 0.0), 0.0);
+        assert_eq!(e.transfer_work_secs(0.0, 0.0), 0.0);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Deterministic random-variate helpers shared by the simulator's
 //! generators. Everything takes an explicit `RngCore` so whole experiments
-//! replay bit-for-bit from a seed.
+//! replay bit-for-bit from a seed, generic over it so a stream that owns a
+//! concrete generator calls it directly.
 
 use rand::RngCore;
 
 /// A uniform draw in `[0, 1)` with 53 bits of precision.
-pub fn uniform01(rng: &mut dyn RngCore) -> f64 {
+pub fn uniform01<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     const SCALE: f64 = 1.110_223_024_625_156_5e-16; // 2^-53
     (rng.next_u64() >> 11) as f64 * SCALE
 }
@@ -16,7 +17,7 @@ pub fn uniform01(rng: &mut dyn RngCore) -> f64 {
 /// # Panics
 ///
 /// Panics unless `rate > 0`.
-pub(crate) fn exponential(rng: &mut dyn RngCore, rate: f64) -> f64 {
+pub(crate) fn exponential<R: RngCore + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     assert!(rate > 0.0, "exponential rate must be positive");
     let u = loop {
         let u = uniform01(rng);
@@ -32,7 +33,7 @@ pub(crate) fn exponential(rng: &mut dyn RngCore, rate: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `weights` is empty or sums to zero.
-pub(crate) fn weighted_index(rng: &mut dyn RngCore, weights: &[f64]) -> usize {
+pub(crate) fn weighted_index<R: RngCore + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
     assert!(!weights.is_empty(), "weighted_index needs weights");
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "weights must sum to a positive value");

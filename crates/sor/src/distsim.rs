@@ -21,6 +21,20 @@
 //! interior edges (`N - 2` for a `P x 1` layout — 0.2 % smaller at
 //! `N = 1000`).
 //!
+//! Within a phase the processors' communication is independent: each one
+//! reads only the others' compute finish times, then runs its own chain of
+//! transfers, each starting where the last ended. The loop takes every
+//! processor's rendezvous first and then runs the transfers slot by slot —
+//! the first neighbour's two messages for every processor that has one,
+//! then the second's — rather than one processor's whole chain after
+//! another. Each processor still meets the same operations in the same
+//! order, so every clock keeps its bits; what changes is that the
+//! processors' chains of trace searches interleave, and the CPU overlaps
+//! them instead of waiting on one search at a time (`src/tests/lockstep.rs`
+//! holds the loop to the per-processor one, bit for bit). A message's
+//! dedicated seconds on the wire, like a part's elements of one colour,
+//! are worked out once per run, not once per phase.
+//!
 //! Self-contention among the application's own transfers is not modelled
 //! separately: the bandwidth-availability trace already carries the
 //! segment's contention state, and the application's ghost rows are small
@@ -158,6 +172,38 @@ fn simulate_on(platform: &Platform, parts: &[Part], cfg: DistSorConfig) -> DistS
         "every processor needs elements"
     );
 
+    // What no phase changes, once per run: the elements of one colour
+    // (paging inflates the per-element cost; expressing it as extra
+    // elements keeps the load-trace integration), and per neighbour slot
+    // the processors that have one, each with its message's dedicated
+    // seconds on the wire.
+    let colour_elements: Vec<f64> = parts
+        .iter()
+        .zip(&platform.machines)
+        .map(|(part, machine)| {
+            let elems = part.elements as f64 / 2.0;
+            match &cfg.paging {
+                Some(paging) => elems * paging.slowdown(&machine.spec, part.elements as f64),
+                None => elems,
+            }
+        })
+        .collect();
+    let slots = parts
+        .iter()
+        .map(|part| part.neighbours.len())
+        .max()
+        .unwrap_or(0);
+    let bandwidth = platform.network.spec.dedicated_bw;
+    let transfers: Vec<Vec<(usize, f64)>> = (0..slots)
+        .map(|slot| {
+            parts
+                .iter()
+                .enumerate()
+                .filter_map(|(i, part)| Some((i, part.neighbours.get(slot)?.1 / bandwidth)))
+                .collect()
+        })
+        .collect();
+
     let mut clocks = vec![cfg.start_time; parts.len()];
     let mut ready = vec![0.0f64; parts.len()];
     let mut iteration_secs = Vec::with_capacity(cfg.iterations);
@@ -166,15 +212,8 @@ fn simulate_on(platform: &Platform, parts: &[Part], cfg: DistSorConfig) -> DistS
     for _iter in 0..cfg.iterations {
         for _color in 0..2 {
             // Compute phase: half the part's elements have this colour.
-            for (i, part) in parts.iter().enumerate() {
-                let machine = &platform.machines[i];
-                let mut elems = part.elements as f64 / 2.0;
-                if let Some(paging) = &cfg.paging {
-                    // Paging inflates the per-element cost; expressing it
-                    // as extra elements keeps the load-trace integration.
-                    elems *= paging.slowdown(&machine.spec, part.elements as f64);
-                }
-                ready[i] = clocks[i] + machine.compute_secs(elems, clocks[i]);
+            for (i, &elems) in colour_elements.iter().enumerate() {
+                ready[i] = clocks[i] + platform.machines[i].compute_secs(elems, clocks[i]);
             }
             // Communication phase. A ghost exchange with a neighbour is a
             // rendezvous: it cannot begin until both parties finish
@@ -185,15 +224,20 @@ fn simulate_on(platform: &Platform, parts: &[Part], cfg: DistSorConfig) -> DistS
             // phase (SendLR + ReceLR in the structural model), an edge
             // strip for two, and a lone processor for none.
             for (i, part) in parts.iter().enumerate() {
-                let mut t = ready[i];
-                for &(q, _) in &part.neighbours {
-                    t = t.max(ready[q]);
+                clocks[i] = part
+                    .neighbours
+                    .iter()
+                    .fold(ready[i], |t, &(q, _)| t.max(ready[q]));
+            }
+            // Slot by slot, each direction in turn, every processor with
+            // that slot: one processor's transfers run in its own order,
+            // and the processors' independent chains interleave.
+            for slot in &transfers {
+                for _direction in 0..2 {
+                    for &(i, work) in slot {
+                        clocks[i] += platform.network.transfer_work_secs(work, clocks[i]);
+                    }
                 }
-                for &(_, bytes) in &part.neighbours {
-                    t += platform.network.transfer_secs(bytes, t);
-                    t += platform.network.transfer_secs(bytes, t);
-                }
-                clocks[i] = t;
             }
         }
         let frontier = clocks.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -235,6 +279,11 @@ pub fn simulate_blocks(
 ) -> DistSorResult {
     simulate_on(platform, &Part::blocks(blocks, layout), cfg)
 }
+
+/// The per-processor phase loop the lockstep one is held to.
+#[cfg(test)]
+#[path = "tests/lockstep.rs"]
+mod lockstep;
 
 #[cfg(test)]
 mod tests {

@@ -57,6 +57,14 @@ impl LogNormal {
     pub fn sigma(&self) -> f64 {
         self.sigma
     }
+
+    /// One draw by quantile transform: the one sampling body, generic over
+    /// the generator as [`Normal::draw`] is.
+    ///
+    /// [`Normal::draw`]: super::Normal::draw
+    pub(crate) fn draw<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+        (self.mu + self.sigma * sample_std_normal(rng)).exp()
+    }
 }
 
 impl Distribution for LogNormal {
@@ -88,8 +96,9 @@ impl Distribution for LogNormal {
         (s2.exp() - 1.0) * (2.0 * self.mu + s2).exp()
     }
 
+    /// `LogNormal::draw`, through the object-safe trait.
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        (self.mu + self.sigma * sample_std_normal(rng)).exp()
+        self.draw(rng)
     }
 }
 
@@ -145,6 +154,18 @@ impl LongTailed {
             TailDirection::Above => x - self.threshold,
         }
     }
+
+    /// One draw: the threshold less (or plus) a lognormal gap. The one
+    /// sampling body, generic over the generator as [`Normal::draw`] is.
+    ///
+    /// [`Normal::draw`]: super::Normal::draw
+    pub fn draw<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+        let gap = self.tail.draw(rng);
+        match self.direction {
+            TailDirection::Below => self.threshold - gap,
+            TailDirection::Above => self.threshold + gap,
+        }
+    }
 }
 
 impl Distribution for LongTailed {
@@ -177,12 +198,9 @@ impl Distribution for LongTailed {
         self.tail.variance()
     }
 
+    /// [`LongTailed::draw`], through the object-safe trait.
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        let gap = self.tail.sample(rng);
-        match self.direction {
-            TailDirection::Below => self.threshold - gap,
-            TailDirection::Above => self.threshold + gap,
-        }
+        self.draw(rng)
     }
 }
 

@@ -71,7 +71,7 @@ pub(crate) fn uniform01<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
 
 /// A uniform draw in the open interval `(0, 1)`, for quantile-transform
 /// sampling that must not hit the endpoints.
-pub(crate) fn uniform01_open(rng: &mut dyn RngCore) -> f64 {
+pub(crate) fn uniform01_open<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u = uniform01(rng);
         if u > 0.0 {

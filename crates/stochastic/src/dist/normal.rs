@@ -45,6 +45,22 @@ impl Normal {
     pub(crate) fn is_degenerate(&self) -> bool {
         self.sigma == 0.0 // tidy:allow(PP004): degenerate distribution has exactly zero sigma
     }
+
+    /// Marsaglia polar (Box–Muller variant) sampling: the one sampling
+    /// body, generic over the generator so a caller that owns a concrete
+    /// one (the load streams' `StdRng`) reaches it without a virtual call
+    /// per uniform; [`Distribution::sample`] delegates here. The trait is
+    /// stateless, so the second variate of each `polar_pair` is dropped
+    /// here and nothing is remembered between calls; the Monte-Carlo
+    /// `Max` drives `polar_pair` itself, keeps both variates, and keeps
+    /// each chunk's whole stream for the next maximum with that seed.
+    pub fn draw<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+        if self.is_degenerate() {
+            return self.mu;
+        }
+        let (u, _, f) = polar_pair(rng);
+        self.mu + self.sigma * u * f
+    }
 }
 
 impl Distribution for Normal {
@@ -81,23 +97,15 @@ impl Distribution for Normal {
         self.sigma * self.sigma
     }
 
-    /// Marsaglia polar (Box–Muller variant) sampling. The trait is
-    /// stateless, so the second variate of each `polar_pair` is dropped
-    /// here and nothing is remembered between calls; the Monte-Carlo
-    /// `Max` drives `polar_pair` itself, keeps both variates, and keeps
-    /// each chunk's whole stream for the next maximum with that seed.
+    /// [`Normal::draw`], through the object-safe trait.
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        if self.is_degenerate() {
-            return self.mu;
-        }
-        let (u, _, f) = polar_pair(rng);
-        self.mu + self.sigma * u * f
+        self.draw(rng)
     }
 }
 
 /// One accepted point of Marsaglia's polar method: `(u, v, f)` with
 /// `u * f` and `v * f` two independent standard-normal variates. The
-/// factor comes back unmultiplied because [`Normal::sample`] scales `u`
+/// factor comes back unmultiplied because [`Normal::draw`] scales `u`
 /// by `sigma` before `f`, and its stream is pinned to the bit. The
 /// Monte-Carlo `Max` stores the products `u * f`, `v * f` in draw order,
 /// so a stream read back from its per-thread memo is the one drawn.
@@ -113,7 +121,7 @@ pub(crate) fn polar_pair<R: RngCore + ?Sized>(rng: &mut R) -> (f64, f64, f64) {
 }
 
 /// A standard-normal draw, for callers that only need the raw variate.
-pub(crate) fn sample_std_normal(rng: &mut dyn RngCore) -> f64 {
+pub(crate) fn sample_std_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     // Quantile-transform: slower than polar but branch-free; used by the
     // lognormal sampler where correlated pair consumption matters.
     std_normal_quantile(uniform01_open(rng))

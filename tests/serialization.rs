@@ -46,9 +46,10 @@ fn platform_round_trip_preserves_behaviour() {
     }
     assert_eq!(p.network.avail, back.network.avail);
     // Behavioural check: transfers agree.
+    let work = 1.0e5 / p.network.spec.dedicated_bw;
     assert_eq!(
-        p.network.transfer_secs(1.0e5, 100.0),
-        back.network.transfer_secs(1.0e5, 100.0)
+        p.network.transfer_work_secs(work, 100.0),
+        back.network.transfer_work_secs(work, 100.0)
     );
 }
 
