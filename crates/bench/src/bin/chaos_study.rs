@@ -22,6 +22,7 @@
 //! Usage: `cargo run --release --bin chaos_study [schedules] [out.json]`
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 use prodpred_bench::campaign::{self, CAMPAIGN_SEED, CHECKPOINT_EVERY, ITERATIONS, N, RANKS};
@@ -74,10 +75,11 @@ fn run_schedule(schedule: &FaultSchedule, reference: &Grid) -> Outcome {
 /// schedule outcomes into one order-sensitive digest.
 fn run_campaign(
     campaign: &[FaultSchedule],
-    reference: &Grid,
+    reference: &Arc<Grid>,
     threads: usize,
 ) -> (Vec<Outcome>, u64) {
-    let outcomes = parallel_map(campaign, threads, |_, s| run_schedule(s, reference));
+    let reference = Arc::clone(reference);
+    let outcomes = parallel_map(campaign, threads, move |_, s| run_schedule(s, &reference));
     let mut digest = 0u64;
     for (s, o) in campaign.iter().zip(&outcomes) {
         digest = mix(digest ^ s.id);
@@ -167,6 +169,7 @@ fn main() {
     let campaign = campaign::schedules(schedules);
     let mut reference = Grid::laplace_problem(N);
     solve_seq(&mut reference, SorParams::for_grid(N, ITERATIONS));
+    let reference = Arc::new(reference);
 
     // The determinism pin: the same campaign at a single worker and an
     // oversubscribed pool must fold to the same digest.

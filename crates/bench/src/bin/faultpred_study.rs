@@ -91,14 +91,14 @@ fn campaign_half(schedules: usize) -> Vec<Term> {
 /// series.
 fn sweep_half(runs: usize) -> Vec<SweepRow> {
     // Healthy twins, one per seed, shared across intensities.
-    let healthy = parallel_map(&SWEEP_SEEDS, 0, |_, &seed| {
+    let healthy = parallel_map(&SWEEP_SEEDS, 0, move |_, &seed| {
         platform2_experiment(seed, SWEEP_N, runs)
     });
     let cells: Vec<(f64, u64)> = SWEEP_INTENSITIES
         .iter()
         .flat_map(|&i| SWEEP_SEEDS.iter().map(move |&s| (i, s)))
         .collect();
-    let faulted = parallel_map(&cells, 0, |_, &(intensity, seed)| {
+    let faulted = parallel_map(&cells, 0, move |_, &(intensity, seed)| {
         let cfg = FaultConfig::with_intensity(seed, intensity);
         platform2_experiment_with_faults(seed, SWEEP_N, runs, &cfg)
     });

@@ -34,12 +34,12 @@ pub fn run() {
     let platforms = [
         (
             "Platform 1 (single-mode)",
-            Platform::platform1(7, 200_000.0),
+            Platform::platform1 as fn(u64, f64) -> Platform,
         ),
-        ("Platform 2 (bursty)", Platform::platform2(7, 200_000.0)),
+        ("Platform 2 (bursty)", Platform::platform2),
     ];
-    let tables = prodpred_pool::parallel_map(&platforms, 0, |_, (_, platform)| {
-        ep_policy_study(&job, platform, &policies, 25, 180.0)
+    let tables = prodpred_pool::parallel_map(&platforms, 0, move |_, &(_, platform)| {
+        ep_policy_study(&job, &platform(7, 200_000.0), &policies, 25, 180.0)
             .iter()
             .map(|r| {
                 vec![

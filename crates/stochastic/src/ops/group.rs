@@ -259,9 +259,12 @@ fn monte_carlo_max(values: &[StochasticValue], samples: usize, seed: u64) -> Sto
     // and sums its maxima shifted by the first (`MeanVar::of`); the
     // partials are combined in chunk order (Chan's merge), so any thread
     // count — including the serial fallback — produces identical bits. A
-    // chunk on a pool thread finds that thread's memo empty.
+    // chunk reads the memo of the thread that claims it, the caller's or a
+    // pool worker's, and both outlive the call; a stream's variates depend
+    // on its seed alone, so whatever that thread drew before cannot reach
+    // the bits.
     let chunks = prodpred_pool::chunk_lengths(samples, MC_MAX_CHUNK);
-    let partials = prodpred_pool::parallel_map(&chunks, 0, |i, &len| {
+    let partials = prodpred_pool::parallel_map(&chunks, 0, move |i, &len| {
         MEMO.with_borrow_mut(|memo| {
             let stream = stream(memo, prodpred_pool::derive_seed(seed, i as u64));
             let need = len * live_count;
@@ -497,8 +500,10 @@ mod tests {
     /// A maximum is a pure function of its arguments, whatever the thread
     /// evaluated before it: `GOLDEN` replayed backwards, shuffled, between
     /// maxima of more other seeds than a thread keeps streams for, between
-    /// shorter and longer maxima of the same seed, and one row per fresh
-    /// thread.
+    /// shorter and longer maxima of the same seed, one row per fresh
+    /// thread, and each multi-chunk row before and after multi-chunk
+    /// maxima of other seeds, whose chunks fill the memos of the same
+    /// threads: this one and the pool's workers.
     #[test]
     fn monte_carlo_bits_do_not_depend_on_call_history() {
         let check = |row: &(usize, usize, u64, u64), how: &str| {
@@ -535,6 +540,14 @@ mod tests {
             std::thread::spawn(move || check(&row, "on a fresh thread"))
                 .join()
                 .unwrap();
+        }
+        let multi_chunk = GOLDEN.iter().filter(|row| row.1 > MC_MAX_CHUNK);
+        for (i, row) in multi_chunk.enumerate() {
+            check(row, "multi-chunk, before other seeds on the workers");
+            for other in 0..MEMO_SLOTS + 2 {
+                mc_row(5, 3 * MC_MAX_CHUNK, 2000 + (i * 16 + other) as u64);
+            }
+            check(row, "multi-chunk, after other seeds on the workers");
         }
     }
 

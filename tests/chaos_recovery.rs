@@ -3,6 +3,7 @@
 //! APIs, the way the `chaos_study` bench bin drives it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Duration;
 
 use prodpred_core::{solve_supervised, RetryPolicy};
@@ -134,9 +135,11 @@ fn mini_campaign_is_deterministic_across_pool_widths_with_zero_panics() {
     let campaign = FaultSchedule::random_campaign(99, 24, ranks, iters);
     let mut reference = Grid::laplace_problem(n);
     solve_seq(&mut reference, SorParams::for_grid(n, iters));
+    let reference = Arc::new(reference);
 
     let run = |threads: usize| {
-        let outcomes = parallel_map(&campaign, threads, |_, schedule| {
+        let reference = Arc::clone(&reference);
+        let outcomes = parallel_map(&campaign, threads, move |_, schedule| {
             catch_unwind(AssertUnwindSafe(|| {
                 let mut grid = Grid::laplace_problem(n);
                 let recovery = solve_supervised(
