@@ -49,6 +49,7 @@ registry! {
     memory_boundary: "study: where the prediction regime ends",
     ep_study: "study: Sec 1.2's EP application, policies end to end",
     fault_study: "study: accuracy vs fault intensity",
+    tournament_study: "study: which NWS strategies win the tournament",
 }
 
 fn main() {
