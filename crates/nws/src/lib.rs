@@ -13,8 +13,8 @@
 //!   each keeping the forecaster tournament's running scores so a load
 //!   query costs O(strategies), not a walk over the history,
 //! * [`series::TimeSeries`] — bounded per-resource measurement history,
-//! * [`forecast`] — the NWS's strategy ensemble (persistence, means,
-//!   medians, exponential smoothing) with adaptive best-of-MSE selection,
+//! * [`forecast`] — the NWS's strategy ensemble (persistence and
+//!   exponential smoothing) with adaptive best-of-MSE selection,
 //! * [`service::NwsService`] — the facade that turns sensor histories into
 //!   `mean ± 2σ` stochastic values for CPU availability and bandwidth,
 //!   with fault-aware queries ([`service::QuerySummary`]) that degrade

@@ -2,8 +2,8 @@
 //! forecast mode), `cpu_query` and `cpu_stochastic` read the sensor's
 //! running scores and a view of its ring, and never touch the heap —
 //! under every spread policy, and with the ring wrapped. And that of a
-//! sample: once every window of the standard tournament is full,
-//! observing one allocates nothing either. A counting global allocator
+//! sample: once the standard tournament's scoreboard is warm, observing
+//! one allocates nothing either. A counting global allocator
 //! tallies per thread, so the harness's own threads cannot disturb an
 //! exact zero.
 
@@ -95,12 +95,12 @@ fn observing_a_sample_allocates_nothing_once_every_window_is_full() {
     let history: Vec<f64> = (0..400)
         .map(|i| 0.5 + 0.4 * (i as f64 * 0.37).sin())
         .collect();
-    // The longest window of the standard ensemble is 24 samples.
+    // A board's lanes are allocated with its first sample.
     let warm = 24;
     let mut board = Scoreboard::default();
     ensemble.replay(&mut board, &history[..warm]);
-    // A replay on the same board restarts every strategy in the buffers
-    // it already has, then observes the history one sample at a time.
+    // A replay on the same board restarts every strategy in the lanes it
+    // already has, then observes the history one sample at a time.
     let allocations = allocations_during(|| {
         ensemble.replay(&mut board, &history);
         black_box(board.best());

@@ -277,7 +277,7 @@ pub fn quantile(data: &[f64], q: f64) -> Option<f64> {
 }
 
 /// Quantile over data that is already sorted ascending.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty());
     let n = sorted.len();
     if n == 1 {

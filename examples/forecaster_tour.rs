@@ -4,10 +4,7 @@
 //!
 //! Run with: `cargo run -p prodpred-examples --bin forecaster_tour`
 
-use prodpred_nws::forecast::{
-    postcast_mse, AdaptiveForecaster, AdaptiveWindowMean, ExpSmoothing, Forecaster, LastValue,
-    RunningMean, SlidingMean, SlidingMedian, TrimmedMean,
-};
+use prodpred_nws::forecast::{postcast_mse, AdaptiveForecaster};
 use prodpred_nws::TimeSeries;
 use prodpred_simgrid::load::{LoadGenerator, MarkovModal, SingleModeAr1};
 
@@ -43,37 +40,26 @@ fn main() {
         ),
     ];
 
-    let strategies: Vec<Box<dyn Forecaster + Send + Sync>> = vec![
-        Box::new(LastValue),
-        Box::new(RunningMean),
-        Box::new(SlidingMean { window: 6 }),
-        Box::new(SlidingMedian { window: 6 }),
-        Box::new(TrimmedMean {
-            window: 12,
-            trim: 2,
-        }),
-        Box::new(ExpSmoothing::new(0.3)),
-        Box::new(AdaptiveWindowMean::default()),
-    ];
-
+    let ens = AdaptiveForecaster::standard();
     for (name, values) in &signals {
         println!("--- {name} ---");
-        for s in &strategies {
+        for (i, s) in ens.strategies().iter().enumerate() {
             let mse = postcast_mse(s.as_ref(), values).unwrap();
-            println!("  {:16} rmse {:.4}", s.name(), mse.sqrt());
+            println!("  {i} {:16} rmse {:.4}", s.name(), mse.sqrt());
         }
-        let ens = AdaptiveForecaster::standard();
         let ts = series_from(values);
         let fc = ens.forecast(&ts).unwrap();
         println!(
-            "  adaptive pick: {} (forecast {:.3} ± rmse {:.3})\n",
+            "  adaptive pick: {} {} (forecast {:.3} ± rmse {:.3})\n",
+            fc.winner,
             ens.names()[fc.winner],
             fc.value,
             fc.rmse
         );
     }
     println!(
-        "No single strategy wins everywhere — which is exactly why the NWS\n\
-         (and this clone) re-selects the lowest-error strategy per forecast."
+        "The NWS (and this clone) re-selects the lowest-error strategy per\n\
+         forecast, so each resource is served by whichever strategy has\n\
+         tracked it best so far (exp-smoothing rows by rising gain)."
     );
 }
