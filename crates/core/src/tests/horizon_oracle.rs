@@ -253,10 +253,10 @@ fn digest(series: &impl serde::Serialize) -> String {
 #[test]
 fn preset_experiments_are_pinned_by_digest() {
     const GOLDEN: [&str; 4] = [
-        "6058:09a289a328eaad42 13188:0e74bc00a1746021 8273:55a392297821e80a 15185:e617ffe854bbcb32",
-        "6024:6e5dae9c06b6a654 13713:208833e0eec27886 8274:9741e9a4302b4136 15106:f69e1783c1a8371f",
-        "6067:277d712dd31eae3b 12986:44c061edfcc6839d 8220:d76704a3b072faf4 14321:c5bdb85483219a4f",
-        "6019:9d462a2429ec0d96 13482:970da5bfae3c6504 8196:fa3f15c6cda6739d 14453:f5543eb61ca73652",
+        "6059:f09d875de443ab23 13188:0e74bc00a1746021 8267:bfdda86dc4c9592c 15174:03e6f115424e64a1",
+        "6020:e89b75723b2714f0 13714:f6f6e02ab9525839 8274:5178e2a421a44395 15097:86c0b0aeef15e9d6",
+        "6063:f6053bcdd0d91bde 12986:44c061edfcc6839d 8208:8532c348e3e76496 14318:adfff0b6727e28f7",
+        "6021:29f9c97c7e26187f 13482:970da5bfae3c6504 8194:8c75d463ad133fb4 14454:4dad0fc347f4a6bd",
     ];
     let sizes = [1000, 1600, 2000];
     let actual = [3u64, 17, 42, 0x9E37_79B9].map(|seed| {

@@ -79,7 +79,7 @@ fn a_faulted_short_horizon_is_pinned_past_the_clamp() {
         fault: Some(FaultConfig::with_intensity(3, 1.0)),
         ..ServiceConfig::default()
     };
-    assert_eq!(run(config, 320, 228), "2143af882ad3ced3");
+    assert_eq!(run(config, 320, 228), "5d76112474c5b9e8");
 }
 
 #[test]
@@ -92,5 +92,5 @@ fn a_fractional_horizon_is_pinned_past_the_clamp() {
         fault: Some(FaultConfig::with_intensity(3, 0.5)),
         ..ServiceConfig::default()
     };
-    assert_eq!(run(config, 500, 470), "857ed04c0037d043");
+    assert_eq!(run(config, 500, 470), "624e6e84a3d31708");
 }
